@@ -14,20 +14,18 @@ import itertools
 from dataclasses import dataclass, field
 
 from .pca import (
-    DEFAULT_FUEL, Diverges, FuelExhausted, apply, cantor_unpair, const_code,
-    tabulate, tuple_encode,
+    DEFAULT_FUEL, apply, cantor_unpair, const_code, tabulate, tuple_encode,
 )
 from .core import (
-    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, Verdict,
-    check_morphism, compose, identity, make_object, synthesize_morphism,
-    _intersect_all, _pick, _run,
+    Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, YES,
+    compose, identity, make_object, settle, synthesize_morphism, _run,
 )
 from .path import (
-    FibrationWitness, Homotopy, fib_path_object, fibrewise_homotopic_decide,
+    FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
     homotopic_decide, is_equivalence_decide, is_trivial_fibration,
-    path_object, pullback, synthesize_fibration_witness, terminal_map,
+    synthesize_fibration_witness, terminal_map,
 )
-from .constructions import Transport, _lift_endpoint, freyd_square_check
+from .constructions import _lift_endpoint, freyd_square_check
 
 VERIFIED, REFUTED = "verified", "refuted"
 
@@ -140,18 +138,15 @@ def discrete_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
     the comparison square verdict is cross-checked.
     """
     B = f.dom
-    table = {}
-    crit3 = YES
-    for n in B.realizer_image():
-        homs = [B.hom_of(b0, b1)
-                for b0 in B.cells_with_realizer(n)
-                for b1 in B.cells_with_realizer(n)
-                if f.zero_map[b0] == f.zero_map[b1]]
-        inter = _intersect_all(homs)
-        if not inter:
-            crit3 = NO
-            break
-        table[n] = _pick(inter)
+    try:
+        table = settle(lambda _val: [(
+            ("code", B.realizer[b0], B.hom_of(b0, b1), "connecting code")
+            for b0, b1 in itertools.product(B.cells, repeat=2)
+            if B.realizer[b0] == B.realizer[b1]
+            and f.zero_map[b0] == f.zero_map[b1])], ("code",))["code"]
+        crit3 = YES
+    except SynthesisFailed:
+        crit3 = NO
     square = freyd_square_check(f, fuel)
     if square.status != UNKNOWN and crit3 != square.status:
         return Decision(UNKNOWN,
@@ -184,10 +179,6 @@ def discrete_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
 
 
 # --- the universe of propositions -------------------------------------------
-
-def u_realizer(_subset) -> int:
-    return 0
-
 
 def u_hom_status(X, Y, n: int, fuel: int = DEFAULT_FUEL) -> str:
     """Is n = <r, s> a 1-cell between the subsets X and Y?  r must send

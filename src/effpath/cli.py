@@ -8,7 +8,6 @@ error, 3 at least one UNKNOWN verdict (and nothing failed outright).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 
@@ -399,15 +398,19 @@ def _run_suite(rs, args):
         return _report("suite", f"{n} {key}", outcome,
                        f"expected {want}, checker said {status}")
 
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            reports = list(pool.map(run, work))
-    else:
-        reports = [run(item) for item in work]
-    return sorted(reports, key=lambda r: r["target"])
+    return sorted(map(run, work), key=lambda r: r["target"])
 
 
 # --- entry point -------------------------------------------------------------
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return n
+    return parse
+
 
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -416,12 +419,11 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-        sp.add_argument("--budget", type=int, default=64)
+        sp.add_argument("--fuel", type=_int_at_least(0), default=DEFAULT_FUEL)
+        sp.add_argument("--budget", type=_int_at_least(0), default=64)
         sp.add_argument("--depth", type=int, default=600)
         sp.add_argument("--format", choices=("json", "text"),
                         default="text")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--fixtures", action="append", default=[],
                         metavar="PATH",
                         help="extra fixture files to resolve names in")
@@ -431,7 +433,8 @@ def _build_parser():
             sp = sub.add_parser(name)
             sp.add_argument("targets", nargs="+" if cmd == "pi" else arity)
             if cmd in ("truncate", "hlevel"):
-                sp.add_argument("--n", type=int, required=True, dest="n")
+                sp.add_argument("--n", type=_int_at_least(-2),
+                                required=True, dest="n")
             common(sp)
     sp = sub.add_parser("suite")
     sp.add_argument("targets", nargs="*")

@@ -272,7 +272,6 @@ class VirtualObject:
     contains: object       # (presentation, fuel) -> yes | no | unknown
     realizer_of: object    # presentation -> int
     hom_status: object     # (x, y, n, fuel) -> yes | no | unknown
-    finite_fiber: object = None  # base cell -> EffObject
 
 
 def _verdict_status(v) -> str:
@@ -510,8 +509,7 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
         return _verdict_status(check_homotopy(lhs, rhs, Homotopy(code),
                                               fuel))
 
-    virt = VirtualObject(obj.name, contains, realizer_of, hom_status,
-                         finite_fiber=lambda x: fibre_object(proj, x))
+    virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_dom, ev)
 
 

@@ -10,7 +10,7 @@ sharing the same visible input must be served by the same output value
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pca import (
     DEFAULT_FUEL, Diverges, FuelExhausted, apply, compile_term, compose_codes,
@@ -57,30 +57,113 @@ class Decision:
 
 
 class SynthesisFailed(Exception):
-    """No uniform code can serve the required table (empty intersection)."""
+    """No uniform code can serve the required table (empty intersection).
+
+    ``slot`` and ``t`` name the failing obligation group when the engine
+    raised it."""
+
+    def __init__(self, message: str, slot=None, t=None):
+        super().__init__(message)
+        self.slot, self.t = slot, t
 
 
-# --- hom-sets ---------------------------------------------------------------
-# A hom-set is either a plain (frozen)set of naturals or an IntensionalHom
-# for virtual objects whose hom-sets cannot be enumerated.
+# --- the obligation engine --------------------------------------------------
+# A structure declares its side conditions once, as a function ``stages(val)``
+# yielding stages of obligations (slot, t, acceptable set, label): the code
+# named by slot, run at visible input t, must return a member of the set.  A
+# slot is a code name, or a tuple of names answering jointly with a tuple of
+# values.  Later stages read earlier values through ``val(slot, t)``: the
+# table being built when synthesizing, the code being run when checking.
 
-@dataclass
-class IntensionalHom:
-    membership: object  # (n, fuel) -> YES | NO | UNKNOWN
-    sampler: object = None  # optional () -> iterable of known members
-
-    def contains(self, n: int, fuel: int = DEFAULT_FUEL) -> str:
-        return self.membership(n, fuel)
-
-
-def hom_contains(h, n: int, fuel: int = DEFAULT_FUEL) -> str:
-    if isinstance(h, (set, frozenset)):
-        return YES if n in h else NO
-    return h.contains(n, fuel)
+def forced(value, target) -> tuple:
+    """The acceptable set of an obligation whose value is given."""
+    return (value,) if value in target else ()
 
 
-def is_finite_hom(h) -> bool:
-    return isinstance(h, (set, frozenset))
+def _intersect_groups(obligations) -> dict:
+    out = {}
+    for slot, t, acc, label in obligations:
+        key = (slot, t)
+        acc = out[key].intersection(acc) if key in out else frozenset(acc)
+        if not acc:
+            raise SynthesisFailed(f"{label}: empty at input {t}", slot, t)
+        out[key] = acc
+    return out
+
+
+def groups(stages) -> dict:
+    """The first stage's acceptable sets intersected per (slot, t), in
+    declaration order (the first stage reads no values).  Raises
+    SynthesisFailed at the first empty intersection."""
+    return _intersect_groups(next(iter(stages(None))))
+
+
+def settle(stages, slots) -> dict:
+    """Synthesis: per stage, intersect each (slot, t) group and pick its
+    least member.  Returns {code name: {t: value}} for every name in
+    ``slots``; raises SynthesisFailed naming the first empty group."""
+    tables = {s: {} for s in slots}
+    for stage in stages(lambda slot, t: tables[slot][t]):
+        for (slot, t), acc in _intersect_groups(stage).items():
+            v = min(acc)
+            for s, x in (zip(slot, v) if isinstance(slot, tuple)
+                         else ((slot, v),)):
+                tables[s][t] = x
+    return tables
+
+
+def tabulate_all(tables: dict) -> dict:
+    return {s: tabulate(table) for s, table in tables.items()}
+
+
+def verify(stages, codes, fuel: int) -> Verdict:
+    """Checking: run each (code, t) once at ``fuel`` and test every
+    obligation in declaration order; the first failure wins.  Fuel
+    exhaustion, also while computing a target, is UNKNOWN; divergence, an
+    empty target or a value outside it is INVALID."""
+    runs = {}
+
+    def run(name, t):
+        out = runs.get((name, t))
+        if out is None:
+            out = runs[name, t] = _run(codes[name], t, fuel)
+        return out
+
+    def val(slot, t):
+        status, v = runs.get((slot, t)) or run(slot, t)
+        if status == "ok":
+            return v
+        raise FuelExhausted() if status == "fuel" else Diverges()
+
+    try:
+        for stage in stages(val):
+            for slot, t, acc, label in stage:
+                if not acc:
+                    return invalid(f"{label}: no acceptable value at {t}")
+                if isinstance(slot, tuple):
+                    v = ()
+                    for s in slot:
+                        status, x = runs.get((s, t)) or run(s, t)
+                        if status != "ok":
+                            break
+                        v += (x,)
+                else:
+                    out = runs.get((slot, t))
+                    if out is None:
+                        out = runs[slot, t] = _run(codes[slot], t, fuel)
+                    status, v = out
+                if status == "fuel":
+                    return unknown(f"{label}: fuel exhausted at {t}")
+                if status == "div":
+                    return invalid(f"{label}: diverges at {t}")
+                if v not in acc:
+                    return invalid(
+                        f"{label}: value {v} outside target at {t}")
+    except FuelExhausted:
+        return unknown("fuel exhausted computing a target")
+    except Diverges:
+        return invalid("a target value diverges")
+    return valid()
 
 
 # --- objects ----------------------------------------------------------------
@@ -89,7 +172,7 @@ def is_finite_hom(h) -> bool:
 class EffObject:
     cells: tuple
     realizer: dict
-    hom: dict  # (cell, cell) -> hom-set
+    hom: dict  # (cell, cell) -> frozenset of naturals
     unit_code: int
     inv_code: int
     comp_code: int
@@ -103,10 +186,6 @@ class EffObject:
 
     def cells_with_realizer(self, n: int) -> list:
         return [a for a in self.cells if self.realizer[a] == n]
-
-    def all_finite(self) -> bool:
-        return all(is_finite_hom(self.hom_of(a, b))
-                   for a in self.cells for b in self.cells)
 
     def __repr__(self):
         return f"EffObject({self.name or id(self)}, {len(self.cells)} cells)"
@@ -122,77 +201,40 @@ def _run(code: int, arg: int, fuel: int):
         return "fuel", None
 
 
+def _object_stages(cells, realizer, hom_of):
+    """Unit (by sorted realizer), inverse and composition obligations:
+    inputs <alpha a, alpha a', pi> and <alpha a, alpha a', alpha a'', pi,
+    pi'>, outputs in hom(a', a) and hom(a, a'')."""
+    R = realizer
+
+    def stages(_val):
+        def structure():
+            for a in sorted(cells, key=R.__getitem__):
+                yield "unit_code", R[a], hom_of(a, a), "unit"
+            for a, a2 in itertools.product(cells, repeat=2):
+                for pi in sorted(hom_of(a, a2)):
+                    yield ("inv_code", tuple_encode(R[a], R[a2], pi),
+                           hom_of(a2, a), "inverse")
+            for a, a2 in itertools.product(cells, repeat=2):
+                h12 = sorted(hom_of(a, a2))
+                if not h12:
+                    continue
+                for a3 in cells:
+                    for pi in h12:
+                        for pi2 in sorted(hom_of(a2, a3)):
+                            yield ("comp_code",
+                                   tuple_encode(R[a], R[a2], R[a3], pi, pi2),
+                                   hom_of(a, a3), "composition")
+        yield structure()
+    return stages
+
+
+_OBJECT_SLOTS = ("unit_code", "inv_code", "comp_code")
+
+
 def check_object(obj: EffObject, fuel: int = DEFAULT_FUEL) -> Verdict:
-    # unit: one output per visible realizer, landing in every diagonal
-    # hom-set of the cells carrying it
-    for n in obj.realizer_image():
-        status, v = _run(obj.unit_code, n, fuel)
-        if status == "fuel":
-            return unknown(f"unit at realizer {n}")
-        if status == "div":
-            return invalid(f"unit diverges at realizer {n}")
-        for a in obj.cells_with_realizer(n):
-            m = hom_contains(obj.hom_of(a, a), v, fuel)
-            if m == NO:
-                return invalid(f"unit output {v} outside hom({a},{a})")
-            if m == UNKNOWN:
-                return unknown(f"unit membership at {a}")
-
-    # inverse: input <alpha a, alpha a', pi>, output in hom(a', a) for every
-    # cell pair consistent with the visible input
-    for a, a2 in itertools.product(obj.cells, repeat=2):
-        h = obj.hom_of(a, a2)
-        if not is_finite_hom(h):
-            continue
-        for pi in sorted(h):
-            t = tuple_encode(obj.realizer[a], obj.realizer[a2], pi)
-            status, v = _run(obj.inv_code, t, fuel)
-            if status == "fuel":
-                return unknown(f"inverse at ({a},{a2},{pi})")
-            if status == "div":
-                return invalid(f"inverse diverges at ({a},{a2},{pi})")
-            m = hom_contains(obj.hom_of(a2, a), v, fuel)
-            if m == NO:
-                return invalid(f"inverse output {v} outside hom({a2},{a})")
-            if m == UNKNOWN:
-                return unknown(f"inverse membership at ({a2},{a})")
-
-    # composition: input <alpha a, alpha a', alpha a'', pi, pi'> with
-    # pi: a -> a', pi': a' -> a''; output in hom(a, a'')
-    for a, a2, a3 in itertools.product(obj.cells, repeat=3):
-        h1, h2 = obj.hom_of(a, a2), obj.hom_of(a2, a3)
-        if not (is_finite_hom(h1) and is_finite_hom(h2)):
-            continue
-        for pi in sorted(h1):
-            for pi2 in sorted(h2):
-                t = tuple_encode(obj.realizer[a], obj.realizer[a2],
-                                 obj.realizer[a3], pi, pi2)
-                status, v = _run(obj.comp_code, t, fuel)
-                if status == "fuel":
-                    return unknown(f"composition at ({a},{a2},{a3})")
-                if status == "div":
-                    return invalid(
-                        f"composition diverges at ({a},{a2},{a3},{pi},{pi2})")
-                m = hom_contains(obj.hom_of(a, a3), v, fuel)
-                if m == NO:
-                    return invalid(
-                        f"composition output {v} outside hom({a},{a3})")
-                if m == UNKNOWN:
-                    return unknown(f"composition membership at ({a},{a3})")
-    return valid()
-
-
-def _pick(s):
-    return min(s)
-
-
-def _intersect_all(sets):
-    acc = None
-    for s in sets:
-        acc = set(s) if acc is None else acc & set(s)
-        if not acc:
-            return set()
-    return acc if acc is not None else set()
+    return verify(_object_stages(obj.cells, obj.realizer, obj.hom_of),
+                  vars(obj), fuel)
 
 
 def synthesize_object_codes(cells, realizer, hom):
@@ -201,42 +243,9 @@ def synthesize_object_codes(cells, realizer, hom):
     Over a finite carrier a uniform code exists iff every intersection of
     hom-sets sharing a visible input is inhabited; the witness is a table.
     """
-    def hom_of(a, b):
-        return hom.get((a, b), frozenset())
-
-    unit_t = {}
-    for n in sorted(set(realizer.values())):
-        inter = _intersect_all(hom_of(a, a) for a in cells
-                               if realizer[a] == n)
-        if not inter:
-            raise SynthesisFailed(f"unit at realizer {n}")
-        unit_t[n] = _pick(inter)
-
-    inv_groups: dict[int, list] = {}
-    comp_groups: dict[int, list] = {}
-    for a, a2 in itertools.product(cells, repeat=2):
-        for pi in hom_of(a, a2):
-            t = tuple_encode(realizer[a], realizer[a2], pi)
-            inv_groups.setdefault(t, []).append(hom_of(a2, a))
-    for a, a2, a3 in itertools.product(cells, repeat=3):
-        for pi in hom_of(a, a2):
-            for pi2 in hom_of(a2, a3):
-                t = tuple_encode(realizer[a], realizer[a2], realizer[a3],
-                                 pi, pi2)
-                comp_groups.setdefault(t, []).append(hom_of(a, a3))
-
-    inv_t, comp_t = {}, {}
-    for t, targets in inv_groups.items():
-        inter = _intersect_all(targets)
-        if not inter:
-            raise SynthesisFailed(f"inverse at input {t}")
-        inv_t[t] = _pick(inter)
-    for t, targets in comp_groups.items():
-        inter = _intersect_all(targets)
-        if not inter:
-            raise SynthesisFailed(f"composition at input {t}")
-        comp_t[t] = _pick(inter)
-    return tabulate(unit_t), tabulate(inv_t), tabulate(comp_t)
+    stages = _object_stages(cells, realizer,
+                            lambda a, b: hom.get((a, b), frozenset()))
+    return tuple(tabulate_all(settle(stages, _OBJECT_SLOTS)).values())
 
 
 def make_object(cells, realizer, hom, name: str = "") -> EffObject:
@@ -271,46 +280,34 @@ class EffMorphism:
         return f"EffMorphism({self.name or id(self)})"
 
 
+def _morphism_stages(dom: EffObject, cod: EffObject, zero_map: dict,
+                     one_map: dict | None = None):
+    """tracking0 sends beta b to the realizer of f(b); tracking1 sends
+    <beta b, beta b', pi> into hom(f b, f b'), onto one_map's image when
+    one_map is given."""
+    R = dom.realizer
+
+    def stages(_val):
+        def tracking():
+            for b in dom.cells:
+                fb = zero_map.get(b)
+                yield ("tracking0", R[b],
+                       (cod.realizer[fb],) if fb in cod.cells else (),
+                       "tracking0")
+            for b, b2 in itertools.product(dom.cells, repeat=2):
+                h = cod.hom_of(zero_map.get(b), zero_map.get(b2))
+                for pi in sorted(dom.hom_of(b, b2)):
+                    yield ("tracking1", tuple_encode(R[b], R[b2], pi),
+                           h if one_map is None else
+                           forced(one_map.get((b, b2), {}).get(pi), h),
+                           "tracking1")
+        yield tracking()
+    return stages
+
+
 def check_morphism(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Verdict:
-    dom, cod = f.dom, f.cod
-    for b in dom.cells:
-        fb = f.zero_map.get(b)
-        if fb not in cod.cells:
-            return invalid(f"zero_map sends {b} outside the codomain")
-        status, v = _run(f.tracking0, dom.realizer[b], fuel)
-        if status == "fuel":
-            return unknown(f"tracking0 at {b}")
-        if status == "div":
-            return invalid(f"tracking0 diverges at {b}")
-        if v != cod.realizer[fb]:
-            return invalid(f"tracking0 at {b}: got {v}, "
-                           f"want {cod.realizer[fb]}")
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        h = dom.hom_of(b, b2)
-        if not is_finite_hom(h):
-            continue
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        for pi in sorted(h):
-            try:
-                img = f.one_map[(b, b2)][pi]
-            except KeyError:
-                return invalid(f"one_map undefined at ({b},{b2},{pi})")
-            m = hom_contains(cod.hom_of(fb, fb2), img, fuel)
-            if m == NO:
-                return invalid(
-                    f"one_map image {img} outside hom({fb},{fb2})")
-            if m == UNKNOWN:
-                return unknown(f"one_map membership at ({fb},{fb2})")
-            t = tuple_encode(dom.realizer[b], dom.realizer[b2], pi)
-            status, v = _run(f.tracking1, t, fuel)
-            if status == "fuel":
-                return unknown(f"tracking1 at ({b},{b2},{pi})")
-            if status == "div":
-                return invalid(f"tracking1 diverges at ({b},{b2},{pi})")
-            if v != img:
-                return invalid(f"tracking1 at ({b},{b2},{pi}): got {v}, "
-                               f"want {img}")
-    return valid()
+    return verify(_morphism_stages(f.dom, f.cod, f.zero_map, f.one_map),
+                  vars(f), fuel)
 
 
 def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
@@ -321,37 +318,22 @@ def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
     intersect the target hom-sets; any empty group kills every candidate
     one-map at once.
     """
-    t0_table = {}
-    for b in dom.cells:
-        n = dom.realizer[b]
-        want = cod.realizer[zero_map[b]]
-        if t0_table.setdefault(n, want) != want:
-            return None
-    one_groups: dict[int, list] = {}
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        for pi in dom.hom_of(b, b2):
-            t = tuple_encode(dom.realizer[b], dom.realizer[b2], pi)
-            one_groups.setdefault(t, []).append(
-                (b, b2, pi, cod.hom_of(zero_map[b], zero_map[b2])))
-    t1_table, choice = {}, {}
-    for t, entries in one_groups.items():
-        inter = _intersect_all(h for (_, _, _, h) in entries)
-        if not inter:
-            return None
-        v = _pick(inter)
-        t1_table[t] = v
-        for b, b2, pi, _ in entries:
-            choice.setdefault((b, b2), {})[pi] = v
-    one_map = {(b, b2): choice.get((b, b2), {})
+    try:
+        T = settle(_morphism_stages(dom, cod, zero_map),
+                   ("tracking0", "tracking1"))
+    except SynthesisFailed:
+        return None
+    R = dom.realizer
+    one_map = {(b, b2): {pi: T["tracking1"][tuple_encode(R[b], R[b2], pi)]
+                         for pi in dom.hom_of(b, b2)}
                for b in dom.cells for b2 in dom.cells}
     return EffMorphism(dom, cod, dict(zero_map), one_map,
-                       tabulate(t0_table), tabulate(t1_table), name=name)
+                       **tabulate_all(T), name=name)
 
 
 def identity(obj: EffObject) -> EffMorphism:
     one_map = {(a, b): {pi: pi for pi in obj.hom_of(a, b)}
-               for a in obj.cells for b in obj.cells
-               if is_finite_hom(obj.hom_of(a, b))}
+               for a in obj.cells for b in obj.cells}
     x = Var("x")
     third = compile_term(lam("x", app(SND_C, app(SND_C, x))))
     return EffMorphism(obj, obj, {a: a for a in obj.cells}, one_map,

@@ -13,20 +13,20 @@ definitive finite emptiness; fuel or budget exhaustion yields UNKNOWN.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, apply, cantor_unpair, const_code, tabulate, tuple_encode,
+    DEFAULT_FUEL, FuelExhausted, apply, apply_counted, cantor_unpair,
+    const_code, tabulate, tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, Verdict,
-    YES, _intersect_all, _pick, _run, check_morphism as check_morphism0,
-    check_object as check_object0, compose as compose0,
-    identity as identity0, invalid, make_object,
-    synthesize_morphism as synthesize_morphism0, unknown, valid,
+    YES, check_morphism as check_morphism0,
+    compose as compose0, forced, groups, identity as identity0, make_object,
+    settle, synthesize_morphism as synthesize_morphism0, tabulate_all, verify,
 )
 from .path import (
-    DEFAULT_BUDGET, Homotopy as Homotopy0, NotTrivial, _zero_map_candidates,
+    DEFAULT_BUDGET, NotTrivial, _zero_map_candidates,
     check_homotopy as check_homotopy0, homotopic_decide as homotopic_decide0,
     is_equivalence_decide as is_equivalence_decide0,
     terminal_object as terminal_object0,
@@ -83,15 +83,18 @@ class Eff1Object:
 
 
 def _memo(A, key, code, t, fuel):
-    # structure codes are deterministic tables: cache their values per
-    # object so repeated reads don't re-run the machine
-    cache = getattr(A, "_value_cache", None)
+    # structure codes are deterministic tables: cache each value per object
+    # together with the steps it cost, so a read at lower fuel still runs out
+    cache = A.__dict__.get("_value_cache")
     if cache is None:
         cache = A._value_cache = {}
-    k = (key, t)
-    if k not in cache:
-        cache[k] = apply(code, t, fuel=fuel)
-    return cache[k]
+    try:
+        value, steps = cache[key, t]
+    except KeyError:
+        value, steps = cache[key, t] = apply_counted(code, t, fuel=fuel)
+    if steps > fuel:
+        raise FuelExhausted()
+    return value
 
 
 def _u(A, a, fuel: int = DEFAULT_FUEL) -> int:
@@ -125,6 +128,112 @@ def _dec3(e):
     return a, b, c
 
 
+_OBJECT1_SLOTS = ("unit1", "inv1", "comp1", "coh_lunit", "coh_runit",
+                  "coh_linv", "coh_rinv", "coh_assoc", "id2", "vcomp", "inv2",
+                  "hcomp")
+
+
+def _object1_stages(cells, realizer, hom_of, hom2_of,
+                    unit=None, inv=None, comp=None):
+    """The twelve structure obligations: the 1-level structure first, then
+    the coherences reading its values.  Value functions unit/inv/comp, when
+    given, force the 1-level values."""
+    R = realizer
+    cells2 = list(itertools.product(cells, repeat=2))
+
+    def stages(val):
+        def structure():
+            for a in cells:
+                h = hom_of(a, a)
+                yield ("unit1", R[a], h if unit is None else
+                       forced(unit(a), h), "unit")
+            for a, b in cells2:
+                for p in hom_of(a, b):
+                    h = hom_of(b, a)
+                    yield ("inv1", tuple_encode(R[a], R[b], p),
+                           h if inv is None else forced(inv(a, b, p), h),
+                           "inverse")
+            for a, b, c in itertools.product(cells, repeat=3):
+                hab, hbc = hom_of(a, b), hom_of(b, c)
+                if not (hab and hbc):
+                    continue
+                h = hom_of(a, c)
+                for p in hab:
+                    for r in hbc:
+                        yield ("comp1",
+                               tuple_encode(R[a], R[b], R[c], p, r),
+                               h if comp is None else
+                               forced(comp(a, b, c, p, r), h),
+                               "composition")
+        yield structure()
+
+        def u(a):
+            return val("unit1", R[a])
+
+        composites = {}
+
+        def cp(a, b, c, p, r):
+            key = (R[a], R[b], R[c], p, r)
+            if key not in composites:
+                composites[key] = val("comp1", tuple_encode(*key))
+            return composites[key]
+
+        def coherence():
+            for a, b in cells2:
+                for p in hom_of(a, b):
+                    t = tuple_encode(R[a], R[b], p)
+                    pi = val("inv1", t)
+                    yield ("coh_lunit", t, hom2_of(a, b, cp(a, b, b, p, u(b)),
+                                                   p), "left unit coherence")
+                    yield ("coh_runit", t, hom2_of(a, b, cp(a, a, b, u(a), p),
+                                                   p), "right unit coherence")
+                    yield ("coh_linv", t,
+                           hom2_of(a, a, cp(a, b, a, p, pi), u(a)),
+                           "left inverse coherence")
+                    yield ("coh_rinv", t,
+                           hom2_of(b, b, cp(b, a, b, pi, p), u(b)),
+                           "right inverse coherence")
+                    yield "id2", t, hom2_of(a, b, p, p), "2-identity"
+            for a, b, c, d in itertools.product(cells, repeat=4):
+                for p in hom_of(a, b):
+                    for r in hom_of(b, c):
+                        for s in hom_of(c, d):
+                            lhs = cp(a, c, d, cp(a, b, c, p, r), s)
+                            rhs = cp(a, b, d, p, cp(b, c, d, r, s))
+                            yield ("coh_assoc",
+                                   tuple_encode(R[a], R[b], R[c], R[d],
+                                                p, r, s),
+                                   hom2_of(a, d, lhs, rhs),
+                                   "associativity coherence")
+            for a, b in cells2:
+                h1 = sorted(hom_of(a, b))
+                for p, r, s in itertools.product(h1, repeat=3):
+                    for n in hom2_of(a, b, p, r):
+                        for m in hom2_of(a, b, r, s):
+                            yield ("vcomp",
+                                   tuple_encode(R[a], R[b], p, r, s, n, m),
+                                   hom2_of(a, b, p, s),
+                                   "vertical composition")
+                for p, r in itertools.product(h1, repeat=2):
+                    for n in hom2_of(a, b, p, r):
+                        yield ("inv2", tuple_encode(R[a], R[b], p, r, n),
+                               hom2_of(a, b, r, p), "2-inverse")
+            for a, b, c in itertools.product(cells, repeat=3):
+                for p, r in itertools.product(sorted(hom_of(a, b)), repeat=2):
+                    for p2, r2 in itertools.product(sorted(hom_of(b, c)),
+                                                    repeat=2):
+                        for n in hom2_of(a, b, p, r):
+                            for m in hom2_of(b, c, p2, r2):
+                                yield ("hcomp",
+                                       tuple_encode(R[a], R[b], R[c], p, r,
+                                                    p2, r2, n, m),
+                                       hom2_of(a, c, cp(a, b, c, p, p2),
+                                               cp(a, b, c, r, r2)),
+                                       "horizontal composition")
+        yield coherence()
+    return stages
+
+
 def synthesize_object1_codes(cells, realizer, hom, hom2,
                              unit=None, inv=None, comp=None):
     """All twelve structure codes as tables, by per-visible-input
@@ -132,133 +241,11 @@ def synthesize_object1_codes(cells, realizer, hom, hom2,
     structure (a composition law the minimal pick would not find); their
     values are still checked for uniformity and membership.
     """
-    def hom_of(a, b):
-        return hom.get((a, b), frozenset())
-
-    def hom2_of(a, b, p, q):
-        return hom2.get((a, b, p, q), frozenset())
-
-    def settle(groups, label):
-        out = {}
-        for t, entries in groups.items():
-            overrides = {v for _, v in entries if v is not None}
-            if len(overrides) > 1:
-                raise SynthesisFailed(f"{label}: override not uniform at {t}")
-            inter = _intersect_all(tset for tset, _ in entries)
-            if overrides:
-                v = overrides.pop()
-                if v not in inter:
-                    raise SynthesisFailed(
-                        f"{label}: override value {v} rejected at {t}")
-                out[t] = v
-            else:
-                if not inter:
-                    raise SynthesisFailed(f"{label}: empty at input {t}")
-                out[t] = _pick(inter)
-        return out
-
-    g = {}
-    for a in cells:
-        g.setdefault(realizer[a], []).append(
-            (hom_of(a, a), unit(a) if unit else None))
-    unit_t = settle(g, "unit")
-
-    def uval(a):
-        return unit_t[realizer[a]]
-
-    g = {}
-    for a, b in itertools.product(cells, repeat=2):
-        for p in hom_of(a, b):
-            t = tuple_encode(realizer[a], realizer[b], p)
-            g.setdefault(t, []).append(
-                (hom_of(b, a), inv(a, b, p) if inv else None))
-    inv_t = settle(g, "inverse")
-
-    def ival(a, b, p):
-        return inv_t[tuple_encode(realizer[a], realizer[b], p)]
-
-    g = {}
-    for a, b, c in itertools.product(cells, repeat=3):
-        for p in hom_of(a, b):
-            for r in hom_of(b, c):
-                t = tuple_encode(realizer[a], realizer[b], realizer[c], p, r)
-                g.setdefault(t, []).append(
-                    (hom_of(a, c), comp(a, b, c, p, r) if comp else None))
-    comp_t = settle(g, "composition")
-
-    def cval(a, b, c, p, r):
-        return comp_t[tuple_encode(realizer[a], realizer[b], realizer[c],
-                                   p, r)]
-
-    lu, ru, li, ri, ii = {}, {}, {}, {}, {}
-    for a, b in itertools.product(cells, repeat=2):
-        for p in hom_of(a, b):
-            t = tuple_encode(realizer[a], realizer[b], p)
-            lu.setdefault(t, []).append(
-                (hom2_of(a, b, cval(a, b, b, p, uval(b)), p), None))
-            ru.setdefault(t, []).append(
-                (hom2_of(a, b, cval(a, a, b, uval(a), p), p), None))
-            li.setdefault(t, []).append(
-                (hom2_of(a, a, cval(a, b, a, p, ival(a, b, p)), uval(a)),
-                 None))
-            ri.setdefault(t, []).append(
-                (hom2_of(b, b, cval(b, a, b, ival(a, b, p), p), uval(b)),
-                 None))
-            ii.setdefault(t, []).append((hom2_of(a, b, p, p), None))
-    lunit_t = settle(lu, "left unit coherence")
-    runit_t = settle(ru, "right unit coherence")
-    linv_t = settle(li, "left inverse coherence")
-    rinv_t = settle(ri, "right inverse coherence")
-    id2_t = settle(ii, "2-identity")
-
-    g = {}
-    for a, b in itertools.product(cells, repeat=2):
-        for c, d in itertools.product(cells, repeat=2):
-            for p in hom_of(a, b):
-                for r in hom_of(b, c):
-                    for s in hom_of(c, d):
-                        t = tuple_encode(realizer[a], realizer[b],
-                                         realizer[c], realizer[d], p, r, s)
-                        lhs = cval(a, c, d, cval(a, b, c, p, r), s)
-                        rhs = cval(a, b, d, p, cval(b, c, d, r, s))
-                        g.setdefault(t, []).append(
-                            (hom2_of(a, d, lhs, rhs), None))
-    assoc_t = settle(g, "associativity coherence")
-
-    g = {}
-    for a, b in itertools.product(cells, repeat=2):
-        h1 = hom_of(a, b)
-        for p, r, s in itertools.product(sorted(h1), repeat=3):
-            for n in hom2_of(a, b, p, r):
-                for m in hom2_of(a, b, r, s):
-                    t = tuple_encode(realizer[a], realizer[b], p, r, s, n, m)
-                    g.setdefault(t, []).append((hom2_of(a, b, p, s), None))
-    vcomp_t = settle(g, "vertical composition")
-
-    g = {}
-    for a, b in itertools.product(cells, repeat=2):
-        for p, r in itertools.product(sorted(hom_of(a, b)), repeat=2):
-            for n in hom2_of(a, b, p, r):
-                t = tuple_encode(realizer[a], realizer[b], p, r, n)
-                g.setdefault(t, []).append((hom2_of(a, b, r, p), None))
-    inv2_t = settle(g, "2-inverse")
-
-    g = {}
-    for a, b, c in itertools.product(cells, repeat=3):
-        for p, r in itertools.product(sorted(hom_of(a, b)), repeat=2):
-            for p2, r2 in itertools.product(sorted(hom_of(b, c)), repeat=2):
-                for n in hom2_of(a, b, p, r):
-                    for m in hom2_of(b, c, p2, r2):
-                        t = tuple_encode(realizer[a], realizer[b],
-                                         realizer[c], p, r, p2, r2, n, m)
-                        g.setdefault(t, []).append(
-                            (hom2_of(a, c, cval(a, b, c, p, p2),
-                                     cval(a, b, c, r, r2)), None))
-    hcomp_t = settle(g, "horizontal composition")
-
-    return tuple(tabulate(t) for t in (
-        unit_t, inv_t, comp_t, lunit_t, runit_t, linv_t, rinv_t, assoc_t,
-        id2_t, vcomp_t, inv2_t, hcomp_t))
+    stages = _object1_stages(
+        cells, realizer, lambda a, b: hom.get((a, b), frozenset()),
+        lambda a, b, p, q: hom2.get((a, b, p, q), frozenset()),
+        unit, inv, comp)
+    return tuple(tabulate_all(settle(stages, _OBJECT1_SLOTS)).values())
 
 
 def make_object1(cells, realizer, hom, hom2, name: str = "",
@@ -279,108 +266,8 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
 
 def check_object1(obj: Eff1Object, fuel: int = DEFAULT_FUEL) -> Verdict:
     """Exhaustively run every structure code on every instance."""
-    A = obj
-
-    def ck(code, t, target, label):
-        status, v = _run(code, t, fuel)
-        if status == "fuel":
-            return unknown(f"{label}: fuel exhausted at {t}")
-        if status == "div":
-            return invalid(f"{label}: diverges at {t}")
-        if v not in target:
-            return invalid(f"{label}: value {v} outside target at {t}")
-        return None
-
-    for a in A.cells:
-        bad = ck(A.unit1, A.realizer[a], A.hom_of(a, a), "unit")
-        if bad is not None:
-            return bad
-    for a, b in itertools.product(A.cells, repeat=2):
-        ra, rb = A.realizer[a], A.realizer[b]
-        for p in A.hom_of(a, b):
-            bad = ck(A.inv1, tuple_encode(ra, rb, p), A.hom_of(b, a),
-                     "inverse")
-            if bad is not None:
-                return bad
-    for a, b, c in itertools.product(A.cells, repeat=3):
-        for p in A.hom_of(a, b):
-            for r in A.hom_of(b, c):
-                t = tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
-                                 p, r)
-                bad = ck(A.comp1, t, A.hom_of(a, c), "composition")
-                if bad is not None:
-                    return bad
-    # level-one structure converges from here on
-    for a, b in itertools.product(A.cells, repeat=2):
-        ra, rb = A.realizer[a], A.realizer[b]
-        for p in A.hom_of(a, b):
-            t = tuple_encode(ra, rb, p)
-            ua, ub = _u(A, a, fuel), _u(A, b, fuel)
-            pi = _inv(A, a, b, p, fuel)
-            for code, target, label in (
-                    (A.coh_lunit, A.hom2_of(a, b, _comp(A, a, b, b, p, ub,
-                                                        fuel), p),
-                     "left unit coherence"),
-                    (A.coh_runit, A.hom2_of(a, b, _comp(A, a, a, b, ua, p,
-                                                        fuel), p),
-                     "right unit coherence"),
-                    (A.coh_linv, A.hom2_of(a, a, _comp(A, a, b, a, p, pi,
-                                                       fuel), ua),
-                     "left inverse coherence"),
-                    (A.coh_rinv, A.hom2_of(b, b, _comp(A, b, a, b, pi, p,
-                                                       fuel), ub),
-                     "right inverse coherence"),
-                    (A.id2, A.hom2_of(a, b, p, p), "2-identity")):
-                bad = ck(code, t, target, label)
-                if bad is not None:
-                    return bad
-    for a, b in itertools.product(A.cells, repeat=2):
-        for c, d in itertools.product(A.cells, repeat=2):
-            for p in A.hom_of(a, b):
-                for r in A.hom_of(b, c):
-                    for s in A.hom_of(c, d):
-                        t = tuple_encode(A.realizer[a], A.realizer[b],
-                                         A.realizer[c], A.realizer[d],
-                                         p, r, s)
-                        lhs = _comp(A, a, c, d, _comp(A, a, b, c, p, r, fuel),
-                                    s, fuel)
-                        rhs = _comp(A, a, b, d, p,
-                                    _comp(A, b, c, d, r, s, fuel), fuel)
-                        bad = ck(A.coh_assoc, t, A.hom2_of(a, d, lhs, rhs),
-                                 "associativity coherence")
-                        if bad is not None:
-                            return bad
-    for a, b in itertools.product(A.cells, repeat=2):
-        ra, rb = A.realizer[a], A.realizer[b]
-        h1 = sorted(A.hom_of(a, b))
-        for p, r, s in itertools.product(h1, repeat=3):
-            for n in A.hom2_of(a, b, p, r):
-                for m in A.hom2_of(a, b, r, s):
-                    bad = ck(A.vcomp, tuple_encode(ra, rb, p, r, s, n, m),
-                             A.hom2_of(a, b, p, s), "vertical composition")
-                    if bad is not None:
-                        return bad
-        for p, r in itertools.product(h1, repeat=2):
-            for n in A.hom2_of(a, b, p, r):
-                bad = ck(A.inv2, tuple_encode(ra, rb, p, r, n),
-                         A.hom2_of(a, b, r, p), "2-inverse")
-                if bad is not None:
-                    return bad
-    for a, b, c in itertools.product(A.cells, repeat=3):
-        for p, r in itertools.product(sorted(A.hom_of(a, b)), repeat=2):
-            for p2, r2 in itertools.product(sorted(A.hom_of(b, c)), repeat=2):
-                for n in A.hom2_of(a, b, p, r):
-                    for m in A.hom2_of(b, c, p2, r2):
-                        t = tuple_encode(A.realizer[a], A.realizer[b],
-                                         A.realizer[c], p, r, p2, r2, n, m)
-                        bad = ck(A.hcomp, t,
-                                 A.hom2_of(a, c, _comp(A, a, b, c, p, p2,
-                                                       fuel),
-                                           _comp(A, a, b, c, r, r2, fuel)),
-                                 "horizontal composition")
-                        if bad is not None:
-                            return bad
-    return valid()
+    return verify(_object1_stages(obj.cells, obj.realizer, obj.hom_of,
+                                  obj.hom2_of), vars(obj), fuel)
 
 
 # --- morphisms --------------------------------------------------------------
@@ -410,36 +297,123 @@ class Eff1Morphism:
         return f"Eff1Morphism({self.name or hex(id(self))})"
 
 
-def _funct_tables(dom: Eff1Object, cod: Eff1Object, zero, one,
-                  fuel: int = DEFAULT_FUEL):
-    """Tables for the two functoriality codes, or None if some finite
-    intersection is empty."""
-    fid_groups, fcomp_groups = {}, {}
-    for b in dom.cells:
-        fb = zero[b]
-        img = one[(b, b)][_u(dom, b, fuel)]
-        fid_groups.setdefault(dom.realizer[b], []).append(
-            cod.hom2_of(fb, fb, img, _u(cod, fb, fuel)))
-    for b1, b2, b3 in itertools.product(dom.cells, repeat=3):
-        for p in dom.hom_of(b1, b2):
-            for r in dom.hom_of(b2, b3):
-                t = tuple_encode(dom.realizer[b1], dom.realizer[b2],
-                                 dom.realizer[b3], p, r)
-                img = one[(b1, b3)][_comp(dom, b1, b2, b3, p, r, fuel)]
-                cimg = _comp(cod, zero[b1], zero[b2], zero[b3],
-                             one[(b1, b2)][p], one[(b2, b3)][r], fuel)
-                fcomp_groups.setdefault(t, []).append(
-                    cod.hom2_of(zero[b1], zero[b3], img, cimg))
-    out = []
-    for groups in (fid_groups, fcomp_groups):
-        table = {}
-        for t, targets in groups.items():
-            inter = _intersect_all(targets)
-            if not inter:
-                return None
-            table[t] = _pick(inter)
-        out.append(table)
-    return out[0], out[1]
+_MORPHISM1_SLOTS = ("tracking0", "tracking1", "tracking2", "funct_id",
+                    "funct_comp")
+
+
+def _any_image(t, target, *_instance):
+    return target
+
+
+def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
+                      one=_any_image, two=_any_image,
+                      fuel: int = DEFAULT_FUEL, maps: dict | None = None):
+    """Tracking at all three levels, then functoriality.  ``one(t, target,
+    b, b', p)`` and ``two(t, target, b, b', p, r, n, f(p), f(r))`` narrow
+    the acceptable images; by default every image in the codomain is.
+    ``maps``, when given, receives the value maps read back from the
+    tracking codes."""
+    R = dom.realizer
+    cells2 = list(itertools.product(dom.cells, repeat=2))
+
+    def stages(val):
+        # visible inputs: ones[b, b'][p] and twos[b, b', p, r][n]
+        ones, twos = {}, {}
+
+        def levels01():
+            for b in dom.cells:
+                fb = zero.get(b)
+                yield ("tracking0", R[b],
+                       (cod.realizer[fb],) if fb in cod.cells else (),
+                       "0-tracking")
+            for b, b2 in cells2:
+                ts = ones[b, b2] = {}
+                for p in dom.hom_of(b, b2):
+                    h = cod.hom_of(zero.get(b), zero.get(b2))
+                    t = ts[p] = tuple_encode(R[b], R[b2], p)
+                    yield "tracking1", t, one(t, h, b, b2, p), "1-tracking"
+        yield levels01()
+        one_map = {pair: {p: val("tracking1", t) for p, t in ts.items()}
+                   for pair, ts in ones.items()}
+
+        def f1(b, b2, p):
+            v = one_map[b, b2].get(p)
+            return val("tracking1", tuple_encode(R[b], R[b2], p)) \
+                if v is None else v
+
+        def level2():
+            for b, b2 in cells2:
+                fmap = one_map[b, b2]
+                if not fmap:
+                    continue
+                for p, r in itertools.product(sorted(fmap), repeat=2):
+                    h = cod.hom2_of(zero[b], zero[b2], fmap[p], fmap[r])
+                    ts = twos[b, b2, p, r] = {}
+                    for n in dom.hom2_of(b, b2, p, r):
+                        t = ts[n] = tuple_encode(R[b], R[b2], p, r, n)
+                        yield ("tracking2", t,
+                               two(t, h, b, b2, p, r, n, fmap[p], fmap[r]),
+                               "2-tracking")
+        yield level2()
+        if maps is not None:
+            maps["one"] = one_map
+            maps["two"] = {key: {n: val("tracking2", t)
+                                 for n, t in ts.items()}
+                           for key, ts in twos.items()}
+
+        def functoriality():
+            for b in dom.cells:
+                fb = zero[b]
+                yield ("funct_id", R[b],
+                       cod.hom2_of(fb, fb, f1(b, b, _u(dom, b, fuel)),
+                                   _u(cod, fb, fuel)),
+                       "identity preservation")
+            for b1, b2, b3 in itertools.product(dom.cells, repeat=3):
+                m12, m23 = one_map[b1, b2], one_map[b2, b3]
+                if not (m12 and m23):
+                    continue
+                z1, z2, z3 = zero[b1], zero[b2], zero[b3]
+                for p, fp in m12.items():
+                    for r, fr in m23.items():
+                        # the input of dom's composition code at r . p
+                        t = tuple_encode(R[b1], R[b2], R[b3], p, r)
+                        c = _memo(dom, "c", dom.comp1, t, fuel)
+                        img = one_map[b1, b3].get(c)
+                        if img is None:
+                            img = f1(b1, b3, c)
+                        cimg = _comp(cod, z1, z2, z3, fp, fr, fuel)
+                        yield ("funct_comp", t,
+                               cod.hom2_of(z1, z3, img, cimg),
+                               "composite preservation")
+        yield functoriality()
+    return stages
+
+
+def _given(one: dict, two: dict):
+    """Narrowings forcing the images of explicit value maps."""
+    def one_image(t, h, b, b2, p):
+        images = one.get((b, b2))
+        return forced(images.get(p), h) if images else ()
+
+    def two_image(t, h, b, b2, p, r, n, *_images):
+        images = two.get((b, b2, p, r))
+        return forced(images.get(n), h) if images else ()
+    return one_image, two_image
+
+
+def _settle_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
+                      one=_any_image, two=_any_image, name: str = "",
+                      fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
+    """The morphism whose value maps and codes are settled from the
+    obligations, or None if some finite intersection is empty."""
+    maps = {}
+    try:
+        T = settle(_morphism1_stages(dom, cod, zero, one, two, fuel, maps),
+                   _MORPHISM1_SLOTS)
+    except SynthesisFailed:
+        return None
+    return Eff1Morphism(dom, cod, dict(zero), maps["one"], maps["two"],
+                        **tabulate_all(T), name=name)
 
 
 def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero, one, two,
@@ -448,83 +422,8 @@ def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero, one, two,
     """Assemble a morphism from explicit value maps.  Returns None when the
     values are not uniform per visible input, land outside the codomain, or
     admit no functoriality 2-cells."""
-    t0, t1, t2 = {}, {}, {}
-    for b in dom.cells:
-        fb = zero.get(b)
-        if fb not in cod.cells:
-            return None
-        want = cod.realizer[fb]
-        if t0.setdefault(dom.realizer[b], want) != want:
-            return None
-    try:
-        for b, b2 in itertools.product(dom.cells, repeat=2):
-            cod_h = cod.hom_of(zero[b], zero[b2])
-            for p in dom.hom_of(b, b2):
-                v = one[(b, b2)][p]
-                if v not in cod_h:
-                    return None
-                t = tuple_encode(dom.realizer[b], dom.realizer[b2], p)
-                if t1.setdefault(t, v) != v:
-                    return None
-        for b, b2 in itertools.product(dom.cells, repeat=2):
-            for p, r in itertools.product(sorted(dom.hom_of(b, b2)),
-                                          repeat=2):
-                cod_h2 = cod.hom2_of(zero[b], zero[b2],
-                                     one[(b, b2)][p], one[(b, b2)][r])
-                for n in dom.hom2_of(b, b2, p, r):
-                    v = two[(b, b2, p, r)][n]
-                    if v not in cod_h2:
-                        return None
-                    t = tuple_encode(dom.realizer[b], dom.realizer[b2],
-                                     p, r, n)
-                    if t2.setdefault(t, v) != v:
-                        return None
-    except KeyError:
-        return None
-    ft = _funct_tables(dom, cod, zero, one, fuel)
-    if ft is None:
-        return None
-    fid_t, fcomp_t = ft
-    return Eff1Morphism(dom, cod, dict(zero),
-                        {k: dict(v) for k, v in one.items()},
-                        {k: dict(v) for k, v in two.items()},
-                        tabulate(t0), tabulate(t1), tabulate(t2),
-                        tabulate(fid_t), tabulate(fcomp_t), name=name)
-
-
-def _one_groups(dom: Eff1Object, cod: Eff1Object, zero_map: dict):
-    groups = {}
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        for p in dom.hom_of(b, b2):
-            t = tuple_encode(dom.realizer[b], dom.realizer[b2], p)
-            groups.setdefault(t, []).append(
-                (b, b2, p, cod.hom_of(zero_map[b], zero_map[b2])))
-    return groups
-
-
-def _extend_two(dom: Eff1Object, cod: Eff1Object, zero_map: dict, one):
-    """2-level values by per-visible-input intersection, given the 1-level
-    choices; None if some intersection is empty."""
-    groups = {}
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        for p, r in itertools.product(sorted(dom.hom_of(b, b2)), repeat=2):
-            for n in dom.hom2_of(b, b2, p, r):
-                t = tuple_encode(dom.realizer[b], dom.realizer[b2], p, r, n)
-                groups.setdefault(t, []).append(
-                    (b, b2, p, r, n,
-                     cod.hom2_of(zero_map[b], zero_map[b2],
-                                 one[(b, b2)][p], one[(b, b2)][r])))
-    two = {(b, b2, p, r): {}
-           for b in dom.cells for b2 in dom.cells
-           for p in dom.hom_of(b, b2) for r in dom.hom_of(b, b2)}
-    for t, entries in groups.items():
-        inter = _intersect_all(h for *_, h in entries)
-        if not inter:
-            return None
-        v = _pick(inter)
-        for b, b2, p, r, n, _ in entries:
-            two[(b, b2, p, r)][n] = v
-    return two
+    return _settle_morphism1(dom, cod, zero, *_given(one, two), name=name,
+                             fuel=fuel)
 
 
 def synthesize_morphism1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
@@ -532,19 +431,7 @@ def synthesize_morphism1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
                          fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
     """Extend a cell map to a fully tracked morphism, choosing 1- and
     2-level values by per-visible-input intersection."""
-    groups = _one_groups(dom, cod, zero_map)
-    one = {(b, b2): {} for b in dom.cells for b2 in dom.cells}
-    for t, entries in groups.items():
-        inter = _intersect_all(h for *_, h in entries)
-        if not inter:
-            return None
-        v = _pick(inter)
-        for b, b2, p, _ in entries:
-            one[(b, b2)][p] = v
-    two = _extend_two(dom, cod, zero_map, one)
-    if two is None:
-        return None
-    return _build_morphism1(dom, cod, zero_map, one, two, name, fuel)
+    return _settle_morphism1(dom, cod, zero_map, name=name, fuel=fuel)
 
 
 def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
@@ -554,28 +441,23 @@ def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
     uniform 1-level choices (bounded by ``limit`` combinations; if the
     bound cuts the enumeration a marker is appended to ``truncated``, so a
     caller can degrade a definitive NO to UNKNOWN)."""
-    groups = sorted(_one_groups(dom, cod, zero_map).items())
-    options = []
-    for _t, entries in groups:
-        inter = _intersect_all(h for *_, h in entries)
-        if not inter:
-            return
-        options.append(sorted(inter))
+    try:
+        options = sorted((t, sorted(acc)) for (slot, t), acc in groups(
+            _morphism1_stages(dom, cod, zero_map)).items()
+            if slot == "tracking1")
+    except SynthesisFailed:
+        return
     tried = 0
-    for combo in itertools.product(*options):
+    for combo in itertools.product(*(acc for _t, acc in options)):
         tried += 1
         if tried > limit:
             if truncated is not None:
                 truncated.append(True)
             return
-        one = {(b, b2): {} for b in dom.cells for b2 in dom.cells}
-        for (_t, entries), v in zip(groups, combo):
-            for b, b2, p, _ in entries:
-                one[(b, b2)][p] = v
-        two = _extend_two(dom, cod, zero_map, one)
-        if two is None:
-            continue
-        m = _build_morphism1(dom, cod, zero_map, one, two, name, fuel)
+        choice = dict(zip((t for t, _acc in options), combo))
+        m = _settle_morphism1(dom, cod, zero_map,
+                              lambda t, h, *_: forced(choice[t], h),
+                              name=name, fuel=fuel)
         if m is not None:
             yield m
 
@@ -586,86 +468,16 @@ def identity_like1(dom: Eff1Object, cod: Eff1Object, name: str = "",
     1-cells, with 2-level values by intersection."""
     if dom.cells != cod.cells:
         return None
-    one = {}
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        if not dom.hom_of(b, b2) <= cod.hom_of(b, b2):
-            return None
-        one[(b, b2)] = {p: p for p in dom.hom_of(b, b2)}
-    two = _extend_two(dom, cod, {b: b for b in dom.cells}, one)
-    if two is None:
-        return None
-    return _build_morphism1(dom, cod, {b: b for b in dom.cells}, one, two,
-                            name, fuel)
+    return _settle_morphism1(dom, cod, {b: b for b in dom.cells},
+                             lambda t, h, b, b2, p: forced(p, h),
+                             name=name, fuel=fuel)
 
 
 def check_morphism1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Verdict:
     """Verify all five tracking/functoriality conditions exhaustively."""
-    dom, cod = f.dom, f.cod
-
-    def ck(code, t, want, label):
-        status, v = _run(code, t, fuel)
-        if status == "fuel":
-            return unknown(f"{label}: fuel exhausted at {t}")
-        if status == "div":
-            return invalid(f"{label}: diverges at {t}")
-        if (v != want) if not isinstance(want, frozenset) else \
-                (v not in want):
-            return invalid(f"{label}: value {v} wrong at {t}")
-        return None
-
-    for b in dom.cells:
-        fb = f.zero_map.get(b)
-        if fb not in cod.cells:
-            return invalid(f"cell image of {b} missing")
-        bad = ck(f.tracking0, dom.realizer[b], cod.realizer[fb],
-                 "0-tracking")
-        if bad is not None:
-            return bad
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        for p in dom.hom_of(b, b2):
-            v = f.one_map[(b, b2)].get(p)
-            if v not in cod.hom_of(f.zero_map[b], f.zero_map[b2]):
-                return invalid(f"1-cell image of {p} at ({b},{b2}) invalid")
-            bad = ck(f.tracking1,
-                     tuple_encode(dom.realizer[b], dom.realizer[b2], p), v,
-                     "1-tracking")
-            if bad is not None:
-                return bad
-    for b, b2 in itertools.product(dom.cells, repeat=2):
-        for p, r in itertools.product(sorted(dom.hom_of(b, b2)), repeat=2):
-            for n in dom.hom2_of(b, b2, p, r):
-                v = f.two_map[(b, b2, p, r)].get(n)
-                if v not in cod.hom2_of(f.zero_map[b], f.zero_map[b2],
-                                        f.one_map[(b, b2)][p],
-                                        f.one_map[(b, b2)][r]):
-                    return invalid(f"2-cell image of {n} invalid")
-                bad = ck(f.tracking2,
-                         tuple_encode(dom.realizer[b], dom.realizer[b2],
-                                      p, r, n), v, "2-tracking")
-                if bad is not None:
-                    return bad
-    for b in dom.cells:
-        fb = f.zero_map[b]
-        target = cod.hom2_of(fb, fb, f.one_map[(b, b)][_u(dom, b, fuel)],
-                             _u(cod, fb, fuel))
-        bad = ck(f.funct_id, dom.realizer[b], target, "identity preservation")
-        if bad is not None:
-            return bad
-    for b1, b2, b3 in itertools.product(dom.cells, repeat=3):
-        for p in dom.hom_of(b1, b2):
-            for r in dom.hom_of(b2, b3):
-                t = tuple_encode(dom.realizer[b1], dom.realizer[b2],
-                                 dom.realizer[b3], p, r)
-                img = f.one_map[(b1, b3)][_comp(dom, b1, b2, b3, p, r, fuel)]
-                cimg = _comp(cod, f.zero_map[b1], f.zero_map[b2],
-                             f.zero_map[b3], f.one_map[(b1, b2)][p],
-                             f.one_map[(b2, b3)][r], fuel)
-                target = cod.hom2_of(f.zero_map[b1], f.zero_map[b3],
-                                     img, cimg)
-                bad = ck(f.funct_comp, t, target, "composite preservation")
-                if bad is not None:
-                    return bad
-    return valid()
+    stages = _morphism1_stages(f.dom, f.cod, f.zero_map,
+                               *_given(f.one_map, f.two_map), fuel=fuel)
+    return verify(stages, vars(f), fuel)
 
 
 def identity1(obj: Eff1Object, fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
@@ -706,47 +518,16 @@ def _synthesize_over(p: Eff1Morphism, q: Eff1Morphism, zero: dict,
                      fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
     """A morphism s: dom(q) -> dom(p) over the common codomain, with the
     given cell map and p . s = q strictly at every level."""
-    X, E = q.dom, p.dom
-    groups = {}
-    for x, x2 in itertools.product(X.cells, repeat=2):
-        ex, ex2 = zero[x], zero[x2]
-        for pi in X.hom_of(x, x2):
-            t = tuple_encode(X.realizer[x], X.realizer[x2], pi)
-            want = q.one_map[(x, x2)][pi]
-            sols = frozenset(s for s in E.hom_of(ex, ex2)
-                             if p.one_map[(ex, ex2)][s] == want)
-            groups.setdefault(t, []).append((x, x2, pi, sols))
-    one = {(x, x2): {} for x in X.cells for x2 in X.cells}
-    for t, entries in groups.items():
-        inter = _intersect_all(h for *_, h in entries)
-        if not inter:
-            return None
-        v = _pick(inter)
-        for x, x2, pi, _ in entries:
-            one[(x, x2)][pi] = v
-    groups = {}
-    for x, x2 in itertools.product(X.cells, repeat=2):
-        ex, ex2 = zero[x], zero[x2]
-        for pi, rho in itertools.product(sorted(X.hom_of(x, x2)), repeat=2):
-            spi, srho = one[(x, x2)][pi], one[(x, x2)][rho]
-            for n in X.hom2_of(x, x2, pi, rho):
-                t = tuple_encode(X.realizer[x], X.realizer[x2], pi, rho, n)
-                want = q.two_map[(x, x2, pi, rho)][n]
-                sols = frozenset(
-                    m for m in E.hom2_of(ex, ex2, spi, srho)
-                    if p.two_map[(ex, ex2, spi, srho)][m] == want)
-                groups.setdefault(t, []).append((x, x2, pi, rho, n, sols))
-    two = {(x, x2, pi, rho): {}
-           for x in X.cells for x2 in X.cells
-           for pi in X.hom_of(x, x2) for rho in X.hom_of(x, x2)}
-    for t, entries in groups.items():
-        inter = _intersect_all(h for *_, h in entries)
-        if not inter:
-            return None
-        v = _pick(inter)
-        for x, x2, pi, rho, n, _ in entries:
-            two[(x, x2, pi, rho)][n] = v
-    return _build_morphism1(X, E, zero, one, two, name, fuel)
+    def one(t, h, x, x2, pi):
+        pmap = p.one_map.get((zero.get(x), zero.get(x2)))
+        want = q.one_map[(x, x2)][pi]
+        return frozenset(s for s in h if pmap[s] == want)
+
+    def two(t, h, x, x2, pi, rho, n, spi, srho):
+        pmap = p.two_map[(zero[x], zero[x2], spi, srho)]
+        want = q.two_map[(x, x2, pi, rho)][n]
+        return frozenset(m for m in h if pmap[m] == want)
+    return _settle_morphism1(q.dom, p.dom, zero, one, two, name, fuel)
 
 
 # --- embedding the groupoid layer -------------------------------------------
@@ -828,145 +609,75 @@ class Fibration1Witness:
     lift2p: int
 
 
-def _cond1_instances1(f: Eff1Morphism):
-    for b in f.dom.cells:
-        for a in f.cod.cells:
-            for p in f.cod.hom_of(f.zero_map[b], a):
-                yield b, a, p
+def _fibration1_stages(f: Eff1Morphism):
+    """(1) <beta b, alpha a, p> names a lift (realizer of b', rho) of p;
+    (2) <beta b, beta b', r, p', n> gives r' over p' and a 2-cell m: r => r'
+    with f(m) = n; (3) <beta b, beta b', p, r, m, n> gives m' in B2(p, r)
+    with f(m') = n."""
+    A, B, fz = f.cod, f.dom, f.zero_map
+    R = B.realizer
 
-
-def _cond1_solutions1(f: Eff1Morphism, b, a, p):
-    B = f.dom
-    return frozenset(
-        (B.realizer[b2], rho)
-        for b2 in B.cells if f.zero_map[b2] == a
-        for rho in B.hom_of(b, b2)
-        if f.one_map[(b, b2)][rho] == p)
-
-
-def _cond2_instances1(f: Eff1Morphism):
-    A, B = f.cod, f.dom
-    for b, b2 in itertools.product(B.cells, repeat=2):
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        for rho in B.hom_of(b, b2):
-            fr = f.one_map[(b, b2)][rho]
-            for p2 in A.hom_of(fb, fb2):
-                for n in A.hom2_of(fb, fb2, fr, p2):
-                    yield b, b2, rho, p2, n
-
-
-def _cond2_solutions1(f: Eff1Morphism, b, b2, rho, p2, n):
-    B = f.dom
-    out = set()
-    for rho2 in B.hom_of(b, b2):
-        if f.one_map[(b, b2)][rho2] != p2:
-            continue
-        for m in B.hom2_of(b, b2, rho, rho2):
-            if f.two_map[(b, b2, rho, rho2)][m] == n:
-                out.add((rho2, m))
-    return frozenset(out)
-
-
-def _cond3_instances1(f: Eff1Morphism):
-    A, B = f.cod, f.dom
-    for b, b2 in itertools.product(B.cells, repeat=2):
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        for p, r in itertools.product(sorted(B.hom_of(b, b2)), repeat=2):
-            if not B.hom2_of(b, b2, p, r):
-                continue
-            m = min(B.hom2_of(b, b2, p, r))
-            fp, fr = f.one_map[(b, b2)][p], f.one_map[(b, b2)][r]
-            for n in A.hom2_of(fb, fb2, fp, fr):
-                yield b, b2, p, r, m, n
-
-
-def _cond3_solutions1(f: Eff1Morphism, b, b2, p, r, n):
-    B = f.dom
-    return frozenset(m2 for m2 in B.hom2_of(b, b2, p, r)
-                     if f.two_map[(b, b2, p, r)][m2] == n)
+    def stages(_val):
+        def lifts():
+            for b in B.cells:
+                for a in A.cells:
+                    sols = {}  # p -> lifts (realizer of b', rho) of p
+                    for b2 in B.cells:
+                        if fz[b2] == a:
+                            for rho in B.hom_of(b, b2):
+                                sols.setdefault(f.one_map[(b, b2)][rho],
+                                                set()).add((R[b2], rho))
+                    for p in A.hom_of(fz[b], a):
+                        yield (("lift0", "lift1"),
+                               tuple_encode(R[b], A.realizer[a], p),
+                               sols.get(p, ()), "lift (1)")
+            for b, b2 in itertools.product(B.cells, repeat=2):
+                one, hb = f.one_map[(b, b2)], B.hom_of(b, b2)
+                for rho in hb:
+                    sols = {}  # (p', n) -> (r', m) over them
+                    for rho2 in hb:
+                        for m in B.hom2_of(b, b2, rho, rho2):
+                            n = f.two_map[(b, b2, rho, rho2)][m]
+                            sols.setdefault((one[rho2], n), set()).add(
+                                (rho2, m))
+                    for p2 in A.hom_of(fz[b], fz[b2]):
+                        for n in A.hom2_of(fz[b], fz[b2], one[rho], p2):
+                            yield (("lift1p", "lift2"),
+                                   tuple_encode(R[b], R[b2], rho, p2, n),
+                                   sols.get((p2, n), ()), "lift (2)")
+            for b, b2 in itertools.product(B.cells, repeat=2):
+                for p, r in itertools.product(sorted(B.hom_of(b, b2)),
+                                              repeat=2):
+                    h2 = B.hom2_of(b, b2, p, r)
+                    if not h2:
+                        continue
+                    sols = {}  # n -> m' in h2 over n
+                    for m2 in h2:
+                        sols.setdefault(f.two_map[(b, b2, p, r)][m2],
+                                        set()).add(m2)
+                    fp, fr = f.one_map[(b, b2)][p], f.one_map[(b, b2)][r]
+                    for n in A.hom2_of(fz[b], fz[b2], fp, fr):
+                        yield ("lift2p",
+                               tuple_encode(R[b], R[b2], p, r, min(h2), n),
+                               sols.get(n, ()), "lift (3)")
+        yield lifts()
+    return stages
 
 
 def synthesize_fibration1_witness(
         f: Eff1Morphism,
         fuel: int = DEFAULT_FUEL) -> Fibration1Witness | None:
-    B = f.dom
-    groups = {}
-    for b, a, p in _cond1_instances1(f):
-        t = tuple_encode(B.realizer[b], f.cod.realizer[a], p)
-        groups.setdefault(t, []).append(_cond1_solutions1(f, b, a, p))
-    l0, l1 = {}, {}
-    for t, sols in groups.items():
-        inter = _intersect_all(sols)
-        if not inter:
-            return None
-        m, rho = _pick(inter)
-        l0[t], l1[t] = m, rho
-    groups = {}
-    for b, b2, rho, p2, n in _cond2_instances1(f):
-        t = tuple_encode(B.realizer[b], B.realizer[b2], rho, p2, n)
-        groups.setdefault(t, []).append(
-            _cond2_solutions1(f, b, b2, rho, p2, n))
-    l1p, l2 = {}, {}
-    for t, sols in groups.items():
-        inter = _intersect_all(sols)
-        if not inter:
-            return None
-        rho2, m = _pick(inter)
-        l1p[t], l2[t] = rho2, m
-    groups = {}
-    for b, b2, p, r, m, n in _cond3_instances1(f):
-        t = tuple_encode(B.realizer[b], B.realizer[b2], p, r, m, n)
-        groups.setdefault(t, []).append(_cond3_solutions1(f, b, b2, p, r, n))
-    l2p = {}
-    for t, sols in groups.items():
-        inter = _intersect_all(sols)
-        if not inter:
-            return None
-        l2p[t] = _pick(inter)
-    return Fibration1Witness(tabulate(l0), tabulate(l1), tabulate(l1p),
-                             tabulate(l2), tabulate(l2p))
+    try:
+        T = settle(_fibration1_stages(f),
+                   ("lift0", "lift1", "lift1p", "lift2", "lift2p"))
+    except SynthesisFailed:
+        return None
+    return Fibration1Witness(**tabulate_all(T))
 
 
 def check_fibration1(f: Eff1Morphism, w: Fibration1Witness,
                      fuel: int = DEFAULT_FUEL) -> Verdict:
-    B = f.dom
-
-    def run(code, t, label):
-        status, v = _run(code, t, fuel)
-        if status == "fuel":
-            return unknown(f"{label}: fuel exhausted at {t}"), None
-        if status == "div":
-            return invalid(f"{label}: diverges at {t}"), None
-        return None, v
-
-    for b, a, p in _cond1_instances1(f):
-        t = tuple_encode(B.realizer[b], f.cod.realizer[a], p)
-        bad, m = run(w.lift0, t, "lift (1) cell")
-        if bad is not None:
-            return bad
-        bad, rho = run(w.lift1, t, "lift (1) path")
-        if bad is not None:
-            return bad
-        if (m, rho) not in _cond1_solutions1(f, b, a, p):
-            return invalid(f"lift (1) wrong at {(b, a, p)}")
-    for b, b2, rho, p2, n in _cond2_instances1(f):
-        t = tuple_encode(B.realizer[b], B.realizer[b2], rho, p2, n)
-        bad, rho2 = run(w.lift1p, t, "lift (2) path")
-        if bad is not None:
-            return bad
-        bad, m = run(w.lift2, t, "lift (2) 2-cell")
-        if bad is not None:
-            return bad
-        if (rho2, m) not in _cond2_solutions1(f, b, b2, rho, p2, n):
-            return invalid(f"lift (2) wrong at {(b, b2, rho, p2, n)}")
-    for b, b2, p, r, m, n in _cond3_instances1(f):
-        t = tuple_encode(B.realizer[b], B.realizer[b2], p, r, m, n)
-        bad, m2 = run(w.lift2p, t, "lift (3)")
-        if bad is not None:
-            return bad
-        if m2 not in _cond3_solutions1(f, b, b2, p, r, n):
-            return invalid(f"lift (3) wrong at {(b, b2, p, r, n)}")
-    return valid()
+    return verify(_fibration1_stages(f), vars(w), fuel)
 
 
 def fibration1_decide(f: Eff1Morphism) -> Decision:
@@ -1315,64 +1026,47 @@ class Homotopy1:
     h2: int
 
 
+def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None,
+                      fuel: int = DEFAULT_FUEL):
+    """h1 sends beta b to a 1-cell f(b) -> g(b) (forced to the given
+    per-realizer values h1, if any); h2 fills the naturality squares."""
+    A, B = f.cod, f.dom
+    R, fz, gz = B.realizer, f.zero_map, g.zero_map
+
+    def stages(val):
+        yield (("h1", R[b], A.hom_of(fz[b], gz[b]) if h1 is None else
+                forced(h1.get(R[b]), A.hom_of(fz[b], gz[b])),
+                "homotopy 1-cell") for b in B.cells)
+
+        def fillers():
+            for b, b2 in itertools.product(B.cells, repeat=2):
+                hb, hb2 = val("h1", R[b]), val("h1", R[b2])
+                for p in B.hom_of(b, b2):
+                    lhs = _comp(A, fz[b], fz[b2], gz[b2],
+                                f.one_map[(b, b2)][p], hb2, fuel)
+                    rhs = _comp(A, fz[b], gz[b], gz[b2], hb,
+                                g.one_map[(b, b2)][p], fuel)
+                    yield ("h2", tuple_encode(R[b], R[b2], p),
+                           A.hom2_of(fz[b], gz[b2], lhs, rhs),
+                           "homotopy filler")
+        yield fillers()
+    return stages
+
+
 def check_homotopy1(f: Eff1Morphism, g: Eff1Morphism, H: Homotopy1,
                     fuel: int = DEFAULT_FUEL) -> Verdict:
-    A, B = f.cod, f.dom
-    for b in B.cells:
-        status, v = _run(H.h1, B.realizer[b], fuel)
-        if status == "fuel":
-            return unknown(f"homotopy 1-cell at {b}")
-        if status == "div":
-            return invalid(f"homotopy diverges at {b}")
-        if v not in A.hom_of(f.zero_map[b], g.zero_map[b]):
-            return invalid(f"homotopy 1-cell {v} invalid at {b}")
-    for b, b2 in itertools.product(B.cells, repeat=2):
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        gb, gb2 = g.zero_map[b], g.zero_map[b2]
-        hb = apply(H.h1, B.realizer[b], fuel=fuel)
-        hb2 = apply(H.h1, B.realizer[b2], fuel=fuel)
-        for p in B.hom_of(b, b2):
-            lhs = _comp(A, fb, fb2, gb2, f.one_map[(b, b2)][p], hb2, fuel)
-            rhs = _comp(A, fb, gb, gb2, hb, g.one_map[(b, b2)][p], fuel)
-            t = tuple_encode(B.realizer[b], B.realizer[b2], p)
-            status, v = _run(H.h2, t, fuel)
-            if status == "fuel":
-                return unknown(f"homotopy filler at {(b, b2, p)}")
-            if status == "div":
-                return invalid(f"homotopy filler diverges at {(b, b2, p)}")
-            if v not in A.hom2_of(fb, gb2, lhs, rhs):
-                return invalid(f"homotopy filler {v} invalid "
-                               f"at {(b, b2, p)}")
-    return valid()
+    return verify(_homotopy1_stages(f, g, fuel=fuel), vars(H), fuel)
 
 
 def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism, h1_values: dict,
                       fuel: int = DEFAULT_FUEL) -> Homotopy1 | None:
     """Extend per-realizer connecting 1-cells to a full homotopy by
     synthesizing the square fillers; None if some filler set is empty."""
-    A, B = f.cod, f.dom
-    for n in B.realizer_image():
-        for b in B.cells_with_realizer(n):
-            if h1_values[n] not in A.hom_of(f.zero_map[b], g.zero_map[b]):
-                return None
-    groups = {}
-    for b, b2 in itertools.product(B.cells, repeat=2):
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        gb, gb2 = g.zero_map[b], g.zero_map[b2]
-        hb = h1_values[B.realizer[b]]
-        hb2 = h1_values[B.realizer[b2]]
-        for p in B.hom_of(b, b2):
-            lhs = _comp(A, fb, fb2, gb2, f.one_map[(b, b2)][p], hb2, fuel)
-            rhs = _comp(A, fb, gb, gb2, hb, g.one_map[(b, b2)][p], fuel)
-            t = tuple_encode(B.realizer[b], B.realizer[b2], p)
-            groups.setdefault(t, []).append(A.hom2_of(fb, gb2, lhs, rhs))
-    h2 = {}
-    for t, targets in groups.items():
-        inter = _intersect_all(targets)
-        if not inter:
-            return None
-        h2[t] = _pick(inter)
-    return Homotopy1(tabulate(h1_values), tabulate(h2))
+    try:
+        T = settle(_homotopy1_stages(f, g, h1_values, fuel), ("h1", "h2"))
+    except SynthesisFailed:
+        return None
+    return Homotopy1(**tabulate_all(T))
 
 
 def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
@@ -1381,22 +1075,18 @@ def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
     """Decide existence of a homotopy f ~ g: level-1 choices by
     intersection per visible realizer, then a bounded search over the
     finitely many choices for fillers."""
-    A, B = f.cod, f.dom
-    reals = B.realizer_image()
-    options = []
-    for n in reals:
-        inter = _intersect_all(A.hom_of(f.zero_map[b], g.zero_map[b])
-                               for b in B.cells_with_realizer(n))
-        if not inter:
-            return Decision(NO,
-                            reason=f"no connecting 1-cell at realizer {n}")
-        options.append(sorted(inter))
+    try:
+        options = sorted((t, sorted(acc)) for (_h1, t), acc in
+                         groups(_homotopy1_stages(f, g)).items())
+    except SynthesisFailed as e:
+        return Decision(NO, reason=f"no connecting 1-cell at realizer {e.t}")
     tried = 0
-    for combo in itertools.product(*options):
+    for combo in itertools.product(*(acc for _t, acc in options)):
         tried += 1
         if tried > budget:
             return Decision(UNKNOWN, reason="filler search budget exhausted")
-        H = homotopy1_from_h1(f, g, dict(zip(reals, combo)), fuel)
+        H = homotopy1_from_h1(f, g, dict(zip((t for t, _ in options), combo)),
+                              fuel)
         if H is not None:
             return Decision(YES, witness=H)
     return Decision(NO, reason="no level-1 choice admits square fillers")
@@ -1413,24 +1103,30 @@ def fibrewise_homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
     return homotopic1_decide(f, g, fuel)
 
 
+def _per_realizer(cells, realizer, target, label: str) -> Decision:
+    """One code sending the realizer of each cell into target(cell): YES
+    with the tabulated code, or NO naming the first empty intersection."""
+    try:
+        T = settle(lambda _val: [(("code", realizer[c], target(c), label)
+                                  for c in cells)], ("code",))
+    except SynthesisFailed as e:
+        return Decision(NO, reason=str(e))
+    return Decision(YES, witness=tabulate(T["code"]))
+
+
 def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
                          H: Homotopy1, K: Homotopy1,
                          fuel: int = DEFAULT_FUEL) -> Decision:
     """Decide existence of a modification H ~ K: a uniform 2-cell between
     the connecting 1-cells at every cell."""
     A, B = f.cod, f.dom
-    table = {}
-    for n in B.realizer_image():
-        hv = apply(H.h1, n, fuel=fuel)
-        kv = apply(K.h1, n, fuel=fuel)
-        inter = _intersect_all(
-            A.hom2_of(f.zero_map[b], g.zero_map[b], hv, kv)
-            for b in B.cells_with_realizer(n))
-        if not inter:
-            return Decision(NO, reason=f"no 2-cell {hv} => {kv} "
-                                       f"at realizer {n}")
-        table[n] = _pick(inter)
-    return Decision(YES, witness=tabulate(table))
+    hv = {n: apply(H.h1, n, fuel=fuel) for n in B.realizer_image()}
+    kv = {n: apply(K.h1, n, fuel=fuel) for n in B.realizer_image()}
+    return _per_realizer(
+        B.cells, B.realizer,
+        lambda b: A.hom2_of(f.zero_map[b], g.zero_map[b],
+                            hv[B.realizer[b]], kv[B.realizer[b]]),
+        "2-cell between the connecting 1-cells")
 
 
 def identity_homotopy1(f: Eff1Morphism,
@@ -1525,49 +1221,27 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
     H = homotopy1_from_h1(identity1(A, fuel), gf, vals, fuel)
     assert H is not None, "adjusted unit admits no fillers"
 
-    m_table, m_reason = {}, ""
-    for na in sorted({A.realizer[a] for a in A.cells}):
-        targets = []
-        for a in A.cells:
-            if A.realizer[a] != na:
-                continue
-            fa = f.zero_map[a]
-            gfa = g.zero_map[fa]
-            fgfa = f.zero_map[gfa]
-            fe = f.one_map[(a, gfa)][vals[na]]                 # fa -> fgfa
-            ev = apply(eps.h1, A.realizer[gfa], fuel=fuel)     # fgfa -> fa
-            comp_v = _comp(B, fa, fgfa, fa, fe, ev, fuel)
-            targets.append(B.hom2_of(fa, fa, comp_v, _u(B, fa, fuel)))
-        inter = _intersect_all(targets)
-        if not inter:
-            m_table, m_reason = None, f"first triangle fails at {na}"
-            break
-        m_table[na] = _pick(inter)
-    M = Decision(YES, witness=tabulate(m_table)) if m_table is not None \
-        else Decision(NO, reason=m_reason)
+    def first(a):
+        fa = f.zero_map[a]
+        gfa = g.zero_map[fa]
+        fgfa = f.zero_map[gfa]
+        fe = f.one_map[(a, gfa)][vals[A.realizer[a]]]          # fa -> fgfa
+        ev = apply(eps.h1, A.realizer[gfa], fuel=fuel)         # fgfa -> fa
+        comp_v = _comp(B, fa, fgfa, fa, fe, ev, fuel)
+        return B.hom2_of(fa, fa, comp_v, _u(B, fa, fuel))
 
-    n_table, n_reason = {}, ""
-    for nb in B.realizer_image():
-        targets = []
-        for b in B.cells:
-            if B.realizer[b] != nb:
-                continue
-            gb = g.zero_map[b]
-            fgb = f.zero_map[gb]
-            gfgb = g.zero_map[fgb]
-            e2 = vals[A.realizer[gb]]                          # gb -> gfgb
-            ev = apply(eps.h1, B.realizer[b], fuel=fuel)       # fgb -> b
-            gev = g.one_map[(fgb, b)][ev]                      # gfgb -> gb
-            comp_v = _comp(A, gb, gfgb, gb, e2, gev, fuel)
-            targets.append(A.hom2_of(gb, gb, comp_v, _u(A, gb, fuel)))
-        inter = _intersect_all(targets)
-        if not inter:
-            n_table, n_reason = None, f"second triangle fails at {nb}"
-            break
-        n_table[nb] = _pick(inter)
-    N = Decision(YES, witness=tabulate(n_table)) if n_table is not None \
-        else Decision(NO, reason=n_reason)
-    return AdjustedEquivalence(H, M, N)
+    def second(b):
+        gb = g.zero_map[b]
+        fgb = f.zero_map[gb]
+        gfgb = g.zero_map[fgb]
+        e2 = vals[A.realizer[gb]]                              # gb -> gfgb
+        ev = apply(eps.h1, B.realizer[b], fuel=fuel)           # fgb -> b
+        gev = g.one_map[(fgb, b)][ev]                          # gfgb -> gb
+        comp_v = _comp(A, gb, gfgb, gb, e2, gev, fuel)
+        return A.hom2_of(gb, gb, comp_v, _u(A, gb, fuel))
+    return AdjustedEquivalence(
+        H, _per_realizer(A.cells, A.realizer, first, "first triangle"),
+        _per_realizer(B.cells, B.realizer, second, "second triangle"))
 
 
 # --- trivial fibrations -----------------------------------------------------
@@ -1650,19 +1324,15 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
                           vals, fuel)
     if H is None:
         raise NotTrivial("no square fillers for the section homotopy")
-    table = {}
-    for nb in B.realizer_image():
-        targets = []
-        for b in B.cells_with_realizer(nb):
-            fb = f.zero_map[b]
-            sfb = zero[fb]
-            fh = f.one_map[(b, sfb)][vals[nb]]           # fb -> fb
-            targets.append(A.hom2_of(fb, fb, fh, _u(A, fb, fuel)))
-        inter = _intersect_all(targets)
-        if not inter:
-            raise NotTrivial(f"f(H) is not 2-trivial at realizer {nb}")
-        table[nb] = _pick(inter)
-    return Section1(s, tau, H, tabulate(table))
+    def trivializing(b):
+        fb = f.zero_map[b]
+        fh = f.one_map[(b, zero[fb])][vals[B.realizer[b]]]     # fb -> fb
+        return A.hom2_of(fb, fb, fh, _u(A, fb, fuel))
+    M = _per_realizer(B.cells, B.realizer, trivializing,
+                      "2-cell trivializing f(H)")
+    if M.status != YES:
+        raise NotTrivial(M.reason)
+    return Section1(s, tau, H, M.witness)
 
 
 # --- exponentials and homotopy pullbacks ------------------------------------
@@ -1700,25 +1370,6 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
     virt = VirtualObject(f"{A.name}^{B.name}", contains, realizer_of,
                          hom_status)
     return HomExponential1(B, A, virt)
-
-
-def hexp1_two_status(f, g, H: Homotopy1, K: Homotopy1, n: int,
-                     fuel: int = DEFAULT_FUEL) -> str:
-    """Membership of a coded modification between two 1-cells of the
-    exponential: a table of 2-cells between the connecting 1-cells."""
-    A, B = f.cod, f.dom
-    for b in B.cells:
-        nb = B.realizer[b]
-        status, v = _run(n, nb, fuel)
-        if status == "fuel":
-            return UNKNOWN
-        if status == "div":
-            return NO
-        hv = apply(H.h1, nb, fuel=fuel)
-        kv = apply(K.h1, nb, fuel=fuel)
-        if v not in A.hom2_of(f.zero_map[b], g.zero_map[b], hv, kv):
-            return NO
-    return YES
 
 
 def enumerate_members1(exp: HomExponential1,
@@ -1966,23 +1617,17 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
             ent = set()
             same_ends = (lm.zero_map == lm2.zero_map and
                          rm.zero_map == rm2.zero_map)
-            table = None
             if same_ends:
-                table = {}
-                for n_f in fib.realizer_image():
-                    inter = _intersect_all(
-                        C.hom2_of(lm.zero_map[x], rm.zero_map[x],
-                                  apply(H.h1, n_f, fuel=fuel),
-                                  apply(H2.h1, n_f, fuel=fuel))
-                        for x in fib.cells_with_realizer(n_f))
-                    if not inter:
-                        table = None
-                        break
-                    table[n_f] = _pick(inter)
-            if table is not None:
-                m_code = tabulate(table)
-                for n in A.hom2_of(k1[0], k2[0], pi, pi2):
-                    ent.add(tuple_encode(n, m_code))
+                d = _per_realizer(
+                    fib.cells, fib.realizer,
+                    lambda x: C.hom2_of(
+                        lm.zero_map[x], rm.zero_map[x],
+                        apply(H.h1, fib.realizer[x], fuel=fuel),
+                        apply(H2.h1, fib.realizer[x], fuel=fuel)),
+                    "modification")
+                if d.status == YES:
+                    ent.update(tuple_encode(n, d.witness) for n in
+                               A.hom2_of(k1[0], k2[0], pi, pi2))
             hom2[(k1, k2, e, e2)] = frozenset(ent)
     obj = make_object1(cells, realizer, hom, hom2,
                        name=f"Pi_{f.name}({g.name})")
@@ -2026,8 +1671,7 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
         k2 = (m2[0], _section_key1(m2[1]))
         return YES if n in obj.hom.get((k1, k2), frozenset()) else NO
 
-    virt = VirtualObject(obj.name, contains, realizer_of, hom_status,
-                         finite_fiber=lambda a: fibres[a])
+    virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
     return Pi1Bundle(f, g, obj, proj, sections, fibres, incls,
                      ev_domain, ev, virt)
 
@@ -2134,20 +1778,6 @@ def truncate1(f: Eff1Morphism, n: int,
     return Truncation1Bundle(g, h, synthesize_fibration1_witness(h, fuel))
 
 
-def truncation1_compare(tr: Truncation1Bundle, g2: Eff1Morphism,
-                        h2: Eff1Morphism, fuel: int = DEFAULT_FUEL):
-    """Compare with another factorisation g2/h2 through the universal
-    cell-level map, fibrewise over h2."""
-    d = synthesize_morphism1(tr.g.cod, h2.dom,
-                             {b: g2.zero_map[b] for b in tr.g.cod.cells},
-                             fuel=fuel)
-    if d is None:
-        return None, Decision(NO, reason="no comparison morphism")
-    law = fibrewise_homotopic1_decide(compose1(d, tr.g, fuel=fuel), g2,
-                                      h2, fuel)
-    return d, law
-
-
 def _identity_equivalence1(g: Eff1Morphism, fuel: int = DEFAULT_FUEL,
                            budget: int = DEFAULT_BUDGET) -> Decision:
     """Decide whether g (with equal carriers) is an equivalence, trying the
@@ -2235,38 +1865,25 @@ def discrete1_phi_psi(f: Eff1Morphism,
                 return Decision(
                     NO, reason=f"parallel lifts {p}, {q} from {b0} to {b1} "
                                "are not two-connected")
-    groups = {}
-    for b0, b1 in _realizer_twins(f):
-        a = f.zero_map[b0]
-        ua = _u(A, a, fuel)
-        sols = frozenset(p for p in B.hom_of(b0, b1)
-                         if f.one_map[(b0, b1)][p] == ua)
-        groups.setdefault(B.realizer[b0], []).append(sols)
-    phi_t = {}
-    for t, targets in groups.items():
-        inter = _intersect_all(targets)
-        if not inter:
-            return Decision(
-                NO, reason=f"no uniform vertical 1-cell at realizer {t}")
-        phi_t[t] = _pick(inter)
-    groups = {}
-    for b0, b1 in _realizer_twins(f):
-        for c0, c1 in _realizer_twins(f):
-            nn, mm = B.realizer[b0], B.realizer[c0]
-            for p in B.hom_of(b0, c0) & B.hom_of(b1, c1):
-                lhs = _comp(B, b0, c0, c1, p, phi_t[mm], fuel)
-                rhs = _comp(B, b0, b1, c1, phi_t[nn], p, fuel)
-                t = tuple_encode(nn, mm, p)
-                groups.setdefault(t, []).append(
-                    B.hom2_of(b0, c1, lhs, rhs))
-    psi_t = {}
-    for t, targets in groups.items():
-        inter = _intersect_all(targets)
-        if not inter:
-            return Decision(NO, reason=f"naturality square unfillable "
-                                       f"at input {t}")
-        psi_t[t] = _pick(inter)
-    return Decision(YES, witness=PhiPsi(tabulate(phi_t), tabulate(psi_t)))
+    R = B.realizer
+
+    def stages(val):
+        yield (("phi", R[b0], frozenset(
+                    p for p in B.hom_of(b0, b1) if f.one_map[(b0, b1)][p]
+                    == _u(A, f.zero_map[b0], fuel)), "vertical 1-cell")
+               for b0, b1 in _realizer_twins(f))
+        yield (("psi", tuple_encode(R[b0], R[c0], p), B.hom2_of(
+                    b0, c1, _comp(B, b0, c0, c1, p, val("phi", R[c0]), fuel),
+                    _comp(B, b0, b1, c1, val("phi", R[b0]), p, fuel)),
+                "naturality square filler")
+               for b0, b1 in _realizer_twins(f)
+               for c0, c1 in _realizer_twins(f)
+               for p in B.hom_of(b0, c0) & B.hom_of(b1, c1))
+    try:
+        T = settle(stages, ("phi", "psi"))
+    except SynthesisFailed as e:
+        return Decision(NO, reason=str(e))
+    return Decision(YES, witness=PhiPsi(**tabulate_all(T)))
 
 
 @dataclass
@@ -2328,27 +1945,11 @@ def discrete1_decide(f: Eff1Morphism,
 
 # --- the universe of sets ---------------------------------------------------
 
-U_SET_CAP = 6  # carrier bound for membership in the finite universe model
-
-
 def disc_object(carrier, hom, name: str = "") -> EffObject:
     """An object of the category of discrete sets: natural-number cells
     realized by themselves."""
     return make_object(tuple(carrier), {a: a for a in carrier}, hom,
                        name=name)
-
-
-def u_set_contains(X, fuel: int = DEFAULT_FUEL) -> str:
-    if not isinstance(X, EffObject) or len(X.cells) > U_SET_CAP:
-        return NO
-    for c in X.cells:
-        if not isinstance(c, int) or X.realizer[c] != c:
-            return NO
-    return _verdict_status(check_object0(X, fuel))
-
-
-def u_set_realizer(_X) -> int:
-    return 0
 
 
 def u_set_hom_status(X, Y, quad, fuel: int = DEFAULT_FUEL) -> str:
@@ -2368,17 +1969,6 @@ def u_set_hom_status(X, Y, quad, fuel: int = DEFAULT_FUEL) -> str:
         if s != YES:
             return s
     return YES
-
-
-def u_set_two_status(quad1, quad2, U, fuel: int = DEFAULT_FUEL) -> str:
-    """A 2-cell between two universe 1-cells is a homotopy between the
-    forward maps."""
-    return _verdict_status(check_homotopy0(quad1[0], quad2[0], U, fuel))
-
-
-def u_set_virtual() -> VirtualObject:
-    return VirtualObject("U_set", u_set_contains,
-                         lambda _x: 0, u_set_hom_status)
 
 
 def _set_normalized(f: Eff1Morphism) -> bool:

@@ -12,10 +12,8 @@ import json
 from dataclasses import dataclass, field
 
 from . import pca
-from .core import EffObject, EffMorphism, make_object, synthesize_morphism
-from .eff1 import (
-    Eff1Morphism, Eff1Object, inflate, make_object1, synthesize_morphism1,
-)
+from .core import SynthesisFailed, make_object, synthesize_morphism
+from .eff1 import inflate, make_object1, synthesize_morphism1
 
 FORMAT_VERSION = 1
 
@@ -271,7 +269,11 @@ def parse_fixture_text(text: str, source: str = "<string>") -> FixtureFile:
     except FixtureError as e:
         raise FixtureError(f"{source}: {e}") from e
     for name, ospec in spec["objects"].items():
-        obj = _build_object(name, ospec)
+        try:
+            obj = _build_object(name, ospec)
+        except SynthesisFailed as e:
+            raise FixtureError(f"{source}: object {name!r}: no uniform "
+                               f"structure code ({e})") from e
         (ff.objects if ospec["level"] == 0 else ff.objects1)[name] = obj
         if "expect" in ospec:
             ff.expectations[name] = ospec["expect"]

@@ -11,16 +11,13 @@ from definitive finite emptiness, never from fuel exhaustion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .pca import (
-    DEFAULT_FUEL, Diverges, FuelExhausted, apply, tabulate, tuple_encode,
-)
+from .pca import DEFAULT_FUEL, apply, tuple_encode
 from .core import (
     Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, Verdict,
-    YES, _intersect_all, _pick, _run, check_morphism, hom_contains,
-    identity, invalid, is_finite_hom, make_object, compose,
-    synthesize_morphism, unknown, valid,
+    YES, identity, make_object, compose, settle, synthesize_morphism,
+    tabulate_all, verify,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -39,10 +36,7 @@ def _cond1_instances(f: EffMorphism):
     B, A = f.dom, f.cod
     for b in B.cells:
         for a in A.cells:
-            h = A.hom_of(f.zero_map[b], a)
-            if not is_finite_hom(h):
-                continue
-            for pi in sorted(h):
+            for pi in sorted(A.hom_of(f.zero_map[b], a)):
                 yield b, a, pi
 
 
@@ -59,38 +53,34 @@ def _cond1_solutions(f: EffMorphism, b, a, pi):
     return out
 
 
+def _fibration_stages(f: EffMorphism):
+    """(1) <beta b, alpha a, pi> names a lift (realizer of b', rho: b -> b')
+    of pi; (2) <beta b, beta b', rho, pi> gives rho' with f(rho') = pi."""
+    B, A = f.dom, f.cod
+
+    def stages(_val):
+        def lifts():
+            for b, a, pi in _cond1_instances(f):
+                yield (("lift0", "lift1"),
+                       tuple_encode(B.realizer[b], A.realizer[a], pi),
+                       _cond1_solutions(f, b, a, pi), "lift (1)")
+            for b, b2 in itertools.product(B.cells, repeat=2):
+                hb = B.hom_of(b, b2)
+                for rho in sorted(hb):
+                    for pi in sorted(A.hom_of(f.zero_map[b], f.zero_map[b2])):
+                        yield ("lift2",
+                               tuple_encode(B.realizer[b], B.realizer[b2],
+                                            rho, pi),
+                               {r2 for r2 in hb
+                                if f.one_map[(b, b2)][r2] == pi},
+                               "lift (2)")
+        yield lifts()
+    return stages
+
+
 def check_fibration(f: EffMorphism, w: FibrationWitness,
                     fuel: int = DEFAULT_FUEL) -> Verdict:
-    B, A = f.dom, f.cod
-    for b, a, pi in _cond1_instances(f):
-        t = tuple_encode(B.realizer[b], A.realizer[a], pi)
-        s0, m = _run(w.lift0, t, fuel)
-        s1, rho = _run(w.lift1, t, fuel)
-        if "fuel" in (s0, s1):
-            return unknown(f"lift at ({b},{a},{pi})")
-        if "div" in (s0, s1):
-            return invalid(f"lift diverges at ({b},{a},{pi})")
-        if (m, rho) not in _cond1_solutions(f, b, a, pi):
-            return invalid(f"condition 1 fails at ({b},{a},{pi}): "
-                           f"({m},{rho}) does not name a lift")
-    for b, b2 in itertools.product(B.cells, repeat=2):
-        hb = B.hom_of(b, b2)
-        ha = A.hom_of(f.zero_map[b], f.zero_map[b2])
-        if not (is_finite_hom(hb) and is_finite_hom(ha)):
-            continue
-        for rho in sorted(hb):
-            for pi in sorted(ha):
-                t = tuple_encode(B.realizer[b], B.realizer[b2], rho, pi)
-                s2, rho2 = _run(w.lift2, t, fuel)
-                if s2 == "fuel":
-                    return unknown(f"2-lift at ({b},{b2},{rho},{pi})")
-                if s2 == "div":
-                    return invalid(f"2-lift diverges at ({b},{b2},{rho},{pi})")
-                if rho2 not in B.hom_of(b, b2) \
-                        or f.one_map[(b, b2)][rho2] != pi:
-                    return invalid(
-                        f"condition 2 fails at ({b},{b2},{rho},{pi})")
-    return valid()
+    return verify(_fibration_stages(f), vars(w), fuel)
 
 
 def synthesize_fibration_witness(f: EffMorphism):
@@ -100,38 +90,11 @@ def synthesize_fibration_witness(f: EffMorphism):
     sharing a visible input has a common (realizer, rho) solution; similarly
     for condition 2.  Over finite data this decides fibration-hood.
     """
-    B, A = f.dom, f.cod
-    groups1: dict[int, list] = {}
-    for b, a, pi in _cond1_instances(f):
-        t = tuple_encode(B.realizer[b], A.realizer[a], pi)
-        groups1.setdefault(t, []).append((b, a, pi))
-    t0, t1 = {}, {}
-    for t, instances in groups1.items():
-        common = None
-        for b, a, pi in instances:
-            sols = _cond1_solutions(f, b, a, pi)
-            common = sols if common is None else common & sols
-            if not common:
-                return None
-        m, rho = min(common)
-        t0[t], t1[t] = m, rho
-    groups2: dict[int, list] = {}
-    for b, b2 in itertools.product(B.cells, repeat=2):
-        for rho in B.hom_of(b, b2):
-            for pi in A.hom_of(f.zero_map[b], f.zero_map[b2]):
-                t = tuple_encode(B.realizer[b], B.realizer[b2], rho, pi)
-                groups2.setdefault(t, []).append((b, b2, pi))
-    t2 = {}
-    for t, instances in groups2.items():
-        common = None
-        for b, b2, pi in instances:
-            sols = {r2 for r2 in B.hom_of(b, b2)
-                    if f.one_map[(b, b2)][r2] == pi}
-            common = sols if common is None else common & sols
-            if not common:
-                return None
-        t2[t] = min(common)
-    return FibrationWitness(tabulate(t0), tabulate(t1), tabulate(t2))
+    try:
+        T = settle(_fibration_stages(f), ("lift0", "lift1", "lift2"))
+    except SynthesisFailed:
+        return None
+    return FibrationWitness(**tabulate_all(T))
 
 
 def fibration_decide(f: EffMorphism) -> Decision:
@@ -238,9 +201,6 @@ class PathObjectBundle:
     base: EffObject         # A x A (or B x_A B)
     witness: FibrationWitness | None
 
-    def source(self) -> EffMorphism:
-        raise NotImplementedError
-
 
 def _reflexivity_cell(obj: EffObject, a, fuel: int = DEFAULT_FUEL):
     u = apply(obj.unit_code, obj.realizer[a], fuel=fuel)
@@ -312,22 +272,18 @@ class Homotopy:
     code: int
 
 
+def _homotopy_stages(f: EffMorphism, g: EffMorphism):
+    """beta b goes to a 1-cell f(b) -> g(b)."""
+    def stages(_val):
+        yield (("code", f.dom.realizer[b],
+                f.cod.hom_of(f.zero_map[b], g.zero_map[b]), "homotopy")
+               for b in f.dom.cells)
+    return stages
+
+
 def check_homotopy(f: EffMorphism, g: EffMorphism, H: Homotopy,
                    fuel: int = DEFAULT_FUEL) -> Verdict:
-    A = f.cod
-    for b in f.dom.cells:
-        status, v = _run(H.code, f.dom.realizer[b], fuel)
-        if status == "fuel":
-            return unknown(f"homotopy at {b}")
-        if status == "div":
-            return invalid(f"homotopy diverges at {b}")
-        m = hom_contains(A.hom_of(f.zero_map[b], g.zero_map[b]), v, fuel)
-        if m == NO:
-            return invalid(f"homotopy value {v} outside "
-                           f"hom({f.zero_map[b]},{g.zero_map[b]})")
-        if m == UNKNOWN:
-            return unknown(f"homotopy membership at {b}")
-    return valid()
+    return verify(_homotopy_stages(f, g), vars(H), fuel)
 
 
 def homotopic_decide(f: EffMorphism, g: EffMorphism,
@@ -338,18 +294,11 @@ def homotopic_decide(f: EffMorphism, g: EffMorphism,
     iff for every visible realizer the intersection of the connecting
     hom-sets is inhabited, and then a table realizes it.
     """
-    A, B = f.cod, f.dom
-    table = {}
-    for n in B.realizer_image():
-        homs = [A.hom_of(f.zero_map[b], g.zero_map[b])
-                for b in B.cells_with_realizer(n)]
-        if not all(is_finite_hom(h) for h in homs):
-            return Decision(UNKNOWN, reason="intensional hom-set")
-        inter = _intersect_all(homs)
-        if not inter:
-            return Decision(NO, reason=f"empty intersection at realizer {n}")
-        table[n] = _pick(inter)
-    return Decision(YES, witness=Homotopy(tabulate(table)))
+    try:
+        T = settle(_homotopy_stages(f, g), ("code",))
+    except SynthesisFailed as e:
+        return Decision(NO, reason=f"empty intersection at realizer {e.t}")
+    return Decision(YES, witness=Homotopy(**tabulate_all(T)))
 
 
 def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,

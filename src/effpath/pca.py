@@ -169,6 +169,13 @@ def apply(code: int, arg: int, fuel: int = DEFAULT_FUEL) -> int:
     return _apply(code, arg, _Fuel(fuel))
 
 
+def apply_counted(code: int, arg: int,
+                  fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
+    """apply, also returning the number of steps the value cost."""
+    f = _Fuel(fuel)
+    return _apply(code, arg, f), fuel - f.left
+
+
 def apply_many(code: int, args: list[int] | tuple[int, ...],
                fuel: int = DEFAULT_FUEL) -> int:
     f = _Fuel(fuel)

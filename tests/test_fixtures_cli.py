@@ -130,6 +130,22 @@ def test_untrackable_morphism_is_rejected():
         parse_fixture_text(json.dumps(doc))
 
 
+_UNSYNTHESIZABLE = {
+    "format": 1,
+    "objects": {
+        # both cells carry realizer 0, so one unit code must land in the
+        # disjoint loops {1} and {2}
+        "B": {"cells": ["x", "y"], "realizer": {"x": 0, "y": 0},
+              "hom": {"x x": [1], "y y": [2]}},
+    },
+}
+
+
+def test_unsynthesizable_object_is_rejected():
+    with pytest.raises(FixtureError, match="object 'B'.*unit"):
+        parse_fixture_text(json.dumps(_UNSYNTHESIZABLE))
+
+
 def test_level_one_objects_parse():
     doc = {"format": 1,
            "objects": {"X": {"cells": ["a"], "realizer": {"a": 3},
@@ -241,9 +257,26 @@ def test_suite_rejects_unknown_names():
     assert rc == 2
 
 
+def test_bad_input_is_a_config_error(tmp_path):
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(_UNSYNTHESIZABLE))
+    for argv in (["check-object", "B", "--fixtures", str(p)],
+                 ["hlevel", "J", "--n", "-7"],
+                 ["check-object", "I", "--fuel", "-5"],
+                 ["equivalence", "E2I", "--budget", "-3"],
+                 ["suite", "I", "--jobs", "4"]):
+        rc, text = _run(argv)
+        assert rc == 2 and text == "", argv
+
+
+def test_low_fuel_on_dependent_values_reports_unknown():
+    rc, text = _run(["check-morphism", "eff1:E2I", "--fuel", "50"])
+    assert rc == 3 and "unknown" in text
+
+
 def test_json_reports_are_deterministic():
     rc1, t1 = _run(["suite", "I", "U", "--format", "json"])
-    rc2, t2 = _run(["suite", "I", "U", "--format", "json", "--jobs", "4"])
+    rc2, t2 = _run(["suite", "I", "U", "--format", "json"])
     assert rc1 == rc2 == 0
     assert t1 == t2
     data = json.loads(t1)
