@@ -23,9 +23,9 @@ from .core import (
 from .path import (
     FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
     homotopic_decide, is_equivalence_decide, is_trivial_fibration,
-    synthesize_fibration_witness, terminal_map,
+    fib_path_cells, lift_endpoint, synthesize_fibration_witness, terminal_map,
 )
-from .constructions import _lift_endpoint, freyd_square_check
+from .constructions import freyd_square_check
 
 VERIFIED, REFUTED = "verified", "refuted"
 
@@ -52,11 +52,11 @@ def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
         d = is_trivial_fibration(f, fuel)
         status = {YES: VERIFIED, NO: REFUTED, UNKNOWN: UNKNOWN}[d.status]
         return HlevelVerdict(n, status, reason=d.reason)
+    size = len(fib_path_cells(f))
+    if size > depth_budget:
+        return HlevelVerdict(n, UNKNOWN,
+                             reason=f"path object has {size} cells")
     bundle = fib_path_object(f, fuel)
-    if len(bundle.obj.cells) > depth_budget:
-        return HlevelVerdict(
-            n, UNKNOWN,
-            reason=f"path object has {len(bundle.obj.cells)} cells")
     sub = hlevel_check(bundle.st, n - 1, fuel, depth_budget)
     return HlevelVerdict(n, sub.status, [bundle] + sub.chain, sub.reason)
 
@@ -111,8 +111,9 @@ def truncation_compare(tr: TruncationBundle, g2: EffMorphism,
 
 # --- discreteness -----------------------------------------------------------
 
-def is_standard_discrete(f: EffMorphism) -> bool:
-    """Cells in a fibre are determined by their realizer."""
+def is_standard_discrete(f) -> bool:
+    """Cells in a fibre are determined by their realizer (at either
+    level)."""
     seen = {}
     for b in f.dom.cells:
         key = (f.zero_map[b], f.dom.realizer[b])
@@ -249,7 +250,7 @@ def classify_prop_discrete(f: EffMorphism, w: FibrationWitness,
 
     def fibre_transport(a, a2, pi):
         return tabulate({
-            n: B.realizer[_lift_endpoint(f, w, (a, n), a2, pi, fuel)]
+            n: B.realizer[lift_endpoint(f, w, (a, n), a2, pi, fuel)[0]]
             for n in zero[a]}) if zero[a] else const_code(0)
 
     one, t1_table = {}, {}
@@ -280,12 +281,18 @@ def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism,
                           fuel: int = DEFAULT_FUEL):
     """Read a universe homotopy off an equivalence w: P_f -> P_g over Z
     (pg w = pf; cells (z, n) realized by pairs) and verify that the map it
-    induces is fibrewise homotopic to w.  Returns ({z: (r, s)}, Decision).
+    induces is fibrewise homotopic to w.  Returns ({z: (r, s)}, Decision);
+    raises NotNormalized when a cell of P_f or P_g is not such a pair.
     """
     Z = pf.cod
     eq = is_equivalence_decide(w, fuel)
     if eq.status != YES:
         return None, Decision(eq.status, reason="w is not an equivalence")
+    for p, X in ((pf, w.dom), (pg, w.cod)):
+        for c in X.cells:
+            if not (isinstance(c, tuple) and len(c) == 2
+                    and p.zero_map.get(c) == c[0]):
+                raise NotNormalized(f"cell {c!r}")
     inv = eq.witness.inverse
     H = {}
     for z in Z.cells:
@@ -311,14 +318,16 @@ def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism,
 class ResizeBundle:
     obj: EffObject        # C, the discrete replacement
     proj: EffMorphism     # C -> A
-    to_c: EffMorphism     # B -> C
-    to_b: EffMorphism     # C -> B
-    laws: tuple           # both round trips, fibrewise over A
+    to_c: EffMorphism | None   # B -> C
+    to_b: EffMorphism | None   # C -> B
+    laws: tuple   # both round trips fibrewise over A, or NO if one is None
 
 
 def resize(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> ResizeBundle:
     """Replace a propositional fibration by the discrete C -> A with
-    C = {(a, n) : some cell over a is realized by n}, realized by n."""
+    C = {(a, n) : some cell over a is realized by n}, realized by n.  When
+    f is not propositional a comparison map is untracked, and the laws are
+    a single NO naming it."""
     B, A = f.dom, f.cod
     pairs = sorted({(f.zero_map[b], B.realizer[b]) for b in B.cells},
                    key=lambda p: (A.cells.index(p[0]), p[1]))
@@ -334,12 +343,22 @@ def resize(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> ResizeBundle:
     for b in sorted(B.cells, key=B.cells.index, reverse=True):
         choice[(f.zero_map[b], B.realizer[b])] = b
     to_b = synthesize_morphism(C, B, {p: choice[p] for p in pairs})
-    assert to_c is not None and to_b is not None
-    laws = (fibrewise_homotopic_decide(compose(to_c, to_b), identity(C),
-                                       proj, fuel),
-            fibrewise_homotopic_decide(compose(to_b, to_c), identity(B),
-                                       f, fuel))
+    laws = _resize_laws(B, C, to_c, to_b, lambda: (
+        fibrewise_homotopic_decide(compose(to_c, to_b), identity(C), proj,
+                                   fuel),
+        fibrewise_homotopic_decide(compose(to_b, to_c), identity(B), f,
+                                   fuel)))
     return ResizeBundle(C, proj, to_c, to_b, laws)
+
+
+def _resize_laws(B, C, to_c, to_b, round_trips):
+    """The round trips of a resizing B <-> C, or a single NO naming the
+    comparison map that is not tracked (B was not propositional)."""
+    for X, Y, m in ((B, C, to_c), (C, B, to_b)):
+        if m is None:
+            return (Decision(NO, reason=f"comparison map {X.name} -> "
+                                        f"{Y.name} is not tracked"),)
+    return round_trips()
 
 
 # --- the obstruction on the two-point discrete object -----------------------

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .pca import DEFAULT_FUEL
 from .core import (
     EffMorphism, EffObject, check_morphism, check_object, identity,
 )
@@ -20,8 +21,9 @@ from .path import (
     synthesize_fibration_witness, terminal_map,
 )
 from .classify import (
-    NotNormalized, classify_prop_discrete, discrete_decide, hlevel_check,
-    prop_truncate, resize, u_one_cell, univalence_check_prop,
+    DEFAULT_DEPTH_BUDGET, NotNormalized, classify_prop_discrete,
+    discrete_decide, hlevel_check, prop_truncate, resize, u_one_cell,
+    univalence_check_prop,
 )
 from .constructions import hexp_J, pi_type, transport_properties_check
 from .eff1 import (
@@ -36,8 +38,6 @@ from .eff1 import (
 )
 from .fixtures import fixture_library
 from .fixture_io import FixtureError, parse_fixture_file
-
-DEFAULT_FUEL = 100_000
 
 _COMMANDS = (
     "check-object", "check-morphism", "check-fibration", "pullback",
@@ -143,10 +143,8 @@ def _cmd_homotopic(rs, args):
 
 def _cmd_equivalence(rs, args):
     f = rs.morphism(args.targets[0])
-    if _is_level1(f):
-        d = is_equivalence1_decide(f, fuel=args.fuel)
-    else:
-        d = is_equivalence_decide(f, fuel=args.fuel, budget=args.budget)
+    d = (is_equivalence1_decide if _is_level1(f) else is_equivalence_decide)(
+        f, fuel=args.fuel, budget=args.budget)
     return [_report("equivalence", args.targets[0], d.status, d.reason)]
 
 
@@ -217,12 +215,8 @@ def _cmd_truncate(rs, args):
 
 def _cmd_hlevel(rs, args):
     f = rs.morphism(args.targets[0])
-    if _is_level1(f):
-        hv = hlevel1_check(f, args.n, fuel=args.fuel,
-                           depth_budget=args.depth)
-    else:
-        hv = hlevel_check(f, args.n, fuel=args.fuel,
-                          depth_budget=args.depth)
+    hv = (hlevel1_check if _is_level1(f) else hlevel_check)(
+        f, args.n, fuel=args.fuel, depth_budget=args.depth)
     return [_report("hlevel", args.targets[0], hv.status,
                     f"n={args.n}: {hv.reason}")]
 
@@ -259,9 +253,12 @@ def _cmd_univalence(rs, args):
     pf = rs.morphism(args.targets[1])
     pg = rs.morphism(args.targets[2])
     check = univalence_check_set if _is_level1(w) else univalence_check_prop
-    H, d = check(w, pf, pg, fuel=args.fuel)
-    return [_report("univalence", " ".join(args.targets[:3]), d.status,
-                    d.reason)]
+    target = " ".join(args.targets[:3])
+    try:
+        _H, d = check(w, pf, pg, fuel=args.fuel)
+    except (NotNormalized, NotNormalized1) as e:
+        return [_report("univalence", target, "no", str(e))]
+    return [_report("univalence", target, d.status, d.reason)]
 
 
 def _cmd_resize(rs, args):
@@ -272,7 +269,8 @@ def _cmd_resize(rs, args):
               else "no")
     return [_report("resize", args.targets[0], status,
                     f"{len(rsb.obj.cells)} cells; laws: "
-                    + " ".join(d.status for d in rsb.laws))]
+                    + " ".join(d.status for d in rsb.laws)
+                    + "".join(f"; {d.reason}" for d in rsb.laws if d.reason))]
 
 
 _HANDLERS = {
@@ -421,7 +419,8 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--fuel", type=_int_at_least(0), default=DEFAULT_FUEL)
         sp.add_argument("--budget", type=_int_at_least(0), default=64)
-        sp.add_argument("--depth", type=int, default=600)
+        sp.add_argument("--depth", type=_int_at_least(0),
+                        default=DEFAULT_DEPTH_BUDGET)
         sp.add_argument("--format", choices=("json", "text"),
                         default="text")
         sp.add_argument("--fixtures", action="append", default=[],

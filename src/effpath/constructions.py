@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, FST_C, PAIR, SND_C, Var, app, apply, curry_left, lam,
-    compile_term, tuple_encode,
+    DEFAULT_FUEL, FST_C, PAIR, SND_C, Var, app, apply, cantor_unpair,
+    curry_left, lam, compile_term, tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, check_morphism,
@@ -25,31 +25,12 @@ from .path import (
     FibrationWitness, Homotopy, PathObjectBundle, PullbackBundle,
     _zero_map_candidates, check_homotopy, fib_path_object,
     fibrewise_homotopic_decide, homotopic_decide, is_equivalence_decide,
-    mediate, path_object, pullback, synthesize_fibration_witness,
+    lift_endpoint, mediate, path_object, pullback,
+    synthesize_fibration_witness,
 )
 
 
-class TransportFailed(Exception):
-    """A lift code named no cell of the total space."""
-
-
 # --- transport --------------------------------------------------------------
-
-def _lift_endpoint(f: EffMorphism, w: FibrationWitness, y, x2, pi,
-                   fuel: int = DEFAULT_FUEL):
-    """Endpoint of the lift of pi: f(y) -> x2 starting at y."""
-    Y, X = f.dom, f.cod
-    t = tuple_encode(Y.realizer[y], X.realizer[x2], pi)
-    m = apply(w.lift0, t, fuel=fuel)
-    rho = apply(w.lift1, t, fuel=fuel)
-    for y2 in Y.cells:
-        if f.zero_map[y2] == x2 and Y.realizer[y2] == m \
-                and rho in Y.hom_of(y, y2) \
-                and f.one_map[(y, y2)][rho] == pi:
-            return y2
-    raise TransportFailed(
-        f"lift of {pi}: {f.zero_map[y]} -> {x2} at {y} names no cell")
-
 
 @dataclass
 class Transport:
@@ -63,7 +44,7 @@ class Transport:
     def cell(self, y, path_cell, fuel: int = DEFAULT_FUEL):
         """Gamma(y, p) for any p = (x, x', pi) with f(y) = x."""
         _, x2, pi = path_cell
-        return _lift_endpoint(self.fib, self.witness, y, x2, pi, fuel)
+        return lift_endpoint(self.fib, self.witness, y, x2, pi, fuel)[0]
 
 
 def transport(f: EffMorphism, w: FibrationWitness,
@@ -81,7 +62,7 @@ def transport(f: EffMorphism, w: FibrationWitness,
     assert s_m is not None
     dom = pullback(f, s_m, name=f"{Y.name}x_{X.name}P{X.name}",
                    want_witness=False)
-    zero = {(p, y): _lift_endpoint(f, w, y, p[1], p[2], fuel)
+    zero = {(p, y): lift_endpoint(f, w, y, p[1], p[2], fuel)[0]
             for (p, y) in dom.obj.cells}
     gamma = synthesize_morphism(dom.obj, Y, zero, name=f"transport_{f.name}")
     assert gamma is not None
@@ -184,8 +165,7 @@ def induced_fiber_map(p: EffMorphism, w: FibrationWitness,
     zero = {}
     for (z, y) in fp.obj.cells:
         hz = apply(H.code, Z.realizer[z], fuel=fuel)
-        path_cell = (f.zero_map[z], g.zero_map[z], hz)
-        zero[(z, y)] = (z, _lift_endpoint(p, w, y, path_cell[1], hz, fuel))
+        zero[(z, y)] = (z, lift_endpoint(p, w, y, g.zero_map[z], hz, fuel)[0])
     m = synthesize_morphism(fp.obj, gp.obj, zero,
                             name=f"fibmap_{f.name}~{g.name}")
     assert m is not None
@@ -437,19 +417,25 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
             realizer[key] = tuple_encode(X.realizer[x], s.tracking0,
                                          s.tracking1)
 
+    def transported(x1, s1, x2, s2, pi, fuel):
+        """The maps s2 Gamma^Y_pi and Gamma^Z_pi s1 on the fibre at x1, or
+        None if one is not tracked."""
+        ys = fibres[x1].cells
+        lhs = synthesize_morphism(fibres[x1], Z, {
+            y: s2.zero_map[lift_endpoint(f, w, y, x2, pi, fuel)[0]]
+            for y in ys})
+        rhs = synthesize_morphism(fibres[x1], Z, {
+            y: lift_endpoint(fg, wfg, s1.zero_map[y], x2, pi, fuel)[0]
+            for y in ys})
+        return None if lhs is None or rhs is None else (lhs, rhs)
+
     def connecting(key1, key2, pi):
         """Canonical coded homotopy s2 Gamma^Y_pi ~ Gamma^Z_pi s1, if any."""
-        (x1, _), (x2, _) = key1, key2
-        s1, s2 = sections[key1], sections[key2]
-        lhs_zero = {y: s2.zero_map[_lift_endpoint(f, w, y, x2, pi, fuel)]
-                    for y in fibres[x1].cells}
-        rhs_zero = {y: _lift_endpoint(fg, wfg, s1.zero_map[y], x2, pi, fuel)
-                    for y in fibres[x1].cells}
-        lhs = synthesize_morphism(fibres[x1], Z, lhs_zero)
-        rhs = synthesize_morphism(fibres[x1], Z, rhs_zero)
-        if lhs is None or rhs is None:
+        ends = transported(key1[0], sections[key1], key2[0], sections[key2],
+                           pi, fuel)
+        if ends is None:
             return None
-        d = homotopic_decide(lhs, rhs, fuel)
+        d = homotopic_decide(*ends, fuel)
         return d.witness.code if d.status == YES else None
 
     hom = {}
@@ -491,23 +477,13 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
         return tuple_encode(X.realizer[x], s.tracking0, s.tracking1)
 
     def hom_status(p1, p2, n, fuel=DEFAULT_FUEL):
-        from .pca import cantor_unpair
         pi, code = cantor_unpair(n)
         if pi not in X.hom_of(p1[0], p2[0]):
             return NO
-        x1, s1 = p1
-        _, s2 = p2
-        lhs_zero = {y: s2.zero_map[_lift_endpoint(f, w, y, p2[0], pi, fuel)]
-                    for y in fibres[x1].cells}
-        rhs_zero = {y: _lift_endpoint(fg, wfg, s1.zero_map[y], p2[0], pi,
-                                      fuel)
-                    for y in fibres[x1].cells}
-        lhs = synthesize_morphism(fibres[x1], Z, lhs_zero)
-        rhs = synthesize_morphism(fibres[x1], Z, rhs_zero)
-        if lhs is None or rhs is None:
+        ends = transported(*p1, *p2, pi, fuel)
+        if ends is None:
             return NO
-        return _verdict_status(check_homotopy(lhs, rhs, Homotopy(code),
-                                              fuel))
+        return _verdict_status(check_homotopy(*ends, Homotopy(code), fuel))
 
     virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_dom, ev)

@@ -26,7 +26,8 @@ from .core import (
     settle, synthesize_morphism as synthesize_morphism0, tabulate_all, verify,
 )
 from .path import (
-    DEFAULT_BUDGET, NotTrivial, _zero_map_candidates,
+    DEFAULT_BUDGET, NotTrivial, TransportFailed, _zero_map_candidates,
+    fib_path_cells, lift_endpoint,
     check_homotopy as check_homotopy0, homotopic_decide as homotopic_decide0,
     is_equivalence_decide as is_equivalence_decide0,
     terminal_object as terminal_object0,
@@ -34,6 +35,7 @@ from .path import (
 from .constructions import VirtualObject, _verdict_status
 from .classify import (
     DEFAULT_DEPTH_BUDGET, HlevelVerdict, NotNormalized, REFUTED, VERIFIED,
+    _resize_laws, is_standard_discrete,
 )
 
 
@@ -389,15 +391,15 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
     return stages
 
 
-def _given(one: dict, two: dict):
-    """Narrowings forcing the images of explicit value maps."""
+def _given(one=None, two=None):
+    """Narrowings forcing the images named by the value functions
+    ``one(b, b', p)`` and ``two(b, b', p, r, n)``; None keeps the 1-cell or
+    the 2-cell itself."""
     def one_image(t, h, b, b2, p):
-        images = one.get((b, b2))
-        return forced(images.get(p), h) if images else ()
+        return forced(p if one is None else one(b, b2, p), h)
 
     def two_image(t, h, b, b2, p, r, n, *_images):
-        images = two.get((b, b2, p, r))
-        return forced(images.get(n), h) if images else ()
+        return forced(n if two is None else two(b, b2, p, r, n), h)
     return one_image, two_image
 
 
@@ -416,12 +418,13 @@ def _settle_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
                         **tabulate_all(T), name=name)
 
 
-def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero, one, two,
-                     name: str = "",
+def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
+                     one=None, two=None, name: str = "",
                      fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
-    """Assemble a morphism from explicit value maps.  Returns None when the
-    values are not uniform per visible input, land outside the codomain, or
-    admit no functoriality 2-cells."""
+    """Assemble a morphism from explicit values: the cell map ``zero`` and
+    the value functions of ``_given``.  Returns None when the values are not
+    uniform per visible input, land outside the codomain, or admit no
+    functoriality 2-cells."""
     return _settle_morphism1(dom, cod, zero, *_given(one, two), name=name,
                              fuel=fuel)
 
@@ -475,18 +478,16 @@ def identity_like1(dom: Eff1Object, cod: Eff1Object, name: str = "",
 
 def check_morphism1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Verdict:
     """Verify all five tracking/functoriality conditions exhaustively."""
-    stages = _morphism1_stages(f.dom, f.cod, f.zero_map,
-                               *_given(f.one_map, f.two_map), fuel=fuel)
+    stages = _morphism1_stages(
+        f.dom, f.cod, f.zero_map,
+        *_given(lambda b, b2, p: f.one_map.get((b, b2), {}).get(p),
+                lambda b, b2, p, r, n:
+                    f.two_map.get((b, b2, p, r), {}).get(n)), fuel=fuel)
     return verify(stages, vars(f), fuel)
 
 
 def identity1(obj: Eff1Object, fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
-    one = {(a, b): {p: p for p in obj.hom_of(a, b)}
-           for a in obj.cells for b in obj.cells}
-    two = {(a, b, p, r): {n: n for n in obj.hom2_of(a, b, p, r)}
-           for a in obj.cells for b in obj.cells
-           for p in obj.hom_of(a, b) for r in obj.hom_of(a, b)}
-    m = _build_morphism1(obj, obj, {a: a for a in obj.cells}, one, two,
+    m = _build_morphism1(obj, obj, {a: a for a in obj.cells},
                          name=f"id_{obj.name}", fuel=fuel)
     assert m is not None
     return m
@@ -497,16 +498,16 @@ def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "",
     """Value-level composite; the functoriality 2-cells are re-synthesized
     (they always exist for a composite of valid morphisms over finite data
     and are not part of the identity of the morphism)."""
-    zero = {b: g.zero_map[f.zero_map[b]] for b in f.dom.cells}
-    one, two = {}, {}
-    for (b, b2), table in f.one_map.items():
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        one[(b, b2)] = {p: g.one_map[(fb, fb2)][v] for p, v in table.items()}
-    for (b, b2, p, r), table in f.two_map.items():
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        fp, fr = f.one_map[(b, b2)][p], f.one_map[(b, b2)][r]
-        two[(b, b2, p, r)] = {n: g.two_map[(fb, fb2, fp, fr)][v]
-                              for n, v in table.items()}
+    fz = f.zero_map
+
+    def one(b, b2, p):
+        return g.one_map[fz[b], fz[b2]][f.one_map[b, b2][p]]
+
+    def two(b, b2, p, r, n):
+        fmap = f.one_map[b, b2]
+        return g.two_map[fz[b], fz[b2], fmap[p], fmap[r]][
+            f.two_map[b, b2, p, r][n]]
+    zero = {b: g.zero_map[fz[b]] for b in f.dom.cells}
     m = _build_morphism1(f.dom, g.cod, zero, one, two,
                          name=name or f"{g.name}.{f.name}", fuel=fuel)
     assert m is not None
@@ -578,11 +579,9 @@ def terminal_map1(obj: Eff1Object, name: str = "") -> Eff1Morphism:
 def point1(A: Eff1Object, a, name: str = "",
            fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
     """The point 1 -> A at cell a."""
-    T = terminal_object1()
     ua = _u(A, a, fuel)
-    one = {("*", "*"): {0: ua}}
-    two = {("*", "*", 0, 0): {0: _id2(A, a, a, ua, fuel)}}
-    m = _build_morphism1(T, A, {"*": a}, one, two,
+    m = _build_morphism1(terminal_object1(), A, {"*": a},
+                         lambda *_: ua, lambda *_: _id2(A, a, a, ua, fuel),
                          name=name or f"pt_{a}", fuel=fuel)
     assert m is not None
     return m
@@ -702,60 +701,23 @@ def check1(x, w=None, fuel: int = DEFAULT_FUEL) -> Verdict:
 
 def product1(A: Eff1Object, B: Eff1Object, name: str = "",
              fuel: int = DEFAULT_FUEL):
-    """Binary product with componentwise structure.  Returns
+    """Binary product, the pullback of B -> 1 along A -> 1.  Returns
     (object, first projection, second projection)."""
-    cells = [(a, b) for a in A.cells for b in B.cells]
-    realizer = {(a, b): tuple_encode(A.realizer[a], B.realizer[b])
-                for (a, b) in cells}
-    hom, hom2 = {}, {}
-    for x, y in itertools.product(cells, repeat=2):
-        h = frozenset(tuple_encode(m, n)
-                      for m in A.hom_of(x[0], y[0])
-                      for n in B.hom_of(x[1], y[1]))
-        hom[(x, y)] = h
-        for e, e2 in itertools.product(sorted(h), repeat=2):
-            m, n = _dec2(e)
-            m2, n2 = _dec2(e2)
-            hom2[(x, y, e, e2)] = frozenset(
-                tuple_encode(p, q)
-                for p in A.hom2_of(x[0], y[0], m, m2)
-                for q in B.hom2_of(x[1], y[1], n, n2))
-
-    def unit(x):
-        return tuple_encode(_u(A, x[0], fuel), _u(B, x[1], fuel))
-
-    def inv(x, y, e):
-        m, n = _dec2(e)
-        return tuple_encode(_inv(A, x[0], y[0], m, fuel),
-                            _inv(B, x[1], y[1], n, fuel))
-
-    def comp(x, y, z, e, e2):
-        m, n = _dec2(e)
-        m2, n2 = _dec2(e2)
-        return tuple_encode(_comp(A, x[0], y[0], z[0], m, m2, fuel),
-                            _comp(B, x[1], y[1], z[1], n, n2, fuel))
-
-    obj = make_object1(cells, realizer, hom, hom2,
-                       name=name or f"{A.name}x{B.name}",
-                       unit=unit, inv=inv, comp=comp)
-    p1 = _projection1(obj, A, 0, fuel)
-    p2 = _projection1(obj, B, 1, fuel)
-    return obj, p1, p2
+    pb = pullback1(terminal_map1(B), terminal_map1(A),
+                   name=name or f"{A.name}x{B.name}", want_witness=False,
+                   fuel=fuel)
+    return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
 def _projection1(pair_obj: Eff1Object, target: Eff1Object, idx: int,
-                 fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
+                 fuel: int = DEFAULT_FUEL, name: str = "") -> Eff1Morphism:
     """Componentwise projection from an object whose cells are pairs and
     whose 1- and 2-cells are encoded pairs."""
-    zero = {x: x[idx] for x in pair_obj.cells}
-    one = {(x, y): {e: _dec2(e)[idx] for e in pair_obj.hom_of(x, y)}
-           for x in pair_obj.cells for y in pair_obj.cells}
-    two = {(x, y, e, e2): {n: _dec2(n)[idx]
-                           for n in pair_obj.hom2_of(x, y, e, e2)}
-           for x in pair_obj.cells for y in pair_obj.cells
-           for e in pair_obj.hom_of(x, y) for e2 in pair_obj.hom_of(x, y)}
-    m = _build_morphism1(pair_obj, target, zero, one, two,
-                         name=f"pr{idx}", fuel=fuel)
+    m = _build_morphism1(pair_obj, target,
+                         {x: x[idx] for x in pair_obj.cells},
+                         lambda x, y, e: _dec2(e)[idx],
+                         lambda x, y, e, e2, n: _dec2(n)[idx],
+                         name=name or f"pr{idx}", fuel=fuel)
     assert m is not None
     return m
 
@@ -837,78 +799,76 @@ class Path1Bundle:
     witness: Fibration1Witness | None  # for st
 
 
-def _square_filler(A: Eff1Object, a, a2, mu, fuel: int = DEFAULT_FUEL):
-    """The canonical 2-cell  mu . 1_a  =>  1_{a2} . mu  from coherence."""
-    t = tuple_encode(A.realizer[a], A.realizer[a2], mu)
-    ru = apply(A.coh_runit, t, fuel=fuel)   # mu . 1_a => mu
-    lu = apply(A.coh_lunit, t, fuel=fuel)   # 1_{a2} . mu => mu
-    lhs = _comp(A, a, a, a2, _u(A, a, fuel), mu, fuel)
-    rhs = _comp(A, a, a2, a2, mu, _u(A, a2, fuel), fuel)
-    li = apply(A.inv2, tuple_encode(A.realizer[a], A.realizer[a2],
-                                    rhs, mu, lu), fuel=fuel)  # mu => rhs
-    return apply(A.vcomp, tuple_encode(A.realizer[a], A.realizer[a2],
-                                       lhs, mu, rhs, ru, li), fuel=fuel)
+def _unit_square(A: Eff1Object, a, b, rho, fuel: int = DEFAULT_FUEL,
+                 flip: bool = False):
+    """The canonical 2-cell  rho . 1_a  =>  1_b . rho  from the unit
+    coherences, or its reverse when ``flip``."""
+    t = tuple_encode(A.realizer[a], A.realizer[b], rho)
+    sides = [(_comp(A, a, a, b, _u(A, a, fuel), rho, fuel),
+              apply(A.coh_runit, t, fuel=fuel)),   # rho . 1_a => rho
+             (_comp(A, a, b, b, rho, _u(A, b, fuel), fuel),
+              apply(A.coh_lunit, t, fuel=fuel))]   # 1_b . rho => rho
+    (lhs, to_rho), (rhs, from_rhs) = sides[::-1] if flip else sides
+    back = apply(A.inv2, tuple_encode(A.realizer[a], A.realizer[b], rhs, rho,
+                                      from_rhs), fuel=fuel)  # rho => rhs
+    return apply(A.vcomp, tuple_encode(A.realizer[a], A.realizer[b], lhs,
+                                       rho, rhs, to_rho, back), fuel=fuel)
 
 
-def _path_cells_hom(A: Eff1Object, cells, fuel, one_filter=None,
-                    two_filter=None):
+def path_object1(A: Eff1Object, fuel: int = DEFAULT_FUEL,
+                 want_witness: bool = True) -> Path1Bundle:
+    """The fibrewise path object of A -> 1."""
+    return fib_path_object1(terminal_map1(A), fuel, want_witness)
+
+
+def fib_path_object1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
+                     want_witness: bool = True) -> Path1Bundle:
+    """Fibrewise paths of a fibration f: B -> A: cells (b, b', rho) over a
+    single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
+    and n a 2-cell filling the square; 2-cells pairs of 2-cells between the
+    respective components, with equal f-image."""
+    B = f.dom
+    cells = fib_path_cells(f)
+    base = pullback1(f, f, want_witness=False, fuel=fuel).obj
+    realizer = {x: tuple_encode(B.realizer[x[0]], B.realizer[x[1]], x[2])
+                for x in cells}
     hom, hom2 = {}, {}
     for x, y in itertools.product(cells, repeat=2):
         (a, b, rho), (a2, b2, rho2) = x, y
         ent = set()
-        for mu in A.hom_of(a, a2):
-            for nu in A.hom_of(b, b2):
-                if one_filter is not None and \
-                        not one_filter(x, y, mu, nu):
+        for mu in B.hom_of(a, a2):
+            for nu in B.hom_of(b, b2):
+                if f.one_map[(a, a2)][mu] != f.one_map[(b, b2)][nu]:
                     continue
-                lhs = _comp(A, a, b, b2, rho, nu, fuel)    # nu . rho
-                rhs = _comp(A, a, a2, b2, mu, rho2, fuel)  # rho2 . mu
-                for n in A.hom2_of(a, b2, lhs, rhs):
+                lhs = _comp(B, a, b, b2, rho, nu, fuel)    # nu . rho
+                rhs = _comp(B, a, a2, b2, mu, rho2, fuel)  # rho2 . mu
+                for n in B.hom2_of(a, b2, lhs, rhs):
                     ent.add(tuple_encode(mu, nu, n))
         hom[(x, y)] = frozenset(ent)
-        for e, e2 in itertools.product(sorted(hom[(x, y)]), repeat=2):
+        for e, e2 in itertools.product(sorted(ent), repeat=2):
             mu, nu, _n = _dec3(e)
             mu2, nu2, _n2 = _dec3(e2)
             hom2[(x, y, e, e2)] = frozenset(
                 tuple_encode(p, q)
-                for p in A.hom2_of(a, a2, mu, mu2)
-                for q in A.hom2_of(b, b2, nu, nu2)
-                if two_filter is None or two_filter(x, y, p, q))
-    return hom, hom2
-
-
-def _path_bundle(A: Eff1Object, cells, base, base_pair, name, fuel,
-                 one_filter=None, two_filter=None,
-                 want_witness=True) -> Path1Bundle:
-    realizer = {x: tuple_encode(A.realizer[x[0]], A.realizer[x[1]], x[2])
-                for x in cells}
-    hom, hom2 = _path_cells_hom(A, cells, fuel, one_filter, two_filter)
+                for p in B.hom2_of(a, a2, mu, mu2)
+                for q in B.hom2_of(b, b2, nu, nu2)
+                if f.two_map[(a, a2, mu, mu2)][p] ==
+                f.two_map[(b, b2, nu, nu2)][q])
 
     def unit(x):
-        a, b, _rho = x
-        ua, ub = _u(A, a, fuel), _u(A, b, fuel)
-        # filler of the square  1_b . rho  =>  rho . 1_a
-        t_lhs = _comp(A, x[0], x[1], x[1], x[2], ub, fuel)
-        t_rhs = _comp(A, x[0], x[0], x[1], ua, x[2], fuel)
-        tr = tuple_encode(A.realizer[a], A.realizer[b], x[2])
-        lu = apply(A.coh_lunit, tr, fuel=fuel)  # 1_b . rho => rho
-        ru = apply(A.coh_runit, tr, fuel=fuel)  # rho . 1_a => rho
-        ri = apply(A.inv2, tuple_encode(A.realizer[a], A.realizer[b],
-                                        t_rhs, x[2], ru), fuel=fuel)
-        n = apply(A.vcomp, tuple_encode(A.realizer[a], A.realizer[b],
-                                        t_lhs, x[2], t_rhs, lu, ri),
-                  fuel=fuel)
-        return tuple_encode(ua, ub, n)
+        a, b, rho = x
+        return tuple_encode(_u(B, a, fuel), _u(B, b, fuel),
+                            _unit_square(B, a, b, rho, fuel, flip=True))
 
     def inv(x, y, e):
         # invert componentwise; the filler of the reversed square is picked
         # minimally from its (by definition non-empty for valid input) set
         mu, nu, n = _dec3(e)
-        mi = _inv(A, x[0], y[0], mu, fuel)
-        ni = _inv(A, x[1], y[1], nu, fuel)
-        lhs = _comp(A, y[0], y[1], x[1], y[2], ni, fuel)
-        rhs = _comp(A, y[0], x[0], x[1], mi, x[2], fuel)
-        fillers = A.hom2_of(y[0], x[1], lhs, rhs)
+        mi = _inv(B, x[0], y[0], mu, fuel)
+        ni = _inv(B, x[1], y[1], nu, fuel)
+        lhs = _comp(B, y[0], y[1], x[1], y[2], ni, fuel)
+        rhs = _comp(B, y[0], x[0], x[1], mi, x[2], fuel)
+        fillers = B.hom2_of(y[0], x[1], lhs, rhs)
         if not fillers:
             raise SynthesisFailed(f"no filler for the inverse of {e}")
         return tuple_encode(mi, ni, min(fillers))
@@ -916,104 +876,30 @@ def _path_bundle(A: Eff1Object, cells, base, base_pair, name, fuel,
     def comp(x, y, z, e, e2):
         mu, nu, n = _dec3(e)
         mu2, nu2, n2 = _dec3(e2)
-        mc = _comp(A, x[0], y[0], z[0], mu, mu2, fuel)
-        nc = _comp(A, x[1], y[1], z[1], nu, nu2, fuel)
-        lhs = _comp(A, x[0], x[1], z[1], x[2], nc, fuel)
-        rhs = _comp(A, x[0], z[0], z[1], mc, z[2], fuel)
-        fillers = A.hom2_of(x[0], z[1], lhs, rhs)
+        mc = _comp(B, x[0], y[0], z[0], mu, mu2, fuel)
+        nc = _comp(B, x[1], y[1], z[1], nu, nu2, fuel)
+        lhs = _comp(B, x[0], x[1], z[1], x[2], nc, fuel)
+        rhs = _comp(B, x[0], z[0], z[1], mc, z[2], fuel)
+        fillers = B.hom2_of(x[0], z[1], lhs, rhs)
         if not fillers:
             raise SynthesisFailed(f"no filler for the composite of "
                                   f"{e}, {e2}")
         return tuple_encode(mc, nc, min(fillers))
 
-    obj = make_object1(cells, realizer, hom, hom2, name=name,
+    obj = make_object1(cells, realizer, hom, hom2, name=f"P_{f.name}",
                        unit=unit, inv=inv, comp=comp)
-
-    refl = {a: (a, a, _u(A, a, fuel)) for a in A.cells}
-    r = _build_reflexivity(A, obj, refl, fuel)
-    st = _build_st(obj, base, base_pair, fuel)
+    r = _build_morphism1(
+        B, obj, {b: (b, b, _u(B, b, fuel)) for b in B.cells},
+        lambda b, b2, mu: tuple_encode(mu, mu,
+                                       _unit_square(B, b, b2, mu, fuel)),
+        lambda b, b2, p, q, m: tuple_encode(m, m),
+        name=f"r_{B.name}", fuel=fuel)
+    st = _build_morphism1(obj, base, {x: (x[0], x[1]) for x in cells},
+                          lambda x, y, e: tuple_encode(*_dec3(e)[:2]),
+                          name="(s,t)", fuel=fuel)
+    assert r is not None and st is not None
     w = synthesize_fibration1_witness(st, fuel) if want_witness else None
     return Path1Bundle(obj, r, st, base, w)
-
-
-def _build_reflexivity(A: Eff1Object, pobj: Eff1Object, refl,
-                       fuel) -> Eff1Morphism:
-    one = {(b, b2): {} for b in A.cells for b2 in A.cells}
-    for a, a2 in itertools.product(A.cells, repeat=2):
-        for mu in A.hom_of(a, a2):
-            n = _square_filler(A, a, a2, mu, fuel)
-            one[(a, a2)][mu] = tuple_encode(mu, mu, n)
-    two = {(a, a2, p, r_): {}
-           for a in A.cells for a2 in A.cells
-           for p in A.hom_of(a, a2) for r_ in A.hom_of(a, a2)}
-    for a, a2 in itertools.product(A.cells, repeat=2):
-        for p, r_ in itertools.product(sorted(A.hom_of(a, a2)), repeat=2):
-            for m in A.hom2_of(a, a2, p, r_):
-                two[(a, a2, p, r_)][m] = tuple_encode(m, m)
-    m = _build_morphism1(A, pobj, dict(refl), one, two,
-                         name=f"r_{A.name}", fuel=fuel)
-    assert m is not None
-    return m
-
-
-def _build_st(pobj: Eff1Object, base: Eff1Object, base_pair,
-              fuel) -> Eff1Morphism:
-    """Endpoint projection; base_pair maps a path cell to the base cell."""
-    zero = {x: base_pair(x) for x in pobj.cells}
-    one = {(x, y): {e: tuple_encode(*_dec3(e)[:2])
-                    for e in pobj.hom_of(x, y)}
-           for x in pobj.cells for y in pobj.cells}
-    two = {(x, y, e, e2): {n: n for n in pobj.hom2_of(x, y, e, e2)}
-           for x in pobj.cells for y in pobj.cells
-           for e in pobj.hom_of(x, y) for e2 in pobj.hom_of(x, y)}
-    m = _build_morphism1(pobj, base, zero, one, two, name="(s,t)", fuel=fuel)
-    assert m is not None
-    return m
-
-
-def path_object1(A: Eff1Object, fuel: int = DEFAULT_FUEL,
-                 want_witness: bool = True) -> Path1Bundle:
-    """Cells (a, b, rho); 1-cells <mu, nu, n> with n a 2-cell filling the
-    square; 2-cells pairs of 2-cells between the respective components."""
-    cells = [(a, b, rho) for a in A.cells for b in A.cells
-             for rho in sorted(A.hom_of(a, b))]
-    base, _p1, _p2 = product1(A, A, fuel=fuel)
-    return _path_bundle(A, cells, base, lambda x: (x[0], x[1]),
-                        f"P{A.name}", fuel, want_witness=want_witness)
-
-
-def fib_path_object1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
-                     want_witness: bool = True) -> Path1Bundle:
-    """Fibrewise paths of a fibration f: B -> A: cells over a single base
-    cell, 1- and 2-cells with equal f-image componentwise."""
-    B = f.dom
-    cells = [(b, b2, rho) for b in B.cells for b2 in B.cells
-             if f.zero_map[b] == f.zero_map[b2]
-             for rho in sorted(B.hom_of(b, b2))]
-    base = pullback1(f, f, want_witness=False, fuel=fuel).obj
-
-    def one_filter(x, y, mu, nu):
-        return f.one_map[(x[0], y[0])][mu] == f.one_map[(x[1], y[1])][nu]
-
-    def two_filter(x, y, p, q):
-        # the two component 2-cells must have equal f-image
-        return _two_image(f, (x[0], y[0]), p) == \
-            _two_image(f, (x[1], y[1]), q)
-
-    return _path_bundle(B, cells, base, lambda x: (x[0], x[1]),
-                        f"P_{f.name}", fuel, one_filter=one_filter,
-                        two_filter=two_filter, want_witness=want_witness)
-
-
-def _two_image(f: Eff1Morphism, pair, n):
-    """f-image of a 2-cell given only its code (the endpoints are recovered
-    by searching the finitely many parallel pairs)."""
-    b, b2 = pair
-    for p in f.dom.hom_of(b, b2):
-        for r_ in f.dom.hom_of(b, b2):
-            if n in f.dom.hom2_of(b, b2, p, r_):
-                return f.two_map[(b, b2, p, r_)][n]
-    return None
 
 
 # --- homotopies -------------------------------------------------------------
@@ -1291,21 +1177,12 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
     g = eq.inverse
     zero, tau = {}, {}
     for a in A.cells:
-        ga = g.zero_map[a]
         ev = apply(eq.eps.h1, A.realizer[a], fuel=fuel)  # f(ga) -> a
-        t = tuple_encode(B.realizer[ga], A.realizer[a], ev)
-        m = apply(w.lift0, t, fuel=fuel)
-        rho = apply(w.lift1, t, fuel=fuel)
-        target = None
-        for b2 in B.cells:
-            if f.zero_map[b2] == a and B.realizer[b2] == m and \
-                    rho in B.hom_of(ga, b2) and \
-                    f.one_map[(ga, b2)][rho] == ev:
-                target = b2
-                break
-        if target is None:
-            raise NotTrivial(f"lift of the counit names no cell at {a}")
-        zero[a], tau[a] = target, rho
+        try:
+            zero[a], tau[a] = lift_endpoint(f, w, g.zero_map[a], a, ev, fuel)
+        except TransportFailed:
+            raise NotTrivial(
+                f"lift of the counit names no cell at {a}") from None
     s = _synthesize_over(f, identity1(A, fuel), zero,
                          name=f"sect_{f.name}", fuel=fuel)
     if s is None:
@@ -1436,31 +1313,16 @@ def hexp_J1(A: Eff1Object, fuel: int = DEFAULT_FUEL) -> JExponential1:
             x, z, _comp(A, x[0], y[0], z[0], _dec2(e)[0], _dec2(e2)[0],
                         fuel), "composition"))
 
-    diag_zero = {a: (a, a) for a in A.cells}
-    one = {(a, a2): {} for a in A.cells for a2 in A.cells}
-    for a, a2 in itertools.product(A.cells, repeat=2):
-        for mu in A.hom_of(a, a2):
-            one[(a, a2)][mu] = tuple_encode(
-                mu, fill[(diag_zero[a], diag_zero[a2], mu)])
-    two = {(a, a2, p, r_): {n: n for n in A.hom2_of(a, a2, p, r_)}
-           for a in A.cells for a2 in A.cells
-           for p in A.hom_of(a, a2) for r_ in A.hom_of(a, a2)}
-    diag = _build_morphism1(A, obj, diag_zero, one, two,
-                            name=f"diag_{A.name}", fuel=fuel)
-    assert diag is not None
-    evs = []
-    for idx in (0, 1):
-        zero = {x: x[idx] for x in cells}
-        one = {(x, y): {e: _dec2(e)[0] for e in obj.hom_of(x, y)}
-               for x in cells for y in cells}
-        two = {(x, y, e, e2): {n: n for n in obj.hom2_of(x, y, e, e2)}
-               for x in cells for y in cells
-               for e in obj.hom_of(x, y) for e2 in obj.hom_of(x, y)}
-        ev = _build_morphism1(obj, A, zero, one, two, name=f"ev{idx}",
-                              fuel=fuel)
-        assert ev is not None
-        evs.append(ev)
-    return JExponential1(A, obj, diag, evs[0], evs[1])
+    diag = _build_morphism1(
+        A, obj, {a: (a, a) for a in A.cells},
+        lambda a, a2, mu: tuple_encode(mu, fill[((a, a), (a2, a2), mu)]),
+        name=f"diag_{A.name}", fuel=fuel)
+    ev0, ev1 = (_build_morphism1(obj, A, {x: x[idx] for x in cells},
+                                 lambda x, y, e: _dec2(e)[0],
+                                 name=f"ev{idx}", fuel=fuel)
+                for idx in (0, 1))
+    assert diag is not None and ev0 is not None and ev1 is not None
+    return JExponential1(A, obj, diag, ev0, ev1)
 
 
 def hexp_J1_morphism(f: Eff1Morphism, expB: JExponential1 | None = None,
@@ -1540,17 +1402,6 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
                        fuel=fuel)
         fibres[a], incls[a] = pb.obj, pb.to_f_dom
 
-    def lift_cell(E, p, wE, c, a2, pi):
-        t = tuple_encode(E.realizer[c], A.realizer[a2], pi)
-        m = apply(wE.lift0, t, fuel=fuel)
-        rho = apply(wE.lift1, t, fuel=fuel)
-        for c2 in E.cells:
-            if p.zero_map[c2] == a2 and E.realizer[c2] == m and \
-                    rho in E.hom_of(c, c2) and \
-                    p.one_map[(c, c2)][rho] == pi:
-                return c2
-        raise SynthesisFailed(f"lift names no cell over {a2}")
-
     sections = {}
     for a in A.cells:
         fib, inc = fibres[a], incls[a]
@@ -1573,16 +1424,14 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
     for a in A.cells:
         for a2 in A.cells:
             for pi in A.hom_of(a, a2):
-                zero = {}
-                for x in fibres[a].cells:
-                    b2 = lift_cell(B, f, w, x[1], a2, pi)
-                    zero[x] = ("*", b2)
+                zero = {x: ("*", lift_endpoint(f, w, x[1], a2, pi, fuel)[0])
+                        for x in fibres[a].cells}
                 tm = synthesize_morphism1(fibres[a], fibres[a2], zero,
                                           fuel=fuel)
                 assert tm is not None
                 transB[(a, a2, pi)] = tm
                 transC[(a, a2, pi)] = {
-                    c: lift_cell(C, fg, wfg, c, a2, pi)
+                    c: lift_endpoint(fg, wfg, c, a2, pi, fuel)[0]
                     for c in C.cells if fg.zero_map[c] == a}
 
     hom, hwit = {}, {}
@@ -1632,15 +1481,7 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
     obj = make_object1(cells, realizer, hom, hom2,
                        name=f"Pi_{f.name}({g.name})")
 
-    proj_one = {(k1, k2): {e: _dec2(e)[0] for e in obj.hom_of(k1, k2)}
-                for k1 in cells for k2 in cells}
-    proj_two = {(k1, k2, e, e2): {n: _dec2(n)[0]
-                                  for n in obj.hom2_of(k1, k2, e, e2)}
-                for k1 in cells for k2 in cells
-                for e in obj.hom_of(k1, k2) for e2 in obj.hom_of(k1, k2)}
-    proj = _build_morphism1(obj, A, {k: k[0] for k in cells},
-                            proj_one, proj_two, name="Pi->base", fuel=fuel)
-    assert proj is not None
+    proj = _projection1(obj, A, 0, fuel, name="Pi->base")
 
     ev_domain = pullback1(f, proj, want_witness=False, fuel=fuel)
     ev_zero = {(k, b): sections[k].zero_map[("*", b)]
@@ -1736,17 +1577,6 @@ def truncate1(f: Eff1Morphism, n: int,
             inv=lambda b, b2, p: _inv(A, fz[b], fz[b2], p, fuel),
             comp=lambda b, b2, b3, p, r:
                 _comp(A, fz[b], fz[b2], fz[b3], p, r, fuel))
-        g_one = {(b, b2): {p: f.one_map[(b, b2)][p]
-                           for p in B.hom_of(b, b2)} for b, b2 in pairs}
-        g_two = {(b, b2, p, r): {m: f.two_map[(b, b2, p, r)][m]
-                                 for m in B.hom2_of(b, b2, p, r)}
-                 for b, b2 in pairs
-                 for p in B.hom_of(b, b2) for r in B.hom_of(b, b2)}
-        h_one = {(b, b2): {p: p for p in C.hom_of(b, b2)}
-                 for b, b2 in pairs}
-        h_two = {(b, b2, p, q): {m: m for m in C.hom2_of(b, b2, p, q)}
-                 for b, b2 in pairs
-                 for p in C.hom_of(b, b2) for q in C.hom_of(b, b2)}
     else:
         hom = {(b, b2): B.hom_of(b, b2) for b, b2 in pairs}
         hom2 = {(b, b2, p, q): A.hom2_of(fz[b], fz[b2],
@@ -1759,20 +1589,18 @@ def truncate1(f: Eff1Morphism, n: int,
             unit=lambda b: _u(B, b, fuel),
             inv=lambda b, b2, p: _inv(B, b, b2, p, fuel),
             comp=lambda b, b2, b3, p, r: _comp(B, b, b2, b3, p, r, fuel))
-        g_one = {(b, b2): {p: p for p in B.hom_of(b, b2)}
-                 for b, b2 in pairs}
-        g_two = {(b, b2, p, r): {m: f.two_map[(b, b2, p, r)][m]
-                                 for m in B.hom2_of(b, b2, p, r)}
-                 for b, b2 in pairs
-                 for p in B.hom_of(b, b2) for r in B.hom_of(b, b2)}
-        h_one = {(b, b2): {p: f.one_map[(b, b2)][p]
-                           for p in C.hom_of(b, b2)} for b, b2 in pairs}
-        h_two = {(b, b2, p, q): {m: m for m in C.hom2_of(b, b2, p, q)}
-                 for b, b2 in pairs
-                 for p in C.hom_of(b, b2) for q in C.hom_of(b, b2)}
-    g = _build_morphism1(B, C, {b: b for b in B.cells}, g_one, g_two,
+
+    def f1(b, b2, p):
+        return f.one_map[b, b2][p]
+
+    def f2(b, b2, p, r, m):
+        return f.two_map[b, b2, p, r][m]
+    # the 1-cells of f go to g at level -1 and to h at level 0
+    g = _build_morphism1(B, C, {b: b for b in B.cells},
+                         f1 if n == -1 else None, f2,
                          name=f"trunc{n}_{f.name}", fuel=fuel)
-    h = _build_morphism1(C, A, {b: fz[b] for b in B.cells}, h_one, h_two,
+    h = _build_morphism1(C, A, {b: fz[b] for b in B.cells},
+                         None if n == -1 else f1,
                          name=f"{f.name}@{n}", fuel=fuel)
     assert g is not None and h is not None
     return Truncation1Bundle(g, h, synthesize_fibration1_witness(h, fuel))
@@ -1815,25 +1643,19 @@ def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
         d = _identity_equivalence1(tr.g, fuel)
         status = {YES: VERIFIED, NO: REFUTED, UNKNOWN: UNKNOWN}[d.status]
         return HlevelVerdict(n, status, reason=d.reason)
+    size = len(fib_path_cells(f))
+    if size > depth_budget:
+        return HlevelVerdict(n, UNKNOWN,
+                             reason=f"path object has {size} cells")
     bundle = fib_path_object1(f, fuel, want_witness=False)
-    if len(bundle.obj.cells) > depth_budget:
-        return HlevelVerdict(
-            n, UNKNOWN,
-            reason=f"path object has {len(bundle.obj.cells)} cells")
     sub = hlevel1_check(bundle.st, n - 1, fuel, depth_budget)
     return HlevelVerdict(n, sub.status, [bundle] + sub.chain, sub.reason)
 
 
 # --- discreteness -----------------------------------------------------------
 
-def is_standard_discrete1(f: Eff1Morphism) -> bool:
-    """At most one cell per (fibre, realizer) pair."""
-    seen = {}
-    for b in f.dom.cells:
-        k = (f.zero_map[b], f.dom.realizer[b])
-        if seen.setdefault(k, b) != b:
-            return False
-    return True
+# the groupoid-level test reads only cells, realizers and the cell map
+is_standard_discrete1 = is_standard_discrete
 
 
 @dataclass
@@ -1919,13 +1741,8 @@ def discrete1_decide(f: Eff1Morphism,
                      inv=lambda b, b2, p: _inv(B, b, b2, p, fuel),
                      comp=lambda b, b2, b3, p, r:
                          _comp(B, b, b2, b3, p, r, fuel))
-    incl_one = {(x, y): {p: p for p in Q.hom_of(x, y)}
-                for x in qcells for y in qcells}
-    incl_two = {(x, y, p, q): {m: m for m in Q.hom2_of(x, y, p, q)}
-                for x in qcells for y in qcells
-                for p in Q.hom_of(x, y) for q in Q.hom_of(x, y)}
-    incl = _build_morphism1(Q, B, {b: b for b in qcells},
-                            incl_one, incl_two, name="incl", fuel=fuel)
+    incl = _build_morphism1(Q, B, {b: b for b in qcells}, name="incl",
+                            fuel=fuel)
     assert incl is not None
     retr = synthesize_morphism1(
         B, Q, {b: reps[(f.zero_map[b], B.realizer[b])] for b in B.cells},
@@ -1969,6 +1786,10 @@ def u_set_hom_status(X, Y, quad, fuel: int = DEFAULT_FUEL) -> str:
         if s != YES:
             return s
     return YES
+
+
+_SET_NORMAL_FORM = ("expected cells (a, n) with f = fst, realizer = snd and "
+                    "base 2-cells")
 
 
 def _set_normalized(f: Eff1Morphism) -> bool:
@@ -2019,26 +1840,13 @@ def classify_discrete_set(f: Eff1Morphism, w: Fibration1Witness,
     """Classifying map of a normalized discrete fibration of sets, the
     recovered total space, and the comparison equivalence."""
     if not _set_normalized(f):
-        raise NotNormalized("expected cells (a, n) with f = fst, "
-                            "realizer = snd and base 2-cells")
+        raise NotNormalized(_SET_NORMAL_FORM)
     A, B = f.cod, f.dom
     zero = {a: _fibre_disc(f, a, fuel) for a in A.cells}
 
     def transport_map(a, a2, pi):
-        out = {}
-        for n in zero[a].cells:
-            t = tuple_encode(n, A.realizer[a2], pi)
-            m = apply(w.lift0, t, fuel=fuel)
-            rho = apply(w.lift1, t, fuel=fuel)
-            tgt = None
-            for n2 in zero[a2].cells:
-                if n2 == m and rho in B.hom_of((a, n), (a2, n2)) and \
-                        f.one_map[((a, n), (a2, n2))][rho] == pi:
-                    tgt = n2
-                    break
-            assert tgt is not None, "transport lift names no fibre element"
-            out[n] = tgt
-        return out
+        return {n: lift_endpoint(f, w, (a, n), a2, pi, fuel)[0][1]
+                for n in zero[a].cells}
 
     one, two = {}, {}
     for a, a2 in itertools.product(A.cells, repeat=2):
@@ -2080,16 +1888,7 @@ def classify_discrete_set(f: Eff1Morphism, w: Fibration1Witness,
                 tuple_encode(m, 0) for m in A.hom2_of(a, a2, pi, pi2))
     recovered = make_object1(cells, realizer, hom, hom2,
                              name=f"rec_{B.name}")
-    proj_one = {(x, y): {e: _dec2(e)[0] for e in recovered.hom_of(x, y)}
-                for x in cells for y in cells}
-    proj_two = {(x, y, e, e2): {nn: _dec2(nn)[0]
-                                for nn in recovered.hom2_of(x, y, e, e2)}
-                for x in cells for y in cells
-                for e in recovered.hom_of(x, y)
-                for e2 in recovered.hom_of(x, y)}
-    proj = _build_morphism1(recovered, A, {x: x[0] for x in cells},
-                            proj_one, proj_two, name="rec->base", fuel=fuel)
-    assert proj is not None
+    proj = _projection1(recovered, A, 0, fuel, name="rec->base")
     cmp_m = synthesize_morphism1(B, recovered, {b: b for b in B.cells},
                                  fuel=fuel)
     if cmp_m is None:
@@ -2104,8 +1903,13 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
                          pg: Eff1Morphism, fuel: int = DEFAULT_FUEL):
     """From a fibrewise equivalence wm between two normalized discrete set
     fibrations, extract per-base-cell universe 1-cells and check that the
-    induced map agrees with wm fibrewise.  Returns (quadruples, Decision).
+    induced map agrees with wm fibrewise.  Returns (quadruples, Decision);
+    raises NotNormalized unless pf and pg are normalized and wm maps the
+    cells of pf's total space to those of pg's.
     """
+    if not (_set_normalized(pf) and _set_normalized(pg)) or any(
+            wm.zero_map.get(b) not in pg.dom.cells for b in pf.dom.cells):
+        raise NotNormalized(_SET_NORMAL_FORM)
     A = pf.cod
     H = {}
     for a in A.cells:
@@ -2137,14 +1941,15 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
 class Resize1Bundle:
     obj: Eff1Object
     proj: Eff1Morphism      # small model -> base
-    to_small: Eff1Morphism  # B -> small model
-    to_total: Eff1Morphism  # small model -> B
-    laws: list              # fibrewise round trips
+    to_small: Eff1Morphism | None  # B -> small model
+    to_total: Eff1Morphism | None  # small model -> B
+    laws: list   # fibrewise round trips, or NO if a comparison is None
 
 
 def resize1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Resize1Bundle:
     """Replace a propositional fibration by the equivalent small model on
-    pairs (base cell, realizer), with hom-sets borrowed from the base."""
+    pairs (base cell, realizer), with hom-sets borrowed from the base; the
+    laws name an untracked comparison map when f is not propositional."""
     B, A = f.dom, f.cod
     fz = f.zero_map
     cells, choice = [], {}
@@ -2163,26 +1968,20 @@ def resize1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Resize1Bundle:
                      inv=lambda x, y, p: _inv(A, x[0], y[0], p, fuel),
                      comp=lambda x, y, z, p, r:
                          _comp(A, x[0], y[0], z[0], p, r, fuel))
-    proj_one = {(x, y): {p: p for p in C.hom_of(x, y)}
-                for x in cells for y in cells}
-    proj_two = {(x, y, p, q): {m: m for m in C.hom2_of(x, y, p, q)}
-                for x in cells for y in cells
-                for p in C.hom_of(x, y) for q in C.hom_of(x, y)}
-    proj = _build_morphism1(C, A, {x: x[0] for x in cells},
-                            proj_one, proj_two, name="rs->base", fuel=fuel)
+    proj = _build_morphism1(C, A, {x: x[0] for x in cells}, name="rs->base",
+                            fuel=fuel)
     assert proj is not None
     to_small = synthesize_morphism1(
         B, C, {b: (fz[b], B.realizer[b]) for b in B.cells}, fuel=fuel)
     to_total = synthesize_morphism1(C, B, dict(choice), fuel=fuel)
-    assert to_small is not None and to_total is not None
-    laws = [
+    laws = _resize_laws(B, C, to_small, to_total, lambda: [
         fibrewise_homotopic1_decide(
             compose1(to_total, to_small, fuel=fuel), identity1(B, fuel),
             f, fuel),
         fibrewise_homotopic1_decide(
             compose1(to_small, to_total, fuel=fuel), identity1(C, fuel),
             proj, fuel),
-    ]
+    ])
     return Resize1Bundle(C, proj, to_small, to_total, laws)
 
 
@@ -2206,12 +2005,9 @@ def z2_twist(A: Eff1Object | None = None) -> Eff1Morphism:
     """The self-morphism fixing cells, fixing loops, and flipping cross
     1-cells; homotopic to the identity in two essentially different ways."""
     A = A if A is not None else z2_object()
-    one = {(i, j): {p: (p if i == j else 1 - p) for p in (0, 1)}
-           for i in A.cells for j in A.cells}
-    two = {(i, j, p, q): ({0: 0} if p == q else {})
-           for i in A.cells for j in A.cells
-           for p in (0, 1) for q in (0, 1)}
-    m = _build_morphism1(A, A, {0: 0, 1: 1}, one, two, name="twist")
+    m = _build_morphism1(A, A, {0: 0, 1: 1},
+                         lambda i, j, p: p if i == j else 1 - p,
+                         name="twist")
     assert m is not None
     return m
 

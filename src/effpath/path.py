@@ -104,6 +104,26 @@ def fibration_decide(f: EffMorphism) -> Decision:
     return Decision(YES, witness=w)
 
 
+class TransportFailed(Exception):
+    """A lift code named no cell of the total space."""
+
+
+def lift_endpoint(f, w, y, x2, pi, fuel: int = DEFAULT_FUEL):
+    """Lift pi: f(y) -> x2 through the witness's condition (1), at either
+    level: the endpoint y' over x2 and the 1-cell y -> y' mapping to pi."""
+    Y, X = f.dom, f.cod
+    t = tuple_encode(Y.realizer[y], X.realizer[x2], pi)
+    m = apply(w.lift0, t, fuel=fuel)
+    rho = apply(w.lift1, t, fuel=fuel)
+    for y2 in Y.cells:
+        if f.zero_map[y2] == x2 and Y.realizer[y2] == m \
+                and rho in Y.hom_of(y, y2) \
+                and f.one_map[(y, y2)][rho] == pi:
+            return y2, rho
+    raise TransportFailed(
+        f"lift of {pi}: {f.zero_map[y]} -> {x2} at {y} names no cell")
+
+
 # --- terminal object and products -------------------------------------------
 
 def terminal_object() -> EffObject:
@@ -119,21 +139,10 @@ def terminal_map(obj: EffObject, name: str = "") -> EffMorphism:
 
 
 def product(A: EffObject, B: EffObject, name: str = ""):
-    """Returns (A x B, p1, p2)."""
-    cells = [(a, b) for a in A.cells for b in B.cells]
-    realizer = {(a, b): tuple_encode(A.realizer[a], B.realizer[b])
-                for (a, b) in cells}
-    hom = {}
-    for (a, b), (a2, b2) in itertools.product(cells, repeat=2):
-        hom[((a, b), (a2, b2))] = frozenset(
-            tuple_encode(m, n)
-            for m in A.hom_of(a, a2) for n in B.hom_of(b, b2))
-    obj = make_object(cells, realizer, hom,
-                      name=name or f"{A.name}x{B.name}")
-    p1 = synthesize_morphism(obj, A, {(a, b): a for (a, b) in cells})
-    p2 = synthesize_morphism(obj, B, {(a, b): b for (a, b) in cells})
-    assert p1 is not None and p2 is not None
-    return obj, p1, p2
+    """Returns (A x B, p1, p2): the pullback of B -> 1 along A -> 1."""
+    pb = pullback(terminal_map(B), terminal_map(A),
+                  name=name or f"{A.name}x{B.name}", want_witness=False)
+    return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
 def pair_morphism(prod: EffObject, f: EffMorphism, g: EffMorphism,
@@ -207,28 +216,18 @@ def _reflexivity_cell(obj: EffObject, a, fuel: int = DEFAULT_FUEL):
     return (a, a, u)
 
 
+def fib_path_cells(f) -> list:
+    """The cells (b, b', rho) of the fibrewise path object of f, at either
+    level: rho: b -> b' with f(b) = f(b')."""
+    B = f.dom
+    return [(b, b2, rho) for b in B.cells for b2 in B.cells
+            if f.zero_map[b] == f.zero_map[b2]
+            for rho in sorted(B.hom_of(b, b2))]
+
+
 def path_object(A: EffObject, fuel: int = DEFAULT_FUEL) -> PathObjectBundle:
-    cells = [(a, a2, rho) for a in A.cells for a2 in A.cells
-             for rho in sorted(A.hom_of(a, a2))]
-    realizer = {(a, a2, rho): tuple_encode(A.realizer[a], A.realizer[a2], rho)
-                for (a, a2, rho) in cells}
-    hom = {}
-    for x, y in itertools.product(cells, repeat=2):
-        (a, a2, _), (b, b2, _) = x, y
-        hom[(x, y)] = frozenset(tuple_encode(m, n)
-                                for m in A.hom_of(a, b)
-                                for n in A.hom_of(a2, b2))
-    obj = make_object(cells, realizer, hom, name=f"P{A.name}")
-    prod, _, _ = product(A, A)
-    r = synthesize_morphism(
-        A, obj, {a: _reflexivity_cell(A, a, fuel) for a in A.cells},
-        name=f"r_{A.name}")
-    st = synthesize_morphism(obj, prod,
-                             {(a, a2, rho): (a, a2) for (a, a2, rho) in cells},
-                             name=f"st_{A.name}")
-    assert r is not None and st is not None
-    return PathObjectBundle(obj, r, st, prod,
-                            synthesize_fibration_witness(st))
+    """The fibrewise path object of A -> 1."""
+    return fib_path_object(terminal_map(A), fuel)
 
 
 def fib_path_object(f: EffMorphism,
@@ -239,9 +238,7 @@ def fib_path_object(f: EffMorphism,
     equal image in the base, matching the hom-sets of B x_A B.
     """
     B = f.dom
-    cells = [(b, b2, rho) for b in B.cells for b2 in B.cells
-             if f.zero_map[b] == f.zero_map[b2]
-             for rho in sorted(B.hom_of(b, b2))]
+    cells = fib_path_cells(f)
     realizer = {(b, b2, rho): tuple_encode(B.realizer[b], B.realizer[b2], rho)
                 for (b, b2, rho) in cells}
     hom = {}
@@ -422,25 +419,16 @@ def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
     For each a, lift the path H_a: fga -> a through condition 1 starting at
     ga; the endpoint is s(a) and lies strictly over a.
     """
-    B, A = f.dom, f.cod
+    A = f.cod
     zero = {}
     for a in A.cells:
-        ga = g.zero_map[a]
         ha = apply(H.code, A.realizer[a], fuel=fuel)
-        t = tuple_encode(B.realizer[ga], A.realizer[a], ha)
-        m = apply(w.lift0, t, fuel=fuel)
-        rho = apply(w.lift1, t, fuel=fuel)
-        target = None
-        for b2 in B.cells:
-            if f.zero_map[b2] == a and B.realizer[b2] == m \
-                    and rho in B.hom_of(ga, b2) \
-                    and f.one_map[(ga, b2)][rho] == ha:
-                target = b2
-                break
-        if target is None:
-            raise NotTrivial(f"lift of the homotopy at {a} names no cell")
-        zero[a] = target
-    s = synthesize_morphism(A, B, zero, name=f"sect_{f.name}")
+        try:
+            zero[a], _rho = lift_endpoint(f, w, g.zero_map[a], a, ha, fuel)
+        except TransportFailed:
+            raise NotTrivial(
+                f"lift of the homotopy at {a} names no cell") from None
+    s = synthesize_morphism(A, f.dom, zero, name=f"sect_{f.name}")
     if s is None:
         raise NotTrivial("section cell map admits no trackings")
     return s

@@ -34,7 +34,7 @@ from effpath.eff1 import (
     is_equivalence1_decide, is_standard_discrete1, pi_type1, resize1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, truncate1, two_homotopic_decide, univalence_check_set,
-    z2_homotopies, z2_object, z2_twist, _build_morphism1,
+    z2_homotopies, z2_object, z2_twist,
 )
 from effpath.fixtures import (
     fixture_fibrations1, fixture_objects, interval, line_bundle, set_bundle,
@@ -404,12 +404,7 @@ def test_criterion_11_z2_counterexample():
         # after 0-truncation over the point the two homotopies merge
         tr = truncate1(terminal_map1(A), 0)
         C = tr.g.cod
-        one = {(i, j): {p: (p if i == j else 1 - p) for p in (0, 1)}
-               for i in C.cells for j in C.cells}
-        two_ = {(i, j, p, q): {n: n for n in C.hom2_of(i, j, p, q)}
-                for i in C.cells for j in C.cells
-                for p in (0, 1) for q in (0, 1)}
-        wC = _build_morphism1(C, C, {0: 0, 1: 1}, one, two_)
+        wC = z2_twist(C)
         idC = identity1(C)
         HC = homotopy1_from_h1(idC, wC, {0: 0, 1: 1})
         KC = homotopy1_from_h1(idC, wC, {0: 1, 1: 0})

@@ -22,6 +22,17 @@ def test_interval_is_contractible():
     assert hlevel_check(terminal_map(interval()), -2).status == "verified"
 
 
+def test_depth_budget_is_checked_before_building(monkeypatch):
+    f = terminal_map(interval())
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built an object past the depth budget")
+    monkeypatch.setattr("effpath.path.make_object", refuse)
+    hv = hlevel_check(f, 0, depth_budget=3)
+    assert hv.status == "unknown"
+    assert hv.reason == "path object has 4 cells"
+
+
 def test_walking_pair_is_a_set_but_not_a_proposition():
     f = terminal_map(walking_pair())
     assert hlevel_check(f, -1).status == "refuted"

@@ -18,7 +18,7 @@ from effpath.eff1 import (
     resize1, synthesize_fibration1_witness, synthesize_morphism1,
     terminal_map1, terminal_object1, trivial1_decide, trivial1_section,
     truncate1, two_homotopic_decide, univalence_check_set, z2_homotopies,
-    z2_object, z2_twist, _build_morphism1, _set_normalized,
+    z2_object, z2_twist, _set_normalized,
 )
 from effpath.fixtures import (
     interval, line_bundle, set_bundle, swap_morphism, two,
@@ -148,6 +148,17 @@ def test_path_object_of_the_cyclic_group_has_eight_cells():
     assert bundle.witness is not None
     assert check_fibration1(bundle.st, bundle.witness,
                             fuel=big).status == "valid"
+
+
+def test_depth_budget_is_checked_before_building(monkeypatch):
+    f = terminal_map1(z2_object())
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built an object past the depth budget")
+    monkeypatch.setattr("effpath.eff1.make_object1", refuse)
+    hv = hlevel1_check(f, 1, depth_budget=7)
+    assert hv.status == "unknown"
+    assert hv.reason == "path object has 8 cells"
 
 
 def test_path_projections_are_discrete_set_fibrations():
@@ -380,12 +391,7 @@ def test_set_truncation_collapses_the_two_homotopies():
     assert check_morphism1(tr.h).status == "valid"
     assert tr.witness is not None
     C = tr.g.cod
-    one = {(i, j): {p: (p if i == j else 1 - p) for p in (0, 1)}
-           for i in C.cells for j in C.cells}
-    two_ = {(i, j, p, q): {n: n for n in C.hom2_of(i, j, p, q)}
-            for i in C.cells for j in C.cells
-            for p in (0, 1) for q in (0, 1)}
-    wC = _build_morphism1(C, C, {0: 0, 1: 1}, one, two_)
+    wC = z2_twist(C)
     idC = identity1(C)
     H = homotopy1_from_h1(idC, wC, {0: 0, 1: 1})
     K = homotopy1_from_h1(idC, wC, {0: 1, 1: 0})

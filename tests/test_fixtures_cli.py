@@ -264,9 +264,28 @@ def test_bad_input_is_a_config_error(tmp_path):
                  ["hlevel", "J", "--n", "-7"],
                  ["check-object", "I", "--fuel", "-5"],
                  ["equivalence", "E2I", "--budget", "-3"],
+                 ["hlevel", "J", "--n", "1", "--depth", "-1"],
                  ["suite", "I", "--jobs", "4"]):
         rc, text = _run(argv)
         assert rc == 2 and text == "", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["univalence", "L", "L", "L"],
+    ["resize", "E2I"],
+    ["eff1-univalence", "eff1:E2I", "eff1:E2I", "eff1:E2I"],
+    ["eff1-resize", "eff1:E2I"],
+])
+def test_input_outside_a_normal_form_is_reported(argv):
+    rc, text = _run(argv + ["--format", "json"])
+    reports = json.loads(text)
+    assert rc == 0 and [r["status"] for r in reports] == ["no"]
+
+
+def test_equivalence_budget_reaches_both_levels():
+    for target in ("I", "eff1:I"):
+        rc, text = _run(["equivalence", target, "--budget", "0"])
+        assert rc == 3 and "budget" in text, target
 
 
 def test_low_fuel_on_dependent_values_reports_unknown():

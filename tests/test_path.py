@@ -1,16 +1,24 @@
+import dataclasses
+
 import pytest
 
 from effpath import pca
 from effpath.core import check_morphism, check_object, compose, identity
+from effpath.eff1 import (
+    inflate, is_equivalence1_decide, synthesize_fibration1_witness,
+    terminal_map1, trivial1_section,
+)
 from effpath.fixtures import (
-    interval, nat_trunc, swap_morphism, two, two_point_bundle, walking_pair,
+    fixture_library, interval, nat_trunc, swap_morphism, two,
+    two_point_bundle, walking_pair,
 )
 from effpath.path import (
-    FibrationWitness, check_fibration, check_homotopy, construct_section,
-    copair, fib_path_object, fibration_decide, fibrewise_homotopic_decide,
-    groupoid_structure, homotopic_decide, is_equivalence_decide,
-    is_trivial_fibration, mediate, pair_morphism, path_object, product,
-    pullback, sum_object, synthesize_fibration_witness, synthesize_morphism,
+    FibrationWitness, NotTrivial, TransportFailed, check_fibration,
+    check_homotopy, construct_section, copair, fib_path_object,
+    fibration_decide, fibrewise_homotopic_decide, groupoid_structure,
+    homotopic_decide, is_equivalence_decide, is_trivial_fibration,
+    lift_endpoint, mediate, pair_morphism, path_object, product, pullback,
+    sum_object, synthesize_fibration_witness, synthesize_morphism,
     terminal_map, terminal_object,
 )
 
@@ -201,6 +209,68 @@ def test_section_of_identity_fibration_is_identity():
     eq = is_equivalence_decide(f)
     s = construct_section(f, w, eq.witness.inverse, eq.witness.eps)
     assert s.zero_map == {a: a for a in i.cells}
+
+
+# --- lifting through a witness ---------------------------------------------
+
+def _library_fibrations():
+    """Every fibration of the shipped library at both levels, with its
+    synthesized witness."""
+    for name, entry in sorted(fixture_library().items()):
+        if entry.kind in ("fibration", "pathobj"):
+            f = entry.value.st if entry.kind == "pathobj" else entry.value
+            yield name, f, synthesize_fibration_witness(f)
+        elif entry.kind == "fibration1":
+            yield name, entry.value, synthesize_fibration1_witness(entry.value)
+
+
+def _lift_inputs(f):
+    for y in f.dom.cells:
+        for x2 in f.cod.cells:
+            for pi in sorted(f.cod.hom_of(f.zero_map[y], x2)):
+                yield y, x2, pi
+
+
+def test_lift_endpoint_lands_over_the_target_by_a_lift_of_pi():
+    for name, f, w in _library_fibrations():
+        assert w is not None, name
+        for y, x2, pi in _lift_inputs(f):
+            y2, rho = lift_endpoint(f, w, y, x2, pi)
+            assert f.zero_map[y2] == x2, (name, y, x2, pi)
+            assert rho in f.dom.hom_of(y, y2), (name, y, x2, pi)
+            assert f.one_map[(y, y2)][rho] == pi, (name, y, x2, pi)
+
+
+def _moved_lift0(f, w, y, x2, pi):
+    """w with its lift0 entry at <y, x2, pi> moved off every realizer."""
+    R, RA = f.dom.realizer, f.cod.realizer
+    table = {}
+    for y_, x_, pi_ in _lift_inputs(f):
+        t = pca.tuple_encode(R[y_], RA[x_], pi_)
+        table[t] = pca.apply(w.lift0, t)
+    table[pca.tuple_encode(R[y], RA[x2], pi)] = max(R.values()) + 1
+    return dataclasses.replace(w, lift0=pca.tabulate(table))
+
+
+def test_a_moved_lift_names_no_cell_and_no_section():
+    # the sections of I -> 1 lift the counit at * starting from g(*)
+    f = terminal_map(interval())
+    eq = is_equivalence_decide(f).witness
+    g0, e = eq.inverse.zero_map["*"], pca.apply(eq.eps.code, 0)
+    w = _moved_lift0(f, synthesize_fibration_witness(f), g0, "*", e)
+    with pytest.raises(TransportFailed):
+        lift_endpoint(f, w, g0, "*", e)
+    with pytest.raises(NotTrivial):
+        construct_section(f, w, eq.inverse, eq.eps)
+
+    f1 = terminal_map1(inflate(interval()))
+    eq1 = is_equivalence1_decide(f1).witness
+    g1, e1 = eq1.inverse.zero_map["*"], pca.apply(eq1.eps.h1, 0)
+    w1 = _moved_lift0(f1, synthesize_fibration1_witness(f1), g1, "*", e1)
+    with pytest.raises(TransportFailed):
+        lift_endpoint(f1, w1, g1, "*", e1)
+    with pytest.raises(NotTrivial):
+        trivial1_section(f1, w1, eq1)
 
 
 def test_section_of_pulled_back_trivial_fibration():
