@@ -136,6 +136,9 @@ def _cmd_path_object(rs, args):
 
 def _cmd_homotopic(rs, args):
     f, g = rs.morphism(args.targets[0]), rs.morphism(args.targets[1])
+    if (f.dom, f.cod) != (g.dom, g.cod):
+        raise ConfigError(f"{args.targets[0]} and {args.targets[1]} are "
+                          "not parallel")
     d = (homotopic1_decide if _is_level1(f) else homotopic_decide)(f, g)
     return [_report("homotopic", " ".join(args.targets[:2]), d.status,
                     d.reason)]
@@ -180,6 +183,9 @@ def _cmd_pi(rs, args):
     f = rs.morphism(args.targets[0])
     g = (rs.morphism(args.targets[1]) if len(args.targets) > 1
          else (identity1 if _is_level1(f) else identity)(f.dom))
+    if g.cod != f.dom:
+        raise ConfigError(f"{args.targets[1]} does not end where "
+                          f"{args.targets[0]} starts")
     if _is_level1(f):
         w = synthesize_fibration1_witness(f)
         if w is None:
@@ -200,6 +206,9 @@ def _cmd_pi(rs, args):
 def _cmd_truncate(rs, args):
     f = rs.morphism(args.targets[0])
     if _is_level1(f):
+        if args.n not in (-1, 0):
+            raise ConfigError("two-level truncation is materialized for "
+                              "--n -1 and 0")
         tr = truncate1(f, args.n, fuel=args.fuel)
         hv = hlevel1_check(tr.h, args.n, fuel=args.fuel)
     else:

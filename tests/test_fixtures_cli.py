@@ -265,6 +265,11 @@ def test_bad_input_is_a_config_error(tmp_path):
                  ["check-object", "I", "--fuel", "-5"],
                  ["equivalence", "E2I", "--budget", "-3"],
                  ["hlevel", "J", "--n", "1", "--depth", "-1"],
+                 ["homotopic", "I", "0"],
+                 ["eff1-homotopic", "eff1:I", "eff1:J"],
+                 ["pi", "I", "I"],
+                 ["eff1-pi", "eff1:I->1", "eff1:2"],
+                 ["eff1-truncate", "eff1:J->1", "--n", "1"],
                  ["suite", "I", "--jobs", "4"]):
         rc, text = _run(argv)
         assert rc == 2 and text == "", argv

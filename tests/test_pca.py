@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from effpath import pca
 from effpath.pca import (
@@ -117,7 +117,9 @@ def test_encode_decode_roundtrip_sampled():
     tags = list(pca._ARITY)
     for _ in range(10_000):
         tag = rng.choice(tags)
-        args = tuple(rng.randrange(0, 1000)
+        # small naturals, and 2**k - 1 and 2**k, where length fields widen
+        args = tuple(rng.choice((rng.randrange(0, 1000),
+                                 (1 << rng.randrange(64)) - rng.randrange(2)))
                      for _ in range(pca._ARITY[tag]))
         s = MachineState(tag, args)
         assert decode(encode(s)) == s
@@ -199,6 +201,58 @@ def test_tabulate_random_tables():
         off = 201
         with pytest.raises(Diverges):
             apply(c, off)
+
+
+# small naturals, and 2**k - 1 and 2**k, where Elias-delta length fields
+# change width
+NATS = st.one_of(
+    st.integers(0, 300),
+    st.builds(lambda k, d: (1 << k) - d, st.integers(0, 40),
+              st.integers(0, 1)))
+
+
+def chain_reference(table):
+    """The IFEQ selector chain, encoded entry by entry from the largest key."""
+    rest = DIVERGE_C
+    for key in sorted(table, reverse=True):
+        sel = enc(pca.S2, enc(pca.S2, IFEQ, enc(pca.K1, key)),
+                  enc(pca.K1, enc(pca.K1, table[key])))
+        rest = enc(pca.S2, enc(pca.S2, sel, enc(pca.K1, rest)), ID)
+    return rest
+
+
+@settings(deadline=None)
+@given(st.dictionaries(NATS, NATS, max_size=120))
+@example({})
+@example({0: 0})
+@example({0: 7, 1: 0, 2: 1})
+@example({(1 << k) - d: (1 << k) - 1 + d
+          for k in range(1, 20) for d in (0, 1)})
+def test_tabulate_equals_the_chain_built_entry_by_entry(table):
+    assert tabulate(table) == chain_reference(table)
+
+
+def _lookup(code, x):
+    try:
+        return apply(code, x)
+    except Diverges:
+        return Diverges
+
+
+@settings(deadline=None)
+@given(st.dictionaries(NATS, NATS, max_size=12), st.lists(NATS, max_size=4))
+@example({}, [0])
+@example({0: 0}, [0, 1])
+def test_raw_chain_lookups_agree_with_the_table_shortcut(table, probes):
+    # values and divergence only: the shortcut charges less fuel than the
+    # raw chain scan (see pca._STEPS_PER_ENTRY)
+    code = tabulate(table)
+    args = [*table, *probes]
+    shortcut = [_lookup(code, x) for x in args]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pca, "_TABLES", {})
+        raw = [_lookup(code, x) for x in args]
+    assert shortcut == raw == [table.get(x, Diverges) for x in args]
 
 
 # --- composition helpers ----------------------------------------------------
