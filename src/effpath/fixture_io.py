@@ -123,8 +123,8 @@ def _to_term(node, bound):
         return pca.tabulate(entries)
     if head == "tuple":
         parts = [_to_term(x, bound) for x in node[1:]]
-        if not all(isinstance(p, int) for p in parts):
-            raise FixtureError("tuple wants closed arguments")
+        if not parts or not all(isinstance(p, int) for p in parts):
+            raise FixtureError("tuple wants one or more closed arguments")
         return pca.tuple_encode(*parts)
     if head == "const":
         if len(node) != 2 or not isinstance(node[1], int):
@@ -182,51 +182,80 @@ def _split_key(key: str, parts: int, where: str):
     return bits
 
 
+def _shaped(value, kind: type, what: str):
+    """value, when it is a JSON object (kind dict) or array (kind list);
+    else a FixtureError."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise FixtureError(f"{what} must be a JSON {shape}")
+    return value
+
+
+def _level(doc: dict, where: str) -> int:
+    level = doc.get("level", 0)
+    if level not in (0, 1):
+        raise FixtureError(f"{where}: level must be 0 or 1")
+    return int(level)
+
+
 def _canon_object(name: str, doc: dict) -> dict:
+    _shaped(doc, dict, f"object {name!r}")
     cells = doc.get("cells")
     if not isinstance(cells, list) \
             or not all(isinstance(c, str) and " " not in c for c in cells):
         raise FixtureError(
             f"object {name!r}: cells must be space-free strings")
-    realizer = doc.get("realizer", {})
-    hom = doc.get("hom", {})
+    realizer = _shaped(doc.get("realizer", {}), dict,
+                       f"object {name!r} realizer")
+    hom = _shaped(doc.get("hom", {}), dict, f"object {name!r} hom")
     out = {
         "cells": list(cells),
         "realizer": {c: compile_code(realizer.get(c, 0)) for c in cells},
         "hom": {},
-        "level": int(doc.get("level", 0)),
+        "level": _level(doc, f"object {name!r}"),
     }
     for key, vals in sorted(hom.items()):
         a, b = _split_key(key, 2, f"object {name!r} hom")
         if a not in cells or b not in cells:
             raise FixtureError(f"object {name!r}: hom key {key!r} "
                                "names an unknown cell")
+        _shaped(vals, list, f"object {name!r} hom {key!r}")
         out["hom"][_hom_key(a, b)] = sorted(compile_code(v) for v in vals)
     if "hom2" in doc:
         out["hom2"] = {}
-        for key, vals in sorted(doc["hom2"].items()):
+        hom2 = _shaped(doc["hom2"], dict, f"object {name!r} hom2")
+        for key, vals in sorted(hom2.items()):
             a, b, p, q = _split_key(key, 4, f"object {name!r} hom2")
+            if a not in cells or b not in cells \
+                    or not (p.isdigit() and q.isdigit()):
+                raise FixtureError(f"object {name!r}: hom2 key {key!r} "
+                                   "wants two cells and two 1-cells")
+            _shaped(vals, list, f"object {name!r} hom2 {key!r}")
             out["hom2"][key] = sorted(compile_code(v) for v in vals)
-    if "expect" in doc:
-        out["expect"] = dict(sorted(doc["expect"].items()))
-    if "note" in doc:
-        out["note"] = str(doc["note"])
-    return out
+    return _annotated(out, doc, f"object {name!r}")
 
 
 def _canon_morphism(name: str, doc: dict) -> dict:
+    _shaped(doc, dict, f"morphism {name!r}")
     for fld in ("dom", "cod"):
         if not isinstance(doc.get(fld), str):
             raise FixtureError(f"morphism {name!r}: missing {fld}")
-    zm = doc.get("zero_map", {})
+    zm = _shaped(doc.get("zero_map", {}), dict,
+                 f"morphism {name!r} zero_map")
     out = {
         "dom": doc["dom"],
         "cod": doc["cod"],
         "zero_map": dict(sorted(zm.items())),
-        "level": int(doc.get("level", 0)),
+        "level": _level(doc, f"morphism {name!r}"),
     }
+    return _annotated(out, doc, f"morphism {name!r}")
+
+
+def _annotated(out: dict, doc: dict, where: str) -> dict:
+    """out with the document's expectations and note, if it has them."""
     if "expect" in doc:
-        out["expect"] = dict(sorted(doc["expect"].items()))
+        out["expect"] = dict(sorted(
+            _shaped(doc["expect"], dict, f"{where} expect").items()))
     if "note" in doc:
         out["note"] = str(doc["note"])
     return out
@@ -262,9 +291,11 @@ def parse_fixture_text(text: str, source: str = "<string>") -> FixtureFile:
     spec = {"format": FORMAT_VERSION, "objects": {}, "morphisms": {}}
     ff = FixtureFile(version=FORMAT_VERSION, spec=spec)
     try:
-        for name, odoc in sorted(doc.get("objects", {}).items()):
+        for name, odoc in sorted(
+                _shaped(doc.get("objects", {}), dict, "objects").items()):
             spec["objects"][name] = _canon_object(name, odoc)
-        for name, mdoc in sorted(doc.get("morphisms", {}).items()):
+        for name, mdoc in sorted(
+                _shaped(doc.get("morphisms", {}), dict, "morphisms").items()):
             spec["morphisms"][name] = _canon_morphism(name, mdoc)
     except FixtureError as e:
         raise FixtureError(f"{source}: {e}") from e

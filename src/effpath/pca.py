@@ -415,11 +415,16 @@ def _join_bits(parts: list[int]) -> int:
     return parts[0]
 
 
-# recognized lookup-chain codes, bucketed by (bit length, low bits) so a
-# probe never hashes a multi-megabit chain code; entries hold the full code
-# for an exact equality check.  Purely an evaluation shortcut; the chain
-# itself computes the same values.
-_TABLES: dict[tuple[int, int], list] = {}
+# The table registry: one dict holding both directions, so emptying it
+# forgets both.  Its entries (code, values, rank) hold the full code and a
+# copy of the table, for exact checks.
+#   (bit length, low 64 bits) of a code -> entries, for _apply: a probe
+#     never hashes a multi-megabit chain code;
+#   hash of a table's items (an int, never equal to such a pair) -> entries,
+#     for tabulate, which interns: a table it has built before yields the
+#     registered int object itself, not an equal copy (see _table_entry).
+# Purely an evaluation shortcut; the chain itself computes the same values.
+_TABLES: dict[tuple[int, int] | int, list] = {}
 _LOW = (1 << 64) - 1
 # fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps
 # per IFEQ selector; 6 is kept on purpose, since at 15 check_object1 on
@@ -431,7 +436,10 @@ def _table_entry(code: int):
     bucket = _TABLES.get((code.bit_length(), code & _LOW))
     if bucket is not None:
         for c, values, rank in bucket:
-            if c == code:
+            # identity first: two distinct equal ints compare limb by limb,
+            # a scan of the whole code on every application; tabulate hands
+            # out the registered object, so the codes it built match at once
+            if c is code or c == code:
                 return values, rank
     return None
 
@@ -447,7 +455,15 @@ def tabulate(table: dict[int, int]) -> int:
     depends only on sel and the bit length of rest, and the suffix
     delta(ID + 1): one pass over the lengths gives every prefix, and the
     code is joined from them once.
+
+    Interned: a table equal to one built before returns the registered code
+    object without building, so equal tables share one code in memory and
+    _table_entry matches it by identity.
     """
+    content = hash(frozenset(table.items()))
+    for code, values, _ in _TABLES.get(content, ()):
+        if values == table:  # a hash collision falls through to building
+            return code
     framed = {}  # value -> K (K value), shared by equal values
     sels = []
     for key, value in sorted(table.items(), reverse=True):
@@ -470,7 +486,8 @@ def tabulate(table: dict[int, int]) -> int:
         parts.reverse()
         parts += [_ID_FIELD + 3] * (len(sels) - 1) + [_ID_FIELD]
         out = _join_bits(parts)
-    if _table_entry(out) is None:
-        _TABLES.setdefault((out.bit_length(), out & _LOW), []).append(
-            (out, dict(table), {k: i for i, k in enumerate(sorted(table))}))
+    # equal codes come only from equal tables, so out is not registered yet
+    entry = (out, dict(table), {k: i for i, k in enumerate(sorted(table))})
+    _TABLES.setdefault((out.bit_length(), out & _LOW), []).append(entry)
+    _TABLES.setdefault(content, []).append(entry)
     return out

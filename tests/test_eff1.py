@@ -18,7 +18,7 @@ from effpath.eff1 import (
     resize1, synthesize_fibration1_witness, synthesize_morphism1,
     terminal_map1, terminal_object1, trivial1_decide, trivial1_section,
     truncate1, two_homotopic_decide, univalence_check_set, z2_homotopies,
-    z2_object, z2_twist, _set_normalized,
+    z2_object, z2_twist, _OBJECT1_SLOTS, _set_normalized,
 )
 from effpath.fixtures import (
     interval, line_bundle, set_bundle, swap_morphism, two,
@@ -132,6 +132,18 @@ def test_product_projections():
     assert check_object1(prod).status == "valid"
     assert check_morphism1(pr1).status == "valid"
     assert check_morphism1(pr2).status == "valid"
+
+
+def test_product_codes_are_the_registered_codes_of_their_tables():
+    # built after the path object, which registers tables the product
+    # builds again: each code must be the registered object, so a lookup
+    # matches it by identity and never compares two long codes
+    path_object1(z2_object())
+    prod, _pr1, _pr2 = product1(z2_object(), z2_object())
+    for slot in _OBJECT1_SLOTS:
+        code = getattr(prod, slot)
+        values, _rank = pca._table_entry(code)
+        assert pca.tabulate(dict(values)) is code, slot
 
 
 # --- path objects -----------------------------------------------------------

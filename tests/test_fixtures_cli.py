@@ -1,7 +1,13 @@
+import hashlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import (
+    HealthCheck, example, given, settings, strategies as st,
+)
 
 from effpath import pca
 from effpath.cli import main
@@ -252,6 +258,21 @@ def test_suite_subset_passes():
     assert text.count("pass") >= 10
 
 
+# `effpath suite --all --format json`: every expectation of the shipped
+# library, byte for byte as the benchmark's suite workload pins it
+SUITE_ROWS = 102
+SUITE_DIGEST = \
+    "10d12df3e575976cc8dfc1b3b3c3d4427dca33a1e08cf30650224d36657eb42a"
+
+
+def test_the_full_suite_report_is_pinned():
+    rc, text = _run(["suite", "--all", "--format", "json"])
+    rows = json.loads(text)
+    assert rc == 0 and len(rows) == SUITE_ROWS
+    assert [r["target"] for r in rows if r["status"] != "pass"] == []
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGEST
+
+
 def test_suite_rejects_unknown_names():
     rc, _text = _run(["suite", "wat"])
     assert rc == 2
@@ -305,3 +326,122 @@ def test_json_reports_are_deterministic():
     assert t1 == t2
     data = json.loads(t1)
     assert all(r["status"] == "pass" for r in data)
+
+
+# --- fuzz: small fixture documents through the command line -----------------
+
+_CELLS = ("a", "b", "c")
+
+
+def _sexp(children):
+    body = st.one_of(children, st.just("x"),
+                     children.map(lambda c: f"({c} x)"))
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda xs: "(" + " ".join(xs) + ")"),
+        body.map(lambda b: f"(lambda (x) {b})"),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                 max_size=3).map(lambda kv: "(table " + " ".join(
+                     f"({k} {v})" for k, v in kv) + ")"),
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda xs: "(" + " ".join(["tuple", *xs]) + ")"),
+        st.integers(0, 9).map(lambda n: f"(const {n})"),
+    )
+
+
+# closed code literals: naturals and s-expressions over the machine basis
+_LITERALS = st.one_of(
+    st.integers(0, 9),
+    st.recursive(st.sampled_from(["0", "1", "2", "K", "S", "PAIR", "FST",
+                                  "SND", "SUCC", "IFEQ", "DIVERGE", "ID"]),
+                 _sexp, max_leaves=5))
+_BAD_LITERALS = st.sampled_from(
+    [-1, "wat", "x", "(", ")", "()", "(K", "(tuple)", "(const)",
+     "(lambda x x)", "(table (1))", 2.5, None, [1]])
+_JUNK = st.sampled_from([None, 5, "a", [1], {"a": 1}, 2.5, True])
+
+
+@st.composite
+def _documents(draw):
+    """One or two objects of at most three cells and one morphism, with at
+    most one fault: a bad code literal, a name of no cell or object, or a
+    field replaced by a JSON value of the wrong shape."""
+    objects = {}
+    for name in draw(st.lists(st.sampled_from(["X", "Y"]), min_size=1,
+                              max_size=2, unique=True)):
+        cells = draw(st.lists(st.sampled_from(_CELLS), min_size=1,
+                              max_size=3, unique=True))
+        pairs = [f"{a} {b}" for a in cells for b in cells]
+        codes = st.lists(_LITERALS, min_size=1, max_size=2)
+        if draw(st.booleans()):  # every pair connected by 0: synthesizable
+            hom = dict.fromkeys(pairs, [0])
+        else:
+            hom = {f"{c} {c}": [0] for c in cells}
+            hom.update(draw(st.dictionaries(st.sampled_from(pairs), codes,
+                                            max_size=3)))
+        doc = {"cells": cells,
+               "realizer": draw(st.dictionaries(
+                   st.sampled_from(cells),
+                   st.one_of(st.integers(0, 3), _LITERALS), max_size=3)),
+               "hom": hom,
+               "level": draw(st.sampled_from([0, 1]))}
+        if doc["level"] and draw(st.booleans()):
+            doc["hom2"] = draw(st.dictionaries(
+                st.builds(lambda k, p, q: f"{k} {p} {q}",
+                          st.sampled_from(sorted(hom)),
+                          st.integers(0, 3), st.integers(0, 3)),
+                codes, max_size=3))
+        objects[name] = doc
+    names = sorted(objects)
+    dom, cod = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    m = {"dom": dom, "cod": cod,
+         "zero_map": {c: draw(st.sampled_from(objects[cod]["cells"]))
+                      for c in objects[dom]["cells"]},
+         "level": objects[dom]["level"]}
+    doc = {"format": 1, "objects": objects, "morphisms": {"m": m}}
+    X = objects[names[0]]
+    fault = draw(st.sampled_from(
+        [None, None, None, "literal", "name", "shape"]))
+    if fault == "literal":
+        X["realizer"][X["cells"][0]] = draw(_BAD_LITERALS)
+    elif fault == "name":
+        where = draw(st.sampled_from(["hom", "hom2", "dom", "zero_map"]))
+        if where == "hom":
+            X["hom"]["a d"] = [0]
+        elif where == "hom2":
+            X.setdefault("hom2", {})["a d 0 0"] = [0]
+        elif where == "dom":
+            m["dom"] = "Z"
+        else:
+            m["zero_map"]["a"] = "d"
+    elif fault == "shape":
+        holder, key = draw(st.sampled_from([
+            (doc, "objects"), (doc, "morphisms"), (objects, names[0]),
+            (X, "cells"), (X, "realizer"), (X, "hom"), (X, "hom2"),
+            (X, "level"), (X["hom"], next(iter(X["hom"]))),
+            (doc["morphisms"], "m"), (m, "dom"), (m, "zero_map"),
+            (m, "level")]))
+        holder[key] = draw(_JUNK)
+    return doc
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_documents(), st.sampled_from([[], ["--fuel", "40"]]))
+@example({"format": 1, "objects": {"X": {"cells": ["a"],
+                                          "hom": {"a a": 5}}}}, [])
+@example({"format": 1, "objects": {"X": {"cells": ["a"], "level": "a"}},
+          "morphisms": None}, [])
+@example({"format": 1, "objects": {"X": {"cells": ["a"],
+                                          "realizer": {"a": "(tuple)"}}}},
+         [])
+def test_fixture_documents_end_in_a_report_or_exit_2(doc, fuel):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["check-object", f"{path}#X", *fuel],
+                     ["check-object", f"{path}#Y", *fuel],
+                     ["check-morphism", f"{path}#m", *fuel]):
+            rc, _text = _run(argv)
+            assert rc in (0, 1, 2, 3), argv

@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from effpath import pca
 from effpath.pca import (
     DIVERGE_C, FST_C, ID, IFEQ, K, PAIR, S, SND_C, SUCC_C,
     App, Diverges, FuelExhausted, Lam, MachineState, UnboundVariable, Var,
-    apply, apply_many, cantor_pair, cantor_unpair, compile_term,
-    compose_codes, const_code, curry_left, decode, enc, encode, lam, app,
-    tabulate, tuple_decode, tuple_encode,
+    apply, apply_counted, apply_many, cantor_pair, cantor_unpair,
+    compile_term, compose_codes, const_code, curry_left, decode, enc, encode,
+    lam, app, tabulate, tuple_decode, tuple_encode,
 )
 
 import oracle
@@ -221,6 +222,15 @@ def chain_reference(table):
     return rest
 
 
+@contextlib.contextmanager
+def empty_registry():
+    """Run with the table registry emptied, so tabulate builds every table
+    afresh and _apply runs the raw chain of any code built outside."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pca, "_TABLES", {})
+        yield
+
+
 @settings(deadline=None)
 @given(st.dictionaries(NATS, NATS, max_size=120))
 @example({})
@@ -229,14 +239,23 @@ def chain_reference(table):
 @example({(1 << k) - d: (1 << k) - 1 + d
           for k in range(1, 20) for d in (0, 1)})
 def test_tabulate_equals_the_chain_built_entry_by_entry(table):
-    assert tabulate(table) == chain_reference(table)
+    with empty_registry():
+        assert tabulate(table) == chain_reference(table)
 
 
-def _lookup(code, x):
+def _lookup(code, x, fuel=pca.DEFAULT_FUEL):
     try:
-        return apply(code, x)
+        return apply(code, x, fuel)
     except Diverges:
         return Diverges
+
+
+def _charged(code, x, steps):
+    """The outcome at exactly `steps` fuel, which must be the least that
+    suffices."""
+    with pytest.raises(FuelExhausted):
+        apply(code, x, steps - 1)
+    return _lookup(code, x, steps)
 
 
 @settings(deadline=None)
@@ -244,15 +263,36 @@ def _lookup(code, x):
 @example({}, [0])
 @example({0: 0}, [0, 1])
 def test_raw_chain_lookups_agree_with_the_table_shortcut(table, probes):
-    # values and divergence only: the shortcut charges less fuel than the
-    # raw chain scan (see pca._STEPS_PER_ENTRY)
-    code = tabulate(table)
+    # same values and divergence; the shortcut charges _STEPS_PER_ENTRY per
+    # entry scanned where the raw chain charges 15 per IFEQ selector
+    rank = {k: i for i, k in enumerate(sorted(table))}
+
+    def charge(per_entry, x):
+        return per_entry * (rank[x] + 1 if x in rank else len(table)) + 1
+
     args = [*table, *probes]
-    shortcut = [_lookup(code, x) for x in args]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pca, "_TABLES", {})
-        raw = [_lookup(code, x) for x in args]
+    with empty_registry():
+        code = tabulate(table)
+        shortcut = [_charged(code, x, charge(pca._STEPS_PER_ENTRY, x))
+                    for x in args]
+    with empty_registry():
+        raw = [_charged(code, x, charge(15, x)) for x in args]
     assert shortcut == raw == [table.get(x, Diverges) for x in args]
+
+
+def test_tabulate_returns_the_registered_code_for_an_equal_table():
+    t = {n: 3 * n + 1 for n in range(40)}
+    with empty_registry():
+        first = tabulate(t)
+        counted = [apply_counted(first, x) for x in t]
+        assert tabulate(dict(t)) is first
+        again = tabulate(dict(reversed(t.items())))
+        assert again is first
+        assert [apply_counted(again, x) for x in t] == counted
+        assert len(pca._TABLES[(first.bit_length(), first & pca._LOW)]) == 1
+        with empty_registry():  # an emptied registry forgets the code
+            rebuilt = tabulate(t)
+            assert rebuilt == first and rebuilt is not first
 
 
 # --- composition helpers ----------------------------------------------------
