@@ -16,8 +16,8 @@ from .core import (
     EffMorphism, EffObject, check_morphism, check_object, identity,
 )
 from .path import (
-    NotTrivial, fibration_decide, homotopic_decide, is_equivalence_decide,
-    is_trivial_fibration, path_object, pullback,
+    DEFAULT_BUDGET, NotTrivial, fibration_decide, homotopic_decide,
+    is_equivalence_decide, is_trivial_fibration, path_object, pullback,
     synthesize_fibration_witness, terminal_map,
 )
 from .classify import (
@@ -427,7 +427,8 @@ def _build_parser():
 
     def common(sp):
         sp.add_argument("--fuel", type=_int_at_least(0), default=DEFAULT_FUEL)
-        sp.add_argument("--budget", type=_int_at_least(0), default=64)
+        sp.add_argument("--budget", type=_int_at_least(0),
+                        default=DEFAULT_BUDGET)
         sp.add_argument("--depth", type=_int_at_least(0),
                         default=DEFAULT_DEPTH_BUDGET)
         sp.add_argument("--format", choices=("json", "text"),

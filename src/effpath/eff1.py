@@ -13,6 +13,7 @@ definitive finite emptiness; fuel or budget exhaustion yields UNKNOWN.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
@@ -130,38 +131,46 @@ def _dec3(e):
     return a, b, c
 
 
+def _adjacency(cells, hom) -> dict:
+    """For each cell a, the cells b with hom(a, b) non-empty, in cell order,
+    each with the hom-set and its sorted list.  Loops nested over it declare
+    obligations in the order of the dense cell product, skipping the empty
+    hom-sets without visiting them."""
+    return {a: [(b, h, sorted(h)) for b in cells if (h := hom.get((a, b)))]
+            for a in cells}
+
+
 _OBJECT1_SLOTS = ("unit1", "inv1", "comp1", "coh_lunit", "coh_runit",
                   "coh_linv", "coh_rinv", "coh_assoc", "id2", "vcomp", "inv2",
                   "hcomp")
 
 
-def _object1_stages(cells, realizer, hom_of, hom2_of,
+def _object1_stages(cells, realizer, hom, hom2,
                     unit=None, inv=None, comp=None):
     """The twelve structure obligations: the 1-level structure first, then
-    the coherences reading its values.  Value functions unit/inv/comp, when
-    given, force the 1-level values."""
+    the coherences reading its values.  ``hom`` and ``hom2`` map (a, b) and
+    (a, b, p, q) to sets and must answer every key read.  Value functions
+    unit/inv/comp, when given, force the 1-level values."""
     R = realizer
-    cells2 = list(itertools.product(cells, repeat=2))
+    adj = _adjacency(cells, hom)
+    edges = [(a, *e) for a in cells for e in adj[a]]
 
     def stages(val):
         def structure():
             for a in cells:
-                h = hom_of(a, a)
+                h = hom[a, a]
                 yield ("unit1", R[a], h if unit is None else
                        forced(unit(a), h), "unit")
-            for a, b in cells2:
-                for p in hom_of(a, b):
-                    h = hom_of(b, a)
+            for a, b, hab, _ in edges:
+                h = hom[b, a]
+                for p in hab:
                     yield ("inv1", tuple_encode(R[a], R[b], p),
                            h if inv is None else forced(inv(a, b, p), h),
                            "inverse")
-            for a, b, c in itertools.product(cells, repeat=3):
-                hab, hbc = hom_of(a, b), hom_of(b, c)
-                if not (hab and hbc):
-                    continue
-                h = hom_of(a, c)
-                for p in hab:
-                    for r in hbc:
+            for a, b, hab, _ in edges:
+                for c, hbc, _ in adj[b]:
+                    h = hom[a, c]
+                    for p, r in itertools.product(hab, hbc):
                         yield ("comp1",
                                tuple_encode(R[a], R[b], R[c], p, r),
                                h if comp is None else
@@ -181,77 +190,76 @@ def _object1_stages(cells, realizer, hom_of, hom2_of,
             return composites[key]
 
         def coherence():
-            for a, b in cells2:
-                for p in hom_of(a, b):
+            for a, b, hab, _ in edges:
+                for p in hab:
                     t = tuple_encode(R[a], R[b], p)
                     pi = val("inv1", t)
-                    yield ("coh_lunit", t, hom2_of(a, b, cp(a, b, b, p, u(b)),
-                                                   p), "left unit coherence")
-                    yield ("coh_runit", t, hom2_of(a, b, cp(a, a, b, u(a), p),
-                                                   p), "right unit coherence")
+                    yield ("coh_lunit", t, hom2[a, b, cp(a, b, b, p, u(b)), p],
+                           "left unit coherence")
+                    yield ("coh_runit", t, hom2[a, b, cp(a, a, b, u(a), p), p],
+                           "right unit coherence")
                     yield ("coh_linv", t,
-                           hom2_of(a, a, cp(a, b, a, p, pi), u(a)),
+                           hom2[a, a, cp(a, b, a, p, pi), u(a)],
                            "left inverse coherence")
                     yield ("coh_rinv", t,
-                           hom2_of(b, b, cp(b, a, b, pi, p), u(b)),
+                           hom2[b, b, cp(b, a, b, pi, p), u(b)],
                            "right inverse coherence")
-                    yield "id2", t, hom2_of(a, b, p, p), "2-identity"
-            for a, b, c, d in itertools.product(cells, repeat=4):
-                for p in hom_of(a, b):
-                    for r in hom_of(b, c):
-                        for s in hom_of(c, d):
-                            lhs = cp(a, c, d, cp(a, b, c, p, r), s)
-                            rhs = cp(a, b, d, p, cp(b, c, d, r, s))
-                            yield ("coh_assoc",
-                                   tuple_encode(R[a], R[b], R[c], R[d],
-                                                p, r, s),
-                                   hom2_of(a, d, lhs, rhs),
-                                   "associativity coherence")
-            for a, b in cells2:
-                h1 = sorted(hom_of(a, b))
+                    yield "id2", t, hom2[a, b, p, p], "2-identity"
+            for a, b, hab, _ in edges:
+                for c, hbc, _ in adj[b]:
+                    for d, hcd, _ in adj[c]:
+                        for p, r in itertools.product(hab, hbc):
+                            rp = cp(a, b, c, p, r)
+                            for s in hcd:
+                                yield ("coh_assoc",
+                                       tuple_encode(R[a], R[b], R[c], R[d],
+                                                    p, r, s),
+                                       hom2[a, d, cp(a, c, d, rp, s),
+                                            cp(a, b, d, p,
+                                               cp(b, c, d, r, s))],
+                                       "associativity coherence")
+            for a, b, _, h1 in edges:
                 for p, r, s in itertools.product(h1, repeat=3):
-                    for n in hom2_of(a, b, p, r):
-                        for m in hom2_of(a, b, r, s):
+                    for n in hom2[a, b, p, r]:
+                        for m in hom2[a, b, r, s]:
                             yield ("vcomp",
                                    tuple_encode(R[a], R[b], p, r, s, n, m),
-                                   hom2_of(a, b, p, s),
+                                   hom2[a, b, p, s],
                                    "vertical composition")
                 for p, r in itertools.product(h1, repeat=2):
-                    for n in hom2_of(a, b, p, r):
+                    for n in hom2[a, b, p, r]:
                         yield ("inv2", tuple_encode(R[a], R[b], p, r, n),
-                               hom2_of(a, b, r, p), "2-inverse")
-            for a, b, c in itertools.product(cells, repeat=3):
-                for p, r in itertools.product(sorted(hom_of(a, b)), repeat=2):
-                    for p2, r2 in itertools.product(sorted(hom_of(b, c)),
-                                                    repeat=2):
-                        for n in hom2_of(a, b, p, r):
-                            for m in hom2_of(b, c, p2, r2):
+                               hom2[a, b, r, p], "2-inverse")
+            # compute a target only where an obligation follows: a composite
+            # read earlier could fail checking on an undeclared obligation
+            for a, b, _, sab in edges:
+                for c, _, sbc in adj[b]:
+                    for p, r in itertools.product(sab, repeat=2):
+                        h2ab = hom2[a, b, p, r]
+                        if not h2ab:
+                            continue
+                        for p2, r2 in itertools.product(sbc, repeat=2):
+                            h2bc = hom2[b, c, p2, r2]
+                            if not h2bc:
+                                continue
+                            h = hom2[a, c, cp(a, b, c, p, p2),
+                                     cp(a, b, c, r, r2)]
+                            for n, m in itertools.product(h2ab, h2bc):
                                 yield ("hcomp",
                                        tuple_encode(R[a], R[b], R[c], p, r,
                                                     p2, r2, n, m),
-                                       hom2_of(a, c, cp(a, b, c, p, p2),
-                                               cp(a, b, c, r, r2)),
-                                       "horizontal composition")
+                                       h, "horizontal composition")
         yield coherence()
     return stages
 
 
-def synthesize_object1_codes(cells, realizer, hom, hom2,
-                             unit=None, inv=None, comp=None):
-    """All twelve structure codes as tables, by per-visible-input
-    intersection.  Explicit value functions may be supplied for the 1-level
-    structure (a composition law the minimal pick would not find); their
-    values are still checked for uniformity and membership.
-    """
-    stages = _object1_stages(
-        cells, realizer, lambda a, b: hom.get((a, b), frozenset()),
-        lambda a, b, p, q: hom2.get((a, b, p, q), frozenset()),
-        unit, inv, comp)
-    return tuple(tabulate_all(settle(stages, _OBJECT1_SLOTS)).values())
-
-
 def make_object1(cells, realizer, hom, hom2, name: str = "",
                  unit=None, inv=None, comp=None) -> Eff1Object:
+    """An object with all twelve structure codes as tables, by
+    per-visible-input intersection.  Explicit value functions may be
+    supplied for the 1-level structure (a composition law the minimal pick
+    would not find); their values are still checked for uniformity and
+    membership."""
     cells = tuple(cells)
     full_hom = {(a, b): frozenset(hom.get((a, b), frozenset()))
                 for a in cells for b in cells}
@@ -260,16 +268,22 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
         for p, q in itertools.product(sorted(h), repeat=2):
             full_hom2[(a, b, p, q)] = frozenset(
                 hom2.get((a, b, p, q), frozenset()))
-    codes = synthesize_object1_codes(cells, realizer, full_hom, full_hom2,
-                                     unit=unit, inv=inv, comp=comp)
-    return Eff1Object(cells, dict(realizer), full_hom, full_hom2, *codes,
+    # every pair of cells and every parallel pair has an entry, and settled
+    # values stay inside their hom-sets, so plain lookups serve
+    stages = _object1_stages(cells, realizer, full_hom, full_hom2,
+                             unit, inv, comp)
+    codes = tabulate_all(settle(stages, _OBJECT1_SLOTS))
+    return Eff1Object(cells, dict(realizer), full_hom, full_hom2, **codes,
                       name=name)
 
 
 def check_object1(obj: Eff1Object, fuel: int = DEFAULT_FUEL) -> Verdict:
     """Exhaustively run every structure code on every instance."""
-    return verify(_object1_stages(obj.cells, obj.realizer, obj.hom_of,
-                                  obj.hom2_of), vars(obj), fuel)
+    # a value outside the hom-sets reads as having no 2-cells
+    stages = _object1_stages(obj.cells, obj.realizer,
+                             defaultdict(frozenset, obj.hom),
+                             defaultdict(frozenset, obj.hom2))
+    return verify(stages, vars(obj), fuel)
 
 
 # --- morphisms --------------------------------------------------------------
@@ -370,23 +384,24 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
                        cod.hom2_of(fb, fb, f1(b, b, _u(dom, b, fuel)),
                                    _u(cod, fb, fuel)),
                        "identity preservation")
-            for b1, b2, b3 in itertools.product(dom.cells, repeat=3):
-                m12, m23 = one_map[b1, b2], one_map[b2, b3]
-                if not (m12 and m23):
-                    continue
-                z1, z2, z3 = zero[b1], zero[b2], zero[b3]
-                for p, fp in m12.items():
-                    for r, fr in m23.items():
-                        # the input of dom's composition code at r . p
-                        t = tuple_encode(R[b1], R[b2], R[b3], p, r)
-                        c = _memo(dom, "c", dom.comp1, t, fuel)
-                        img = one_map[b1, b3].get(c)
-                        if img is None:
-                            img = f1(b1, b3, c)
-                        cimg = _comp(cod, z1, z2, z3, fp, fr, fuel)
-                        yield ("funct_comp", t,
-                               cod.hom2_of(z1, z3, img, cimg),
-                               "composite preservation")
+            adj = _adjacency(dom.cells, dom.hom)
+            for b1 in dom.cells:
+                for b2, _, _ in adj[b1]:
+                    for b3, _, _ in adj[b2]:
+                        z1, z2, z3 = zero[b1], zero[b2], zero[b3]
+                        for (p, fp), (r, fr) in itertools.product(
+                                one_map[b1, b2].items(),
+                                one_map[b2, b3].items()):
+                            # the input of dom's composition code at r . p
+                            t = tuple_encode(R[b1], R[b2], R[b3], p, r)
+                            c = _memo(dom, "c", dom.comp1, t, fuel)
+                            img = one_map[b1, b3].get(c)
+                            if img is None:
+                                img = f1(b1, b3, c)
+                            cimg = _comp(cod, z1, z2, z3, fp, fr, fuel)
+                            yield ("funct_comp", t,
+                                   cod.hom2_of(z1, z3, img, cimg),
+                                   "composite preservation")
         yield functoriality()
     return stages
 
@@ -615,23 +630,26 @@ def _fibration1_stages(f: Eff1Morphism):
     with f(m') = n."""
     A, B, fz = f.cod, f.dom, f.zero_map
     R = B.realizer
+    adjA = _adjacency(A.cells, A.hom)
+    adjB = _adjacency(B.cells, B.hom)
+    edgesB = [(b, *e) for b in B.cells for e in adjB[b]]
 
     def stages(_val):
         def lifts():
             for b in B.cells:
-                for a in A.cells:
+                for a, hp, _ in adjA.get(fz[b], ()):
                     sols = {}  # p -> lifts (realizer of b', rho) of p
-                    for b2 in B.cells:
+                    for b2, hb, _ in adjB[b]:
                         if fz[b2] == a:
-                            for rho in B.hom_of(b, b2):
+                            for rho in hb:
                                 sols.setdefault(f.one_map[(b, b2)][rho],
                                                 set()).add((R[b2], rho))
-                    for p in A.hom_of(fz[b], a):
+                    for p in hp:
                         yield (("lift0", "lift1"),
                                tuple_encode(R[b], A.realizer[a], p),
                                sols.get(p, ()), "lift (1)")
-            for b, b2 in itertools.product(B.cells, repeat=2):
-                one, hb = f.one_map[(b, b2)], B.hom_of(b, b2)
+            for b, b2, hb, _ in edgesB:
+                one = f.one_map[(b, b2)]
                 for rho in hb:
                     sols = {}  # (p', n) -> (r', m) over them
                     for rho2 in hb:
@@ -644,9 +662,8 @@ def _fibration1_stages(f: Eff1Morphism):
                             yield (("lift1p", "lift2"),
                                    tuple_encode(R[b], R[b2], rho, p2, n),
                                    sols.get((p2, n), ()), "lift (2)")
-            for b, b2 in itertools.product(B.cells, repeat=2):
-                for p, r in itertools.product(sorted(B.hom_of(b, b2)),
-                                              repeat=2):
+            for b, b2, _, sb in edgesB:
+                for p, r in itertools.product(sb, repeat=2):
                     h2 = B.hom2_of(b, b2, p, r)
                     if not h2:
                         continue

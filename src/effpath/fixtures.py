@@ -6,6 +6,8 @@ helpers so structure codes are canonical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import Callable
 
 from .core import EffObject, EffMorphism, identity, synthesize_morphism
 from .path import (
@@ -113,12 +115,6 @@ def fixture_objects() -> dict[str, Fixture]:
     return lib
 
 
-def fixture_fibrations():
-    """Named fibrations over non-trivial bases (total, base, map)."""
-    out = {"E2I": two_point_bundle()}
-    return out
-
-
 # --- two-level fixtures -----------------------------------------------------
 
 def line_bundle():
@@ -160,34 +156,35 @@ class Fixture1:
     expect: dict = field(default_factory=dict)
 
 
+_Z2_EXPECT = {"valid": True, "trivial_over_1": False,
+              "discrete_over_1": False, "hlevel0": False,
+              "set_over_1": False, "groupoid_over_1": True}
+
+
+def _expect1(fx: Fixture) -> dict:
+    """The expectations of the two-level image of a groupoid-level fixture."""
+    return dict(fx.expect, groupoid_over_1=True,
+                set_over_1=fx.expect["hlevel0"])
+
+
 def fixture_objects1() -> dict[str, Fixture1]:
     """Two-level objects with expected verdicts over the point.
 
     groupoid_over_1: the map to the terminal object is a fibration of
     groupoids (hlevel 1); set_over_1: of sets (hlevel 0).
     """
-    lib = {}
-    for name, fx in fixture_objects().items():
-        lib[name] = Fixture1(name, inflate(fx.obj, name=name),
-                             dict(fx.expect,
-                                  groupoid_over_1=True,
-                                  set_over_1=fx.expect["hlevel0"]))
-    lib["Z2"] = Fixture1("Z2", z2_object(),
-                         {"valid": True, "trivial_over_1": False,
-                          "discrete_over_1": False, "hlevel0": False,
-                          "set_over_1": False, "groupoid_over_1": True})
+    lib = {name: Fixture1(name, inflate(fx.obj, name=name), _expect1(fx))
+           for name, fx in fixture_objects().items()}
+    lib["Z2"] = Fixture1("Z2", z2_object(), dict(_Z2_EXPECT))
     return lib
 
 
 def fixture_fibrations1() -> dict[str, Eff1Morphism]:
-    """Named two-level fibrations (the inflated groupoid-level bundles and
-    the terminal maps of the two-level objects)."""
-    out = {}
-    for name, (total, base, p) in fixture_fibrations().items():
-        out[name] = inflate_morphism(p)
-    for name, fx in fixture_objects1().items():
-        out[f"{name}->1"] = terminal_map1(fx.obj)
-    return out
+    """Named two-level fibrations (the inflated groupoid-level bundle and
+    the terminal maps of the two-level objects), as the library ships
+    them."""
+    return {e.name.removeprefix("eff1:"): e.value
+            for e in fixture_library().values() if e.kind == "fibration1"}
 
 
 # --- the shipped library ----------------------------------------------------
@@ -198,16 +195,25 @@ class LibraryEntry:
 
     ``kind`` selects how the suite runner interprets ``value``:
     object / fibration / pathobj / subsets at the groupoid level,
-    object1 / fibration1 at the two-dimensional level.
+    object1 / fibration1 at the two-dimensional level.  ``value`` is made
+    by ``build`` on first access, so naming one entry builds only what that
+    entry needs.
     """
     name: str
     kind: str
-    value: object
+    build: Callable[[], object] = field(repr=False)
     expect: dict = field(default_factory=dict)
     note: str = ""
 
+    @cached_property
+    def value(self):
+        return self.build()
+
 
 def fixture_library() -> dict[str, LibraryEntry]:
+    """The shipped library.  Names, kinds and expectations are fixed here;
+    the values are built on first access, and entries over the same
+    fixture share one instance of it."""
     lib: dict[str, LibraryEntry] = {}
     notes = {
         "I": "two points with singleton hom-sets: the map to the point "
@@ -220,50 +226,56 @@ def fixture_library() -> dict[str, LibraryEntry]:
         "2": "two points with distinct realizers and no cross cells",
         "N5": "the naturals truncated at five",
     }
-    for name, fx in fixture_objects().items():
-        lib[name] = LibraryEntry(name, "object", fx.obj, dict(fx.expect),
-                                 notes.get(name, ""))
-    total, base, p = two_point_bundle()
+    objects = fixture_objects()
+    for name, fx in objects.items():
+        lib[name] = LibraryEntry(name, "object", lambda fx=fx: fx.obj,
+                                 dict(fx.expect), notes.get(name, ""))
     lib["E2I"] = LibraryEntry(
-        "E2I", "fibration", p,
+        "E2I", "fibration", lambda: two_point_bundle()[2],
         {"fibration": True, "hlevel0": True, "discrete": True},
         "a two-point fibre over each end of the interval; transport "
         "follows the fibre index")
-    for name, fx in fixture_objects().items():
+    for name, fx in objects.items():
         if not fx.obj.cells:
             continue
         lib[f"P({name})"] = LibraryEntry(
-            f"P({name})", "pathobj", path_object(fx.obj),
+            f"P({name})", "pathobj", lambda fx=fx: path_object(fx.obj),
             {"valid": True, "st_fibration": True, "st_discrete": True},
             "the path object; its endpoint projection is a discrete "
             "fibration")
-    lt, lb, lf = line_bundle()
     lib["L"] = LibraryEntry(
-        "L", "fibration", lf,
+        "L", "fibration", lambda: line_bundle()[2],
         {"fibration": True, "propositional": True, "discrete": True,
          "classifies": True},
         "one point per fibre in classification normal form; classifies "
         "into the propositional universe with verified recovery")
     lib["U"] = LibraryEntry(
-        "U", "subsets", universe_subsets(),
+        "U", "subsets", universe_subsets,
         {"reflexive": True, "cross": True, "empty_isolated": True},
         "two inhabited universe points: reflexive 1-cells exist and, "
         "propositionally, so do connecting 1-cells; the empty subset "
         "connects to neither")
-    for name, fx in fixture_objects1().items():
-        expect = {k: v for k, v in fx.expect.items() if k != "hlevel0"}
+    objects1 = cache(fixture_objects1)
+    expect1 = {name: _expect1(fx) for name, fx in objects.items()}
+    expect1["Z2"] = dict(_Z2_EXPECT, twist_equivalence=True,
+                         modifications_differ=True)
+    for name, expect in expect1.items():
         lib[f"eff1:{name}"] = LibraryEntry(
-            f"eff1:{name}", "object1", fx.obj, expect,
+            f"eff1:{name}", "object1", lambda name=name: objects1()[name].obj,
+            {k: v for k, v in expect.items() if k != "hlevel0"},
             "two-dimensional image of the groupoid-level fixture"
             if name != "Z2" else
             "one cell per bit with loops under addition modulo two; the "
             "twist is an equivalence homotopic to the identity in two "
             "essentially different ways")
-    lib["eff1:Z2"].expect.update(
-        {"twist_equivalence": True, "modifications_differ": True})
-    for name, f in fixture_fibrations1().items():
+    # the inflated bundle and the terminal maps, over the entries above
+    fibrations1 = {"E2I": lambda e=lib["E2I"]: inflate_morphism(e.value)}
+    for name in expect1:
+        fibrations1[f"{name}->1"] = \
+            lambda x=lib[f"eff1:{name}"]: terminal_map1(x.value)
+    for name, build in fibrations1.items():
         lib[f"eff1:{name}"] = LibraryEntry(
-            f"eff1:{name}", "fibration1", f,
+            f"eff1:{name}", "fibration1", build,
             {"fibration": True, "groupoid_over_1": True},
             "every fixture fibration is a fibration of groupoids")
     return lib

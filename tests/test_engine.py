@@ -7,6 +7,7 @@ obligation group whose intersection is empty in the raw data.
 """
 
 import dataclasses
+import hashlib
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,14 @@ from effpath.core import (
 )
 from effpath.eff1 import (
     check_fibration1, check_homotopy1, check_morphism1, check_object1,
-    identity1, identity_homotopy1, inflate, synthesize_fibration1_witness,
-    terminal_map1, z2_homotopies, z2_object, z2_twist,
+    fib_path_object1, identity1, identity_homotopy1, inflate, make_object1,
+    pullback1, synthesize_fibration1_witness, synthesize_morphism1,
+    terminal_map1, truncate1, z2_homotopies, z2_object, z2_twist,
+    _OBJECT1_SLOTS, _morphism1_stages, _object1_stages,
 )
 from effpath.fixtures import (
-    fixture_fibrations1, interval, swap_morphism, two_point_bundle,
+    fixture_fibrations1, interval, nat_trunc, swap_morphism,
+    two_point_bundle,
 )
 from effpath.path import (
     check_fibration, check_homotopy, homotopic_decide,
@@ -130,6 +134,167 @@ def test_synthesis_checks_at_both_levels_or_names_an_empty_group(data):
         return
     assert check_object(obj).status == "valid"
     assert check_object1(inflate(obj)).status == "valid"
+
+
+# --- declarations skip empty hom-sets in dense order ------------------------
+
+def _obligations(stage):
+    return [(slot, t, sorted(acc), label) for slot, t, acc, label in stage]
+
+
+def _dense_object1(cells, R, hom, hom2, val):
+    """The obligations of the object stages, declared over the dense cell
+    product: the reference order that skipping empty hom-sets keeps."""
+    P = itertools.product
+    enc = pca.tuple_encode
+    for a in cells:
+        yield "unit1", R[a], hom[a, a], "unit"
+    for a, b in P(cells, repeat=2):
+        for p in hom[a, b]:
+            yield "inv1", enc(R[a], R[b], p), hom[b, a], "inverse"
+    for a, b, c in P(cells, repeat=3):
+        for p, r in P(hom[a, b], hom[b, c]):
+            yield ("comp1", enc(R[a], R[b], R[c], p, r), hom[a, c],
+                   "composition")
+
+    def u(a):
+        return val("unit1", R[a])
+
+    def cp(a, b, c, p, r):
+        return val("comp1", enc(R[a], R[b], R[c], p, r))
+    for a, b in P(cells, repeat=2):
+        for p in hom[a, b]:
+            t = enc(R[a], R[b], p)
+            pi = val("inv1", t)
+            yield ("coh_lunit", t, hom2[a, b, cp(a, b, b, p, u(b)), p],
+                   "left unit coherence")
+            yield ("coh_runit", t, hom2[a, b, cp(a, a, b, u(a), p), p],
+                   "right unit coherence")
+            yield ("coh_linv", t, hom2[a, a, cp(a, b, a, p, pi), u(a)],
+                   "left inverse coherence")
+            yield ("coh_rinv", t, hom2[b, b, cp(b, a, b, pi, p), u(b)],
+                   "right inverse coherence")
+            yield "id2", t, hom2[a, b, p, p], "2-identity"
+    for a, b, c, d in P(cells, repeat=4):
+        for p, r, s in P(hom[a, b], hom[b, c], hom[c, d]):
+            yield ("coh_assoc", enc(R[a], R[b], R[c], R[d], p, r, s),
+                   hom2[a, d, cp(a, c, d, cp(a, b, c, p, r), s),
+                        cp(a, b, d, p, cp(b, c, d, r, s))],
+                   "associativity coherence")
+    for a, b in P(cells, repeat=2):
+        h1 = sorted(hom[a, b])
+        for p, r, s in P(h1, repeat=3):
+            for n, m in P(hom2[a, b, p, r], hom2[a, b, r, s]):
+                yield ("vcomp", enc(R[a], R[b], p, r, s, n, m),
+                       hom2[a, b, p, s], "vertical composition")
+        for p, r in P(h1, repeat=2):
+            for n in hom2[a, b, p, r]:
+                yield ("inv2", enc(R[a], R[b], p, r, n), hom2[a, b, r, p],
+                       "2-inverse")
+    for a, b, c in P(cells, repeat=3):
+        hab, hbc = sorted(hom[a, b]), sorted(hom[b, c])
+        for p, r, p2, r2 in P(hab, hab, hbc, hbc):
+            for n, m in P(hom2[a, b, p, r], hom2[b, c, p2, r2]):
+                yield ("hcomp", enc(R[a], R[b], R[c], p, r, p2, r2, n, m),
+                       hom2[a, c, cp(a, b, c, p, p2), cp(a, b, c, r, r2)],
+                       "horizontal composition")
+
+
+def _dense_functoriality(f, val):
+    """The functoriality obligations of f over the dense cell product."""
+    dom, cod, zero, R = f.dom, f.cod, f.zero_map, f.dom.realizer
+    enc = pca.tuple_encode
+
+    def f1(b, b2, p):
+        return val("tracking1", enc(R[b], R[b2], p))
+    for b in dom.cells:
+        fb = zero[b]
+        yield ("funct_id", R[b],
+               cod.hom2_of(fb, fb, f1(b, b, pca.apply(dom.unit1, R[b])),
+                           pca.apply(cod.unit1, cod.realizer[fb])),
+               "identity preservation")
+    for b1, b2, b3 in itertools.product(dom.cells, repeat=3):
+        z1, z2, z3 = zero[b1], zero[b2], zero[b3]
+        for p, r in itertools.product(dom.hom_of(b1, b2),
+                                      dom.hom_of(b2, b3)):
+            t = enc(R[b1], R[b2], R[b3], p, r)
+            cimg = pca.apply(cod.comp1, enc(
+                cod.realizer[z1], cod.realizer[z2], cod.realizer[z3],
+                f1(b1, b2, p), f1(b2, b3, r)))
+            yield ("funct_comp", t,
+                   cod.hom2_of(z1, z3, f1(b1, b3, pca.apply(dom.comp1, t)),
+                               cimg),
+                   "composite preservation")
+
+
+@st.composite
+def _sparse_object1_data(draw):
+    """Up to four cells split into components: hom-sets across components
+    are empty, those inside one and every set of 2-cells between parallel
+    1-cells are non-empty, and realizers are distinct, so synthesis always
+    succeeds."""
+    n = draw(st.integers(1, 4))
+    cells = tuple(f"c{i}" for i in range(n))
+    component = {c: draw(st.integers(0, 2)) for c in cells}
+    cell_sets = st.frozensets(st.sampled_from((0, 1)), min_size=1)
+    hom = {(a, b): draw(cell_sets) if component[a] == component[b]
+           else frozenset() for a in cells for b in cells}
+    hom2 = {(a, b, p, q): draw(cell_sets)
+            for (a, b), h in hom.items() for p in h for q in h}
+    return cells, {c: i for i, c in enumerate(cells)}, hom, hom2
+
+
+@settings(max_examples=25, deadline=None)
+@given(_sparse_object1_data())
+def test_declarations_skip_empty_hom_sets_in_dense_order(data):
+    cells, realizer, hom, hom2 = data
+    obj = make_object1(cells, realizer, hom, hom2)
+
+    def val(slot, t):
+        return pca.apply(getattr(obj, slot), t)
+    stages = _object1_stages(obj.cells, obj.realizer, obj.hom, obj.hom2)
+    got = [ob for stage in stages(val) for ob in _obligations(stage)]
+    assert got == _obligations(
+        _dense_object1(obj.cells, obj.realizer, obj.hom, obj.hom2, val))
+
+    f = synthesize_morphism1(obj, obj, {c: c for c in cells})
+    assert f is not None
+
+    def fval(slot, t):
+        return pca.apply(getattr(f, slot), t)
+    *_, functoriality = [_obligations(stage) for stage in
+                         _morphism1_stages(obj, obj, f.zero_map)(fval)]
+    assert functoriality == _obligations(_dense_functoriality(f, fval))
+
+
+# SHA-256 of the twelve structure codes (hex, space-separated, in slot
+# order) of four objects the suite builds, as the dense declaration built
+# them; the densest (36 cells, 36 non-empty hom-sets) and the largest
+# tables among them
+PINNED_CODES = {
+    "N5x_1N5":
+        "5ef9de15f890639164f77df42d1876010b7a3f43eaf28a17d853f91fb0cc8999",
+    "P_Z2->1":
+        "b1cb5411495f04d337af977f6b81447165faebcffe0886d294b76d04d01f7e16",
+    "set_P_Z2->1":
+        "b1cb5411495f04d337af977f6b81447165faebcffe0886d294b76d04d01f7e16",
+    "Z2x_1Z2":
+        "12544e66c9a676f58ef654c081d1dfb11fbb73b544974ba6022c3ba60f7cc081",
+}
+
+
+def test_structure_codes_of_suite_objects_are_pinned():
+    n5 = terminal_map1(inflate(nat_trunc(5)))
+    z2 = terminal_map1(z2_object())
+    bundle = fib_path_object1(z2, want_witness=False)
+    built = [pullback1(n5, n5, want_witness=False).obj, bundle.obj,
+             truncate1(bundle.st, 0).g.cod,
+             pullback1(z2, z2, want_witness=False).obj]
+    for obj in built:
+        codes = " ".join(hex(getattr(obj, slot)) for slot in _OBJECT1_SLOTS)
+        assert hashlib.sha256(codes.encode()).hexdigest() == \
+            PINNED_CODES[obj.name], obj.name
+    assert sorted(o.name for o in built) == sorted(PINNED_CODES)
 
 
 # --- fuel-honest dependent values -------------------------------------------

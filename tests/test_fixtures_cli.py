@@ -9,13 +9,15 @@ from hypothesis import (
     HealthCheck, example, given, settings, strategies as st,
 )
 
-from effpath import pca
+from effpath import cli, pca
 from effpath.cli import main
+from effpath.core import YES, Decision
 from effpath.fixture_io import (
     FixtureError, compile_code, parse_fixture_file, parse_fixture_text,
     serialize_fixture_file,
 )
 from effpath.fixtures import fixture_library
+from effpath.path import DEFAULT_BUDGET
 
 
 # --- code literals ----------------------------------------------------------
@@ -173,6 +175,13 @@ def test_library_ships_the_expected_names():
         assert lib[name].note != "" or name.endswith("->1")
 
 
+def test_library_fibrations_sit_over_the_library_objects():
+    lib = fixture_library()
+    for name in ("Z2", "N5", "I"):
+        f = lib[f"eff1:{name}->1"].value
+        assert f.dom is lib[f"eff1:{name}"].value, name
+
+
 # --- the command line -------------------------------------------------------
 
 def _run(argv):
@@ -184,6 +193,30 @@ def _run(argv):
 def test_check_object_command():
     rc, text = _run(["check-object", "I"])
     assert rc == 0 and "valid" in text
+
+
+def test_a_command_builds_only_the_library_entries_it_names(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built a library entry no target names")
+    # where they are defined and where the library binds them
+    for target in ("effpath.path.path_object", "effpath.fixtures.path_object",
+                   "effpath.eff1.z2_object", "effpath.fixtures.z2_object"):
+        monkeypatch.setattr(target, refuse)
+    rc, text = _run(["check-object", "I"])
+    assert rc == 0 and "valid" in text
+
+
+def test_the_budget_default_is_the_library_default(monkeypatch):
+    budgets = []
+
+    def record(f, fuel, budget):
+        budgets.append(budget)
+        return Decision(YES)
+    monkeypatch.setattr(cli, "is_equivalence_decide", record)
+    monkeypatch.setattr(cli, "is_equivalence1_decide", record)
+    for argv in (["equivalence", "I"], ["eff1-equivalence", "eff1:I"]):
+        assert _run(argv)[0] == 0, argv
+    assert budgets == [DEFAULT_BUDGET, DEFAULT_BUDGET]
 
 
 def test_tiny_fuel_reports_unknown():
