@@ -8,6 +8,7 @@ error, 3 at least one UNKNOWN verdict (and nothing failed outright).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -419,6 +420,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache  # once per process: parsing leaves the parser as it was
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="effpath",
@@ -493,7 +495,7 @@ def main(argv=None, out=None) -> int:
                     raise ConfigError(
                         f"{args.targets[0]!r} is not a two-level fixture")
             reports = fn(rs, args)
-    except (FixtureError, ConfigError, FileNotFoundError) as e:
+    except (FixtureError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NotTrivial, NotTrivial1) as e:

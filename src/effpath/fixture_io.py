@@ -328,8 +328,12 @@ def parse_fixture_text(text: str, source: str = "<string>") -> FixtureFile:
 
 
 def parse_fixture_file(path: str) -> FixtureFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_fixture_text(fh.read(), source=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FixtureError(f"{path}: cannot read: {e}") from e
+    return parse_fixture_text(text, source=path)
 
 
 def serialize_fixture_file(ff: FixtureFile) -> str:

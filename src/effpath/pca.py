@@ -198,69 +198,58 @@ def _apply(code: int, arg: int, fuel: _Fuel) -> int:
     #         ("app", f, _)  = right operand done, apply f to it
     stack: list = []
     while True:
-        # recognized lookup chains resolve in one go: same value and same
-        # divergence off the domain as the chain scan, but fuel charged at
-        # _STEPS_PER_ENTRY per entry, not the scan's 15*(rank+1)+1 on a hit
-        # and 15*n+1 on a miss
-        hit = _table_entry(code)
-        if hit is not None:
-            values, rank = hit
-            steps = (_STEPS_PER_ENTRY * (rank[arg] + 1) + 1
-                     if arg in rank else
-                     _STEPS_PER_ENTRY * len(rank) + 1)
+        if type(code) is Table:
+            # a tabulated code resolves in one go: same value and same
+            # divergence off the domain as the chain scan, but fuel charged
+            # at _STEPS_PER_ENTRY per entry, not the scan's 15*(rank+1)+1 on
+            # a hit and 15*n+1 on a miss; any other int runs on the machine
+            rank = code.rank
+            steps = _STEPS_PER_ENTRY * (
+                rank[arg] + 1 if arg in rank else len(rank)) + 1
             if fuel.left < steps:
                 fuel.left = 0
                 raise FuelExhausted()
             fuel.left -= steps
-            if arg not in values:
+            if arg not in rank:
                 raise Diverges()
-            val = values[arg]
-            if not stack:
-                return val
-            kind, x, y = stack[-1]
-            if kind == "rand":
-                stack[-1] = ("app", val, None)
-                code, arg = x, y
-            else:
-                stack.pop()
-                code, arg = x, val
-            continue
-        fuel.tick()
-        st = decode(code)
-        tag, args = st.tag, st.args
-        if tag == S2:
-            stack.append(("rand", args[1], arg))
-            code = args[0]
-            continue
-        if tag == K0:
-            val = enc(K1, arg)
-        elif tag == K1:
-            val = args[0]
-        elif tag == S0:
-            val = enc(S1, arg)
-        elif tag == S1:
-            val = enc(S2, args[0], arg)
-        elif tag == PAIR0:
-            val = enc(PAIR1, arg)
-        elif tag == PAIR1:
-            val = cantor_pair(args[0], arg)
-        elif tag == FST:
-            val = cantor_unpair(arg)[0]
-        elif tag == SND:
-            val = cantor_unpair(arg)[1]
-        elif tag == SUCC:
-            val = arg + 1
-        elif tag == IFEQ0:
-            val = enc(IFEQ1, arg)
-        elif tag == IFEQ1:
-            val = enc(IFEQ2, args[0], arg)
-        elif tag == IFEQ2:
-            val = enc(IFEQ3, args[0], args[1], arg)
-        elif tag == IFEQ3:
-            a, b, then_ = args
-            val = then_ if a == b else arg
+            val = code.values[arg]
         else:
-            raise Diverges()
+            fuel.tick()
+            st = decode(code)
+            tag, args = st.tag, st.args
+            if tag == S2:
+                stack.append(("rand", args[1], arg))
+                code = args[0]
+                continue
+            if tag == K0:
+                val = enc(K1, arg)
+            elif tag == K1:
+                val = args[0]
+            elif tag == S0:
+                val = enc(S1, arg)
+            elif tag == S1:
+                val = enc(S2, args[0], arg)
+            elif tag == PAIR0:
+                val = enc(PAIR1, arg)
+            elif tag == PAIR1:
+                val = cantor_pair(args[0], arg)
+            elif tag == FST:
+                val = cantor_unpair(arg)[0]
+            elif tag == SND:
+                val = cantor_unpair(arg)[1]
+            elif tag == SUCC:
+                val = arg + 1
+            elif tag == IFEQ0:
+                val = enc(IFEQ1, arg)
+            elif tag == IFEQ1:
+                val = enc(IFEQ2, args[0], arg)
+            elif tag == IFEQ2:
+                val = enc(IFEQ3, args[0], args[1], arg)
+            elif tag == IFEQ3:
+                a, b, then_ = args
+                val = then_ if a == b else arg
+            else:
+                raise Diverges()
         if not stack:
             return val
         kind, x, y = stack[-1]
@@ -415,36 +404,24 @@ def _join_bits(parts: list[int]) -> int:
     return parts[0]
 
 
-# The table registry: one dict holding both directions, so emptying it
-# forgets both.  Its entries (code, values, rank) hold the full code and a
-# copy of the table, for exact checks.
-#   (bit length, low 64 bits) of a code -> entries, for _apply: a probe
-#     never hashes a multi-megabit chain code;
-#   hash of a table's items (an int, never equal to such a pair) -> entries,
-#     for tabulate, which interns: a table it has built before yields the
-#     registered int object itself, not an equal copy (see _table_entry).
-# Purely an evaluation shortcut; the chain itself computes the same values.
-_TABLES: dict[tuple[int, int] | int, list] = {}
-_LOW = (1 << 64) - 1
+class Table(int):
+    """The code of a tabulated lookup chain, carrying its table (values)
+    and the rank of each key in ascending order, so _apply resolves a
+    lookup without scanning the chain.  Equal to the chain as an int; an
+    int that is not a Table runs on the machine whatever its value."""
+
+
 # fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps
 # per IFEQ selector; 6 is kept on purpose, since at 15 check_object1 on
 # Z2 x Z2 runs out of fuel at DEFAULT_FUEL and turns UNKNOWN.
 _STEPS_PER_ENTRY = 6
+# hash of a table's items -> the Tables built for it.  A pure cache: equal
+# tables share one code in memory, and which equal object tabulate returns
+# changes no value and no charge.
+_BUILT: dict[int, list[Table]] = {}
 
 
-def _table_entry(code: int):
-    bucket = _TABLES.get((code.bit_length(), code & _LOW))
-    if bucket is not None:
-        for c, values, rank in bucket:
-            # identity first: two distinct equal ints compare limb by limb,
-            # a scan of the whole code on every application; tabulate hands
-            # out the registered object, so the codes it built match at once
-            if c is code or c == code:
-                return values, rank
-    return None
-
-
-def tabulate(table: dict[int, int]) -> int:
+def tabulate(table: dict[int, int]) -> Table:
     """Finite lookup code: diverges off the table's domain.
 
     Built as a chain of IFEQ selectors; the else branch is only entered on a
@@ -456,13 +433,12 @@ def tabulate(table: dict[int, int]) -> int:
     delta(ID + 1): one pass over the lengths gives every prefix, and the
     code is joined from them once.
 
-    Interned: a table equal to one built before returns the registered code
-    object without building, so equal tables share one code in memory and
-    _table_entry matches it by identity.
+    A table equal to one built before returns the Table built then, so
+    equal tables share one code in memory.
     """
     content = hash(frozenset(table.items()))
-    for code, values, _ in _TABLES.get(content, ()):
-        if values == table:  # a hash collision falls through to building
+    for code in _BUILT.get(content, ()):
+        if code.values == table:  # a hash collision falls through
             return code
     framed = {}  # value -> K (K value), shared by equal values
     sels = []
@@ -486,8 +462,8 @@ def tabulate(table: dict[int, int]) -> int:
         parts.reverse()
         parts += [_ID_FIELD + 3] * (len(sels) - 1) + [_ID_FIELD]
         out = _join_bits(parts)
-    # equal codes come only from equal tables, so out is not registered yet
-    entry = (out, dict(table), {k: i for i, k in enumerate(sorted(table))})
-    _TABLES.setdefault((out.bit_length(), out & _LOW), []).append(entry)
-    _TABLES.setdefault(content, []).append(entry)
-    return out
+    code = Table(out)
+    code.values = dict(table)
+    code.rank = {k: i for i, k in enumerate(sorted(table))}
+    _BUILT.setdefault(content, []).append(code)
+    return code

@@ -135,15 +135,14 @@ def test_product_projections():
 
 
 def test_product_codes_are_the_registered_codes_of_their_tables():
-    # built after the path object, which registers tables the product
-    # builds again: each code must be the registered object, so a lookup
-    # matches it by identity and never compares two long codes
+    # built after the path object, which tabulates tables the product
+    # builds again: each code must be the Table tabulate built then, so
+    # equal tables share one code in memory
     path_object1(z2_object())
     prod, _pr1, _pr2 = product1(z2_object(), z2_object())
     for slot in _OBJECT1_SLOTS:
         code = getattr(prod, slot)
-        values, _rank = pca._table_entry(code)
-        assert pca.tabulate(dict(values)) is code, slot
+        assert pca.tabulate(dict(code.values)) is code, slot
 
 
 # --- path objects -----------------------------------------------------------

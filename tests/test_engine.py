@@ -74,12 +74,12 @@ def _structures():
     ]
 
 
-def test_moving_one_table_entry_out_of_its_target_is_invalid():
+def test_moving_an_entry_of_one_table_out_of_its_target_is_invalid():
     slots = 0
     for labels, holder, check in _structures():
         assert check(holder).status == "valid", labels
         for slot, label in labels.items():
-            table = dict(pca._table_entry(getattr(holder, slot))[0])
+            table = dict(getattr(holder, slot).values)
             assert table, slot
             table[min(table)] = BAD
             broken = dataclasses.replace(

@@ -243,6 +243,13 @@ def test_malformed_file_is_a_parse_error(tmp_path):
     assert rc == 2
 
 
+def test_a_fixture_path_reaches_only_its_own_call(tmp_path):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(_DOC))
+    assert _run(["homotopic", "sw", "sw", "--fixtures", str(p)])[0] == 0
+    assert _run(["homotopic", "sw", "sw"]) == (2, "")
+
+
 def test_file_fixtures_resolve(tmp_path):
     p = tmp_path / "f.json"
     p.write_text(json.dumps(_DOC))
@@ -314,7 +321,12 @@ def test_suite_rejects_unknown_names():
 def test_bad_input_is_a_config_error(tmp_path):
     p = tmp_path / "b.json"
     p.write_text(json.dumps(_UNSYNTHESIZABLE))
-    for argv in (["check-object", "B", "--fixtures", str(p)],
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"format": 1, "objects": {"\xe9": {}}}')
+    unreadable = [str(tmp_path), str(latin), str(tmp_path / "missing.json")]
+    for argv in (*(["check-object", f"{q}#B"] for q in unreadable),
+                 *(["check-object", "I", "--fixtures", q] for q in unreadable),
+                 ["check-object", "B", "--fixtures", str(p)],
                  ["hlevel", "J", "--n", "-7"],
                  ["check-object", "I", "--fuel", "-5"],
                  ["equivalence", "E2I", "--budget", "-3"],

@@ -223,11 +223,10 @@ def chain_reference(table):
 
 
 @contextlib.contextmanager
-def empty_registry():
-    """Run with the table registry emptied, so tabulate builds every table
-    afresh and _apply runs the raw chain of any code built outside."""
+def empty_memo():
+    """Run with tabulate's memo emptied, so it builds every table afresh."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pca, "_TABLES", {})
+        mp.setattr(pca, "_BUILT", {})
         yield
 
 
@@ -239,7 +238,7 @@ def empty_registry():
 @example({(1 << k) - d: (1 << k) - 1 + d
           for k in range(1, 20) for d in (0, 1)})
 def test_tabulate_equals_the_chain_built_entry_by_entry(table):
-    with empty_registry():
+    with empty_memo():
         assert tabulate(table) == chain_reference(table)
 
 
@@ -258,6 +257,13 @@ def _charged(code, x, steps):
     return _lookup(code, x, steps)
 
 
+def _scan_charge(table, per_entry, x):
+    """Fuel for a lookup of x that scans entries at per_entry steps each:
+    up to x's rank on a hit, the whole table on a miss."""
+    scanned = sorted(table).index(x) + 1 if x in table else len(table)
+    return per_entry * scanned + 1
+
+
 @settings(deadline=None)
 @given(st.dictionaries(NATS, NATS, max_size=12), st.lists(NATS, max_size=4))
 @example({}, [0])
@@ -265,32 +271,45 @@ def _charged(code, x, steps):
 def test_raw_chain_lookups_agree_with_the_table_shortcut(table, probes):
     # same values and divergence; the shortcut charges _STEPS_PER_ENTRY per
     # entry scanned where the raw chain charges 15 per IFEQ selector
-    rank = {k: i for i, k in enumerate(sorted(table))}
-
-    def charge(per_entry, x):
-        return per_entry * (rank[x] + 1 if x in rank else len(table)) + 1
-
     args = [*table, *probes]
-    with empty_registry():
-        code = tabulate(table)
-        shortcut = [_charged(code, x, charge(pca._STEPS_PER_ENTRY, x))
-                    for x in args]
-    with empty_registry():
-        raw = [_charged(code, x, charge(15, x)) for x in args]
+    code = tabulate(table)
+    shortcut = [_charged(code, x, _scan_charge(table, pca._STEPS_PER_ENTRY, x))
+                for x in args]
+    raw = [_charged(int(code), x, _scan_charge(table, 15, x)) for x in args]
     assert shortcut == raw == [table.get(x, Diverges) for x in args]
+
+
+def test_an_int_equal_to_a_table_code_is_charged_the_raw_chain():
+    # the charge depends on the code alone, not on what was tabulated
+    # before: only the Table takes the shortcut
+    table = {n: 5 * n + 2 for n in range(0, 60, 3)}
+    probes = [*table, 1, 200]
+    want = [table.get(x, Diverges) for x in probes]
+
+    def lookups(code, per_entry):
+        return [_charged(code, x, _scan_charge(table, per_entry, x))
+                for x in probes]
+
+    raw = chain_reference(table)
+    with empty_memo():
+        assert lookups(raw, 15) == want
+        code = tabulate(table)
+        assert code == raw and type(raw) is int
+        assert lookups(raw, 15) == want
+        assert lookups(int(code), 15) == want
+        assert lookups(code, 6) == want
 
 
 def test_tabulate_returns_the_registered_code_for_an_equal_table():
     t = {n: 3 * n + 1 for n in range(40)}
-    with empty_registry():
+    with empty_memo():
         first = tabulate(t)
         counted = [apply_counted(first, x) for x in t]
         assert tabulate(dict(t)) is first
         again = tabulate(dict(reversed(t.items())))
         assert again is first
         assert [apply_counted(again, x) for x in t] == counted
-        assert len(pca._TABLES[(first.bit_length(), first & pca._LOW)]) == 1
-        with empty_registry():  # an emptied registry forgets the code
+        with empty_memo():  # an emptied memo forgets the code
             rebuilt = tabulate(t)
             assert rebuilt == first and rebuilt is not first
 
