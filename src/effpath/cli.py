@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .pca import DEFAULT_FUEL
+from .pca import DEFAULT_FUEL, FuelExhausted
 from .core import (
     EffMorphism, EffObject, check_morphism, check_object, identity,
 )
@@ -500,6 +500,9 @@ def main(argv=None, out=None) -> int:
         return 2
     except (NotTrivial, NotTrivial1) as e:
         reports = [_report(command, " ".join(args.targets), "no", str(e))]
+    except FuelExhausted:
+        reports = [_report(command, " ".join(args.targets), "unknown",
+                           f"fuel {args.fuel} exhausted")]
     reports = sorted(reports, key=lambda r: (r["command"], r["target"]))
     _emit(reports, args.format, out)
     return _exit_code(reports)

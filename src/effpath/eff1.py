@@ -100,6 +100,16 @@ def _memo(A, key, code, t, fuel):
     return value
 
 
+def _owned(owner, key, build):
+    # a construction is stored on the instance it is built from, never
+    # module-wide; every key carries the fuel it was built at, so a call at
+    # other fuel builds afresh and runs out exactly as a cold call would
+    built = owner.__dict__.setdefault("_built", {})
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
 def _u(A, a, fuel: int = DEFAULT_FUEL) -> int:
     return _memo(A, "u", A.unit1, A.realizer[a], fuel)
 
@@ -583,12 +593,16 @@ def terminal_object1() -> Eff1Object:
     return inflate(terminal_object0(), name="1")
 
 
-def terminal_map1(obj: Eff1Object, name: str = "") -> Eff1Morphism:
-    m = synthesize_morphism1(obj, terminal_object1(),
-                             {a: "*" for a in obj.cells},
-                             name=name or f"{obj.name}->1")
-    assert m is not None
-    return m
+def terminal_map1(obj: Eff1Object) -> Eff1Morphism:
+    """The map to the point, one per object, so the constructions stored on
+    it are shared by every caller."""
+    def build():
+        m = synthesize_morphism1(obj, terminal_object1(),
+                                 {a: "*" for a in obj.cells},
+                                 name=f"{obj.name}->1")
+        assert m is not None
+        return m
+    return _owned(obj, ("->1", DEFAULT_FUEL), build)
 
 
 def point1(A: Eff1Object, a, name: str = "",
@@ -843,7 +857,15 @@ def fib_path_object1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
     """Fibrewise paths of a fibration f: B -> A: cells (b, b', rho) over a
     single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
     and n a 2-cell filling the square; 2-cells pairs of 2-cells between the
-    respective components, with equal f-image."""
+    respective components, with equal f-image.  One bundle per f and fuel;
+    it gets its witness on the first call that wants one."""
+    bundle = _owned(f, ("path", fuel), lambda: _fib_path_object1(f, fuel))
+    if want_witness and bundle.witness is None:
+        bundle.witness = synthesize_fibration1_witness(bundle.st, fuel)
+    return bundle
+
+
+def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
     B = f.dom
     cells = fib_path_cells(f)
     base = pullback1(f, f, want_witness=False, fuel=fuel).obj
@@ -915,8 +937,7 @@ def fib_path_object1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
                           lambda x, y, e: tuple_encode(*_dec3(e)[:2]),
                           name="(s,t)", fuel=fuel)
     assert r is not None and st is not None
-    w = synthesize_fibration1_witness(st, fuel) if want_witness else None
-    return Path1Bundle(obj, r, st, base, w)
+    return Path1Bundle(obj, r, st, base, None)
 
 
 # --- homotopies -------------------------------------------------------------
@@ -1056,10 +1077,16 @@ def is_equivalence1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
                            first_candidates=()) -> Decision:
     B, A = f.dom, f.cod
     idA, idB = identity1(A, fuel), identity1(B, fuel)
+    fibre = defaultdict(list)
+    for b0 in B.cells:
+        fibre[f.zero_map[b0]].append(b0)
 
     def flt(a, b):
-        # a necessary condition for eps: f(g(a)) must connect to a
-        return bool(A.hom_of(f.zero_map[b], a))
+        # necessary conditions for eps, f(g(a)) connects to a, and for eta,
+        # every b0 over a connects to g(a) = b; a candidate failing them
+        # could only meet an empty homotopy intersection, never a YES
+        return bool(A.hom_of(f.zero_map[b], a)) and all(
+            B.hom_of(b0, b) for b0 in fibre[a])
 
     tried, seen, truncated = 0, set(), []
     for zero in itertools.chain(
@@ -1578,8 +1605,13 @@ class Truncation1Bundle:
 def truncate1(f: Eff1Morphism, n: int,
               fuel: int = DEFAULT_FUEL) -> Truncation1Bundle:
     """The n-truncation of f for n in {-1, 0}: same carrier, hom-sets
-    replaced by the base's at the levels above n."""
+    replaced by the base's at the levels above n.  One bundle per f, n and
+    fuel."""
     assert n in (-1, 0), "only (-1)- and 0-truncation are materialized"
+    return _owned(f, ("truncate", n, fuel), lambda: _truncate1(f, n, fuel))
+
+
+def _truncate1(f: Eff1Morphism, n: int, fuel: int) -> Truncation1Bundle:
     B, A = f.dom, f.cod
     fz = f.zero_map
     pairs = list(itertools.product(B.cells, repeat=2))

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from effpath import pca
+from effpath import eff1, pca
 from effpath.core import identity as identity0, make_object, \
     synthesize_morphism as synthesize_morphism0
 from effpath.eff1 import (
@@ -21,7 +21,7 @@ from effpath.eff1 import (
     z2_object, z2_twist, _OBJECT1_SLOTS, _set_normalized,
 )
 from effpath.fixtures import (
-    interval, line_bundle, set_bundle, swap_morphism, two,
+    interval, line_bundle, nat_trunc, set_bundle, swap_morphism, two,
     two_point_bundle, walking_pair, fixture_fibrations1, fixture_objects1,
 )
 from effpath.path import homotopic_decide, terminal_map
@@ -186,6 +186,24 @@ def test_fibrewise_path_object():
     assert bundle.witness is not None
 
 
+def test_each_construction_is_built_once_per_owner():
+    A = inflate(interval())
+    f = terminal_map1(A)
+    assert terminal_map1(A) is f
+    assert fib_path_object1(f) is fib_path_object1(f)
+    assert truncate1(f, 0) is truncate1(f, 0)
+    assert truncate1(f, 0, fuel=500) is not truncate1(f, 0)
+
+
+def test_a_stored_path_object_gets_its_witness_when_asked():
+    f = _inflated_bundle()
+    bare = fib_path_object1(f, want_witness=False)
+    assert bare.witness is None
+    bundle = fib_path_object1(f)
+    assert bundle.obj is bare.obj and bundle.witness is not None
+    assert check_fibration1(bundle.st, bundle.witness).status == "valid"
+
+
 # --- homotopies -------------------------------------------------------------
 
 def test_two_essentially_different_self_homotopies():
@@ -242,6 +260,24 @@ def test_collapse_is_not_an_equivalence():
     J1 = inflate(walking_pair())
     to_pt = terminal_map1(J1)
     assert is_equivalence1_decide(to_pt).status == "no"
+
+
+def test_inverse_search_skips_cell_maps_no_unit_homotopy_fits(monkeypatch):
+    # N5 is discrete: an inverse of its comparison into the propositional
+    # truncation must send each cell to a cell it connects to, so only the
+    # identity cell map is tried, not all 6^6, and it has no tracked lift
+    calls = []
+    real = eff1.morphism_candidates1
+
+    def count(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(eff1, "morphism_candidates1", count)
+    f = inflate_morphism(terminal_map(nat_trunc(5)))
+    hv = hlevel1_check(f, -1)
+    assert hv.status == "refuted"
+    assert hv.reason == "no tracked inverse with both homotopies"
+    assert len(calls) <= 1
 
 
 def test_adjusted_equivalence_of_the_identity():

@@ -364,6 +364,28 @@ def test_low_fuel_on_dependent_values_reports_unknown():
     assert rc == 3 and "unknown" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["eff1-equivalence", "eff1:I", "--fuel", "0"],
+    ["transport", "I", "--fuel", "0"],
+    ["eff1-exp-j", "eff1:I", "--fuel", "7"],
+    ["truncate", "J", "--n", "-1", "--fuel", "0"],
+    ["eff1-truncate", "eff1:I", "--n", "0", "--fuel", "0"],
+    ["hlevel", "I", "--n", "1", "--fuel", "7"],
+    ["eff1-hlevel", "eff1:I", "--n", "0", "--fuel", "0"],
+    ["eff1-discrete", "eff1:I", "--fuel", "7"],
+    ["classify", "L", "--fuel", "7"],
+    ["eff1-classify", "eff1:0->1", "--fuel", "0"],
+    ["eff1-univalence", "eff1:I", "eff1:0->1", "eff1:0->1", "--fuel", "0"],
+    ["eff1-resize", "eff1:I", "--fuel", "7"],
+])
+def test_fuel_running_out_in_a_construction_is_one_unknown_report(argv):
+    rc, text = _run(argv + ["--format", "json"])
+    reports = json.loads(text)
+    assert rc == 3 and [r["status"] for r in reports] == ["unknown"]
+    assert reports[0]["detail"] == f"fuel {argv[argv.index('--fuel') + 1]} " \
+        "exhausted"
+
+
 def test_json_reports_are_deterministic():
     rc1, t1 = _run(["suite", "I", "U", "--format", "json"])
     rc2, t2 = _run(["suite", "I", "U", "--format", "json"])
@@ -490,3 +512,45 @@ def test_fixture_documents_end_in_a_report_or_exit_2(doc, fuel):
                      ["check-morphism", f"{path}#m", *fuel]):
             rc, _text = _run(argv)
             assert rc in (0, 1, 2, 3), argv
+
+
+# --- argv fuzz --------------------------------------------------------------
+
+# library names at each level; eff1:Z2 and eff1:Z2->1 are left out only
+# because their constructions take seconds per example
+_LEVELS = {prefix: sorted(n for n in fixture_library()
+                          if n.startswith("eff1:") == bool(prefix)
+                          and "Z2" not in n)
+           for prefix in ("", "eff1-")}
+
+
+@st.composite
+def _argv(draw):
+    """A handler at either level, library targets of that level, and the
+    budget flags, each absent or drawn with small values (fuel 0
+    included)."""
+    cmd = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    prefix = draw(st.sampled_from(sorted(_LEVELS)))
+    arity = cli._HANDLERS[cmd][1]
+    if cmd == "pi":
+        arity = draw(st.integers(1, 2))
+    argv = [prefix + cmd, *draw(st.lists(st.sampled_from(_LEVELS[prefix]),
+                                         min_size=arity, max_size=arity))]
+    if cmd in ("truncate", "hlevel"):
+        argv += ["--n", str(draw(st.integers(-3, 2)))]
+    for flag, values in (("--fuel", [0, 1, 7, 50, 500]),
+                         ("--budget", [0, 1, 3]), ("--depth", [0, 7, 30])):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+@example(["eff1-hlevel", "eff1:I", "--n", "0", "--fuel", "0"])
+@example(["transport", "I", "--fuel", "0"])
+def test_any_argv_ends_in_an_exit_code(argv):
+    rc, _text = _run(argv)
+    assert rc in (0, 1, 2, 3), argv
