@@ -399,7 +399,11 @@ def _run_suite(rs, args):
 
     def run(item):
         n, key, want = item
-        status = _entry_check(lib[n], key, args.fuel)
+        try:
+            status = _entry_check(lib[n], key, args.fuel)
+        except FuelExhausted:
+            return _report("suite", f"{n} {key}", "unknown",
+                           f"expected {want}, fuel {args.fuel} exhausted")
         got = _as_bool(status)
         outcome = ("unknown" if got is None
                    else "pass" if got == want else "fail")
@@ -432,7 +436,9 @@ def _build_parser():
         sp.add_argument("--budget", type=_int_at_least(0),
                         default=DEFAULT_BUDGET)
         sp.add_argument("--depth", type=_int_at_least(0),
-                        default=DEFAULT_DEPTH_BUDGET)
+                        default=DEFAULT_DEPTH_BUDGET,
+                        help="most cells of a path object built for an "
+                             "hlevel n >= 1")
         sp.add_argument("--format", choices=("json", "text"),
                         default="text")
         sp.add_argument("--fixtures", action="append", default=[],
@@ -482,12 +488,12 @@ def main(argv=None, out=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     command = args.command
+    base = command.removeprefix("eff1-")  # the name handlers report under
     try:
         rs = Resolver(args.fixtures)
         if command == "suite":
             reports = _run_suite(rs, args)
         else:
-            base = command.removeprefix("eff1-")
             fn, _arity = _HANDLERS[base]
             if command.startswith("eff1-"):
                 first = rs.get(args.targets[0])
@@ -499,9 +505,9 @@ def main(argv=None, out=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NotTrivial, NotTrivial1) as e:
-        reports = [_report(command, " ".join(args.targets), "no", str(e))]
+        reports = [_report(base, " ".join(args.targets), "no", str(e))]
     except FuelExhausted:
-        reports = [_report(command, " ".join(args.targets), "unknown",
+        reports = [_report(base, " ".join(args.targets), "unknown",
                            f"fuel {args.fuel} exhausted")]
     reports = sorted(reports, key=lambda r: (r["command"], r["target"]))
     _emit(reports, args.format, out)

@@ -313,6 +313,26 @@ def test_the_full_suite_report_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGEST
 
 
+def test_fuel_running_out_in_the_suite_leaves_every_row():
+    rc, text = _run(["suite", "--all", "--fuel", "0", "--format", "json"])
+    rows = json.loads(text)
+    assert rc == 3 and len(rows) == SUITE_ROWS
+    assert any(r["detail"].endswith("fuel 0 exhausted") for r in rows)
+
+
+def test_fuel_running_out_in_the_suite_keeps_the_decided_rows():
+    rc, text = _run(["suite", "eff1:I", "--fuel", "50", "--format", "json"])
+    rows = json.loads(text)
+    expected = fixture_library()["eff1:I"].expect
+    assert rc == 3
+    assert [r["target"] for r in rows] == [f"eff1:I {k}"
+                                           for k in sorted(expected)]
+    statuses = {r["status"] for r in rows}
+    assert "pass" in statuses and "unknown" in statuses
+    assert all(r["detail"].endswith("fuel 50 exhausted")
+               for r in rows if r["status"] == "unknown")
+
+
 def test_suite_rejects_unknown_names():
     rc, _text = _run(["suite", "wat"])
     assert rc == 2
@@ -384,6 +404,7 @@ def test_fuel_running_out_in_a_construction_is_one_unknown_report(argv):
     assert rc == 3 and [r["status"] for r in reports] == ["unknown"]
     assert reports[0]["detail"] == f"fuel {argv[argv.index('--fuel') + 1]} " \
         "exhausted"
+    assert reports[0]["command"] == argv[0].removeprefix("eff1-")
 
 
 def test_json_reports_are_deterministic():

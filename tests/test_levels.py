@@ -1,21 +1,32 @@
-"""Level 0 as a view of level 1: every level-0 decision on a library input
-gives the same status as its level-1 counterpart on the inflated input
-(``inflate_morphism``).  An object stands for its map to the point."""
+"""Level 0 as a view of level 1.
+
+Equivalence, triviality, discreteness and h-levels at level 0 are decided on
+the inflated map (``inflate_morphism``) and their witnesses flattened back,
+so their statuses are pinned to the table below, recorded from the separate
+level-0 searches before those were deleted, and their witnesses are checked
+at level 0.  Fibrations and pullbacks still have an implementation at each
+level, so those are compared live.  An object stands for its map to the
+point."""
 
 import functools
 
 import pytest
 
-from effpath.classify import discrete_decide, hlevel_check
-from effpath.core import UNKNOWN
+from effpath.classify import (
+    discrete_decide, hlevel_check, is_standard_discrete, prop_truncate,
+)
+from effpath.core import (
+    UNKNOWN, YES, check_morphism, check_object, compose, identity,
+    synthesize_morphism,
+)
 from effpath.eff1 import (
-    discrete1_decide, fibration1_decide, hlevel1_check, inflate_morphism,
-    is_equivalence1_decide, pullback1, trivial1_decide,
+    discrete1_decide, fibration1_decide, flatten, hlevel1_check, inflate,
+    inflate_morphism, is_equivalence1_decide, pullback1, trivial1_decide,
 )
 from effpath.fixtures import fixture_library
 from effpath.path import (
-    fibration_decide, is_equivalence_decide, is_trivial_fibration, pullback,
-    terminal_map,
+    check_homotopy, fibration_decide, is_equivalence_decide,
+    is_trivial_fibration, pullback, terminal_map, terminal_object,
 )
 
 
@@ -47,17 +58,114 @@ CASES = ([(name, p) for name in ("0", "1", "2", "I", "J", "N5")
           for p in OVER_THE_POINT]
          + [(name, p) for name in ("E2I", "L") for p in FIBRATIONS])
 
+# The level-0 statuses of these decisions, one letter each: Y yes, N no,
+# V verified, R refuted.
+PINNED = ("equivalence", "trivial", "discrete",
+          "hlevel(-2)", "hlevel(-1)", "hlevel(0)", "hlevel(1)")
+REFERENCE = {
+    "0": "NNYRVVV",
+    "1": "YYYVVVV",
+    "2": "NNYRRVV",
+    "I": "YYYVVVV",
+    "J": "NNNRRVV",
+    "N5": "NNYRRVV",
+    "E2I": "NNYRRVV",
+    "L": "YYYVVVV",
+    "P(I).st": "YYYVVVV",
+    "P(I).r": "YNYRVVV",
+    "P(J).st": "NNYRVVV",
+    "P(J).r": "YYYVVVV",
+    "P(1).st": "YYYVVVV",
+    "P(1).r": "YYYVVVV",
+    "P(2).st": "NNYRVVV",
+    "P(2).r": "YYYVVVV",
+    "P(N5).st": "NNYRVVV",
+    "P(N5).r": "YYYVVVV",
+    "|J|->1": "YYYVVVV",
+    "fibre(E2I)": "NNYRRVV",
+}
+_LETTER = {"yes": "Y", "no": "N", "verified": "V", "refuted": "R"}
+
 
 @functools.cache
-def _maps(name):
-    v = fixture_library()[name].value
-    f = v if name in ("E2I", "L") else terminal_map(v)
-    return f, inflate_morphism(f)
+def _map(name):
+    """The level-0 map a name in REFERENCE stands for."""
+    lib = fixture_library()
+    if name in lib and lib[name].kind == "object":
+        return terminal_map(lib[name].value)
+    if name in lib:
+        return lib[name].value
+    if name.startswith("P("):
+        bundle = lib[name[:name.index(")") + 1]].value
+        return bundle.st if name.endswith(".st") else bundle.r
+    if name == "|J|->1":
+        return prop_truncate(terminal_map(lib["J"].value)).h
+    assert name == "fibre(E2I)"
+    p = lib["E2I"].value
+    pt = synthesize_morphism(terminal_object(), p.cod, {"*": "0"})
+    return pullback(p, pt).to_g_dom
+
+
+@functools.cache
+def _decide(name, procedure):
+    f = _map(name)
+    if procedure.startswith("hlevel"):
+        return hlevel_check(f, int(procedure[7:-1]))
+    return {"equivalence": is_equivalence_decide,
+            "trivial": is_trivial_fibration,
+            "discrete": discrete_decide}[procedure](f)
+
+
+@pytest.mark.parametrize("name", REFERENCE)
+def test_level_0_statuses_match_the_reference(name):
+    got = "".join(_LETTER.get(_decide(name, p).status, "?") for p in PINNED)
+    assert got == REFERENCE[name]
 
 
 @pytest.mark.parametrize("name, procedure", CASES)
 def test_level_0_decides_as_level_1_on_the_inflated_input(name, procedure):
-    f, f1 = _maps(name)
+    f = _map(name)
     level0, level1 = PROCEDURES[procedure]
     got = level0(f)
-    assert got == level1(f1) and got != UNKNOWN
+    assert got == level1(inflate_morphism(f)) and got != UNKNOWN
+    if procedure in PINNED:
+        assert _LETTER[got] == REFERENCE[name][PINNED.index(procedure)]
+
+
+def test_flatten_inverts_inflate():
+    for name, entry in fixture_library().items():
+        if entry.kind == "object":
+            A = entry.value
+            B = flatten(inflate(A))
+            assert (B.cells, B.realizer, B.hom) == (A.cells, A.realizer, A.hom)
+            assert (B.unit_code, B.inv_code, B.comp_code) == \
+                (A.unit_code, A.inv_code, A.comp_code), name
+    for f in (_map("E2I"), _map("P(J).st")):
+        g = flatten(inflate_morphism(f), f.dom, f.cod)
+        assert (g.zero_map, g.one_map, g.tracking0, g.tracking1) == \
+            (f.zero_map, f.one_map, f.tracking0, f.tracking1)
+
+
+@pytest.mark.parametrize("name", REFERENCE)
+def test_flat_witnesses_check_at_level_0(name):
+    f = _map(name)
+    B, A = f.dom, f.cod
+    for procedure in ("equivalence", "trivial"):
+        d = _decide(name, procedure)
+        if d.status != YES:
+            continue
+        w = d.witness
+        g = w.inverse
+        assert (g.dom, g.cod) == (A, B)
+        assert check_morphism(g), (procedure, check_morphism(g))
+        assert check_homotopy(identity(B), compose(g, f), w.eta), procedure
+        assert check_homotopy(compose(f, g), identity(A), w.eps), procedure
+        if procedure == "trivial":
+            assert all(f.zero_map[g.zero_map[a]] == a for a in A.cells)
+    d = _decide(name, "discrete")
+    if d.status == YES:
+        nf = d.witness
+        assert check_object(nf.quotient)
+        assert check_morphism(nf.inclusion) and check_morphism(nf.standard)
+        assert (nf.inclusion.cod, nf.standard.cod) == (B, A)
+        assert is_standard_discrete(nf.standard)
