@@ -5,9 +5,7 @@ equivalences obstruction.
 REFUTED verdicts come only from definitive finite emptiness; budget or fuel
 exhaustion yields UNKNOWN.  The universe is never materialized: its
 zero-cells are presented finite subsets of naturals and its 1-cells are
-checked intensionally by running the coded tracking pair.  H-levels and
-discreteness are decided one level up, on the map ``eff1.inflate_morphism``
-embeds, and their witnesses are flattened back.
+checked intensionally by running the coded tracking pair.
 """
 
 from __future__ import annotations
@@ -19,14 +17,15 @@ from .pca import (
     DEFAULT_FUEL, apply, cantor_unpair, const_code, tabulate, tuple_encode,
 )
 from .core import (
-    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, compose, identity,
-    make_object, synthesize_morphism, _run,
+    Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, YES,
+    compose, identity, make_object, settle, synthesize_morphism, _run,
 )
 from .path import (
-    FibrationWitness, fibrewise_homotopic_decide, homotopic_decide,
-    is_equivalence_decide, lift_endpoint, synthesize_fibration_witness,
-    terminal_map,
+    FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
+    homotopic_decide, is_equivalence_decide, is_trivial_fibration,
+    fib_path_cells, lift_endpoint, synthesize_fibration_witness, terminal_map,
 )
+from .constructions import freyd_square_check
 
 VERIFIED, REFUTED = "verified", "refuted"
 
@@ -45,11 +44,21 @@ class HlevelVerdict:
 
 def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
                  depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
-    """Is f a fibration of n-types?  Decided by ``hlevel1_check`` on the
-    inflated map, so the chain holds the two-level path objects it built
-    (for n >= 1, each bounded by ``depth_budget`` cells)."""
-    from .eff1 import hlevel1_check, inflate_morphism
-    return hlevel1_check(inflate_morphism(f), n, fuel, depth_budget)
+    """Is f a fibration of n-types?  Level -2 means trivial; level n+1
+    recurses on the canonical fibrewise path object."""
+    if n < -2:
+        raise ValueError("levels start at -2")
+    if n == -2:
+        d = is_trivial_fibration(f, fuel)
+        status = {YES: VERIFIED, NO: REFUTED, UNKNOWN: UNKNOWN}[d.status]
+        return HlevelVerdict(n, status, reason=d.reason)
+    size = len(fib_path_cells(f))
+    if size > depth_budget:
+        return HlevelVerdict(n, UNKNOWN,
+                             reason=f"path object has {size} cells")
+    bundle = fib_path_object(f, fuel)
+    sub = hlevel_check(bundle.st, n - 1, fuel, depth_budget)
+    return HlevelVerdict(n, sub.status, [bundle] + sub.chain, sub.reason)
 
 
 def object_hlevel_check(obj: EffObject, n: int,
@@ -115,26 +124,59 @@ def is_standard_discrete(f) -> bool:
 
 @dataclass
 class DiscreteNormalForm:
-    code: int                 # phi: realizer -> connecting 1-cell
+    code: int                 # realizer -> connecting 1-cell, per criterion
     quotient: EffObject       # one representative per (fibre, realizer)
     inclusion: EffMorphism    # quotient -> B, an equivalence
     standard: EffMorphism     # quotient -> A, standard discrete by build
 
 
 def discrete_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
-    """Decide discreteness by ``discrete1_decide`` on the inflated map.  On
-    YES the normal form is flattened back, with phi, which turns the shared
-    realizer of two cells in a fibre into a connecting 1-cell, as its
-    code."""
-    from .eff1 import discrete1_decide, flatten, inflate_morphism
-    d = discrete1_decide(inflate_morphism(f), fuel)
-    if d.status != YES:
-        return Decision(d.status, reason=d.reason)
-    nf = d.witness
-    quotient = flatten(nf.quotient)
+    """Decide discreteness three ways and require agreement.
+
+    The intersection criterion: a single code must turn the shared realizer
+    of two cells in a fibre into a connecting 1-cell.  On YES the quotient
+    factorisation (representatives per fibre-realizer class) is built and
+    the comparison square verdict is cross-checked.
+    """
+    B = f.dom
+    try:
+        table = settle(lambda _val: [(
+            ("code", B.realizer[b0], B.hom_of(b0, b1), "connecting code")
+            for b0, b1 in itertools.product(B.cells, repeat=2)
+            if B.realizer[b0] == B.realizer[b1]
+            and f.zero_map[b0] == f.zero_map[b1])], ("code",))["code"]
+        crit3 = YES
+    except SynthesisFailed:
+        crit3 = NO
+    square = freyd_square_check(f, fuel)
+    if square.status != UNKNOWN and crit3 != square.status:
+        return Decision(UNKNOWN,
+                        reason=f"criteria disagree: code {crit3}, "
+                               f"square {square.status}")
+    if crit3 == NO:
+        return Decision(NO, reason="no uniform connecting code")
+
+    reps, zero_inv = {}, {}
+    for b in B.cells:
+        key = (f.zero_map[b], B.realizer[b])
+        reps.setdefault(key, b)
+        zero_inv[b] = None
+    cells = sorted(reps.values(), key=B.cells.index)
+    quotient = make_object(
+        cells, {b: B.realizer[b] for b in cells},
+        {(b, b2): B.hom_of(b, b2) for b in cells for b2 in cells},
+        name=f"{B.name}'")
+    incl = synthesize_morphism(quotient, B, {b: b for b in cells},
+                               name=f"{B.name}'->{B.name}")
+    assert incl is not None
+    standard = compose(f, incl, name=f"{B.name}'->{f.cod.name}")
+    assert is_standard_discrete(standard)
+    eq = is_equivalence_decide(incl, fuel)
+    if eq.status != YES:
+        return Decision(eq.status,
+                        reason=f"representative inclusion: {eq.reason}")
     return Decision(YES, witness=DiscreteNormalForm(
-        nf.phi_psi.phi, quotient, flatten(nf.inclusion, quotient, f.dom),
-        flatten(nf.standard, quotient, f.cod)))
+        tabulate(table), quotient, incl, standard))
 
 
 # --- the universe of propositions -------------------------------------------

@@ -437,8 +437,7 @@ def _build_parser():
                         default=DEFAULT_BUDGET)
         sp.add_argument("--depth", type=_int_at_least(0),
                         default=DEFAULT_DEPTH_BUDGET,
-                        help="most cells of a path object built for an "
-                             "hlevel n >= 1")
+                        help="cell bound on path objects built by hlevel")
         sp.add_argument("--format", choices=("json", "text"),
                         default="text")
         sp.add_argument("--fixtures", action="append", default=[],

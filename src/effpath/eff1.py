@@ -589,19 +589,6 @@ def inflate_morphism(f: EffMorphism, dom1: Eff1Object | None = None,
                         name=name or f.name)
 
 
-def flatten(x, dom: EffObject | None = None, cod: EffObject | None = None):
-    """The groupoid-level view, inverse to ``inflate``: an object keeps its
-    cells, realizers, hom-sets and 1-level codes; a morphism keeps its cell
-    and 1-cell maps and trackings, between the groupoid-level objects
-    ``dom`` and ``cod`` on the same cells as its own ends."""
-    if isinstance(x, Eff1Object):
-        return EffObject(x.cells, dict(x.realizer), dict(x.hom),
-                         x.unit1, x.inv1, x.comp1, name=x.name)
-    return EffMorphism(dom, cod, dict(x.zero_map),
-                       {k: dict(v) for k, v in x.one_map.items()},
-                       x.tracking0, x.tracking1, name=x.name)
-
-
 def terminal_object1() -> Eff1Object:
     return inflate(terminal_object0(), name="1")
 

@@ -5,9 +5,7 @@ and the groupoid-up-to-homotopy structure.
 The homotopy relation is defined by existence of a code; over finite carriers
 that existence is decidable: group cells by visible realizer, intersect the
 target hom-sets, and tabulate one choice per group.  All NO verdicts come
-from definitive finite emptiness, never from fuel exhaustion.  Equivalence
-and triviality are decided one level up, on the map ``eff1.inflate_morphism``
-embeds, and the witnesses are flattened back.
+from definitive finite emptiness, never from fuel exhaustion.
 """
 
 from __future__ import annotations
@@ -17,8 +15,9 @@ from dataclasses import dataclass
 
 from .pca import DEFAULT_FUEL, apply, tuple_encode
 from .core import (
-    Decision, EffMorphism, EffObject, NO, SynthesisFailed, Verdict, YES,
-    identity, make_object, settle, synthesize_morphism, tabulate_all, verify,
+    Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, Verdict,
+    YES, identity, make_object, compose, settle, synthesize_morphism,
+    tabulate_all, verify,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -350,38 +349,67 @@ def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
     yield from extend(0, {}, {})
 
 
-def _flat_equivalence(f: EffMorphism, d: Decision) -> Decision:
-    """A level-1 decision on the inflated f, read at level 0: the inverse
-    between f's own objects, and the connecting 1-cell codes of eta and eps
-    as homotopies."""
-    from .eff1 import flatten
-    if d.status != YES:
-        return d
-    w = d.witness
-    return Decision(YES, witness=EquivalenceWitness(
-        flatten(w.inverse, f.cod, f.dom), Homotopy(w.eta.h1),
-        Homotopy(w.eps.h1)))
-
-
 def is_equivalence_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL,
                           budget: int = DEFAULT_BUDGET) -> Decision:
-    """Decide whether f has a homotopy inverse, on the inflated map."""
-    from .eff1 import inflate_morphism, is_equivalence1_decide
-    return _flat_equivalence(
-        f, is_equivalence1_decide(inflate_morphism(f), fuel, budget))
+    """Search for a homotopy inverse among all cell maps.
+
+    Candidates must send each a to a cell g(a) with hom(f g a, a) inhabited
+    (necessary for eps), be consistent on realizer collisions, and admit
+    tabulated trackings; both homotopies are then decided exactly.
+    """
+    B, A = f.dom, f.cod
+
+    def flt(a, b):
+        return bool(A.hom_of(f.zero_map[b], a))
+
+    tried = 0
+    for zero in _zero_map_candidates(A, B, cell_filter=flt):
+        tried += 1
+        if tried > budget:
+            return Decision(UNKNOWN, reason="candidate budget exhausted")
+        g = synthesize_morphism(A, B, zero, name=f"{f.name}^-1")
+        if g is None:
+            continue
+        eps = homotopic_decide(compose(f, g), identity(A), fuel)
+        if eps.status != YES:
+            continue
+        eta = homotopic_decide(identity(B), compose(g, f), fuel)
+        if eta.status != YES:
+            continue
+        return Decision(YES, witness=EquivalenceWitness(
+            g, eta.witness, eps.witness))
+    return Decision(NO, reason=f"no homotopy inverse among {tried} cell maps")
 
 
 class NotTrivial(Exception):
     pass
 
 
+def _section_candidates(f: EffMorphism):
+    B, A = f.dom, f.cod
+    return _zero_map_candidates(
+        A, B, cell_filter=lambda a, b: f.zero_map[b] == a)
+
+
 def is_trivial_fibration(f: EffMorphism, fuel: int = DEFAULT_FUEL,
                          budget: int = DEFAULT_BUDGET) -> Decision:
-    """A fibration is trivial iff it has a section s with s f ~ 1; decided
-    on the inflated map."""
-    from .eff1 import inflate_morphism, trivial1_decide
-    return _flat_equivalence(
-        f, trivial1_decide(inflate_morphism(f), fuel, budget))
+    """A fibration is trivial iff it has a section s with s f ~ 1."""
+    B, A = f.dom, f.cod
+    tried = 0
+    for zero in _section_candidates(f):
+        tried += 1
+        if tried > budget:
+            return Decision(UNKNOWN, reason="section budget exhausted")
+        s = synthesize_morphism(A, B, zero, name=f"sect_{f.name}")
+        if s is None:
+            continue
+        eta = homotopic_decide(identity(B), compose(s, f), fuel)
+        if eta.status != YES:
+            continue
+        # f s = 1 strictly, so the unit code is a homotopy f s ~ 1
+        eps = Homotopy(A.unit_code)
+        return Decision(YES, witness=EquivalenceWitness(s, eta.witness, eps))
+    return Decision(NO, reason=f"no section with sf ~ 1 among {tried}")
 
 
 def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,

@@ -27,8 +27,8 @@ def test_depth_budget_is_checked_before_building(monkeypatch):
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("built an object past the depth budget")
-    monkeypatch.setattr("effpath.eff1.make_object1", refuse)
-    hv = hlevel_check(f, 1, depth_budget=3)
+    monkeypatch.setattr("effpath.path.make_object", refuse)
+    hv = hlevel_check(f, 0, depth_budget=3)
     assert hv.status == "unknown"
     assert hv.reason == "path object has 4 cells"
 
