@@ -11,21 +11,22 @@ checked intensionally by running the coded tracking pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, apply, cantor_unpair, const_code, tabulate, tuple_encode,
+    DEFAULT_FUEL, FuelExhausted, apply, cantor_unpair, const_code, tabulate,
+    tuple_encode,
 )
 from .core import (
-    Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, YES,
-    compose, identity, make_object, settle, synthesize_morphism, _run,
+    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES,
+    compose, identity, make_object, synthesize_morphism, _run,
 )
 from .path import (
-    FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
-    homotopic_decide, is_equivalence_decide, is_trivial_fibration,
-    fib_path_cells, lift_endpoint, synthesize_fibration_witness, terminal_map,
+    FibrationWitness, fib_path_cells, fib_path_object,
+    fibrewise_homotopic_decide, homotopic_decide, is_equivalence_decide,
+    is_trivial_fibration, lift_endpoint, not_a_fibration,
+    synthesize_fibration_witness, terminal_map,
 )
-from .constructions import freyd_square_check
 
 VERIFIED, REFUTED = "verified", "refuted"
 
@@ -38,27 +39,45 @@ DEFAULT_DEPTH_BUDGET = 600  # cap on materialized path-object cells
 class HlevelVerdict:
     level: int
     status: str  # VERIFIED | REFUTED | UNKNOWN
-    chain: list = field(default_factory=list)  # path-object bundles used
     reason: str = ""
+
+
+def hlevel_verdict(n: int, d: Decision, verified: str) -> HlevelVerdict:
+    """The h-level verdict a decision gives; VERIFIED gives its reason."""
+    if d.status == YES:
+        return HlevelVerdict(n, VERIFIED, reason=verified)
+    return HlevelVerdict(n, REFUTED if d.status == NO else UNKNOWN,
+                         reason=d.reason)
 
 
 def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
                  depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
-    """Is f a fibration of n-types?  Level -2 means trivial; level n+1
-    recurses on the canonical fibrewise path object."""
+    """Is f a fibration of n-types?  Level -2 means trivial, level -1 that
+    the fibrewise path object is trivial; higher levels are decided one
+    dimension up, on the inflated map.  Running out of fuel is UNKNOWN."""
     if n < -2:
         raise ValueError("levels start at -2")
     if n == -2:
-        d = is_trivial_fibration(f, fuel)
-        status = {YES: VERIFIED, NO: REFUTED, UNKNOWN: UNKNOWN}[d.status]
-        return HlevelVerdict(n, status, reason=d.reason)
-    size = len(fib_path_cells(f))
-    if size > depth_budget:
-        return HlevelVerdict(n, UNKNOWN,
-                             reason=f"path object has {size} cells")
-    bundle = fib_path_object(f, fuel)
-    sub = hlevel_check(bundle.st, n - 1, fuel, depth_budget)
-    return HlevelVerdict(n, sub.status, [bundle] + sub.chain, sub.reason)
+        return hlevel_verdict(n, is_trivial_fibration(f, fuel),
+                              "a fibration and an equivalence")
+    if n == -1:
+        # one level-0 path object is cheaper than a level-1 truncation
+        no = not_a_fibration(f)
+        if no is not None:
+            return HlevelVerdict(n, REFUTED, reason=no.reason)
+        size = len(fib_path_cells(f))
+        if size > depth_budget:
+            return HlevelVerdict(n, UNKNOWN,
+                                 reason=f"path object has {size} cells")
+        try:
+            st = fib_path_object(f, fuel).st
+        except FuelExhausted:
+            return HlevelVerdict(n, UNKNOWN, reason=f"fuel {fuel} exhausted")
+        # st is a fibration (a path-category axiom): trivial = equivalence
+        return hlevel_verdict(n, is_equivalence_decide(st, fuel),
+                              "its path object is a trivial fibration")
+    from .eff1 import hlevel1_check, inflate_morphism
+    return hlevel1_check(inflate_morphism(f), n, fuel, depth_budget)
 
 
 def object_hlevel_check(obj: EffObject, n: int,
@@ -124,59 +143,24 @@ def is_standard_discrete(f) -> bool:
 
 @dataclass
 class DiscreteNormalForm:
-    code: int                 # realizer -> connecting 1-cell, per criterion
     quotient: EffObject       # one representative per (fibre, realizer)
     inclusion: EffMorphism    # quotient -> B, an equivalence
     standard: EffMorphism     # quotient -> A, standard discrete by build
 
 
 def discrete_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
-    """Decide discreteness three ways and require agreement.
-
-    The intersection criterion: a single code must turn the shared realizer
-    of two cells in a fibre into a connecting 1-cell.  On YES the quotient
-    factorisation (representatives per fibre-realizer class) is built and
-    the comparison square verdict is cross-checked.
-    """
-    B = f.dom
-    try:
-        table = settle(lambda _val: [(
-            ("code", B.realizer[b0], B.hom_of(b0, b1), "connecting code")
-            for b0, b1 in itertools.product(B.cells, repeat=2)
-            if B.realizer[b0] == B.realizer[b1]
-            and f.zero_map[b0] == f.zero_map[b1])], ("code",))["code"]
-        crit3 = YES
-    except SynthesisFailed:
-        crit3 = NO
-    square = freyd_square_check(f, fuel)
-    if square.status != UNKNOWN and crit3 != square.status:
-        return Decision(UNKNOWN,
-                        reason=f"criteria disagree: code {crit3}, "
-                               f"square {square.status}")
-    if crit3 == NO:
-        return Decision(NO, reason="no uniform connecting code")
-
-    reps, zero_inv = {}, {}
-    for b in B.cells:
-        key = (f.zero_map[b], B.realizer[b])
-        reps.setdefault(key, b)
-        zero_inv[b] = None
-    cells = sorted(reps.values(), key=B.cells.index)
-    quotient = make_object(
-        cells, {b: B.realizer[b] for b in cells},
-        {(b, b2): B.hom_of(b, b2) for b in cells for b2 in cells},
-        name=f"{B.name}'")
-    incl = synthesize_morphism(quotient, B, {b: b for b in cells},
-                               name=f"{B.name}'->{B.name}")
-    assert incl is not None
-    standard = compose(f, incl, name=f"{B.name}'->{f.cod.name}")
-    assert is_standard_discrete(standard)
-    eq = is_equivalence_decide(incl, fuel)
-    if eq.status != YES:
-        return Decision(eq.status,
-                        reason=f"representative inclusion: {eq.reason}")
+    """Decide whether the fibration f is discrete, one dimension up on the
+    inflated map; on YES the quotient by realizer twins is read back."""
+    from .eff1 import discrete1_decide, flatten, flatten_morphism, \
+        inflate_morphism
+    d = discrete1_decide(inflate_morphism(f), fuel)
+    if d.status != YES:
+        return d
+    nf = d.witness
+    quotient = flatten(nf.quotient)
     return Decision(YES, witness=DiscreteNormalForm(
-        tabulate(table), quotient, incl, standard))
+        quotient, flatten_morphism(nf.inclusion, quotient, f.dom),
+        flatten_morphism(nf.standard, quotient, f.cod)))
 
 
 # --- the universe of propositions -------------------------------------------

@@ -14,7 +14,8 @@ import sys
 
 from .pca import DEFAULT_FUEL, FuelExhausted
 from .core import (
-    EffMorphism, EffObject, check_morphism, check_object, identity,
+    NO, UNKNOWN, YES, Decision, EffMorphism, EffObject, check_morphism,
+    check_object, identity,
 )
 from .path import (
     DEFAULT_BUDGET, NotTrivial, fibration_decide, homotopic_decide,
@@ -218,17 +219,23 @@ def _cmd_truncate(rs, args):
                               "(--n -1)")
         tr = prop_truncate(f)
         hv = hlevel_check(tr.h, -1, fuel=args.fuel)
-    return [_report("truncate", args.targets[0], hv.status,
-                    f"n={args.n}: truncation has hlevel {args.n}: "
-                    f"{hv.status}")]
+    return [_hlevel_report("truncate", args.targets[0], hv,
+                           f"n={args.n}: truncation has hlevel {args.n}: "
+                           f"{hv.status}")]
+
+
+def _hlevel_report(command, target, hv, detail):
+    """An UNKNOWN h-level reports only which budget ran out."""
+    return _report(command, target, hv.status,
+                   hv.reason if hv.status == UNKNOWN else detail)
 
 
 def _cmd_hlevel(rs, args):
     f = rs.morphism(args.targets[0])
     hv = (hlevel1_check if _is_level1(f) else hlevel_check)(
         f, args.n, fuel=args.fuel, depth_budget=args.depth)
-    return [_report("hlevel", args.targets[0], hv.status,
-                    f"n={args.n}: {hv.reason}")]
+    return [_hlevel_report("hlevel", args.targets[0], hv,
+                           f"n={args.n}: {hv.reason}")]
 
 
 def _cmd_discrete(rs, args):
@@ -313,75 +320,77 @@ def _as_bool(status: str):
     return None
 
 
-def _entry_check(entry, key: str, fuel: int) -> str:
-    """Run one declared expectation; returns a status string."""
+def _entry_check(entry, key: str, fuel: int):
+    """Run one declared expectation; returns its verdict, a Verdict,
+    Decision or HlevelVerdict."""
     v = entry.value
     if entry.kind == "object":
         f = terminal_map(v)
         if key == "valid":
-            return check_object(v, fuel=fuel).status
+            return check_object(v, fuel=fuel)
         if key == "trivial_over_1":
-            return is_trivial_fibration(f, fuel=fuel).status
+            return is_trivial_fibration(f, fuel=fuel)
         if key == "discrete_over_1":
-            return discrete_decide(f, fuel=fuel).status
+            return discrete_decide(f, fuel=fuel)
         if key == "hlevel0":
-            return hlevel_check(f, 0, fuel=fuel).status
+            return hlevel_check(f, 0, fuel=fuel)
     if entry.kind == "fibration":
         if key == "fibration":
-            return fibration_decide(v).status
+            return fibration_decide(v)
         if key == "hlevel0":
-            return hlevel_check(v, 0, fuel=fuel).status
+            return hlevel_check(v, 0, fuel=fuel)
         if key == "propositional":
-            return hlevel_check(v, -1, fuel=fuel).status
+            return hlevel_check(v, -1, fuel=fuel)
         if key == "discrete":
-            return discrete_decide(v, fuel=fuel).status
+            return discrete_decide(v, fuel=fuel)
         if key == "classifies":
             w = synthesize_fibration_witness(v)
-            return classify_prop_discrete(v, w, fuel=fuel).comparison.status
+            return classify_prop_discrete(v, w, fuel=fuel).comparison
     if entry.kind == "pathobj":
         if key == "valid":
-            return check_object(v.obj, fuel=fuel).status
+            return check_object(v.obj, fuel=fuel)
         if key == "st_fibration":
-            return fibration_decide(v.st).status
+            return fibration_decide(v.st)
         if key == "st_discrete":
-            return discrete_decide(v.st, fuel=fuel).status
+            return discrete_decide(v.st, fuel=fuel)
     if entry.kind == "subsets":
         x, y = v
         if key == "reflexive":
-            return ("yes" if u_one_cell(x, x) is not None
-                    and u_one_cell(y, y) is not None else "no")
+            return Decision(YES if u_one_cell(x, x) is not None
+                            and u_one_cell(y, y) is not None else NO)
         if key == "cross":
-            return ("yes" if u_one_cell(x, y) is not None
-                    and u_one_cell(y, x) is not None else "no")
+            return Decision(YES if u_one_cell(x, y) is not None
+                            and u_one_cell(y, x) is not None else NO)
         if key == "empty_isolated":
             e = frozenset()
-            return ("yes" if u_one_cell(x, e) is None
-                    and u_one_cell(y, e) is None else "no")
+            return Decision(YES if u_one_cell(x, e) is None
+                            and u_one_cell(y, e) is None else NO)
     if entry.kind == "object1":
         f = terminal_map1(v)
         if key == "valid":
-            return check_object1(v, fuel=fuel).status
+            return check_object1(v, fuel=fuel)
         if key == "trivial_over_1":
-            return trivial1_decide(f, fuel=fuel).status
+            return trivial1_decide(f, fuel=fuel)
         if key == "discrete_over_1":
-            return discrete1_decide(f, fuel=fuel).status
+            return discrete1_decide(f, fuel=fuel)
         if key == "set_over_1":
-            return hlevel1_check(f, 0, fuel=fuel).status
+            return hlevel1_check(f, 0, fuel=fuel)
         if key == "groupoid_over_1":
-            return hlevel1_check(f, 1, fuel=fuel).status
+            return hlevel1_check(f, 1, fuel=fuel)
         if key == "twist_equivalence":
-            return is_equivalence1_decide(z2_twist(v), fuel=fuel).status
+            return is_equivalence1_decide(z2_twist(v), fuel=fuel)
         if key == "modifications_differ":
             wm = z2_twist(v)
             idv = identity1(v)
             H, K = z2_homotopies(v, wm)
             d = two_homotopic_decide(idv, wm, H, K, fuel=fuel)
-            return {"no": "yes", "yes": "no"}.get(d.status, d.status)
+            return Decision({NO: YES, YES: NO}.get(d.status, d.status),
+                            reason=d.reason)
     if entry.kind == "fibration1":
         if key == "fibration":
-            return fibration1_decide(v).status
+            return fibration1_decide(v)
         if key == "groupoid_over_1":
-            return hlevel1_check(v, 1, fuel=fuel).status
+            return hlevel1_check(v, 1, fuel=fuel)
     raise ConfigError(f"{entry.name}: no check for expectation {key!r}")
 
 
@@ -400,15 +409,17 @@ def _run_suite(rs, args):
     def run(item):
         n, key, want = item
         try:
-            status = _entry_check(lib[n], key, args.fuel)
+            v = _entry_check(lib[n], key, args.fuel)
         except FuelExhausted:
-            return _report("suite", f"{n} {key}", "unknown",
-                           f"expected {want}, fuel {args.fuel} exhausted")
-        got = _as_bool(status)
+            v = Decision(UNKNOWN, reason=f"fuel {args.fuel} exhausted")
+        got = _as_bool(v.status)
         outcome = ("unknown" if got is None
                    else "pass" if got == want else "fail")
+        # an UNKNOWN says which budget ran out
+        said = (v.reason if got is None and v.reason
+                else f"checker said {v.status}")
         return _report("suite", f"{n} {key}", outcome,
-                       f"expected {want}, checker said {status}")
+                       f"expected {want}, {said}")
 
     return sorted(map(run, work), key=lambda r: r["target"])
 

@@ -35,8 +35,8 @@ from .path import (
 )
 from .constructions import VirtualObject, _verdict_status
 from .classify import (
-    DEFAULT_DEPTH_BUDGET, HlevelVerdict, NotNormalized, REFUTED, VERIFIED,
-    _resize_laws, is_standard_discrete,
+    DEFAULT_DEPTH_BUDGET, HlevelVerdict, NotNormalized, REFUTED,
+    _resize_laws, hlevel_verdict, is_standard_discrete,
 )
 
 
@@ -589,6 +589,22 @@ def inflate_morphism(f: EffMorphism, dom1: Eff1Object | None = None,
                         name=name or f.name)
 
 
+def flatten(obj: Eff1Object) -> EffObject:
+    """Forget the 2-cells: the groupoid-level object on the same cells,
+    1-cells and unit, inverse and composition codes."""
+    return EffObject(tuple(obj.cells), dict(obj.realizer),
+                     {k: frozenset(v) for k, v in obj.hom.items()},
+                     obj.unit1, obj.inv1, obj.comp1, name=obj.name)
+
+
+def flatten_morphism(m: Eff1Morphism, dom: EffObject,
+                     cod: EffObject) -> EffMorphism:
+    """Forget the 2-cell map of m: dom and cod are the flattened ends."""
+    return EffMorphism(dom, cod, dict(m.zero_map),
+                       {k: dict(v) for k, v in m.one_map.items()},
+                       m.tracking0, m.tracking1, name=m.name)
+
+
 def terminal_object1() -> Eff1Object:
     return inflate(terminal_object0(), name="1")
 
@@ -715,6 +731,14 @@ def fibration1_decide(f: Eff1Morphism) -> Decision:
     if w is None:
         return Decision(NO, reason="some lifting intersection is empty")
     return Decision(YES, witness=w)
+
+
+def not_a_fibration1(f: Eff1Morphism) -> Decision | None:
+    """NO, naming why, when f is not a fibration; None for a fibration.
+    A NO Decision is falsy, so compare the result with ``is not None``.
+    The decision takes no fuel, so it is kept once per map."""
+    d = _owned(f, ("fibration",), lambda: fibration1_decide(f))
+    return None if d else Decision(NO, reason=f"not a fibration: {d.reason}")
 
 
 def check1(x, w=None, fuel: int = DEFAULT_FUEL) -> Verdict:
@@ -1178,24 +1202,12 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 
 def trivial1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
                     budget: int = DEFAULT_BUDGET) -> Decision:
-    """Is f a trivial fibration: a strict section s with 1 ~ s f?"""
-    B, A = f.dom, f.cod
-    idA, idB = identity1(A, fuel), identity1(B, fuel)
-    tried = 0
-    for zero in _zero_map_candidates(
-            A, B, cell_filter=lambda a, b: f.zero_map[b] == a):
-        tried += 1
-        if tried > budget:
-            return Decision(UNKNOWN, reason="section search budget")
-        s = _synthesize_over(f, idA, zero, name=f"sect_{f.name}", fuel=fuel)
-        if s is None:
-            continue
-        eta = homotopic1_decide(idB, compose1(s, f, fuel=fuel), fuel)
-        if eta.status != YES:
-            continue
-        return Decision(YES, witness=Equivalence1Witness(
-            s, eta.witness, identity_homotopy1(idA, fuel)))
-    return Decision(NO, reason="no strict section with a homotopy")
+    """Is f a trivial fibration: a fibration that is an equivalence?
+    trivial1_section turns the inverse into a strict section."""
+    no = not_a_fibration1(f)
+    if no is not None:
+        return no
+    return is_equivalence1_decide(f, fuel, budget)
 
 
 @dataclass
@@ -1677,28 +1689,32 @@ def _identity_equivalence1(g: Eff1Morphism, fuel: int = DEFAULT_FUEL,
 
 def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
                   depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
-    """Is f a fibration of n-types?  Level -2 is triviality; levels -1 and
-    0 are decided through the truncation (f has hlevel n exactly when the
-    comparison into its n-truncation is an equivalence); level n+1 recurses
-    once on the fibrewise path object."""
+    """Is f a fibration of n-types?  A fibration is of (-2)-types when it
+    is an equivalence; of (-1)- and 0-types when the comparison into its
+    n-truncation is an equivalence; of (n+1)-types when its fibrewise path
+    object is of n-types.  Running out of fuel is UNKNOWN."""
     if n < -2:
         raise ValueError("levels start at -2")
-    if n == -2:
-        d = trivial1_decide(f, fuel)
-        status = {YES: VERIFIED, NO: REFUTED, UNKNOWN: UNKNOWN}[d.status]
-        return HlevelVerdict(n, status, reason=d.reason)
-    if n in (-1, 0):
-        tr = truncate1(f, n, fuel)
-        d = _identity_equivalence1(tr.g, fuel)
-        status = {YES: VERIFIED, NO: REFUTED, UNKNOWN: UNKNOWN}[d.status]
-        return HlevelVerdict(n, status, reason=d.reason)
-    size = len(fib_path_cells(f))
-    if size > depth_budget:
-        return HlevelVerdict(n, UNKNOWN,
-                             reason=f"path object has {size} cells")
-    bundle = fib_path_object1(f, fuel, want_witness=False)
-    sub = hlevel1_check(bundle.st, n - 1, fuel, depth_budget)
-    return HlevelVerdict(n, sub.status, [bundle] + sub.chain, sub.reason)
+    no = not_a_fibration1(f)
+    if no is not None:
+        return HlevelVerdict(n, REFUTED, reason=no.reason)
+    try:
+        if n == -2:
+            return hlevel_verdict(n, is_equivalence1_decide(f, fuel),
+                                  "a fibration and an equivalence")
+        if n in (-1, 0):
+            return hlevel_verdict(
+                n, _identity_equivalence1(truncate1(f, n, fuel).g, fuel),
+                f"equivalent to its {n}-truncation")
+        size = len(fib_path_cells(f))
+        if size > depth_budget:
+            return HlevelVerdict(n, UNKNOWN,
+                                 reason=f"path object has {size} cells")
+        bundle = fib_path_object1(f, fuel, want_witness=False)
+        sub = hlevel1_check(bundle.st, n - 1, fuel, depth_budget)
+    except FuelExhausted:
+        return HlevelVerdict(n, UNKNOWN, reason=f"fuel {fuel} exhausted")
+    return HlevelVerdict(n, sub.status, sub.reason)
 
 
 # --- discreteness -----------------------------------------------------------
@@ -1769,8 +1785,19 @@ class Discrete1NormalForm:
 
 def discrete1_decide(f: Eff1Morphism,
                      fuel: int = DEFAULT_FUEL) -> Decision:
-    """Decide discreteness and, when it holds, produce the equivalent
-    standard discrete fibration obtained by collapsing realizer twins."""
+    """Decide whether the fibration f is discrete and, when it is, produce
+    the equivalent standard discrete fibration obtained by collapsing
+    realizer twins.  Running out of fuel is UNKNOWN."""
+    no = not_a_fibration1(f)
+    if no is not None:
+        return no
+    try:
+        return _discrete1(f, fuel)
+    except FuelExhausted:
+        return Decision(UNKNOWN, reason=f"fuel {fuel} exhausted")
+
+
+def _discrete1(f: Eff1Morphism, fuel: int) -> Decision:
     d = discrete1_phi_psi(f, fuel)
     if d.status != YES:
         return d

@@ -9,14 +9,11 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable
 
-from .core import EffObject, EffMorphism, identity, synthesize_morphism
-from .path import (
-    discrete_n, make_object, product, sum_object, terminal_map,
-    terminal_object, path_object,
-)
+from .core import EffObject, EffMorphism, synthesize_morphism
+from .path import discrete_n, make_object, terminal_object, path_object
 from .eff1 import (
     Eff1Morphism, Eff1Object, inflate, inflate_morphism, terminal_map1,
-    z2_homotopies, z2_object, z2_twist,
+    z2_object,
 )
 
 

@@ -104,6 +104,13 @@ def fibration_decide(f: EffMorphism) -> Decision:
     return Decision(YES, witness=w)
 
 
+def not_a_fibration(f: EffMorphism) -> Decision | None:
+    """NO, naming why, when f is not a fibration; None for a fibration.
+    A NO Decision is falsy, so compare the result with ``is not None``."""
+    d = fibration_decide(f)
+    return None if d else Decision(NO, reason=f"not a fibration: {d.reason}")
+
+
 class TransportFailed(Exception):
     """A lift code named no cell of the total space."""
 
@@ -385,31 +392,14 @@ class NotTrivial(Exception):
     pass
 
 
-def _section_candidates(f: EffMorphism):
-    B, A = f.dom, f.cod
-    return _zero_map_candidates(
-        A, B, cell_filter=lambda a, b: f.zero_map[b] == a)
-
-
 def is_trivial_fibration(f: EffMorphism, fuel: int = DEFAULT_FUEL,
                          budget: int = DEFAULT_BUDGET) -> Decision:
-    """A fibration is trivial iff it has a section s with s f ~ 1."""
-    B, A = f.dom, f.cod
-    tried = 0
-    for zero in _section_candidates(f):
-        tried += 1
-        if tried > budget:
-            return Decision(UNKNOWN, reason="section budget exhausted")
-        s = synthesize_morphism(A, B, zero, name=f"sect_{f.name}")
-        if s is None:
-            continue
-        eta = homotopic_decide(identity(B), compose(s, f), fuel)
-        if eta.status != YES:
-            continue
-        # f s = 1 strictly, so the unit code is a homotopy f s ~ 1
-        eps = Homotopy(A.unit_code)
-        return Decision(YES, witness=EquivalenceWitness(s, eta.witness, eps))
-    return Decision(NO, reason=f"no section with sf ~ 1 among {tried}")
+    """A trivial fibration is a fibration that is an equivalence;
+    construct_section turns the inverse into a strict section."""
+    no = not_a_fibration(f)
+    if no is not None:
+        return no
+    return is_equivalence_decide(f, fuel, budget)
 
 
 def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,

@@ -278,6 +278,37 @@ def test_decision_commands():
     assert rc == 0 and ": no" in text  # two points per fibre
 
 
+def test_a_verified_hlevel_says_why():
+    for argv in (["hlevel", "I", "--n", "-2"], ["hlevel", "J", "--n", "0"],
+                 ["eff1-hlevel", "eff1:I", "--n", "-2"],
+                 ["eff1-hlevel", "eff1:J->1", "--n", "0"]):
+        rc, text = _run(argv + ["--format", "json"])
+        [report] = json.loads(text)
+        assert rc == 0 and report["status"] == "verified", argv
+        assert not report["detail"].endswith(": "), argv
+
+
+def test_decisions_about_fibrations_refuse_a_map_that_is_not_one(tmp_path):
+    # the point into one cell with loops {0, 1}: the loop 1 has no lift
+    doc = {"format": 1,
+           "objects": {"P": {"cells": ["p"], "realizer": {"p": 0},
+                             "hom": {"p p": [0]}},
+                       "Lp": {"cells": ["l"], "realizer": {"l": 0},
+                              "hom": {"l l": [0, 1]}}},
+           "morphisms": {"m": {"dom": "P", "cod": "Lp",
+                               "zero_map": {"p": "l"}}}}
+    p = tmp_path / "F.json"
+    p.write_text(json.dumps(doc))
+    m = f"{p}#m"
+    for argv, status in ((["check-fibration", m], "no"),
+                         (["hlevel", m, "--n", "-2"], "refuted"),
+                         (["hlevel", m, "--n", "-1"], "refuted"),
+                         (["discrete", m], "no")):
+        rc, text = _run(argv + ["--format", "json"])
+        [report] = json.loads(text)
+        assert report["status"] == status, argv
+
+
 def test_construction_commands():
     rc, text = _run(["path-object", "2"])
     assert rc == 0 and "2 cells" in text

@@ -1,30 +1,38 @@
-"""Level 0 as a view of level 1: every level-0 decision on a library input
-gives the same status as its level-1 counterpart on the inflated input
-(``inflate_morphism``).  An object stands for its map to the point.
+"""The decisions about fibrations, pinned across the two levels.  An object
+stands for its map to the point.
 
-The level-0 statuses of seven decisions are also pinned to a table, so a
-level-0 procedure rewritten on top of level 1 must still give them, and
-every YES witness is checked at level 0.  The two pinned maps whose
-hom-sets have more than one element, ``*->loop`` and ``twins->U``, are not
-compared live: there triviality and discreteness at level 1 ask for 1-cells
-to be equal where level 0 asks for nothing, so the levels differ."""
+Triviality, discreteness and the h-levels are defined for fibrations: a map
+that is not one is NO (REFUTED) for each.  At level 0, triviality is the
+fibration test followed by the equivalence search, and h-level -1 asks
+whether the fibrewise path object is trivial; discreteness and the h-levels
+from 0 up are level 1 on the inflated map (``inflate_morphism``).
+
+The level-0 statuses of seven decisions are pinned to a table, and every YES
+witness is checked at level 0.  The decisions are also compared live with
+level 1 on the inflated map: where each level has its own implementation
+(equivalence, triviality, fibration, the pullback) the two must agree, and
+elsewhere level 0 must stay a view of level 1.  Random maps check the same
+laws beyond the library."""
 
 import functools
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from effpath.classify import (
-    discrete_decide, hlevel_check, is_standard_discrete, prop_truncate,
+    REFUTED, VERIFIED, discrete_decide, hlevel_check, is_standard_discrete,
+    prop_truncate,
 )
 from effpath.core import (
-    UNKNOWN, YES, check_morphism, check_object, compose, identity,
-    make_object, synthesize_morphism,
+    NO, UNKNOWN, YES, SynthesisFailed, check_morphism, check_object, compose,
+    identity, make_object, synthesize_morphism,
 )
 from effpath.eff1 import (
     discrete1_decide, fibration1_decide, hlevel1_check, inflate_morphism,
     is_equivalence1_decide, pullback1, trivial1_decide,
 )
 from effpath.fixtures import fixture_library
+from effpath.pca import DEFAULT_FUEL
 from effpath.path import (
     check_homotopy, fibration_decide, is_equivalence_decide,
     is_trivial_fibration, pullback, terminal_map, terminal_object,
@@ -57,7 +65,9 @@ FIBRATIONS = ("hlevel(-1)", "hlevel(0)", "hlevel(1)", "fibration",
               "discrete", "equivalence", "pullback cells")
 CASES = ([(name, p) for name in ("0", "1", "2", "I", "J", "N5")
           for p in OVER_THE_POINT]
-         + [(name, p) for name in ("E2I", "L") for p in FIBRATIONS])
+         + [(name, p) for name in ("E2I", "L") for p in FIBRATIONS]
+         + [(name, p) for name in ("P(I).r", "*->loop", "twins->U")
+            for p in ("fibration", "trivial")])
 
 # The level-0 statuses of these decisions, one letter each: Y yes, N no,
 # V verified, R refuted.
@@ -73,7 +83,7 @@ REFERENCE = {
     "E2I": "NNYRRVV",
     "L": "YYYVVVV",
     "P(I).st": "YYYVVVV",
-    "P(I).r": "YNYRVVV",
+    "P(I).r": "YNNRRRR",
     "P(J).st": "NNYRVVV",
     "P(J).r": "YYYVVVV",
     "P(1).st": "YYYVVVV",
@@ -84,16 +94,15 @@ REFERENCE = {
     "P(N5).r": "YYYVVVV",
     "|J|->1": "YYYVVVV",
     "fibre(E2I)": "NNYRRVV",
-    "*->loop": "YYYVVVV",
-    "twins->U": "NNYRVVV",
+    "*->loop": "YNNRRRR",
+    "twins->U": "NNNRRRR",
 }
 _LETTER = {"yes": "Y", "no": "N", "verified": "V", "refuted": "R"}
 
 
 def _loop_under_point():
-    """The point into one cell with the two loops {0, 1}.  Its one section
-    sends both loops to the point's 1-cell 0, which f sends to 0: f s is
-    the identity on cells but not on the loop 1."""
+    """The point into one cell with the two loops {0, 1}: not a fibration,
+    since the loop 1 has no lift."""
     A = make_object(("a",), {"a": 0}, {("a", "a"): {0, 1}}, name="loop")
     return synthesize_morphism(terminal_object(), A, {"*": "a"},
                                name="*->loop")
@@ -102,7 +111,7 @@ def _loop_under_point():
 def _twins_over_a_forced_unit():
     """Two realizer twins over a, whose realizer a' shares: the unit code
     must pick 1 there, the one loop a and a' both have, while f sends every
-    1-cell between the twins to 0."""
+    1-cell between the twins to 0, so the loop 1 has no lift."""
     A = make_object(("a", "a'"), {"a": 0, "a'": 0},
                     {("a", "a"): {0, 1}, ("a'", "a'"): {1, 2}}, name="U")
     twins = ("b0", "b1")
@@ -141,19 +150,34 @@ def _inflated(name):
 
 
 @functools.cache
-def _decide(name, procedure):
+def _decide(name, procedure, fuel=DEFAULT_FUEL):
     f = _map(name)
     if procedure.startswith("hlevel"):
-        return hlevel_check(f, int(procedure[7:-1]))
+        return hlevel_check(f, int(procedure[7:-1]), fuel)
     return {"equivalence": is_equivalence_decide,
             "trivial": is_trivial_fibration,
-            "discrete": discrete_decide}[procedure](f)
+            "discrete": discrete_decide}[procedure](f, fuel)
 
 
 @pytest.mark.parametrize("name", REFERENCE)
 def test_level_0_statuses_match_the_reference(name):
     got = "".join(_LETTER.get(_decide(name, p).status, "?") for p in PINNED)
     assert got == REFERENCE[name]
+
+
+def test_running_out_of_fuel_is_unknown():
+    for name, procedure in (("P(N5).st", "hlevel(-1)"), ("I", "discrete")):
+        d = _decide(name, procedure, 7)
+        assert (d.status, d.reason) == (UNKNOWN, "fuel 7 exhausted")
+
+
+@pytest.mark.parametrize("fuel", (7, 100, 1000))
+def test_low_fuel_never_raises(fuel):
+    # a status may be UNKNOWN below the default fuel, but it is a status
+    for name in REFERENCE:
+        for procedure in PINNED:
+            assert _decide(name, procedure, fuel).status in _LETTER.keys() \
+                | {UNKNOWN}, (name, procedure)
 
 
 @pytest.mark.parametrize("name, procedure", CASES)
@@ -184,3 +208,53 @@ def test_yes_witnesses_check_at_level_0(name):
         assert check_morphism(nf.inclusion) and check_morphism(nf.standard)
         assert (nf.inclusion.cod, nf.standard.cod) == (B, A)
         assert is_standard_discrete(nf.standard)
+
+
+# --- random maps ------------------------------------------------------------
+
+@st.composite
+def _objects(draw):
+    """1-3 cells, realizers in {0, 1}, hom-sets within {0, 1, 2} with a
+    non-empty diagonal; kept when the structure codes exist."""
+    cells = "abc"[:draw(st.integers(1, 3))]
+    realizer = {c: draw(st.integers(0, 1)) for c in cells}
+    hom = {(a, b): draw(st.frozensets(st.integers(0, 2), min_size=a == b))
+           for a in cells for b in cells}
+    try:
+        return make_object(cells, realizer, hom)
+    except SynthesisFailed:
+        reject()
+
+
+@st.composite
+def _maps(draw):
+    B, A = draw(_objects()), draw(_objects())
+    f = synthesize_morphism(
+        B, A, {b: draw(st.sampled_from(A.cells)) for b in B.cells})
+    if f is None:
+        reject()
+    return f
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(_maps())
+def test_decisions_about_fibrations_on_random_maps(f):
+    # discreteness and h-levels from 0 up are level 1 on the inflated map
+    # already, so level 1 is called here only where level 0 has its own code
+    f1 = inflate_morphism(f)
+    levels = [hlevel_check(f, n).status for n in (-2, -1, 0)]
+    trivial, discrete = is_trivial_fibration(f).status, \
+        discrete_decide(f).status
+    assert trivial1_decide(f1).status == trivial
+    assert [hlevel1_check(f1, n).status for n in (-2, -1)] == levels[:2]
+    if fibration_decide(f).status == NO:
+        assert (trivial, discrete) == (NO, NO)
+        assert levels == [REFUTED] * 3
+        return
+    assert trivial == is_equivalence_decide(f).status
+    assert UNKNOWN not in (*levels, trivial, discrete)
+    for lower, higher in zip(levels, levels[1:]):
+        assert lower != VERIFIED or higher == VERIFIED
+    assert discrete != YES or levels[2] == VERIFIED
