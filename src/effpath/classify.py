@@ -37,16 +37,15 @@ DEFAULT_DEPTH_BUDGET = 600  # cap on materialized path-object cells
 
 @dataclass
 class HlevelVerdict:
-    level: int
     status: str  # VERIFIED | REFUTED | UNKNOWN
     reason: str = ""
 
 
-def hlevel_verdict(n: int, d: Decision, verified: str) -> HlevelVerdict:
+def hlevel_verdict(d: Decision, verified: str) -> HlevelVerdict:
     """The h-level verdict a decision gives; VERIFIED gives its reason."""
     if d.status == YES:
-        return HlevelVerdict(n, VERIFIED, reason=verified)
-    return HlevelVerdict(n, REFUTED if d.status == NO else UNKNOWN,
+        return HlevelVerdict(VERIFIED, reason=verified)
+    return HlevelVerdict(REFUTED if d.status == NO else UNKNOWN,
                          reason=d.reason)
 
 
@@ -58,23 +57,23 @@ def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
     if n < -2:
         raise ValueError("levels start at -2")
     if n == -2:
-        return hlevel_verdict(n, is_trivial_fibration(f, fuel),
+        return hlevel_verdict(is_trivial_fibration(f, fuel),
                               "a fibration and an equivalence")
     if n == -1:
         # one level-0 path object is cheaper than a level-1 truncation
         no = not_a_fibration(f)
         if no is not None:
-            return HlevelVerdict(n, REFUTED, reason=no.reason)
+            return HlevelVerdict(REFUTED, reason=no.reason)
         size = len(fib_path_cells(f))
         if size > depth_budget:
-            return HlevelVerdict(n, UNKNOWN,
+            return HlevelVerdict(UNKNOWN,
                                  reason=f"path object has {size} cells")
         try:
             st = fib_path_object(f, fuel).st
         except FuelExhausted:
-            return HlevelVerdict(n, UNKNOWN, reason=f"fuel {fuel} exhausted")
+            return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel} exhausted")
         # st is a fibration (a path-category axiom): trivial = equivalence
-        return hlevel_verdict(n, is_equivalence_decide(st, fuel),
+        return hlevel_verdict(is_equivalence_decide(st, fuel),
                               "its path object is a trivial fibration")
     from .eff1 import hlevel1_check, inflate_morphism
     return hlevel1_check(inflate_morphism(f), n, fuel, depth_budget)

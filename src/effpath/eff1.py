@@ -1099,6 +1099,17 @@ class Equivalence1Witness:
 def is_equivalence1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
                            budget: int = DEFAULT_BUDGET,
                            first_candidates=()) -> Decision:
+    """Is f an equivalence: a tracked inverse with both homotopies?
+    Running out of fuel is UNKNOWN."""
+    try:
+        return _inverse_search1(f, fuel, budget, first_candidates)
+    except FuelExhausted:
+        return Decision(UNKNOWN, reason=f"fuel {fuel} exhausted")
+
+
+def _inverse_search1(f: Eff1Morphism, fuel: int,
+                     budget: int = DEFAULT_BUDGET,
+                     first_candidates=()) -> Decision:
     B, A = f.dom, f.cod
     idA, idB = identity1(A, fuel), identity1(B, fuel)
     fibre = defaultdict(list)
@@ -1203,7 +1214,8 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 def trivial1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
                     budget: int = DEFAULT_BUDGET) -> Decision:
     """Is f a trivial fibration: a fibration that is an equivalence?
-    trivial1_section turns the inverse into a strict section."""
+    trivial1_section turns the inverse into a strict section.  Running out
+    of fuel is UNKNOWN."""
     no = not_a_fibration1(f)
     if no is not None:
         return no
@@ -1226,7 +1238,7 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
     any step definitively fails."""
     B, A = f.dom, f.cod
     if eq is None:
-        d = is_equivalence1_decide(f, fuel)
+        d = _inverse_search1(f, fuel)  # raises FuelExhausted, as below
         if d.status != YES:
             raise NotTrivial(d.reason or "not an equivalence")
         eq = d.witness
@@ -1697,24 +1709,24 @@ def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
         raise ValueError("levels start at -2")
     no = not_a_fibration1(f)
     if no is not None:
-        return HlevelVerdict(n, REFUTED, reason=no.reason)
+        return HlevelVerdict(REFUTED, reason=no.reason)
     try:
         if n == -2:
-            return hlevel_verdict(n, is_equivalence1_decide(f, fuel),
+            return hlevel_verdict(is_equivalence1_decide(f, fuel),
                                   "a fibration and an equivalence")
         if n in (-1, 0):
             return hlevel_verdict(
-                n, _identity_equivalence1(truncate1(f, n, fuel).g, fuel),
+                _identity_equivalence1(truncate1(f, n, fuel).g, fuel),
                 f"equivalent to its {n}-truncation")
         size = len(fib_path_cells(f))
         if size > depth_budget:
-            return HlevelVerdict(n, UNKNOWN,
+            return HlevelVerdict(UNKNOWN,
                                  reason=f"path object has {size} cells")
         bundle = fib_path_object1(f, fuel, want_witness=False)
         sub = hlevel1_check(bundle.st, n - 1, fuel, depth_budget)
     except FuelExhausted:
-        return HlevelVerdict(n, UNKNOWN, reason=f"fuel {fuel} exhausted")
-    return HlevelVerdict(n, sub.status, sub.reason)
+        return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel} exhausted")
+    return sub
 
 
 # --- discreteness -----------------------------------------------------------

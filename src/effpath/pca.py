@@ -193,16 +193,17 @@ def apply_many(code: int, args: list[int] | tuple[int, ...],
 
 
 def _apply(code: int, arg: int, fuel: _Fuel) -> int:
-    # iterative evaluator (IFEQ chains from tabulate can nest deeply);
+    # iterative evaluator (a tabulated chain run as an int nests deeply);
     # frames: ("rand", q, a) = left operand done, evaluate q a next;
     #         ("app", f, _)  = right operand done, apply f to it
     stack: list = []
     while True:
         if type(code) is Table:
-            # a tabulated code resolves in one go: same value and same
-            # divergence off the domain as the chain scan, but fuel charged
-            # at _STEPS_PER_ENTRY per entry, not the scan's 15*(rank+1)+1 on
-            # a hit and 15*n+1 on a miss; any other int runs on the machine
+            # a Table resolves by lookup and never builds its chain: same
+            # value and same divergence off the domain as the chain scan, but
+            # fuel charged at _STEPS_PER_ENTRY per entry, not the scan's
+            # 15*(rank+1)+1 on a hit and 15*n+1 on a miss; an int runs on
+            # the machine, even one equal to a Table's chain
             rank = code.rank
             steps = _STEPS_PER_ENTRY * (
                 rank[arg] + 1 if arg in rank else len(rank)) + 1
@@ -304,7 +305,7 @@ def _free_in(name: str, term) -> bool:
 
 def compile_term(term) -> int:
     """Bracket abstraction over the machine basis.  Requires a closed term."""
-    if isinstance(term, int):
+    if isinstance(term, (int, Table)):
         return term
     if isinstance(term, Var):
         raise UnboundVariable(term.name)
@@ -320,7 +321,8 @@ def _apply_code(f: int, a: int) -> int:
     # S (K f) (K a) applied to anything yields f a; but we want a code whose
     # *value* is the application, so we reduce statically where it is safe:
     # partial application of the curried constants is pure bookkeeping.
-    st = decode(f)
+    # A Table falls through to apply, which looks it up.
+    st = _DIVERGE_STATE if type(f) is Table else decode(f)
     tag, args = st.tag, st.args
     if tag == K0:
         return enc(K1, a)
@@ -404,11 +406,47 @@ def _join_bits(parts: list[int]) -> int:
     return parts[0]
 
 
-class Table(int):
-    """The code of a tabulated lookup chain, carrying its table (values)
-    and the rank of each key in ascending order, so _apply resolves a
-    lookup without scanning the chain.  Equal to the chain as an int; an
-    int that is not a Table runs on the machine whatever its value."""
+class Table:
+    """A tabulated lookup: its table (values) and each key's rank in
+    ascending order, all that _apply reads.  Read as a number (int, hash,
+    ==, +, <, str) it is the IFEQ chain _chain(values), built on first use;
+    Tables are equal when their tables are, as their chains then are."""
+    __slots__ = ("values", "rank", "_code")
+
+    def __init__(self, values: dict[int, int]):
+        self.values, self._code = values, None
+        self.rank = {k: i for i, k in enumerate(sorted(values))}
+
+    def __int__(self) -> int:
+        if self._code is None:
+            self._code = _chain(self.values)
+        return self._code
+
+    __index__ = __int__
+
+    def __eq__(self, other):  # equal tables have equal chains
+        return (self.values == other.values if type(other) is Table
+                else int(self) == other)
+
+    def __hash__(self):
+        return hash(int(self))
+
+    def __add__(self, other):
+        return int(self) + other
+
+    __radd__ = __add__
+
+    def __lt__(self, other):
+        return int(self) < other
+
+    def __gt__(self, other):
+        return int(self) > other
+
+    def bit_length(self) -> int:
+        return int(self).bit_length()
+
+    def __repr__(self):
+        return repr(int(self))
 
 
 # fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps
@@ -422,24 +460,28 @@ _BUILT: dict[int, list[Table]] = {}
 
 
 def tabulate(table: dict[int, int]) -> Table:
-    """Finite lookup code: diverges off the table's domain.
-
-    Built as a chain of IFEQ selectors; the else branch is only entered on a
-    mismatch, so lookups never touch the diverging tail.  From the largest
-    key down, each entry wraps the chain as rest <- S2 (S2 sel (K rest)) ID
-    with sel = S2 (S2 IFEQ (K key)) (K (K value)), so x |-> (IFEQ x key
-    (K value) rest) x.  Past the innermost entry a layer adds a prefix that
-    depends only on sel and the bit length of rest, and the suffix
-    delta(ID + 1): one pass over the lengths gives every prefix, and the
-    code is joined from them once.
-
-    A table equal to one built before returns the Table built then, so
-    equal tables share one code in memory.
-    """
+    """Finite lookup code: diverges off the table's domain.  A table equal
+    to one tabulated before returns the Table built then, so equal tables
+    share one code (and one chain, once read) in memory."""
     content = hash(frozenset(table.items()))
     for code in _BUILT.get(content, ()):
         if code.values == table:  # a hash collision falls through
             return code
+    code = Table(dict(table))
+    _BUILT.setdefault(content, []).append(code)
+    return code
+
+
+def _chain(table: dict[int, int]) -> int:
+    """The machine code of a tabulated lookup: a chain of IFEQ selectors.
+    The else branch is only entered on a mismatch, so lookups never touch
+    the diverging tail.  From the largest key down, each entry wraps the
+    chain as rest <- S2 (S2 sel (K rest)) ID with sel = S2 (S2 IFEQ (K key))
+    (K (K value)), so x |-> (IFEQ x key (K value) rest) x.  Past the
+    innermost entry a layer adds a prefix that depends only on sel and the
+    bit length of rest, and the suffix delta(ID + 1): one pass over the
+    lengths gives every prefix, and the code is joined from them once.
+    """
     framed = {}  # value -> K (K value), shared by equal values
     sels = []
     for key, value in sorted(table.items(), reverse=True):
@@ -462,8 +504,4 @@ def tabulate(table: dict[int, int]) -> Table:
         parts.reverse()
         parts += [_ID_FIELD + 3] * (len(sels) - 1) + [_ID_FIELD]
         out = _join_bits(parts)
-    code = Table(out)
-    code.values = dict(table)
-    code.rank = {k: i for i, k in enumerate(sorted(table))}
-    _BUILT.setdefault(content, []).append(code)
-    return code
+    return out

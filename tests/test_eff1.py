@@ -145,6 +145,17 @@ def test_product_codes_are_the_registered_codes_of_their_tables():
         assert pca.tabulate(dict(code.values)) is code, slot
 
 
+def test_the_product_and_its_check_build_no_chain(monkeypatch):
+    # lookups read a table's values and ranks; nothing on the way reads a
+    # structure code as a number, so no IFEQ chain is built
+    def no_chain(table):
+        raise AssertionError(f"chain built for {len(table)} entries")
+    monkeypatch.setattr(pca, "_chain", no_chain)
+    monkeypatch.setattr(pca, "_BUILT", {})
+    prod, _pr1, _pr2 = product1(z2_object(), z2_object())
+    assert check_object1(prod).status == "valid"
+
+
 # --- path objects -----------------------------------------------------------
 
 def test_path_object_of_the_cyclic_group_has_eight_cells():
@@ -325,6 +336,17 @@ def test_walking_pair_over_point_is_not_trivial():
     w = synthesize_fibration1_witness(f)
     with pytest.raises(NotTrivial):
         trivial1_section(f, w)
+
+
+@pytest.mark.parametrize("fuel, want", [(0, "unknown"), (7, "unknown"),
+                                        (100, "yes")])
+def test_equivalence_and_triviality_answer_unknown_at_low_fuel(fuel, want):
+    f = terminal_map1(inflate(interval()))
+    for decide in (is_equivalence1_decide, trivial1_decide):
+        d = decide(f, fuel=fuel)
+        assert d.status == want, decide.__name__
+        if want == "unknown":
+            assert d.reason == f"fuel {fuel} exhausted", decide.__name__
 
 
 # --- exponentials and homotopy pullbacks ------------------------------------

@@ -242,6 +242,33 @@ def test_tabulate_equals_the_chain_built_entry_by_entry(table):
         assert tabulate(table) == chain_reference(table)
 
 
+TABLES = st.dictionaries(NATS, NATS, max_size=40)
+
+
+@settings(deadline=None)
+@given(TABLES, TABLES, st.booleans())
+@example({}, {}, False)
+@example({0: 1}, {0: 2}, False)
+@example({0: 1}, {1: 1}, False)
+@example({0: 7, 1: 0}, {}, True)
+def test_a_table_reads_as_its_chain(a, b, same):
+    if same:
+        b = dict(reversed(a.items()))
+    with empty_memo():
+        ta = tabulate(a)
+    with empty_memo():  # a second object, even for an equal table
+        tb = tabulate(b)
+    assert (ta == tb) == (tb == ta) == (a == b)
+    assert (ta != tb) == (a != b)
+    for t, table in ((ta, a), (tb, b)):
+        n = int(t)
+        assert type(n) is int and n == chain_reference(table)
+        assert t == n and n == t and t != n + 1
+        assert hash(t) == hash(n) and hex(t) == hex(n) and str(t) == str(n)
+        assert t + 1 == 1 + t == n + 1 and n - 1 < t < n + 1
+        assert t.bit_length() == n.bit_length()
+
+
 def _lookup(code, x, fuel=pca.DEFAULT_FUEL):
     try:
         return apply(code, x, fuel)
