@@ -123,7 +123,8 @@ def _to_term(node, bound):
         return pca.tabulate(entries)
     if head == "tuple":
         parts = [_to_term(x, bound) for x in node[1:]]
-        if not parts or not all(isinstance(p, int) for p in parts):
+        if not parts or not all(isinstance(p, (int, pca.Table))
+                                     for p in parts):
             raise FixtureError("tuple wants one or more closed arguments")
         return pca.tuple_encode(*parts)
     if head == "const":

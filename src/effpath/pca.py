@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 DEFAULT_FUEL = 100_000
 
@@ -47,7 +47,8 @@ def cantor_pair(m: int, n: int) -> int:
 
 
 def cantor_unpair(p: int) -> tuple[int, int]:
-    # invert w = m + n from the triangular part
+    # invert w = m + n from the triangular part; a Table reads as its chain
+    p = int(p)
     w = (math.isqrt(8 * p + 1) - 1) // 2
     n = p - w * (w + 1) // 2
     return w - n, n
@@ -406,11 +407,11 @@ def _join_bits(parts: list[int]) -> int:
     return parts[0]
 
 
+@total_ordering
 class Table:
     """A tabulated lookup: its table (values) and each key's rank in
-    ascending order, all that _apply reads.  Read as a number (int, hash,
-    ==, +, <, str) it is the IFEQ chain _chain(values), built on first use;
-    Tables are equal when their tables are, as their chains then are."""
+    ascending order, all that _apply reads.  Read as a number it is the IFEQ
+    chain _chain(values), built on first use and then kept."""
     __slots__ = ("values", "rank", "_code")
 
     def __init__(self, values: dict[int, int]):
@@ -424,9 +425,15 @@ class Table:
 
     __index__ = __int__
 
-    def __eq__(self, other):  # equal tables have equal chains
-        return (self.values == other.values if type(other) is Table
-                else int(self) == other)
+    # the reads pca makes of a code: int() and __index__ (so hex, bin), ==
+    # and hash against an int, +, ordering, bit_length and str; any other
+    # arithmetic takes int(t) first.  Tables are equal when their tables
+    # are, as their chains then are; anything but an int or a Table is
+    # unequal without building the chain.
+    def __eq__(self, other):
+        if type(other) is Table:
+            return self.values == other.values
+        return int(self) == other if isinstance(other, int) else NotImplemented
 
     def __hash__(self):
         return hash(int(self))
@@ -438,9 +445,6 @@ class Table:
 
     def __lt__(self, other):
         return int(self) < other
-
-    def __gt__(self, other):
-        return int(self) > other
 
     def bit_length(self) -> int:
         return int(self).bit_length()

@@ -52,6 +52,13 @@ def test_table_literal():
 
 def test_tuple_and_const_literals():
     assert compile_code("(tuple 1 2)") == pca.tuple_encode(1, 2)
+    chain = int(pca.tabulate({0: 1}))
+    assert compile_code("(tuple (table (0 1)) 2)") == \
+        pca.tuple_encode(chain, 2)
+    assert compile_code("(tuple 2 (table (0 1)))") == \
+        pca.tuple_encode(2, chain)
+    assert compile_code("(FST (table (0 1)))") == pca.cantor_unpair(chain)[0]
+    assert compile_code("(SND (table (0 1)))") == pca.cantor_unpair(chain)[1]
     assert pca.apply(compile_code("(const 9)"), 123) == 9
 
 
@@ -554,6 +561,10 @@ def _documents(draw):
 @example({"format": 1, "objects": {"X": {"cells": ["a"],
                                           "realizer": {"a": "(tuple)"}}}},
          [])
+@example({"format": 1, "objects": {"X": {
+    "cells": ["a"], "realizer": {"a": "(FST (table (0 1)))"}}}}, [])
+@example({"format": 1, "objects": {"X": {
+    "cells": ["a"], "realizer": {"a": "(tuple (table (0 1)) 2)"}}}}, [])
 def test_fixture_documents_end_in_a_report_or_exit_2(doc, fuel):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")

@@ -266,7 +266,12 @@ def test_a_table_reads_as_its_chain(a, b, same):
         assert t == n and n == t and t != n + 1
         assert hash(t) == hash(n) and hex(t) == hex(n) and str(t) == str(n)
         assert t + 1 == 1 + t == n + 1 and n - 1 < t < n + 1
+        assert n - 1 <= t <= n <= t <= n + 1 and n + 1 > t > n - 1
+        assert (ta < tb) == (int(ta) < int(tb))
         assert t.bit_length() == n.bit_length()
+        assert tuple_decode(t, 3) == tuple_decode(n, 3)
+        assert tuple_encode(t, 2) == tuple_encode(n, 2)
+        assert tuple_encode(2, t) == tuple_encode(2, n)
 
 
 def _lookup(code, x, fuel=pca.DEFAULT_FUEL):
@@ -274,6 +279,38 @@ def _lookup(code, x, fuel=pca.DEFAULT_FUEL):
         return apply(code, x, fuel)
     except Diverges:
         return Diverges
+
+
+# each machine constructor at every arity short of saturation, over
+# arguments that a Table argument may flow into, through or past
+_ARGS = (0, 2, K, ID, SUCC_C, FST_C, enc(pca.IFEQ3, 1, 2, 9))
+
+
+@settings(deadline=None)
+@given(TABLES, st.sampled_from(sorted(pca._ARITY)),
+       st.lists(st.sampled_from(_ARGS), min_size=3, max_size=3))
+@example({0: 1}, pca.FST, [])
+@example({0: 1}, pca.SND, [])
+@example({0: 1}, pca.S2, [enc(pca.IFEQ3, 1, 2, 9), ID, 0])
+def test_every_constructor_reads_a_table_argument_as_its_chain(
+        table, tag, args):
+    with empty_memo():
+        t = tabulate(table)
+    code = enc(tag, *args[:pca._ARITY[tag]])
+    assert _lookup(code, t) == _lookup(code, int(t))
+
+
+def test_a_table_is_unequal_to_a_non_int_without_building_its_chain(
+        monkeypatch):
+    def no_chain(table):
+        raise AssertionError("built a chain")
+
+    monkeypatch.setattr(pca, "_BUILT", {})
+    monkeypatch.setattr(pca, "_chain", no_chain)
+    t = tabulate({0: 1, 2: 3})
+    for other in (None, "x", (0,), 1.5, [t]):
+        assert t != other and not t == other and other != t
+    assert t == tabulate({2: 3, 0: 1}) != tabulate({0: 1})
 
 
 def _charged(code, x, steps):
