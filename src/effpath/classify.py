@@ -25,7 +25,6 @@ from .path import (
     FibrationWitness, fib_path_cells, fib_path_object,
     fibrewise_homotopic_decide, homotopic_decide, is_equivalence_decide,
     is_trivial_fibration, lift_endpoint, not_a_fibration,
-    synthesize_fibration_witness, terminal_map,
 )
 
 VERIFIED, REFUTED = "verified", "refuted"
@@ -79,18 +78,12 @@ def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
     return hlevel1_check(inflate_morphism(f), n, fuel, depth_budget)
 
 
-def object_hlevel_check(obj: EffObject, n: int,
-                        fuel: int = DEFAULT_FUEL) -> HlevelVerdict:
-    return hlevel_check(terminal_map(obj), n, fuel)
-
-
 # --- propositional truncation -----------------------------------------------
 
 @dataclass
 class TruncationBundle:
     g: EffMorphism          # B -> C, same cells
     h: EffMorphism          # C -> A, the propositional fibration
-    witness: FibrationWitness
 
 
 def prop_truncate(f: EffMorphism) -> TruncationBundle:
@@ -108,9 +101,7 @@ def prop_truncate(f: EffMorphism) -> TruncationBundle:
     h = synthesize_morphism(C, A, dict(f.zero_map),
                             name=f"|{B.name}|->{A.name}")
     assert g is not None and h is not None
-    w = synthesize_fibration_witness(h)
-    assert w is not None
-    return TruncationBundle(g, h, w)
+    return TruncationBundle(g, h)
 
 
 def truncation_compare(tr: TruncationBundle, g2: EffMorphism,

@@ -18,7 +18,7 @@ from .core import (
     check_object, identity,
 )
 from .path import (
-    DEFAULT_BUDGET, NotTrivial, fibration_decide, homotopic_decide,
+    DEFAULT_BUDGET, fibration_decide, homotopic_decide,
     is_equivalence_decide, is_trivial_fibration, path_object, pullback,
     synthesize_fibration_witness, terminal_map,
 )
@@ -30,7 +30,7 @@ from .classify import (
 from .constructions import hexp_J, pi_type, transport_properties_check
 from .eff1 import (
     Eff1Morphism, Eff1Object, NotNormalized as NotNormalized1,
-    NotTrivial as NotTrivial1, check_morphism1, check_object1,
+    check_morphism1, check_object1,
     classify_discrete_set, discrete1_decide, fibration1_decide, hexp_J1,
     hlevel1_check, homotopic1_decide, identity1, is_equivalence1_decide,
     path_object1, pi_type1, pullback1, resize1,
@@ -514,8 +514,6 @@ def main(argv=None, out=None) -> int:
     except (FixtureError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (NotTrivial, NotTrivial1) as e:
-        reports = [_report(base, " ".join(args.targets), "no", str(e))]
     except FuelExhausted:
         reports = [_report(base, " ".join(args.targets), "unknown",
                            f"fuel {args.fuel} exhausted")]

@@ -60,8 +60,7 @@ def transport(f: EffMorphism, w: FibrationWitness,
     s_m = synthesize_morphism(bundle.obj, X,
                               {p: p[0] for p in bundle.obj.cells}, name="s")
     assert s_m is not None
-    dom = pullback(f, s_m, name=f"{Y.name}x_{X.name}P{X.name}",
-                   want_witness=False)
+    dom = pullback(f, s_m, name=f"{Y.name}x_{X.name}P{X.name}")
     zero = {(p, y): lift_endpoint(f, w, y, p[1], p[2], fuel)[0]
             for (p, y) in dom.obj.cells}
     gamma = synthesize_morphism(dom.obj, Y, zero, name=f"transport_{f.name}")
@@ -108,7 +107,7 @@ def transport_properties_check(f: EffMorphism, w: FibrationWitness,
     u = synthesize_morphism(py.obj, X,
                             {q: f.zero_map[q[0]] for q in py.obj.cells})
     assert u is not None
-    d1 = pullback(s_m, u, want_witness=False)
+    d1 = pullback(s_m, u)
     out.append(law(
         d1.obj,
         {(q, p): tr.cell(q[0], p, fuel) for (q, p) in d1.obj.cells},
@@ -116,24 +115,23 @@ def transport_properties_check(f: EffMorphism, w: FibrationWitness,
 
     # (2) over Y x_X P_{XxX}(PX): a point paired with a path between
     # parallel base paths
-    st_w = synthesize_fibration_witness(tr.bundle.st)
-    assert st_w is not None
+    assert tr.bundle.witness is not None
     ppx = fib_path_object(tr.bundle.st, fuel)
     v = synthesize_morphism(ppx.obj, X,
                             {c: c[0][0] for c in ppx.obj.cells})
     assert v is not None
-    d2 = pullback(f, v, want_witness=False)
+    d2 = pullback(f, v)
     out.append(law(
         d2.obj,
         {(c, y): tr.cell(y, c[0], fuel) for (c, y) in d2.obj.cells},
         {(c, y): tr.cell(y, c[1], fuel) for (c, y) in d2.obj.cells}))
 
     # (3) over Y x_X (composable pairs of base paths)
-    prs = pullback(s_m, t_m, want_witness=False)
+    prs = pullback(s_m, t_m)
     w_map = synthesize_morphism(prs.obj, X,
                                 {(c, b): c[0] for (c, b) in prs.obj.cells})
     assert w_map is not None
-    d3 = pullback(f, w_map, want_witness=False)
+    d3 = pullback(f, w_map)
 
     def comp_cell(b, c):
         # c: x0 -> x1 then b: x1 -> x2, composed through X's code
@@ -160,8 +158,8 @@ def induced_fiber_map(p: EffMorphism, w: FibrationWitness,
     with its equivalence verdict.
     """
     Z = f.dom
-    fp = pullback(p, f, want_witness=False)
-    gp = pullback(p, g, want_witness=False)
+    fp = pullback(p, f)
+    gp = pullback(p, g)
     zero = {}
     for (z, y) in fp.obj.cells:
         hz = apply(H.code, Z.realizer[z], fuel=fuel)
@@ -230,7 +228,7 @@ def homotopy_pullback_check(f: EffMorphism, g: EffMorphism,
     for d in h.dom.cells:
         if g.zero_map[h.zero_map[d]] != f.zero_map[k.zero_map[d]]:
             raise ValueError(f"square does not commute at {d}")
-    pb = pullback(f, g, want_witness=False)
+    pb = pullback(f, g)
     med = mediate(pb, h, k)
     return is_equivalence_decide(med, fuel)
 
@@ -452,7 +450,7 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
                                name=f"{obj.name}->{X.name}")
     assert proj is not None
 
-    ev_dom = pullback(f, proj, want_witness=False)
+    ev_dom = pullback(f, proj)
     ev = synthesize_morphism(
         ev_dom.obj, Z,
         {(k, y): sections[k].zero_map[y] for (k, y) in ev_dom.obj.cells},

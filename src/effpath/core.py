@@ -184,9 +184,6 @@ class EffObject:
     def realizer_image(self) -> list:
         return sorted(set(self.realizer.values()))
 
-    def cells_with_realizer(self, n: int) -> list:
-        return [a for a in self.cells if self.realizer[a] == n]
-
     def __repr__(self):
         return f"EffObject({self.name or id(self)}, {len(self.cells)} cells)"
 
@@ -269,12 +266,6 @@ class EffMorphism:
     tracking0: int
     tracking1: int
     name: str = ""
-
-    def apply0(self, b):
-        return self.zero_map[b]
-
-    def apply1(self, b, b2, pi):
-        return self.one_map[(b, b2)][pi]
 
     def __repr__(self):
         return f"EffMorphism({self.name or id(self)})"

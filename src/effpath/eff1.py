@@ -36,8 +36,10 @@ from .path import (
 from .constructions import VirtualObject, _verdict_status
 from .classify import (
     DEFAULT_DEPTH_BUDGET, HlevelVerdict, NotNormalized, REFUTED,
-    _resize_laws, hlevel_verdict, is_standard_discrete,
+    _resize_laws, hlevel_verdict,
 )
+
+CANDIDATE_LIMIT = 512  # 1-level choices tried per cell map
 
 
 # --- objects ----------------------------------------------------------------
@@ -76,9 +78,6 @@ class Eff1Object:
 
     def realizer_image(self):
         return sorted(set(self.realizer.values()))
-
-    def cells_with_realizer(self, n):
-        return [a for a in self.cells if self.realizer[a] == n]
 
     def __repr__(self):
         return f"Eff1Object({self.name or hex(id(self))}, " \
@@ -464,11 +463,11 @@ def synthesize_morphism1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
 
 def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
                          name: str = "", fuel: int = DEFAULT_FUEL,
-                         limit: int = 512, truncated: list | None = None):
+                         truncated: list | None = None):
     """All tracked extensions of a cell map, enumerating the finitely many
-    uniform 1-level choices (bounded by ``limit`` combinations; if the
-    bound cuts the enumeration a marker is appended to ``truncated``, so a
-    caller can degrade a definitive NO to UNKNOWN)."""
+    uniform 1-level choices (at most ``CANDIDATE_LIMIT`` combinations; if
+    the bound cuts the enumeration a marker is appended to ``truncated``, so
+    a caller can degrade a definitive NO to UNKNOWN)."""
     try:
         options = sorted((t, sorted(acc)) for (slot, t), acc in groups(
             _morphism1_stages(dom, cod, zero_map)).items()
@@ -478,7 +477,7 @@ def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
     tried = 0
     for combo in itertools.product(*(acc for _t, acc in options)):
         tried += 1
-        if tried > limit:
+        if tried > CANDIDATE_LIMIT:
             if truncated is not None:
                 truncated.append(True)
             return
@@ -710,9 +709,7 @@ def _fibration1_stages(f: Eff1Morphism):
     return stages
 
 
-def synthesize_fibration1_witness(
-        f: Eff1Morphism,
-        fuel: int = DEFAULT_FUEL) -> Fibration1Witness | None:
+def synthesize_fibration1_witness(f: Eff1Morphism) -> Fibration1Witness | None:
     try:
         T = settle(_fibration1_stages(f),
                    ("lift0", "lift1", "lift1p", "lift2", "lift2p"))
@@ -727,29 +724,20 @@ def check_fibration1(f: Eff1Morphism, w: Fibration1Witness,
 
 
 def fibration1_decide(f: Eff1Morphism) -> Decision:
-    w = synthesize_fibration1_witness(f)
-    if w is None:
-        return Decision(NO, reason="some lifting intersection is empty")
-    return Decision(YES, witness=w)
+    """The decision takes no fuel, so it is kept once per map."""
+    def decide():
+        w = synthesize_fibration1_witness(f)
+        if w is None:
+            return Decision(NO, reason="some lifting intersection is empty")
+        return Decision(YES, witness=w)
+    return _owned(f, ("fibration",), decide)
 
 
 def not_a_fibration1(f: Eff1Morphism) -> Decision | None:
     """NO, naming why, when f is not a fibration; None for a fibration.
-    A NO Decision is falsy, so compare the result with ``is not None``.
-    The decision takes no fuel, so it is kept once per map."""
-    d = _owned(f, ("fibration",), lambda: fibration1_decide(f))
+    A NO Decision is falsy, so compare the result with ``is not None``."""
+    d = fibration1_decide(f)
     return None if d else Decision(NO, reason=f"not a fibration: {d.reason}")
-
-
-def check1(x, w=None, fuel: int = DEFAULT_FUEL) -> Verdict:
-    """Dispatch: object, morphism, or (morphism, witness) fibration."""
-    if isinstance(x, Eff1Object):
-        return check_object1(x, fuel)
-    if isinstance(x, Eff1Morphism):
-        if w is not None:
-            return check_fibration1(x, w, fuel)
-        return check_morphism1(x, fuel)
-    raise TypeError(f"cannot check {type(x).__name__}")
 
 
 # --- finite limits ----------------------------------------------------------
@@ -759,8 +747,7 @@ def product1(A: Eff1Object, B: Eff1Object, name: str = "",
     """Binary product, the pullback of B -> 1 along A -> 1.  Returns
     (object, first projection, second projection)."""
     pb = pullback1(terminal_map1(B), terminal_map1(A),
-                   name=name or f"{A.name}x{B.name}", want_witness=False,
-                   fuel=fuel)
+                   name=name or f"{A.name}x{B.name}", fuel=fuel)
     return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
@@ -782,11 +769,9 @@ class Pullback1Bundle:
     obj: Eff1Object
     to_g_dom: Eff1Morphism  # projection D -> C (along which f was pulled)
     to_f_dom: Eff1Morphism  # projection D -> B
-    witness: Fibration1Witness | None  # for to_g_dom
 
 
 def pullback1(f: Eff1Morphism, g: Eff1Morphism, name: str = "",
-              want_witness: bool = True,
               fuel: int = DEFAULT_FUEL) -> Pullback1Bundle:
     """Pullback of the fibration f: B -> A along g: C -> A: pairs with
     equal base image at all three levels."""
@@ -832,8 +817,7 @@ def pullback1(f: Eff1Morphism, g: Eff1Morphism, name: str = "",
                        unit=unit, inv=inv, comp=comp)
     p1 = _projection1(obj, C, 0, fuel)
     p2 = _projection1(obj, B, 1, fuel)
-    w = synthesize_fibration1_witness(p1, fuel) if want_witness else None
-    return Pullback1Bundle(obj, p1, p2, w)
+    return Pullback1Bundle(obj, p1, p2)
 
 
 def mediate1(pb: Pullback1Bundle, h: Eff1Morphism, k: Eff1Morphism,
@@ -850,8 +834,7 @@ class Path1Bundle:
     obj: Eff1Object          # PA
     r: Eff1Morphism          # A -> PA
     st: Eff1Morphism         # PA -> A x A (or B x_A B fibrewise)
-    base: Eff1Object
-    witness: Fibration1Witness | None  # for st
+    witness: Fibration1Witness  # for st
 
 
 def _unit_square(A: Eff1Object, a, b, rho, fuel: int = DEFAULT_FUEL,
@@ -870,29 +853,25 @@ def _unit_square(A: Eff1Object, a, b, rho, fuel: int = DEFAULT_FUEL,
                                        rho, rhs, to_rho, back), fuel=fuel)
 
 
-def path_object1(A: Eff1Object, fuel: int = DEFAULT_FUEL,
-                 want_witness: bool = True) -> Path1Bundle:
+def path_object1(A: Eff1Object, fuel: int = DEFAULT_FUEL) -> Path1Bundle:
     """The fibrewise path object of A -> 1."""
-    return fib_path_object1(terminal_map1(A), fuel, want_witness)
+    return fib_path_object1(terminal_map1(A), fuel)
 
 
-def fib_path_object1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
-                     want_witness: bool = True) -> Path1Bundle:
+def fib_path_object1(f: Eff1Morphism,
+                     fuel: int = DEFAULT_FUEL) -> Path1Bundle:
     """Fibrewise paths of a fibration f: B -> A: cells (b, b', rho) over a
     single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
     and n a 2-cell filling the square; 2-cells pairs of 2-cells between the
-    respective components, with equal f-image.  One bundle per f and fuel;
-    it gets its witness on the first call that wants one."""
-    bundle = _owned(f, ("path", fuel), lambda: _fib_path_object1(f, fuel))
-    if want_witness and bundle.witness is None:
-        bundle.witness = synthesize_fibration1_witness(bundle.st, fuel)
-    return bundle
+    respective components, with equal f-image.  One bundle per f and
+    fuel."""
+    return _owned(f, ("path", fuel), lambda: _fib_path_object1(f, fuel))
 
 
 def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
     B = f.dom
     cells = fib_path_cells(f)
-    base = pullback1(f, f, want_witness=False, fuel=fuel).obj
+    base = pullback1(f, f, fuel=fuel).obj
     realizer = {x: tuple_encode(B.realizer[x[0]], B.realizer[x[1]], x[2])
                 for x in cells}
     hom, hom2 = {}, {}
@@ -961,7 +940,7 @@ def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
                           lambda x, y, e: tuple_encode(*_dec3(e)[:2]),
                           name="(s,t)", fuel=fuel)
     assert r is not None and st is not None
-    return Path1Bundle(obj, r, st, base, None)
+    return Path1Bundle(obj, r, st, fibration1_decide(st).witness)
 
 
 # --- homotopies -------------------------------------------------------------
@@ -1018,8 +997,7 @@ def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism, h1_values: dict,
 
 
 def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
-                      fuel: int = DEFAULT_FUEL,
-                      budget: int = DEFAULT_BUDGET) -> Decision:
+                      fuel: int = DEFAULT_FUEL) -> Decision:
     """Decide existence of a homotopy f ~ g: level-1 choices by
     intersection per visible realizer, then a bounded search over the
     finitely many choices for fillers."""
@@ -1031,7 +1009,7 @@ def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
     tried = 0
     for combo in itertools.product(*(acc for _t, acc in options)):
         tried += 1
-        if tried > budget:
+        if tried > DEFAULT_BUDGET:
             return Decision(UNKNOWN, reason="filler search budget exhausted")
         H = homotopy1_from_h1(f, g, dict(zip((t for t, _ in options), combo)),
                               fuel)
@@ -1097,19 +1075,16 @@ class Equivalence1Witness:
 
 
 def is_equivalence1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
-                           budget: int = DEFAULT_BUDGET,
-                           first_candidates=()) -> Decision:
+                           budget: int = DEFAULT_BUDGET) -> Decision:
     """Is f an equivalence: a tracked inverse with both homotopies?
     Running out of fuel is UNKNOWN."""
     try:
-        return _inverse_search1(f, fuel, budget, first_candidates)
+        return _inverse_search1(f, fuel, budget)
     except FuelExhausted:
         return Decision(UNKNOWN, reason=f"fuel {fuel} exhausted")
 
 
-def _inverse_search1(f: Eff1Morphism, fuel: int,
-                     budget: int = DEFAULT_BUDGET,
-                     first_candidates=()) -> Decision:
+def _inverse_search1(f: Eff1Morphism, fuel: int, budget: int) -> Decision:
     B, A = f.dom, f.cod
     idA, idB = identity1(A, fuel), identity1(B, fuel)
     fibre = defaultdict(list)
@@ -1123,13 +1098,8 @@ def _inverse_search1(f: Eff1Morphism, fuel: int,
         return bool(A.hom_of(f.zero_map[b], a)) and all(
             B.hom_of(b0, b) for b0 in fibre[a])
 
-    tried, seen, truncated = 0, set(), []
-    for zero in itertools.chain(
-            iter(first_candidates), _zero_map_candidates(A, B, flt)):
-        key = tuple(zero[a] for a in A.cells)
-        if key in seen:
-            continue
-        seen.add(key)
+    tried, truncated = 0, []
+    for zero in _zero_map_candidates(A, B, flt):
         for g in morphism_candidates1(A, B, zero, name=f"{f.name}^-1",
                                       fuel=fuel, truncated=truncated):
             tried += 1
@@ -1211,15 +1181,14 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 
 # --- trivial fibrations -----------------------------------------------------
 
-def trivial1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
-                    budget: int = DEFAULT_BUDGET) -> Decision:
+def trivial1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Decision:
     """Is f a trivial fibration: a fibration that is an equivalence?
     trivial1_section turns the inverse into a strict section.  Running out
     of fuel is UNKNOWN."""
     no = not_a_fibration1(f)
     if no is not None:
         return no
-    return is_equivalence1_decide(f, fuel, budget)
+    return is_equivalence1_decide(f, fuel)
 
 
 @dataclass
@@ -1231,17 +1200,12 @@ class Section1:
 
 
 def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
-                     eq: Equivalence1Witness | None = None,
+                     eq: Equivalence1Witness,
                      fuel: int = DEFAULT_FUEL) -> Section1:
-    """Build a strict section of a fibration that is an equivalence, by
-    lifting the counit along the fibration structure; raises NotTrivial if
-    any step definitively fails."""
+    """Build a strict section of a fibration from the inverse and the
+    counit of an equivalence, by lifting the counit along the fibration
+    structure; raises NotTrivial if any step definitively fails."""
     B, A = f.dom, f.cod
-    if eq is None:
-        d = _inverse_search1(f, fuel)  # raises FuelExhausted, as below
-        if d.status != YES:
-            raise NotTrivial(d.reason or "not an equivalence")
-        eq = d.witness
     g = eq.inverse
     zero, tau = {}, {}
     for a in A.cells:
@@ -1317,12 +1281,11 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
     return HomExponential1(B, A, virt)
 
 
-def enumerate_members1(exp: HomExponential1,
-                       budget: int = DEFAULT_BUDGET) -> list[Eff1Morphism]:
+def enumerate_members1(exp: HomExponential1) -> list[Eff1Morphism]:
     out, tried = [], 0
     for zero in _zero_map_candidates(exp.dom, exp.cod):
         tried += 1
-        if tried > budget:
+        if tried > DEFAULT_BUDGET:
             break
         m = synthesize_morphism1(exp.dom, exp.cod, zero)
         if m is not None:
@@ -1415,7 +1378,7 @@ def homotopy_pullback1_check(f: Eff1Morphism, g: Eff1Morphism,
     for d in h.dom.cells:
         if g.zero_map[h.zero_map[d]] != f.zero_map[k.zero_map[d]]:
             raise ValueError(f"square does not commute at {d}")
-    pb = pullback1(f, g, want_witness=False, fuel=fuel)
+    pb = pullback1(f, g, fuel=fuel)
     med = mediate1(pb, h, k)
     if med is None:
         return Decision(NO, reason="no tracked mediating morphism")
@@ -1461,13 +1424,12 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
     """
     A, B, C = f.cod, f.dom, g.dom
     fg = compose1(f, g, fuel=fuel)
-    wfg = synthesize_fibration1_witness(fg, fuel)
+    wfg = synthesize_fibration1_witness(fg)
     assert wfg is not None
 
     fibres, incls = {}, {}
     for a in A.cells:
-        pb = pullback1(f, point1(A, a, fuel=fuel), want_witness=False,
-                       fuel=fuel)
+        pb = pullback1(f, point1(A, a, fuel=fuel), fuel=fuel)
         fibres[a], incls[a] = pb.obj, pb.to_f_dom
 
     sections = {}
@@ -1551,7 +1513,7 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
 
     proj = _projection1(obj, A, 0, fuel, name="Pi->base")
 
-    ev_domain = pullback1(f, proj, want_witness=False, fuel=fuel)
+    ev_domain = pullback1(f, proj, fuel=fuel)
     ev_zero = {(k, b): sections[k].zero_map[("*", b)]
                for (k, b) in ev_domain.obj.cells}
     ev = synthesize_morphism1(ev_domain.obj, C, ev_zero, name="ev",
@@ -1623,7 +1585,6 @@ def pi_transpose1_round_trip(pi: Pi1Bundle, h: Eff1Morphism,
 class Truncation1Bundle:
     g: Eff1Morphism   # B -> C
     h: Eff1Morphism   # C -> A  (the truncated fibration)
-    witness: Fibration1Witness | None
 
 
 def truncate1(f: Eff1Morphism, n: int,
@@ -1676,11 +1637,11 @@ def _truncate1(f: Eff1Morphism, n: int, fuel: int) -> Truncation1Bundle:
                          None if n == -1 else f1,
                          name=f"{f.name}@{n}", fuel=fuel)
     assert g is not None and h is not None
-    return Truncation1Bundle(g, h, synthesize_fibration1_witness(h, fuel))
+    return Truncation1Bundle(g, h)
 
 
-def _identity_equivalence1(g: Eff1Morphism, fuel: int = DEFAULT_FUEL,
-                           budget: int = DEFAULT_BUDGET) -> Decision:
+def _identity_equivalence1(g: Eff1Morphism,
+                           fuel: int = DEFAULT_FUEL) -> Decision:
     """Decide whether g (with equal carriers) is an equivalence, trying the
     identity cell map first."""
     B, C = g.dom, g.cod
@@ -1696,7 +1657,7 @@ def _identity_equivalence1(g: Eff1Morphism, fuel: int = DEFAULT_FUEL,
         if e1.status == YES and e2.status == YES:
             return Decision(YES, witness=Equivalence1Witness(
                 d0, e1.witness, e2.witness))
-    return is_equivalence1_decide(g, fuel, budget)
+    return is_equivalence1_decide(g, fuel)
 
 
 def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
@@ -1722,18 +1683,14 @@ def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
         if size > depth_budget:
             return HlevelVerdict(UNKNOWN,
                                  reason=f"path object has {size} cells")
-        bundle = fib_path_object1(f, fuel, want_witness=False)
-        sub = hlevel1_check(bundle.st, n - 1, fuel, depth_budget)
+        sub = hlevel1_check(fib_path_object1(f, fuel).st, n - 1, fuel,
+                            depth_budget)
     except FuelExhausted:
         return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel} exhausted")
     return sub
 
 
 # --- discreteness -----------------------------------------------------------
-
-# the groupoid-level test reads only cells, realizers and the cell map
-is_standard_discrete1 = is_standard_discrete
-
 
 @dataclass
 class PhiPsi:

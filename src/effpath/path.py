@@ -148,7 +148,7 @@ def terminal_map(obj: EffObject, name: str = "") -> EffMorphism:
 def product(A: EffObject, B: EffObject, name: str = ""):
     """Returns (A x B, p1, p2): the pullback of B -> 1 along A -> 1."""
     pb = pullback(terminal_map(B), terminal_map(A),
-                  name=name or f"{A.name}x{B.name}", want_witness=False)
+                  name=name or f"{A.name}x{B.name}")
     return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
@@ -168,11 +168,10 @@ class PullbackBundle:
     obj: EffObject
     to_g_dom: EffMorphism  # projection D -> C (along which f was pulled back)
     to_f_dom: EffMorphism  # projection D -> B
-    witness: FibrationWitness | None  # for to_g_dom
 
 
-def pullback(f: EffMorphism, g: EffMorphism, name: str = "",
-             want_witness: bool = True) -> PullbackBundle:
+def pullback(f: EffMorphism, g: EffMorphism,
+             name: str = "") -> PullbackBundle:
     """Pullback of the fibration f: B -> A along g: C -> A.
 
     Cells are pairs (c, b) with g(c) = f(b); 1-cells are pairs of 1-cells
@@ -194,8 +193,7 @@ def pullback(f: EffMorphism, g: EffMorphism, name: str = "",
     p1 = synthesize_morphism(obj, C, {(c, b): c for (c, b) in cells})
     p2 = synthesize_morphism(obj, B, {(c, b): b for (c, b) in cells})
     assert p1 is not None and p2 is not None
-    w = synthesize_fibration_witness(p1) if want_witness else None
-    return PullbackBundle(obj, p1, p2, w)
+    return PullbackBundle(obj, p1, p2)
 
 
 def mediate(pb: PullbackBundle, h: EffMorphism, k: EffMorphism,
@@ -214,8 +212,7 @@ class PathObjectBundle:
     obj: EffObject          # PA
     r: EffMorphism          # A -> PA
     st: EffMorphism         # PA -> A x A (or B x_A B in the fibrewise case)
-    base: EffObject         # A x A (or B x_A B)
-    witness: FibrationWitness | None
+    witness: FibrationWitness  # for st
 
 
 def _reflexivity_cell(obj: EffObject, a, fuel: int = DEFAULT_FUEL):
@@ -256,7 +253,7 @@ def fib_path_object(f: EffMorphism,
             for m in B.hom_of(b, c) for n in B.hom_of(b2, c2)
             if f.one_map[(b, c)][m] == f.one_map[(b2, c2)][n])
     obj = make_object(cells, realizer, hom, name=f"P_{f.cod.name}({B.name})")
-    base = pullback(f, f, want_witness=False)
+    base = pullback(f, f)
     r = synthesize_morphism(
         B, obj, {b: _reflexivity_cell(B, b, fuel) for b in B.cells},
         name=f"r_{B.name}")
@@ -265,8 +262,7 @@ def fib_path_object(f: EffMorphism,
         {(b, b2, rho): (b, b2) for (b, b2, rho) in cells},
         name=f"st_{B.name}/{f.cod.name}")
     assert r is not None and st is not None
-    return PathObjectBundle(obj, r, st, base.obj,
-                            synthesize_fibration_witness(st))
+    return PathObjectBundle(obj, r, st, synthesize_fibration_witness(st))
 
 
 # --- homotopy ---------------------------------------------------------------
@@ -392,14 +388,14 @@ class NotTrivial(Exception):
     pass
 
 
-def is_trivial_fibration(f: EffMorphism, fuel: int = DEFAULT_FUEL,
-                         budget: int = DEFAULT_BUDGET) -> Decision:
+def is_trivial_fibration(f: EffMorphism,
+                         fuel: int = DEFAULT_FUEL) -> Decision:
     """A trivial fibration is a fibration that is an equivalence;
     construct_section turns the inverse into a strict section."""
     no = not_a_fibration(f)
     if no is not None:
         return no
-    return is_equivalence_decide(f, fuel, budget)
+    return is_equivalence_decide(f, fuel)
 
 
 def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
@@ -486,11 +482,11 @@ def _comp_value(A: EffObject, u, v, w_, rho1, rho2, fuel):
     return apply(A.comp_code, t, fuel=fuel)
 
 
-def groupoid_structure(A: EffObject, bundle: PathObjectBundle | None = None,
+def groupoid_structure(A: EffObject,
                        fuel: int = DEFAULT_FUEL) -> GroupoidStructure:
     """mu (path composition via comp_code), sigma (reversal via inv_code),
     and the five groupoid laws decided as fibrewise homotopies over A x A."""
-    bundle = bundle or path_object(A, fuel)
+    bundle = path_object(A, fuel)
     PA, st = bundle.obj, bundle.st
 
     # pairs (x, y) of paths with s(x) = t(y); mu(x, y) = x o y
@@ -499,8 +495,7 @@ def groupoid_structure(A: EffObject, bundle: PathObjectBundle | None = None,
     s_m = synthesize_morphism(PA, A, s_map, name="s")
     t_m = synthesize_morphism(PA, A, t_map, name="t")
     assert s_m is not None and t_m is not None
-    pairs = pullback(s_m, t_m, name=f"P{A.name}x_{A.name}P{A.name}",
-                     want_witness=False)
+    pairs = pullback(s_m, t_m, name=f"P{A.name}x_{A.name}P{A.name}")
 
     def comp_cell(x, y):
         # y: u -> v then x: v -> w

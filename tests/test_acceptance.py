@@ -31,7 +31,7 @@ from effpath.eff1 import (
     adjequiv, check_homotopy1, classify_discrete_set, compose1,
     discrete1_decide,
     hlevel1_check, homotopy1_from_h1, identity1, inflate, inflate_morphism,
-    is_equivalence1_decide, is_standard_discrete1, pi_type1, resize1,
+    is_equivalence1_decide, pi_type1, resize1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, truncate1, two_homotopic_decide, univalence_check_set,
     z2_homotopies, z2_object, z2_twist,
@@ -376,10 +376,10 @@ def test_criterion_10_impredicativity():
             assert discrete_decide(pi.proj).status == "yes"
         f1 = inflate_morphism(p)
         g1 = identity1(f1.dom)
-        assert is_standard_discrete1(g1)
+        assert is_standard_discrete(g1)
         w1 = synthesize_fibration1_witness(f1)
         pi1 = pi_type1(f1, w1, g1)
-        assert is_standard_discrete1(pi1.proj)
+        assert is_standard_discrete(pi1.proj)
     _criterion(10, 60, body)
 
 

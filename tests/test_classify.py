@@ -5,7 +5,7 @@ from effpath.core import check_morphism, check_object, identity, \
     make_object, synthesize_morphism
 from effpath.classify import (
     Classification, NotNormalized, classify_prop_discrete, discrete_decide,
-    hlevel_check, is_standard_discrete, object_hlevel_check, prop_truncate,
+    hlevel_check, is_standard_discrete, prop_truncate,
     resize, truncation_compare, two_self_equivalences, u_hom_status,
     u_one_cell, u_pullback, univalence_check_prop,
 )

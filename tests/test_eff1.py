@@ -3,17 +3,18 @@ import dataclasses
 import pytest
 
 from effpath import eff1, pca
+from effpath.classify import is_standard_discrete
 from effpath.core import identity as identity0, make_object, \
     synthesize_morphism as synthesize_morphism0
 from effpath.eff1 import (
-    NotNormalized, NotTrivial, adjequiv, check1, check_fibration1,
+    NotNormalized, adjequiv, check_fibration1,
     check_homotopy1, check_morphism1, check_object1, classify_discrete_set,
     compose1, discrete1_decide, discrete1_phi_psi, enumerate_members1,
     fib_path_object1, fibration1_decide, fibrewise_homotopic1_decide,
     freyd_square1_check, hexp1, hexp_J1, hlevel1_check, homotopic1_decide,
     homotopy1_from_h1, homotopy_pullback1_check, identity1,
     identity_homotopy1, inflate, inflate_morphism, is_equivalence1_decide,
-    is_standard_discrete1, mediate1, path_object1, pi_transpose1,
+    mediate1, path_object1, pi_transpose1,
     pi_transpose1_round_trip, pi_type1, point1, product1, pullback1,
     resize1, synthesize_fibration1_witness, synthesize_morphism1,
     terminal_map1, terminal_object1, trivial1_decide, trivial1_section,
@@ -40,12 +41,12 @@ def test_cyclic_group_object_is_valid():
 
 def test_inflated_fixtures_are_valid():
     for fx in fixture_objects1().values():
-        assert check1(fx.obj).status == "valid", fx.name
+        assert check_object1(fx.obj).status == "valid", fx.name
 
 
 def test_fixture_fibration_morphisms_are_valid():
     for name, f in fixture_fibrations1().items():
-        assert check1(f).status == "valid", name
+        assert check_morphism1(f).status == "valid", name
 
 
 def test_diverging_coherence_code_is_invalid():
@@ -81,15 +82,13 @@ def test_mangled_tracking_is_invalid():
     assert check_morphism1(broken).status == "invalid"
 
 
-def test_check1_dispatch():
+def test_terminal_map_of_the_cyclic_group_checks_as_a_fibration():
     A = z2_object()
     f = terminal_map1(A)
     w = synthesize_fibration1_witness(f)
-    assert check1(A).status == "valid"
-    assert check1(f).status == "valid"
-    assert check1(f, w).status == "valid"
-    with pytest.raises(TypeError):
-        check1("nonsense")
+    assert check_object1(A).status == "valid"
+    assert check_morphism1(f).status == "valid"
+    assert check_fibration1(f, w).status == "valid"
 
 
 # --- fibrations -------------------------------------------------------------
@@ -113,7 +112,7 @@ def test_pullback_along_identity_is_the_total_space():
     pb = pullback1(p1, identity1(p1.cod))
     assert len(pb.obj.cells) == len(p1.dom.cells)
     assert check_object1(pb.obj).status == "valid"
-    assert pb.witness is not None
+    assert fibration1_decide(pb.to_g_dom).status == "yes"
     assert is_equivalence1_decide(pb.to_f_dom).status == "yes"
 
 
@@ -206,12 +205,10 @@ def test_each_construction_is_built_once_per_owner():
     assert truncate1(f, 0, fuel=500) is not truncate1(f, 0)
 
 
-def test_a_stored_path_object_gets_its_witness_when_asked():
+def test_a_path_bundle_carries_the_stored_decision_of_its_projection():
     f = _inflated_bundle()
-    bare = fib_path_object1(f, want_witness=False)
-    assert bare.witness is None
     bundle = fib_path_object1(f)
-    assert bundle.obj is bare.obj and bundle.witness is not None
+    assert bundle.witness is fibration1_decide(bundle.st).witness
     assert check_fibration1(bundle.st, bundle.witness).status == "valid"
 
 
@@ -317,7 +314,7 @@ def test_interval_over_point_is_trivial():
     f = fixture_fibrations1()["I->1"]
     assert trivial1_decide(f).status == "yes"
     w = synthesize_fibration1_witness(f)
-    sec = trivial1_section(f, w)
+    sec = trivial1_section(f, w, trivial1_decide(f).witness)
     assert check_morphism1(sec.section).status == "valid"
     assert check_homotopy1(identity1(f.dom), compose1(sec.section, f),
                            sec.H).status == "valid"
@@ -326,16 +323,14 @@ def test_interval_over_point_is_trivial():
 def test_identity_fibration_sections_to_itself():
     I1 = inflate(interval())
     idI = identity1(I1)
-    sec = trivial1_section(idI, synthesize_fibration1_witness(idI))
+    sec = trivial1_section(idI, synthesize_fibration1_witness(idI),
+                           trivial1_decide(idI).witness)
     assert sec.section.zero_map == {c: c for c in I1.cells}
 
 
 def test_walking_pair_over_point_is_not_trivial():
     f = fixture_fibrations1()["J->1"]
     assert trivial1_decide(f).status == "no"
-    w = synthesize_fibration1_witness(f)
-    with pytest.raises(NotTrivial):
-        trivial1_section(f, w)
 
 
 @pytest.mark.parametrize("fuel, want", [(0, "unknown"), (7, "unknown"),
@@ -458,7 +453,7 @@ def test_set_truncation_collapses_the_two_homotopies():
     tr = truncate1(terminal_map1(A), 0)
     assert check_morphism1(tr.g).status == "valid"
     assert check_morphism1(tr.h).status == "valid"
-    assert tr.witness is not None
+    assert fibration1_decide(tr.h).status == "yes"
     C = tr.g.cod
     wC = z2_twist(C)
     idC = identity1(C)
@@ -531,7 +526,7 @@ def test_quotient_collapses_realizer_twins():
     d = discrete1_decide(terminal_map1(obj))
     assert d.status == "yes"
     assert len(d.witness.quotient.cells) == 1
-    assert is_standard_discrete1(d.witness.standard)
+    assert is_standard_discrete(d.witness.standard)
 
 
 # --- the universe of sets ---------------------------------------------------

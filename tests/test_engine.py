@@ -19,7 +19,8 @@ from effpath.core import (
 )
 from effpath.eff1 import (
     check_fibration1, check_homotopy1, check_morphism1, check_object1,
-    fib_path_object1, hlevel1_check, identity1, identity_homotopy1, inflate,
+    fib_path_object1, fibration1_decide, hlevel1_check, identity1,
+    identity_homotopy1, inflate,
     make_object1, pullback1, synthesize_fibration1_witness,
     synthesize_morphism1, terminal_map1, truncate1, z2_homotopies, z2_object,
     z2_twist, _OBJECT1_SLOTS, _morphism1_stages, _object1_stages,
@@ -286,10 +287,9 @@ PINNED_CODES = {
 def test_structure_codes_of_suite_objects_are_pinned():
     n5 = terminal_map1(inflate(nat_trunc(5)))
     z2 = terminal_map1(z2_object())
-    bundle = fib_path_object1(z2, want_witness=False)
-    built = [pullback1(n5, n5, want_witness=False).obj, bundle.obj,
-             truncate1(bundle.st, 0).g.cod,
-             pullback1(z2, z2, want_witness=False).obj]
+    bundle = fib_path_object1(z2)
+    built = [pullback1(n5, n5).obj, bundle.obj,
+             truncate1(bundle.st, 0).g.cod, pullback1(z2, z2).obj]
     for obj in built:
         codes = " ".join(hex(getattr(obj, slot)) for slot in _OBJECT1_SLOTS)
         assert hashlib.sha256(codes.encode()).hexdigest() == \
@@ -306,7 +306,7 @@ def _stored_at_fuel(f, what, n, fuel):
         if what == "hlevel":
             return hlevel1_check(f, n, fuel).status
         tr = truncate1(f, n, fuel)
-        return tr.g.cod.hom, tr.g.cod.hom2, tr.witness is None
+        return tr.g.cod.hom, tr.g.cod.hom2, fibration1_decide(tr.h).status
     except pca.FuelExhausted as e:
         return type(e)
 

@@ -316,6 +316,28 @@ def test_decisions_about_fibrations_refuse_a_map_that_is_not_one(tmp_path):
         assert report["status"] == status, argv
 
 
+def test_truncating_a_map_that_is_not_a_fibration_is_refuted(tmp_path):
+    # the point p of a two-cell object: the 1-cell p -> q has no lift
+    objects = {"X": {"cells": ["a"], "realizer": {"a": 0},
+                     "hom": {"a a": [0]}},
+               "Y": {"cells": ["p", "q"], "realizer": {"p": 0, "q": 1},
+                     "hom": {f"{x} {y}": [0] for x in "pq" for y in "pq"}}}
+    for level, runs in ((0, [["truncate", "-1"]]),
+                        (1, [["eff1-truncate", "-1"],
+                             ["eff1-truncate", "0"]])):
+        doc = {"format": 1,
+               "objects": {k: {**v, "level": level}
+                           for k, v in objects.items()},
+               "morphisms": {"f": {"dom": "X", "cod": "Y", "level": level,
+                                   "zero_map": {"a": "p"}}}}
+        p = tmp_path / f"T{level}.json"
+        p.write_text(json.dumps(doc))
+        for cmd, n in runs:
+            rc, text = _run([cmd, f"{p}#f", "--n", n, "--format", "json"])
+            [report] = json.loads(text)
+            assert rc == 0 and report["status"] == "refuted", (cmd, n)
+
+
 def test_construction_commands():
     rc, text = _run(["path-object", "2"])
     assert rc == 0 and "2 cells" in text
@@ -570,9 +592,15 @@ def test_fixture_documents_end_in_a_report_or_exit_2(doc, fuel):
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+        try:
+            prefix = "eff1-" if doc["morphisms"]["m"]["level"] == 1 else ""
+        except (KeyError, TypeError):
+            prefix = ""
         for argv in (["check-object", f"{path}#X", *fuel],
                      ["check-object", f"{path}#Y", *fuel],
-                     ["check-morphism", f"{path}#m", *fuel]):
+                     ["check-morphism", f"{path}#m", *fuel],
+                     [f"{prefix}truncate", f"{path}#m", "--n", "-1", *fuel],
+                     [f"{prefix}hlevel", f"{path}#m", "--n", "-1", *fuel]):
             rc, _text = _run(argv)
             assert rc in (0, 1, 2, 3), argv
 

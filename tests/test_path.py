@@ -69,7 +69,7 @@ def test_pullback_along_identity_is_isomorphic():
     pb = pullback(p, identity(base))
     assert len(pb.obj.cells) == len(total.cells)
     assert check_object(pb.obj)
-    assert pb.witness is not None
+    assert fibration_decide(pb.to_g_dom).status == "yes"
 
 
 def test_pullback_of_pair_along_point_is_a_pair():
@@ -82,7 +82,7 @@ def test_pullback_of_path_fibration_along_diagonal():
     j = walking_pair()
     bundle = path_object(j)
     assert len(bundle.obj.cells) == 2  # only diagonal triples: J(0,1) is empty
-    diag = pair_morphism(bundle.base, identity(j), identity(j))
+    diag = pair_morphism(bundle.st.cod, identity(j), identity(j))
     pb = pullback(bundle.st, diag)
     assert len(pb.obj.cells) == 2
 
