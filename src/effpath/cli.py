@@ -14,8 +14,8 @@ import sys
 
 from .pca import DEFAULT_FUEL, FuelExhausted
 from .core import (
-    NO, UNKNOWN, YES, Decision, EffMorphism, EffObject, check_morphism,
-    check_object, identity,
+    NO, UNKNOWN, YES, Decision, EffMorphism, EffObject, MapsDoNotFit,
+    check_morphism, check_object, identity,
 )
 from .path import (
     DEFAULT_BUDGET, fibration_decide, homotopic_decide,
@@ -138,9 +138,6 @@ def _cmd_path_object(rs, args):
 
 def _cmd_homotopic(rs, args):
     f, g = rs.morphism(args.targets[0]), rs.morphism(args.targets[1])
-    if (f.dom, f.cod) != (g.dom, g.cod):
-        raise ConfigError(f"{args.targets[0]} and {args.targets[1]} are "
-                          "not parallel")
     d = (homotopic1_decide if _is_level1(f) else homotopic_decide)(f, g)
     return [_report("homotopic", " ".join(args.targets[:2]), d.status,
                     d.reason)]
@@ -185,21 +182,13 @@ def _cmd_pi(rs, args):
     f = rs.morphism(args.targets[0])
     g = (rs.morphism(args.targets[1]) if len(args.targets) > 1
          else (identity1 if _is_level1(f) else identity)(f.dom))
-    if g.cod != f.dom:
-        raise ConfigError(f"{args.targets[1]} does not end where "
-                          f"{args.targets[0]} starts")
-    if _is_level1(f):
-        w = synthesize_fibration1_witness(f)
-        if w is None:
-            raise ConfigError(f"{args.targets[0]} is not a fibration")
-        pi = pi_type1(f, w, g)
-        d = fibration1_decide(pi.proj)
-    else:
-        w = synthesize_fibration_witness(f)
-        if w is None:
-            raise ConfigError(f"{args.targets[0]} is not a fibration")
-        pi = pi_type(f, w, g)
-        d = fibration_decide(pi.proj)
+    level1 = _is_level1(f)
+    w = (synthesize_fibration1_witness if level1
+         else synthesize_fibration_witness)(f)
+    if w is None:
+        raise ConfigError(f"{args.targets[0]} is not a fibration")
+    pi = (pi_type1 if level1 else pi_type)(f, w, g)
+    d = (fibration1_decide if level1 else fibration_decide)(pi.proj)
     return [_report("pi", " ".join(args.targets), d.status,
                     f"{len(pi.obj.cells)} sections; projection "
                     f"fibration: {d.status}")]
@@ -511,7 +500,7 @@ def main(argv=None, out=None) -> int:
                     raise ConfigError(
                         f"{args.targets[0]!r} is not a two-level fixture")
             reports = fn(rs, args)
-    except (FixtureError, ConfigError) as e:
+    except (FixtureError, ConfigError, MapsDoNotFit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FuelExhausted:

@@ -18,8 +18,9 @@ from .pca import (
     curry_left, lam, compile_term, tuple_encode,
 )
 from .core import (
-    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, check_morphism,
-    compose, identity, make_object, synthesize_morphism,
+    Decision, EffMorphism, EffObject, MapsDoNotFit, NO, UNKNOWN, YES,
+    check_morphism, compose, forced, identity, make_object,
+    synthesize_morphism,
 )
 from .path import (
     FibrationWitness, Homotopy, PathObjectBundle, PullbackBundle,
@@ -162,7 +163,7 @@ def induced_fiber_map(p: EffMorphism, w: FibrationWitness,
     gp = pullback(p, g)
     zero = {}
     for (z, y) in fp.obj.cells:
-        hz = apply(H.code, Z.realizer[z], fuel=fuel)
+        hz = apply(H.h1, Z.realizer[z], fuel=fuel)
         zero[(z, y)] = (z, lift_endpoint(p, w, y, g.zero_map[z], hz, fuel)[0])
     m = synthesize_morphism(fp.obj, gp.obj, zero,
                             name=f"fibmap_{f.name}~{g.name}")
@@ -227,7 +228,7 @@ def homotopy_pullback_check(f: EffMorphism, g: EffMorphism,
     and decide whether the induced map D -> C x_A B is an equivalence."""
     for d in h.dom.cells:
         if g.zero_map[h.zero_map[d]] != f.zero_map[k.zero_map[d]]:
-            raise ValueError(f"square does not commute at {d}")
+            raise MapsDoNotFit(f"square does not commute at {d}")
     pb = pullback(f, g)
     med = mediate(pb, h, k)
     return is_equivalence_decide(med, fuel)
@@ -398,6 +399,8 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
     pair of pi: x -> x' and a coded homotopy s' Gamma_pi ~ Gamma_pi s.
     The skeleton materializes one canonical tracking per section.
     """
+    if g.cod != f.dom:
+        raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")
     Y, X = f.dom, f.cod
     Z = g.dom
     fg = compose(f, g, name=f"{f.name}.{g.name}")
@@ -434,7 +437,7 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
         if ends is None:
             return None
         d = homotopic_decide(*ends, fuel)
-        return d.witness.code if d.status == YES else None
+        return d.witness.h1 if d.status == YES else None
 
     hom = {}
     for k1, k2 in itertools.product(cells, repeat=2):
@@ -446,8 +449,10 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
         hom[(k1, k2)] = frozenset(members)
     obj = make_object(cells, realizer, hom,
                       name=f"Pi_{f.name}({g.name})")
-    proj = synthesize_morphism(obj, X, {k: k[0] for k in cells},
-                               name=f"{obj.name}->{X.name}")
+    # a 1-cell <pi, n> lies over its first component pi
+    proj = synthesize_morphism(
+        obj, X, {k: k[0] for k in cells}, name=f"{obj.name}->{X.name}",
+        one=lambda t, h, k1, k2, e: forced(cantor_unpair(e)[0], h))
     assert proj is not None
 
     ev_dom = pullback(f, proj)

@@ -10,6 +10,7 @@ sharing the same visible input must be served by the same output value
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
@@ -54,6 +55,12 @@ class Decision:
 
     def __bool__(self) -> bool:
         return self.status == YES
+
+
+class MapsDoNotFit(ValueError):
+    """The maps given to a procedure do not fit together: they are not
+    parallel, one does not end where the other starts, or a square of them
+    does not commute."""
 
 
 class SynthesisFailed(Exception):
@@ -198,30 +205,45 @@ def _run(code: int, arg: int, fuel: int):
         return "fuel", None
 
 
-def _object_stages(cells, realizer, hom_of):
-    """Unit (by sorted realizer), inverse and composition obligations:
-    inputs <alpha a, alpha a', pi> and <alpha a, alpha a', alpha a'', pi,
-    pi'>, outputs in hom(a', a) and hom(a, a'')."""
+def _adjacency(cells, hom) -> dict:
+    """For each cell a, the cells b with hom(a, b) non-empty, in cell order,
+    each with the hom-set and its sorted list.  Loops nested over it declare
+    obligations in the order of the dense cell product, skipping the empty
+    hom-sets without visiting them."""
+    return {a: [(b, h, sorted(h)) for b in cells if (h := hom.get((a, b)))]
+            for a in cells}
+
+
+def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None):
+    """An object's one-dimensional structure at either level, in cell order
+    over the non-empty hom-sets of ``hom`` (which answers every key read):
+    unit, inverse and composition, forced to the values of the functions
+    unit/inv/comp when they are given."""
     R = realizer
+    adj = _adjacency(cells, hom)
+    edges = [(a, *e) for a in cells for e in adj[a]]
 
     def stages(_val):
         def structure():
-            for a in sorted(cells, key=R.__getitem__):
-                yield "unit_code", R[a], hom_of(a, a), "unit"
-            for a, a2 in itertools.product(cells, repeat=2):
-                for pi in sorted(hom_of(a, a2)):
-                    yield ("inv_code", tuple_encode(R[a], R[a2], pi),
-                           hom_of(a2, a), "inverse")
-            for a, a2 in itertools.product(cells, repeat=2):
-                h12 = sorted(hom_of(a, a2))
-                if not h12:
-                    continue
-                for a3 in cells:
-                    for pi in h12:
-                        for pi2 in sorted(hom_of(a2, a3)):
-                            yield ("comp_code",
-                                   tuple_encode(R[a], R[a2], R[a3], pi, pi2),
-                                   hom_of(a, a3), "composition")
+            for a in cells:
+                h = hom[a, a]
+                yield ("unit_code", R[a], h if unit is None else
+                       forced(unit(a), h), "unit")
+            for a, b, hab, _ in edges:
+                h = hom[b, a]
+                for p in hab:
+                    yield ("inv_code", tuple_encode(R[a], R[b], p),
+                           h if inv is None else forced(inv(a, b, p), h),
+                           "inverse")
+            for a, b, hab, _ in edges:
+                for c, hbc, _ in adj[b]:
+                    h = hom[a, c]
+                    for p, r in itertools.product(hab, hbc):
+                        yield ("comp_code",
+                               tuple_encode(R[a], R[b], R[c], p, r),
+                               h if comp is None else
+                               forced(comp(a, b, c, p, r), h),
+                               "composition")
         yield structure()
     return stages
 
@@ -230,29 +252,24 @@ _OBJECT_SLOTS = ("unit_code", "inv_code", "comp_code")
 
 
 def check_object(obj: EffObject, fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_object_stages(obj.cells, obj.realizer, obj.hom_of),
+    return verify(_object_stages(obj.cells, obj.realizer,
+                                 defaultdict(frozenset, obj.hom)),
                   vars(obj), fuel)
 
 
-def synthesize_object_codes(cells, realizer, hom):
-    """Unit/inverse/composition codes by per-visible-input intersection.
+def make_object(cells, realizer, hom, name: str = "") -> EffObject:
+    """Build an object with structure codes synthesized by
+    per-visible-input intersection.
 
     Over a finite carrier a uniform code exists iff every intersection of
     hom-sets sharing a visible input is inhabited; the witness is a table.
     """
-    stages = _object_stages(cells, realizer,
-                            lambda a, b: hom.get((a, b), frozenset()))
-    return tuple(tabulate_all(settle(stages, _OBJECT_SLOTS)).values())
-
-
-def make_object(cells, realizer, hom, name: str = "") -> EffObject:
-    """Build an object with synthesized (tabulated) structure codes."""
     cells = tuple(cells)
     full_hom = {(a, b): frozenset(hom.get((a, b), frozenset()))
                 for a in cells for b in cells}
-    unit_c, inv_c, comp_c = synthesize_object_codes(cells, realizer, full_hom)
-    return EffObject(cells, dict(realizer), full_hom,
-                     unit_c, inv_c, comp_c, name=name)
+    codes = tabulate_all(settle(_object_stages(cells, realizer, full_hom),
+                                _OBJECT_SLOTS))
+    return EffObject(cells, dict(realizer), full_hom, **codes, name=name)
 
 
 # --- morphisms --------------------------------------------------------------
@@ -271,55 +288,83 @@ class EffMorphism:
         return f"EffMorphism({self.name or id(self)})"
 
 
-def _morphism_stages(dom: EffObject, cod: EffObject, zero_map: dict,
-                     one_map: dict | None = None):
-    """tracking0 sends beta b to the realizer of f(b); tracking1 sends
-    <beta b, beta b', pi> into hom(f b, f b'), onto one_map's image when
-    one_map is given."""
-    R = dom.realizer
+def any_image(t, target, *_instance):
+    """The narrowing that accepts every image in the codomain."""
+    return target
+
+
+def _owned(owner, key, build):
+    # a construction is stored on the instance it is built from, never
+    # module-wide; the key names what else it depends on (eff1's carry the
+    # fuel they were built at), so a call with other arguments builds afresh
+    # and runs out exactly as a cold call would
+    built = owner.__dict__.setdefault("_built", {})
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
+def _one_cell_inputs(dom) -> dict:
+    """{(b, b'): {p: <beta b, beta b', p>}}, the inputs of tracking1 over
+    every pair of cells of dom, p ascending; kept on dom."""
+    def build():
+        R = dom.realizer
+        return {(b, b2): {p: tuple_encode(R[b], R[b2], p)
+                          for p in sorted(dom.hom_of(b, b2))}
+                for b, b2 in itertools.product(dom.cells, repeat=2)}
+    return _owned(dom, ("inputs",), build)
+
+
+def _read_back(inputs, value) -> dict:
+    """The value map {key: {x: value(t)}} of inputs {key: {x: t}}."""
+    return {key: {x: value(t) for x, t in ts.items()}
+            for key, ts in inputs.items()}
+
+
+def _morphism_stages(dom, cod, zero: dict, one=any_image):
+    """A map's one-dimensional tracking at either level: tracking0 sends
+    beta b to the realizer of f(b), tracking1 sends t = <beta b, beta b', p>
+    into hom(f b, f b'), narrowed to ``one(t, target, b, b', p)``."""
+    R, ones = dom.realizer, _one_cell_inputs(dom)
 
     def stages(_val):
         def tracking():
             for b in dom.cells:
-                fb = zero_map.get(b)
+                fb = zero.get(b)
                 yield ("tracking0", R[b],
                        (cod.realizer[fb],) if fb in cod.cells else (),
                        "tracking0")
-            for b, b2 in itertools.product(dom.cells, repeat=2):
-                h = cod.hom_of(zero_map.get(b), zero_map.get(b2))
-                for pi in sorted(dom.hom_of(b, b2)):
-                    yield ("tracking1", tuple_encode(R[b], R[b2], pi),
-                           h if one_map is None else
-                           forced(one_map.get((b, b2), {}).get(pi), h),
-                           "tracking1")
+            for (b, b2), ts in ones.items():
+                h = cod.hom_of(zero.get(b), zero.get(b2))
+                for p, t in ts.items():
+                    yield "tracking1", t, one(t, h, b, b2, p), "tracking1"
         yield tracking()
     return stages
 
 
 def check_morphism(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_morphism_stages(f.dom, f.cod, f.zero_map, f.one_map),
+    def given(t, h, b, b2, p):
+        return forced(f.one_map.get((b, b2), {}).get(p), h)
+    return verify(_morphism_stages(f.dom, f.cod, f.zero_map, given),
                   vars(f), fuel)
 
 
 def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
-                        name: str = ""):
+                        name: str = "", one=any_image):
     """The morphism with the given cell map and tabulated trackings, or None.
 
     Trackability is decidable over finite data: group by visible input and
-    intersect the target hom-sets; any empty group kills every candidate
-    one-map at once.
+    intersect the target hom-sets, narrowed by ``one`` as in
+    _morphism_stages; any empty group kills every candidate one-map at once.
     """
     try:
-        T = settle(_morphism_stages(dom, cod, zero_map),
+        T = settle(_morphism_stages(dom, cod, zero_map, one),
                    ("tracking0", "tracking1"))
     except SynthesisFailed:
         return None
-    R = dom.realizer
-    one_map = {(b, b2): {pi: T["tracking1"][tuple_encode(R[b], R[b2], pi)]
-                         for pi in dom.hom_of(b, b2)}
-               for b in dom.cells for b2 in dom.cells}
-    return EffMorphism(dom, cod, dict(zero_map), one_map,
-                       **tabulate_all(T), name=name)
+    one_map = _read_back(_one_cell_inputs(dom), T["tracking1"].__getitem__)
+    return EffMorphism(dom, cod, dict(zero_map), one_map, **tabulate_all(T),
+                       name=name)
 
 
 def identity(obj: EffObject) -> EffMorphism:
@@ -383,11 +428,16 @@ def p_morphism(f: EffMorphism) -> dict:
     return table
 
 
-def ho_equal(f: EffMorphism, g: EffMorphism,
-             fuel: int = DEFAULT_FUEL) -> Decision:
-    """Equality of the induced functional relations in the quotient."""
-    tf, tg = p_morphism(f), p_morphism(g)
-    if tf == tg:
-        return Decision(YES)
-    diff = sorted(k for k in tf if tf[k] != tg[k])[0]
-    return Decision(NO, reason=f"relations differ at {diff}")
+def ho_equal(f: EffMorphism, g: EffMorphism) -> Decision:
+    """Equality of the induced functional relations in the quotient:
+    entailment both ways by a uniform realizer, a code r with r(x) in G(b, a)
+    for every x in F(b, a), grouped by x.  A NO names the empty group."""
+    F, G = p_morphism(f), p_morphism(g)
+    for lhs, rhs, label in ((F, G, "p(f) <= p(g)"), (G, F, "p(g) <= p(f)")):
+        try:
+            settle(lambda _val: [(("r", x, rhs[k], label)
+                                  for k in lhs for x in sorted(lhs[k]))],
+                   ("r",))
+        except SynthesisFailed as e:
+            return Decision(NO, reason=str(e))
+    return Decision(YES)

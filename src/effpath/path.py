@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .pca import DEFAULT_FUEL, apply, tuple_encode
 from .core import (
-    Decision, EffMorphism, EffObject, NO, SynthesisFailed, UNKNOWN, Verdict,
-    YES, identity, make_object, compose, settle, synthesize_morphism,
-    tabulate_all, verify,
+    Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
+    UNKNOWN, Verdict, YES, _adjacency, compose, forced, identity,
+    make_object, settle, synthesize_morphism, tabulate_all, verify,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -32,38 +32,36 @@ class FibrationWitness:
     lift2: int  # <beta b, beta b', rho, pi> -> rho' with f(rho') = pi
 
 
-def _cond1_instances(f: EffMorphism):
-    B, A = f.dom, f.cod
+def _lift1_obligations(f):
+    """Lift (1) of a fibration f: B -> A at either level: <beta b, alpha a,
+    p> with p in hom(f b, a) names a lift (realizer of b', rho: b -> b') of
+    p, grouped by the image of rho."""
+    A, B, fz = f.cod, f.dom, f.zero_map
+    R = B.realizer
+    adjA = _adjacency(A.cells, A.hom)
+    adjB = _adjacency(B.cells, B.hom)
     for b in B.cells:
-        for a in A.cells:
-            for pi in sorted(A.hom_of(f.zero_map[b], a)):
-                yield b, a, pi
-
-
-def _cond1_solutions(f: EffMorphism, b, a, pi):
-    """All (realizer of b', rho) pairs solving lifting condition 1."""
-    B = f.dom
-    out = set()
-    for b2 in B.cells:
-        if f.zero_map[b2] != a:
-            continue
-        for rho in B.hom_of(b, b2):
-            if f.one_map[(b, b2)][rho] == pi:
-                out.add((B.realizer[b2], rho))
-    return out
+        for a, _, hp in adjA.get(fz[b], ()):
+            sols = {}  # p -> lifts (realizer of b', rho) of p
+            for b2, hb, _ in adjB[b]:
+                if fz[b2] == a:
+                    for rho in hb:
+                        sols.setdefault(f.one_map[(b, b2)][rho],
+                                        set()).add((R[b2], rho))
+            for p in hp:
+                yield (("lift0", "lift1"),
+                       tuple_encode(R[b], A.realizer[a], p),
+                       sols.get(p, ()), "lift (1)")
 
 
 def _fibration_stages(f: EffMorphism):
-    """(1) <beta b, alpha a, pi> names a lift (realizer of b', rho: b -> b')
-    of pi; (2) <beta b, beta b', rho, pi> gives rho' with f(rho') = pi."""
+    """(1) as in _lift1_obligations; (2) <beta b, beta b', rho, pi> gives
+    rho' with f(rho') = pi."""
     B, A = f.dom, f.cod
 
     def stages(_val):
         def lifts():
-            for b, a, pi in _cond1_instances(f):
-                yield (("lift0", "lift1"),
-                       tuple_encode(B.realizer[b], A.realizer[a], pi),
-                       _cond1_solutions(f, b, a, pi), "lift (1)")
+            yield from _lift1_obligations(f)
             for b, b2 in itertools.product(B.cells, repeat=2):
                 hb = B.hom_of(b, b2)
                 for rho in sorted(hb):
@@ -269,21 +267,31 @@ def fib_path_object(f: EffMorphism,
 
 @dataclass
 class Homotopy:
-    code: int
+    h1: int  # beta b |-> 1-cell f(b) -> g(b)
 
 
-def _homotopy_stages(f: EffMorphism, g: EffMorphism):
-    """beta b goes to a 1-cell f(b) -> g(b)."""
+def _homotopy_stages(f, g, h1=None):
+    """A homotopy's connecting 1-cells at either level: beta b goes to a
+    1-cell f(b) -> g(b), forced to h1[beta b] when h1 is given."""
+    A, R = f.cod, f.dom.realizer
+
     def stages(_val):
-        yield (("code", f.dom.realizer[b],
-                f.cod.hom_of(f.zero_map[b], g.zero_map[b]), "homotopy")
-               for b in f.dom.cells)
+        yield (("h1", R[b], A.hom_of(f.zero_map[b], g.zero_map[b])
+                if h1 is None else
+                forced(h1.get(R[b]), A.hom_of(f.zero_map[b], g.zero_map[b])),
+                "homotopy 1-cell") for b in f.dom.cells)
     return stages
 
 
 def check_homotopy(f: EffMorphism, g: EffMorphism, H: Homotopy,
                    fuel: int = DEFAULT_FUEL) -> Verdict:
     return verify(_homotopy_stages(f, g), vars(H), fuel)
+
+
+def require_parallel(f, g):
+    """Raise MapsDoNotFit unless f and g have the same ends."""
+    if (f.dom, f.cod) != (g.dom, g.cod):
+        raise MapsDoNotFit(f"{f.name} and {g.name} are not parallel")
 
 
 def homotopic_decide(f: EffMorphism, g: EffMorphism,
@@ -294,8 +302,9 @@ def homotopic_decide(f: EffMorphism, g: EffMorphism,
     iff for every visible realizer the intersection of the connecting
     hom-sets is inhabited, and then a table realizes it.
     """
+    require_parallel(f, g)
     try:
-        T = settle(_homotopy_stages(f, g), ("code",))
+        T = settle(_homotopy_stages(f, g), ("h1",))
     except SynthesisFailed as e:
         return Decision(NO, reason=f"empty intersection at realizer {e.t}")
     return Decision(YES, witness=Homotopy(**tabulate_all(T)))
@@ -408,7 +417,7 @@ def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
     A = f.cod
     zero = {}
     for a in A.cells:
-        ha = apply(H.code, A.realizer[a], fuel=fuel)
+        ha = apply(H.h1, A.realizer[a], fuel=fuel)
         try:
             zero[a], _rho = lift_endpoint(f, w, g.zero_map[a], a, ha, fuel)
         except TransportFailed:

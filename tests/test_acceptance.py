@@ -9,14 +9,14 @@ import time
 
 from effpath import pca
 from effpath.core import (
-    compose, ho_equal, identity, make_object, synthesize_morphism,
+    compose, groups, ho_equal, identity, make_object, synthesize_morphism,
 )
 from effpath.path import (
     FibrationWitness, check_homotopy, fibration_decide,
     homotopic_decide, is_equivalence_decide,
     is_trivial_fibration, construct_section, path_object, pullback,
     synthesize_fibration_witness, terminal_map, terminal_object,
-    _cond1_instances, _cond1_solutions,
+    _fibration_stages,
 )
 from effpath.constructions import (
     enumerate_members, freyd_square_check, hexp, induced_fiber_map,
@@ -185,7 +185,16 @@ def test_criterion_03_interval_trivial_walking_pair_not():
 
 def test_criterion_04_homotopy_soundness():
     def body():
-        objs = [interval(), walking_pair(), two(), terminal_object()]
+        # the last two have non-empty hom-sets that differ, so relations
+        # can differ as sets and still entail each other
+        crossed = make_object("ab", {"a": 0, "b": 1},
+                              {("a", "a"): {0}, ("b", "b"): {0},
+                               ("a", "b"): {1}, ("b", "a"): {1}}, name="X")
+        twins = make_object("ab", {"a": 0, "b": 0},
+                            {("a", "a"): {0, 2}, ("b", "b"): {2},
+                             ("a", "b"): {1}, ("b", "a"): {1}}, name="T")
+        objs = [interval(), walking_pair(), two(), terminal_object(),
+                crossed, twins]
         pairs = 0
         for A, B in itertools.product(objs, repeat=2):
             members = enumerate_members(hexp(A, B))
@@ -196,7 +205,7 @@ def test_criterion_04_homotopy_soundness():
                 assert d.status == h.status, (A.name, B.name)
                 if d.status == "yes":
                     assert check_homotopy(f, g, d.witness).status == "valid"
-        assert pairs >= 40, pairs
+        assert pairs >= 190, pairs
     _criterion(4, 30, body)
 
 
@@ -207,19 +216,10 @@ def _max_witness(f):
     w = synthesize_fibration_witness(f)
     if w is None:
         return None
-    B, A = f.dom, f.cod
-    groups = {}
-    for b, a, piv in _cond1_instances(f):
-        t = pca.tuple_encode(B.realizer[b], A.realizer[a], piv)
-        groups.setdefault(t, []).append((b, a, piv))
     t0, t1 = {}, {}
-    for t, instances in groups.items():
-        common = None
-        for b, a, piv in instances:
-            sols = _cond1_solutions(f, b, a, piv)
-            common = sols if common is None else common & sols
-        m, rho = max(common)
-        t0[t], t1[t] = m, rho
+    for (slot, t), common in groups(_fibration_stages(f)).items():
+        if slot == ("lift0", "lift1"):
+            t0[t], t1[t] = max(common)
     return FibrationWitness(pca.tabulate(t0), pca.tabulate(t1), w.lift2)
 
 

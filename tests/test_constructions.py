@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from effpath import pca
-from effpath.core import check_morphism, compose, identity, synthesize_morphism
+from effpath.core import (
+    MapsDoNotFit, YES, check_morphism, compose, identity, make_object,
+    synthesize_morphism,
+)
 from effpath.constructions import (
     curry, curry_uniqueness_check, enumerate_members, freyd_square_check,
     hexp, hexp_J, hexp_J_morphism, homotopy_pullback_check,
@@ -10,9 +14,12 @@ from effpath.constructions import (
 )
 from effpath.fixtures import interval, two, two_point_bundle, walking_pair
 from effpath.path import (
-    discrete_n, homotopic_decide, identity as _id, path_object, product,
-    pullback, synthesize_fibration_witness, terminal_map, terminal_object,
+    discrete_n, fibration_decide, homotopic_decide, identity as _id,
+    path_object, product, pullback, synthesize_fibration_witness,
+    terminal_map, terminal_object,
 )
+
+import strategies
 
 
 # --- transport --------------------------------------------------------------
@@ -279,3 +286,39 @@ def test_pi_functor_map_collapses_sections():
     assert m is not None and check_morphism(m)
     assert len(piA.obj.cells) == 1
     assert len({m.zero_map[k] for k in piB.obj.cells}) == 1
+
+
+def _loops_0_and_2_over_b():
+    """f: B -> A, a |-> a, where A has a (realizer 1, loop 0) and b (realizer
+    0, loops 0 and 2) and B has one cell (realizer 0, loop 2).  The fibre
+    at b is empty, and Pi has two 1-cells at (b, no section), over the loops
+    0 and 2."""
+    A = make_object("ab", {"a": 1, "b": 0},
+                    {("a", "a"): {0}, ("b", "b"): {0, 2}}, name="A")
+    B = make_object("a", {"a": 0}, {("a", "a"): {2}}, name="B")
+    return synthesize_morphism(B, A, {"a": "a"}, name="f")
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(strategies.fibrations())
+@example(_loops_0_and_2_over_b())
+def test_the_projection_of_pi_is_a_fibration(f):
+    # each 1-cell <pi, n> of Pi is tracked by its first component pi
+    w = synthesize_fibration_witness(f)
+    pi = pi_type(f, w, identity(f.dom))
+    assert fibration_decide(pi.proj).status == YES
+
+
+def test_procedures_refuse_maps_that_do_not_fit():
+    total, base, p = two_point_bundle()
+    w = synthesize_fibration_witness(p)
+    with pytest.raises(MapsDoNotFit, match="not parallel"):
+        homotopic_decide(p, identity(base))
+    with pytest.raises(MapsDoNotFit, match="does not end where"):
+        pi_type(p, w, p)
+    one = terminal_object()
+    pt0, pt1 = (synthesize_morphism(one, two(), {"*": c}) for c in "01")
+    with pytest.raises(MapsDoNotFit, match="does not commute"):
+        homotopy_pullback_check(pt0, pt1, identity(one), identity(one))

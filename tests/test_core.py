@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from effpath import pca
 from effpath.core import (
@@ -10,7 +11,9 @@ from effpath.core import (
 from effpath.fixtures import (
     interval, nat_trunc, swap_morphism, two, walking_pair,
 )
-from effpath.path import discrete_n
+from effpath.path import discrete_n, homotopic_decide, terminal_object
+
+import strategies
 
 
 def test_walking_pair_is_valid():
@@ -125,6 +128,30 @@ def test_ho_equal_identity_vs_swap_on_interval():
 def test_ho_equal_identity_vs_swap_on_walking_pair():
     j = walking_pair()
     assert ho_equal(identity(j), swap_morphism(j)).status == "no"
+
+
+def test_ho_equal_is_entailment_by_a_uniform_realizer():
+    # the points a and b give relations that differ as sets, but one code
+    # takes each to the other: <0, 0, 0> <-> <0, 1, 1>, <0, 1, 0> <-> <0, 0, 1>
+    A = make_object("ab", {"a": 0, "b": 1},
+                    {("a", "a"): {0}, ("b", "b"): {0},
+                     ("a", "b"): {1}, ("b", "a"): {1}})
+    one = terminal_object()
+    at_a, at_b = (synthesize_morphism(one, A, {"*": c}) for c in "ab")
+    assert homotopic_decide(at_a, at_b).status == "yes"
+    assert ho_equal(at_a, at_b).status == "yes"
+    j = walking_pair()
+    d = ho_equal(identity(j), swap_morphism(j))
+    assert d.reason.startswith("p(f) <= p(g): empty at input"), d
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(strategies.parallel_maps())
+def test_homotopic_iff_ho_equal(maps):
+    f, g = maps
+    assert ho_equal(f, g).status == homotopic_decide(f, g).status
 
 
 def test_p_morphism_table_entries():

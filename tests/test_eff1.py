@@ -4,22 +4,21 @@ import pytest
 
 from effpath import eff1, pca
 from effpath.classify import is_standard_discrete
-from effpath.core import identity as identity0, make_object, \
-    synthesize_morphism as synthesize_morphism0
+from effpath.core import MapsDoNotFit, identity as identity0, \
+    make_object, synthesize_morphism as synthesize_morphism0
 from effpath.eff1 import (
-    NotNormalized, adjequiv, check_fibration1,
-    check_homotopy1, check_morphism1, check_object1, classify_discrete_set,
-    compose1, discrete1_decide, discrete1_phi_psi, enumerate_members1,
-    fib_path_object1, fibration1_decide, fibrewise_homotopic1_decide,
-    freyd_square1_check, hexp1, hexp_J1, hlevel1_check, homotopic1_decide,
-    homotopy1_from_h1, homotopy_pullback1_check, identity1,
-    identity_homotopy1, inflate, inflate_morphism, is_equivalence1_decide,
-    mediate1, path_object1, pi_transpose1,
-    pi_transpose1_round_trip, pi_type1, point1, product1, pullback1,
-    resize1, synthesize_fibration1_witness, synthesize_morphism1,
-    terminal_map1, terminal_object1, trivial1_decide, trivial1_section,
-    truncate1, two_homotopic_decide, univalence_check_set, z2_homotopies,
-    z2_object, z2_twist, _OBJECT1_SLOTS, _set_normalized,
+    NotNormalized, adjequiv, check_fibration1, check_homotopy1,
+    check_morphism1, check_object1, classify_discrete_set, compose1,
+    discrete1_decide, discrete1_phi_psi, enumerate_members1, fib_path_object1,
+    fibration1_decide, fibrewise_homotopic1_decide, freyd_square1_check, hexp1,
+    hexp_J1, hlevel1_check, homotopic1_decide, homotopy1_from_h1,
+    homotopy_pullback1_check, identity1, inflate, inflate_morphism,
+    is_equivalence1_decide, mediate1, path_object1, pi_transpose1,
+    pi_transpose1_round_trip, pi_type1, point1, product1, pullback1, resize1,
+    synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
+    terminal_object1, trivial1_decide, trivial1_section, truncate1,
+    two_homotopic_decide, univalence_check_set, z2_homotopies, z2_object,
+    z2_twist, _OBJECT1_SLOTS, _set_normalized,
 )
 from effpath.fixtures import (
     interval, line_bundle, nat_trunc, set_bundle, swap_morphism, two,
@@ -58,7 +57,7 @@ def test_diverging_coherence_code_is_invalid():
 def test_wrong_structure_value_is_invalid():
     # a unit code returning a non-identity loop breaks a coherence target
     broken = dataclasses.replace(
-        z2_object(), unit1=pca.tabulate({0: 1, 1: 1}))
+        z2_object(), unit_code=pca.tabulate({0: 1, 1: 1}))
     assert check_object1(broken).status == "invalid"
 
 
@@ -226,7 +225,7 @@ def test_two_essentially_different_self_homotopies():
 
 def test_identity_homotopy_is_two_homotopic_to_itself():
     idA = identity1(z2_object())
-    H = identity_homotopy1(idA)
+    H = homotopic1_decide(idA, idA).witness
     assert two_homotopic_decide(idA, idA, H, H).status == "yes"
 
 
@@ -291,7 +290,7 @@ def test_inverse_search_skips_cell_maps_no_unit_homotopy_fits(monkeypatch):
 def test_adjusted_equivalence_of_the_identity():
     I1 = inflate(interval())
     idI = identity1(I1)
-    ih = identity_homotopy1(idI)
+    ih = homotopic1_decide(idI, idI).witness
     adj = adjequiv(idI, idI, ih, ih)
     assert adj.M.status == "yes" and adj.N.status == "yes"
     assert check_homotopy1(idI, compose1(idI, idI),
@@ -392,7 +391,7 @@ def test_homotopy_pullback_rejects_non_commuting_squares():
     assert homotopy_pullback1_check(p1, p1, idT, idT).status == "no"
     two1 = inflate(two())
     pt0, pt1 = point1(two1, two1.cells[0]), point1(two1, two1.cells[1])
-    with pytest.raises(ValueError):
+    with pytest.raises(MapsDoNotFit):
         homotopy_pullback1_check(pt0, pt1, identity1(pt0.dom),
                                  identity1(pt0.dom))
 

@@ -19,11 +19,11 @@ from effpath.core import (
 )
 from effpath.eff1 import (
     check_fibration1, check_homotopy1, check_morphism1, check_object1,
-    fib_path_object1, fibration1_decide, hlevel1_check, identity1,
-    identity_homotopy1, inflate,
-    make_object1, pullback1, synthesize_fibration1_witness,
-    synthesize_morphism1, terminal_map1, truncate1, z2_homotopies, z2_object,
-    z2_twist, _OBJECT1_SLOTS, _morphism1_stages, _object1_stages,
+    fib_path_object1, fibration1_decide, hlevel1_check, homotopic1_decide,
+    identity1, inflate, inflate_morphism, make_object1, pullback1,
+    synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
+    truncate1, z2_homotopies, z2_object, z2_twist, _OBJECT1_SLOTS,
+    _morphism1_stages, _object1_stages,
 )
 from effpath.fixtures import (
     fixture_fibrations1, fixture_library, interval, nat_trunc,
@@ -49,7 +49,8 @@ def _structures():
     return [
         ({"unit_code": "unit", "inv_code": "inverse",
           "comp_code": "composition"}, i, check_object),
-        ({"unit1": "unit", "inv1": "inverse", "comp1": "composition",
+        ({"unit_code": "unit", "inv_code": "inverse",
+          "comp_code": "composition",
           "coh_lunit": "left unit coherence",
           "coh_runit": "right unit coherence",
           "coh_linv": "left inverse coherence",
@@ -59,7 +60,7 @@ def _structures():
           "hcomp": "horizontal composition"}, z2, check_object1),
         ({"tracking0": "tracking0", "tracking1": "tracking1"}, sw,
          check_morphism),
-        ({"tracking0": "0-tracking", "tracking1": "1-tracking",
+        ({"tracking0": "tracking0", "tracking1": "tracking1",
           "tracking2": "2-tracking", "funct_id": "identity preservation",
           "funct_comp": "composite preservation"}, tw, check_morphism1),
         ({"lift0": "lift (1)", "lift1": "lift (1)", "lift2": "lift (2)"},
@@ -68,11 +69,18 @@ def _structures():
           "lift2": "lift (2)", "lift2p": "lift (3)"},
          synthesize_fibration1_witness(t1),
          lambda w: check_fibration1(t1, w)),
-        ({"code": "homotopy"}, homotopic_decide(identity(i), sw).witness,
+        ({"h1": "homotopy 1-cell"}, homotopic_decide(identity(i), sw).witness,
          lambda h: check_homotopy(identity(i), sw, h)),
         ({"h1": "homotopy 1-cell", "h2": "homotopy filler"}, H,
          lambda h: check_homotopy1(identity1(z2), tw, h)),
     ]
+
+
+# a level-0 structure and its check at level 1 on the inflated structure
+_INFLATED = {
+    check_object: lambda obj: check_object1(inflate(obj)),
+    check_morphism: lambda f: check_morphism1(inflate_morphism(f)),
+}
 
 
 def test_moving_an_entry_of_one_table_out_of_its_target_is_invalid():
@@ -88,6 +96,9 @@ def test_moving_an_entry_of_one_table_out_of_its_target_is_invalid():
             v = check(broken)
             assert v.status == "invalid" and v.reason.startswith(label), \
                 (slot, v)
+            if check in _INFLATED:
+                # both levels read one declaration, so they give one reason
+                assert _INFLATED[check](broken) == v, slot
             slots += 1
     assert slots == 3 + 12 + 2 + 5 + 3 + 5 + 1 + 2
 
@@ -149,24 +160,24 @@ def _dense_object1(cells, R, hom, hom2, val):
     P = itertools.product
     enc = pca.tuple_encode
     for a in cells:
-        yield "unit1", R[a], hom[a, a], "unit"
+        yield "unit_code", R[a], hom[a, a], "unit"
     for a, b in P(cells, repeat=2):
         for p in hom[a, b]:
-            yield "inv1", enc(R[a], R[b], p), hom[b, a], "inverse"
+            yield "inv_code", enc(R[a], R[b], p), hom[b, a], "inverse"
     for a, b, c in P(cells, repeat=3):
         for p, r in P(hom[a, b], hom[b, c]):
-            yield ("comp1", enc(R[a], R[b], R[c], p, r), hom[a, c],
+            yield ("comp_code", enc(R[a], R[b], R[c], p, r), hom[a, c],
                    "composition")
 
     def u(a):
-        return val("unit1", R[a])
+        return val("unit_code", R[a])
 
     def cp(a, b, c, p, r):
-        return val("comp1", enc(R[a], R[b], R[c], p, r))
+        return val("comp_code", enc(R[a], R[b], R[c], p, r))
     for a, b in P(cells, repeat=2):
         for p in hom[a, b]:
             t = enc(R[a], R[b], p)
-            pi = val("inv1", t)
+            pi = val("inv_code", t)
             yield ("coh_lunit", t, hom2[a, b, cp(a, b, b, p, u(b)), p],
                    "left unit coherence")
             yield ("coh_runit", t, hom2[a, b, cp(a, a, b, u(a), p), p],
@@ -211,19 +222,19 @@ def _dense_functoriality(f, val):
     for b in dom.cells:
         fb = zero[b]
         yield ("funct_id", R[b],
-               cod.hom2_of(fb, fb, f1(b, b, pca.apply(dom.unit1, R[b])),
-                           pca.apply(cod.unit1, cod.realizer[fb])),
+               cod.hom2_of(fb, fb, f1(b, b, pca.apply(dom.unit_code, R[b])),
+                           pca.apply(cod.unit_code, cod.realizer[fb])),
                "identity preservation")
     for b1, b2, b3 in itertools.product(dom.cells, repeat=3):
         z1, z2, z3 = zero[b1], zero[b2], zero[b3]
         for p, r in itertools.product(dom.hom_of(b1, b2),
                                       dom.hom_of(b2, b3)):
             t = enc(R[b1], R[b2], R[b3], p, r)
-            cimg = pca.apply(cod.comp1, enc(
+            cimg = pca.apply(cod.comp_code, enc(
                 cod.realizer[z1], cod.realizer[z2], cod.realizer[z3],
                 f1(b1, b2, p), f1(b2, b3, r)))
             yield ("funct_comp", t,
-                   cod.hom2_of(z1, z3, f1(b1, b3, pca.apply(dom.comp1, t)),
+                   cod.hom2_of(z1, z3, f1(b1, b3, pca.apply(dom.comp_code, t)),
                                cimg),
                    "composite preservation")
 
@@ -330,7 +341,7 @@ def test_stored_constructions_answer_other_fuel_as_a_cold_build_does():
 def test_low_fuel_verdicts_do_not_depend_on_warm_caches():
     warm = fixture_fibrations1()
     for name, f in warm.items():
-        H = identity_homotopy1(f)
+        H = homotopic1_decide(f, f).witness
         assert check_morphism1(f).status == "valid", name
         assert check_homotopy1(f, f, H).status == "valid", name
         for fuel in (5, 20, 50, 200):

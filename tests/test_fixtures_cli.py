@@ -338,6 +338,34 @@ def test_truncating_a_map_that_is_not_a_fibration_is_refuted(tmp_path):
             assert rc == 0 and report["status"] == "refuted", (cmd, n)
 
 
+def test_pi_projection_lies_over_the_first_component(tmp_path):
+    # A has a (realizer 1, loop 0) and b (realizer 0, loops 0 and 2); the
+    # two 1-cells of Pi at b lie over the loops 0 and 2, so its projection
+    # is a fibration only if it sends each to its own loop
+    objects = {"A": {"cells": ["a", "b"], "realizer": {"a": 1, "b": 0},
+                     "hom": {"a a": [0], "b b": [0, 2]}},
+               "B": {"cells": ["a"], "realizer": {"a": 0},
+                     "hom": {"a a": [2]}},
+               "C": {"cells": ["a"], "realizer": {"a": 1},
+                     "hom": {"a a": [0]}}}
+    morphisms = {"f": {"dom": "B", "cod": "A", "zero_map": {"a": "a"}},
+                 "g": {"dom": "C", "cod": "B", "zero_map": {"a": "a"}}}
+    for level, cmd in ((0, "pi"), (1, "eff1-pi")):
+        doc = {"format": 1,
+               "objects": {k: {**v, "level": level}
+                           for k, v in objects.items()},
+               "morphisms": {k: {**v, "level": level}
+                             for k, v in morphisms.items()}}
+        p = tmp_path / f"Pi{level}.json"
+        p.write_text(json.dumps(doc))
+        for targets in ([f"{p}#f", f"{p}#g"], [f"{p}#f"]):
+            rc, text = _run([cmd, *targets, "--format", "json"])
+            [report] = json.loads(text)
+            assert (rc, report["status"]) == (0, "yes"), (cmd, targets)
+            assert report["detail"] == \
+                "2 sections; projection fibration: yes", (cmd, targets)
+
+
 def test_construction_commands():
     rc, text = _run(["path-object", "2"])
     assert rc == 0 and "2 cells" in text

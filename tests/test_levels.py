@@ -17,15 +17,15 @@ laws beyond the library."""
 import functools
 
 import pytest
-from hypothesis import HealthCheck, given, reject, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from effpath.classify import (
     REFUTED, VERIFIED, discrete_decide, hlevel_check, is_standard_discrete,
     prop_truncate,
 )
 from effpath.core import (
-    NO, UNKNOWN, YES, SynthesisFailed, check_morphism, check_object, compose,
-    identity, make_object, synthesize_morphism,
+    NO, UNKNOWN, YES, check_morphism, check_object, compose, identity,
+    make_object, synthesize_morphism,
 )
 from effpath.eff1 import (
     discrete1_decide, fibration1_decide, hlevel1_check, inflate_morphism,
@@ -37,6 +37,8 @@ from effpath.path import (
     check_homotopy, fibration_decide, is_equivalence_decide,
     is_trivial_fibration, pullback, terminal_map, terminal_object,
 )
+
+import strategies
 
 
 def _status(decide):
@@ -212,34 +214,10 @@ def test_yes_witnesses_check_at_level_0(name):
 
 # --- random maps ------------------------------------------------------------
 
-@st.composite
-def _objects(draw):
-    """1-3 cells, realizers in {0, 1}, hom-sets within {0, 1, 2} with a
-    non-empty diagonal; kept when the structure codes exist."""
-    cells = "abc"[:draw(st.integers(1, 3))]
-    realizer = {c: draw(st.integers(0, 1)) for c in cells}
-    hom = {(a, b): draw(st.frozensets(st.integers(0, 2), min_size=a == b))
-           for a in cells for b in cells}
-    try:
-        return make_object(cells, realizer, hom)
-    except SynthesisFailed:
-        reject()
-
-
-@st.composite
-def _maps(draw):
-    B, A = draw(_objects()), draw(_objects())
-    f = synthesize_morphism(
-        B, A, {b: draw(st.sampled_from(A.cells)) for b in B.cells})
-    if f is None:
-        reject()
-    return f
-
-
 @settings(deadline=None, max_examples=150,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
-@given(_maps())
+@given(strategies.maps())
 def test_decisions_about_fibrations_on_random_maps(f):
     # discreteness and h-levels from 0 up are level 1 on the inflated map
     # already, so level 1 is called here only where level 0 has its own code

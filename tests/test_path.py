@@ -256,7 +256,7 @@ def test_a_moved_lift_names_no_cell_and_no_section():
     # the sections of I -> 1 lift the counit at * starting from g(*)
     f = terminal_map(interval())
     eq = is_equivalence_decide(f).witness
-    g0, e = eq.inverse.zero_map["*"], pca.apply(eq.eps.code, 0)
+    g0, e = eq.inverse.zero_map["*"], pca.apply(eq.eps.h1, 0)
     w = _moved_lift0(f, synthesize_fibration_witness(f), g0, "*", e)
     with pytest.raises(TransportFailed):
         lift_endpoint(f, w, g0, "*", e)
