@@ -24,8 +24,8 @@ from .path import (
 )
 from .classify import (
     DEFAULT_DEPTH_BUDGET, NotNormalized, classify_prop_discrete,
-    discrete_decide, hlevel_check, prop_truncate, resize, u_one_cell,
-    univalence_check_prop,
+    discrete_decide, hlevel_check, is_standard_discrete, prop_truncate,
+    resize, u_one_cell, univalence_check_prop,
 )
 from .constructions import hexp_J, pi_type, transport_properties_check
 from .eff1 import (
@@ -180,16 +180,32 @@ def _cmd_exp_j(rs, args):
 
 def _cmd_pi(rs, args):
     f = rs.morphism(args.targets[0])
-    g = (rs.morphism(args.targets[1]) if len(args.targets) > 1
-         else (identity1 if _is_level1(f) else identity)(f.dom))
     level1 = _is_level1(f)
+    g = (rs.morphism(args.targets[1]) if len(args.targets) > 1
+         else (identity1 if level1 else identity)(f.dom))
     w = (synthesize_fibration1_witness if level1
          else synthesize_fibration_witness)(f)
     if w is None:
         raise ConfigError(f"{args.targets[0]} is not a fibration")
+    if len(args.targets) > 1 and (
+            synthesize_fibration1_witness if _is_level1(g)
+            else synthesize_fibration_witness)(g) is None:
+        raise ConfigError(f"{args.targets[1]} is not a fibration")
+    target = " ".join(args.targets)
+    if not is_standard_discrete(g):
+        # realizer twins in a fibre of g can leave Pi without structure
+        # codes; a discrete g is equivalent over its base to its standard
+        # form, and Pi is taken of that
+        d = (discrete1_decide if _is_level1(g) else discrete_decide)(
+            g, fuel=args.fuel)
+        if d.status != YES:
+            return [_report("pi", target, d.status,
+                            f"{g.name} has realizer twins in a fibre; "
+                            f"discrete: {d.status} ({d.reason})")]
+        g = d.witness.standard
     pi = (pi_type1 if level1 else pi_type)(f, w, g)
     d = (fibration1_decide if level1 else fibration_decide)(pi.proj)
-    return [_report("pi", " ".join(args.targets), d.status,
+    return [_report("pi", target, d.status,
                     f"{len(pi.obj.cells)} sections; projection "
                     f"fibration: {d.status}")]
 

@@ -397,7 +397,10 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
     A zero-cell over x is a tracked section of g on the fibre of f at x,
     realized by <alpha x, tracking0, tracking1>; a 1-cell to (x', s') is a
     pair of pi: x -> x' and a coded homotopy s' Gamma_pi ~ Gamma_pi s.
-    The skeleton materializes one canonical tracking per section.
+    The skeleton materializes one canonical tracking per section.  g must
+    be a fibration; realizer twins in a fibre of g can leave Pi without
+    structure codes (SynthesisFailed), so the `pi` command takes Pi of
+    discrete_decide(g).witness.standard for such a g.
     """
     if g.cod != f.dom:
         raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")

@@ -1340,7 +1340,9 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
 
     Cells are pairs (a, section-of-g-over-the-fibre-at-a); 1-cells over a
     base 1-cell are the canonical homotopies between the two transported
-    sections; 2-cells are base 2-cells with pointwise tables.
+    sections; 2-cells are base 2-cells with pointwise tables.  As with
+    pi_type, g must be a fibration, and realizer twins in a fibre of g can
+    leave Pi without structure codes.
     """
     if g.cod != f.dom:
         raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from typing import NamedTuple
 
 DEFAULT_FUEL = 100_000
 
@@ -73,13 +74,12 @@ def tuple_decode(value: int, k: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class MachineState:
+class MachineState(NamedTuple):
     tag: int
     args: tuple[int, ...] = ()
 
 
-_DIVERGE_STATE = None  # set below
+_DIVERGE_STATE = MachineState(DIVERGE)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -89,7 +89,10 @@ def decode(code: int) -> MachineState:
     Valid encodings are bit strings: a leading 1 (so leading zeros survive),
     a 4-bit tag, then each argument as an Elias-delta code of value+1.  The
     logarithmic framing overhead keeps code sizes essentially linear under
-    nesting, unlike an iterated pairing.
+    nesting, unlike an iterated pairing.  The step loop calls this only on
+    codes it did not build itself (see _apply), so the cache holds the
+    codes a caller passes in and their parts, not one-shot partial
+    applications.
     """
     if code < 16:
         return _DIVERGE_STATE
@@ -130,23 +133,22 @@ def _gamma(bits: int, m: int) -> int:
 
 def _delta(bits: int, x: int) -> int:
     """bits followed by the Elias-delta code of x >= 1, the framing of one
-    machine argument a as x = a + 1."""
+    machine argument a as x = a + 1: the Elias-gamma code of x's bit
+    length n, then x's bits after its leading 1."""
     n = x.bit_length()
-    return (_gamma(bits, n) << (n - 1)) | (x ^ (1 << (n - 1)))
+    return ((((bits << (2 * n.bit_length() - 1)) | n) << (n - 1))
+            | (x ^ (1 << (n - 1))))
 
 
-def encode(state: MachineState) -> int:
-    code = 0b10000 | state.tag
-    for arg in state.args:
+def enc(tag: int, *args: int) -> int:
+    code = 0b10000 | tag
+    for arg in args:
         code = _delta(code, arg + 1)
     return code
 
 
-_DIVERGE_STATE = MachineState(DIVERGE)
-
-
-def enc(tag: int, *args: int) -> int:
-    return encode(MachineState(tag, args))
+def encode(state: MachineState) -> int:
+    return enc(state.tag, *state.args)
 
 
 K = enc(K0)
@@ -159,17 +161,19 @@ IFEQ = enc(IFEQ0)
 DIVERGE_C = enc(DIVERGE)
 ID = enc(S2, K, K)  # S K K
 
+# The partial-application rule: a constant of tag t applied to one more
+# argument a is the constant of tag _PARTIAL[t] over its arguments and a.
+# On a code this flips the tag nibble below the leading 1 and appends the
+# Elias-delta frame of a + 1, which is how _apply builds it.
+_PARTIAL = {K0: K1, S0: S1, S1: S2, PAIR0: PAIR1,
+            IFEQ0: IFEQ1, IFEQ1: IFEQ2, IFEQ2: IFEQ3}
+
 
 class _Fuel:
     __slots__ = ("left",)
 
     def __init__(self, steps: int):
         self.left = steps
-
-    def tick(self):
-        if self.left <= 0:
-            raise FuelExhausted()
-        self.left -= 1
 
 
 def apply(code: int, arg: int, fuel: int = DEFAULT_FUEL) -> int:
@@ -193,74 +197,82 @@ def apply_many(code: int, args: list[int] | tuple[int, ...],
     return acc
 
 
+# frame kinds of the step loop, compared with `is`
+_RAND, _APP = object(), object()
+
+
 def _apply(code: int, arg: int, fuel: _Fuel) -> int:
     # iterative evaluator (a tabulated chain run as an int nests deeply);
-    # frames: ("rand", q, a) = left operand done, evaluate q a next;
-    #         ("app", f, _)  = right operand done, apply f to it
+    # frames: (_RAND, q, a)      = left operand done, evaluate q a next;
+    #         (_APP, f, f_state) = right operand done, apply f to it.
+    # The loop never decodes a code it built itself: applying a partial
+    # constant gives the new code and its state (tag, args) at once, and
+    # f_state carries that state beside f until f is applied (None when f
+    # came from elsewhere).  Each step costs one unit of fuel, counted in a
+    # local and written back to fuel.left however the loop ends.
     stack: list = []
-    while True:
-        if type(code) is Table:
-            # a Table resolves by lookup and never builds its chain: same
-            # value and same divergence off the domain as the chain scan, but
-            # fuel charged at _STEPS_PER_ENTRY per entry, not the scan's
-            # 15*(rank+1)+1 on a hit and 15*n+1 on a miss; an int runs on
-            # the machine, even one equal to a Table's chain
-            rank = code.rank
-            steps = _STEPS_PER_ENTRY * (
-                rank[arg] + 1 if arg in rank else len(rank)) + 1
-            if fuel.left < steps:
-                fuel.left = 0
-                raise FuelExhausted()
-            fuel.left -= steps
-            if arg not in rank:
-                raise Diverges()
-            val = code.values[arg]
-        else:
-            fuel.tick()
-            st = decode(code)
-            tag, args = st.tag, st.args
-            if tag == S2:
-                stack.append(("rand", args[1], arg))
-                code = args[0]
-                continue
-            if tag == K0:
-                val = enc(K1, arg)
-            elif tag == K1:
-                val = args[0]
-            elif tag == S0:
-                val = enc(S1, arg)
-            elif tag == S1:
-                val = enc(S2, args[0], arg)
-            elif tag == PAIR0:
-                val = enc(PAIR1, arg)
-            elif tag == PAIR1:
-                val = cantor_pair(args[0], arg)
-            elif tag == FST:
-                val = cantor_unpair(arg)[0]
-            elif tag == SND:
-                val = cantor_unpair(arg)[1]
-            elif tag == SUCC:
-                val = arg + 1
-            elif tag == IFEQ0:
-                val = enc(IFEQ1, arg)
-            elif tag == IFEQ1:
-                val = enc(IFEQ2, args[0], arg)
-            elif tag == IFEQ2:
-                val = enc(IFEQ3, args[0], args[1], arg)
-            elif tag == IFEQ3:
-                a, b, then_ = args
-                val = then_ if a == b else arg
+    left = fuel.left
+    state = None  # code's state when the loop built code, else None
+    try:
+        while True:
+            built = None  # val's state when this step builds it
+            if type(code) is Table:
+                # a Table resolves by lookup and never builds its chain: same
+                # value and same divergence off the domain as the chain scan,
+                # but fuel charged at _STEPS_PER_ENTRY per entry, not the
+                # scan's 15*(rank+1)+1 on a hit and 15*n+1 on a miss; an int
+                # runs on the machine, even one equal to a Table's chain
+                rank = code.rank
+                steps = _STEPS_PER_ENTRY * (
+                    rank[arg] + 1 if arg in rank else len(rank)) + 1
+                if left < steps:
+                    left = 0
+                    raise FuelExhausted()
+                left -= steps
+                if arg not in rank:
+                    raise Diverges()
+                val = code.values[arg]
             else:
-                raise Diverges()
-        if not stack:
-            return val
-        kind, x, y = stack[-1]
-        if kind == "rand":
-            stack[-1] = ("app", val, None)
-            code, arg = x, y
-        else:
-            stack.pop()
-            code, arg = x, val
+                if left <= 0:
+                    raise FuelExhausted()
+                left -= 1
+                tag, args = state or decode(code)
+                if tag == S2:
+                    stack.append((_RAND, args[1], arg))
+                    code, state = args[0], None
+                    continue
+                nt = _PARTIAL.get(tag)
+                if nt is not None:
+                    a1 = arg + 1  # an int, even for a Table argument
+                    val = _delta(
+                        code ^ ((tag ^ nt) << (code.bit_length() - 5)), a1)
+                    built = (nt, args + (a1 - 1,))
+                elif tag == K1:
+                    val = args[0]
+                elif tag == IFEQ3:
+                    a, b, then_ = args
+                    val = then_ if a == b else arg
+                elif tag == PAIR1:
+                    val = cantor_pair(args[0], arg)
+                elif tag == FST:
+                    val = cantor_unpair(arg)[0]
+                elif tag == SND:
+                    val = cantor_unpair(arg)[1]
+                elif tag == SUCC:
+                    val = arg + 1
+                else:
+                    raise Diverges()
+            if not stack:
+                return val
+            kind, x, y = stack[-1]
+            if kind is _RAND:
+                stack[-1] = (_APP, val, built)
+                code, arg, state = x, y, None
+            else:
+                stack.pop()
+                code, arg, state = x, val, y
+    finally:
+        fuel.left = left
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +331,14 @@ def compile_term(term) -> int:
 
 def _apply_code(f: int, a: int) -> int:
     """Code for the application of two codes, without evaluating it."""
-    # S (K f) (K a) applied to anything yields f a; but we want a code whose
-    # *value* is the application, so we reduce statically where it is safe:
-    # partial application of the curried constants is pure bookkeeping.
-    # A Table falls through to apply, which looks it up.
-    st = _DIVERGE_STATE if type(f) is Table else decode(f)
-    tag, args = st.tag, st.args
-    if tag == K0:
-        return enc(K1, a)
-    if tag == S0:
-        return enc(S1, a)
-    if tag == S1:
-        return enc(S2, args[0], a)
-    if tag == PAIR0:
-        return enc(PAIR1, a)
-    if tag == IFEQ0:
-        return enc(IFEQ1, a)
-    if tag == IFEQ1:
-        return enc(IFEQ2, args[0], a)
-    if tag == IFEQ2:
-        return enc(IFEQ3, args[0], args[1], a)
-    # genuine computation: evaluate now (closed compile-time application)
+    # partial application of the curried constants is pure bookkeeping, so
+    # it is done statically; anything else is a closed compile-time
+    # application, evaluated now.  A Table falls through to apply, which
+    # looks it up.
+    if type(f) is not Table:
+        tag, args = decode(f)
+        if tag in _PARTIAL:
+            return enc(_PARTIAL[tag], *args, a)
     return apply(f, a)
 
 

@@ -366,6 +366,39 @@ def test_pi_projection_lies_over_the_first_component(tmp_path):
                 "2 sections; projection fibration: yes", (cmd, targets)
 
 
+def test_pi_of_a_map_with_realizer_twins_is_taken_of_its_standard_form(
+        tmp_path, capsys):
+    # g sends two cells of realizer 0 to the one cell of B; Pi of g itself
+    # has no structure codes, Pi of its standard form has one section
+    objects = {"A": {"cells": ["a"], "realizer": {"a": 1},
+                     "hom": {"a a": [2]}},
+               "B": {"cells": ["a"], "realizer": {"a": 0},
+                     "hom": {"a a": [1]}},
+               "C": {"cells": ["a", "b"], "realizer": {"a": 0, "b": 0},
+                     "hom": {"a a": [0, 1, 2], "a b": [0, 2],
+                             "b a": [1, 2], "b b": [0, 2]}}}
+    morphisms = {"f": {"dom": "B", "cod": "A", "zero_map": {"a": "a"}},
+                 "g": {"dom": "C", "cod": "B",
+                       "zero_map": {"a": "a", "b": "a"}},
+                 "h": {"dom": "C", "cod": "C",
+                       "zero_map": {"a": "a", "b": "a"}}}
+    for level, cmd in ((0, "pi"), (1, "eff1-pi")):
+        doc = {"format": 1,
+               "objects": {k: {**v, "level": level}
+                           for k, v in objects.items()},
+               "morphisms": {k: {**v, "level": level}
+                             for k, v in morphisms.items()}}
+        p = tmp_path / f"Twins{level}.json"
+        p.write_text(json.dumps(doc))
+        rc, text = _run([cmd, f"{p}#f", f"{p}#g", "--format", "json"])
+        [report] = json.loads(text)
+        assert (rc, report["status"], report["detail"]) == \
+            (0, "yes", "1 sections; projection fibration: yes"), cmd
+        # a second target that is not a fibration is a usage error
+        assert _run([cmd, f"{p}#f", f"{p}#h"])[0] == 2, cmd
+        assert "#h is not a fibration" in capsys.readouterr().err, cmd
+
+
 def test_construction_commands():
     rc, text = _run(["path-object", "2"])
     assert rc == 0 and "2 cells" in text
@@ -539,8 +572,8 @@ _JUNK = st.sampled_from([None, 5, "a", [1], {"a": 1}, 2.5, True])
 
 @st.composite
 def _documents(draw):
-    """One or two objects of at most three cells and one morphism, with at
-    most one fault: a bad code literal, a name of no cell or object, or a
+    """One or two objects of at most three cells and two morphisms m and n,
+    with at most one fault: a bad code literal, a name of no cell or object, or a
     field replaced by a JSON value of the wrong shape."""
     objects = {}
     for name in draw(st.lists(st.sampled_from(["X", "Y"]), min_size=1,
@@ -569,12 +602,16 @@ def _documents(draw):
                 codes, max_size=3))
         objects[name] = doc
     names = sorted(objects)
-    dom, cod = draw(st.sampled_from(names)), draw(st.sampled_from(names))
-    m = {"dom": dom, "cod": cod,
-         "zero_map": {c: draw(st.sampled_from(objects[cod]["cells"]))
-                      for c in objects[dom]["cells"]},
-         "level": objects[dom]["level"]}
-    doc = {"format": 1, "objects": objects, "morphisms": {"m": m}}
+    morphisms = {}
+    for name in ("m", "n"):
+        dom, cod = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        morphisms[name] = {
+            "dom": dom, "cod": cod,
+            "zero_map": {c: draw(st.sampled_from(objects[cod]["cells"]))
+                         for c in objects[dom]["cells"]},
+            "level": objects[dom]["level"]}
+    m = morphisms["m"]
+    doc = {"format": 1, "objects": objects, "morphisms": morphisms}
     X = objects[names[0]]
     fault = draw(st.sampled_from(
         [None, None, None, "literal", "name", "shape"]))
@@ -628,7 +665,8 @@ def test_fixture_documents_end_in_a_report_or_exit_2(doc, fuel):
                      ["check-object", f"{path}#Y", *fuel],
                      ["check-morphism", f"{path}#m", *fuel],
                      [f"{prefix}truncate", f"{path}#m", "--n", "-1", *fuel],
-                     [f"{prefix}hlevel", f"{path}#m", "--n", "-1", *fuel]):
+                     [f"{prefix}hlevel", f"{path}#m", "--n", "-1", *fuel],
+                     [f"{prefix}pi", f"{path}#m", f"{path}#n", *fuel]):
             rc, _text = _run(argv)
             assert rc in (0, 1, 2, 3), argv
 

@@ -1,0 +1,31 @@
+"""The benchmark's `machine` workload, run in-process as a test.
+
+Its oracle pins each raw chain lookup to the machine's step formula,
+15*(rank+1)+1 on a hit and 15*n+1 off the domain, at the exact fuel
+boundary; a drift in the step loop fails here before any benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_machine_workload_meets_its_oracle(workloads, seed):
+    state = workloads.machine_setup(seed)
+    rec = workloads.Recorder()
+    workloads.machine_run(state, rec)
+    assert rec.attempted == len(state["calls"]) > 0
+    assert rec.failed == 0, rec.errors
