@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, FuelExhausted, apply, cantor_unpair, const_code, tabulate,
+    FuelExhausted, apply, cantor_unpair, const_code, fuel_now, tabulate,
     tuple_encode,
 )
 from .core import (
@@ -48,7 +48,7 @@ def hlevel_verdict(d: Decision, verified: str) -> HlevelVerdict:
                          reason=d.reason)
 
 
-def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
+def hlevel_check(f: EffMorphism, n: int,
                  depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
     """Is f a fibration of n-types?  Level -2 means trivial, level -1 that
     the fibrewise path object is trivial; higher levels are decided one
@@ -56,7 +56,7 @@ def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
     if n < -2:
         raise ValueError("levels start at -2")
     if n == -2:
-        return hlevel_verdict(is_trivial_fibration(f, fuel),
+        return hlevel_verdict(is_trivial_fibration(f),
                               "a fibration and an equivalence")
     if n == -1:
         # one level-0 path object is cheaper than a level-1 truncation
@@ -68,14 +68,15 @@ def hlevel_check(f: EffMorphism, n: int, fuel: int = DEFAULT_FUEL,
             return HlevelVerdict(UNKNOWN,
                                  reason=f"path object has {size} cells")
         try:
-            st = fib_path_object(f, fuel).st
+            st = fib_path_object(f).st
         except FuelExhausted:
-            return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel} exhausted")
+            return HlevelVerdict(UNKNOWN,
+                                 reason=f"fuel {fuel_now()} exhausted")
         # st is a fibration (a path-category axiom): trivial = equivalence
-        return hlevel_verdict(is_equivalence_decide(st, fuel),
+        return hlevel_verdict(is_equivalence_decide(st),
                               "its path object is a trivial fibration")
     from .eff1 import hlevel1_check, inflate_morphism
-    return hlevel1_check(inflate_morphism(f), n, fuel, depth_budget)
+    return hlevel1_check(inflate_morphism(f), n, depth_budget)
 
 
 # --- propositional truncation -----------------------------------------------
@@ -105,7 +106,7 @@ def prop_truncate(f: EffMorphism) -> TruncationBundle:
 
 
 def truncation_compare(tr: TruncationBundle, g2: EffMorphism,
-                       h2: EffMorphism, fuel: int = DEFAULT_FUEL):
+                       h2: EffMorphism):
     """The comparison map d: C -> C' against another factorisation, with
     d g ~_A g2; returns (d, Decision)."""
     C = tr.g.cod
@@ -114,7 +115,7 @@ def truncation_compare(tr: TruncationBundle, g2: EffMorphism,
                             name="truncation_compare")
     if d is None:
         return None, Decision(NO, reason="comparison map untrackable")
-    law = fibrewise_homotopic_decide(compose(d, tr.g), g2, h2, fuel)
+    law = fibrewise_homotopic_decide(compose(d, tr.g), g2, h2)
     return d, law
 
 
@@ -138,12 +139,12 @@ class DiscreteNormalForm:
     standard: EffMorphism     # quotient -> A, standard discrete by build
 
 
-def discrete_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
+def discrete_decide(f: EffMorphism) -> Decision:
     """Decide whether the fibration f is discrete, one dimension up on the
     inflated map; on YES the quotient by realizer twins is read back."""
     from .eff1 import discrete1_decide, flatten, flatten_morphism, \
         inflate_morphism
-    d = discrete1_decide(inflate_morphism(f), fuel)
+    d = discrete1_decide(inflate_morphism(f))
     if d.status != YES:
         return d
     nf = d.witness
@@ -155,13 +156,13 @@ def discrete_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
 
 # --- the universe of propositions -------------------------------------------
 
-def u_hom_status(X, Y, n: int, fuel: int = DEFAULT_FUEL) -> str:
+def u_hom_status(X, Y, n: int) -> str:
     """Is n = <r, s> a 1-cell between the subsets X and Y?  r must send
     every element of X into Y and s every element of Y into X."""
     r, s = cantor_unpair(n)
     for code, src, dst in ((r, X, Y), (s, Y, X)):
         for x in sorted(src):
-            status, v = _run(code, x, fuel)
+            status, v = _run(code, x, fuel_now())
             if status == "fuel":
                 return UNKNOWN
             if status == "div" or v not in dst:
@@ -209,8 +210,8 @@ class Classification:
     comparison: Decision       # equivalence with the classified total space
 
 
-def classify_prop_discrete(f: EffMorphism, w: FibrationWitness,
-                           fuel: int = DEFAULT_FUEL) -> Classification:
+def classify_prop_discrete(f: EffMorphism,
+                           w: FibrationWitness) -> Classification:
     """Classifying map of a normalized standard discrete propositional
     fibration: a goes to its fibre set, a 1-cell to the tracking pair of
     the transport equivalence between the fibres."""
@@ -224,15 +225,14 @@ def classify_prop_discrete(f: EffMorphism, w: FibrationWitness,
 
     def fibre_transport(a, a2, pi):
         return tabulate({
-            n: B.realizer[lift_endpoint(f, w, (a, n), a2, pi, fuel)[0]]
+            n: B.realizer[lift_endpoint(f, w, (a, n), a2, pi)[0]]
             for n in zero[a]}) if zero[a] else const_code(0)
 
     one, t1_table = {}, {}
     for a, a2 in itertools.product(A.cells, repeat=2):
         for pi in A.hom_of(a, a2):
             inv = apply(A.inv_code,
-                        tuple_encode(A.realizer[a], A.realizer[a2], pi),
-                        fuel=fuel)
+                        tuple_encode(A.realizer[a], A.realizer[a2], pi))
             r = fibre_transport(a, a2, pi)
             s = fibre_transport(a2, a, inv)
             one[(a, a2, pi)] = (r, s)
@@ -247,19 +247,18 @@ def classify_prop_discrete(f: EffMorphism, w: FibrationWitness,
     if comp is None:
         comparison = Decision(NO, reason="comparison map untrackable")
     else:
-        comparison = is_equivalence_decide(comp, fuel)
+        comparison = is_equivalence_decide(comp)
     return Classification(k, recovered, comparison)
 
 
-def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism,
-                          fuel: int = DEFAULT_FUEL):
+def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism):
     """Read a universe homotopy off an equivalence w: P_f -> P_g over Z
     (pg w = pf; cells (z, n) realized by pairs) and verify that the map it
     induces is fibrewise homotopic to w.  Returns ({z: (r, s)}, Decision);
     raises NotNormalized when a cell of P_f or P_g is not such a pair.
     """
     Z = pf.cod
-    eq = is_equivalence_decide(w, fuel)
+    eq = is_equivalence_decide(w)
     if eq.status != YES:
         return None, Decision(eq.status, reason="w is not an equivalence")
     for p, X in ((pf, w.dom), (pg, w.cod)):
@@ -277,13 +276,13 @@ def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism,
         r = tabulate(fwd) if fwd else const_code(0)
         s = tabulate(bwd) if bwd else const_code(0)
         H[z] = (r, s)
-    induced_zero = {(z, n): (z, apply(H[z][0], n, fuel=fuel))
+    induced_zero = {(z, n): (z, apply(H[z][0], n))
                     for (z, n) in w.dom.cells}
     induced = synthesize_morphism(w.dom, w.cod, induced_zero,
                                   name="induced_by_H")
     if induced is None:
         return H, Decision(NO, reason="induced map untrackable")
-    return H, fibrewise_homotopic_decide(induced, w, pg, fuel)
+    return H, fibrewise_homotopic_decide(induced, w, pg)
 
 
 # --- resizing ---------------------------------------------------------------
@@ -297,7 +296,7 @@ class ResizeBundle:
     laws: tuple   # both round trips fibrewise over A, or NO if one is None
 
 
-def resize(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> ResizeBundle:
+def resize(f: EffMorphism) -> ResizeBundle:
     """Replace a propositional fibration by the discrete C -> A with
     C = {(a, n) : some cell over a is realized by n}, realized by n.  When
     f is not propositional a comparison map is untracked, and the laws are
@@ -318,10 +317,8 @@ def resize(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> ResizeBundle:
         choice[(f.zero_map[b], B.realizer[b])] = b
     to_b = synthesize_morphism(C, B, {p: choice[p] for p in pairs})
     laws = _resize_laws(B, C, to_c, to_b, lambda: (
-        fibrewise_homotopic_decide(compose(to_c, to_b), identity(C), proj,
-                                   fuel),
-        fibrewise_homotopic_decide(compose(to_b, to_c), identity(B), f,
-                                   fuel)))
+        fibrewise_homotopic_decide(compose(to_c, to_b), identity(C), proj),
+        fibrewise_homotopic_decide(compose(to_b, to_c), identity(B), f)))
     return ResizeBundle(C, proj, to_c, to_b, laws)
 
 
@@ -347,8 +344,8 @@ class SelfEquivalenceReport:
     homotopic: Decision
 
 
-def two_self_equivalences(obj: EffObject | None = None,
-                          fuel: int = DEFAULT_FUEL) -> SelfEquivalenceReport:
+def two_self_equivalences(
+        obj: EffObject | None = None) -> SelfEquivalenceReport:
     """The identity and the swap on a two-cell object with their
     equivalence proofs and the (non-)homotopy between them.  On the
     discrete pair the maps are not homotopic, which obstructs a univalent
@@ -361,6 +358,6 @@ def two_self_equivalences(obj: EffObject | None = None,
     assert swap is not None
     return SelfEquivalenceReport(
         obj, ident, swap,
-        is_equivalence_decide(ident, fuel),
-        is_equivalence_decide(swap, fuel),
-        homotopic_decide(ident, swap, fuel))
+        is_equivalence_decide(ident),
+        is_equivalence_decide(swap),
+        homotopic_decide(ident, swap))

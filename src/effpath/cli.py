@@ -12,10 +12,10 @@ import functools
 import json
 import sys
 
-from .pca import DEFAULT_FUEL, FuelExhausted
+from .pca import DEFAULT_FUEL, FuelExhausted, fuel_limit
 from .core import (
     NO, UNKNOWN, YES, Decision, EffMorphism, EffObject, MapsDoNotFit,
-    check_morphism, check_object, identity,
+    SynthesisFailed, check_morphism, check_object, identity,
 )
 from .path import (
     DEFAULT_BUDGET, fibration_decide, homotopic_decide,
@@ -40,13 +40,6 @@ from .eff1 import (
 )
 from .fixtures import fixture_library
 from .fixture_io import FixtureError, parse_fixture_file
-
-_COMMANDS = (
-    "check-object", "check-morphism", "check-fibration", "pullback",
-    "path-object", "homotopic", "equivalence", "transport", "exp-j", "pi",
-    "truncate", "hlevel", "discrete", "classify", "univalence", "resize",
-)
-
 
 class ConfigError(Exception):
     pass
@@ -101,14 +94,14 @@ def _report(command, target, status, detail=""):
 def _cmd_check_object(rs, args):
     obj = rs.obj(args.targets[0])
     ck = check_object1 if _is_level1(obj) else check_object
-    v = ck(obj, fuel=args.fuel)
+    v = ck(obj)
     return [_report("check-object", args.targets[0], v.status, v.reason)]
 
 
 def _cmd_check_morphism(rs, args):
     f = rs.morphism(args.targets[0])
     ck = check_morphism1 if _is_level1(f) else check_morphism
-    v = ck(f, fuel=args.fuel)
+    v = ck(f)
     return [_report("check-morphism", args.targets[0], v.status, v.reason)]
 
 
@@ -122,7 +115,7 @@ def _cmd_pullback(rs, args):
     f, g = rs.morphism(args.targets[0]), rs.morphism(args.targets[1])
     pb = (pullback1 if _is_level1(f) else pullback)(f, g)
     ck = check_object1 if _is_level1(f) else check_object
-    v = ck(pb.obj, fuel=args.fuel)
+    v = ck(pb.obj)
     return [_report("pullback", " ".join(args.targets[:2]), v.status,
                     f"{len(pb.obj.cells)} cells")]
 
@@ -146,7 +139,7 @@ def _cmd_homotopic(rs, args):
 def _cmd_equivalence(rs, args):
     f = rs.morphism(args.targets[0])
     d = (is_equivalence1_decide if _is_level1(f) else is_equivalence_decide)(
-        f, fuel=args.fuel, budget=args.budget)
+        f, budget=args.budget)
     return [_report("equivalence", args.targets[0], d.status, d.reason)]
 
 
@@ -158,7 +151,7 @@ def _cmd_transport(rs, args):
     if w is None:
         return [_report("transport", args.targets[0], "no",
                         "not a fibration")]
-    vs = transport_properties_check(f, w, fuel=args.fuel)
+    vs = transport_properties_check(f, w)
     status = ("yes" if all(v.status == "yes" for v in vs)
               else "unknown" if any(v.status == "unknown" for v in vs)
               else "no")
@@ -169,16 +162,18 @@ def _cmd_transport(rs, args):
 def _cmd_exp_j(rs, args):
     obj = rs.obj(args.targets[0])
     if _is_level1(obj):
-        e = hexp_J1(obj, fuel=args.fuel)
-        v = check_object1(e.obj, fuel=args.fuel)
+        e = hexp_J1(obj)
+        v = check_object1(e.obj)
     else:
         e = hexp_J(obj)
-        v = check_object(e.obj, fuel=args.fuel)
+        v = check_object(e.obj)
     return [_report("exp-j", args.targets[0], v.status,
                     f"{len(e.obj.cells)} cells")]
 
 
 def _cmd_pi(rs, args):
+    if len(args.targets) > 2:
+        raise ConfigError("pi takes one or two targets")
     f = rs.morphism(args.targets[0])
     level1 = _is_level1(f)
     g = (rs.morphism(args.targets[1]) if len(args.targets) > 1
@@ -196,14 +191,19 @@ def _cmd_pi(rs, args):
         # realizer twins in a fibre of g can leave Pi without structure
         # codes; a discrete g is equivalent over its base to its standard
         # form, and Pi is taken of that
-        d = (discrete1_decide if _is_level1(g) else discrete_decide)(
-            g, fuel=args.fuel)
+        d = (discrete1_decide if _is_level1(g) else discrete_decide)(g)
         if d.status != YES:
             return [_report("pi", target, d.status,
                             f"{g.name} has realizer twins in a fibre; "
                             f"discrete: {d.status} ({d.reason})")]
         g = d.witness.standard
-    pi = (pi_type1 if level1 else pi_type)(f, w, g)
+    try:
+        pi = (pi_type1 if level1 else pi_type)(f, w, g)
+    except SynthesisFailed as e:
+        # Pi, or the pullback its evaluation lives on, has no uniform
+        # structure codes: realizer twins in the base can lift to Pi cells
+        # with different realizers, one per fibre's tracking tables
+        return [_report("pi", target, NO, f"no uniform {e.label} code")]
     d = (fibration1_decide if level1 else fibration_decide)(pi.proj)
     return [_report("pi", target, d.status,
                     f"{len(pi.obj.cells)} sections; projection "
@@ -216,14 +216,14 @@ def _cmd_truncate(rs, args):
         if args.n not in (-1, 0):
             raise ConfigError("two-level truncation is materialized for "
                               "--n -1 and 0")
-        tr = truncate1(f, args.n, fuel=args.fuel)
-        hv = hlevel1_check(tr.h, args.n, fuel=args.fuel)
+        tr = truncate1(f, args.n)
+        hv = hlevel1_check(tr.h, args.n)
     else:
         if args.n != -1:
             raise ConfigError("groupoid-level truncation is propositional "
                               "(--n -1)")
         tr = prop_truncate(f)
-        hv = hlevel_check(tr.h, -1, fuel=args.fuel)
+        hv = hlevel_check(tr.h, -1)
     return [_hlevel_report("truncate", args.targets[0], hv,
                            f"n={args.n}: truncation has hlevel {args.n}: "
                            f"{hv.status}")]
@@ -238,15 +238,14 @@ def _hlevel_report(command, target, hv, detail):
 def _cmd_hlevel(rs, args):
     f = rs.morphism(args.targets[0])
     hv = (hlevel1_check if _is_level1(f) else hlevel_check)(
-        f, args.n, fuel=args.fuel, depth_budget=args.depth)
+        f, args.n, depth_budget=args.depth)
     return [_hlevel_report("hlevel", args.targets[0], hv,
                            f"n={args.n}: {hv.reason}")]
 
 
 def _cmd_discrete(rs, args):
     f = rs.morphism(args.targets[0])
-    d = (discrete1_decide if _is_level1(f) else discrete_decide)(
-        f, fuel=args.fuel)
+    d = (discrete1_decide if _is_level1(f) else discrete_decide)(f)
     return [_report("discrete", args.targets[0], d.status, d.reason)]
 
 
@@ -257,12 +256,12 @@ def _cmd_classify(rs, args):
             w = synthesize_fibration1_witness(f)
             if w is None:
                 raise ConfigError(f"{args.targets[0]} is not a fibration")
-            cl = classify_discrete_set(f, w, fuel=args.fuel)
+            cl = classify_discrete_set(f, w)
         else:
             w = synthesize_fibration_witness(f)
             if w is None:
                 raise ConfigError(f"{args.targets[0]} is not a fibration")
-            cl = classify_prop_discrete(f, w, fuel=args.fuel)
+            cl = classify_prop_discrete(f, w)
     except (NotNormalized, NotNormalized1) as e:
         return [_report("classify", args.targets[0], "no", str(e))]
     return [_report("classify", args.targets[0], cl.comparison.status,
@@ -277,7 +276,7 @@ def _cmd_univalence(rs, args):
     check = univalence_check_set if _is_level1(w) else univalence_check_prop
     target = " ".join(args.targets[:3])
     try:
-        _H, d = check(w, pf, pg, fuel=args.fuel)
+        _H, d = check(w, pf, pg)
     except (NotNormalized, NotNormalized1) as e:
         return [_report("univalence", target, "no", str(e))]
     return [_report("univalence", target, d.status, d.reason)]
@@ -285,7 +284,7 @@ def _cmd_univalence(rs, args):
 
 def _cmd_resize(rs, args):
     f = rs.morphism(args.targets[0])
-    rsb = (resize1 if _is_level1(f) else resize)(f, fuel=args.fuel)
+    rsb = (resize1 if _is_level1(f) else resize)(f)
     status = ("yes" if all(d.status == "yes" for d in rsb.laws)
               else "unknown" if any(d.status == "unknown" for d in rsb.laws)
               else "no")
@@ -325,39 +324,39 @@ def _as_bool(status: str):
     return None
 
 
-def _entry_check(entry, key: str, fuel: int):
+def _entry_check(entry, key: str):
     """Run one declared expectation; returns its verdict, a Verdict,
     Decision or HlevelVerdict."""
     v = entry.value
     if entry.kind == "object":
         f = terminal_map(v)
         if key == "valid":
-            return check_object(v, fuel=fuel)
+            return check_object(v)
         if key == "trivial_over_1":
-            return is_trivial_fibration(f, fuel=fuel)
+            return is_trivial_fibration(f)
         if key == "discrete_over_1":
-            return discrete_decide(f, fuel=fuel)
+            return discrete_decide(f)
         if key == "hlevel0":
-            return hlevel_check(f, 0, fuel=fuel)
+            return hlevel_check(f, 0)
     if entry.kind == "fibration":
         if key == "fibration":
             return fibration_decide(v)
         if key == "hlevel0":
-            return hlevel_check(v, 0, fuel=fuel)
+            return hlevel_check(v, 0)
         if key == "propositional":
-            return hlevel_check(v, -1, fuel=fuel)
+            return hlevel_check(v, -1)
         if key == "discrete":
-            return discrete_decide(v, fuel=fuel)
+            return discrete_decide(v)
         if key == "classifies":
             w = synthesize_fibration_witness(v)
-            return classify_prop_discrete(v, w, fuel=fuel).comparison
+            return classify_prop_discrete(v, w).comparison
     if entry.kind == "pathobj":
         if key == "valid":
-            return check_object(v.obj, fuel=fuel)
+            return check_object(v.obj)
         if key == "st_fibration":
             return fibration_decide(v.st)
         if key == "st_discrete":
-            return discrete_decide(v.st, fuel=fuel)
+            return discrete_decide(v.st)
     if entry.kind == "subsets":
         x, y = v
         if key == "reflexive":
@@ -373,29 +372,29 @@ def _entry_check(entry, key: str, fuel: int):
     if entry.kind == "object1":
         f = terminal_map1(v)
         if key == "valid":
-            return check_object1(v, fuel=fuel)
+            return check_object1(v)
         if key == "trivial_over_1":
-            return trivial1_decide(f, fuel=fuel)
+            return trivial1_decide(f)
         if key == "discrete_over_1":
-            return discrete1_decide(f, fuel=fuel)
+            return discrete1_decide(f)
         if key == "set_over_1":
-            return hlevel1_check(f, 0, fuel=fuel)
+            return hlevel1_check(f, 0)
         if key == "groupoid_over_1":
-            return hlevel1_check(f, 1, fuel=fuel)
+            return hlevel1_check(f, 1)
         if key == "twist_equivalence":
-            return is_equivalence1_decide(z2_twist(v), fuel=fuel)
+            return is_equivalence1_decide(z2_twist(v))
         if key == "modifications_differ":
             wm = z2_twist(v)
             idv = identity1(v)
             H, K = z2_homotopies(v, wm)
-            d = two_homotopic_decide(idv, wm, H, K, fuel=fuel)
+            d = two_homotopic_decide(idv, wm, H, K)
             return Decision({NO: YES, YES: NO}.get(d.status, d.status),
                             reason=d.reason)
     if entry.kind == "fibration1":
         if key == "fibration":
             return fibration1_decide(v)
         if key == "groupoid_over_1":
-            return hlevel1_check(v, 1, fuel=fuel)
+            return hlevel1_check(v, 1)
     raise ConfigError(f"{entry.name}: no check for expectation {key!r}")
 
 
@@ -414,7 +413,7 @@ def _run_suite(rs, args):
     def run(item):
         n, key, want = item
         try:
-            v = _entry_check(lib[n], key, args.fuel)
+            v = _entry_check(lib[n], key)
         except FuelExhausted:
             v = Decision(UNKNOWN, reason=f"fuel {args.fuel} exhausted")
         got = _as_bool(v.status)
@@ -506,16 +505,15 @@ def main(argv=None, out=None) -> int:
     base = command.removeprefix("eff1-")  # the name handlers report under
     try:
         rs = Resolver(args.fixtures)
-        if command == "suite":
-            reports = _run_suite(rs, args)
-        else:
-            fn, _arity = _HANDLERS[base]
-            if command.startswith("eff1-"):
-                first = rs.get(args.targets[0])
-                if not _is_level1(first):
-                    raise ConfigError(
-                        f"{args.targets[0]!r} is not a two-level fixture")
-            reports = fn(rs, args)
+        if command.startswith("eff1-") and not _is_level1(
+                rs.get(args.targets[0])):
+            raise ConfigError(
+                f"{args.targets[0]!r} is not a two-level fixture")
+        # --fuel bounds every application the command makes; its targets
+        # are inputs, built at the default fuel
+        with fuel_limit(args.fuel):
+            reports = (_run_suite if command == "suite"
+                       else _HANDLERS[base][0])(rs, args)
     except (FixtureError, ConfigError, MapsDoNotFit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, FST_C, PAIR, SND_C, Var, app, apply, cantor_unpair,
-    curry_left, lam, compile_term, tuple_encode,
+    FST_C, PAIR, SND_C, Var, app, apply, cantor_unpair, curry_left, lam,
+    compile_term, tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, UNKNOWN, YES,
@@ -42,14 +42,13 @@ class Transport:
     gamma: EffMorphism             # domain.obj -> Y
     refl_law: Decision             # Gamma(1, rf) ~_X 1
 
-    def cell(self, y, path_cell, fuel: int = DEFAULT_FUEL):
+    def cell(self, y, path_cell):
         """Gamma(y, p) for any p = (x, x', pi) with f(y) = x."""
         _, x2, pi = path_cell
-        return lift_endpoint(self.fib, self.witness, y, x2, pi, fuel)[0]
+        return lift_endpoint(self.fib, self.witness, y, x2, pi)[0]
 
 
-def transport(f: EffMorphism, w: FibrationWitness,
-              fuel: int = DEFAULT_FUEL) -> Transport:
+def transport(f: EffMorphism, w: FibrationWitness) -> Transport:
     """The transport structure of a verified fibration f: Y -> X.
 
     Gamma(y, p) is the endpoint of the lift of p through the witness codes;
@@ -57,12 +56,12 @@ def transport(f: EffMorphism, w: FibrationWitness,
     reflexivity paths is fibrewise homotopic to the identity.
     """
     Y, X = f.dom, f.cod
-    bundle = path_object(X, fuel)
+    bundle = path_object(X)
     s_m = synthesize_morphism(bundle.obj, X,
                               {p: p[0] for p in bundle.obj.cells}, name="s")
     assert s_m is not None
     dom = pullback(f, s_m, name=f"{Y.name}x_{X.name}P{X.name}")
-    zero = {(p, y): lift_endpoint(f, w, y, p[1], p[2], fuel)[0]
+    zero = {(p, y): lift_endpoint(f, w, y, p[1], p[2])[0]
             for (p, y) in dom.obj.cells}
     gamma = synthesize_morphism(dom.obj, Y, zero, name=f"transport_{f.name}")
     assert gamma is not None
@@ -74,13 +73,12 @@ def transport(f: EffMorphism, w: FibrationWitness,
         {y: (bundle.r.zero_map[f.zero_map[y]], y) for y in Y.cells},
         name="refl")
     assert refl is not None
-    law = fibrewise_homotopic_decide(compose(gamma, refl), identity(Y), f,
-                                     fuel)
+    law = fibrewise_homotopic_decide(compose(gamma, refl), identity(Y), f)
     return Transport(f, w, bundle, dom, gamma, law)
 
 
-def transport_properties_check(f: EffMorphism, w: FibrationWitness,
-                               fuel: int = DEFAULT_FUEL) -> list[Decision]:
+def transport_properties_check(f: EffMorphism,
+                               w: FibrationWitness) -> list[Decision]:
     """The three transport laws, each as a fibrewise homotopy over the base.
 
     (1) endpoints of a fibrewise path transport the same way;
@@ -88,7 +86,7 @@ def transport_properties_check(f: EffMorphism, w: FibrationWitness,
     (3) transporting along a composite is transporting twice.
     """
     Y, X = f.dom, f.cod
-    tr = transport(f, w, fuel)
+    tr = transport(f, w)
     PX = tr.bundle.obj
     s_m = synthesize_morphism(PX, X, {p: p[0] for p in PX.cells}, name="s")
     t_m = synthesize_morphism(PX, X, {p: p[1] for p in PX.cells}, name="t")
@@ -98,34 +96,34 @@ def transport_properties_check(f: EffMorphism, w: FibrationWitness,
         lhs = synthesize_morphism(dom_obj, Y, lhs_zero)
         rhs = synthesize_morphism(dom_obj, Y, rhs_zero)
         assert lhs is not None and rhs is not None
-        return fibrewise_homotopic_decide(lhs, rhs, f, fuel)
+        return fibrewise_homotopic_decide(lhs, rhs, f)
 
     out = []
 
     # (1) over P_X(Y) x_X PX: paths q: y -> y' in a fibre, paired with a
     # base path out of that fibre's point
-    py = fib_path_object(f, fuel)
+    py = fib_path_object(f)
     u = synthesize_morphism(py.obj, X,
                             {q: f.zero_map[q[0]] for q in py.obj.cells})
     assert u is not None
     d1 = pullback(s_m, u)
     out.append(law(
         d1.obj,
-        {(q, p): tr.cell(q[0], p, fuel) for (q, p) in d1.obj.cells},
-        {(q, p): tr.cell(q[1], p, fuel) for (q, p) in d1.obj.cells}))
+        {(q, p): tr.cell(q[0], p) for (q, p) in d1.obj.cells},
+        {(q, p): tr.cell(q[1], p) for (q, p) in d1.obj.cells}))
 
     # (2) over Y x_X P_{XxX}(PX): a point paired with a path between
     # parallel base paths
     assert tr.bundle.witness is not None
-    ppx = fib_path_object(tr.bundle.st, fuel)
+    ppx = fib_path_object(tr.bundle.st)
     v = synthesize_morphism(ppx.obj, X,
                             {c: c[0][0] for c in ppx.obj.cells})
     assert v is not None
     d2 = pullback(f, v)
     out.append(law(
         d2.obj,
-        {(c, y): tr.cell(y, c[0], fuel) for (c, y) in d2.obj.cells},
-        {(c, y): tr.cell(y, c[1], fuel) for (c, y) in d2.obj.cells}))
+        {(c, y): tr.cell(y, c[0]) for (c, y) in d2.obj.cells},
+        {(c, y): tr.cell(y, c[1]) for (c, y) in d2.obj.cells}))
 
     # (3) over Y x_X (composable pairs of base paths)
     prs = pullback(s_m, t_m)
@@ -139,20 +137,19 @@ def transport_properties_check(f: EffMorphism, w: FibrationWitness,
         (x1, x2, rb), (x0, _, rc) = b, c
         t = tuple_encode(X.realizer[x0], X.realizer[x1], X.realizer[x2],
                          rc, rb)
-        return (x0, x2, apply(X.comp_code, t, fuel=fuel))
+        return (x0, x2, apply(X.comp_code, t))
 
     out.append(law(
         d3.obj,
-        {((c, b), y): tr.cell(y, comp_cell(b, c), fuel)
+        {((c, b), y): tr.cell(y, comp_cell(b, c))
          for ((c, b), y) in d3.obj.cells},
-        {((c, b), y): tr.cell(tr.cell(y, c, fuel), b, fuel)
+        {((c, b), y): tr.cell(tr.cell(y, c), b)
          for ((c, b), y) in d3.obj.cells}))
     return out
 
 
 def induced_fiber_map(p: EffMorphism, w: FibrationWitness,
-                      f: EffMorphism, g: EffMorphism, H: Homotopy,
-                      fuel: int = DEFAULT_FUEL):
+                      f: EffMorphism, g: EffMorphism, H: Homotopy):
     """The map f*p -> g*p induced by a homotopy H: f ~ g (f, g: Z -> X).
 
     Cell (z, y) goes to (z, Gamma(y, H_z)); returns the morphism together
@@ -163,12 +160,12 @@ def induced_fiber_map(p: EffMorphism, w: FibrationWitness,
     gp = pullback(p, g)
     zero = {}
     for (z, y) in fp.obj.cells:
-        hz = apply(H.h1, Z.realizer[z], fuel=fuel)
-        zero[(z, y)] = (z, lift_endpoint(p, w, y, g.zero_map[z], hz, fuel)[0])
+        hz = apply(H.h1, Z.realizer[z])
+        zero[(z, y)] = (z, lift_endpoint(p, w, y, g.zero_map[z], hz)[0])
     m = synthesize_morphism(fp.obj, gp.obj, zero,
                             name=f"fibmap_{f.name}~{g.name}")
     assert m is not None
-    return m, is_equivalence_decide(m, fuel)
+    return m, is_equivalence_decide(m)
 
 
 # --- the J-exponential ------------------------------------------------------
@@ -221,8 +218,7 @@ def hexp_J_morphism(f: EffMorphism, expB: JExponential | None = None,
 # --- homotopy pullbacks -----------------------------------------------------
 
 def homotopy_pullback_check(f: EffMorphism, g: EffMorphism,
-                            h: EffMorphism, k: EffMorphism,
-                            fuel: int = DEFAULT_FUEL) -> Decision:
+                            h: EffMorphism, k: EffMorphism) -> Decision:
     """Is the strictly commuting square (h: D -> C, k: D -> B over
     f: B -> A, g: C -> A) a homotopy pullback?  Build the strict pullback
     and decide whether the induced map D -> C x_A B is an equivalence."""
@@ -231,15 +227,15 @@ def homotopy_pullback_check(f: EffMorphism, g: EffMorphism,
             raise MapsDoNotFit(f"square does not commute at {d}")
     pb = pullback(f, g)
     med = mediate(pb, h, k)
-    return is_equivalence_decide(med, fuel)
+    return is_equivalence_decide(med)
 
 
-def freyd_square_check(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
+def freyd_square_check(f: EffMorphism) -> Decision:
     """The diagonal square of a fibration f: B -> A into its
     J-exponentials; a homotopy pullback exactly when f is discrete."""
     expB, expA = hexp_J(f.dom), hexp_J(f.cod)
     fj = hexp_J_morphism(f, expB, expA)
-    return homotopy_pullback_check(fj, expA.diag, f, expB.diag, fuel)
+    return homotopy_pullback_check(fj, expA.diag, f, expB.diag)
 
 
 # --- virtual objects --------------------------------------------------------
@@ -248,9 +244,9 @@ def freyd_square_check(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Decision:
 class VirtualObject:
     """A countable carrier presented by predicates instead of enumeration."""
     name: str
-    contains: object       # (presentation, fuel) -> yes | no | unknown
+    contains: object       # presentation -> yes | no | unknown
     realizer_of: object    # presentation -> int
-    hom_status: object     # (x, y, n, fuel) -> yes | no | unknown
+    hom_status: object     # (x, y, n) -> yes | no | unknown
 
 
 def _verdict_status(v) -> str:
@@ -266,11 +262,10 @@ class HomExponential:
     virtual: VirtualObject
     ev_code: int     # <<t0, t1>, beta b>  |->  realizer of the value
 
-    def eval_realizer(self, m: EffMorphism, b,
-                      fuel: int = DEFAULT_FUEL) -> int:
+    def eval_realizer(self, m: EffMorphism, b) -> int:
         t = tuple_encode(self.virtual.realizer_of(m),
                          self.dom.realizer[b])
-        return apply(self.ev_code, t, fuel=fuel)
+        return apply(self.ev_code, t)
 
 
 def hexp(A: EffObject, B: EffObject) -> HomExponential:
@@ -278,16 +273,16 @@ def hexp(A: EffObject, B: EffObject) -> HomExponential:
     realized by the pair of their tracking codes; 1-cells between two
     members are coded homotopies."""
 
-    def contains(m, fuel=DEFAULT_FUEL):
+    def contains(m):
         if not isinstance(m, EffMorphism) or m.dom is not B or m.cod is not A:
             return NO
-        return _verdict_status(check_morphism(m, fuel))
+        return _verdict_status(check_morphism(m))
 
     def realizer_of(m):
         return tuple_encode(m.tracking0, m.tracking1)
 
-    def hom_status(m1, m2, n, fuel=DEFAULT_FUEL):
-        return _verdict_status(check_homotopy(m1, m2, Homotopy(n), fuel))
+    def hom_status(m1, m2, n):
+        return _verdict_status(check_homotopy(m1, m2, Homotopy(n)))
 
     x = Var("x")
     ev_code = compile_term(lam("x", app(
@@ -307,8 +302,7 @@ def enumerate_members(exp: HomExponential) -> list[EffMorphism]:
     return out
 
 
-def curry(h: EffMorphism, C: EffObject, B: EffObject,
-          fuel: int = DEFAULT_FUEL) -> dict:
+def curry(h: EffMorphism, C: EffObject, B: EffObject) -> dict:
     """Transpose of h: C x B -> A along the product built by product().
 
     Returns one member of A^B per cell of C, with trackings specialized
@@ -320,7 +314,7 @@ def curry(h: EffMorphism, C: EffObject, B: EffObject,
     x = Var("x")
     for c in C.cells:
         gc = C.realizer[c]
-        uc = apply(C.unit_code, gc, fuel=fuel)
+        uc = apply(C.unit_code, gc)
         zero = {b: h.zero_map[(c, b)] for b in B.cells}
         one = {}
         for b, b2 in itertools.product(B.cells, repeat=2):
@@ -339,12 +333,11 @@ def curry(h: EffMorphism, C: EffObject, B: EffObject,
     return out
 
 
-def curry_uniqueness_check(curried: dict, competitor: dict,
-                           fuel: int = DEFAULT_FUEL) -> Decision:
+def curry_uniqueness_check(curried: dict, competitor: dict) -> Decision:
     """Bounded uniqueness: a presented competitor transpose is connected to
     the canonical one by homotopies at every point of the source."""
     for c, m in curried.items():
-        d = homotopic_decide(m, competitor[c], fuel)
+        d = homotopic_decide(m, competitor[c])
         if d.status != YES:
             return Decision(d.status, reason=f"at {c}: {d.reason}")
     return Decision(YES)
@@ -390,8 +383,7 @@ def _section_key(x, s: EffMorphism):
     return (x, tuple(sorted((y, s.zero_map[y]) for y in s.dom.cells)))
 
 
-def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
-            fuel: int = DEFAULT_FUEL) -> PiBundle:
+def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     """Pi along f: Y -> X of g: Z -> Y.
 
     A zero-cell over x is a tracked section of g on the fibre of f at x,
@@ -421,25 +413,25 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
             realizer[key] = tuple_encode(X.realizer[x], s.tracking0,
                                          s.tracking1)
 
-    def transported(x1, s1, x2, s2, pi, fuel):
+    def transported(x1, s1, x2, s2, pi):
         """The maps s2 Gamma^Y_pi and Gamma^Z_pi s1 on the fibre at x1, or
         None if one is not tracked."""
         ys = fibres[x1].cells
         lhs = synthesize_morphism(fibres[x1], Z, {
-            y: s2.zero_map[lift_endpoint(f, w, y, x2, pi, fuel)[0]]
+            y: s2.zero_map[lift_endpoint(f, w, y, x2, pi)[0]]
             for y in ys})
         rhs = synthesize_morphism(fibres[x1], Z, {
-            y: lift_endpoint(fg, wfg, s1.zero_map[y], x2, pi, fuel)[0]
+            y: lift_endpoint(fg, wfg, s1.zero_map[y], x2, pi)[0]
             for y in ys})
         return None if lhs is None or rhs is None else (lhs, rhs)
 
     def connecting(key1, key2, pi):
         """Canonical coded homotopy s2 Gamma^Y_pi ~ Gamma^Z_pi s1, if any."""
         ends = transported(key1[0], sections[key1], key2[0], sections[key2],
-                           pi, fuel)
+                           pi)
         if ends is None:
             return None
-        d = homotopic_decide(*ends, fuel)
+        d = homotopic_decide(*ends)
         return d.witness.h1 if d.status == YES else None
 
     hom = {}
@@ -465,7 +457,7 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
         name=f"ev_{obj.name}")
     assert ev is not None
 
-    def contains(pres, fuel=DEFAULT_FUEL):
+    def contains(pres):
         if not (isinstance(pres, tuple) and len(pres) == 2):
             return NO
         x, s = pres
@@ -476,20 +468,20 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
             return NO
         if any(g.zero_map[s.zero_map[y]] != y for y in s.zero_map):
             return NO
-        return _verdict_status(check_morphism(s, fuel))
+        return _verdict_status(check_morphism(s))
 
     def realizer_of(pres):
         x, s = pres
         return tuple_encode(X.realizer[x], s.tracking0, s.tracking1)
 
-    def hom_status(p1, p2, n, fuel=DEFAULT_FUEL):
+    def hom_status(p1, p2, n):
         pi, code = cantor_unpair(n)
         if pi not in X.hom_of(p1[0], p2[0]):
             return NO
-        ends = transported(*p1, *p2, pi, fuel)
+        ends = transported(*p1, *p2, pi)
         if ends is None:
             return NO
-        return _verdict_status(check_homotopy(*ends, Homotopy(code), fuel))
+        return _verdict_status(check_homotopy(*ends, Homotopy(code)))
 
     virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_dom, ev)
@@ -518,14 +510,13 @@ def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
 
 def pi_transpose_round_trip(pi: PiBundle, h: EffMorphism,
                             pbW: PullbackBundle, m: EffMorphism,
-                            M: EffMorphism,
-                            fuel: int = DEFAULT_FUEL) -> Decision:
+                            M: EffMorphism) -> Decision:
     """ev (M x_X 1) ~_Y m, decided fibrewise over Y via g."""
     lift = synthesize_morphism(
         pbW.obj, pi.ev_domain.obj,
         {(w_, y): (M.zero_map[w_], y) for (w_, y) in pbW.obj.cells})
     assert lift is not None
-    return fibrewise_homotopic_decide(compose(pi.ev, lift), m, pi.g, fuel)
+    return fibrewise_homotopic_decide(compose(pi.ev, lift), m, pi.g)
 
 
 def pi_functor_map(piB: PiBundle, piA: PiBundle, p: EffMorphism,

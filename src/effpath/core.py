@@ -14,8 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, Diverges, FuelExhausted, apply, compile_term, compose_codes,
-    tabulate, tuple_encode, lam, app, Var, FST_C, SND_C,
+    Diverges, FuelExhausted, apply, compile_term, compose_codes, fuel_limit,
+    fuel_now, tabulate, tuple_encode, lam, app, Var, FST_C, SND_C,
 )
 
 YES, NO, UNKNOWN = "yes", "no", "unknown"
@@ -66,12 +66,12 @@ class MapsDoNotFit(ValueError):
 class SynthesisFailed(Exception):
     """No uniform code can serve the required table (empty intersection).
 
-    ``slot`` and ``t`` name the failing obligation group when the engine
-    raised it."""
+    ``slot``, ``t`` and the obligations' ``label`` name the failing group
+    when the engine raised it."""
 
-    def __init__(self, message: str, slot=None, t=None):
+    def __init__(self, message: str, slot=None, t=None, label=None):
         super().__init__(message)
-        self.slot, self.t = slot, t
+        self.slot, self.t, self.label = slot, t, label
 
 
 # --- the obligation engine --------------------------------------------------
@@ -93,7 +93,8 @@ def _intersect_groups(obligations) -> dict:
         key = (slot, t)
         acc = out[key].intersection(acc) if key in out else frozenset(acc)
         if not acc:
-            raise SynthesisFailed(f"{label}: empty at input {t}", slot, t)
+            raise SynthesisFailed(f"{label}: empty at input {t}", slot, t,
+                                  label)
         out[key] = acc
     return out
 
@@ -123,12 +124,12 @@ def tabulate_all(tables: dict) -> dict:
     return {s: tabulate(table) for s, table in tables.items()}
 
 
-def verify(stages, codes, fuel: int) -> Verdict:
-    """Checking: run each (code, t) once at ``fuel`` and test every
-    obligation in declaration order; the first failure wins.  Fuel
-    exhaustion, also while computing a target, is UNKNOWN; divergence, an
-    empty target or a value outside it is INVALID."""
-    runs = {}
+def verify(stages, codes) -> Verdict:
+    """Checking: run each (code, t) once at the fuel limit in force and
+    test every obligation in declaration order; the first failure wins.
+    Fuel exhaustion, also while computing a target, is UNKNOWN; divergence,
+    an empty target or a value outside it is INVALID."""
+    runs, fuel = {}, fuel_now()
 
     def run(name, t):
         out = runs.get((name, t))
@@ -198,7 +199,7 @@ class EffObject:
 def _run(code: int, arg: int, fuel: int):
     """Returns (status, value): "ok"/value, "div"/None, or "fuel"/None."""
     try:
-        return "ok", apply(code, arg, fuel=fuel)
+        return "ok", apply(code, arg, fuel)
     except Diverges:
         return "div", None
     except FuelExhausted:
@@ -251,10 +252,14 @@ def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None):
 _OBJECT_SLOTS = ("unit_code", "inv_code", "comp_code")
 
 
-def check_object(obj: EffObject, fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_object_stages(obj.cells, obj.realizer,
-                                 defaultdict(frozenset, obj.hom)),
-                  vars(obj), fuel)
+def check_object(obj: EffObject, fuel: int | None = None) -> Verdict:
+    """Run every structure code on every instance, at ``fuel`` steps per
+    application when it is given (the checkers of path and eff1 take
+    ``fuel`` the same way)."""
+    with fuel_limit(fuel):
+        return verify(_object_stages(obj.cells, obj.realizer,
+                                     defaultdict(frozenset, obj.hom)),
+                      vars(obj))
 
 
 def make_object(cells, realizer, hom, name: str = "") -> EffObject:
@@ -296,8 +301,8 @@ def any_image(t, target, *_instance):
 def _owned(owner, key, build):
     # a construction is stored on the instance it is built from, never
     # module-wide; the key names what else it depends on (eff1's carry the
-    # fuel they were built at), so a call with other arguments builds afresh
-    # and runs out exactly as a cold call would
+    # fuel limit they were built at), so a call at another limit builds
+    # afresh and runs out exactly as a cold call would
     built = owner.__dict__.setdefault("_built", {})
     if key not in built:
         built[key] = build()
@@ -342,11 +347,12 @@ def _morphism_stages(dom, cod, zero: dict, one=any_image):
     return stages
 
 
-def check_morphism(f: EffMorphism, fuel: int = DEFAULT_FUEL) -> Verdict:
+def check_morphism(f: EffMorphism, fuel: int | None = None) -> Verdict:
     def given(t, h, b, b2, p):
         return forced(f.one_map.get((b, b2), {}).get(p), h)
-    return verify(_morphism_stages(f.dom, f.cod, f.zero_map, given),
-                  vars(f), fuel)
+    with fuel_limit(fuel):
+        return verify(_morphism_stages(f.dom, f.cod, f.zero_map, given),
+                      vars(f))
 
 
 def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .pca import (
     DEFAULT_FUEL, FuelExhausted, apply, apply_counted, cantor_unpair,
+    fuel_limit, fuel_now,
     const_code, tabulate, tuple_encode,
 )
 from .core import (
@@ -87,40 +88,40 @@ class Eff1Object:
                f"{len(self.cells)} cells)"
 
 
-def _memo(A, key, code, t, fuel):
+def _memo(A, key, code, t):
     # structure codes are deterministic tables: cache each value per object
-    # together with the steps it cost, so a read at lower fuel still runs out
+    # together with the steps it cost, so a read at a lower fuel limit still
+    # runs out
     cache = A.__dict__.get("_value_cache")
     if cache is None:
         cache = A._value_cache = {}
     try:
         value, steps = cache[key, t]
     except KeyError:
-        value, steps = cache[key, t] = apply_counted(code, t, fuel=fuel)
-    if steps > fuel:
+        value, steps = cache[key, t] = apply_counted(code, t)
+    if steps > fuel_now():
         raise FuelExhausted()
     return value
 
 
-def _u(A, a, fuel: int = DEFAULT_FUEL) -> int:
-    return _memo(A, "u", A.unit_code, A.realizer[a], fuel)
+def _u(A, a) -> int:
+    return _memo(A, "u", A.unit_code, A.realizer[a])
 
 
-def _inv(A, a, b, p, fuel: int = DEFAULT_FUEL) -> int:
+def _inv(A, a, b, p) -> int:
     return _memo(A, "i", A.inv_code,
-                 tuple_encode(A.realizer[a], A.realizer[b], p), fuel)
+                 tuple_encode(A.realizer[a], A.realizer[b], p))
 
 
-def _comp(A, a, b, c, p, r, fuel: int = DEFAULT_FUEL) -> int:
+def _comp(A, a, b, c, p, r) -> int:
     """The composite r . p for p: a -> b, r: b -> c."""
     return _memo(A, "c", A.comp_code,
                  tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
-                              p, r), fuel)
+                              p, r))
 
 
-def _id2(A, a, b, p, fuel: int = DEFAULT_FUEL) -> int:
-    return _memo(A, "2", A.id2,
-                 tuple_encode(A.realizer[a], A.realizer[b], p), fuel)
+def _id2(A, a, b, p) -> int:
+    return _memo(A, "2", A.id2, tuple_encode(A.realizer[a], A.realizer[b], p))
 
 
 _dec2 = cantor_unpair
@@ -248,13 +249,14 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
                       name=name)
 
 
-def check_object1(obj: Eff1Object, fuel: int = DEFAULT_FUEL) -> Verdict:
+def check_object1(obj: Eff1Object, fuel: int | None = None) -> Verdict:
     """Exhaustively run every structure code on every instance."""
     # a value outside the hom-sets reads as having no 2-cells
     stages = _object1_stages(obj.cells, obj.realizer,
                              defaultdict(frozenset, obj.hom),
                              defaultdict(frozenset, obj.hom2))
-    return verify(stages, vars(obj), fuel)
+    with fuel_limit(fuel):
+        return verify(stages, vars(obj))
 
 
 # --- morphisms --------------------------------------------------------------
@@ -301,8 +303,7 @@ def _two_cell_inputs(dom: Eff1Object) -> dict:
 
 
 def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
-                      one=any_image, two=any_image,
-                      fuel: int = DEFAULT_FUEL):
+                      one=any_image, two=any_image):
     """The tracking of core._morphism_stages, then tracking2 and
     functoriality.  ``one(t, target, b, b', p)`` and ``two(t, target, b,
     b', p, r, n, f(p), f(r))`` narrow the acceptable images; by default
@@ -334,8 +335,7 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
             for b in dom.cells:
                 fb = zero[b]
                 yield ("funct_id", R[b],
-                       cod.hom2_of(fb, fb, f1(b, b, _u(dom, b, fuel)),
-                                   _u(cod, fb, fuel)),
+                       cod.hom2_of(fb, fb, f1(b, b, _u(dom, b)), _u(cod, fb)),
                        "identity preservation")
             adj = _adjacency(dom.cells, dom.hom)
             for b1 in dom.cells:
@@ -347,11 +347,11 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
                                 one_map[b2, b3].items()):
                             # the input of dom's composition code at r . p
                             t = tuple_encode(R[b1], R[b2], R[b3], p, r)
-                            c = _memo(dom, "c", dom.comp_code, t, fuel)
+                            c = _memo(dom, "c", dom.comp_code, t)
                             img = one_map[b1, b3].get(c)
                             if img is None:
                                 img = f1(b1, b3, c)
-                            cimg = _comp(cod, z1, z2, z3, fp, fr, fuel)
+                            cimg = _comp(cod, z1, z2, z3, fp, fr)
                             yield ("funct_comp", t,
                                    cod.hom2_of(z1, z3, img, cimg),
                                    "composite preservation")
@@ -372,13 +372,13 @@ def _given(one=None, two=None):
 
 
 def synthesize_morphism1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
-                         name: str = "", fuel: int = DEFAULT_FUEL,
-                         one=any_image, two=any_image) -> Eff1Morphism | None:
+                         name: str = "", one=any_image,
+                         two=any_image) -> Eff1Morphism | None:
     """Extend a cell map to a fully tracked morphism by per-visible-input
     intersection, narrowed by ``one`` and ``two`` as in _morphism1_stages;
     None if some finite intersection is empty."""
     try:
-        T = settle(_morphism1_stages(dom, cod, zero_map, one, two, fuel),
+        T = settle(_morphism1_stages(dom, cod, zero_map, one, two),
                    _MORPHISM1_SLOTS)
     except SynthesisFailed:
         return None
@@ -390,19 +390,17 @@ def synthesize_morphism1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
 
 
 def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
-                     one=None, two=None, name: str = "",
-                     fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
+                     one=None, two=None,
+                     name: str = "") -> Eff1Morphism | None:
     """Assemble a morphism from explicit values: the cell map ``zero`` and
     the value functions of ``_given``.  Returns None when the values are not
     uniform per visible input, land outside the codomain, or admit no
     functoriality 2-cells."""
-    return synthesize_morphism1(dom, cod, zero, name, fuel,
-                                *_given(one, two))
+    return synthesize_morphism1(dom, cod, zero, name, *_given(one, two))
 
 
 def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
-                         name: str = "", fuel: int = DEFAULT_FUEL,
-                         truncated: list | None = None):
+                         name: str = "", truncated: list | None = None):
     """All tracked extensions of a cell map, enumerating the finitely many
     uniform 1-level choices (at most ``CANDIDATE_LIMIT`` combinations; if
     the bound cuts the enumeration a marker is appended to ``truncated``, so
@@ -421,41 +419,41 @@ def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
                 truncated.append(True)
             return
         choice = dict(zip((t for t, _acc in options), combo))
-        m = synthesize_morphism1(dom, cod, zero_map, name, fuel,
+        m = synthesize_morphism1(dom, cod, zero_map, name,
                                  lambda t, h, *_: forced(choice[t], h))
         if m is not None:
             yield m
 
 
-def identity_like1(dom: Eff1Object, cod: Eff1Object, name: str = "",
-                   fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
+def identity_like1(dom: Eff1Object, cod: Eff1Object,
+                   name: str = "") -> Eff1Morphism | None:
     """For objects on the same carrier: the morphism fixing cells and
     1-cells, with 2-level values by intersection."""
     if dom.cells != cod.cells:
         return None
     return synthesize_morphism1(dom, cod, {b: b for b in dom.cells}, name,
-                                fuel, lambda t, h, b, b2, p: forced(p, h))
+                                lambda t, h, b, b2, p: forced(p, h))
 
 
-def check_morphism1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Verdict:
+def check_morphism1(f: Eff1Morphism, fuel: int | None = None) -> Verdict:
     """Verify all five tracking/functoriality conditions exhaustively."""
     stages = _morphism1_stages(
         f.dom, f.cod, f.zero_map,
         *_given(lambda b, b2, p: f.one_map.get((b, b2), {}).get(p),
                 lambda b, b2, p, r, n:
-                    f.two_map.get((b, b2, p, r), {}).get(n)), fuel=fuel)
-    return verify(stages, vars(f), fuel)
+                    f.two_map.get((b, b2, p, r), {}).get(n)))
+    with fuel_limit(fuel):
+        return verify(stages, vars(f))
 
 
-def identity1(obj: Eff1Object, fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
+def identity1(obj: Eff1Object) -> Eff1Morphism:
     m = _build_morphism1(obj, obj, {a: a for a in obj.cells},
-                         name=f"id_{obj.name}", fuel=fuel)
+                         name=f"id_{obj.name}")
     assert m is not None
     return m
 
 
-def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "",
-             fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
+def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "") -> Eff1Morphism:
     """Value-level composite; the functoriality 2-cells are re-synthesized
     (they always exist for a composite of valid morphisms over finite data
     and are not part of the identity of the morphism)."""
@@ -470,14 +468,13 @@ def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "",
             f.two_map[b, b2, p, r][n]]
     zero = {b: g.zero_map[fz[b]] for b in f.dom.cells}
     m = _build_morphism1(f.dom, g.cod, zero, one, two,
-                         name=name or f"{g.name}.{f.name}", fuel=fuel)
+                         name=name or f"{g.name}.{f.name}")
     assert m is not None
     return m
 
 
 def _synthesize_over(p: Eff1Morphism, q: Eff1Morphism, zero: dict,
-                     name: str = "",
-                     fuel: int = DEFAULT_FUEL) -> Eff1Morphism | None:
+                     name: str = "") -> Eff1Morphism | None:
     """A morphism s: dom(q) -> dom(p) over the common codomain, with the
     given cell map and p . s = q strictly at every level."""
     def one(t, h, x, x2, pi):
@@ -489,7 +486,7 @@ def _synthesize_over(p: Eff1Morphism, q: Eff1Morphism, zero: dict,
         pmap = p.two_map[(zero[x], zero[x2], spi, srho)]
         want = q.two_map[(x, x2, pi, rho)][n]
         return frozenset(m for m in h if pmap[m] == want)
-    return synthesize_morphism1(q.dom, p.dom, zero, name, fuel, one, two)
+    return synthesize_morphism1(q.dom, p.dom, zero, name, one, two)
 
 
 # --- embedding the groupoid layer -------------------------------------------
@@ -547,23 +544,24 @@ def terminal_object1() -> Eff1Object:
 
 def terminal_map1(obj: Eff1Object) -> Eff1Morphism:
     """The map to the point, one per object, so the constructions stored on
-    it are shared by every caller."""
+    it are shared by every caller.  Built at the default fuel whatever the
+    limit in force, as the inputs it is taken of are."""
     def build():
-        m = synthesize_morphism1(obj, terminal_object1(),
-                                 {a: "*" for a in obj.cells},
-                                 name=f"{obj.name}->1")
+        with fuel_limit(DEFAULT_FUEL):
+            m = synthesize_morphism1(obj, terminal_object1(),
+                                     {a: "*" for a in obj.cells},
+                                     name=f"{obj.name}->1")
         assert m is not None
         return m
-    return _owned(obj, ("->1", DEFAULT_FUEL), build)
+    return _owned(obj, ("->1",), build)
 
 
-def point1(A: Eff1Object, a, name: str = "",
-           fuel: int = DEFAULT_FUEL) -> Eff1Morphism:
+def point1(A: Eff1Object, a, name: str = "") -> Eff1Morphism:
     """The point 1 -> A at cell a."""
-    ua = _u(A, a, fuel)
+    ua = _u(A, a)
     m = _build_morphism1(terminal_object1(), A, {"*": a},
-                         lambda *_: ua, lambda *_: _id2(A, a, a, ua, fuel),
-                         name=name or f"pt_{a}", fuel=fuel)
+                         lambda *_: ua, lambda *_: _id2(A, a, a, ua),
+                         name=name or f"pt_{a}")
     assert m is not None
     return m
 
@@ -643,8 +641,9 @@ def synthesize_fibration1_witness(f: Eff1Morphism) -> Fibration1Witness | None:
 
 
 def check_fibration1(f: Eff1Morphism, w: Fibration1Witness,
-                     fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_fibration1_stages(f), vars(w), fuel)
+                     fuel: int | None = None) -> Verdict:
+    with fuel_limit(fuel):
+        return verify(_fibration1_stages(f), vars(w))
 
 
 def fibration1_decide(f: Eff1Morphism) -> Decision:
@@ -666,24 +665,23 @@ def not_a_fibration1(f: Eff1Morphism) -> Decision | None:
 
 # --- finite limits ----------------------------------------------------------
 
-def product1(A: Eff1Object, B: Eff1Object, name: str = "",
-             fuel: int = DEFAULT_FUEL):
+def product1(A: Eff1Object, B: Eff1Object, name: str = ""):
     """Binary product, the pullback of B -> 1 along A -> 1.  Returns
     (object, first projection, second projection)."""
     pb = pullback1(terminal_map1(B), terminal_map1(A),
-                   name=name or f"{A.name}x{B.name}", fuel=fuel)
+                   name=name or f"{A.name}x{B.name}")
     return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
 def _projection1(pair_obj: Eff1Object, target: Eff1Object, idx: int,
-                 fuel: int = DEFAULT_FUEL, name: str = "") -> Eff1Morphism:
+                 name: str = "") -> Eff1Morphism:
     """Componentwise projection from an object whose cells are pairs and
     whose 1- and 2-cells are encoded pairs."""
     m = _build_morphism1(pair_obj, target,
                          {x: x[idx] for x in pair_obj.cells},
                          lambda x, y, e: _dec2(e)[idx],
                          lambda x, y, e, e2, n: _dec2(n)[idx],
-                         name=name or f"pr{idx}", fuel=fuel)
+                         name=name or f"pr{idx}")
     assert m is not None
     return m
 
@@ -695,8 +693,8 @@ class Pullback1Bundle:
     to_f_dom: Eff1Morphism  # projection D -> B
 
 
-def pullback1(f: Eff1Morphism, g: Eff1Morphism, name: str = "",
-              fuel: int = DEFAULT_FUEL) -> Pullback1Bundle:
+def pullback1(f: Eff1Morphism, g: Eff1Morphism,
+              name: str = "") -> Pullback1Bundle:
     """Pullback of the fibration f: B -> A along g: C -> A: pairs with
     equal base image at all three levels."""
     B, A, C = f.dom, f.cod, g.dom
@@ -723,24 +721,23 @@ def pullback1(f: Eff1Morphism, g: Eff1Morphism, name: str = "",
                 f.two_map[(b, b2, r, r2)][m])
 
     def unit(x):
-        return tuple_encode(_u(C, x[0], fuel), _u(B, x[1], fuel))
+        return tuple_encode(_u(C, x[0]), _u(B, x[1]))
 
     def inv(x, y, e):
         p, r = _dec2(e)
-        return tuple_encode(_inv(C, x[0], y[0], p, fuel),
-                            _inv(B, x[1], y[1], r, fuel))
+        return tuple_encode(_inv(C, x[0], y[0], p), _inv(B, x[1], y[1], r))
 
     def comp(x, y, z, e, e2):
         p, r = _dec2(e)
         p2, r2 = _dec2(e2)
-        return tuple_encode(_comp(C, x[0], y[0], z[0], p, p2, fuel),
-                            _comp(B, x[1], y[1], z[1], r, r2, fuel))
+        return tuple_encode(_comp(C, x[0], y[0], z[0], p, p2),
+                            _comp(B, x[1], y[1], z[1], r, r2))
 
     obj = make_object1(cells, realizer, hom, hom2,
                        name=name or f"{C.name}x_{A.name}{B.name}",
                        unit=unit, inv=inv, comp=comp)
-    p1 = _projection1(obj, C, 0, fuel)
-    p2 = _projection1(obj, B, 1, fuel)
+    p1 = _projection1(obj, C, 0)
+    p2 = _projection1(obj, B, 1)
     return Pullback1Bundle(obj, p1, p2)
 
 
@@ -761,41 +758,39 @@ class Path1Bundle:
     witness: Fibration1Witness  # for st
 
 
-def _unit_square(A: Eff1Object, a, b, rho, fuel: int = DEFAULT_FUEL,
-                 flip: bool = False):
+def _unit_square(A: Eff1Object, a, b, rho, flip: bool = False):
     """The canonical 2-cell  rho . 1_a  =>  1_b . rho  from the unit
     coherences, or its reverse when ``flip``."""
     t = tuple_encode(A.realizer[a], A.realizer[b], rho)
-    sides = [(_comp(A, a, a, b, _u(A, a, fuel), rho, fuel),
-              apply(A.coh_runit, t, fuel=fuel)),   # rho . 1_a => rho
-             (_comp(A, a, b, b, rho, _u(A, b, fuel), fuel),
-              apply(A.coh_lunit, t, fuel=fuel))]   # 1_b . rho => rho
+    sides = [(_comp(A, a, a, b, _u(A, a), rho),
+              apply(A.coh_runit, t)),   # rho . 1_a => rho
+             (_comp(A, a, b, b, rho, _u(A, b)),
+              apply(A.coh_lunit, t))]   # 1_b . rho => rho
     (lhs, to_rho), (rhs, from_rhs) = sides[::-1] if flip else sides
     back = apply(A.inv2, tuple_encode(A.realizer[a], A.realizer[b], rhs, rho,
-                                      from_rhs), fuel=fuel)  # rho => rhs
+                                      from_rhs))  # rho => rhs
     return apply(A.vcomp, tuple_encode(A.realizer[a], A.realizer[b], lhs,
-                                       rho, rhs, to_rho, back), fuel=fuel)
+                                       rho, rhs, to_rho, back))
 
 
-def path_object1(A: Eff1Object, fuel: int = DEFAULT_FUEL) -> Path1Bundle:
+def path_object1(A: Eff1Object) -> Path1Bundle:
     """The fibrewise path object of A -> 1."""
-    return fib_path_object1(terminal_map1(A), fuel)
+    return fib_path_object1(terminal_map1(A))
 
 
-def fib_path_object1(f: Eff1Morphism,
-                     fuel: int = DEFAULT_FUEL) -> Path1Bundle:
+def fib_path_object1(f: Eff1Morphism) -> Path1Bundle:
     """Fibrewise paths of a fibration f: B -> A: cells (b, b', rho) over a
     single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
     and n a 2-cell filling the square; 2-cells pairs of 2-cells between the
     respective components, with equal f-image.  One bundle per f and
     fuel."""
-    return _owned(f, ("path", fuel), lambda: _fib_path_object1(f, fuel))
+    return _owned(f, ("path", fuel_now()), lambda: _fib_path_object1(f))
 
 
-def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
+def _fib_path_object1(f: Eff1Morphism) -> Path1Bundle:
     B = f.dom
     cells = fib_path_cells(f)
-    base = pullback1(f, f, fuel=fuel).obj
+    base = pullback1(f, f).obj
     realizer = {x: tuple_encode(B.realizer[x[0]], B.realizer[x[1]], x[2])
                 for x in cells}
     hom, hom2 = {}, {}
@@ -806,8 +801,8 @@ def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
             for nu in B.hom_of(b, b2):
                 if f.one_map[(a, a2)][mu] != f.one_map[(b, b2)][nu]:
                     continue
-                lhs = _comp(B, a, b, b2, rho, nu, fuel)    # nu . rho
-                rhs = _comp(B, a, a2, b2, mu, rho2, fuel)  # rho2 . mu
+                lhs = _comp(B, a, b, b2, rho, nu)    # nu . rho
+                rhs = _comp(B, a, a2, b2, mu, rho2)  # rho2 . mu
                 for n in B.hom2_of(a, b2, lhs, rhs):
                     ent.add(tuple_encode(mu, nu, n))
         hom[(x, y)] = frozenset(ent)
@@ -823,17 +818,17 @@ def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
 
     def unit(x):
         a, b, rho = x
-        return tuple_encode(_u(B, a, fuel), _u(B, b, fuel),
-                            _unit_square(B, a, b, rho, fuel, flip=True))
+        return tuple_encode(_u(B, a), _u(B, b),
+                            _unit_square(B, a, b, rho, flip=True))
 
     def inv(x, y, e):
         # invert componentwise; the filler of the reversed square is picked
         # minimally from its (by definition non-empty for valid input) set
         mu, nu, n = _dec3(e)
-        mi = _inv(B, x[0], y[0], mu, fuel)
-        ni = _inv(B, x[1], y[1], nu, fuel)
-        lhs = _comp(B, y[0], y[1], x[1], y[2], ni, fuel)
-        rhs = _comp(B, y[0], x[0], x[1], mi, x[2], fuel)
+        mi = _inv(B, x[0], y[0], mu)
+        ni = _inv(B, x[1], y[1], nu)
+        lhs = _comp(B, y[0], y[1], x[1], y[2], ni)
+        rhs = _comp(B, y[0], x[0], x[1], mi, x[2])
         fillers = B.hom2_of(y[0], x[1], lhs, rhs)
         if not fillers:
             raise SynthesisFailed(f"no filler for the inverse of {e}")
@@ -842,10 +837,10 @@ def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
     def comp(x, y, z, e, e2):
         mu, nu, n = _dec3(e)
         mu2, nu2, n2 = _dec3(e2)
-        mc = _comp(B, x[0], y[0], z[0], mu, mu2, fuel)
-        nc = _comp(B, x[1], y[1], z[1], nu, nu2, fuel)
-        lhs = _comp(B, x[0], x[1], z[1], x[2], nc, fuel)
-        rhs = _comp(B, x[0], z[0], z[1], mc, z[2], fuel)
+        mc = _comp(B, x[0], y[0], z[0], mu, mu2)
+        nc = _comp(B, x[1], y[1], z[1], nu, nu2)
+        lhs = _comp(B, x[0], x[1], z[1], x[2], nc)
+        rhs = _comp(B, x[0], z[0], z[1], mc, z[2])
         fillers = B.hom2_of(x[0], z[1], lhs, rhs)
         if not fillers:
             raise SynthesisFailed(f"no filler for the composite of "
@@ -855,14 +850,13 @@ def _fib_path_object1(f: Eff1Morphism, fuel: int) -> Path1Bundle:
     obj = make_object1(cells, realizer, hom, hom2, name=f"P_{f.name}",
                        unit=unit, inv=inv, comp=comp)
     r = _build_morphism1(
-        B, obj, {b: (b, b, _u(B, b, fuel)) for b in B.cells},
-        lambda b, b2, mu: tuple_encode(mu, mu,
-                                       _unit_square(B, b, b2, mu, fuel)),
+        B, obj, {b: (b, b, _u(B, b)) for b in B.cells},
+        lambda b, b2, mu: tuple_encode(mu, mu, _unit_square(B, b, b2, mu)),
         lambda b, b2, p, q, m: tuple_encode(m, m),
-        name=f"r_{B.name}", fuel=fuel)
+        name=f"r_{B.name}")
     st = _build_morphism1(obj, base, {x: (x[0], x[1]) for x in cells},
                           lambda x, y, e: tuple_encode(*_dec3(e)[:2]),
-                          name="(s,t)", fuel=fuel)
+                          name="(s,t)")
     assert r is not None and st is not None
     return Path1Bundle(obj, r, st, fibration1_decide(st).witness)
 
@@ -877,8 +871,7 @@ class Homotopy1:
     h2: int
 
 
-def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None,
-                      fuel: int = DEFAULT_FUEL):
+def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None):
     """The connecting 1-cells of path._homotopy_stages, then h2 filling
     the naturality squares."""
     A, B = f.cod, f.dom
@@ -893,9 +886,9 @@ def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None,
                 hb, hb2 = val("h1", R[b]), val("h1", R[b2])
                 for p in B.hom_of(b, b2):
                     lhs = _comp(A, fz[b], fz[b2], gz[b2],
-                                f.one_map[(b, b2)][p], hb2, fuel)
+                                f.one_map[(b, b2)][p], hb2)
                     rhs = _comp(A, fz[b], gz[b], gz[b2], hb,
-                                g.one_map[(b, b2)][p], fuel)
+                                g.one_map[(b, b2)][p])
                     yield ("h2", tuple_encode(R[b], R[b2], p),
                            A.hom2_of(fz[b], gz[b2], lhs, rhs),
                            "homotopy filler")
@@ -904,31 +897,31 @@ def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None,
 
 
 def check_homotopy1(f: Eff1Morphism, g: Eff1Morphism, H: Homotopy1,
-                    fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_homotopy1_stages(f, g, fuel=fuel), vars(H), fuel)
+                    fuel: int | None = None) -> Verdict:
+    with fuel_limit(fuel):
+        return verify(_homotopy1_stages(f, g), vars(H))
 
 
-def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism, h1_values: dict,
-                      fuel: int = DEFAULT_FUEL) -> Homotopy1 | None:
+def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism,
+                      h1_values: dict) -> Homotopy1 | None:
     """Extend per-realizer connecting 1-cells to a full homotopy by
     synthesizing the square fillers; None if some filler set is empty."""
     try:
-        T = settle(_homotopy1_stages(f, g, h1_values, fuel), ("h1", "h2"))
+        T = settle(_homotopy1_stages(f, g, h1_values), ("h1", "h2"))
     except SynthesisFailed:
         return None
     return Homotopy1(**tabulate_all(T))
 
 
-def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
-                      fuel: int = DEFAULT_FUEL) -> Decision:
+def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
     """Decide existence of a homotopy f ~ g: level-1 choices by
     intersection per visible realizer, then a bounded search over the
     finitely many choices for fillers."""
     require_parallel(f, g)
-    return _homotopic1(f, g, fuel)
+    return _homotopic1(f, g)
 
 
-def _homotopic1(f: Eff1Morphism, g: Eff1Morphism, fuel: int) -> Decision:
+def _homotopic1(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
     try:
         options = sorted((t, sorted(acc)) for (_h1, t), acc in
                          groups(_homotopy_stages(f, g)).items())
@@ -939,16 +932,14 @@ def _homotopic1(f: Eff1Morphism, g: Eff1Morphism, fuel: int) -> Decision:
         tried += 1
         if tried > DEFAULT_BUDGET:
             return Decision(UNKNOWN, reason="filler search budget exhausted")
-        H = homotopy1_from_h1(f, g, dict(zip((t for t, _ in options), combo)),
-                              fuel)
+        H = homotopy1_from_h1(f, g, dict(zip((t for t, _ in options), combo)))
         if H is not None:
             return Decision(YES, witness=H)
     return Decision(NO, reason="no level-1 choice admits square fillers")
 
 
 def fibrewise_homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
-                                p: Eff1Morphism,
-                                fuel: int = DEFAULT_FUEL) -> Decision:
+                                p: Eff1Morphism) -> Decision:
     """Homotopy over the base of p (requires pf = pg on cells; fibrewise
     paths then reduce to the plain criterion)."""
     for b in f.dom.cells:
@@ -956,7 +947,7 @@ def fibrewise_homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
             return Decision(NO, reason=f"pf and pg differ at {b}")
     # the ends are not compared: univalence_check_set still passes maps
     # that do not fit when the total space of pf is empty
-    return _homotopic1(f, g, fuel)
+    return _homotopic1(f, g)
 
 
 def _per_realizer(cells, realizer, target, label: str) -> Decision:
@@ -971,13 +962,12 @@ def _per_realizer(cells, realizer, target, label: str) -> Decision:
 
 
 def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
-                         H: Homotopy1, K: Homotopy1,
-                         fuel: int = DEFAULT_FUEL) -> Decision:
+                         H: Homotopy1, K: Homotopy1) -> Decision:
     """Decide existence of a modification H ~ K: a uniform 2-cell between
     the connecting 1-cells at every cell."""
     A, B = f.cod, f.dom
-    hv = {n: apply(H.h1, n, fuel=fuel) for n in B.realizer_image()}
-    kv = {n: apply(K.h1, n, fuel=fuel) for n in B.realizer_image()}
+    hv = {n: apply(H.h1, n) for n in B.realizer_image()}
+    kv = {n: apply(K.h1, n) for n in B.realizer_image()}
     return _per_realizer(
         B.cells, B.realizer,
         lambda b: A.hom2_of(f.zero_map[b], g.zero_map[b],
@@ -994,19 +984,19 @@ class Equivalence1Witness:
     eps: Homotopy1  # f g ~ 1 on the codomain
 
 
-def is_equivalence1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL,
+def is_equivalence1_decide(f: Eff1Morphism,
                            budget: int = DEFAULT_BUDGET) -> Decision:
     """Is f an equivalence: a tracked inverse with both homotopies?
     Running out of fuel is UNKNOWN."""
     try:
-        return _inverse_search1(f, fuel, budget)
+        return _inverse_search1(f, budget)
     except FuelExhausted:
-        return Decision(UNKNOWN, reason=f"fuel {fuel} exhausted")
+        return Decision(UNKNOWN, reason=f"fuel {fuel_now()} exhausted")
 
 
-def _inverse_search1(f: Eff1Morphism, fuel: int, budget: int) -> Decision:
+def _inverse_search1(f: Eff1Morphism, budget: int) -> Decision:
     B, A = f.dom, f.cod
-    idA, idB = identity1(A, fuel), identity1(B, fuel)
+    idA, idB = identity1(A), identity1(B)
     fibre = defaultdict(list)
     for b0 in B.cells:
         fibre[f.zero_map[b0]].append(b0)
@@ -1021,14 +1011,14 @@ def _inverse_search1(f: Eff1Morphism, fuel: int, budget: int) -> Decision:
     tried, truncated = 0, []
     for zero in _zero_map_candidates(A, B, flt):
         for g in morphism_candidates1(A, B, zero, name=f"{f.name}^-1",
-                                      fuel=fuel, truncated=truncated):
+                                      truncated=truncated):
             tried += 1
             if tried > budget:
                 return Decision(UNKNOWN, reason="inverse search budget")
-            eps = homotopic1_decide(compose1(f, g, fuel=fuel), idA, fuel)
+            eps = homotopic1_decide(compose1(f, g), idA)
             if eps.status != YES:
                 continue
-            eta = homotopic1_decide(idB, compose1(g, f, fuel=fuel), fuel)
+            eta = homotopic1_decide(idB, compose1(g, f))
             if eta.status != YES:
                 continue
             return Decision(YES, witness=Equivalence1Witness(
@@ -1051,29 +1041,29 @@ class AdjustedEquivalence:
 
 
 def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
-             eps: Homotopy1, fuel: int = DEFAULT_FUEL) -> AdjustedEquivalence:
+             eps: Homotopy1) -> AdjustedEquivalence:
     """Adjust the unit of an equivalence (f, g, eta, eps) so that both
     triangle laws hold up to modifications."""
     A, B = f.dom, f.cod
     vals = {}
     for a in A.cells:
         na = A.realizer[a]
-        e = apply(eta.h1, na, fuel=fuel)                       # a -> gfa
+        e = apply(eta.h1, na)                                  # a -> gfa
         fa = f.zero_map[a]
         gfa = g.zero_map[fa]
-        ev = apply(eps.h1, A.realizer[gfa], fuel=fuel)         # fgfa -> fa
+        ev = apply(eps.h1, A.realizer[gfa])                    # fgfa -> fa
         fgfa = f.zero_map[gfa]
-        ei = _inv(B, fgfa, fa, ev, fuel)                       # fa -> fgfa
+        ei = _inv(B, fgfa, fa, ev)                             # fa -> fgfa
         gei = g.one_map[(fa, fgfa)][ei]                        # gfa -> gfgfa
         gfgfa = g.zero_map[fgfa]
-        e2 = apply(eta.h1, A.realizer[gfa], fuel=fuel)         # gfa -> gfgfa
-        e2i = _inv(A, gfa, gfgfa, e2, fuel)                    # gfgfa -> gfa
-        c1 = _comp(A, a, gfa, gfgfa, e, gei, fuel)
-        v = _comp(A, a, gfgfa, gfa, c1, e2i, fuel)
+        e2 = apply(eta.h1, A.realizer[gfa])                    # gfa -> gfgfa
+        e2i = _inv(A, gfa, gfgfa, e2)                          # gfgfa -> gfa
+        c1 = _comp(A, a, gfa, gfgfa, e, gei)
+        v = _comp(A, a, gfgfa, gfa, c1, e2i)
         prev = vals.setdefault(na, v)
         assert prev == v, "adjusted unit not uniform"
-    gf = compose1(g, f, fuel=fuel)
-    H = homotopy1_from_h1(identity1(A, fuel), gf, vals, fuel)
+    gf = compose1(g, f)
+    H = homotopy1_from_h1(identity1(A), gf, vals)
     assert H is not None, "adjusted unit admits no fillers"
 
     def first(a):
@@ -1081,19 +1071,19 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
         gfa = g.zero_map[fa]
         fgfa = f.zero_map[gfa]
         fe = f.one_map[(a, gfa)][vals[A.realizer[a]]]          # fa -> fgfa
-        ev = apply(eps.h1, A.realizer[gfa], fuel=fuel)         # fgfa -> fa
-        comp_v = _comp(B, fa, fgfa, fa, fe, ev, fuel)
-        return B.hom2_of(fa, fa, comp_v, _u(B, fa, fuel))
+        ev = apply(eps.h1, A.realizer[gfa])                    # fgfa -> fa
+        comp_v = _comp(B, fa, fgfa, fa, fe, ev)
+        return B.hom2_of(fa, fa, comp_v, _u(B, fa))
 
     def second(b):
         gb = g.zero_map[b]
         fgb = f.zero_map[gb]
         gfgb = g.zero_map[fgb]
         e2 = vals[A.realizer[gb]]                              # gb -> gfgb
-        ev = apply(eps.h1, B.realizer[b], fuel=fuel)           # fgb -> b
+        ev = apply(eps.h1, B.realizer[b])                      # fgb -> b
         gev = g.one_map[(fgb, b)][ev]                          # gfgb -> gb
-        comp_v = _comp(A, gb, gfgb, gb, e2, gev, fuel)
-        return A.hom2_of(gb, gb, comp_v, _u(A, gb, fuel))
+        comp_v = _comp(A, gb, gfgb, gb, e2, gev)
+        return A.hom2_of(gb, gb, comp_v, _u(A, gb))
     return AdjustedEquivalence(
         H, _per_realizer(A.cells, A.realizer, first, "first triangle"),
         _per_realizer(B.cells, B.realizer, second, "second triangle"))
@@ -1101,14 +1091,14 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 
 # --- trivial fibrations -----------------------------------------------------
 
-def trivial1_decide(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Decision:
+def trivial1_decide(f: Eff1Morphism) -> Decision:
     """Is f a trivial fibration: a fibration that is an equivalence?
     trivial1_section turns the inverse into a strict section.  Running out
     of fuel is UNKNOWN."""
     no = not_a_fibration1(f)
     if no is not None:
         return no
-    return is_equivalence1_decide(f, fuel)
+    return is_equivalence1_decide(f)
 
 
 @dataclass
@@ -1120,8 +1110,7 @@ class Section1:
 
 
 def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
-                     eq: Equivalence1Witness,
-                     fuel: int = DEFAULT_FUEL) -> Section1:
+                     eq: Equivalence1Witness) -> Section1:
     """Build a strict section of a fibration from the inverse and the
     counit of an equivalence, by lifting the counit along the fibration
     structure; raises NotTrivial if any step definitively fails."""
@@ -1129,34 +1118,32 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
     g = eq.inverse
     zero, tau = {}, {}
     for a in A.cells:
-        ev = apply(eq.eps.h1, A.realizer[a], fuel=fuel)  # f(ga) -> a
+        ev = apply(eq.eps.h1, A.realizer[a])      # f(ga) -> a
         try:
-            zero[a], tau[a] = lift_endpoint(f, w, g.zero_map[a], a, ev, fuel)
+            zero[a], tau[a] = lift_endpoint(f, w, g.zero_map[a], a, ev)
         except TransportFailed:
             raise NotTrivial(
                 f"lift of the counit names no cell at {a}") from None
-    s = _synthesize_over(f, identity1(A, fuel), zero,
-                         name=f"sect_{f.name}", fuel=fuel)
+    s = _synthesize_over(f, identity1(A), zero, name=f"sect_{f.name}")
     if s is None:
         raise NotTrivial("section cell map admits no strict trackings")
     vals = {}
     for b in B.cells:
         nb = B.realizer[b]
-        e = apply(eq.eta.h1, nb, fuel=fuel)              # b -> gfb
+        e = apply(eq.eta.h1, nb)                  # b -> gfb
         fb = f.zero_map[b]
         gfb = g.zero_map[fb]
-        v = _comp(B, b, gfb, zero[fb], e, tau[fb], fuel)
+        v = _comp(B, b, gfb, zero[fb], e, tau[fb])
         prev = vals.setdefault(nb, v)
         if prev != v:
             raise NotTrivial("homotopy to the section is not uniform")
-    H = homotopy1_from_h1(identity1(B, fuel), compose1(s, f, fuel=fuel),
-                          vals, fuel)
+    H = homotopy1_from_h1(identity1(B), compose1(s, f), vals)
     if H is None:
         raise NotTrivial("no square fillers for the section homotopy")
     def trivializing(b):
         fb = f.zero_map[b]
         fh = f.one_map[(b, zero[fb])][vals[B.realizer[b]]]     # fb -> fb
-        return A.hom2_of(fb, fb, fh, _u(A, fb, fuel))
+        return A.hom2_of(fb, fb, fh, _u(A, fb))
     M = _per_realizer(B.cells, B.realizer, trivializing,
                       "2-cell trivializing f(H)")
     if M.status != YES:
@@ -1182,19 +1169,18 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
     by their three tracking codes (the functoriality terms are property,
     not structure); 1-cells are coded homotopies <h1, h2>."""
 
-    def contains(m, fuel=DEFAULT_FUEL):
+    def contains(m):
         if not isinstance(m, Eff1Morphism) or m.dom is not B or \
                 m.cod is not A:
             return NO
-        return _verdict_status(check_morphism1(m, fuel))
+        return _verdict_status(check_morphism1(m))
 
     def realizer_of(m):
         return _morphism_realizer1(m)
 
-    def hom_status(m1, m2, n, fuel=DEFAULT_FUEL):
+    def hom_status(m1, m2, n):
         h1, h2 = cantor_unpair(n)
-        return _verdict_status(check_homotopy1(m1, m2, Homotopy1(h1, h2),
-                                               fuel))
+        return _verdict_status(check_homotopy1(m1, m2, Homotopy1(h1, h2)))
 
     virt = VirtualObject(f"{A.name}^{B.name}", contains, realizer_of,
                          hom_status)
@@ -1222,7 +1208,7 @@ class JExponential1:
     ev1: Eff1Morphism      # A^J -> A
 
 
-def hexp_J1(A: Eff1Object, fuel: int = DEFAULT_FUEL) -> JExponential1:
+def hexp_J1(A: Eff1Object) -> JExponential1:
     """The exponential by the walking pair: cells are pairs with equal
     realizer; a 1-cell is a common 1-cell with square fillers against the
     identities on both components; a 2-cell is a common 2-cell."""
@@ -1235,8 +1221,8 @@ def hexp_J1(A: Eff1Object, fuel: int = DEFAULT_FUEL) -> JExponential1:
         for mu in A.hom_of(x[0], y[0]) & A.hom_of(x[1], y[1]):
             fillers = None
             for s, t in ((x[0], y[0]), (x[1], y[1])):
-                lhs = _comp(A, s, s, t, _u(A, s, fuel), mu, fuel)
-                rhs = _comp(A, s, t, t, mu, _u(A, t, fuel), fuel)
+                lhs = _comp(A, s, s, t, _u(A, s), mu)
+                rhs = _comp(A, s, t, t, mu, _u(A, t))
                 fs = A.hom2_of(s, t, lhs, rhs)
                 fillers = set(fs) if fillers is None else fillers & set(fs)
             for n in fillers:
@@ -1257,20 +1243,20 @@ def hexp_J1(A: Eff1Object, fuel: int = DEFAULT_FUEL) -> JExponential1:
 
     obj = make_object1(
         cells, realizer, hom, hom2, name=f"{A.name}^J",
-        unit=lambda x: with_fill(x, x, _u(A, x[0], fuel), "unit"),
+        unit=lambda x: with_fill(x, x, _u(A, x[0]), "unit"),
         inv=lambda x, y, e: with_fill(
-            y, x, _inv(A, x[0], y[0], _dec2(e)[0], fuel), "inverse"),
+            y, x, _inv(A, x[0], y[0], _dec2(e)[0]), "inverse"),
         comp=lambda x, y, z, e, e2: with_fill(
-            x, z, _comp(A, x[0], y[0], z[0], _dec2(e)[0], _dec2(e2)[0],
-                        fuel), "composition"))
+            x, z, _comp(A, x[0], y[0], z[0], _dec2(e)[0], _dec2(e2)[0]),
+            "composition"))
 
     diag = _build_morphism1(
         A, obj, {a: (a, a) for a in A.cells},
         lambda a, a2, mu: tuple_encode(mu, fill[((a, a), (a2, a2), mu)]),
-        name=f"diag_{A.name}", fuel=fuel)
+        name=f"diag_{A.name}")
     ev0, ev1 = (_build_morphism1(obj, A, {x: x[idx] for x in cells},
                                  lambda x, y, e: _dec2(e)[0],
-                                 name=f"ev{idx}", fuel=fuel)
+                                 name=f"ev{idx}")
                 for idx in (0, 1))
     assert diag is not None and ev0 is not None and ev1 is not None
     return JExponential1(A, obj, diag, ev0, ev1)
@@ -1290,28 +1276,26 @@ def hexp_J1_morphism(f: Eff1Morphism, expB: JExponential1 | None = None,
 
 
 def homotopy_pullback1_check(f: Eff1Morphism, g: Eff1Morphism,
-                             h: Eff1Morphism, k: Eff1Morphism,
-                             fuel: int = DEFAULT_FUEL) -> Decision:
+                             h: Eff1Morphism, k: Eff1Morphism) -> Decision:
     """Is the strictly commuting square (h: D -> C, k: D -> B over f, g) a
     homotopy pullback: the mediating map to the strict pullback is an
     equivalence."""
     for d in h.dom.cells:
         if g.zero_map[h.zero_map[d]] != f.zero_map[k.zero_map[d]]:
             raise MapsDoNotFit(f"square does not commute at {d}")
-    pb = pullback1(f, g, fuel=fuel)
+    pb = pullback1(f, g)
     med = mediate1(pb, h, k)
     if med is None:
         return Decision(NO, reason="no tracked mediating morphism")
-    return is_equivalence1_decide(med, fuel)
+    return is_equivalence1_decide(med)
 
 
-def freyd_square1_check(f: Eff1Morphism,
-                        fuel: int = DEFAULT_FUEL) -> Decision:
+def freyd_square1_check(f: Eff1Morphism) -> Decision:
     """The diagonal square of f: B -> A into the J-exponentials is a
     homotopy pullback exactly when f is discrete."""
-    expB, expA = hexp_J1(f.dom, fuel), hexp_J1(f.cod, fuel)
+    expB, expA = hexp_J1(f.dom), hexp_J1(f.cod)
     fj = hexp_J1_morphism(f, expB, expA)
-    return homotopy_pullback1_check(fj, expA.diag, f, expB.diag, fuel)
+    return homotopy_pullback1_check(fj, expA.diag, f, expB.diag)
 
 
 # --- dependent products -----------------------------------------------------
@@ -1334,8 +1318,8 @@ def _section_key1(s: Eff1Morphism):
     return tuple(sorted(s.zero_map.items(), key=repr))
 
 
-def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
-             fuel: int = DEFAULT_FUEL) -> Pi1Bundle:
+def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
+             g: Eff1Morphism) -> Pi1Bundle:
     """The dependent product of g: C -> B along the fibration f: B -> A.
 
     Cells are pairs (a, section-of-g-over-the-fibre-at-a); 1-cells over a
@@ -1347,13 +1331,13 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
     if g.cod != f.dom:
         raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")
     A, B, C = f.cod, f.dom, g.dom
-    fg = compose1(f, g, fuel=fuel)
+    fg = compose1(f, g)
     wfg = synthesize_fibration1_witness(fg)
     assert wfg is not None
 
     fibres, incls = {}, {}
     for a in A.cells:
-        pb = pullback1(f, point1(A, a, fuel=fuel), fuel=fuel)
+        pb = pullback1(f, point1(A, a))
         fibres[a], incls[a] = pb.obj, pb.to_f_dom
 
     sections = {}
@@ -1363,7 +1347,7 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
                 fib, C,
                 cell_filter=lambda x, c, _i=inc:
                 g.zero_map[c] == _i.zero_map[x]):
-            s = _synthesize_over(g, inc, zero, fuel=fuel)
+            s = _synthesize_over(g, inc, zero)
             if s is not None:
                 sections.setdefault((a, _section_key1(s)), s)
 
@@ -1378,14 +1362,13 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
     for a in A.cells:
         for a2 in A.cells:
             for pi in A.hom_of(a, a2):
-                zero = {x: ("*", lift_endpoint(f, w, x[1], a2, pi, fuel)[0])
+                zero = {x: ("*", lift_endpoint(f, w, x[1], a2, pi)[0])
                         for x in fibres[a].cells}
-                tm = synthesize_morphism1(fibres[a], fibres[a2], zero,
-                                          fuel=fuel)
+                tm = synthesize_morphism1(fibres[a], fibres[a2], zero)
                 assert tm is not None
                 transB[(a, a2, pi)] = tm
                 transC[(a, a2, pi)] = {
-                    c: lift_endpoint(fg, wfg, c, a2, pi, fuel)[0]
+                    c: lift_endpoint(fg, wfg, c, a2, pi)[0]
                     for c in C.cells if fg.zero_map[c] == a}
 
     hom, hwit = {}, {}
@@ -1398,11 +1381,11 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
                      for x in fibres[a].cells}
             rzero = {x: s2.zero_map[transB[(a, a2, pi)].zero_map[x]]
                      for x in fibres[a].cells}
-            lm = synthesize_morphism1(fibres[a], C, lzero, fuel=fuel)
-            rm = synthesize_morphism1(fibres[a], C, rzero, fuel=fuel)
+            lm = synthesize_morphism1(fibres[a], C, lzero)
+            rm = synthesize_morphism1(fibres[a], C, rzero)
             if lm is None or rm is None:
                 continue
-            d = homotopic1_decide(lm, rm, fuel)
+            d = homotopic1_decide(lm, rm)
             if d.status == YES:
                 e = tuple_encode(pi, tuple_encode(d.witness.h1,
                                                   d.witness.h2))
@@ -1425,8 +1408,8 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
                     fib.cells, fib.realizer,
                     lambda x: C.hom2_of(
                         lm.zero_map[x], rm.zero_map[x],
-                        apply(H.h1, fib.realizer[x], fuel=fuel),
-                        apply(H2.h1, fib.realizer[x], fuel=fuel)),
+                        apply(H.h1, fib.realizer[x]),
+                        apply(H2.h1, fib.realizer[x])),
                     "modification")
                 if d.status == YES:
                     ent.update(tuple_encode(n, d.witness) for n in
@@ -1435,16 +1418,15 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
     obj = make_object1(cells, realizer, hom, hom2,
                        name=f"Pi_{f.name}({g.name})")
 
-    proj = _projection1(obj, A, 0, fuel, name="Pi->base")
+    proj = _projection1(obj, A, 0, name="Pi->base")
 
-    ev_domain = pullback1(f, proj, fuel=fuel)
+    ev_domain = pullback1(f, proj)
     ev_zero = {(k, b): sections[k].zero_map[("*", b)]
                for (k, b) in ev_domain.obj.cells}
-    ev = synthesize_morphism1(ev_domain.obj, C, ev_zero, name="ev",
-                              fuel=fuel)
+    ev = synthesize_morphism1(ev_domain.obj, C, ev_zero, name="ev")
     assert ev is not None
 
-    def contains(member, fuel=DEFAULT_FUEL):
+    def contains(member):
         a, s = member
         if a not in A.cells or not isinstance(s, Eff1Morphism):
             return NO
@@ -1454,14 +1436,14 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness, g: Eff1Morphism,
         for x in fib.cells:
             if g.zero_map[s.zero_map[x]] != inc.zero_map[x]:
                 return NO
-        return _verdict_status(check_morphism1(s, fuel))
+        return _verdict_status(check_morphism1(s))
 
     def realizer_of(member):
         a, s = member
         return tuple_encode(A.realizer[a], s.tracking0, s.tracking1,
                             s.tracking2)
 
-    def hom_status(m1, m2, n, fuel=DEFAULT_FUEL):
+    def hom_status(m1, m2, n):
         k1 = (m1[0], _section_key1(m1[1]))
         k2 = (m2[0], _section_key1(m2[1]))
         return YES if n in obj.hom.get((k1, k2), frozenset()) else NO
@@ -1490,17 +1472,14 @@ def pi_transpose1(pi: Pi1Bundle, h: Eff1Morphism, pbW: Pullback1Bundle,
 
 def pi_transpose1_round_trip(pi: Pi1Bundle, h: Eff1Morphism,
                              pbW: Pullback1Bundle, m: Eff1Morphism,
-                             M: Eff1Morphism,
-                             fuel: int = DEFAULT_FUEL) -> Decision:
+                             M: Eff1Morphism) -> Decision:
     """ev . (M x 1) against m, fibrewise over g."""
     lift_zero = {(wc, b): (M.zero_map[wc], b)
                  for (wc, b) in pbW.obj.cells}
-    lift = synthesize_morphism1(pbW.obj, pi.ev_domain.obj, lift_zero,
-                                fuel=fuel)
+    lift = synthesize_morphism1(pbW.obj, pi.ev_domain.obj, lift_zero)
     if lift is None:
         return Decision(NO, reason="no tracked comparison over the base")
-    return fibrewise_homotopic1_decide(compose1(pi.ev, lift, fuel=fuel),
-                                       m, pi.g, fuel)
+    return fibrewise_homotopic1_decide(compose1(pi.ev, lift), m, pi.g)
 
 
 # --- truncations and hlevels ------------------------------------------------
@@ -1511,16 +1490,15 @@ class Truncation1Bundle:
     h: Eff1Morphism   # C -> A  (the truncated fibration)
 
 
-def truncate1(f: Eff1Morphism, n: int,
-              fuel: int = DEFAULT_FUEL) -> Truncation1Bundle:
+def truncate1(f: Eff1Morphism, n: int) -> Truncation1Bundle:
     """The n-truncation of f for n in {-1, 0}: same carrier, hom-sets
     replaced by the base's at the levels above n.  One bundle per f, n and
     fuel."""
     assert n in (-1, 0), "only (-1)- and 0-truncation are materialized"
-    return _owned(f, ("truncate", n, fuel), lambda: _truncate1(f, n, fuel))
+    return _owned(f, ("truncate", n, fuel_now()), lambda: _truncate1(f, n))
 
 
-def _truncate1(f: Eff1Morphism, n: int, fuel: int) -> Truncation1Bundle:
+def _truncate1(f: Eff1Morphism, n: int) -> Truncation1Bundle:
     B, A = f.dom, f.cod
     fz = f.zero_map
     pairs = list(itertools.product(B.cells, repeat=2))
@@ -1531,10 +1509,10 @@ def _truncate1(f: Eff1Morphism, n: int, fuel: int) -> Truncation1Bundle:
                 for p in hom[(b, b2)] for q in hom[(b, b2)]}
         C = make_object1(
             B.cells, B.realizer, hom, hom2, name=f"prop_{B.name}",
-            unit=lambda b: _u(A, fz[b], fuel),
-            inv=lambda b, b2, p: _inv(A, fz[b], fz[b2], p, fuel),
+            unit=lambda b: _u(A, fz[b]),
+            inv=lambda b, b2, p: _inv(A, fz[b], fz[b2], p),
             comp=lambda b, b2, b3, p, r:
-                _comp(A, fz[b], fz[b2], fz[b3], p, r, fuel))
+                _comp(A, fz[b], fz[b2], fz[b3], p, r))
     else:
         hom = {(b, b2): B.hom_of(b, b2) for b, b2 in pairs}
         hom2 = {(b, b2, p, q): A.hom2_of(fz[b], fz[b2],
@@ -1544,9 +1522,9 @@ def _truncate1(f: Eff1Morphism, n: int, fuel: int) -> Truncation1Bundle:
                 for p in hom[(b, b2)] for q in hom[(b, b2)]}
         C = make_object1(
             B.cells, B.realizer, hom, hom2, name=f"set_{B.name}",
-            unit=lambda b: _u(B, b, fuel),
-            inv=lambda b, b2, p: _inv(B, b, b2, p, fuel),
-            comp=lambda b, b2, b3, p, r: _comp(B, b, b2, b3, p, r, fuel))
+            unit=lambda b: _u(B, b),
+            inv=lambda b, b2, p: _inv(B, b, b2, p),
+            comp=lambda b, b2, b3, p, r: _comp(B, b, b2, b3, p, r))
 
     def f1(b, b2, p):
         return f.one_map[b, b2][p]
@@ -1556,35 +1534,31 @@ def _truncate1(f: Eff1Morphism, n: int, fuel: int) -> Truncation1Bundle:
     # the 1-cells of f go to g at level -1 and to h at level 0
     g = _build_morphism1(B, C, {b: b for b in B.cells},
                          f1 if n == -1 else None, f2,
-                         name=f"trunc{n}_{f.name}", fuel=fuel)
+                         name=f"trunc{n}_{f.name}")
     h = _build_morphism1(C, A, {b: fz[b] for b in B.cells},
                          None if n == -1 else f1,
-                         name=f"{f.name}@{n}", fuel=fuel)
+                         name=f"{f.name}@{n}")
     assert g is not None and h is not None
     return Truncation1Bundle(g, h)
 
 
-def _identity_equivalence1(g: Eff1Morphism,
-                           fuel: int = DEFAULT_FUEL) -> Decision:
+def _identity_equivalence1(g: Eff1Morphism) -> Decision:
     """Decide whether g (with equal carriers) is an equivalence, trying the
     identity cell map first."""
     B, C = g.dom, g.cod
-    for d0 in (identity_like1(C, B, fuel=fuel),
-               synthesize_morphism1(C, B, {c: c for c in C.cells},
-                                    fuel=fuel)):
+    for d0 in (identity_like1(C, B),
+               synthesize_morphism1(C, B, {c: c for c in C.cells})):
         if d0 is None:
             continue
-        e1 = homotopic1_decide(identity1(B, fuel),
-                               compose1(d0, g, fuel=fuel), fuel)
-        e2 = homotopic1_decide(compose1(g, d0, fuel=fuel),
-                               identity1(C, fuel), fuel)
+        e1 = homotopic1_decide(identity1(B), compose1(d0, g))
+        e2 = homotopic1_decide(compose1(g, d0), identity1(C))
         if e1.status == YES and e2.status == YES:
             return Decision(YES, witness=Equivalence1Witness(
                 d0, e1.witness, e2.witness))
-    return is_equivalence1_decide(g, fuel)
+    return is_equivalence1_decide(g)
 
 
-def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
+def hlevel1_check(f: Eff1Morphism, n: int,
                   depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
     """Is f a fibration of n-types?  A fibration is of (-2)-types when it
     is an equivalence; of (-1)- and 0-types when the comparison into its
@@ -1597,20 +1571,19 @@ def hlevel1_check(f: Eff1Morphism, n: int, fuel: int = DEFAULT_FUEL,
         return HlevelVerdict(REFUTED, reason=no.reason)
     try:
         if n == -2:
-            return hlevel_verdict(is_equivalence1_decide(f, fuel),
+            return hlevel_verdict(is_equivalence1_decide(f),
                                   "a fibration and an equivalence")
         if n in (-1, 0):
             return hlevel_verdict(
-                _identity_equivalence1(truncate1(f, n, fuel).g, fuel),
+                _identity_equivalence1(truncate1(f, n).g),
                 f"equivalent to its {n}-truncation")
         size = len(fib_path_cells(f))
         if size > depth_budget:
             return HlevelVerdict(UNKNOWN,
                                  reason=f"path object has {size} cells")
-        sub = hlevel1_check(fib_path_object1(f, fuel).st, n - 1, fuel,
-                            depth_budget)
+        sub = hlevel1_check(fib_path_object1(f).st, n - 1, depth_budget)
     except FuelExhausted:
-        return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel} exhausted")
+        return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel_now()} exhausted")
     return sub
 
 
@@ -1633,8 +1606,7 @@ def _realizer_twins(f: Eff1Morphism):
             yield b0, b1
 
 
-def discrete1_phi_psi(f: Eff1Morphism,
-                      fuel: int = DEFAULT_FUEL) -> Decision:
+def discrete1_phi_psi(f: Eff1Morphism) -> Decision:
     """The computable-transport criterion for discreteness."""
     B, A = f.dom, f.cod
     for b0, b1 in itertools.product(B.cells, repeat=2):
@@ -1650,11 +1622,11 @@ def discrete1_phi_psi(f: Eff1Morphism,
     def stages(val):
         yield (("phi", R[b0], frozenset(
                     p for p in B.hom_of(b0, b1) if f.one_map[(b0, b1)][p]
-                    == _u(A, f.zero_map[b0], fuel)), "vertical 1-cell")
+                    == _u(A, f.zero_map[b0])), "vertical 1-cell")
                for b0, b1 in _realizer_twins(f))
         yield (("psi", tuple_encode(R[b0], R[c0], p), B.hom2_of(
-                    b0, c1, _comp(B, b0, c0, c1, p, val("phi", R[c0]), fuel),
-                    _comp(B, b0, b1, c1, val("phi", R[b0]), p, fuel)),
+                    b0, c1, _comp(B, b0, c0, c1, p, val("phi", R[c0])),
+                    _comp(B, b0, b1, c1, val("phi", R[b0]), p)),
                 "naturality square filler")
                for b0, b1 in _realizer_twins(f)
                for c0, c1 in _realizer_twins(f)
@@ -1676,8 +1648,7 @@ class Discrete1NormalForm:
     comparison: Decision      # inclusion . retraction ~ 1
 
 
-def discrete1_decide(f: Eff1Morphism,
-                     fuel: int = DEFAULT_FUEL) -> Decision:
+def discrete1_decide(f: Eff1Morphism) -> Decision:
     """Decide whether the fibration f is discrete and, when it is, produce
     the equivalent standard discrete fibration obtained by collapsing
     realizer twins.  Running out of fuel is UNKNOWN."""
@@ -1685,13 +1656,13 @@ def discrete1_decide(f: Eff1Morphism,
     if no is not None:
         return no
     try:
-        return _discrete1(f, fuel)
+        return _discrete1(f)
     except FuelExhausted:
-        return Decision(UNKNOWN, reason=f"fuel {fuel} exhausted")
+        return Decision(UNKNOWN, reason=f"fuel {fuel_now()} exhausted")
 
 
-def _discrete1(f: Eff1Morphism, fuel: int) -> Decision:
-    d = discrete1_phi_psi(f, fuel)
+def _discrete1(f: Eff1Morphism) -> Decision:
+    d = discrete1_phi_psi(f)
     if d.status != YES:
         return d
     B = f.dom
@@ -1706,22 +1677,20 @@ def _discrete1(f: Eff1Morphism, fuel: int) -> Decision:
             for p in hom[(x, y)] for q in hom[(x, y)]}
     Q = make_object1(qcells, {b: B.realizer[b] for b in qcells}, hom, hom2,
                      name=f"std_{B.name}",
-                     unit=lambda b: _u(B, b, fuel),
-                     inv=lambda b, b2, p: _inv(B, b, b2, p, fuel),
+                     unit=lambda b: _u(B, b),
+                     inv=lambda b, b2, p: _inv(B, b, b2, p),
                      comp=lambda b, b2, b3, p, r:
-                         _comp(B, b, b2, b3, p, r, fuel))
-    incl = _build_morphism1(Q, B, {b: b for b in qcells}, name="incl",
-                            fuel=fuel)
+                         _comp(B, b, b2, b3, p, r))
+    incl = _build_morphism1(Q, B, {b: b for b in qcells}, name="incl")
     assert incl is not None
     retr = synthesize_morphism1(
         B, Q, {b: reps[(f.zero_map[b], B.realizer[b])] for b in B.cells},
-        name="retr", fuel=fuel)
+        name="retr")
     if retr is None:
         return Decision(UNKNOWN,
                         reason="no tracked retraction onto the quotient")
-    comparison = homotopic1_decide(compose1(incl, retr, fuel=fuel),
-                                   identity1(B, fuel), fuel)
-    standard = compose1(f, incl, fuel=fuel)
+    comparison = homotopic1_decide(compose1(incl, retr), identity1(B))
+    standard = compose1(f, incl)
     nf = Discrete1NormalForm(d.witness, Q, standard, incl, retr, comparison)
     if comparison.status != YES:
         return Decision(UNKNOWN, witness=nf,
@@ -1738,7 +1707,7 @@ def disc_object(carrier, hom, name: str = "") -> EffObject:
                        name=name)
 
 
-def u_set_hom_status(X, Y, quad, fuel: int = DEFAULT_FUEL) -> str:
+def u_set_hom_status(X, Y, quad) -> str:
     """A 1-cell of the universe is a quadruple (fwd, bwd, H, K) exhibiting
     an equivalence of discrete sets."""
     fwd, bwd, H, K = quad
@@ -1746,12 +1715,12 @@ def u_set_hom_status(X, Y, quad, fuel: int = DEFAULT_FUEL) -> str:
             bwd.dom is not Y or bwd.cod is not X:
         return NO
     for m in (fwd, bwd):
-        s = _verdict_status(check_morphism0(m, fuel))
+        s = _verdict_status(check_morphism0(m))
         if s != YES:
             return s
     for mor1, mor2, hh in ((identity0(X), compose0(bwd, fwd), H),
                            (compose0(fwd, bwd), identity0(Y), K)):
-        s = _verdict_status(check_homotopy0(mor1, mor2, hh, fuel))
+        s = _verdict_status(check_homotopy0(mor1, mor2, hh))
         if s != YES:
             return s
     return YES
@@ -1778,10 +1747,10 @@ def _set_normalized(f: Eff1Morphism) -> bool:
     return True
 
 
-def _fibre_disc(f: Eff1Morphism, a, fuel: int = DEFAULT_FUEL) -> EffObject:
+def _fibre_disc(f: Eff1Morphism, a) -> EffObject:
     B = f.dom
     ns = [b[1] for b in B.cells if b[0] == a]
-    ua = _u(f.cod, a, fuel)
+    ua = _u(f.cod, a)
     hom = {(n, n2): frozenset(
         p for p in B.hom_of((a, n), (a, n2))
         if f.one_map[((a, n), (a, n2))][p] == ua)
@@ -1804,17 +1773,17 @@ class SetClassification:
     comparison: Decision
 
 
-def classify_discrete_set(f: Eff1Morphism, w: Fibration1Witness,
-                          fuel: int = DEFAULT_FUEL) -> SetClassification:
+def classify_discrete_set(f: Eff1Morphism,
+                          w: Fibration1Witness) -> SetClassification:
     """Classifying map of a normalized discrete fibration of sets, the
     recovered total space, and the comparison equivalence."""
     if not _set_normalized(f):
         raise NotNormalized(_SET_NORMAL_FORM)
     A, B = f.cod, f.dom
-    zero = {a: _fibre_disc(f, a, fuel) for a in A.cells}
+    zero = {a: _fibre_disc(f, a) for a in A.cells}
 
     def transport_map(a, a2, pi):
-        return {n: lift_endpoint(f, w, (a, n), a2, pi, fuel)[0][1]
+        return {n: lift_endpoint(f, w, (a, n), a2, pi)[0][1]
                 for n in zero[a].cells}
 
     one, two = {}, {}
@@ -1824,7 +1793,7 @@ def classify_discrete_set(f: Eff1Morphism, w: Fibration1Witness,
                                        transport_map(a, a2, pi))
             bwd = synthesize_morphism0(
                 zero[a2], zero[a],
-                transport_map(a2, a, _inv(A, a, a2, pi, fuel)))
+                transport_map(a2, a, _inv(A, a, a2, pi)))
             assert fwd is not None and bwd is not None
             H = homotopic_decide0(identity0(zero[a]), compose0(bwd, fwd))
             K = homotopic_decide0(compose0(fwd, bwd), identity0(zero[a2]))
@@ -1857,19 +1826,18 @@ def classify_discrete_set(f: Eff1Morphism, w: Fibration1Witness,
                 tuple_encode(m, 0) for m in A.hom2_of(a, a2, pi, pi2))
     recovered = make_object1(cells, realizer, hom, hom2,
                              name=f"rec_{B.name}")
-    proj = _projection1(recovered, A, 0, fuel, name="rec->base")
-    cmp_m = synthesize_morphism1(B, recovered, {b: b for b in B.cells},
-                                 fuel=fuel)
+    proj = _projection1(recovered, A, 0, name="rec->base")
+    cmp_m = synthesize_morphism1(B, recovered, {b: b for b in B.cells})
     if cmp_m is None:
         comparison = Decision(NO, reason="no tracked comparison morphism")
     else:
-        comparison = is_equivalence1_decide(cmp_m, fuel)
+        comparison = is_equivalence1_decide(cmp_m)
     return SetClassification(SetClassifyingMap(zero, one, two),
                              recovered, proj, comparison)
 
 
 def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
-                         pg: Eff1Morphism, fuel: int = DEFAULT_FUEL):
+                         pg: Eff1Morphism):
     """From a fibrewise equivalence wm between two normalized discrete set
     fibrations, extract per-base-cell universe 1-cells and check that the
     induced map agrees with wm fibrewise.  Returns (quadruples, Decision);
@@ -1882,26 +1850,25 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
     A = pf.cod
     H = {}
     for a in A.cells:
-        Xa, Ya = _fibre_disc(pf, a, fuel), _fibre_disc(pg, a, fuel)
+        Xa, Ya = _fibre_disc(pf, a), _fibre_disc(pg, a)
         fwd0 = {n: wm.zero_map[(a, n)][1] for n in Xa.cells}
         fwd = synthesize_morphism0(Xa, Ya, fwd0)
         if fwd is None:
             return H, Decision(NO, reason=f"fibre map not tracked at {a}")
-        d = is_equivalence_decide0(fwd, fuel)
+        d = is_equivalence_decide0(fwd)
         if d.status != YES:
             return H, Decision(d.status,
                                reason=f"fibre map not invertible at {a}")
         quad = (fwd, d.witness.inverse, d.witness.eta, d.witness.eps)
-        if u_set_hom_status(Xa, Ya, quad, fuel) != YES:
+        if u_set_hom_status(Xa, Ya, quad) != YES:
             return H, Decision(NO, reason=f"universe 1-cell invalid at {a}")
         H[a] = quad
     induced = synthesize_morphism1(
         pf.dom, pg.dom,
-        {b: (b[0], H[b[0]][0].zero_map[b[1]]) for b in pf.dom.cells},
-        fuel=fuel)
+        {b: (b[0], H[b[0]][0].zero_map[b[1]]) for b in pf.dom.cells})
     if induced is None:
         return H, Decision(NO, reason="induced morphism not tracked")
-    return H, fibrewise_homotopic1_decide(induced, wm, pg, fuel)
+    return H, fibrewise_homotopic1_decide(induced, wm, pg)
 
 
 # --- resizing ---------------------------------------------------------------
@@ -1915,7 +1882,7 @@ class Resize1Bundle:
     laws: list   # fibrewise round trips, or NO if a comparison is None
 
 
-def resize1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Resize1Bundle:
+def resize1(f: Eff1Morphism) -> Resize1Bundle:
     """Replace a propositional fibration by the equivalent small model on
     pairs (base cell, realizer), with hom-sets borrowed from the base; the
     laws name an untracked comparison map when f is not propositional."""
@@ -1933,23 +1900,20 @@ def resize1(f: Eff1Morphism, fuel: int = DEFAULT_FUEL) -> Resize1Bundle:
             for p in hom[(x, y)] for q in hom[(x, y)]}
     C = make_object1(cells, {x: x[1] for x in cells}, hom, hom2,
                      name=f"rs_{B.name}",
-                     unit=lambda x: _u(A, x[0], fuel),
-                     inv=lambda x, y, p: _inv(A, x[0], y[0], p, fuel),
+                     unit=lambda x: _u(A, x[0]),
+                     inv=lambda x, y, p: _inv(A, x[0], y[0], p),
                      comp=lambda x, y, z, p, r:
-                         _comp(A, x[0], y[0], z[0], p, r, fuel))
-    proj = _build_morphism1(C, A, {x: x[0] for x in cells}, name="rs->base",
-                            fuel=fuel)
+                         _comp(A, x[0], y[0], z[0], p, r))
+    proj = _build_morphism1(C, A, {x: x[0] for x in cells}, name="rs->base")
     assert proj is not None
     to_small = synthesize_morphism1(
-        B, C, {b: (fz[b], B.realizer[b]) for b in B.cells}, fuel=fuel)
-    to_total = synthesize_morphism1(C, B, dict(choice), fuel=fuel)
+        B, C, {b: (fz[b], B.realizer[b]) for b in B.cells})
+    to_total = synthesize_morphism1(C, B, dict(choice))
     laws = _resize_laws(B, C, to_small, to_total, lambda: [
         fibrewise_homotopic1_decide(
-            compose1(to_total, to_small, fuel=fuel), identity1(B, fuel),
-            f, fuel),
+            compose1(to_total, to_small), identity1(B), f),
         fibrewise_homotopic1_decide(
-            compose1(to_small, to_total, fuel=fuel), identity1(C, fuel),
-            proj, fuel),
+            compose1(to_small, to_total), identity1(C), proj),
     ])
     return Resize1Bundle(C, proj, to_small, to_total, laws)
 
@@ -1981,11 +1945,10 @@ def z2_twist(A: Eff1Object | None = None) -> Eff1Morphism:
     return m
 
 
-def z2_homotopies(A: Eff1Object, wm: Eff1Morphism,
-                  fuel: int = DEFAULT_FUEL):
+def z2_homotopies(A: Eff1Object, wm: Eff1Morphism):
     """Two homotopies 1 ~ twist that admit no modification between them."""
-    idA = identity1(A, fuel)
-    H = homotopy1_from_h1(idA, wm, {0: 0, 1: 1}, fuel)
-    K = homotopy1_from_h1(idA, wm, {0: 1, 1: 0}, fuel)
+    idA = identity1(A)
+    H = homotopy1_from_h1(idA, wm, {0: 0, 1: 1})
+    K = homotopy1_from_h1(idA, wm, {0: 1, 1: 0})
     assert H is not None and K is not None
     return H, K

@@ -317,8 +317,9 @@ def parse_fixture_text(text: str, source: str = "<string>") -> FixtureFile:
                 raise FixtureError(f"{source}: morphism {name!r}: "
                                    f"unknown {fld} {mspec[fld]!r}")
         synth = synthesize_morphism if level == 0 else synthesize_morphism1
-        m = synth(pool[mspec["dom"]], pool[mspec["cod"]],
-                  dict(mspec["zero_map"]), name=name)
+        with pca.fuel_limit(pca.DEFAULT_FUEL):  # an input, not a verdict
+            m = synth(pool[mspec["dom"]], pool[mspec["cod"]],
+                      dict(mspec["zero_map"]), name=name)
         if m is None:
             raise FixtureError(f"{source}: morphism {name!r}: "
                                "the zero map is not trackable")

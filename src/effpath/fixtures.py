@@ -10,6 +10,7 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .core import EffObject, EffMorphism, synthesize_morphism
+from .pca import DEFAULT_FUEL, fuel_limit
 from .path import discrete_n, make_object, terminal_object, path_object
 from .eff1 import (
     Eff1Morphism, Eff1Object, inflate, inflate_morphism, terminal_map1,
@@ -194,7 +195,8 @@ class LibraryEntry:
     object / fibration / pathobj / subsets at the groupoid level,
     object1 / fibration1 at the two-dimensional level.  ``value`` is made
     by ``build`` on first access, so naming one entry builds only what that
-    entry needs.
+    entry needs, and at the default fuel whatever limit is in force: a
+    fixture is an input, not part of a verdict's work.
     """
     name: str
     kind: str
@@ -204,7 +206,8 @@ class LibraryEntry:
 
     @cached_property
     def value(self):
-        return self.build()
+        with fuel_limit(DEFAULT_FUEL):
+            return self.build()
 
 
 def fixture_library() -> dict[str, LibraryEntry]:

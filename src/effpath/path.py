@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .pca import DEFAULT_FUEL, apply, tuple_encode
+from .pca import apply, fuel_limit, tuple_encode
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
     UNKNOWN, Verdict, YES, _adjacency, compose, forced, identity,
@@ -77,8 +77,9 @@ def _fibration_stages(f: EffMorphism):
 
 
 def check_fibration(f: EffMorphism, w: FibrationWitness,
-                    fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_fibration_stages(f), vars(w), fuel)
+                    fuel: int | None = None) -> Verdict:
+    with fuel_limit(fuel):
+        return verify(_fibration_stages(f), vars(w))
 
 
 def synthesize_fibration_witness(f: EffMorphism):
@@ -113,13 +114,13 @@ class TransportFailed(Exception):
     """A lift code named no cell of the total space."""
 
 
-def lift_endpoint(f, w, y, x2, pi, fuel: int = DEFAULT_FUEL):
+def lift_endpoint(f, w, y, x2, pi):
     """Lift pi: f(y) -> x2 through the witness's condition (1), at either
     level: the endpoint y' over x2 and the 1-cell y -> y' mapping to pi."""
     Y, X = f.dom, f.cod
     t = tuple_encode(Y.realizer[y], X.realizer[x2], pi)
-    m = apply(w.lift0, t, fuel=fuel)
-    rho = apply(w.lift1, t, fuel=fuel)
+    m = apply(w.lift0, t)
+    rho = apply(w.lift1, t)
     for y2 in Y.cells:
         if f.zero_map[y2] == x2 and Y.realizer[y2] == m \
                 and rho in Y.hom_of(y, y2) \
@@ -213,8 +214,8 @@ class PathObjectBundle:
     witness: FibrationWitness  # for st
 
 
-def _reflexivity_cell(obj: EffObject, a, fuel: int = DEFAULT_FUEL):
-    u = apply(obj.unit_code, obj.realizer[a], fuel=fuel)
+def _reflexivity_cell(obj: EffObject, a):
+    u = apply(obj.unit_code, obj.realizer[a])
     return (a, a, u)
 
 
@@ -227,13 +228,12 @@ def fib_path_cells(f) -> list:
             for rho in sorted(B.hom_of(b, b2))]
 
 
-def path_object(A: EffObject, fuel: int = DEFAULT_FUEL) -> PathObjectBundle:
+def path_object(A: EffObject) -> PathObjectBundle:
     """The fibrewise path object of A -> 1."""
-    return fib_path_object(terminal_map(A), fuel)
+    return fib_path_object(terminal_map(A))
 
 
-def fib_path_object(f: EffMorphism,
-                    fuel: int = DEFAULT_FUEL) -> PathObjectBundle:
+def fib_path_object(f: EffMorphism) -> PathObjectBundle:
     """The fibrewise path object of a fibration f: B -> A.
 
     Cells are triples (b, b', rho) with f(b) = f(b'); 1-cells are pairs with
@@ -253,7 +253,7 @@ def fib_path_object(f: EffMorphism,
     obj = make_object(cells, realizer, hom, name=f"P_{f.cod.name}({B.name})")
     base = pullback(f, f)
     r = synthesize_morphism(
-        B, obj, {b: _reflexivity_cell(B, b, fuel) for b in B.cells},
+        B, obj, {b: _reflexivity_cell(B, b) for b in B.cells},
         name=f"r_{B.name}")
     st = synthesize_morphism(
         obj, base.obj,
@@ -284,8 +284,9 @@ def _homotopy_stages(f, g, h1=None):
 
 
 def check_homotopy(f: EffMorphism, g: EffMorphism, H: Homotopy,
-                   fuel: int = DEFAULT_FUEL) -> Verdict:
-    return verify(_homotopy_stages(f, g), vars(H), fuel)
+                   fuel: int | None = None) -> Verdict:
+    with fuel_limit(fuel):
+        return verify(_homotopy_stages(f, g), vars(H))
 
 
 def require_parallel(f, g):
@@ -294,8 +295,7 @@ def require_parallel(f, g):
         raise MapsDoNotFit(f"{f.name} and {g.name} are not parallel")
 
 
-def homotopic_decide(f: EffMorphism, g: EffMorphism,
-                     fuel: int = DEFAULT_FUEL) -> Decision:
+def homotopic_decide(f: EffMorphism, g: EffMorphism) -> Decision:
     """Decide existence of a coded homotopy f ~ g.
 
     The homotopy relation only involves the 0-cell maps: a witness exists
@@ -311,8 +311,7 @@ def homotopic_decide(f: EffMorphism, g: EffMorphism,
 
 
 def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,
-                               p: EffMorphism,
-                               fuel: int = DEFAULT_FUEL) -> Decision:
+                               p: EffMorphism) -> Decision:
     """Decide f ~_I g over the fibration p: X -> I (requires pf = pg).
 
     A fibrewise path lives in the triples with equal p-image, so once the
@@ -321,7 +320,7 @@ def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,
     for b in f.dom.cells:
         if p.zero_map[f.zero_map[b]] != p.zero_map[g.zero_map[b]]:
             return Decision(NO, reason=f"pf and pg differ at {b}")
-    return homotopic_decide(f, g, fuel)
+    return homotopic_decide(f, g)
 
 
 # --- equivalences -----------------------------------------------------------
@@ -361,7 +360,7 @@ def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
     yield from extend(0, {}, {})
 
 
-def is_equivalence_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL,
+def is_equivalence_decide(f: EffMorphism,
                           budget: int = DEFAULT_BUDGET) -> Decision:
     """Search for a homotopy inverse among all cell maps.
 
@@ -382,10 +381,10 @@ def is_equivalence_decide(f: EffMorphism, fuel: int = DEFAULT_FUEL,
         g = synthesize_morphism(A, B, zero, name=f"{f.name}^-1")
         if g is None:
             continue
-        eps = homotopic_decide(compose(f, g), identity(A), fuel)
+        eps = homotopic_decide(compose(f, g), identity(A))
         if eps.status != YES:
             continue
-        eta = homotopic_decide(identity(B), compose(g, f), fuel)
+        eta = homotopic_decide(identity(B), compose(g, f))
         if eta.status != YES:
             continue
         return Decision(YES, witness=EquivalenceWitness(
@@ -397,18 +396,17 @@ class NotTrivial(Exception):
     pass
 
 
-def is_trivial_fibration(f: EffMorphism,
-                         fuel: int = DEFAULT_FUEL) -> Decision:
+def is_trivial_fibration(f: EffMorphism) -> Decision:
     """A trivial fibration is a fibration that is an equivalence;
     construct_section turns the inverse into a strict section."""
     no = not_a_fibration(f)
     if no is not None:
         return no
-    return is_equivalence_decide(f, fuel)
+    return is_equivalence_decide(f)
 
 
 def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
-                      H: Homotopy, fuel: int = DEFAULT_FUEL) -> EffMorphism:
+                      H: Homotopy) -> EffMorphism:
     """Section of a trivial fibration f from g: A -> B and H: fg ~ 1.
 
     For each a, lift the path H_a: fga -> a through condition 1 starting at
@@ -417,9 +415,9 @@ def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
     A = f.cod
     zero = {}
     for a in A.cells:
-        ha = apply(H.h1, A.realizer[a], fuel=fuel)
+        ha = apply(H.h1, A.realizer[a])
         try:
-            zero[a], _rho = lift_endpoint(f, w, g.zero_map[a], a, ha, fuel)
+            zero[a], _rho = lift_endpoint(f, w, g.zero_map[a], a, ha)
         except TransportFailed:
             raise NotTrivial(
                 f"lift of the homotopy at {a} names no cell") from None
@@ -486,16 +484,15 @@ class GroupoidStructure:
     laws: list
 
 
-def _comp_value(A: EffObject, u, v, w_, rho1, rho2, fuel):
+def _comp_value(A: EffObject, u, v, w_, rho1, rho2):
     t = tuple_encode(A.realizer[u], A.realizer[v], A.realizer[w_], rho1, rho2)
-    return apply(A.comp_code, t, fuel=fuel)
+    return apply(A.comp_code, t)
 
 
-def groupoid_structure(A: EffObject,
-                       fuel: int = DEFAULT_FUEL) -> GroupoidStructure:
+def groupoid_structure(A: EffObject) -> GroupoidStructure:
     """mu (path composition via comp_code), sigma (reversal via inv_code),
     and the five groupoid laws decided as fibrewise homotopies over A x A."""
-    bundle = path_object(A, fuel)
+    bundle = path_object(A)
     PA, st = bundle.obj, bundle.st
 
     # pairs (x, y) of paths with s(x) = t(y); mu(x, y) = x o y
@@ -510,7 +507,7 @@ def groupoid_structure(A: EffObject,
         # y: u -> v then x: v -> w
         (v, w_, rx), (u, v2, ry) = x, y
         assert v == v2
-        val = _comp_value(A, u, v, w_, ry, rx, fuel)
+        val = _comp_value(A, u, v, w_, ry, rx)
         return (u, w_, val)
 
     # a pullback cell (c, b) has t(c) = s(b): first c, then b
@@ -521,7 +518,7 @@ def groupoid_structure(A: EffObject,
     def inv_cell(x):
         a, a2, rho = x
         t = tuple_encode(A.realizer[a], A.realizer[a2], rho)
-        return (a2, a, apply(A.inv_code, t, fuel=fuel))
+        return (a2, a, apply(A.inv_code, t))
 
     sigma = synthesize_morphism(PA, PA,
                                 {x: inv_cell(x) for x in PA.cells},
@@ -547,10 +544,10 @@ def groupoid_structure(A: EffObject,
         lhs = synthesize_morphism(dom_obj, PA, lhs_zero)
         rhs = synthesize_morphism(dom_obj, PA, rhs_zero)
         assert lhs is not None and rhs is not None
-        return fibrewise_homotopic_decide(lhs, rhs, st, fuel)
+        return fibrewise_homotopic_decide(lhs, rhs, st)
 
     def refl(a):
-        return _reflexivity_cell(A, a, fuel)
+        return _reflexivity_cell(A, a)
 
     laws = []
     # (1) associativity on triples

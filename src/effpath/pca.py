@@ -11,11 +11,31 @@ enough to discharge every computability obligation in the finite model.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import NamedTuple
 
 DEFAULT_FUEL = 100_000
+
+# The step limit of one application, set once per verdict: apply and its
+# kin run at it when they are given no fuel, and so does everything built on
+# them.  fuel_now() reads it.
+_LIMIT: ContextVar[int] = ContextVar("fuel", default=DEFAULT_FUEL)
+fuel_now = _LIMIT.get
+
+
+@contextmanager
+def fuel_limit(steps: int | None):
+    """Run the block at a limit of ``steps`` per application (None
+    keeps the limit in force)."""
+    token = _LIMIT.set(_LIMIT.get() if steps is None else steps)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
 
 # constructor tags
 K0, K1, S0, S1, S2 = 0, 1, 2, 3, 4
@@ -176,21 +196,23 @@ class _Fuel:
         self.left = steps
 
 
-def apply(code: int, arg: int, fuel: int = DEFAULT_FUEL) -> int:
-    """Apply the code to a natural.  Deterministic and fuel-monotone."""
-    return _apply(code, arg, _Fuel(fuel))
+def apply(code: int, arg: int, fuel: int | None = None) -> int:
+    """Apply the code to a natural in at most ``fuel`` steps, by default
+    the limit in force.  Deterministic and fuel-monotone."""
+    return _apply(code, arg, _Fuel(_LIMIT.get() if fuel is None else fuel))
 
 
 def apply_counted(code: int, arg: int,
-                  fuel: int = DEFAULT_FUEL) -> tuple[int, int]:
+                  fuel: int | None = None) -> tuple[int, int]:
     """apply, also returning the number of steps the value cost."""
-    f = _Fuel(fuel)
-    return _apply(code, arg, f), fuel - f.left
+    f = _Fuel(_LIMIT.get() if fuel is None else fuel)
+    start = f.left
+    return _apply(code, arg, f), start - f.left
 
 
 def apply_many(code: int, args: list[int] | tuple[int, ...],
-               fuel: int = DEFAULT_FUEL) -> int:
-    f = _Fuel(fuel)
+               fuel: int | None = None) -> int:
+    f = _Fuel(_LIMIT.get() if fuel is None else fuel)
     acc = code
     for a in args:
         acc = _apply(acc, a, f)
@@ -333,13 +355,14 @@ def _apply_code(f: int, a: int) -> int:
     """Code for the application of two codes, without evaluating it."""
     # partial application of the curried constants is pure bookkeeping, so
     # it is done statically; anything else is a closed compile-time
-    # application, evaluated now.  A Table falls through to apply, which
-    # looks it up.
+    # application, evaluated now at the default fuel, whatever the limit in
+    # force: a code is an input, not part of a verdict's work.  A Table
+    # falls through to apply, which looks it up.
     if type(f) is not Table:
         tag, args = decode(f)
         if tag in _PARTIAL:
             return enc(_PARTIAL[tag], *args, a)
-    return apply(f, a)
+    return apply(f, a, DEFAULT_FUEL)
 
 
 def _abstract(name: str, term):

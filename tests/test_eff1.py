@@ -201,7 +201,9 @@ def test_each_construction_is_built_once_per_owner():
     assert terminal_map1(A) is f
     assert fib_path_object1(f) is fib_path_object1(f)
     assert truncate1(f, 0) is truncate1(f, 0)
-    assert truncate1(f, 0, fuel=500) is not truncate1(f, 0)
+    with pca.fuel_limit(500):
+        at_500 = truncate1(f, 0)
+    assert at_500 is not truncate1(f, 0)
 
 
 def test_a_path_bundle_carries_the_stored_decision_of_its_projection():
@@ -337,7 +339,8 @@ def test_walking_pair_over_point_is_not_trivial():
 def test_equivalence_and_triviality_answer_unknown_at_low_fuel(fuel, want):
     f = terminal_map1(inflate(interval()))
     for decide in (is_equivalence1_decide, trivial1_decide):
-        d = decide(f, fuel=fuel)
+        with pca.fuel_limit(fuel):
+            d = decide(f)
         assert d.status == want, decide.__name__
         if want == "unknown":
             assert d.reason == f"fuel {fuel} exhausted", decide.__name__

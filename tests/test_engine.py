@@ -314,9 +314,10 @@ def _stored_at_fuel(f, what, n, fuel):
     """The status of hlevel1_check or the shape of truncate1 at fuel, or
     the exception either raises."""
     try:
-        if what == "hlevel":
-            return hlevel1_check(f, n, fuel).status
-        tr = truncate1(f, n, fuel)
+        with pca.fuel_limit(fuel):
+            if what == "hlevel":
+                return hlevel1_check(f, n).status
+            tr = truncate1(f, n)
         return tr.g.cod.hom, tr.g.cod.hom2, fibration1_decide(tr.h).status
     except pca.FuelExhausted as e:
         return type(e)

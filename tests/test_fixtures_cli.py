@@ -216,7 +216,7 @@ def test_a_command_builds_only_the_library_entries_it_names(monkeypatch):
 def test_the_budget_default_is_the_library_default(monkeypatch):
     budgets = []
 
-    def record(f, fuel, budget):
+    def record(f, budget):
         budgets.append(budget)
         return Decision(YES)
     monkeypatch.setattr(cli, "is_equivalence_decide", record)
@@ -366,6 +366,31 @@ def test_pi_projection_lies_over_the_first_component(tmp_path):
                 "2 sections; projection fibration: yes", (cmd, targets)
 
 
+def test_pi_over_realizer_twins_in_the_base_reports_no(tmp_path):
+    # a and b share realizer 0 in A and in B; the Pi cells over them come
+    # from different fibres' tracking tables, so at level 0 the projection
+    # is not a fibration and at level 1 the pullback along it has no
+    # uniform inverse code
+    A = {"cells": ["a", "b"], "realizer": {"a": 0, "b": 0},
+         "hom": {"a a": [1, 2], "a b": [0, 1, 2], "b a": [0, 2],
+                 "b b": [0, 2]}}
+    objects = {"A": A, "B": dict(A, hom=dict(A["hom"], **{"a a": [0, 1]}))}
+    want = {0: "2 sections; projection fibration: no",
+            1: "no uniform inverse code"}
+    for level, cmd in ((0, "pi"), (1, "eff1-pi")):
+        doc = {"format": 1,
+               "objects": {k: {**v, "level": level}
+                           for k, v in objects.items()},
+               "morphisms": {"f": {"dom": "B", "cod": "A", "level": level,
+                                   "zero_map": {"a": "a", "b": "b"}}}}
+        p = tmp_path / f"Twins{level}.json"
+        p.write_text(json.dumps(doc))
+        rc, text = _run([cmd, f"{p}#f", "--format", "json"])
+        [report] = json.loads(text)
+        assert (rc, report["status"], report["detail"]) == \
+            (0, "no", want[level]), cmd
+
+
 def test_pi_of_a_map_with_realizer_twins_is_taken_of_its_standard_form(
         tmp_path, capsys):
     # g sends two cells of realizer 0 to the one cell of B; Pi of g itself
@@ -475,6 +500,7 @@ def test_bad_input_is_a_config_error(tmp_path):
                  ["homotopic", "I", "0"],
                  ["eff1-homotopic", "eff1:I", "eff1:J"],
                  ["pi", "I", "I"],
+                 ["pi", "1", "1", "no-such-name"],
                  ["eff1-pi", "eff1:I->1", "eff1:2"],
                  ["eff1-truncate", "eff1:J->1", "--n", "1"],
                  ["suite", "I", "--jobs", "4"]):
@@ -518,6 +544,12 @@ def test_low_fuel_on_dependent_values_reports_unknown():
     ["eff1-classify", "eff1:0->1", "--fuel", "0"],
     ["eff1-univalence", "eff1:I", "eff1:0->1", "eff1:0->1", "--fuel", "0"],
     ["eff1-resize", "eff1:I", "--fuel", "7"],
+    # these build their objects under the same limit as their checks
+    ["pi", "E2I", "--fuel", "0"],
+    ["eff1-pi", "eff1:2->1", "--fuel", "0"],
+    ["path-object", "I", "--fuel", "0"],
+    ["eff1-path-object", "eff1:I", "--fuel", "0"],
+    ["eff1-homotopic", "eff1:E2I", "eff1:E2I", "--fuel", "0"],
 ])
 def test_fuel_running_out_in_a_construction_is_one_unknown_report(argv):
     rc, text = _run(argv + ["--format", "json"])

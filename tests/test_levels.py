@@ -32,7 +32,7 @@ from effpath.eff1 import (
     is_equivalence1_decide, pullback1, trivial1_decide,
 )
 from effpath.fixtures import fixture_library
-from effpath.pca import DEFAULT_FUEL
+from effpath.pca import DEFAULT_FUEL, fuel_limit
 from effpath.path import (
     check_homotopy, fibration_decide, is_equivalence_decide,
     is_trivial_fibration, pullback, terminal_map, terminal_object,
@@ -154,11 +154,12 @@ def _inflated(name):
 @functools.cache
 def _decide(name, procedure, fuel=DEFAULT_FUEL):
     f = _map(name)
-    if procedure.startswith("hlevel"):
-        return hlevel_check(f, int(procedure[7:-1]), fuel)
-    return {"equivalence": is_equivalence_decide,
-            "trivial": is_trivial_fibration,
-            "discrete": discrete_decide}[procedure](f, fuel)
+    with fuel_limit(fuel):
+        if procedure.startswith("hlevel"):
+            return hlevel_check(f, int(procedure[7:-1]))
+        return {"equivalence": is_equivalence_decide,
+                "trivial": is_trivial_fibration,
+                "discrete": discrete_decide}[procedure](f)
 
 
 @pytest.mark.parametrize("name", REFERENCE)

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import pathlib
 import random
 
 import pytest
@@ -51,6 +53,53 @@ def test_fuel_exhaustion_is_distinct():
     with pytest.raises(FuelExhausted):
         apply(c, 3, fuel=2)
     assert apply(c, 3, fuel=100) == 5
+
+
+def test_the_fuel_limit_is_the_default_fuel_of_apply():
+    c = compose_codes(SUCC_C, SUCC_C)
+    assert pca.fuel_now() == pca.DEFAULT_FUEL
+    with pca.fuel_limit(2):
+        assert pca.fuel_now() == 2
+        with pytest.raises(FuelExhausted):
+            apply(c, 3)
+        assert apply(c, 3, fuel=100) == 5
+        with pca.fuel_limit(None):  # None keeps the limit in force
+            assert pca.fuel_now() == 2
+        with pca.fuel_limit(100):
+            assert apply(c, 3) == 5
+            assert apply_counted(c, 3) == apply_counted(c, 3, fuel=100)
+        assert pca.fuel_now() == 2
+    assert pca.fuel_now() == pca.DEFAULT_FUEL
+
+
+# the checkers, which set the limit when given one; the machine's entry
+# points; its step counter; and the runner verify hands the limit it read
+_TAKE_FUEL = {
+    "core.check_object", "core.check_morphism", "path.check_fibration",
+    "path.check_homotopy", "eff1.check_object1", "eff1.check_morphism1",
+    "eff1.check_fibration1", "eff1.check_homotopy1",
+    "pca.apply", "pca.apply_counted", "pca.apply_many", "pca._apply",
+    "core._run",
+}
+
+
+def test_only_the_checkers_and_the_machine_take_fuel():
+    # everything else reads the limit in force: a parameter only passed on
+    # is how a construction came to run at the default fuel, not --fuel
+    src = pathlib.Path(pca.__file__).parent
+    takers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = {x.arg for x in (*a.posonlyargs, *a.args,
+                                         *a.kwonlyargs, a.vararg, a.kwarg)
+                         if x is not None}
+                if "fuel" in names:
+                    name = getattr(node, "name", "<lambda>")
+                    takers.add(f"{path.stem}.{name}")
+    assert takers == _TAKE_FUEL
 
 
 def test_fuel_monotonicity_sampled():
