@@ -400,7 +400,8 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     Z = g.dom
     fg = compose(f, g, name=f"{f.name}.{g.name}")
     wfg = synthesize_fibration_witness(fg)
-    assert wfg is not None
+    if wfg is None:
+        raise MapsDoNotFit(f"{fg.name} is not a fibration")
     fibres = {x: fibre_object(f, x) for x in X.cells}
     secs = {x: _sections_over(f, g, x, fibres[x]) for x in X.cells}
 

@@ -59,8 +59,9 @@ class Decision:
 
 class MapsDoNotFit(ValueError):
     """The maps given to a procedure do not fit together: they are not
-    parallel, one does not end where the other starts, or a square of them
-    does not commute."""
+    parallel, one does not end where the other starts, a square of them
+    does not commute, or a composite of them that must be a fibration is
+    not one."""
 
 
 class SynthesisFailed(Exception):

@@ -155,40 +155,50 @@ def _object1_stages(cells, realizer, hom, hom2,
 
         composites = {}
 
-        def cp(a, b, c, p, r):
-            key = (R[a], R[b], R[c], p, r)
-            if key not in composites:
-                composites[key] = val("comp_code", tuple_encode(*key))
-            return composites[key]
+        def composed(a, b, c):
+            # {(p, r): r . p} over hom(a, b) x hom(b, c), read on first use
+            # and only where the first stage declared a composition
+            table = composites.get((a, b, c))
+            if table is None:
+                table = composites[a, b, c] = {
+                    (p, r): val("comp_code",
+                                tuple_encode(R[a], R[b], R[c], p, r))
+                    for p in hom[a, b] for r in hom[b, c]}
+            return table
 
         def coherence():
             for a, b, hab, _ in edges:
+                ua, ub = u(a), u(b)
                 for p in hab:
                     t = tuple_encode(R[a], R[b], p)
                     pi = val("inv_code", t)
-                    yield ("coh_lunit", t, hom2[a, b, cp(a, b, b, p, u(b)), p],
+                    yield ("coh_lunit", t,
+                           hom2[a, b, composed(a, b, b)[p, ub], p],
                            "left unit coherence")
-                    yield ("coh_runit", t, hom2[a, b, cp(a, a, b, u(a), p), p],
+                    yield ("coh_runit", t,
+                           hom2[a, b, composed(a, a, b)[ua, p], p],
                            "right unit coherence")
                     yield ("coh_linv", t,
-                           hom2[a, a, cp(a, b, a, p, pi), u(a)],
+                           hom2[a, a, composed(a, b, a)[p, pi], ua],
                            "left inverse coherence")
                     yield ("coh_rinv", t,
-                           hom2[b, b, cp(b, a, b, pi, p), u(b)],
+                           hom2[b, b, composed(b, a, b)[pi, p], ub],
                            "right inverse coherence")
                     yield "id2", t, hom2[a, b, p, p], "2-identity"
             for a, b, hab, _ in edges:
                 for c, hbc, _ in adj[b]:
+                    abc = composed(a, b, c)
                     for d, hcd, _ in adj[c]:
+                        acd, abd = composed(a, c, d), composed(a, b, d)
+                        bcd = composed(b, c, d)
                         for p, r in itertools.product(hab, hbc):
-                            rp = cp(a, b, c, p, r)
+                            rp = abc[p, r]
                             for s in hcd:
                                 yield ("coh_assoc",
                                        tuple_encode(R[a], R[b], R[c], R[d],
                                                     p, r, s),
-                                       hom2[a, d, cp(a, c, d, rp, s),
-                                            cp(a, b, d, p,
-                                               cp(b, c, d, r, s))],
+                                       hom2[a, d, acd[rp, s],
+                                            abd[p, bcd[r, s]]],
                                        "associativity coherence")
             for a, b, _, h1 in edges:
                 for p, r, s in itertools.product(h1, repeat=3):
@@ -202,10 +212,9 @@ def _object1_stages(cells, realizer, hom, hom2,
                     for n in hom2[a, b, p, r]:
                         yield ("inv2", tuple_encode(R[a], R[b], p, r, n),
                                hom2[a, b, r, p], "2-inverse")
-            # compute a target only where an obligation follows: a composite
-            # read earlier could fail checking on an undeclared obligation
             for a, b, _, sab in edges:
                 for c, _, sbc in adj[b]:
+                    abc = composed(a, b, c)
                     for p, r in itertools.product(sab, repeat=2):
                         h2ab = hom2[a, b, p, r]
                         if not h2ab:
@@ -214,8 +223,7 @@ def _object1_stages(cells, realizer, hom, hom2,
                             h2bc = hom2[b, c, p2, r2]
                             if not h2bc:
                                 continue
-                            h = hom2[a, c, cp(a, b, c, p, p2),
-                                     cp(a, b, c, r, r2)]
+                            h = hom2[a, c, abc[p, p2], abc[r, r2]]
                             for n, m in itertools.product(h2ab, h2bc):
                                 yield ("hcomp",
                                        tuple_encode(R[a], R[b], R[c], p, r,
@@ -290,6 +298,21 @@ _MORPHISM1_SLOTS = ("tracking0", "tracking1", "tracking2", "funct_id",
                     "funct_comp")
 
 
+def _comp_inputs(obj: Eff1Object, a, b, c) -> dict:
+    """{(p, r): <alpha a, alpha b, alpha c, p, r>}, the inputs of comp_code
+    over hom(a, b) x hom(b, c), each ascending; kept on obj, built per cell
+    triple on first use."""
+    blocks = _owned(obj, ("inputs3",), dict)
+    ts = blocks.get((a, b, c))
+    if ts is None:
+        R = obj.realizer
+        ts = blocks[a, b, c] = {
+            (p, r): tuple_encode(R[a], R[b], R[c], p, r)
+            for p in sorted(obj.hom_of(a, b))
+            for r in sorted(obj.hom_of(b, c))}
+    return ts
+
+
 def _two_cell_inputs(dom: Eff1Object) -> dict:
     """{(b, b', p, r): {n: <beta b, beta b', p, r, n>}}: the visible inputs
     of tracking2 over every parallel pair of 1-cells of dom; kept on dom."""
@@ -342,16 +365,18 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
                 for b2, _, _ in adj[b1]:
                     for b3, _, _ in adj[b2]:
                         z1, z2, z3 = zero[b1], zero[b2], zero[b3]
-                        for (p, fp), (r, fr) in itertools.product(
-                                one_map[b1, b2].items(),
-                                one_map[b2, b3].items()):
-                            # the input of dom's composition code at r . p
-                            t = tuple_encode(R[b1], R[b2], R[b3], p, r)
+                        f12, f23 = one_map[b1, b2], one_map[b2, b3]
+                        f13 = one_map[b1, b3]
+                        into = _comp_inputs(cod, z1, z2, z3)
+                        for (p, r), t in _comp_inputs(dom, b1, b2,
+                                                      b3).items():
+                            # r . p in dom, and f(r) . f(p) in cod
                             c = _memo(dom, "c", dom.comp_code, t)
-                            img = one_map[b1, b3].get(c)
+                            img = f13.get(c)
                             if img is None:
                                 img = f1(b1, b3, c)
-                            cimg = _comp(cod, z1, z2, z3, fp, fr)
+                            cimg = _memo(cod, "c", cod.comp_code,
+                                         into[f12[p], f23[r]])
                             yield ("funct_comp", t,
                                    cod.hom2_of(z1, z3, img, cimg),
                                    "composite preservation")
@@ -1333,7 +1358,8 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
     A, B, C = f.cod, f.dom, g.dom
     fg = compose1(f, g)
     wfg = synthesize_fibration1_witness(fg)
-    assert wfg is not None
+    if wfg is None:
+        raise MapsDoNotFit(f"{fg.name} is not a fibration")
 
     fibres, incls = {}, {}
     for a in A.cells:

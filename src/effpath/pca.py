@@ -80,8 +80,9 @@ def tuple_encode(*parts: int) -> int:
     if not parts:
         raise ValueError("empty tuple")
     acc = parts[-1]
-    for x in reversed(parts[:-1]):
-        acc = cantor_pair(x, acc)
+    for x in parts[-2::-1]:  # cantor_pair(x, acc), inline
+        w = x + acc
+        acc = w * (w + 1) // 2 + acc
     return acc
 
 

@@ -1,17 +1,17 @@
 import pytest
 
 from effpath import pca
-from effpath.core import check_morphism, check_object, identity, \
-    make_object, synthesize_morphism
+from effpath.core import check_morphism, identity, make_object, \
+    synthesize_morphism
 from effpath.classify import (
-    Classification, NotNormalized, classify_prop_discrete, discrete_decide,
-    hlevel_check, is_standard_discrete, prop_truncate,
-    resize, truncation_compare, two_self_equivalences, u_hom_status,
-    u_one_cell, u_pullback, univalence_check_prop,
+    NotNormalized, classify_prop_discrete, discrete_decide, hlevel_check,
+    is_standard_discrete, prop_truncate, resize, truncation_compare,
+    two_self_equivalences, u_hom_status, u_one_cell, u_pullback,
+    univalence_check_prop,
 )
 from effpath.fixtures import interval, two, two_point_bundle, walking_pair
 from effpath.path import (
-    discrete_n, is_equivalence_decide, path_object, pullback,
+    is_equivalence_decide, path_object, pullback,
     synthesize_fibration_witness, terminal_map, terminal_object,
 )
 

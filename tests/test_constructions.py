@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from effpath import pca
 from effpath.core import (
-    MapsDoNotFit, YES, check_morphism, compose, identity, make_object,
+    MapsDoNotFit, YES, check_morphism, identity, make_object,
     synthesize_morphism,
 )
 from effpath.constructions import (
@@ -14,9 +13,8 @@ from effpath.constructions import (
 )
 from effpath.fixtures import interval, two, two_point_bundle, walking_pair
 from effpath.path import (
-    discrete_n, fibration_decide, homotopic_decide, identity as _id,
-    path_object, product, pullback, synthesize_fibration_witness,
-    terminal_map, terminal_object,
+    discrete_n, fibration_decide, homotopic_decide, path_object, product,
+    pullback, synthesize_fibration_witness, terminal_map, terminal_object,
 )
 
 import strategies
@@ -322,3 +320,14 @@ def test_procedures_refuse_maps_that_do_not_fit():
     pt0, pt1 = (synthesize_morphism(one, two(), {"*": c}) for c in "01")
     with pytest.raises(MapsDoNotFit, match="does not commute"):
         homotopy_pullback_check(pt0, pt1, identity(one), identity(one))
+
+
+def test_pi_of_a_map_that_is_not_a_fibration_is_refused():
+    # X = {a} -> Y = {p, q} onto p: the 1-cell p -> q has no lift
+    X = make_object("a", {"a": 0}, {("a", "a"): {0}}, name="X")
+    Y = make_object("pq", {"p": 0, "q": 1},
+                    {(x, y): {0} for x in "pq" for y in "pq"}, name="Y")
+    g = synthesize_morphism(X, Y, {"a": "p"}, name="g")
+    f = identity(Y)
+    with pytest.raises(MapsDoNotFit, match=r"^id_Y\.g is not a fibration$"):
+        pi_type(f, synthesize_fibration_witness(f), g)

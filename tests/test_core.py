@@ -1,6 +1,3 @@
-import itertools
-
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from effpath import pca
@@ -11,7 +8,7 @@ from effpath.core import (
 from effpath.fixtures import (
     interval, nat_trunc, swap_morphism, two, walking_pair,
 )
-from effpath.path import discrete_n, homotopic_decide, terminal_object
+from effpath.path import homotopic_decide, terminal_object
 
 import strategies
 

@@ -4,8 +4,7 @@ import pytest
 
 from effpath import eff1, pca
 from effpath.classify import is_standard_discrete
-from effpath.core import MapsDoNotFit, identity as identity0, \
-    make_object, synthesize_morphism as synthesize_morphism0
+from effpath.core import MapsDoNotFit, identity as identity0, make_object
 from effpath.eff1 import (
     NotNormalized, adjequiv, check_fibration1, check_homotopy1,
     check_morphism1, check_object1, classify_discrete_set, compose1,
@@ -446,6 +445,18 @@ def test_pi_membership_rejects_non_sections():
     (a, skey), s = next(iter(pi.sections.items()))
     assert pi.virtual.contains((a, s)) == "yes"
     assert pi.virtual.contains((a, "not a morphism")) == "no"
+
+
+def test_pi_of_a_map_that_is_not_a_fibration_is_refused():
+    # X = {a} -> Y = {p, q} onto p: the 1-cell p -> q has no lift
+    X = inflate(make_object("a", {"a": 0}, {("a", "a"): {0}}), name="X")
+    Y = inflate(make_object("pq", {"p": 0, "q": 1},
+                            {(x, y): {0} for x in "pq" for y in "pq"}),
+                name="Y")
+    g = synthesize_morphism1(X, Y, {"a": "p"}, name="g")
+    f = identity1(Y)
+    with pytest.raises(MapsDoNotFit, match=r"^id_Y\.g is not a fibration$"):
+        pi_type1(f, synthesize_fibration1_witness(f), g)
 
 
 # --- truncations ------------------------------------------------------------

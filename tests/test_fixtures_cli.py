@@ -13,8 +13,7 @@ from effpath import cli, pca
 from effpath.cli import main
 from effpath.core import YES, Decision
 from effpath.fixture_io import (
-    FixtureError, compile_code, parse_fixture_file, parse_fixture_text,
-    serialize_fixture_file,
+    FixtureError, compile_code, parse_fixture_text, serialize_fixture_file,
 )
 from effpath.fixtures import fixture_library
 from effpath.path import DEFAULT_BUDGET

@@ -14,10 +14,10 @@ from effpath.fixtures import (
 )
 from effpath.path import (
     FibrationWitness, NotTrivial, TransportFailed, check_fibration,
-    check_homotopy, construct_section, copair, fib_path_object,
+    check_homotopy, construct_section, fib_path_object,
     fibration_decide, fibrewise_homotopic_decide, groupoid_structure,
     homotopic_decide, is_equivalence_decide, is_trivial_fibration,
-    lift_endpoint, mediate, pair_morphism, path_object, product, pullback,
+    lift_endpoint, mediate, pair_morphism, path_object, pullback,
     sum_object, synthesize_fibration_witness, synthesize_morphism,
     terminal_map, terminal_object,
 )

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from effpath import pca
 from effpath.pca import (
     DIVERGE_C, FST_C, ID, IFEQ, K, PAIR, S, SND_C, SUCC_C,
-    App, Diverges, FuelExhausted, Lam, MachineState, UnboundVariable, Var,
+    App, Diverges, FuelExhausted, MachineState, UnboundVariable, Var,
     apply, apply_counted, apply_many, cantor_pair, cantor_unpair,
     compile_term, compose_codes, const_code, curry_left, decode, enc, encode,
     lam, app, tabulate, tuple_decode, tuple_encode,
@@ -158,6 +158,22 @@ def test_tuple_roundtrip():
     t = tuple_encode(3, 1, 4, 1, 5)
     assert tuple_decode(t, 5) == (3, 1, 4, 1, 5)
     assert tuple_encode(9) == 9
+
+
+_parts = st.one_of(st.integers(0, 9), st.integers(0, 1 << 200),
+                   st.builds(pca.Table, st.dictionaries(
+                       st.integers(0, 9), st.integers(0, 9), max_size=3)))
+
+
+@given(st.lists(_parts, min_size=1, max_size=9))
+def test_tuple_encode_is_the_right_fold_of_cantor_pair(parts):
+    fold = parts[-1]
+    for x in reversed(parts[:-1]):
+        fold = cantor_pair(x, fold)
+    t = tuple_encode(*parts)
+    assert t == fold and type(t) is type(fold)
+    if len(parts) == 1:
+        assert t is parts[0]
 
 
 # --- encode/decode ----------------------------------------------------------
