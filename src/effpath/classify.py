@@ -14,22 +14,20 @@ import itertools
 from dataclasses import dataclass
 
 from .pca import (
-    FuelExhausted, apply, cantor_unpair, const_code, fuel_now, tabulate,
+    LimitReached, apply, cantor_unpair, const_code, fuel_now, tabulate,
     tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, NO, UNKNOWN, YES,
-    compose, identity, make_object, synthesize_morphism, _run,
+    compose, identity, make_object, synthesize_morphism, _inv, _run,
 )
 from .path import (
-    FibrationWitness, fib_path_cells, fib_path_object,
-    fibrewise_homotopic_decide, homotopic_decide, is_equivalence_decide,
-    is_trivial_fibration, lift_endpoint, not_a_fibration,
+    FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
+    homotopic_decide, is_equivalence_decide, is_trivial_fibration,
+    lift_endpoint, not_a_fibration,
 )
 
 VERIFIED, REFUTED = "verified", "refuted"
-
-DEFAULT_DEPTH_BUDGET = 600  # cap on materialized path-object cells
 
 
 # --- hlevels ----------------------------------------------------------------
@@ -48,11 +46,11 @@ def hlevel_verdict(d: Decision, verified: str) -> HlevelVerdict:
                          reason=d.reason)
 
 
-def hlevel_check(f: EffMorphism, n: int,
-                 depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
+def hlevel_check(f: EffMorphism, n: int) -> HlevelVerdict:
     """Is f a fibration of n-types?  Level -2 means trivial, level -1 that
     the fibrewise path object is trivial; higher levels are decided one
-    dimension up, on the inflated map.  Running out of fuel is UNKNOWN."""
+    dimension up, on the inflated map.  Running out of a limit while
+    building the path object is UNKNOWN."""
     if n < -2:
         raise ValueError("levels start at -2")
     if n == -2:
@@ -63,20 +61,15 @@ def hlevel_check(f: EffMorphism, n: int,
         no = not_a_fibration(f)
         if no is not None:
             return HlevelVerdict(REFUTED, reason=no.reason)
-        size = len(fib_path_cells(f))
-        if size > depth_budget:
-            return HlevelVerdict(UNKNOWN,
-                                 reason=f"path object has {size} cells")
         try:
             st = fib_path_object(f).st
-        except FuelExhausted:
-            return HlevelVerdict(UNKNOWN,
-                                 reason=f"fuel {fuel_now()} exhausted")
+        except LimitReached as e:
+            return HlevelVerdict(UNKNOWN, reason=str(e))
         # st is a fibration (a path-category axiom): trivial = equivalence
         return hlevel_verdict(is_equivalence_decide(st),
                               "its path object is a trivial fibration")
     from .eff1 import hlevel1_check, inflate_morphism
-    return hlevel1_check(inflate_morphism(f), n, depth_budget)
+    return hlevel1_check(inflate_morphism(f), n)
 
 
 # --- propositional truncation -----------------------------------------------
@@ -231,10 +224,8 @@ def classify_prop_discrete(f: EffMorphism,
     one, t1_table = {}, {}
     for a, a2 in itertools.product(A.cells, repeat=2):
         for pi in A.hom_of(a, a2):
-            inv = apply(A.inv_code,
-                        tuple_encode(A.realizer[a], A.realizer[a2], pi))
             r = fibre_transport(a, a2, pi)
-            s = fibre_transport(a2, a, inv)
+            s = fibre_transport(a2, a, _inv(A, a, a2, pi))
             one[(a, a2, pi)] = (r, s)
             t1_table[tuple_encode(A.realizer[a], A.realizer[a2], pi)] = \
                 tuple_encode(r, s)

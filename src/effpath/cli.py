@@ -12,25 +12,27 @@ import functools
 import json
 import sys
 
-from .pca import DEFAULT_FUEL, FuelExhausted, fuel_limit
+from .pca import (
+    DEFAULT_BUDGET, DEFAULT_DEPTH, DEFAULT_FUEL, LimitReached, budget_limit,
+    depth_limit, fuel_limit,
+)
 from .core import (
     NO, UNKNOWN, YES, Decision, EffMorphism, EffObject, MapsDoNotFit,
     SynthesisFailed, check_morphism, check_object, identity,
 )
 from .path import (
-    DEFAULT_BUDGET, fibration_decide, homotopic_decide,
-    is_equivalence_decide, is_trivial_fibration, path_object, pullback,
+    fibration_decide, homotopic_decide, is_equivalence_decide,
+    is_trivial_fibration, path_object, pullback,
     synthesize_fibration_witness, terminal_map,
 )
 from .classify import (
-    DEFAULT_DEPTH_BUDGET, NotNormalized, classify_prop_discrete,
-    discrete_decide, hlevel_check, is_standard_discrete, prop_truncate,
-    resize, u_one_cell, univalence_check_prop,
+    NotNormalized, classify_prop_discrete, discrete_decide, hlevel_check,
+    is_standard_discrete, prop_truncate, resize, u_one_cell,
+    univalence_check_prop,
 )
 from .constructions import hexp_J, pi_type, transport_properties_check
 from .eff1 import (
-    Eff1Morphism, Eff1Object, NotNormalized as NotNormalized1,
-    check_morphism1, check_object1,
+    Eff1Morphism, Eff1Object, check_morphism1, check_object1,
     classify_discrete_set, discrete1_decide, fibration1_decide, hexp_J1,
     hlevel1_check, homotopic1_decide, identity1, is_equivalence1_decide,
     path_object1, pi_type1, pullback1, resize1,
@@ -89,6 +91,13 @@ def _report(command, target, status, detail=""):
             "detail": detail}
 
 
+def _all_of(decisions) -> str:
+    """yes if every decision is, unknown if one is, otherwise no."""
+    statuses = [d.status for d in decisions]
+    return (YES if all(s == YES for s in statuses)
+            else UNKNOWN if UNKNOWN in statuses else NO)
+
+
 # --- command handlers --------------------------------------------------------
 
 def _cmd_check_object(rs, args):
@@ -138,8 +147,7 @@ def _cmd_homotopic(rs, args):
 
 def _cmd_equivalence(rs, args):
     f = rs.morphism(args.targets[0])
-    d = (is_equivalence1_decide if _is_level1(f) else is_equivalence_decide)(
-        f, budget=args.budget)
+    d = (is_equivalence1_decide if _is_level1(f) else is_equivalence_decide)(f)
     return [_report("equivalence", args.targets[0], d.status, d.reason)]
 
 
@@ -152,10 +160,7 @@ def _cmd_transport(rs, args):
         return [_report("transport", args.targets[0], "no",
                         "not a fibration")]
     vs = transport_properties_check(f, w)
-    status = ("yes" if all(v.status == "yes" for v in vs)
-              else "unknown" if any(v.status == "unknown" for v in vs)
-              else "no")
-    return [_report("transport", args.targets[0], status,
+    return [_report("transport", args.targets[0], _all_of(vs),
                     "; ".join(v.status for v in vs))]
 
 
@@ -237,8 +242,7 @@ def _hlevel_report(command, target, hv, detail):
 
 def _cmd_hlevel(rs, args):
     f = rs.morphism(args.targets[0])
-    hv = (hlevel1_check if _is_level1(f) else hlevel_check)(
-        f, args.n, depth_budget=args.depth)
+    hv = (hlevel1_check if _is_level1(f) else hlevel_check)(f, args.n)
     return [_hlevel_report("hlevel", args.targets[0], hv,
                            f"n={args.n}: {hv.reason}")]
 
@@ -262,7 +266,7 @@ def _cmd_classify(rs, args):
             if w is None:
                 raise ConfigError(f"{args.targets[0]} is not a fibration")
             cl = classify_prop_discrete(f, w)
-    except (NotNormalized, NotNormalized1) as e:
+    except NotNormalized as e:
         return [_report("classify", args.targets[0], "no", str(e))]
     return [_report("classify", args.targets[0], cl.comparison.status,
                     "recovered total space compares: "
@@ -277,7 +281,7 @@ def _cmd_univalence(rs, args):
     target = " ".join(args.targets[:3])
     try:
         _H, d = check(w, pf, pg)
-    except (NotNormalized, NotNormalized1) as e:
+    except NotNormalized as e:
         return [_report("univalence", target, "no", str(e))]
     return [_report("univalence", target, d.status, d.reason)]
 
@@ -285,10 +289,7 @@ def _cmd_univalence(rs, args):
 def _cmd_resize(rs, args):
     f = rs.morphism(args.targets[0])
     rsb = (resize1 if _is_level1(f) else resize)(f)
-    status = ("yes" if all(d.status == "yes" for d in rsb.laws)
-              else "unknown" if any(d.status == "unknown" for d in rsb.laws)
-              else "no")
-    return [_report("resize", args.targets[0], status,
+    return [_report("resize", args.targets[0], _all_of(rsb.laws),
                     f"{len(rsb.obj.cells)} cells; laws: "
                     + " ".join(d.status for d in rsb.laws)
                     + "".join(f"; {d.reason}" for d in rsb.laws if d.reason))]
@@ -414,8 +415,8 @@ def _run_suite(rs, args):
         n, key, want = item
         try:
             v = _entry_check(lib[n], key)
-        except FuelExhausted:
-            v = Decision(UNKNOWN, reason=f"fuel {args.fuel} exhausted")
+        except LimitReached as e:
+            v = Decision(UNKNOWN, reason=str(e))
         got = _as_bool(v.status)
         outcome = ("unknown" if got is None
                    else "pass" if got == want else "fail")
@@ -451,8 +452,8 @@ def _build_parser():
         sp.add_argument("--budget", type=_int_at_least(0),
                         default=DEFAULT_BUDGET)
         sp.add_argument("--depth", type=_int_at_least(0),
-                        default=DEFAULT_DEPTH_BUDGET,
-                        help="cell bound on path objects built by hlevel")
+                        default=DEFAULT_DEPTH,
+                        help="cell bound on path objects")
         sp.add_argument("--format", choices=("json", "text"),
                         default="text")
         sp.add_argument("--fixtures", action="append", default=[],
@@ -503,23 +504,26 @@ def main(argv=None, out=None) -> int:
         return 2 if e.code not in (0, None) else 0
     command = args.command
     base = command.removeprefix("eff1-")  # the name handlers report under
+    # --fuel, --budget and --depth bound every application, search and path
+    # object the command makes; its targets are inputs, built at the
+    # default limits
     try:
-        rs = Resolver(args.fixtures)
-        if command.startswith("eff1-") and not _is_level1(
-                rs.get(args.targets[0])):
-            raise ConfigError(
-                f"{args.targets[0]!r} is not a two-level fixture")
-        # --fuel bounds every application the command makes; its targets
-        # are inputs, built at the default fuel
-        with fuel_limit(args.fuel):
-            reports = (_run_suite if command == "suite"
-                       else _HANDLERS[base][0])(rs, args)
+        with fuel_limit(args.fuel), budget_limit(args.budget), \
+                depth_limit(args.depth):
+            try:
+                rs = Resolver(args.fixtures)
+                if command.startswith("eff1-") and not _is_level1(
+                        rs.get(args.targets[0])):
+                    raise ConfigError(
+                        f"{args.targets[0]!r} is not a two-level fixture")
+                reports = (_run_suite if command == "suite"
+                           else _HANDLERS[base][0])(rs, args)
+            except LimitReached as e:  # str(e) reads the limit in force
+                reports = [_report(base, " ".join(args.targets), UNKNOWN,
+                                   str(e))]
     except (FixtureError, ConfigError, MapsDoNotFit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FuelExhausted:
-        reports = [_report(base, " ".join(args.targets), "unknown",
-                           f"fuel {args.fuel} exhausted")]
     reports = sorted(reports, key=lambda r: (r["command"], r["target"]))
     _emit(reports, args.format, out)
     return _exit_code(reports)

@@ -19,7 +19,7 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, UNKNOWN, YES,
-    check_morphism, compose, forced, identity, make_object,
+    _comp, _u, check_morphism, compose, forced, identity, make_object,
     synthesize_morphism,
 )
 from .path import (
@@ -135,9 +135,7 @@ def transport_properties_check(f: EffMorphism,
     def comp_cell(b, c):
         # c: x0 -> x1 then b: x1 -> x2, composed through X's code
         (x1, x2, rb), (x0, _, rc) = b, c
-        t = tuple_encode(X.realizer[x0], X.realizer[x1], X.realizer[x2],
-                         rc, rb)
-        return (x0, x2, apply(X.comp_code, t))
+        return (x0, x2, _comp(X, x0, x1, x2, rc, rb))
 
     out.append(law(
         d3.obj,
@@ -313,8 +311,7 @@ def curry(h: EffMorphism, C: EffObject, B: EffObject) -> dict:
     out = {}
     x = Var("x")
     for c in C.cells:
-        gc = C.realizer[c]
-        uc = apply(C.unit_code, gc)
+        gc, uc = C.realizer[c], _u(C, c)
         zero = {b: h.zero_map[(c, b)] for b in B.cells}
         one = {}
         for b, b2 in itertools.product(B.cells, repeat=2):

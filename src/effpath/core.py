@@ -14,8 +14,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
-    Diverges, FuelExhausted, apply, compile_term, compose_codes, fuel_limit,
-    fuel_now, tabulate, tuple_encode, lam, app, Var, FST_C, SND_C,
+    Diverges, FuelExhausted, apply, apply_counted, compile_term,
+    compose_codes, fuel_limit, fuel_now, tabulate, tuple_encode, lam, app,
+    Var, FST_C, SND_C,
 )
 
 YES, NO, UNKNOWN = "yes", "no", "unknown"
@@ -251,6 +252,42 @@ def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None):
 
 
 _OBJECT_SLOTS = ("unit_code", "inv_code", "comp_code")
+
+
+def _memo(A, key, code, t):
+    # structure codes are deterministic tables: cache each value per object
+    # together with the steps it cost, so a read at a lower fuel limit still
+    # runs out
+    cache = A.__dict__.get("_value_cache")
+    if cache is None:
+        cache = A._value_cache = {}
+    try:
+        value, steps = cache[key, t]
+    except KeyError:
+        value, steps = cache[key, t] = apply_counted(code, t)
+    if steps > fuel_now():
+        raise FuelExhausted()
+    return value
+
+
+# the three structure codes of an object at either level, read at the
+# inputs _object_stages declares
+def _u(A, a) -> int:
+    """The unit 1-cell of a."""
+    return _memo(A, "u", A.unit_code, A.realizer[a])
+
+
+def _inv(A, a, b, p) -> int:
+    """The inverse of p: a -> b."""
+    return _memo(A, "i", A.inv_code,
+                 tuple_encode(A.realizer[a], A.realizer[b], p))
+
+
+def _comp(A, a, b, c, p, r) -> int:
+    """The composite r . p for p: a -> b, r: b -> c."""
+    return _memo(A, "c", A.comp_code,
+                 tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
+                              p, r))
 
 
 def check_object(obj: EffObject, fuel: int | None = None) -> Verdict:

@@ -17,30 +17,27 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
-    DEFAULT_FUEL, FuelExhausted, apply, apply_counted, cantor_unpair,
-    fuel_limit, fuel_now,
-    const_code, tabulate, tuple_encode,
+    DEFAULT_FUEL, LimitReached, apply, cantor_unpair, fuel_limit, fuel_now,
+    const_code, tabulate, tuple_encode, within_budget,
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _morphism_stages,
-    _object_stages, _one_cell_inputs, _owned, _read_back, any_image,
-    check_morphism as check_morphism0, compose as compose0, forced, groups,
-    identity as identity0, make_object, settle,
+    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _comp, _inv, _memo,
+    _morphism_stages, _object_stages, _one_cell_inputs, _owned, _read_back,
+    _u, any_image, check_morphism as check_morphism0, compose as compose0,
+    forced, groups, identity as identity0, make_object, settle,
     synthesize_morphism as synthesize_morphism0, tabulate_all, verify,
 )
 from .path import (
-    DEFAULT_BUDGET, NotTrivial, TransportFailed, _homotopy_stages,
-    _lift1_obligations, _zero_map_candidates, fib_path_cells, lift_endpoint,
-    require_parallel,
+    NotTrivial, TransportFailed, _homotopy_stages, _lift1_obligations,
+    _zero_map_candidates, fib_path_cells, lift_endpoint, require_parallel,
     check_homotopy as check_homotopy0, homotopic_decide as homotopic_decide0,
     is_equivalence_decide as is_equivalence_decide0,
     terminal_object as terminal_object0,
 )
 from .constructions import VirtualObject, _verdict_status
 from .classify import (
-    DEFAULT_DEPTH_BUDGET, HlevelVerdict, NotNormalized, REFUTED,
-    _resize_laws, hlevel_verdict,
+    HlevelVerdict, NotNormalized, REFUTED, _resize_laws, hlevel_verdict,
 )
 
 CANDIDATE_LIMIT = 512  # 1-level choices tried per cell map
@@ -86,38 +83,6 @@ class Eff1Object:
     def __repr__(self):
         return f"Eff1Object({self.name or hex(id(self))}, " \
                f"{len(self.cells)} cells)"
-
-
-def _memo(A, key, code, t):
-    # structure codes are deterministic tables: cache each value per object
-    # together with the steps it cost, so a read at a lower fuel limit still
-    # runs out
-    cache = A.__dict__.get("_value_cache")
-    if cache is None:
-        cache = A._value_cache = {}
-    try:
-        value, steps = cache[key, t]
-    except KeyError:
-        value, steps = cache[key, t] = apply_counted(code, t)
-    if steps > fuel_now():
-        raise FuelExhausted()
-    return value
-
-
-def _u(A, a) -> int:
-    return _memo(A, "u", A.unit_code, A.realizer[a])
-
-
-def _inv(A, a, b, p) -> int:
-    return _memo(A, "i", A.inv_code,
-                 tuple_encode(A.realizer[a], A.realizer[b], p))
-
-
-def _comp(A, a, b, c, p, r) -> int:
-    """The composite r . p for p: a -> b, r: b -> c."""
-    return _memo(A, "c", A.comp_code,
-                 tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
-                              p, r))
 
 
 def _id2(A, a, b, p) -> int:
@@ -424,26 +389,28 @@ def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
     return synthesize_morphism1(dom, cod, zero, name, *_given(one, two))
 
 
+def _choices(stages, slot: str, cap: int | None = None):
+    """Each choice {t: value} of one acceptable value of ``slot`` per input
+    t of the first stage, in product order over ascending inputs and
+    values.  Raises SynthesisFailed at once if some input has none; the
+    choices are counted by within_budget."""
+    options = sorted((t, sorted(acc)) for (s, t), acc in groups(stages).items()
+                     if s == slot)
+    inputs = [t for t, _acc in options]
+    return (dict(zip(inputs, combo)) for combo in within_budget(
+        itertools.product(*(acc for _t, acc in options)), cap))
+
+
 def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
-                         name: str = "", truncated: list | None = None):
+                         name: str = ""):
     """All tracked extensions of a cell map, enumerating the finitely many
-    uniform 1-level choices (at most ``CANDIDATE_LIMIT`` combinations; if
-    the bound cuts the enumeration a marker is appended to ``truncated``, so
-    a caller can degrade a definitive NO to UNKNOWN)."""
+    uniform 1-level choices (at most ``CANDIDATE_LIMIT`` of them)."""
     try:
-        options = sorted((t, sorted(acc)) for (slot, t), acc in groups(
-            _morphism_stages(dom, cod, zero_map)).items()
-            if slot == "tracking1")
+        choices = _choices(_morphism_stages(dom, cod, zero_map), "tracking1",
+                           CANDIDATE_LIMIT)
     except SynthesisFailed:
         return
-    tried = 0
-    for combo in itertools.product(*(acc for _t, acc in options)):
-        tried += 1
-        if tried > CANDIDATE_LIMIT:
-            if truncated is not None:
-                truncated.append(True)
-            return
-        choice = dict(zip((t for t, _acc in options), combo))
+    for choice in choices:
         m = synthesize_morphism1(dom, cod, zero_map, name,
                                  lambda t, h, *_: forced(choice[t], h))
         if m is not None:
@@ -808,13 +775,14 @@ def fib_path_object1(f: Eff1Morphism) -> Path1Bundle:
     single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
     and n a 2-cell filling the square; 2-cells pairs of 2-cells between the
     respective components, with equal f-image.  One bundle per f and
-    fuel."""
-    return _owned(f, ("path", fuel_now()), lambda: _fib_path_object1(f))
-
-
-def _fib_path_object1(f: Eff1Morphism) -> Path1Bundle:
-    B = f.dom
+    fuel; past the depth limit nothing is built or looked up."""
     cells = fib_path_cells(f)
+    return _owned(f, ("path", fuel_now()),
+                  lambda: _fib_path_object1(f, cells))
+
+
+def _fib_path_object1(f: Eff1Morphism, cells: list) -> Path1Bundle:
+    B = f.dom
     base = pullback1(f, f).obj
     realizer = {x: tuple_encode(B.realizer[x[0]], B.realizer[x[1]], x[2])
                 for x in cells}
@@ -948,16 +916,11 @@ def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
 
 def _homotopic1(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
     try:
-        options = sorted((t, sorted(acc)) for (_h1, t), acc in
-                         groups(_homotopy_stages(f, g)).items())
+        choices = _choices(_homotopy_stages(f, g), "h1")
     except SynthesisFailed as e:
         return Decision(NO, reason=f"no connecting 1-cell at realizer {e.t}")
-    tried = 0
-    for combo in itertools.product(*(acc for _t, acc in options)):
-        tried += 1
-        if tried > DEFAULT_BUDGET:
-            return Decision(UNKNOWN, reason="filler search budget exhausted")
-        H = homotopy1_from_h1(f, g, dict(zip((t for t, _ in options), combo)))
+    for choice in choices:
+        H = homotopy1_from_h1(f, g, choice)
         if H is not None:
             return Decision(YES, witness=H)
     return Decision(NO, reason="no level-1 choice admits square fillers")
@@ -1009,17 +972,17 @@ class Equivalence1Witness:
     eps: Homotopy1  # f g ~ 1 on the codomain
 
 
-def is_equivalence1_decide(f: Eff1Morphism,
-                           budget: int = DEFAULT_BUDGET) -> Decision:
+def is_equivalence1_decide(f: Eff1Morphism) -> Decision:
     """Is f an equivalence: a tracked inverse with both homotopies?
-    Running out of fuel is UNKNOWN."""
+    Running out of a limit, in the search or in one it makes, is
+    UNKNOWN."""
     try:
-        return _inverse_search1(f, budget)
-    except FuelExhausted:
-        return Decision(UNKNOWN, reason=f"fuel {fuel_now()} exhausted")
+        return _inverse_search1(f)
+    except LimitReached as e:
+        return Decision(UNKNOWN, reason=str(e))
 
 
-def _inverse_search1(f: Eff1Morphism, budget: int) -> Decision:
+def _inverse_search1(f: Eff1Morphism) -> Decision:
     B, A = f.dom, f.cod
     idA, idB = identity1(A), identity1(B)
     fibre = defaultdict(list)
@@ -1033,13 +996,8 @@ def _inverse_search1(f: Eff1Morphism, budget: int) -> Decision:
         return bool(A.hom_of(f.zero_map[b], a)) and all(
             B.hom_of(b0, b) for b0 in fibre[a])
 
-    tried, truncated = 0, []
     for zero in _zero_map_candidates(A, B, flt):
-        for g in morphism_candidates1(A, B, zero, name=f"{f.name}^-1",
-                                      truncated=truncated):
-            tried += 1
-            if tried > budget:
-                return Decision(UNKNOWN, reason="inverse search budget")
+        for g in morphism_candidates1(A, B, zero, name=f"{f.name}^-1"):
             eps = homotopic1_decide(compose1(f, g), idA)
             if eps.status != YES:
                 continue
@@ -1048,11 +1006,6 @@ def _inverse_search1(f: Eff1Morphism, budget: int) -> Decision:
                 continue
             return Decision(YES, witness=Equivalence1Witness(
                 g, eta.witness, eps.witness))
-        tried += 1
-        if tried > budget:
-            return Decision(UNKNOWN, reason="inverse search budget")
-    if truncated:
-        return Decision(UNKNOWN, reason="candidate enumeration truncated")
     return Decision(NO, reason="no tracked inverse with both homotopies")
 
 
@@ -1119,7 +1072,7 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 def trivial1_decide(f: Eff1Morphism) -> Decision:
     """Is f a trivial fibration: a fibration that is an equivalence?
     trivial1_section turns the inverse into a strict section.  Running out
-    of fuel is UNKNOWN."""
+    of a limit is UNKNOWN."""
     no = not_a_fibration1(f)
     if no is not None:
         return no
@@ -1213,11 +1166,9 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
 
 
 def enumerate_members1(exp: HomExponential1) -> list[Eff1Morphism]:
-    out, tried = [], 0
+    """All tracked cell maps B -> A (finite; canonical trackings)."""
+    out = []
     for zero in _zero_map_candidates(exp.dom, exp.cod):
-        tried += 1
-        if tried > DEFAULT_BUDGET:
-            break
         m = synthesize_morphism1(exp.dom, exp.cod, zero)
         if m is not None:
             out.append(m)
@@ -1584,12 +1535,11 @@ def _identity_equivalence1(g: Eff1Morphism) -> Decision:
     return is_equivalence1_decide(g)
 
 
-def hlevel1_check(f: Eff1Morphism, n: int,
-                  depth_budget: int = DEFAULT_DEPTH_BUDGET) -> HlevelVerdict:
+def hlevel1_check(f: Eff1Morphism, n: int) -> HlevelVerdict:
     """Is f a fibration of n-types?  A fibration is of (-2)-types when it
     is an equivalence; of (-1)- and 0-types when the comparison into its
     n-truncation is an equivalence; of (n+1)-types when its fibrewise path
-    object is of n-types.  Running out of fuel is UNKNOWN."""
+    object is of n-types.  Running out of a limit is UNKNOWN."""
     if n < -2:
         raise ValueError("levels start at -2")
     no = not_a_fibration1(f)
@@ -1603,14 +1553,9 @@ def hlevel1_check(f: Eff1Morphism, n: int,
             return hlevel_verdict(
                 _identity_equivalence1(truncate1(f, n).g),
                 f"equivalent to its {n}-truncation")
-        size = len(fib_path_cells(f))
-        if size > depth_budget:
-            return HlevelVerdict(UNKNOWN,
-                                 reason=f"path object has {size} cells")
-        sub = hlevel1_check(fib_path_object1(f).st, n - 1, depth_budget)
-    except FuelExhausted:
-        return HlevelVerdict(UNKNOWN, reason=f"fuel {fuel_now()} exhausted")
-    return sub
+        return hlevel1_check(fib_path_object1(f).st, n - 1)
+    except LimitReached as e:
+        return HlevelVerdict(UNKNOWN, reason=str(e))
 
 
 # --- discreteness -----------------------------------------------------------
@@ -1677,14 +1622,14 @@ class Discrete1NormalForm:
 def discrete1_decide(f: Eff1Morphism) -> Decision:
     """Decide whether the fibration f is discrete and, when it is, produce
     the equivalent standard discrete fibration obtained by collapsing
-    realizer twins.  Running out of fuel is UNKNOWN."""
+    realizer twins.  Running out of a limit is UNKNOWN."""
     no = not_a_fibration1(f)
     if no is not None:
         return no
     try:
         return _discrete1(f)
-    except FuelExhausted:
-        return Decision(UNKNOWN, reason=f"fuel {fuel_now()} exhausted")
+    except LimitReached as e:
+        return Decision(UNKNOWN, reason=str(e))
 
 
 def _discrete1(f: Eff1Morphism) -> Decision:

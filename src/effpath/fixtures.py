@@ -10,7 +10,10 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .core import EffObject, EffMorphism, synthesize_morphism
-from .pca import DEFAULT_FUEL, fuel_limit
+from .pca import (
+    DEFAULT_BUDGET, DEFAULT_DEPTH, DEFAULT_FUEL, budget_limit, depth_limit,
+    fuel_limit,
+)
 from .path import discrete_n, make_object, terminal_object, path_object
 from .eff1 import (
     Eff1Morphism, Eff1Object, inflate, inflate_morphism, terminal_map1,
@@ -195,7 +198,7 @@ class LibraryEntry:
     object / fibration / pathobj / subsets at the groupoid level,
     object1 / fibration1 at the two-dimensional level.  ``value`` is made
     by ``build`` on first access, so naming one entry builds only what that
-    entry needs, and at the default fuel whatever limit is in force: a
+    entry needs, and at the default limits whatever limits are in force: a
     fixture is an input, not part of a verdict's work.
     """
     name: str
@@ -206,7 +209,8 @@ class LibraryEntry:
 
     @cached_property
     def value(self):
-        with fuel_limit(DEFAULT_FUEL):
+        with fuel_limit(DEFAULT_FUEL), budget_limit(DEFAULT_BUDGET), \
+                depth_limit(DEFAULT_DEPTH):
             return self.build()
 
 

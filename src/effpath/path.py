@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .pca import apply, fuel_limit, tuple_encode
+from .pca import (
+    LimitReached, apply, depth_now, fuel_limit, tuple_encode, within_budget,
+)
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _adjacency, compose, forced, identity,
+    Verdict, YES, _adjacency, _comp, _inv, _u, compose, forced, identity,
     make_object, settle, synthesize_morphism, tabulate_all, verify,
 )
-
-DEFAULT_BUDGET = 200_000
 
 
 # --- fibrations -------------------------------------------------------------
@@ -215,17 +215,20 @@ class PathObjectBundle:
 
 
 def _reflexivity_cell(obj: EffObject, a):
-    u = apply(obj.unit_code, obj.realizer[a])
-    return (a, a, u)
+    return (a, a, _u(obj, a))
 
 
 def fib_path_cells(f) -> list:
     """The cells (b, b', rho) of the fibrewise path object of f, at either
-    level: rho: b -> b' with f(b) = f(b')."""
+    level: rho: b -> b' with f(b) = f(b').  More cells than the depth limit
+    raise LimitReached, before anything is built from them."""
     B = f.dom
-    return [(b, b2, rho) for b in B.cells for b2 in B.cells
-            if f.zero_map[b] == f.zero_map[b2]
-            for rho in sorted(B.hom_of(b, b2))]
+    cells = [(b, b2, rho) for b in B.cells for b2 in B.cells
+             if f.zero_map[b] == f.zero_map[b2]
+             for rho in sorted(B.hom_of(b, b2))]
+    if len(cells) > depth_now():
+        raise LimitReached(f"path object has {len(cells)} cells")
+    return cells
 
 
 def path_object(A: EffObject) -> PathObjectBundle:
@@ -334,7 +337,8 @@ class EquivalenceWitness:
 
 def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
     """Backtracking enumeration of cell maps src -> dst, pruned so that
-    cells sharing a realizer are sent to cells sharing a realizer."""
+    cells sharing a realizer are sent to cells sharing a realizer; the maps
+    are counted by within_budget."""
     cells = list(src.cells)
 
     def extend(i, assignment, chosen_realizer):
@@ -357,11 +361,10 @@ def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
             if added:
                 del chosen_realizer[n]
 
-    yield from extend(0, {}, {})
+    return within_budget(extend(0, {}, {}))
 
 
-def is_equivalence_decide(f: EffMorphism,
-                          budget: int = DEFAULT_BUDGET) -> Decision:
+def is_equivalence_decide(f: EffMorphism) -> Decision:
     """Search for a homotopy inverse among all cell maps.
 
     Candidates must send each a to a cell g(a) with hom(f g a, a) inhabited
@@ -376,8 +379,6 @@ def is_equivalence_decide(f: EffMorphism,
     tried = 0
     for zero in _zero_map_candidates(A, B, cell_filter=flt):
         tried += 1
-        if tried > budget:
-            return Decision(UNKNOWN, reason="candidate budget exhausted")
         g = synthesize_morphism(A, B, zero, name=f"{f.name}^-1")
         if g is None:
             continue
@@ -452,17 +453,6 @@ def sum_object(A: EffObject, B: EffObject, name: str = ""):
     return obj, inl, inr
 
 
-def copair(summ: EffObject, f: EffMorphism, g: EffMorphism,
-           name: str = "") -> EffMorphism:
-    """[f, g]: A + B -> C for a sum built by sum_object()."""
-    zero = {}
-    for tag, x in summ.cells:
-        zero[(tag, x)] = f.zero_map[x] if tag == "L" else g.zero_map[x]
-    m = synthesize_morphism(summ, f.cod, zero, name=name)
-    assert m is not None
-    return m
-
-
 def discrete_n(n: int, name: str = "") -> EffObject:
     """The discrete object with n points: realizer i, diagonal hom {0}."""
     cells = [str(i) for i in range(n)]
@@ -484,11 +474,6 @@ class GroupoidStructure:
     laws: list
 
 
-def _comp_value(A: EffObject, u, v, w_, rho1, rho2):
-    t = tuple_encode(A.realizer[u], A.realizer[v], A.realizer[w_], rho1, rho2)
-    return apply(A.comp_code, t)
-
-
 def groupoid_structure(A: EffObject) -> GroupoidStructure:
     """mu (path composition via comp_code), sigma (reversal via inv_code),
     and the five groupoid laws decided as fibrewise homotopies over A x A."""
@@ -507,8 +492,7 @@ def groupoid_structure(A: EffObject) -> GroupoidStructure:
         # y: u -> v then x: v -> w
         (v, w_, rx), (u, v2, ry) = x, y
         assert v == v2
-        val = _comp_value(A, u, v, w_, ry, rx)
-        return (u, w_, val)
+        return (u, w_, _comp(A, u, v, w_, ry, rx))
 
     # a pullback cell (c, b) has t(c) = s(b): first c, then b
     mu = synthesize_morphism(pairs.obj, PA,
@@ -517,8 +501,7 @@ def groupoid_structure(A: EffObject) -> GroupoidStructure:
 
     def inv_cell(x):
         a, a2, rho = x
-        t = tuple_encode(A.realizer[a], A.realizer[a2], rho)
-        return (a2, a, apply(A.inv_code, t))
+        return (a2, a, _inv(A, a, a2, rho))
 
     sigma = synthesize_morphism(PA, PA,
                                 {x: inv_cell(x) for x in PA.cells},

@@ -18,23 +18,53 @@ from functools import lru_cache, total_ordering
 from typing import NamedTuple
 
 DEFAULT_FUEL = 100_000
+DEFAULT_BUDGET = 200_000
+DEFAULT_DEPTH = 600
 
-# The step limit of one application, set once per verdict: apply and its
-# kin run at it when they are given no fuel, and so does everything built on
-# them.  fuel_now() reads it.
+# The limits of one verdict, each set once for it: the steps of one
+# application (apply and its kin run at it when they are given no fuel, and
+# so does everything built on them), the candidates one search tries, and
+# the cells of one path object.  fuel_now() and its kin read them.
 _LIMIT: ContextVar[int] = ContextVar("fuel", default=DEFAULT_FUEL)
-fuel_now = _LIMIT.get
+_BUDGET: ContextVar[int] = ContextVar("budget", default=DEFAULT_BUDGET)
+_DEPTH: ContextVar[int] = ContextVar("depth", default=DEFAULT_DEPTH)
+fuel_now, budget_now, depth_now = _LIMIT.get, _BUDGET.get, _DEPTH.get
 
 
-@contextmanager
-def fuel_limit(steps: int | None):
-    """Run the block at a limit of ``steps`` per application (None
-    keeps the limit in force)."""
-    token = _LIMIT.set(_LIMIT.get() if steps is None else steps)
-    try:
-        yield
-    finally:
-        _LIMIT.reset(token)
+def _limit(var: ContextVar):
+    """A context manager running its block at a limit of ``value`` for
+    var (None keeps the limit in force)."""
+    @contextmanager
+    def limit(value: int | None):
+        token = var.set(var.get() if value is None else value)
+        try:
+            yield
+        finally:
+            var.reset(token)
+    return limit
+
+
+fuel_limit = _limit(_LIMIT)     # steps per application
+budget_limit = _limit(_BUDGET)  # candidates per search
+depth_limit = _limit(_DEPTH)    # cells per path object
+
+
+class LimitReached(Exception):
+    """A limit of the verdict ran out, so its answer is UNKNOWN; str()
+    names the limit."""
+
+
+def within_budget(candidates, cap: int | None = None):
+    """The candidates of one search, counted: asking for one more than the
+    budget in force, or than ``cap`` when that is lower, raises
+    LimitReached."""
+    limit, name = budget_now(), "budget"
+    if cap is not None and cap < limit:
+        limit, name = cap, "candidate limit"
+    for tried, c in enumerate(candidates):
+        if tried == limit:
+            raise LimitReached(f"{name} {limit} exhausted")
+        yield c
 
 
 # constructor tags
@@ -55,8 +85,11 @@ class Diverges(Exception):
     """Application provably never converges."""
 
 
-class FuelExhausted(Exception):
-    """Step budget ran out; convergence is unknown."""
+class FuelExhausted(LimitReached):
+    """The step limit ran out; convergence is unknown."""
+
+    def __str__(self):
+        return f"fuel {fuel_now()} exhausted"
 
 
 class UnboundVariable(Exception):
@@ -472,8 +505,12 @@ class Table:
     def bit_length(self) -> int:
         return int(self).bit_length()
 
+    def __str__(self):
+        return str(int(self))
+
     def __repr__(self):
-        return repr(int(self))
+        # never the chain, so printing a value that holds tables builds none
+        return f"Table({len(self.values)} entries)"
 
 
 # fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps

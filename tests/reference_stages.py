@@ -13,10 +13,10 @@ tables are shared with `core` and `eff1`.
 import itertools
 
 from effpath.core import (
-    _adjacency, _morphism_stages, _object_stages, _one_cell_inputs,
-    _read_back, any_image,
+    _adjacency, _memo, _morphism_stages, _object_stages, _one_cell_inputs,
+    _read_back, _u, any_image,
 )
-from effpath.eff1 import _memo, _two_cell_inputs, _u
+from effpath.eff1 import _two_cell_inputs
 from effpath.pca import cantor_pair
 
 

@@ -175,9 +175,34 @@ def test_depth_budget_is_checked_before_building(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("built an object past the depth budget")
     monkeypatch.setattr("effpath.eff1.make_object1", refuse)
-    hv = hlevel1_check(f, 1, depth_budget=7)
+    with pca.depth_limit(7):
+        hv = hlevel1_check(f, 1)
     assert hv.status == "unknown"
     assert hv.reason == "path object has 8 cells"
+
+
+def test_a_stored_path_object_is_not_read_past_the_depth_limit():
+    # the limit is checked before the stored bundle is looked up, so the
+    # answer does not depend on what was built before
+    f = terminal_map1(z2_object())
+    assert len(fib_path_object1(f).obj.cells) == 8
+    with pca.depth_limit(7), pytest.raises(pca.LimitReached,
+                                           match="path object has 8 cells"):
+        fib_path_object1(f)
+
+
+def test_printing_a_path_bundle_builds_no_chain(monkeypatch):
+    def no_chain(table):
+        raise AssertionError(f"chain built for {len(table)} entries")
+    monkeypatch.setattr(pca, "_chain", no_chain)
+    monkeypatch.setattr(pca, "_BUILT", {})
+    bundle = path_object1(z2_object())
+    assert "lift0=Table(128 entries)" in repr(bundle)
+    tables = [code for part in (bundle.obj, bundle.r, bundle.st,
+                                bundle.witness)
+              for code in vars(part).values() if isinstance(code, pca.Table)]
+    assert len(tables) == 12 + 5 + 5 + 5
+    assert all(code._code is None for code in tables)
 
 
 def test_path_projections_are_discrete_set_fibrations():

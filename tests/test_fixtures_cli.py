@@ -9,14 +9,14 @@ from hypothesis import (
     HealthCheck, example, given, settings, strategies as st,
 )
 
-from effpath import cli, pca
+from effpath import cli, eff1, pca
 from effpath.cli import main
 from effpath.core import YES, Decision
 from effpath.fixture_io import (
     FixtureError, compile_code, parse_fixture_text, serialize_fixture_file,
 )
-from effpath.fixtures import fixture_library
-from effpath.path import DEFAULT_BUDGET
+from effpath.fixtures import fixture_library, interval
+from effpath.pca import DEFAULT_BUDGET
 
 
 # --- code literals ----------------------------------------------------------
@@ -215,8 +215,8 @@ def test_a_command_builds_only_the_library_entries_it_names(monkeypatch):
 def test_the_budget_default_is_the_library_default(monkeypatch):
     budgets = []
 
-    def record(f, budget):
-        budgets.append(budget)
+    def record(f):
+        budgets.append(pca.budget_now())
         return Decision(YES)
     monkeypatch.setattr(cli, "is_equivalence_decide", record)
     monkeypatch.setattr(cli, "is_equivalence1_decide", record)
@@ -523,6 +523,36 @@ def test_equivalence_budget_reaches_both_levels():
     for target in ("I", "eff1:I"):
         rc, text = _run(["equivalence", target, "--budget", "0"])
         assert rc == 3 and "budget" in text, target
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["hlevel", "I", "--n", "-2", "--budget", "0"], "budget 0 exhausted"),
+    (["eff1-homotopic", "eff1:E2I", "eff1:E2I", "--budget", "0"],
+     "budget 0 exhausted"),
+    (["classify", "L", "--budget", "0"], "budget 0 exhausted"),
+    (["truncate", "J", "--n", "-1", "--depth", "0"],
+     "path object has 4 cells"),
+])
+def test_the_search_limits_reach_every_command(argv, reason):
+    # each of these is decided at the default limits; the limit is read where
+    # the search or the path object is, whichever command reaches it
+    rc, text = _run(argv + ["--format", "json"])
+    assert rc == 3, argv
+    assert [(r["status"], r["detail"]) for r in json.loads(text)] == \
+        [("unknown", reason)]
+
+
+def test_a_sub_search_that_runs_out_is_never_a_no(monkeypatch):
+    def run_out(f, g):
+        raise pca.LimitReached("budget 0 exhausted")
+    monkeypatch.setattr(eff1, "_homotopic1", run_out)
+    f = eff1.terminal_map1(eff1.inflate(interval()))
+    d = eff1.is_equivalence1_decide(f)
+    assert (d.status, d.reason) == ("unknown", "budget 0 exhausted")
+    rc, text = _run(["eff1-pi", "eff1:2->1", "--format", "json"])
+    assert rc == 3
+    assert [(r["status"], r["detail"]) for r in json.loads(text)] == \
+        [("unknown", "budget 0 exhausted")]
 
 
 def test_low_fuel_on_dependent_values_reports_unknown():

@@ -83,9 +83,9 @@ _TAKE_FUEL = {
 }
 
 
-def test_only_the_checkers_and_the_machine_take_fuel():
-    # everything else reads the limit in force: a parameter only passed on
-    # is how a construction came to run at the default fuel, not --fuel
+def _takers(*params) -> set:
+    """The functions and lambdas of src/effpath/*.py that take one of
+    ``params``, as module.name."""
     src = pathlib.Path(pca.__file__).parent
     takers = set()
     for path in sorted(src.glob("*.py")):
@@ -96,10 +96,23 @@ def test_only_the_checkers_and_the_machine_take_fuel():
                 names = {x.arg for x in (*a.posonlyargs, *a.args,
                                          *a.kwonlyargs, a.vararg, a.kwarg)
                          if x is not None}
-                if "fuel" in names:
+                if names & set(params):
                     name = getattr(node, "name", "<lambda>")
                     takers.add(f"{path.stem}.{name}")
-    assert takers == _TAKE_FUEL
+    return takers
+
+
+def test_only_the_checkers_and_the_machine_take_fuel():
+    # everything else reads the limit in force: a parameter only passed on
+    # is how a construction came to run at the default fuel, not --fuel
+    assert _takers("fuel") == _TAKE_FUEL
+
+
+def test_no_function_takes_a_search_limit():
+    # --budget and --depth are read where a search counts its candidates
+    # and a path object its cells; a parameter is how each flag came to
+    # reach one command
+    assert _takers("budget", "depth_budget") == set()
 
 
 def test_fuel_monotonicity_sampled():
