@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
-    Diverges, FuelExhausted, apply, apply_counted, compile_term,
+    Diverges, FuelExhausted, Table, apply, apply_counted, compile_term,
     compose_codes, fuel_limit, fuel_now, tabulate, tuple_encode, lam, app,
     Var, FST_C, SND_C,
 )
@@ -127,20 +127,31 @@ def tabulate_all(tables: dict) -> dict:
 
 
 def verify(stages, codes) -> Verdict:
-    """Checking: run each (code, t) once at the fuel limit in force and
-    test every obligation in declaration order; the first failure wins.
-    Fuel exhaustion, also while computing a target, is UNKNOWN; divergence,
-    an empty target or a value outside it is INVALID."""
+    """Checking: read each (code, t) at the fuel limit in force and test
+    every obligation in declaration order; the first failure wins.  A
+    Table is read by lookup at the fuel its charge names; any other code
+    is run once and its outcome kept.  Fuel exhaustion, also while
+    computing a target, is UNKNOWN; divergence, an empty target or a
+    value outside it is INVALID."""
     runs, fuel = {}, fuel_now()
 
-    def run(name, t):
+    def read(name, t):
+        # (status, value): "ok"/value, "div"/None, or "fuel"/the charge of
+        # a lookup (None for a run)
+        code = codes[name]
+        if type(code) is Table:
+            need = code.charge(t)
+            if need > fuel:
+                return "fuel", need
+            v = code.values.get(t)
+            return ("div", None) if v is None else ("ok", v)
         out = runs.get((name, t))
         if out is None:
-            out = runs[name, t] = _run(codes[name], t, fuel)
+            out = runs[name, t] = _run(code, t, fuel)
         return out
 
     def val(slot, t):
-        status, v = runs.get((slot, t)) or run(slot, t)
+        status, v = read(slot, t)
         if status == "ok":
             return v
         raise FuelExhausted() if status == "fuel" else Diverges()
@@ -153,17 +164,28 @@ def verify(stages, codes) -> Verdict:
                 if isinstance(slot, tuple):
                     v = ()
                     for s in slot:
-                        status, x = runs.get((s, t)) or run(s, t)
+                        status, x = read(s, t)
                         if status != "ok":
+                            v = x
                             break
                         v += (x,)
                 else:
-                    out = runs.get((slot, t))
-                    if out is None:
-                        out = runs[slot, t] = _run(codes[slot], t, fuel)
-                    status, v = out
+                    # read(slot, t), inline: this is the checkers' hot loop
+                    code = codes[slot]
+                    if type(code) is Table:
+                        v = code.charge(t)
+                        if v > fuel:
+                            status = "fuel"
+                        else:
+                            v = code.values.get(t)
+                            status = "div" if v is None else "ok"
+                    else:
+                        status, v = read(slot, t)
                 if status == "fuel":
-                    return unknown(f"{label}: fuel exhausted at {t}")
+                    return unknown(
+                        f"{label}: fuel exhausted at {t}" if v is None else
+                        f"{label}: fuel {fuel} exhausted at {t}; "
+                        f"the lookup needs {v}")
                 if status == "div":
                     return invalid(f"{label}: diverges at {t}")
                 if v not in acc:
@@ -255,9 +277,16 @@ _OBJECT_SLOTS = ("unit_code", "inv_code", "comp_code")
 
 
 def _memo(A, key, code, t):
-    # structure codes are deterministic tables: cache each value per object
-    # together with the steps it cost, so a read at a lower fuel limit still
-    # runs out
+    # a Table is read by lookup at its charge, as apply would; any other
+    # code is deterministic: cache each value per object together with the
+    # steps it cost, so a read at a lower fuel limit still runs out
+    if type(code) is Table:
+        if code.charge(t) > fuel_now():
+            raise FuelExhausted()
+        v = code.values.get(t)
+        if v is None:
+            raise Diverges()
+        return v
     cache = A.__dict__.get("_value_cache")
     if cache is None:
         cache = A._value_cache = {}

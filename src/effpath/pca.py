@@ -275,17 +275,14 @@ def _apply(code: int, arg: int, fuel: _Fuel) -> int:
             if type(code) is Table:
                 # a Table resolves by lookup and never builds its chain: same
                 # value and same divergence off the domain as the chain scan,
-                # but fuel charged at _STEPS_PER_ENTRY per entry, not the
-                # scan's 15*(rank+1)+1 on a hit and 15*n+1 on a miss; an int
-                # runs on the machine, even one equal to a Table's chain
-                rank = code.rank
-                steps = _STEPS_PER_ENTRY * (
-                    rank[arg] + 1 if arg in rank else len(rank)) + 1
+                # at the fuel Table.charge names; an int runs on the machine,
+                # even one equal to a Table's chain
+                steps = code.charge(arg)
                 if left < steps:
                     left = 0
                     raise FuelExhausted()
                 left -= steps
-                if arg not in rank:
+                if arg not in code.rank:
                     raise Diverges()
                 val = code.values[arg]
             else:
@@ -463,6 +460,12 @@ def _join_bits(parts: list[int]) -> int:
     return parts[0]
 
 
+# fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps
+# per IFEQ selector; 6 is kept on purpose, since at 15 check_object1 on
+# Z2 x Z2 runs out of fuel at DEFAULT_FUEL and turns UNKNOWN.
+_STEPS_PER_ENTRY = 6
+
+
 @total_ordering
 class Table:
     """A tabulated lookup: its table (values) and each key's rank in
@@ -480,6 +483,14 @@ class Table:
         return self._code
 
     __index__ = __int__
+
+    def charge(self, arg) -> int:
+        """The steps a lookup of arg costs, at _STEPS_PER_ENTRY per entry
+        scanned: up to arg's rank on a hit, the whole table on a miss, and
+        one more.  The chain's scan costs 15*(rank+1)+1 and 15*n+1."""
+        rank = self.rank.get(arg)
+        scanned = len(self.rank) if rank is None else rank + 1
+        return _STEPS_PER_ENTRY * scanned + 1
 
     # the reads pca makes of a code: int() and __index__ (so hex, bin), ==
     # and hash against an int, +, ordering, bit_length and str; any other
@@ -513,10 +524,6 @@ class Table:
         return f"Table({len(self.values)} entries)"
 
 
-# fuel the shortcut charges per entry scanned.  A raw scan costs 15 steps
-# per IFEQ selector; 6 is kept on purpose, since at 15 check_object1 on
-# Z2 x Z2 runs out of fuel at DEFAULT_FUEL and turns UNKNOWN.
-_STEPS_PER_ENTRY = 6
 # hash of a table's items -> the Tables built for it.  A pure cache: equal
 # tables share one code in memory, and which equal object tabulate returns
 # changes no value and no charge.

@@ -1,23 +1,27 @@
-"""A frozen copy of the 2-cell obligation generators, used only as a test
-oracle.
+"""A frozen copy of the 2-cell obligation generators and of the checking
+engine, used only as a test oracle.
 
-These are `eff1._object1_stages` and `eff1._morphism1_stages` as they were
-before the generators shared work across obligations: every composite is
-read through a cache keyed by the 5-tuple of its input, and the composite
-preservation encodes the composition inputs of dom and cod per
-obligation.  The tuple encoding is the right fold of `cantor_pair`,
-spelled out here; the one-dimensional stages and the per-object input
-tables are shared with `core` and `eff1`.
+`object1_stages` and `morphism1_stages` are `eff1._object1_stages` and
+`eff1._morphism1_stages` as they were before the generators shared work
+across obligations: every composite is read through a cache keyed by the
+5-tuple of its input, and the composite preservation encodes the
+composition inputs of dom and cod per obligation.  The tuple encoding is
+the right fold of `cantor_pair`, spelled out here; the one-dimensional
+stages and the per-object input tables are shared with `core` and `eff1`.
+
+`verify` is `core.verify` as it was before it read tables by lookup: every
+code, a Table too, is applied through `apply` once per input and its
+outcome kept.
 """
 
 import itertools
 
 from effpath.core import (
     _adjacency, _memo, _morphism_stages, _object_stages, _one_cell_inputs,
-    _read_back, _u, any_image,
+    _read_back, _u, any_image, invalid, unknown, valid,
 )
 from effpath.eff1 import _two_cell_inputs
-from effpath.pca import cantor_pair
+from effpath.pca import Diverges, FuelExhausted, apply, cantor_pair, fuel_now
 
 
 def tuple_encode(*parts):
@@ -165,3 +169,58 @@ def morphism1_stages(dom, cod, zero, one=any_image, two=any_image):
                                    "composite preservation")
         yield functoriality()
     return stages
+
+
+def _run(code, arg, fuel):
+    try:
+        return "ok", apply(code, arg, fuel)
+    except Diverges:
+        return "div", None
+    except FuelExhausted:
+        return "fuel", None
+
+
+def verify(stages, codes):
+    runs, fuel = {}, fuel_now()
+
+    def run(name, t):
+        out = runs.get((name, t))
+        if out is None:
+            out = runs[name, t] = _run(codes[name], t, fuel)
+        return out
+
+    def val(slot, t):
+        status, v = runs.get((slot, t)) or run(slot, t)
+        if status == "ok":
+            return v
+        raise FuelExhausted() if status == "fuel" else Diverges()
+
+    try:
+        for stage in stages(val):
+            for slot, t, acc, label in stage:
+                if not acc:
+                    return invalid(f"{label}: no acceptable value at {t}")
+                if isinstance(slot, tuple):
+                    v = ()
+                    for s in slot:
+                        status, x = runs.get((s, t)) or run(s, t)
+                        if status != "ok":
+                            break
+                        v += (x,)
+                else:
+                    out = runs.get((slot, t))
+                    if out is None:
+                        out = runs[slot, t] = _run(codes[slot], t, fuel)
+                    status, v = out
+                if status == "fuel":
+                    return unknown(f"{label}: fuel exhausted at {t}")
+                if status == "div":
+                    return invalid(f"{label}: diverges at {t}")
+                if v not in acc:
+                    return invalid(
+                        f"{label}: value {v} outside target at {t}")
+    except FuelExhausted:
+        return unknown("fuel exhausted computing a target")
+    except Diverges:
+        return invalid("a target value diverges")
+    return valid()

@@ -2,11 +2,13 @@ import ast
 import contextlib
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effpath import pca
+from effpath.core import _memo, invalid, unknown, verify
 from effpath.pca import (
     DIVERGE_C, FST_C, ID, IFEQ, K, PAIR, S, SND_C, SUCC_C,
     App, Diverges, FuelExhausted, MachineState, UnboundVariable, Var,
@@ -419,6 +421,52 @@ def test_raw_chain_lookups_agree_with_the_table_shortcut(table, probes):
                 for x in args]
     raw = [_charged(int(code), x, _scan_charge(table, 15, x)) for x in args]
     assert shortcut == raw == [table.get(x, Diverges) for x in args]
+
+
+def _outcome(read):
+    """read()'s value, or the class of the exception it raised."""
+    try:
+        return read()
+    except (Diverges, FuelExhausted) as e:
+        return type(e)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(NATS, st.one_of(
+           NATS, st.builds(tabulate, st.dictionaries(NATS, NATS,
+                                                     max_size=3))),
+           max_size=12),
+       st.lists(NATS, max_size=3), st.integers(0, 200))
+@example({}, [0], 0)
+@example({0: 0}, [0, 1], 0)
+def test_the_engine_reads_a_table_as_the_machine_runs_it(table, probes, extra):
+    # verify (in a stage and through val) and _memo read a Table by lookup;
+    # each must give apply's value, Diverges or FuelExhausted at every fuel
+    # around the lookup's charge, and an UNKNOWN names the charge
+    code = tabulate(table)
+    for x in (*table, *probes):
+        need = code.charge(x)
+        assert need == _scan_charge(table, pca._STEPS_PER_ENTRY, x)
+        for fuel in {0, need - 1, need, extra} - {-1}:
+            want = _outcome(lambda: apply(code, x, fuel))
+            A, seen = SimpleNamespace(), []
+
+            def stages(val):
+                seen.append(_outcome(lambda: val("c", x)))
+                yield [("c", x, frozenset({-1}), "probe")]
+            with pca.fuel_limit(fuel):
+                memo = _outcome(lambda: _memo(A, "c", code, x))
+                verdict = verify(stages, {"c": code})
+            assert memo == want and seen == [want]
+            assert "_value_cache" not in vars(A)
+            if want is FuelExhausted:
+                assert verdict == unknown(f"probe: fuel {fuel} exhausted at "
+                                          f"{x}; the lookup needs {need}")
+            elif want is Diverges:
+                assert verdict == invalid(f"probe: diverges at {x}")
+            else:
+                assert verdict == invalid(
+                    f"probe: value {want} outside target at {x}")
 
 
 def test_an_int_equal_to_a_table_code_is_charged_the_raw_chain():

@@ -1,5 +1,5 @@
-"""The 2-cell obligation generators against a frozen copy of the ones they
-replaced.
+"""The 2-cell obligation generators and the checking engine against
+frozen copies of the ones they replaced.
 
 `reference_stages` reads every composite through a 5-tuple cache and
 encodes every composition input per obligation; `eff1` reads composites
@@ -8,22 +8,31 @@ each object.  Driven by the engine in both modes (the
 value function reading settled tables, and running the codes), the two
 must yield the same obligations, stage by stage and element by element,
 and reach the same tables or the same verdict.
+
+`reference_stages.verify` applies every code through the machine and keeps
+each outcome; `core.verify` reads a Table by lookup.  Every checker at
+both levels must give the same verdict through either, at fuel limits on
+both sides of each table's largest charge, on the codes as built and on
+copies with one table entry moved out of its target, one deleted, and one
+slot holding an int code.
 """
 
 import dataclasses
 import functools
+import re
 from collections import defaultdict
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from effpath import eff1
+from effpath import core, eff1, path
 from effpath.core import SynthesisFailed, settle, verify
 from effpath.eff1 import (
     _MORPHISM1_SLOTS, _OBJECT1_SLOTS, _given, _morphism1_stages,
     _object1_stages, inflate, inflate_morphism,
 )
 from effpath.fixtures import fixture_library
-from effpath.pca import apply, fuel_limit
+from effpath.pca import DEFAULT_FUEL, Table, apply, fuel_limit
 
 import reference_stages as ref
 import strategies
@@ -162,3 +171,122 @@ def test_random_objects_yield_the_same_obligations(X):
 @given(strategies.maps())
 def test_random_maps_yield_the_same_obligations(f):
     _morphism_streams_agree(inflate_morphism(f))
+
+
+# --- the engine against the frozen one ---------------------------------------
+
+def _tables(value) -> dict:
+    return {k: v for k, v in vars(value).items()
+            if type(v) is Table and v.values}
+
+
+def _fuels(value) -> tuple:
+    """0, 7, 50, the charge of the largest-rank entry of value's tables
+    and one less, DEFAULT_FUEL and 10^7."""
+    top = max(code.charge(max(code.values))
+              for code in _tables(value).values())
+    return 0, 7, 50, top - 1, top, DEFAULT_FUEL, BIG_FUEL
+
+
+_NEED = re.compile(r"fuel (\d+) exhausted at (\d+); the lookup needs (\d+)$")
+
+
+def _without_need(reason: str, fuel: int) -> str:
+    """A lookup's UNKNOWN reason as the frozen engine words it, having
+    checked that it names the limit and a larger charge."""
+    m = _NEED.search(reason)
+    if m is None:
+        return reason
+    assert int(m[1]) == fuel < int(m[3]), reason
+    return f"{reason[:m.start()]}fuel exhausted at {m[2]}"
+
+
+def _same_verdicts(check, *args):
+    """check(*args, fuel=...) through both engines at each of _fuels of
+    args[-1], the value whose codes are read; returns the statuses."""
+    statuses = []
+    for fuel in _fuels(args[-1]):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (core, path, eff1):
+                mp.setattr(module, "verify", ref.verify)
+            want = check(*args, fuel=fuel)
+        got = check(*args, fuel=fuel)
+        assert got.status == want.status, (check.__name__, fuel, got, want)
+        assert _without_need(got.reason, fuel) == want.reason, \
+            (check.__name__, fuel)
+        statuses.append(got.status)
+    return statuses
+
+
+def _corrupted(value):
+    """Copies of value: the largest-rank entry of its largest table moved
+    out of every target, then deleted; its smallest table as an int
+    code, which the engine runs on the machine."""
+    tables = sorted(_tables(value).items(), key=lambda kv: len(kv[1].values))
+    big, code = tables[-1]
+    key = max(code.values)
+    moved = {**code.values, key: -1}
+    deleted = {k: v for k, v in code.values.items() if k != key}
+    small, small_code = tables[0]
+    return (dataclasses.replace(value, **{big: Table(moved)}),
+            dataclasses.replace(value, **{big: Table(deleted)}),
+            dataclasses.replace(value, **{small: int(small_code)}))
+
+
+def _corrupted_verdicts(check, *args):
+    """_same_verdicts on each corrupted copy of args[-1]; returns the
+    statuses at 10^7 fuel."""
+    return [_same_verdicts(check, *args[:-1], bad)[-1]
+            for bad in _corrupted(args[-1])]
+
+
+def test_the_engine_reads_z2_constructions_as_the_frozen_one_runs_them():
+    bundle, (prod, pr1, pr2) = _z2_constructions()
+    # the largest charge suffices; the default fuel does not
+    assert _same_verdicts(eff1.check_object1, bundle.obj) == [
+        "unknown"] * 4 + ["valid", "unknown", "valid"]
+    assert _NEED.search(eff1.check_object1(bundle.obj).reason)
+    assert _same_verdicts(eff1.check_object1, prod)[-2:] == ["valid"] * 2
+    for f in (bundle.st, bundle.r, pr1, pr2):
+        assert _same_verdicts(eff1.check_morphism1, f)[-1] == "valid"
+    assert _same_verdicts(eff1.check_fibration1, bundle.st,
+                          bundle.witness)[-1] == "valid"
+    assert _corrupted_verdicts(eff1.check_object1, bundle.obj) == [
+        "invalid", "invalid", "valid"]
+    assert _corrupted_verdicts(eff1.check_morphism1, bundle.st) == [
+        "invalid", "invalid", "valid"]
+    assert _corrupted_verdicts(eff1.check_fibration1, bundle.st,
+                               bundle.witness) == [
+        "invalid", "invalid", "valid"]
+
+
+def test_the_engine_reads_the_library_as_the_frozen_one_runs_them():
+    kinds = set()
+    for entry in fixture_library().values():
+        v = entry.value
+        if entry.kind == "object1":
+            checks = [(eff1.check_object1, v)]
+        elif entry.kind == "fibration1":
+            checks = [(eff1.check_morphism1, v),
+                      (eff1.check_fibration1, v,
+                       eff1.synthesize_fibration1_witness(v))]
+        elif entry.kind == "object":
+            checks = [(core.check_object, v)]
+        elif entry.kind == "pathobj":
+            checks = [(core.check_object, v.obj),
+                      (core.check_morphism, v.st),
+                      (path.check_fibration, v.st, v.witness)]
+        elif entry.kind == "fibration":
+            checks = [(core.check_morphism, v),
+                      (path.check_fibration, v,
+                       path.synthesize_fibration_witness(v))]
+        else:
+            continue
+        kinds.add(entry.kind)
+        for check in checks:
+            if not _tables(check[-1]):  # an empty carrier: nothing to read
+                continue
+            assert _same_verdicts(*check)[-1] == "valid", entry.name
+            _corrupted_verdicts(*check)
+    assert kinds == {"object", "pathobj", "fibration", "object1",
+                     "fibration1"}
