@@ -76,8 +76,9 @@ def hlevel_check(f: EffMorphism, n: int) -> HlevelVerdict:
 
 @dataclass
 class TruncationBundle:
+    """A truncation of f: B -> A through C, at either level."""
     g: EffMorphism          # B -> C, same cells
-    h: EffMorphism          # C -> A, the propositional fibration
+    h: EffMorphism          # C -> A, the truncated fibration
 
 
 def prop_truncate(f: EffMorphism) -> TruncationBundle:
@@ -127,6 +128,7 @@ def is_standard_discrete(f) -> bool:
 
 @dataclass
 class DiscreteNormalForm:
+    """A discrete fibration's quotient by realizer twins, at either level."""
     quotient: EffObject       # one representative per (fibre, realizer)
     inclusion: EffMorphism    # quotient -> B, an equivalence
     standard: EffMorphism     # quotient -> A, standard discrete by build
@@ -185,7 +187,6 @@ def u_pullback(Z: EffObject, assignment: dict, name: str = "") -> EffObject:
 
 @dataclass
 class ClassifyingMap:
-    base: EffObject
     zero: dict    # a -> frozenset of naturals (the fibre over a)
     one: dict     # (a, a', pi) -> (r_code, s_code)
     tracking0: int
@@ -198,6 +199,7 @@ class NotNormalized(Exception):
 
 @dataclass
 class Classification:
+    """A classification at either level (an eff1.SetClassifyingMap at 1)."""
     k: ClassifyingMap
     recovered: EffObject       # pullback of the universe along k
     comparison: Decision       # equivalence with the classified total space
@@ -229,8 +231,7 @@ def classify_prop_discrete(f: EffMorphism,
             one[(a, a2, pi)] = (r, s)
             t1_table[tuple_encode(A.realizer[a], A.realizer[a2], pi)] = \
                 tuple_encode(r, s)
-    k = ClassifyingMap(A, zero, one,
-                       const_code(0), tabulate(t1_table))
+    k = ClassifyingMap(zero, one, const_code(0), tabulate(t1_table))
 
     recovered = u_pullback(A, zero, name=f"U*{A.name}")
     comp = synthesize_morphism(B, recovered,
@@ -280,11 +281,10 @@ def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism):
 
 @dataclass
 class ResizeBundle:
+    """A resizing of f: B -> A, at either level."""
     obj: EffObject        # C, the discrete replacement
     proj: EffMorphism     # C -> A
-    to_c: EffMorphism | None   # B -> C
-    to_b: EffMorphism | None   # C -> B
-    laws: tuple   # both round trips fibrewise over A, or NO if one is None
+    laws: tuple   # both round trips over A, or NO naming an untracked map
 
 
 def resize(f: EffMorphism) -> ResizeBundle:
@@ -310,7 +310,7 @@ def resize(f: EffMorphism) -> ResizeBundle:
     laws = _resize_laws(B, C, to_c, to_b, lambda: (
         fibrewise_homotopic_decide(compose(to_c, to_b), identity(C), proj),
         fibrewise_homotopic_decide(compose(to_b, to_c), identity(B), f)))
-    return ResizeBundle(C, proj, to_c, to_b, laws)
+    return ResizeBundle(C, proj, laws)
 
 
 def _resize_laws(B, C, to_c, to_b, round_trips):

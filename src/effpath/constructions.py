@@ -170,7 +170,7 @@ def induced_fiber_map(p: EffMorphism, w: FibrationWitness,
 
 @dataclass
 class JExponential:
-    base: EffObject
+    """A^J with its diagonal and evaluations, at either level."""
     obj: EffObject        # A^J
     diag: EffMorphism     # A -> A^J
     ev0: EffMorphism      # A^J -> A, first component
@@ -195,7 +195,7 @@ def hexp_J(A: EffObject) -> JExponential:
     ev0 = synthesize_morphism(obj, A, {x: x[0] for x in cells}, name="ev0")
     ev1 = synthesize_morphism(obj, A, {x: x[1] for x in cells}, name="ev1")
     assert diag is not None and ev0 is not None and ev1 is not None
-    return JExponential(A, obj, diag, ev0, ev1)
+    return JExponential(obj, diag, ev0, ev1)
 
 
 def hexp_J_morphism(f: EffMorphism, expB: JExponential | None = None,
@@ -365,11 +365,12 @@ def _sections_over(f: EffMorphism, g: EffMorphism, x, fibre: EffObject):
 
 @dataclass
 class PiBundle:
+    """Pi along f of g, at either level."""
     f: EffMorphism        # Y -> X, the fibration Pi is taken along
     g: EffMorphism        # Z -> Y, the fibration being quantified
     obj: EffObject        # finite skeleton: cells (x, section table)
     proj: EffMorphism     # obj -> X
-    sections: dict        # skeleton cell -> EffMorphism fibre(x) -> Z
+    sections: dict        # skeleton cell -> section of g on fibre(x)
     fibres: dict          # x -> fibre object of f at x
     virtual: VirtualObject
     ev_domain: PullbackBundle   # obj x_X Y

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .pca import (
-    Diverges, FuelExhausted, Table, apply, apply_counted, compile_term,
+    Diverges, FuelExhausted, Table, apply, compile_term,
     compose_codes, fuel_limit, fuel_now, tabulate, tuple_encode, lam, app,
     Var, FST_C, SND_C,
 )
@@ -276,10 +276,9 @@ def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None):
 _OBJECT_SLOTS = ("unit_code", "inv_code", "comp_code")
 
 
-def _memo(A, key, code, t):
-    # a Table is read by lookup at its charge, as apply would; any other
-    # code is deterministic: cache each value per object together with the
-    # steps it cost, so a read at a lower fuel limit still runs out
+def _read(code, t):
+    """apply(code, t) at the fuel limit in force; a Table is read by lookup
+    at its charge, as apply would, without entering the step loop."""
     if type(code) is Table:
         if code.charge(t) > fuel_now():
             raise FuelExhausted()
@@ -287,34 +286,24 @@ def _memo(A, key, code, t):
         if v is None:
             raise Diverges()
         return v
-    cache = A.__dict__.get("_value_cache")
-    if cache is None:
-        cache = A._value_cache = {}
-    try:
-        value, steps = cache[key, t]
-    except KeyError:
-        value, steps = cache[key, t] = apply_counted(code, t)
-    if steps > fuel_now():
-        raise FuelExhausted()
-    return value
+    return apply(code, t)
 
 
 # the three structure codes of an object at either level, read at the
 # inputs _object_stages declares
 def _u(A, a) -> int:
     """The unit 1-cell of a."""
-    return _memo(A, "u", A.unit_code, A.realizer[a])
+    return _read(A.unit_code, A.realizer[a])
 
 
 def _inv(A, a, b, p) -> int:
     """The inverse of p: a -> b."""
-    return _memo(A, "i", A.inv_code,
-                 tuple_encode(A.realizer[a], A.realizer[b], p))
+    return _read(A.inv_code, tuple_encode(A.realizer[a], A.realizer[b], p))
 
 
 def _comp(A, a, b, c, p, r) -> int:
     """The composite r . p for p: a -> b, r: b -> c."""
-    return _memo(A, "c", A.comp_code,
+    return _read(A.comp_code,
                  tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
                               p, r))
 
@@ -453,7 +442,7 @@ def identity(obj: EffObject) -> EffMorphism:
 def compose(g: EffMorphism, f: EffMorphism, name: str = "") -> EffMorphism:
     """g after f."""
     if f.cod is not g.dom and f.cod != g.dom:
-        raise TypeError("morphisms are not composable")
+        raise MapsDoNotFit(f"{g.name} does not start where {f.name} ends")
     zero = {b: g.zero_map[f.zero_map[b]] for b in f.dom.cells}
     one = {}
     for (b, b2), table in f.one_map.items():

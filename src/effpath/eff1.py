@@ -22,22 +22,26 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _comp, _inv, _memo,
+    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _comp, _inv, _read,
     _morphism_stages, _object_stages, _one_cell_inputs, _owned, _read_back,
     _u, any_image, check_morphism as check_morphism0, compose as compose0,
     forced, groups, identity as identity0, make_object, settle,
     synthesize_morphism as synthesize_morphism0, tabulate_all, verify,
 )
 from .path import (
-    NotTrivial, TransportFailed, _homotopy_stages, _lift1_obligations,
+    EquivalenceWitness, NotTrivial, PathObjectBundle, PullbackBundle,
+    TransportFailed, _homotopy_stages, _lift1_obligations,
     _zero_map_candidates, fib_path_cells, lift_endpoint, require_parallel,
     check_homotopy as check_homotopy0, homotopic_decide as homotopic_decide0,
     is_equivalence_decide as is_equivalence_decide0,
     terminal_object as terminal_object0,
 )
-from .constructions import VirtualObject, _verdict_status
+from .constructions import (
+    JExponential, PiBundle, VirtualObject, _verdict_status,
+)
 from .classify import (
-    HlevelVerdict, NotNormalized, REFUTED, _resize_laws, hlevel_verdict,
+    Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
+    REFUTED, ResizeBundle, TruncationBundle, _resize_laws, hlevel_verdict,
 )
 
 CANDIDATE_LIMIT = 512  # 1-level choices tried per cell map
@@ -86,7 +90,7 @@ class Eff1Object:
 
 
 def _id2(A, a, b, p) -> int:
-    return _memo(A, "2", A.id2, tuple_encode(A.realizer[a], A.realizer[b], p))
+    return _read(A.id2, tuple_encode(A.realizer[a], A.realizer[b], p))
 
 
 _dec2 = cantor_unpair
@@ -336,12 +340,11 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
                         for (p, r), t in _comp_inputs(dom, b1, b2,
                                                       b3).items():
                             # r . p in dom, and f(r) . f(p) in cod
-                            c = _memo(dom, "c", dom.comp_code, t)
+                            c = _read(dom.comp_code, t)
                             img = f13.get(c)
                             if img is None:
                                 img = f1(b1, b3, c)
-                            cimg = _memo(cod, "c", cod.comp_code,
-                                         into[f12[p], f23[r]])
+                            cimg = _read(cod.comp_code, into[f12[p], f23[r]])
                             yield ("funct_comp", t,
                                    cod.hom2_of(z1, z3, img, cimg),
                                    "composite preservation")
@@ -449,6 +452,8 @@ def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "") -> Eff1Morphism:
     """Value-level composite; the functoriality 2-cells are re-synthesized
     (they always exist for a composite of valid morphisms over finite data
     and are not part of the identity of the morphism)."""
+    if f.cod is not g.dom and f.cod != g.dom:
+        raise MapsDoNotFit(f"{g.name} does not start where {f.name} ends")
     fz = f.zero_map
 
     def one(b, b2, p):
@@ -678,15 +683,8 @@ def _projection1(pair_obj: Eff1Object, target: Eff1Object, idx: int,
     return m
 
 
-@dataclass
-class Pullback1Bundle:
-    obj: Eff1Object
-    to_g_dom: Eff1Morphism  # projection D -> C (along which f was pulled)
-    to_f_dom: Eff1Morphism  # projection D -> B
-
-
 def pullback1(f: Eff1Morphism, g: Eff1Morphism,
-              name: str = "") -> Pullback1Bundle:
+              name: str = "") -> PullbackBundle:
     """Pullback of the fibration f: B -> A along g: C -> A: pairs with
     equal base image at all three levels."""
     B, A, C = f.dom, f.cod, g.dom
@@ -730,10 +728,10 @@ def pullback1(f: Eff1Morphism, g: Eff1Morphism,
                        unit=unit, inv=inv, comp=comp)
     p1 = _projection1(obj, C, 0)
     p2 = _projection1(obj, B, 1)
-    return Pullback1Bundle(obj, p1, p2)
+    return PullbackBundle(obj, p1, p2)
 
 
-def mediate1(pb: Pullback1Bundle, h: Eff1Morphism, k: Eff1Morphism,
+def mediate1(pb: PullbackBundle, h: Eff1Morphism, k: Eff1Morphism,
              name: str = "") -> Eff1Morphism | None:
     """The cell-level mediating map X -> D with projections h and k."""
     zero = {x: (h.zero_map[x], k.zero_map[x]) for x in h.dom.cells}
@@ -741,14 +739,6 @@ def mediate1(pb: Pullback1Bundle, h: Eff1Morphism, k: Eff1Morphism,
 
 
 # --- path objects -----------------------------------------------------------
-
-@dataclass
-class Path1Bundle:
-    obj: Eff1Object          # PA
-    r: Eff1Morphism          # A -> PA
-    st: Eff1Morphism         # PA -> A x A (or B x_A B fibrewise)
-    witness: Fibration1Witness  # for st
-
 
 def _unit_square(A: Eff1Object, a, b, rho, flip: bool = False):
     """The canonical 2-cell  rho . 1_a  =>  1_b . rho  from the unit
@@ -765,12 +755,12 @@ def _unit_square(A: Eff1Object, a, b, rho, flip: bool = False):
                                        rho, rhs, to_rho, back))
 
 
-def path_object1(A: Eff1Object) -> Path1Bundle:
+def path_object1(A: Eff1Object) -> PathObjectBundle:
     """The fibrewise path object of A -> 1."""
     return fib_path_object1(terminal_map1(A))
 
 
-def fib_path_object1(f: Eff1Morphism) -> Path1Bundle:
+def fib_path_object1(f: Eff1Morphism) -> PathObjectBundle:
     """Fibrewise paths of a fibration f: B -> A: cells (b, b', rho) over a
     single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
     and n a 2-cell filling the square; 2-cells pairs of 2-cells between the
@@ -781,7 +771,7 @@ def fib_path_object1(f: Eff1Morphism) -> Path1Bundle:
                   lambda: _fib_path_object1(f, cells))
 
 
-def _fib_path_object1(f: Eff1Morphism, cells: list) -> Path1Bundle:
+def _fib_path_object1(f: Eff1Morphism, cells: list) -> PathObjectBundle:
     B = f.dom
     base = pullback1(f, f).obj
     realizer = {x: tuple_encode(B.realizer[x[0]], B.realizer[x[1]], x[2])
@@ -851,7 +841,7 @@ def _fib_path_object1(f: Eff1Morphism, cells: list) -> Path1Bundle:
                           lambda x, y, e: tuple_encode(*_dec3(e)[:2]),
                           name="(s,t)")
     assert r is not None and st is not None
-    return Path1Bundle(obj, r, st, fibration1_decide(st).witness)
+    return PathObjectBundle(obj, r, st, fibration1_decide(st).witness)
 
 
 # --- homotopies -------------------------------------------------------------
@@ -965,13 +955,6 @@ def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
 
 # --- equivalences -----------------------------------------------------------
 
-@dataclass
-class Equivalence1Witness:
-    inverse: Eff1Morphism
-    eta: Homotopy1  # 1 ~ g f on the domain
-    eps: Homotopy1  # f g ~ 1 on the codomain
-
-
 def is_equivalence1_decide(f: Eff1Morphism) -> Decision:
     """Is f an equivalence: a tracked inverse with both homotopies?
     Running out of a limit, in the search or in one it makes, is
@@ -1004,7 +987,7 @@ def _inverse_search1(f: Eff1Morphism) -> Decision:
             eta = homotopic1_decide(idB, compose1(g, f))
             if eta.status != YES:
                 continue
-            return Decision(YES, witness=Equivalence1Witness(
+            return Decision(YES, witness=EquivalenceWitness(
                 g, eta.witness, eps.witness))
     return Decision(NO, reason="no tracked inverse with both homotopies")
 
@@ -1088,7 +1071,7 @@ class Section1:
 
 
 def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
-                     eq: Equivalence1Witness) -> Section1:
+                     eq: EquivalenceWitness) -> Section1:
     """Build a strict section of a fibration from the inverse and the
     counit of an equivalence, by lifting the counit along the fibration
     structure; raises NotTrivial if any step definitively fails."""
@@ -1175,16 +1158,7 @@ def enumerate_members1(exp: HomExponential1) -> list[Eff1Morphism]:
     return out
 
 
-@dataclass
-class JExponential1:
-    base: Eff1Object
-    obj: Eff1Object        # A^J
-    diag: Eff1Morphism     # A -> A^J
-    ev0: Eff1Morphism      # A^J -> A
-    ev1: Eff1Morphism      # A^J -> A
-
-
-def hexp_J1(A: Eff1Object) -> JExponential1:
+def hexp_J1(A: Eff1Object) -> JExponential:
     """The exponential by the walking pair: cells are pairs with equal
     realizer; a 1-cell is a common 1-cell with square fillers against the
     identities on both components; a 2-cell is a common 2-cell."""
@@ -1235,11 +1209,11 @@ def hexp_J1(A: Eff1Object) -> JExponential1:
                                  name=f"ev{idx}")
                 for idx in (0, 1))
     assert diag is not None and ev0 is not None and ev1 is not None
-    return JExponential1(A, obj, diag, ev0, ev1)
+    return JExponential(obj, diag, ev0, ev1)
 
 
-def hexp_J1_morphism(f: Eff1Morphism, expB: JExponential1 | None = None,
-                     expA: JExponential1 | None = None) -> Eff1Morphism:
+def hexp_J1_morphism(f: Eff1Morphism, expB: JExponential | None = None,
+                     expA: JExponential | None = None) -> Eff1Morphism:
     expB = expB or hexp_J1(f.dom)
     expA = expA or hexp_J1(f.cod)
     m = synthesize_morphism1(
@@ -1276,26 +1250,12 @@ def freyd_square1_check(f: Eff1Morphism) -> Decision:
 
 # --- dependent products -----------------------------------------------------
 
-@dataclass
-class Pi1Bundle:
-    f: Eff1Morphism
-    g: Eff1Morphism
-    obj: Eff1Object
-    proj: Eff1Morphism
-    sections: dict   # (a, skey) -> strict section of g over the fibre at a
-    fibres: dict     # a -> Eff1Object
-    incl: dict       # a -> inclusion fibre -> dom(f)
-    ev_domain: Pullback1Bundle
-    ev: Eff1Morphism
-    virtual: VirtualObject
-
-
 def _section_key1(s: Eff1Morphism):
     return tuple(sorted(s.zero_map.items(), key=repr))
 
 
 def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
-             g: Eff1Morphism) -> Pi1Bundle:
+             g: Eff1Morphism) -> PiBundle:
     """The dependent product of g: C -> B along the fibration f: B -> A.
 
     Cells are pairs (a, section-of-g-over-the-fibre-at-a); 1-cells over a
@@ -1426,11 +1386,10 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
         return YES if n in obj.hom.get((k1, k2), frozenset()) else NO
 
     virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
-    return Pi1Bundle(f, g, obj, proj, sections, fibres, incls,
-                     ev_domain, ev, virt)
+    return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_domain, ev)
 
 
-def pi_transpose1(pi: Pi1Bundle, h: Eff1Morphism, pbW: Pullback1Bundle,
+def pi_transpose1(pi: PiBundle, h: Eff1Morphism, pbW: PullbackBundle,
                   m: Eff1Morphism, name: str = "") -> Eff1Morphism | None:
     """Transpose a morphism W x_A B -> C over the base to W -> Pi."""
     W = h.dom
@@ -1447,8 +1406,8 @@ def pi_transpose1(pi: Pi1Bundle, h: Eff1Morphism, pbW: Pullback1Bundle,
     return synthesize_morphism1(W, pi.obj, zero, name=name)
 
 
-def pi_transpose1_round_trip(pi: Pi1Bundle, h: Eff1Morphism,
-                             pbW: Pullback1Bundle, m: Eff1Morphism,
+def pi_transpose1_round_trip(pi: PiBundle, h: Eff1Morphism,
+                             pbW: PullbackBundle, m: Eff1Morphism,
                              M: Eff1Morphism) -> Decision:
     """ev . (M x 1) against m, fibrewise over g."""
     lift_zero = {(wc, b): (M.zero_map[wc], b)
@@ -1461,13 +1420,7 @@ def pi_transpose1_round_trip(pi: Pi1Bundle, h: Eff1Morphism,
 
 # --- truncations and hlevels ------------------------------------------------
 
-@dataclass
-class Truncation1Bundle:
-    g: Eff1Morphism   # B -> C
-    h: Eff1Morphism   # C -> A  (the truncated fibration)
-
-
-def truncate1(f: Eff1Morphism, n: int) -> Truncation1Bundle:
+def truncate1(f: Eff1Morphism, n: int) -> TruncationBundle:
     """The n-truncation of f for n in {-1, 0}: same carrier, hom-sets
     replaced by the base's at the levels above n.  One bundle per f, n and
     fuel."""
@@ -1475,7 +1428,7 @@ def truncate1(f: Eff1Morphism, n: int) -> Truncation1Bundle:
     return _owned(f, ("truncate", n, fuel_now()), lambda: _truncate1(f, n))
 
 
-def _truncate1(f: Eff1Morphism, n: int) -> Truncation1Bundle:
+def _truncate1(f: Eff1Morphism, n: int) -> TruncationBundle:
     B, A = f.dom, f.cod
     fz = f.zero_map
     pairs = list(itertools.product(B.cells, repeat=2))
@@ -1516,7 +1469,7 @@ def _truncate1(f: Eff1Morphism, n: int) -> Truncation1Bundle:
                          None if n == -1 else f1,
                          name=f"{f.name}@{n}")
     assert g is not None and h is not None
-    return Truncation1Bundle(g, h)
+    return TruncationBundle(g, h)
 
 
 def _identity_equivalence1(g: Eff1Morphism) -> Decision:
@@ -1530,7 +1483,7 @@ def _identity_equivalence1(g: Eff1Morphism) -> Decision:
         e1 = homotopic1_decide(identity1(B), compose1(d0, g))
         e2 = homotopic1_decide(compose1(g, d0), identity1(C))
         if e1.status == YES and e2.status == YES:
-            return Decision(YES, witness=Equivalence1Witness(
+            return Decision(YES, witness=EquivalenceWitness(
                 d0, e1.witness, e2.witness))
     return is_equivalence1_decide(g)
 
@@ -1609,16 +1562,6 @@ def discrete1_phi_psi(f: Eff1Morphism) -> Decision:
     return Decision(YES, witness=PhiPsi(**tabulate_all(T)))
 
 
-@dataclass
-class Discrete1NormalForm:
-    phi_psi: PhiPsi
-    quotient: Eff1Object
-    standard: Eff1Morphism    # quotient -> base, standard discrete
-    inclusion: Eff1Morphism   # quotient -> total
-    retraction: Eff1Morphism  # total -> quotient
-    comparison: Decision      # inclusion . retraction ~ 1
-
-
 def discrete1_decide(f: Eff1Morphism) -> Decision:
     """Decide whether the fibration f is discrete and, when it is, produce
     the equivalent standard discrete fibration obtained by collapsing
@@ -1662,7 +1605,7 @@ def _discrete1(f: Eff1Morphism) -> Decision:
                         reason="no tracked retraction onto the quotient")
     comparison = homotopic1_decide(compose1(incl, retr), identity1(B))
     standard = compose1(f, incl)
-    nf = Discrete1NormalForm(d.witness, Q, standard, incl, retr, comparison)
+    nf = DiscreteNormalForm(Q, incl, standard)
     if comparison.status != YES:
         return Decision(UNKNOWN, witness=nf,
                         reason="quotient comparison undecided")
@@ -1736,16 +1679,8 @@ class SetClassifyingMap:
     two: dict    # (a, a2, pi, pi2, n) -> Homotopy between forward maps
 
 
-@dataclass
-class SetClassification:
-    k: SetClassifyingMap
-    recovered: Eff1Object
-    proj: Eff1Morphism
-    comparison: Decision
-
-
 def classify_discrete_set(f: Eff1Morphism,
-                          w: Fibration1Witness) -> SetClassification:
+                          w: Fibration1Witness) -> Classification:
     """Classifying map of a normalized discrete fibration of sets, the
     recovered total space, and the comparison equivalence."""
     if not _set_normalized(f):
@@ -1797,14 +1732,13 @@ def classify_discrete_set(f: Eff1Morphism,
                 tuple_encode(m, 0) for m in A.hom2_of(a, a2, pi, pi2))
     recovered = make_object1(cells, realizer, hom, hom2,
                              name=f"rec_{B.name}")
-    proj = _projection1(recovered, A, 0, name="rec->base")
     cmp_m = synthesize_morphism1(B, recovered, {b: b for b in B.cells})
     if cmp_m is None:
         comparison = Decision(NO, reason="no tracked comparison morphism")
     else:
         comparison = is_equivalence1_decide(cmp_m)
-    return SetClassification(SetClassifyingMap(zero, one, two),
-                             recovered, proj, comparison)
+    return Classification(SetClassifyingMap(zero, one, two), recovered,
+                          comparison)
 
 
 def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
@@ -1844,16 +1778,7 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
 
 # --- resizing ---------------------------------------------------------------
 
-@dataclass
-class Resize1Bundle:
-    obj: Eff1Object
-    proj: Eff1Morphism      # small model -> base
-    to_small: Eff1Morphism | None  # B -> small model
-    to_total: Eff1Morphism | None  # small model -> B
-    laws: list   # fibrewise round trips, or NO if a comparison is None
-
-
-def resize1(f: Eff1Morphism) -> Resize1Bundle:
+def resize1(f: Eff1Morphism) -> ResizeBundle:
     """Replace a propositional fibration by the equivalent small model on
     pairs (base cell, realizer), with hom-sets borrowed from the base; the
     laws name an untracked comparison map when f is not propositional."""
@@ -1880,13 +1805,12 @@ def resize1(f: Eff1Morphism) -> Resize1Bundle:
     to_small = synthesize_morphism1(
         B, C, {b: (fz[b], B.realizer[b]) for b in B.cells})
     to_total = synthesize_morphism1(C, B, dict(choice))
-    laws = _resize_laws(B, C, to_small, to_total, lambda: [
+    laws = _resize_laws(B, C, to_small, to_total, lambda: (
         fibrewise_homotopic1_decide(
             compose1(to_total, to_small), identity1(B), f),
         fibrewise_homotopic1_decide(
-            compose1(to_small, to_total), identity1(C), proj),
-    ])
-    return Resize1Bundle(C, proj, to_small, to_total, laws)
+            compose1(to_small, to_total), identity1(C), proj)))
+    return ResizeBundle(C, proj, laws)
 
 
 # --- the cyclic-group obstruction -------------------------------------------

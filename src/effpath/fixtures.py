@@ -16,8 +16,7 @@ from .pca import (
 )
 from .path import discrete_n, make_object, terminal_object, path_object
 from .eff1 import (
-    Eff1Morphism, Eff1Object, inflate, inflate_morphism, terminal_map1,
-    z2_object,
+    Eff1Morphism, inflate, inflate_morphism, terminal_map1, z2_object,
 )
 
 
@@ -81,6 +80,7 @@ def two_point_bundle():
 
 @dataclass
 class Fixture:
+    """A named object at either level with its expected verdicts."""
     name: str
     obj: EffObject
     expect: dict = field(default_factory=dict)
@@ -150,13 +150,6 @@ def universe_subsets():
     return frozenset({3, 5}), frozenset({2})
 
 
-@dataclass
-class Fixture1:
-    name: str
-    obj: Eff1Object
-    expect: dict = field(default_factory=dict)
-
-
 _Z2_EXPECT = {"valid": True, "trivial_over_1": False,
               "discrete_over_1": False, "hlevel0": False,
               "set_over_1": False, "groupoid_over_1": True}
@@ -168,15 +161,15 @@ def _expect1(fx: Fixture) -> dict:
                 set_over_1=fx.expect["hlevel0"])
 
 
-def fixture_objects1() -> dict[str, Fixture1]:
+def fixture_objects1() -> dict[str, Fixture]:
     """Two-level objects with expected verdicts over the point.
 
     groupoid_over_1: the map to the terminal object is a fibration of
     groupoids (hlevel 1); set_over_1: of sets (hlevel 0).
     """
-    lib = {name: Fixture1(name, inflate(fx.obj, name=name), _expect1(fx))
+    lib = {name: Fixture(name, inflate(fx.obj, name=name), _expect1(fx))
            for name, fx in fixture_objects().items()}
-    lib["Z2"] = Fixture1("Z2", z2_object(), dict(_Z2_EXPECT))
+    lib["Z2"] = Fixture("Z2", z2_object(), dict(_Z2_EXPECT))
     return lib
 
 

@@ -164,6 +164,7 @@ def pair_morphism(prod: EffObject, f: EffMorphism, g: EffMorphism,
 
 @dataclass
 class PullbackBundle:
+    """A pullback D of f: B -> A along g: C -> A, at either level."""
     obj: EffObject
     to_g_dom: EffMorphism  # projection D -> C (along which f was pulled back)
     to_f_dom: EffMorphism  # projection D -> B
@@ -208,6 +209,7 @@ def mediate(pb: PullbackBundle, h: EffMorphism, k: EffMorphism,
 
 @dataclass
 class PathObjectBundle:
+    """A path object at either level (an eff1.Fibration1Witness at 1)."""
     obj: EffObject          # PA
     r: EffMorphism          # A -> PA
     st: EffMorphism         # PA -> A x A (or B x_A B in the fibrewise case)
@@ -330,6 +332,7 @@ def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,
 
 @dataclass
 class EquivalenceWitness:
+    """A homotopy inverse at either level (eff1.Homotopy1s at 1)."""
     inverse: EffMorphism
     eta: Homotopy  # 1 ~ g f  on the domain
     eps: Homotopy  # f g ~ 1  on the codomain

@@ -17,7 +17,7 @@ outcome kept.
 import itertools
 
 from effpath.core import (
-    _adjacency, _memo, _morphism_stages, _object_stages, _one_cell_inputs,
+    _adjacency, _read, _morphism_stages, _object_stages, _one_cell_inputs,
     _read_back, _u, any_image, invalid, unknown, valid,
 )
 from effpath.eff1 import _two_cell_inputs
@@ -32,7 +32,7 @@ def tuple_encode(*parts):
 
 
 def _comp(A, a, b, c, p, r):
-    return _memo(A, "c", A.comp_code,
+    return _read(A.comp_code,
                  tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
                               p, r))
 
@@ -159,7 +159,7 @@ def morphism1_stages(dom, cod, zero, one=any_image, two=any_image):
                                 one_map[b1, b2].items(),
                                 one_map[b2, b3].items()):
                             t = tuple_encode(R[b1], R[b2], R[b3], p, r)
-                            c = _memo(dom, "c", dom.comp_code, t)
+                            c = _read(dom.comp_code, t)
                             img = one_map[b1, b3].get(c)
                             if img is None:
                                 img = f1(b1, b3, c)

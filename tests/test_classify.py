@@ -203,6 +203,16 @@ def test_universe_one_cell_between_equal_subsets():
     assert u_one_cell(frozenset(), frozenset()) is not None
 
 
+def test_universe_one_cell_out_of_fuel_is_unknown_not_no():
+    # NO comes only from definite emptiness: a tabulated 1-cell whose
+    # lookups run out of fuel is UNKNOWN
+    x = frozenset({3, 5})
+    n = u_one_cell(x, x)
+    with pca.fuel_limit(0):
+        assert u_hom_status(x, x, n) == "unknown"
+    assert u_hom_status(x, x, n) == "yes"
+
+
 def test_universe_membership_rejects_partial_trackings():
     x, y = frozenset({3, 5}), frozenset({4})
     n = pca.tuple_encode(pca.tabulate({3: 4}), pca.tabulate({4: 3}))

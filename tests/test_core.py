@@ -1,14 +1,16 @@
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from effpath import pca
 from effpath.core import (
-    EffMorphism, check_morphism, check_object, compose, ho_equal, identity,
-    make_object, p_morphism, p_object, synthesize_morphism,
+    EffMorphism, MapsDoNotFit, check_morphism, check_object, compose,
+    ho_equal, identity, make_object, p_morphism, p_object,
+    synthesize_morphism,
 )
 from effpath.fixtures import (
     interval, nat_trunc, swap_morphism, two, walking_pair,
 )
-from effpath.path import homotopic_decide, terminal_object
+from effpath.path import homotopic_decide, terminal_map, terminal_object
 
 import strategies
 
@@ -91,6 +93,14 @@ def test_composite_tracking_agrees_with_composite_map():
     assert check_morphism(comp)
     for c in cells:
         assert pca.apply(comp.tracking0, n.realizer[c]) == n.realizer[c]
+
+
+def test_maps_that_do_not_fit_do_not_compose():
+    # I -> 1 after J -> 1: J -> 1 ends at the point, not at I
+    i, j = terminal_map(interval()), terminal_map(walking_pair())
+    with pytest.raises(MapsDoNotFit,
+                       match=r"^I->1 does not start where J->1 ends$"):
+        compose(i, j)
 
 
 def test_synthesize_rejects_untrackable_map():

@@ -73,6 +73,14 @@ def test_twist_morphism_and_composite():
     assert homotopic1_decide(ww, identity1(A)).status == "yes"
 
 
+def test_maps_that_do_not_fit_do_not_compose():
+    # I -> 1 after J -> 1: J -> 1 ends at the point, not at I
+    fib = fixture_fibrations1()
+    with pytest.raises(MapsDoNotFit,
+                       match=r"^I->1 does not start where J->1 ends$"):
+        compose1(fib["I->1"], fib["J->1"])
+
+
 def test_mangled_tracking_is_invalid():
     A = z2_object()
     w = z2_twist(A)

@@ -103,6 +103,18 @@ def test_moving_an_entry_of_one_table_out_of_its_target_is_invalid():
     assert slots == 3 + 12 + 2 + 5 + 3 + 5 + 1 + 2
 
 
+def test_a_target_read_off_a_tables_domain_is_invalid():
+    # the domain's composition answers outside its hom-sets, so the target
+    # of composite preservation reads tracking1 off its table's domain
+    f = z2_twist()
+    comp = pca.tabulate(dict.fromkeys(f.dom.comp_code.values, BAD))
+    broken = dataclasses.replace(
+        f, dom=dataclasses.replace(f.dom, comp_code=comp))
+    assert check_morphism1(f).status == "valid"
+    assert check_morphism1(broken) == Verdict("invalid",
+                                              "a target value diverges")
+
+
 # --- synthesis either checks or names an empty group ------------------------
 
 def _brute_force_group(cells, realizer, hom, slot, t):

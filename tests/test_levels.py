@@ -12,7 +12,8 @@ witness is checked at level 0.  The decisions are also compared live with
 level 1 on the inflated map: where each level has its own implementation
 (equivalence, triviality, fibration, the pullback) the two must agree, and
 elsewhere level 0 must stay a view of level 1.  Random maps check the same
-laws beyond the library."""
+laws beyond the library.  Each construction both levels have returns one
+result type at either level."""
 
 import functools
 
@@ -20,22 +21,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from effpath.classify import (
-    REFUTED, VERIFIED, discrete_decide, hlevel_check, is_standard_discrete,
-    prop_truncate,
+    Classification, DiscreteNormalForm, REFUTED, ResizeBundle,
+    TruncationBundle, VERIFIED, classify_prop_discrete, discrete_decide,
+    hlevel_check, is_standard_discrete, prop_truncate, resize,
 )
+from effpath.constructions import JExponential, PiBundle, hexp_J, pi_type
 from effpath.core import (
     NO, UNKNOWN, YES, check_morphism, check_object, compose, identity,
     make_object, synthesize_morphism,
 )
 from effpath.eff1 import (
-    discrete1_decide, fibration1_decide, hlevel1_check, inflate_morphism,
-    is_equivalence1_decide, pullback1, trivial1_decide,
+    classify_discrete_set, discrete1_decide, fibration1_decide, hexp_J1,
+    hlevel1_check, identity1, inflate_morphism, is_equivalence1_decide,
+    path_object1, pi_type1, pullback1, resize1,
+    synthesize_fibration1_witness, trivial1_decide, truncate1,
 )
-from effpath.fixtures import fixture_library
+from effpath.fixtures import (
+    Fixture, fixture_library, fixture_objects, fixture_objects1,
+)
 from effpath.pca import DEFAULT_FUEL, fuel_limit
 from effpath.path import (
-    check_homotopy, fibration_decide, is_equivalence_decide,
-    is_trivial_fibration, pullback, terminal_map, terminal_object,
+    EquivalenceWitness, PathObjectBundle, PullbackBundle, check_homotopy,
+    fibration_decide, is_equivalence_decide, is_trivial_fibration,
+    path_object, pullback, synthesize_fibration_witness, terminal_map,
+    terminal_object,
 )
 
 import strategies
@@ -211,6 +220,71 @@ def test_yes_witnesses_check_at_level_0(name):
         assert check_morphism(nf.inclusion) and check_morphism(nf.standard)
         assert (nf.inclusion.cod, nf.standard.cod) == (B, A)
         assert is_standard_discrete(nf.standard)
+
+
+# --- one result type at either level ---------------------------------------
+
+def _lib(name):
+    return fixture_library()[name].value
+
+
+def _pi(pi, witness, ident, f):
+    """Pi along f of the identity of its domain."""
+    return pi(f, witness(f), ident(f.dom))
+
+
+def _classify(classify, witness, f):
+    return classify(f, witness(f))
+
+
+# construction -> (its result type, level 0 on a library input, level 1 on
+# the two-level image of that input)
+RESULTS = {
+    "pullback": (PullbackBundle,
+                 lambda: pullback(_lib("E2I"), _lib("E2I")),
+                 lambda: pullback1(_inflated("E2I"), _inflated("E2I"))),
+    "path object": (PathObjectBundle,
+                    lambda: path_object(_lib("I")),
+                    lambda: path_object1(_lib("eff1:I"))),
+    "J-exponential": (JExponential,
+                      lambda: hexp_J(_lib("2")),
+                      lambda: hexp_J1(_lib("eff1:2"))),
+    "Pi": (PiBundle,
+           lambda: _pi(pi_type, synthesize_fibration_witness, identity,
+                       _lib("E2I")),
+           lambda: _pi(pi_type1, synthesize_fibration1_witness, identity1,
+                       _inflated("E2I"))),
+    "truncation": (TruncationBundle,
+                   lambda: prop_truncate(_map("J")),
+                   lambda: truncate1(_lib("eff1:J->1"), -1)),
+    "resizing": (ResizeBundle,
+                 lambda: resize(_lib("L")),
+                 lambda: resize1(_inflated("L"))),
+    "equivalence witness": (
+        EquivalenceWitness,
+        lambda: is_equivalence_decide(_map("I")).witness,
+        lambda: is_equivalence1_decide(_lib("eff1:I->1")).witness),
+    "discrete normal form": (
+        DiscreteNormalForm,
+        lambda: discrete_decide(_lib("E2I")).witness,
+        lambda: discrete1_decide(_inflated("E2I")).witness),
+    "classification": (
+        Classification,
+        lambda: _classify(classify_prop_discrete,
+                          synthesize_fibration_witness, _lib("L")),
+        lambda: _classify(classify_discrete_set,
+                          synthesize_fibration1_witness, _inflated("L"))),
+    "fixture": (Fixture,
+                lambda: fixture_objects()["I"],
+                lambda: fixture_objects1()["I"]),
+}
+
+
+@pytest.mark.parametrize("construction", RESULTS)
+def test_each_construction_returns_one_type_at_either_level(construction):
+    result, level0, level1 = RESULTS[construction]
+    assert type(level0()) is result
+    assert type(level1()) is result
 
 
 # --- random maps ------------------------------------------------------------

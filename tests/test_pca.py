@@ -2,13 +2,12 @@ import ast
 import contextlib
 import pathlib
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from effpath import pca
-from effpath.core import _memo, invalid, unknown, verify
+from effpath.core import _read, invalid, unknown, verify
 from effpath.pca import (
     DIVERGE_C, FST_C, ID, IFEQ, K, PAIR, S, SND_C, SUCC_C,
     App, Diverges, FuelExhausted, MachineState, UnboundVariable, Var,
@@ -440,7 +439,7 @@ def _outcome(read):
 @example({}, [0], 0)
 @example({0: 0}, [0, 1], 0)
 def test_the_engine_reads_a_table_as_the_machine_runs_it(table, probes, extra):
-    # verify (in a stage and through val) and _memo read a Table by lookup;
+    # verify (in a stage and through val) and _read read a Table by lookup;
     # each must give apply's value, Diverges or FuelExhausted at every fuel
     # around the lookup's charge, and an UNKNOWN names the charge
     code = tabulate(table)
@@ -449,19 +448,46 @@ def test_the_engine_reads_a_table_as_the_machine_runs_it(table, probes, extra):
         assert need == _scan_charge(table, pca._STEPS_PER_ENTRY, x)
         for fuel in {0, need - 1, need, extra} - {-1}:
             want = _outcome(lambda: apply(code, x, fuel))
-            A, seen = SimpleNamespace(), []
+            seen = []
 
             def stages(val):
                 seen.append(_outcome(lambda: val("c", x)))
                 yield [("c", x, frozenset({-1}), "probe")]
             with pca.fuel_limit(fuel):
-                memo = _outcome(lambda: _memo(A, "c", code, x))
+                read = _outcome(lambda: _read(code, x))
                 verdict = verify(stages, {"c": code})
-            assert memo == want and seen == [want]
-            assert "_value_cache" not in vars(A)
+            assert read == want and seen == [want]
             if want is FuelExhausted:
                 assert verdict == unknown(f"probe: fuel {fuel} exhausted at "
                                           f"{x}; the lookup needs {need}")
+            elif want is Diverges:
+                assert verdict == invalid(f"probe: diverges at {x}")
+            else:
+                assert verdict == invalid(
+                    f"probe: value {want} outside target at {x}")
+
+
+@settings(deadline=None)
+@given(st.dictionaries(NATS, NATS, max_size=12), st.lists(NATS, max_size=3))
+@example({}, [0])
+@example({0: 0, 5: 2}, [0, 1])
+def test_the_engine_runs_an_int_code_as_the_machine_does(table, probes):
+    # an int code (a table's raw chain) runs on the machine: each read,
+    # first at a high limit and then at limits down to below the steps
+    # the run costs, gives apply's value, Diverges or FuelExhausted there
+    code = chain_reference(table)
+    for x in (*table, *probes):
+        need = _scan_charge(table, 15, x)
+        for fuel in (10 * need, need, need - 1, 0):
+            want = _outcome(lambda: apply(code, x, fuel))
+            assert (want is FuelExhausted) == (fuel < need)
+            with pca.fuel_limit(fuel):
+                assert _outcome(lambda: _read(code, x)) == want
+                verdict = verify(
+                    lambda val: [[("c", x, frozenset({-1}), "probe")]],
+                    {"c": code})
+            if want is FuelExhausted:
+                assert verdict == unknown(f"probe: fuel exhausted at {x}")
             elif want is Diverges:
                 assert verdict == invalid(f"probe: diverges at {x}")
             else:
