@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import singledispatch
 
 from .pca import (
     LimitReached, apply, cantor_unpair, const_code, fuel_now, tabulate,
@@ -46,6 +47,7 @@ def hlevel_verdict(d: Decision, verified: str) -> HlevelVerdict:
                          reason=d.reason)
 
 
+@singledispatch
 def hlevel_check(f: EffMorphism, n: int) -> HlevelVerdict:
     """Is f a fibration of n-types?  Level -2 means trivial, level -1 that
     the fibrewise path object is trivial; higher levels are decided one
@@ -68,8 +70,8 @@ def hlevel_check(f: EffMorphism, n: int) -> HlevelVerdict:
         # st is a fibration (a path-category axiom): trivial = equivalence
         return hlevel_verdict(is_equivalence_decide(st),
                               "its path object is a trivial fibration")
-    from .eff1 import hlevel1_check, inflate_morphism
-    return hlevel1_check(inflate_morphism(f), n)
+    from .eff1 import inflate_morphism
+    return hlevel_check(inflate_morphism(f), n)
 
 
 # --- propositional truncation -----------------------------------------------
@@ -134,12 +136,12 @@ class DiscreteNormalForm:
     standard: EffMorphism     # quotient -> A, standard discrete by build
 
 
+@singledispatch
 def discrete_decide(f: EffMorphism) -> Decision:
     """Decide whether the fibration f is discrete, one dimension up on the
     inflated map; on YES the quotient by realizer twins is read back."""
-    from .eff1 import discrete1_decide, flatten, flatten_morphism, \
-        inflate_morphism
-    d = discrete1_decide(inflate_morphism(f))
+    from .eff1 import flatten, flatten_morphism, inflate_morphism
+    d = discrete_decide(inflate_morphism(f))
     if d.status != YES:
         return d
     nf = d.witness
@@ -252,7 +254,9 @@ def univalence_check_prop(w: EffMorphism, pf: EffMorphism, pg: EffMorphism):
     Z = pf.cod
     eq = is_equivalence_decide(w)
     if eq.status != YES:
-        return None, Decision(eq.status, reason="w is not an equivalence")
+        return None, Decision(eq.status, reason=eq.reason if
+                              eq.status == UNKNOWN else
+                              "w is not an equivalence")
     for p, X in ((pf, w.dom), (pg, w.cod)):
         for c in X.cells:
             if not (isinstance(c, tuple) and len(c) == 2
@@ -287,6 +291,7 @@ class ResizeBundle:
     laws: tuple   # both round trips over A, or NO naming an untracked map
 
 
+@singledispatch
 def resize(f: EffMorphism) -> ResizeBundle:
     """Replace a propositional fibration by the discrete C -> A with
     C = {(a, n) : some cell over a is realized by n}, realized by n.  When

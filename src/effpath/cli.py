@@ -32,13 +32,8 @@ from .classify import (
 )
 from .constructions import hexp_J, pi_type, transport_properties_check
 from .eff1 import (
-    Eff1Morphism, Eff1Object, check_morphism1, check_object1,
-    classify_discrete_set, discrete1_decide, fibration1_decide, hexp_J1,
-    hlevel1_check, homotopic1_decide, identity1, is_equivalence1_decide,
-    path_object1, pi_type1, pullback1, resize1,
-    synthesize_fibration1_witness, terminal_map1, trivial1_decide,
-    truncate1, two_homotopic_decide, univalence_check_set, z2_homotopies,
-    z2_twist,
+    Eff1Morphism, Eff1Object, classify_discrete_set, truncate1,
+    two_homotopic_decide, univalence_check_set, z2_homotopies, z2_twist,
 )
 from .fixtures import fixture_library
 from .fixture_io import FixtureError, parse_fixture_file
@@ -76,7 +71,7 @@ class Resolver:
         if isinstance(v, (EffMorphism, Eff1Morphism)):
             return v
         if isinstance(v, (EffObject, Eff1Object)):
-            return (terminal_map1 if _is_level1(v) else terminal_map)(v)
+            return terminal_map(v)
         raise ConfigError(f"{target!r} is not a morphism")
 
     def obj(self, target: str):
@@ -101,38 +96,31 @@ def _all_of(decisions) -> str:
 # --- command handlers --------------------------------------------------------
 
 def _cmd_check_object(rs, args):
-    obj = rs.obj(args.targets[0])
-    ck = check_object1 if _is_level1(obj) else check_object
-    v = ck(obj)
+    v = check_object(rs.obj(args.targets[0]))
     return [_report("check-object", args.targets[0], v.status, v.reason)]
 
 
 def _cmd_check_morphism(rs, args):
-    f = rs.morphism(args.targets[0])
-    ck = check_morphism1 if _is_level1(f) else check_morphism
-    v = ck(f)
+    v = check_morphism(rs.morphism(args.targets[0]))
     return [_report("check-morphism", args.targets[0], v.status, v.reason)]
 
 
 def _cmd_check_fibration(rs, args):
-    f = rs.morphism(args.targets[0])
-    d = (fibration1_decide if _is_level1(f) else fibration_decide)(f)
+    d = fibration_decide(rs.morphism(args.targets[0]))
     return [_report("check-fibration", args.targets[0], d.status, d.reason)]
 
 
 def _cmd_pullback(rs, args):
     f, g = rs.morphism(args.targets[0]), rs.morphism(args.targets[1])
-    pb = (pullback1 if _is_level1(f) else pullback)(f, g)
-    ck = check_object1 if _is_level1(f) else check_object
-    v = ck(pb.obj)
+    pb = pullback(f, g)
+    v = check_object(pb.obj)
     return [_report("pullback", " ".join(args.targets[:2]), v.status,
                     f"{len(pb.obj.cells)} cells")]
 
 
 def _cmd_path_object(rs, args):
-    obj = rs.obj(args.targets[0])
-    b = (path_object1 if _is_level1(obj) else path_object)(obj)
-    d = (fibration1_decide if _is_level1(obj) else fibration_decide)(b.st)
+    b = path_object(rs.obj(args.targets[0]))
+    d = fibration_decide(b.st)
     return [_report("path-object", args.targets[0], d.status,
                     f"{len(b.obj.cells)} cells; endpoint projection "
                     f"fibration: {d.status}")]
@@ -140,14 +128,13 @@ def _cmd_path_object(rs, args):
 
 def _cmd_homotopic(rs, args):
     f, g = rs.morphism(args.targets[0]), rs.morphism(args.targets[1])
-    d = (homotopic1_decide if _is_level1(f) else homotopic_decide)(f, g)
+    d = homotopic_decide(f, g)
     return [_report("homotopic", " ".join(args.targets[:2]), d.status,
                     d.reason)]
 
 
 def _cmd_equivalence(rs, args):
-    f = rs.morphism(args.targets[0])
-    d = (is_equivalence1_decide if _is_level1(f) else is_equivalence_decide)(f)
+    d = is_equivalence_decide(rs.morphism(args.targets[0]))
     return [_report("equivalence", args.targets[0], d.status, d.reason)]
 
 
@@ -165,13 +152,8 @@ def _cmd_transport(rs, args):
 
 
 def _cmd_exp_j(rs, args):
-    obj = rs.obj(args.targets[0])
-    if _is_level1(obj):
-        e = hexp_J1(obj)
-        v = check_object1(e.obj)
-    else:
-        e = hexp_J(obj)
-        v = check_object(e.obj)
+    e = hexp_J(rs.obj(args.targets[0]))
+    v = check_object(e.obj)
     return [_report("exp-j", args.targets[0], v.status,
                     f"{len(e.obj.cells)} cells")]
 
@@ -180,36 +162,32 @@ def _cmd_pi(rs, args):
     if len(args.targets) > 2:
         raise ConfigError("pi takes one or two targets")
     f = rs.morphism(args.targets[0])
-    level1 = _is_level1(f)
     g = (rs.morphism(args.targets[1]) if len(args.targets) > 1
-         else (identity1 if level1 else identity)(f.dom))
-    w = (synthesize_fibration1_witness if level1
-         else synthesize_fibration_witness)(f)
+         else identity(f.dom))
+    w = synthesize_fibration_witness(f)
     if w is None:
         raise ConfigError(f"{args.targets[0]} is not a fibration")
-    if len(args.targets) > 1 and (
-            synthesize_fibration1_witness if _is_level1(g)
-            else synthesize_fibration_witness)(g) is None:
+    if len(args.targets) > 1 and synthesize_fibration_witness(g) is None:
         raise ConfigError(f"{args.targets[1]} is not a fibration")
     target = " ".join(args.targets)
     if not is_standard_discrete(g):
         # realizer twins in a fibre of g can leave Pi without structure
         # codes; a discrete g is equivalent over its base to its standard
         # form, and Pi is taken of that
-        d = (discrete1_decide if _is_level1(g) else discrete_decide)(g)
+        d = discrete_decide(g)
         if d.status != YES:
             return [_report("pi", target, d.status,
                             f"{g.name} has realizer twins in a fibre; "
                             f"discrete: {d.status} ({d.reason})")]
         g = d.witness.standard
     try:
-        pi = (pi_type1 if level1 else pi_type)(f, w, g)
+        pi = pi_type(f, w, g)
     except SynthesisFailed as e:
         # Pi, or the pullback its evaluation lives on, has no uniform
         # structure codes: realizer twins in the base can lift to Pi cells
         # with different realizers, one per fibre's tracking tables
         return [_report("pi", target, NO, f"no uniform {e.label} code")]
-    d = (fibration1_decide if level1 else fibration_decide)(pi.proj)
+    d = fibration_decide(pi.proj)
     return [_report("pi", target, d.status,
                     f"{len(pi.obj.cells)} sections; projection "
                     f"fibration: {d.status}")]
@@ -222,13 +200,12 @@ def _cmd_truncate(rs, args):
             raise ConfigError("two-level truncation is materialized for "
                               "--n -1 and 0")
         tr = truncate1(f, args.n)
-        hv = hlevel1_check(tr.h, args.n)
     else:
         if args.n != -1:
             raise ConfigError("groupoid-level truncation is propositional "
                               "(--n -1)")
         tr = prop_truncate(f)
-        hv = hlevel_check(tr.h, -1)
+    hv = hlevel_check(tr.h, args.n)
     return [_hlevel_report("truncate", args.targets[0], hv,
                            f"n={args.n}: truncation has hlevel {args.n}: "
                            f"{hv.status}")]
@@ -242,35 +219,32 @@ def _hlevel_report(command, target, hv, detail):
 
 def _cmd_hlevel(rs, args):
     f = rs.morphism(args.targets[0])
-    hv = (hlevel1_check if _is_level1(f) else hlevel_check)(f, args.n)
+    hv = hlevel_check(f, args.n)
     return [_hlevel_report("hlevel", args.targets[0], hv,
                            f"n={args.n}: {hv.reason}")]
 
 
 def _cmd_discrete(rs, args):
     f = rs.morphism(args.targets[0])
-    d = (discrete1_decide if _is_level1(f) else discrete_decide)(f)
+    d = discrete_decide(f)
     return [_report("discrete", args.targets[0], d.status, d.reason)]
 
 
 def _cmd_classify(rs, args):
     f = rs.morphism(args.targets[0])
+    w = synthesize_fibration_witness(f)
+    if w is None:
+        raise ConfigError(f"{args.targets[0]} is not a fibration")
+    classify = (classify_discrete_set if _is_level1(f)
+                else classify_prop_discrete)
     try:
-        if _is_level1(f):
-            w = synthesize_fibration1_witness(f)
-            if w is None:
-                raise ConfigError(f"{args.targets[0]} is not a fibration")
-            cl = classify_discrete_set(f, w)
-        else:
-            w = synthesize_fibration_witness(f)
-            if w is None:
-                raise ConfigError(f"{args.targets[0]} is not a fibration")
-            cl = classify_prop_discrete(f, w)
+        d = classify(f, w).comparison
     except NotNormalized as e:
         return [_report("classify", args.targets[0], "no", str(e))]
-    return [_report("classify", args.targets[0], cl.comparison.status,
-                    "recovered total space compares: "
-                    f"{cl.comparison.status}")]
+    # an UNKNOWN says which budget ran out
+    return [_report("classify", args.targets[0], d.status,
+                    d.reason if d.status == UNKNOWN else
+                    f"recovered total space compares: {d.status}")]
 
 
 def _cmd_univalence(rs, args):
@@ -288,7 +262,7 @@ def _cmd_univalence(rs, args):
 
 def _cmd_resize(rs, args):
     f = rs.morphism(args.targets[0])
-    rsb = (resize1 if _is_level1(f) else resize)(f)
+    rsb = resize(f)
     return [_report("resize", args.targets[0], _all_of(rsb.laws),
                     f"{len(rsb.obj.cells)} cells; laws: "
                     + " ".join(d.status for d in rsb.laws)
@@ -329,7 +303,7 @@ def _entry_check(entry, key: str):
     """Run one declared expectation; returns its verdict, a Verdict,
     Decision or HlevelVerdict."""
     v = entry.value
-    if entry.kind == "object":
+    if entry.kind in ("object", "object1"):
         f = terminal_map(v)
         if key == "valid":
             return check_object(v)
@@ -337,13 +311,25 @@ def _entry_check(entry, key: str):
             return is_trivial_fibration(f)
         if key == "discrete_over_1":
             return discrete_decide(f)
-        if key == "hlevel0":
+        if key in ("hlevel0", "set_over_1"):
             return hlevel_check(f, 0)
-    if entry.kind == "fibration":
+        if key == "groupoid_over_1":
+            return hlevel_check(f, 1)
+        if key == "twist_equivalence":
+            return is_equivalence_decide(z2_twist(v))
+        if key == "modifications_differ":
+            wm = z2_twist(v)
+            H, K = z2_homotopies(v, wm)
+            d = two_homotopic_decide(identity(v), wm, H, K)
+            return Decision({NO: YES, YES: NO}.get(d.status, d.status),
+                            reason=d.reason)
+    if entry.kind in ("fibration", "fibration1"):
         if key == "fibration":
             return fibration_decide(v)
         if key == "hlevel0":
             return hlevel_check(v, 0)
+        if key == "groupoid_over_1":
+            return hlevel_check(v, 1)
         if key == "propositional":
             return hlevel_check(v, -1)
         if key == "discrete":
@@ -370,32 +356,6 @@ def _entry_check(entry, key: str):
             e = frozenset()
             return Decision(YES if u_one_cell(x, e) is None
                             and u_one_cell(y, e) is None else NO)
-    if entry.kind == "object1":
-        f = terminal_map1(v)
-        if key == "valid":
-            return check_object1(v)
-        if key == "trivial_over_1":
-            return trivial1_decide(f)
-        if key == "discrete_over_1":
-            return discrete1_decide(f)
-        if key == "set_over_1":
-            return hlevel1_check(f, 0)
-        if key == "groupoid_over_1":
-            return hlevel1_check(f, 1)
-        if key == "twist_equivalence":
-            return is_equivalence1_decide(z2_twist(v))
-        if key == "modifications_differ":
-            wm = z2_twist(v)
-            idv = identity1(v)
-            H, K = z2_homotopies(v, wm)
-            d = two_homotopic_decide(idv, wm, H, K)
-            return Decision({NO: YES, YES: NO}.get(d.status, d.status),
-                            reason=d.reason)
-    if entry.kind == "fibration1":
-        if key == "fibration":
-            return fibration1_decide(v)
-        if key == "groupoid_over_1":
-            return hlevel1_check(v, 1)
     raise ConfigError(f"{entry.name}: no check for expectation {key!r}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import singledispatch, wraps
 
 from .pca import (
     FST_C, PAIR, SND_C, Var, app, apply, cantor_unpair, curry_left, lam,
@@ -177,6 +178,7 @@ class JExponential:
     ev1: EffMorphism      # A^J -> A, second component
 
 
+@singledispatch
 def hexp_J(A: EffObject) -> JExponential:
     """The exponential by the walking pair of identified points.
 
@@ -200,8 +202,8 @@ def hexp_J(A: EffObject) -> JExponential:
 
 def hexp_J_morphism(f: EffMorphism, expB: JExponential | None = None,
                     expA: JExponential | None = None) -> EffMorphism:
-    """f^J: B^J -> A^J, pairwise application; the squares with the
-    diagonals and both evaluations commute strictly."""
+    """f^J: B^J -> A^J at either level, pairwise application; the squares
+    with the diagonals and both evaluations commute strictly."""
     expB = expB or hexp_J(f.dom)
     expA = expA or hexp_J(f.cod)
     m = synthesize_morphism(
@@ -218,18 +220,20 @@ def hexp_J_morphism(f: EffMorphism, expB: JExponential | None = None,
 def homotopy_pullback_check(f: EffMorphism, g: EffMorphism,
                             h: EffMorphism, k: EffMorphism) -> Decision:
     """Is the strictly commuting square (h: D -> C, k: D -> B over
-    f: B -> A, g: C -> A) a homotopy pullback?  Build the strict pullback
-    and decide whether the induced map D -> C x_A B is an equivalence."""
+    f: B -> A, g: C -> A) a homotopy pullback, at either level?  Build the
+    strict pullback and decide whether the induced map D -> C x_A B is an
+    equivalence; NO when that map is not tracked."""
     for d in h.dom.cells:
         if g.zero_map[h.zero_map[d]] != f.zero_map[k.zero_map[d]]:
             raise MapsDoNotFit(f"square does not commute at {d}")
-    pb = pullback(f, g)
-    med = mediate(pb, h, k)
+    med = mediate(pullback(f, g), h, k)
+    if med is None:
+        return Decision(NO, reason="no tracked mediating morphism")
     return is_equivalence_decide(med)
 
 
 def freyd_square_check(f: EffMorphism) -> Decision:
-    """The diagonal square of a fibration f: B -> A into its
+    """At either level, the diagonal square of a fibration f: B -> A into its
     J-exponentials; a homotopy pullback exactly when f is discrete."""
     expB, expA = hexp_J(f.dom), hexp_J(f.cod)
     fj = hexp_J_morphism(f, expB, expA)
@@ -266,6 +270,7 @@ class HomExponential:
         return apply(self.ev_code, t)
 
 
+@singledispatch
 def hexp(A: EffObject, B: EffObject) -> HomExponential:
     """The exponential A^B: zero-cells are tracked morphisms B -> A,
     realized by the pair of their tracking codes; 1-cells between two
@@ -291,7 +296,7 @@ def hexp(A: EffObject, B: EffObject) -> HomExponential:
 
 
 def enumerate_members(exp: HomExponential) -> list[EffMorphism]:
-    """All tracked cell maps B -> A (finite; canonical trackings)."""
+    """All tracked cell maps B -> A at either level (canonical trackings)."""
     out = []
     for zero in _zero_map_candidates(exp.dom, exp.cod):
         m = synthesize_morphism(exp.dom, exp.cod, zero)
@@ -381,6 +386,7 @@ def _section_key(x, s: EffMorphism):
     return (x, tuple(sorted((y, s.zero_map[y]) for y in s.dom.cells)))
 
 
+@singledispatch
 def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     """Pi along f: Y -> X of g: Z -> Y.
 
@@ -486,6 +492,16 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_dom, ev)
 
 
+def _on_second(generic):
+    """generic, dispatching on its second argument instead of its first."""
+    @wraps(generic)
+    def call(first, second, *rest, **kwargs):
+        return generic.dispatch(type(second))(first, second, *rest, **kwargs)
+    return call
+
+
+@_on_second  # a PiBundle, the first argument, serves either level
+@singledispatch
 def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
                  m: EffMorphism, name: str = ""):
     """Transpose of m: W x_X Y -> Z over Y into M: W -> Pi_f(g).
@@ -510,11 +526,13 @@ def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
 def pi_transpose_round_trip(pi: PiBundle, h: EffMorphism,
                             pbW: PullbackBundle, m: EffMorphism,
                             M: EffMorphism) -> Decision:
-    """ev (M x_X 1) ~_Y m, decided fibrewise over Y via g."""
+    """ev (M x_X 1) ~_Y m, decided fibrewise over Y via g, at either
+    level; NO when the comparison M x_X 1 is not tracked."""
     lift = synthesize_morphism(
         pbW.obj, pi.ev_domain.obj,
         {(w_, y): (M.zero_map[w_], y) for (w_, y) in pbW.obj.cells})
-    assert lift is not None
+    if lift is None:
+        return Decision(NO, reason="no tracked comparison over the base")
     return fibrewise_homotopic_decide(compose(pi.ev, lift), m, pi.g)
 
 

@@ -5,6 +5,11 @@ three structure codes (unit, inverse, composition).  Validation is exhaustive
 and fuel-bounded; whenever a single code sees only realizers, all cells
 sharing the same visible input must be served by the same output value
 (intersection semantics).
+
+The procedures marked ``@singledispatch`` here and in path, constructions and
+classify serve both levels under one name: each dispatches on the type of its
+first argument, and eff1 registers its implementations for Eff1Object and
+Eff1Morphism.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import singledispatch
 
 from .pca import (
     Diverges, FuelExhausted, Table, apply, compile_term,
@@ -308,6 +314,7 @@ def _comp(A, a, b, c, p, r) -> int:
                               p, r))
 
 
+@singledispatch
 def check_object(obj: EffObject, fuel: int | None = None) -> Verdict:
     """Run every structure code on every instance, at ``fuel`` steps per
     application when it is given (the checkers of path and eff1 take
@@ -403,6 +410,7 @@ def _morphism_stages(dom, cod, zero: dict, one=any_image):
     return stages
 
 
+@singledispatch
 def check_morphism(f: EffMorphism, fuel: int | None = None) -> Verdict:
     def given(t, h, b, b2, p):
         return forced(f.one_map.get((b, b2), {}).get(p), h)
@@ -411,6 +419,7 @@ def check_morphism(f: EffMorphism, fuel: int | None = None) -> Verdict:
                       vars(f))
 
 
+@singledispatch
 def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
                         name: str = "", one=any_image):
     """The morphism with the given cell map and tabulated trackings, or None.
@@ -429,6 +438,7 @@ def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
                        name=name)
 
 
+@singledispatch
 def identity(obj: EffObject) -> EffMorphism:
     one_map = {(a, b): {pi: pi for pi in obj.hom_of(a, b)}
                for a in obj.cells for b in obj.cells}
@@ -439,6 +449,7 @@ def identity(obj: EffObject) -> EffMorphism:
                        name=f"id_{obj.name}")
 
 
+@singledispatch
 def compose(g: EffMorphism, f: EffMorphism, name: str = "") -> EffMorphism:
     """g after f."""
     if f.cod is not g.dom and f.cod != g.dom:

@@ -24,24 +24,26 @@ from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
     UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _comp, _inv, _read,
     _morphism_stages, _object_stages, _one_cell_inputs, _owned, _read_back,
-    _u, any_image, check_morphism as check_morphism0, compose as compose0,
-    forced, groups, identity as identity0, make_object, settle,
-    synthesize_morphism as synthesize_morphism0, tabulate_all, verify,
+    _u, any_image, check_morphism, check_object, compose, forced, groups,
+    identity, make_object, settle, synthesize_morphism, tabulate_all, verify,
 )
 from .path import (
     EquivalenceWitness, NotTrivial, PathObjectBundle, PullbackBundle,
     TransportFailed, _homotopy_stages, _lift1_obligations,
-    _zero_map_candidates, fib_path_cells, lift_endpoint, require_parallel,
-    check_homotopy as check_homotopy0, homotopic_decide as homotopic_decide0,
-    is_equivalence_decide as is_equivalence_decide0,
+    _zero_map_candidates, check_fibration, check_homotopy, fib_path_cells,
+    fib_path_object, fibration_decide, fibrewise_homotopic_decide,
+    homotopic_decide, is_equivalence_decide, lift_endpoint, not_a_fibration,
+    pullback, require_parallel, synthesize_fibration_witness, terminal_map,
     terminal_object as terminal_object0,
 )
 from .constructions import (
-    JExponential, PiBundle, VirtualObject, _verdict_status,
+    JExponential, PiBundle, VirtualObject, _verdict_status, hexp, hexp_J,
+    pi_transpose, pi_type,
 )
 from .classify import (
     Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
-    REFUTED, ResizeBundle, TruncationBundle, _resize_laws, hlevel_verdict,
+    REFUTED, ResizeBundle, TruncationBundle, _resize_laws, discrete_decide,
+    hlevel_check, hlevel_verdict, resize,
 )
 
 CANDIDATE_LIMIT = 512  # 1-level choices tried per cell map
@@ -226,6 +228,7 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
                       name=name)
 
 
+@check_object.register(Eff1Object)
 def check_object1(obj: Eff1Object, fuel: int | None = None) -> Verdict:
     """Exhaustively run every structure code on every instance."""
     # a value outside the hom-sets reads as having no 2-cells
@@ -364,6 +367,7 @@ def _given(one=None, two=None):
     return one_image, two_image
 
 
+@synthesize_morphism.register(Eff1Object)
 def synthesize_morphism1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
                          name: str = "", one=any_image,
                          two=any_image) -> Eff1Morphism | None:
@@ -430,6 +434,7 @@ def identity_like1(dom: Eff1Object, cod: Eff1Object,
                                 lambda t, h, b, b2, p: forced(p, h))
 
 
+@check_morphism.register(Eff1Morphism)
 def check_morphism1(f: Eff1Morphism, fuel: int | None = None) -> Verdict:
     """Verify all five tracking/functoriality conditions exhaustively."""
     stages = _morphism1_stages(
@@ -441,6 +446,7 @@ def check_morphism1(f: Eff1Morphism, fuel: int | None = None) -> Verdict:
         return verify(stages, vars(f))
 
 
+@identity.register(Eff1Object)
 def identity1(obj: Eff1Object) -> Eff1Morphism:
     m = _build_morphism1(obj, obj, {a: a for a in obj.cells},
                          name=f"id_{obj.name}")
@@ -448,6 +454,7 @@ def identity1(obj: Eff1Object) -> Eff1Morphism:
     return m
 
 
+@compose.register(Eff1Morphism)
 def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "") -> Eff1Morphism:
     """Value-level composite; the functoriality 2-cells are re-synthesized
     (they always exist for a composite of valid morphisms over finite data
@@ -539,6 +546,7 @@ def terminal_object1() -> Eff1Object:
     return inflate(terminal_object0(), name="1")
 
 
+@terminal_map.register(Eff1Object)
 def terminal_map1(obj: Eff1Object) -> Eff1Morphism:
     """The map to the point, one per object, so the constructions stored on
     it are shared by every caller.  Built at the default fuel whatever the
@@ -628,6 +636,7 @@ def _fibration1_stages(f: Eff1Morphism):
     return stages
 
 
+@synthesize_fibration_witness.register(Eff1Morphism)
 def synthesize_fibration1_witness(f: Eff1Morphism) -> Fibration1Witness | None:
     try:
         T = settle(_fibration1_stages(f),
@@ -637,27 +646,13 @@ def synthesize_fibration1_witness(f: Eff1Morphism) -> Fibration1Witness | None:
     return Fibration1Witness(**tabulate_all(T))
 
 
+@check_fibration.register(Eff1Morphism)
 def check_fibration1(f: Eff1Morphism, w: Fibration1Witness,
                      fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
         return verify(_fibration1_stages(f), vars(w))
 
 
-def fibration1_decide(f: Eff1Morphism) -> Decision:
-    """The decision takes no fuel, so it is kept once per map."""
-    def decide():
-        w = synthesize_fibration1_witness(f)
-        if w is None:
-            return Decision(NO, reason="some lifting intersection is empty")
-        return Decision(YES, witness=w)
-    return _owned(f, ("fibration",), decide)
-
-
-def not_a_fibration1(f: Eff1Morphism) -> Decision | None:
-    """NO, naming why, when f is not a fibration; None for a fibration.
-    A NO Decision is falsy, so compare the result with ``is not None``."""
-    d = fibration1_decide(f)
-    return None if d else Decision(NO, reason=f"not a fibration: {d.reason}")
 
 
 # --- finite limits ----------------------------------------------------------
@@ -683,6 +678,7 @@ def _projection1(pair_obj: Eff1Object, target: Eff1Object, idx: int,
     return m
 
 
+@pullback.register(Eff1Morphism)
 def pullback1(f: Eff1Morphism, g: Eff1Morphism,
               name: str = "") -> PullbackBundle:
     """Pullback of the fibration f: B -> A along g: C -> A: pairs with
@@ -731,12 +727,6 @@ def pullback1(f: Eff1Morphism, g: Eff1Morphism,
     return PullbackBundle(obj, p1, p2)
 
 
-def mediate1(pb: PullbackBundle, h: Eff1Morphism, k: Eff1Morphism,
-             name: str = "") -> Eff1Morphism | None:
-    """The cell-level mediating map X -> D with projections h and k."""
-    zero = {x: (h.zero_map[x], k.zero_map[x]) for x in h.dom.cells}
-    return synthesize_morphism1(h.dom, pb.obj, zero, name=name)
-
 
 # --- path objects -----------------------------------------------------------
 
@@ -760,6 +750,7 @@ def path_object1(A: Eff1Object) -> PathObjectBundle:
     return fib_path_object1(terminal_map1(A))
 
 
+@fib_path_object.register(Eff1Morphism)
 def fib_path_object1(f: Eff1Morphism) -> PathObjectBundle:
     """Fibrewise paths of a fibration f: B -> A: cells (b, b', rho) over a
     single base cell; 1-cells <mu, nu, n> with equal f-image componentwise
@@ -841,7 +832,7 @@ def _fib_path_object1(f: Eff1Morphism, cells: list) -> PathObjectBundle:
                           lambda x, y, e: tuple_encode(*_dec3(e)[:2]),
                           name="(s,t)")
     assert r is not None and st is not None
-    return PathObjectBundle(obj, r, st, fibration1_decide(st).witness)
+    return PathObjectBundle(obj, r, st, fibration_decide(st).witness)
 
 
 # --- homotopies -------------------------------------------------------------
@@ -879,6 +870,7 @@ def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None):
     return stages
 
 
+@check_homotopy.register(Eff1Morphism)
 def check_homotopy1(f: Eff1Morphism, g: Eff1Morphism, H: Homotopy1,
                     fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
@@ -896,6 +888,7 @@ def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism,
     return Homotopy1(**tabulate_all(T))
 
 
+@homotopic_decide.register(Eff1Morphism)
 def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
     """Decide existence of a homotopy f ~ g: level-1 choices by
     intersection per visible realizer, then a bounded search over the
@@ -916,6 +909,7 @@ def _homotopic1(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
     return Decision(NO, reason="no level-1 choice admits square fillers")
 
 
+@fibrewise_homotopic_decide.register(Eff1Morphism)
 def fibrewise_homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
                                 p: Eff1Morphism) -> Decision:
     """Homotopy over the base of p (requires pf = pg on cells; fibrewise
@@ -955,6 +949,7 @@ def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
 
 # --- equivalences -----------------------------------------------------------
 
+@is_equivalence_decide.register(Eff1Morphism)
 def is_equivalence1_decide(f: Eff1Morphism) -> Decision:
     """Is f an equivalence: a tracked inverse with both homotopies?
     Running out of a limit, in the search or in one it makes, is
@@ -1052,15 +1047,6 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 
 # --- trivial fibrations -----------------------------------------------------
 
-def trivial1_decide(f: Eff1Morphism) -> Decision:
-    """Is f a trivial fibration: a fibration that is an equivalence?
-    trivial1_section turns the inverse into a strict section.  Running out
-    of a limit is UNKNOWN."""
-    no = not_a_fibration1(f)
-    if no is not None:
-        return no
-    return is_equivalence1_decide(f)
-
 
 @dataclass
 class Section1:
@@ -1125,6 +1111,7 @@ class HomExponential1:
     virtual: VirtualObject
 
 
+@hexp.register(Eff1Object)
 def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
     """The exponential A^B: members are tracked morphisms B -> A realized
     by their three tracking codes (the functoriality terms are property,
@@ -1148,16 +1135,8 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
     return HomExponential1(B, A, virt)
 
 
-def enumerate_members1(exp: HomExponential1) -> list[Eff1Morphism]:
-    """All tracked cell maps B -> A (finite; canonical trackings)."""
-    out = []
-    for zero in _zero_map_candidates(exp.dom, exp.cod):
-        m = synthesize_morphism1(exp.dom, exp.cod, zero)
-        if m is not None:
-            out.append(m)
-    return out
 
-
+@hexp_J.register(Eff1Object)
 def hexp_J1(A: Eff1Object) -> JExponential:
     """The exponential by the walking pair: cells are pairs with equal
     realizer; a 1-cell is a common 1-cell with square fillers against the
@@ -1212,40 +1191,7 @@ def hexp_J1(A: Eff1Object) -> JExponential:
     return JExponential(obj, diag, ev0, ev1)
 
 
-def hexp_J1_morphism(f: Eff1Morphism, expB: JExponential | None = None,
-                     expA: JExponential | None = None) -> Eff1Morphism:
-    expB = expB or hexp_J1(f.dom)
-    expA = expA or hexp_J1(f.cod)
-    m = synthesize_morphism1(
-        expB.obj, expA.obj,
-        {(b0, b1): (f.zero_map[b0], f.zero_map[b1])
-         for (b0, b1) in expB.obj.cells},
-        name=f"{f.name}^J")
-    assert m is not None
-    return m
 
-
-def homotopy_pullback1_check(f: Eff1Morphism, g: Eff1Morphism,
-                             h: Eff1Morphism, k: Eff1Morphism) -> Decision:
-    """Is the strictly commuting square (h: D -> C, k: D -> B over f, g) a
-    homotopy pullback: the mediating map to the strict pullback is an
-    equivalence."""
-    for d in h.dom.cells:
-        if g.zero_map[h.zero_map[d]] != f.zero_map[k.zero_map[d]]:
-            raise MapsDoNotFit(f"square does not commute at {d}")
-    pb = pullback1(f, g)
-    med = mediate1(pb, h, k)
-    if med is None:
-        return Decision(NO, reason="no tracked mediating morphism")
-    return is_equivalence1_decide(med)
-
-
-def freyd_square1_check(f: Eff1Morphism) -> Decision:
-    """The diagonal square of f: B -> A into the J-exponentials is a
-    homotopy pullback exactly when f is discrete."""
-    expB, expA = hexp_J1(f.dom), hexp_J1(f.cod)
-    fj = hexp_J1_morphism(f, expB, expA)
-    return homotopy_pullback1_check(fj, expA.diag, f, expB.diag)
 
 
 # --- dependent products -----------------------------------------------------
@@ -1254,6 +1200,7 @@ def _section_key1(s: Eff1Morphism):
     return tuple(sorted(s.zero_map.items(), key=repr))
 
 
+@pi_type.register(Eff1Morphism)
 def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
              g: Eff1Morphism) -> PiBundle:
     """The dependent product of g: C -> B along the fibration f: B -> A.
@@ -1389,6 +1336,7 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_domain, ev)
 
 
+@pi_transpose.register(Eff1Morphism)
 def pi_transpose1(pi: PiBundle, h: Eff1Morphism, pbW: PullbackBundle,
                   m: Eff1Morphism, name: str = "") -> Eff1Morphism | None:
     """Transpose a morphism W x_A B -> C over the base to W -> Pi."""
@@ -1405,17 +1353,6 @@ def pi_transpose1(pi: PiBundle, h: Eff1Morphism, pbW: PullbackBundle,
         zero[wc] = key
     return synthesize_morphism1(W, pi.obj, zero, name=name)
 
-
-def pi_transpose1_round_trip(pi: PiBundle, h: Eff1Morphism,
-                             pbW: PullbackBundle, m: Eff1Morphism,
-                             M: Eff1Morphism) -> Decision:
-    """ev . (M x 1) against m, fibrewise over g."""
-    lift_zero = {(wc, b): (M.zero_map[wc], b)
-                 for (wc, b) in pbW.obj.cells}
-    lift = synthesize_morphism1(pbW.obj, pi.ev_domain.obj, lift_zero)
-    if lift is None:
-        return Decision(NO, reason="no tracked comparison over the base")
-    return fibrewise_homotopic1_decide(compose1(pi.ev, lift), m, pi.g)
 
 
 # --- truncations and hlevels ------------------------------------------------
@@ -1488,6 +1425,7 @@ def _identity_equivalence1(g: Eff1Morphism) -> Decision:
     return is_equivalence1_decide(g)
 
 
+@hlevel_check.register(Eff1Morphism)
 def hlevel1_check(f: Eff1Morphism, n: int) -> HlevelVerdict:
     """Is f a fibration of n-types?  A fibration is of (-2)-types when it
     is an equivalence; of (-1)- and 0-types when the comparison into its
@@ -1495,7 +1433,7 @@ def hlevel1_check(f: Eff1Morphism, n: int) -> HlevelVerdict:
     object is of n-types.  Running out of a limit is UNKNOWN."""
     if n < -2:
         raise ValueError("levels start at -2")
-    no = not_a_fibration1(f)
+    no = not_a_fibration(f)
     if no is not None:
         return HlevelVerdict(REFUTED, reason=no.reason)
     try:
@@ -1562,11 +1500,12 @@ def discrete1_phi_psi(f: Eff1Morphism) -> Decision:
     return Decision(YES, witness=PhiPsi(**tabulate_all(T)))
 
 
+@discrete_decide.register(Eff1Morphism)
 def discrete1_decide(f: Eff1Morphism) -> Decision:
     """Decide whether the fibration f is discrete and, when it is, produce
     the equivalent standard discrete fibration obtained by collapsing
     realizer twins.  Running out of a limit is UNKNOWN."""
-    no = not_a_fibration1(f)
+    no = not_a_fibration(f)
     if no is not None:
         return no
     try:
@@ -1629,12 +1568,12 @@ def u_set_hom_status(X, Y, quad) -> str:
             bwd.dom is not Y or bwd.cod is not X:
         return NO
     for m in (fwd, bwd):
-        s = _verdict_status(check_morphism0(m))
+        s = _verdict_status(check_morphism(m))
         if s != YES:
             return s
-    for mor1, mor2, hh in ((identity0(X), compose0(bwd, fwd), H),
-                           (compose0(fwd, bwd), identity0(Y), K)):
-        s = _verdict_status(check_homotopy0(mor1, mor2, hh))
+    for mor1, mor2, hh in ((identity(X), compose(bwd, fwd), H),
+                           (compose(fwd, bwd), identity(Y), K)):
+        s = _verdict_status(check_homotopy(mor1, mor2, hh))
         if s != YES:
             return s
     return YES
@@ -1695,22 +1634,22 @@ def classify_discrete_set(f: Eff1Morphism,
     one, two = {}, {}
     for a, a2 in itertools.product(A.cells, repeat=2):
         for pi in A.hom_of(a, a2):
-            fwd = synthesize_morphism0(zero[a], zero[a2],
-                                       transport_map(a, a2, pi))
-            bwd = synthesize_morphism0(
+            fwd = synthesize_morphism(zero[a], zero[a2],
+                                      transport_map(a, a2, pi))
+            bwd = synthesize_morphism(
                 zero[a2], zero[a],
                 transport_map(a2, a, _inv(A, a, a2, pi)))
             assert fwd is not None and bwd is not None
-            H = homotopic_decide0(identity0(zero[a]), compose0(bwd, fwd))
-            K = homotopic_decide0(compose0(fwd, bwd), identity0(zero[a2]))
+            H = homotopic_decide(identity(zero[a]), compose(bwd, fwd))
+            K = homotopic_decide(compose(fwd, bwd), identity(zero[a2]))
             assert H.status == YES and K.status == YES
             one[(a, a2, pi)] = (fwd, bwd, H.witness, K.witness)
     for a, a2 in itertools.product(A.cells, repeat=2):
         for pi in A.hom_of(a, a2):
             for pi2 in A.hom_of(a, a2):
                 for n in A.hom2_of(a, a2, pi, pi2):
-                    U = homotopic_decide0(one[(a, a2, pi)][0],
-                                          one[(a, a2, pi2)][0])
+                    U = homotopic_decide(one[(a, a2, pi)][0],
+                                         one[(a, a2, pi2)][0])
                     assert U.status == YES
                     two[(a, a2, pi, pi2, n)] = U.witness
 
@@ -1757,13 +1696,14 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
     for a in A.cells:
         Xa, Ya = _fibre_disc(pf, a), _fibre_disc(pg, a)
         fwd0 = {n: wm.zero_map[(a, n)][1] for n in Xa.cells}
-        fwd = synthesize_morphism0(Xa, Ya, fwd0)
+        fwd = synthesize_morphism(Xa, Ya, fwd0)
         if fwd is None:
             return H, Decision(NO, reason=f"fibre map not tracked at {a}")
-        d = is_equivalence_decide0(fwd)
+        d = is_equivalence_decide(fwd)
         if d.status != YES:
-            return H, Decision(d.status,
-                               reason=f"fibre map not invertible at {a}")
+            return H, Decision(d.status, reason=d.reason if
+                               d.status == UNKNOWN else
+                               f"fibre map not invertible at {a}")
         quad = (fwd, d.witness.inverse, d.witness.eta, d.witness.eps)
         if u_set_hom_status(Xa, Ya, quad) != YES:
             return H, Decision(NO, reason=f"universe 1-cell invalid at {a}")
@@ -1778,6 +1718,7 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
 
 # --- resizing ---------------------------------------------------------------
 
+@resize.register(Eff1Morphism)
 def resize1(f: Eff1Morphism) -> ResizeBundle:
     """Replace a propositional fibration by the equivalent small model on
     pairs (base cell, realizer), with hom-sets borrowed from the base; the

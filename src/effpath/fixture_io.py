@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import pca
 from .core import SynthesisFailed, make_object, synthesize_morphism
-from .eff1 import inflate, make_object1, synthesize_morphism1
+from .eff1 import inflate, make_object1
 
 FORMAT_VERSION = 1
 
@@ -316,10 +316,9 @@ def parse_fixture_text(text: str, source: str = "<string>") -> FixtureFile:
             if mspec[fld] not in pool:
                 raise FixtureError(f"{source}: morphism {name!r}: "
                                    f"unknown {fld} {mspec[fld]!r}")
-        synth = synthesize_morphism if level == 0 else synthesize_morphism1
         with pca.fuel_limit(pca.DEFAULT_FUEL):  # an input, not a verdict
-            m = synth(pool[mspec["dom"]], pool[mspec["cod"]],
-                      dict(mspec["zero_map"]), name=name)
+            m = synthesize_morphism(pool[mspec["dom"]], pool[mspec["cod"]],
+                                    dict(mspec["zero_map"]), name=name)
         if m is None:
             raise FixtureError(f"{source}: morphism {name!r}: "
                                "the zero map is not trackable")

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import singledispatch
 
 from .pca import (
     LimitReached, apply, depth_now, fuel_limit, tuple_encode, within_budget,
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    Verdict, YES, _adjacency, _comp, _inv, _u, compose, forced, identity,
-    make_object, settle, synthesize_morphism, tabulate_all, verify,
+    UNKNOWN, Verdict, YES, _adjacency, _comp, _inv, _owned, _u, compose,
+    forced, identity, make_object, settle, synthesize_morphism, tabulate_all,
+    verify,
 )
 
 
@@ -76,12 +78,14 @@ def _fibration_stages(f: EffMorphism):
     return stages
 
 
+@singledispatch
 def check_fibration(f: EffMorphism, w: FibrationWitness,
                     fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
         return verify(_fibration_stages(f), vars(w))
 
 
+@singledispatch
 def synthesize_fibration_witness(f: EffMorphism):
     """A witness bundle from per-visible-input intersections, or None.
 
@@ -96,11 +100,15 @@ def synthesize_fibration_witness(f: EffMorphism):
     return FibrationWitness(**tabulate_all(T))
 
 
-def fibration_decide(f: EffMorphism) -> Decision:
-    w = synthesize_fibration_witness(f)
-    if w is None:
-        return Decision(NO, reason="no uniform lifting codes exist")
-    return Decision(YES, witness=w)
+def fibration_decide(f) -> Decision:
+    """Is f a fibration, at either level?  The decision reads no codes, so
+    it does not depend on the fuel and is kept once per map."""
+    def decide():
+        w = synthesize_fibration_witness(f)
+        if w is None:
+            return Decision(NO, reason="no uniform lifting codes exist")
+        return Decision(YES, witness=w)
+    return _owned(f, ("fibration",), decide)
 
 
 def not_a_fibration(f: EffMorphism) -> Decision | None:
@@ -136,6 +144,7 @@ def terminal_object() -> EffObject:
     return make_object(("*",), {"*": 0}, {("*", "*"): {0}}, name="1")
 
 
+@singledispatch
 def terminal_map(obj: EffObject, name: str = "") -> EffMorphism:
     one = terminal_object()
     f = synthesize_morphism(obj, one, {a: "*" for a in obj.cells},
@@ -170,6 +179,7 @@ class PullbackBundle:
     to_f_dom: EffMorphism  # projection D -> B
 
 
+@singledispatch
 def pullback(f: EffMorphism, g: EffMorphism,
              name: str = "") -> PullbackBundle:
     """Pullback of the fibration f: B -> A along g: C -> A.
@@ -197,12 +207,11 @@ def pullback(f: EffMorphism, g: EffMorphism,
 
 
 def mediate(pb: PullbackBundle, h: EffMorphism, k: EffMorphism,
-            name: str = "") -> EffMorphism:
-    """The unique cell-level map X -> D with projections h and k."""
+            name: str = "") -> EffMorphism | None:
+    """The unique cell-level map X -> D with projections h and k, at either
+    level; None when it is not tracked."""
     zero = {x: (h.zero_map[x], k.zero_map[x]) for x in h.dom.cells}
-    m = synthesize_morphism(h.dom, pb.obj, zero, name=name)
-    assert m is not None
-    return m
+    return synthesize_morphism(h.dom, pb.obj, zero, name=name)
 
 
 # --- path objects -----------------------------------------------------------
@@ -238,6 +247,7 @@ def path_object(A: EffObject) -> PathObjectBundle:
     return fib_path_object(terminal_map(A))
 
 
+@singledispatch
 def fib_path_object(f: EffMorphism) -> PathObjectBundle:
     """The fibrewise path object of a fibration f: B -> A.
 
@@ -288,6 +298,7 @@ def _homotopy_stages(f, g, h1=None):
     return stages
 
 
+@singledispatch
 def check_homotopy(f: EffMorphism, g: EffMorphism, H: Homotopy,
                    fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
@@ -300,6 +311,7 @@ def require_parallel(f, g):
         raise MapsDoNotFit(f"{f.name} and {g.name} are not parallel")
 
 
+@singledispatch
 def homotopic_decide(f: EffMorphism, g: EffMorphism) -> Decision:
     """Decide existence of a coded homotopy f ~ g.
 
@@ -315,6 +327,7 @@ def homotopic_decide(f: EffMorphism, g: EffMorphism) -> Decision:
     return Decision(YES, witness=Homotopy(**tabulate_all(T)))
 
 
+@singledispatch
 def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,
                                p: EffMorphism) -> Decision:
     """Decide f ~_I g over the fibration p: X -> I (requires pf = pg).
@@ -367,12 +380,14 @@ def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
     return within_budget(extend(0, {}, {}))
 
 
+@singledispatch
 def is_equivalence_decide(f: EffMorphism) -> Decision:
     """Search for a homotopy inverse among all cell maps.
 
     Candidates must send each a to a cell g(a) with hom(f g a, a) inhabited
     (necessary for eps), be consistent on realizer collisions, and admit
     tabulated trackings; both homotopies are then decided exactly.
+    Running out of a limit in the search is UNKNOWN.
     """
     B, A = f.dom, f.cod
 
@@ -380,19 +395,22 @@ def is_equivalence_decide(f: EffMorphism) -> Decision:
         return bool(A.hom_of(f.zero_map[b], a))
 
     tried = 0
-    for zero in _zero_map_candidates(A, B, cell_filter=flt):
-        tried += 1
-        g = synthesize_morphism(A, B, zero, name=f"{f.name}^-1")
-        if g is None:
-            continue
-        eps = homotopic_decide(compose(f, g), identity(A))
-        if eps.status != YES:
-            continue
-        eta = homotopic_decide(identity(B), compose(g, f))
-        if eta.status != YES:
-            continue
-        return Decision(YES, witness=EquivalenceWitness(
-            g, eta.witness, eps.witness))
+    try:
+        for zero in _zero_map_candidates(A, B, cell_filter=flt):
+            tried += 1
+            g = synthesize_morphism(A, B, zero, name=f"{f.name}^-1")
+            if g is None:
+                continue
+            eps = homotopic_decide(compose(f, g), identity(A))
+            if eps.status != YES:
+                continue
+            eta = homotopic_decide(identity(B), compose(g, f))
+            if eta.status != YES:
+                continue
+            return Decision(YES, witness=EquivalenceWitness(
+                g, eta.witness, eps.witness))
+    except LimitReached as e:
+        return Decision(UNKNOWN, reason=str(e))
     return Decision(NO, reason=f"no homotopy inverse among {tried} cell maps")
 
 
@@ -401,8 +419,9 @@ class NotTrivial(Exception):
 
 
 def is_trivial_fibration(f: EffMorphism) -> Decision:
-    """A trivial fibration is a fibration that is an equivalence;
-    construct_section turns the inverse into a strict section."""
+    """A trivial fibration is a fibration that is an equivalence, at either
+    level; construct_section (eff1.trivial1_section one level up) turns the
+    inverse into a strict section.  Running out of a limit is UNKNOWN."""
     no = not_a_fibration(f)
     if no is not None:
         return no

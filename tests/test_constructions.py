@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 from effpath.core import (
-    MapsDoNotFit, YES, check_morphism, identity, make_object,
+    MapsDoNotFit, YES, check_morphism, forced, identity, make_object,
     synthesize_morphism,
 )
 from effpath.constructions import (
@@ -148,6 +148,24 @@ def test_strict_pullback_square_is_a_homotopy_pullback():
     assert d.status == "yes"
 
 
+def test_a_square_with_an_untracked_mediating_map_is_not_a_homotopy_pullback():
+    # f: B -> A and g: C -> A fix 1-cells; C's cross 1-cells are 1, B's
+    # are 0, so the pullback has no 1-cell from (0, 0) to (1, 1), while D
+    # has one between the cells its maps send there
+    A = make_object(("*",), {"*": 0}, {("*", "*"): {0, 1}}, name="A")
+    cells, R = ("0", "1"), {"0": 1, "1": 2}
+    B, D = (make_object(cells, R, {(a, b): {0} for a in cells
+                                   for b in cells}, name=n) for n in "BD")
+    C = make_object(cells, R, {(a, b): {0} if a == b else {1}
+                               for a in cells for b in cells}, name="C")
+    f, g = (synthesize_morphism(X, A, dict.fromkeys(cells, "*"),
+                                one=lambda t, h, *cell: forced(cell[-1], h))
+            for X in (B, C))
+    h, k = (synthesize_morphism(D, X, {c: c for c in cells}) for X in (C, B))
+    d = homotopy_pullback_check(f, g, h, k)
+    assert (d.status, d.reason) == ("no", "no tracked mediating morphism")
+
+
 def test_freyd_square_of_a_discrete_object_is_a_homotopy_pullback():
     assert freyd_square_check(terminal_map(two())).status == "yes"
 
@@ -272,6 +290,24 @@ def test_pi_transpose_round_trip():
     M = pi_transpose(pi, h, pbW, m)
     assert M is not None and check_morphism(M)
     assert pi_transpose_round_trip(pi, h, pbW, m, M).status == "yes"
+
+
+def test_a_map_into_pi_off_the_base_does_not_round_trip():
+    # M sends each base cell to a section over the other one, so the
+    # comparison W x_X Y -> Pi x_X Y it induces names no cell
+    total, base, p = two_point_bundle()
+    f = identity(base)
+    pi = pi_type(f, synthesize_fibration_witness(f), p)
+    x0, x1 = base.cells
+    over = {x: next(k for k in pi.obj.cells if k[0] == x) for x in base.cells}
+    M = synthesize_morphism(base, pi.obj, {x0: over[x1], x1: over[x0]})
+    pbW = pullback(f, f)
+    m = synthesize_morphism(pbW.obj, total, {
+        (w, y): pi.sections[over[y]].zero_map[y] for (w, y) in pbW.obj.cells})
+    assert M is not None and m is not None
+    d = pi_transpose_round_trip(pi, f, pbW, m, M)
+    assert (d.status, d.reason) == \
+        ("no", "no tracked comparison over the base")
 
 
 def test_pi_functor_map_collapses_sections():

@@ -8,22 +8,27 @@ from effpath.core import MapsDoNotFit, identity as identity0, make_object
 from effpath.eff1 import (
     NotNormalized, adjequiv, check_fibration1, check_homotopy1,
     check_morphism1, check_object1, classify_discrete_set, compose1,
-    discrete1_decide, discrete1_phi_psi, enumerate_members1, fib_path_object1,
-    fibration1_decide, fibrewise_homotopic1_decide, freyd_square1_check, hexp1,
-    hexp_J1, hlevel1_check, homotopic1_decide, homotopy1_from_h1,
-    homotopy_pullback1_check, identity1, inflate, inflate_morphism,
-    is_equivalence1_decide, mediate1, path_object1, pi_transpose1,
-    pi_transpose1_round_trip, pi_type1, point1, product1, pullback1, resize1,
-    synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
-    terminal_object1, trivial1_decide, trivial1_section, truncate1,
-    two_homotopic_decide, univalence_check_set, z2_homotopies, z2_object,
-    z2_twist, _OBJECT1_SLOTS, _set_normalized,
+    discrete1_decide, discrete1_phi_psi, fib_path_object1,
+    fibrewise_homotopic1_decide, hexp1, hexp_J1, hlevel1_check,
+    homotopic1_decide, homotopy1_from_h1, identity1, inflate, inflate_morphism,
+    is_equivalence1_decide, path_object1, pi_transpose1, pi_type1, point1,
+    product1, pullback1, resize1, synthesize_fibration1_witness,
+    synthesize_morphism1, terminal_map1, terminal_object1, trivial1_section,
+    truncate1, two_homotopic_decide, univalence_check_set, z2_homotopies,
+    z2_object, z2_twist, _OBJECT1_SLOTS, _set_normalized,
+)
+from effpath.constructions import (
+    enumerate_members, freyd_square_check, homotopy_pullback_check,
+    pi_transpose_round_trip,
 )
 from effpath.fixtures import (
     interval, line_bundle, nat_trunc, set_bundle, swap_morphism, two,
     two_point_bundle, walking_pair, fixture_fibrations1, fixture_objects1,
 )
-from effpath.path import homotopic_decide, terminal_map
+from effpath.path import (
+    fibration_decide, homotopic_decide, is_trivial_fibration, mediate,
+    terminal_map,
+)
 
 
 def _inflated_bundle():
@@ -101,14 +106,14 @@ def test_terminal_map_of_the_cyclic_group_checks_as_a_fibration():
 
 def test_inflated_bundle_is_a_fibration():
     p1 = _inflated_bundle()
-    d = fibration1_decide(p1)
+    d = fibration_decide(p1)
     assert d.status == "yes"
     assert check_fibration1(p1, d.witness).status == "valid"
 
 
 def test_terminal_maps_are_fibrations():
     for name, fx in fixture_objects1().items():
-        assert fibration1_decide(terminal_map1(fx.obj)).status == "yes", name
+        assert fibration_decide(terminal_map1(fx.obj)).status == "yes", name
 
 
 # --- pullbacks --------------------------------------------------------------
@@ -118,14 +123,14 @@ def test_pullback_along_identity_is_the_total_space():
     pb = pullback1(p1, identity1(p1.cod))
     assert len(pb.obj.cells) == len(p1.dom.cells)
     assert check_object1(pb.obj).status == "valid"
-    assert fibration1_decide(pb.to_g_dom).status == "yes"
+    assert fibration_decide(pb.to_g_dom).status == "yes"
     assert is_equivalence1_decide(pb.to_f_dom).status == "yes"
 
 
 def test_mediating_morphism_for_a_commuting_square():
     p1 = _inflated_bundle()
     pb = pullback1(p1, identity1(p1.cod))
-    med = mediate1(pb, p1, identity1(p1.dom))
+    med = mediate(pb, p1, identity1(p1.dom))
     assert med is not None
     assert check_morphism1(med).status == "valid"
 
@@ -241,7 +246,7 @@ def test_each_construction_is_built_once_per_owner():
 def test_a_path_bundle_carries_the_stored_decision_of_its_projection():
     f = _inflated_bundle()
     bundle = fib_path_object1(f)
-    assert bundle.witness is fibration1_decide(bundle.st).witness
+    assert bundle.witness is fibration_decide(bundle.st).witness
     assert check_fibration1(bundle.st, bundle.witness).status == "valid"
 
 
@@ -345,9 +350,9 @@ def test_adjusted_equivalence_of_the_twist():
 
 def test_interval_over_point_is_trivial():
     f = fixture_fibrations1()["I->1"]
-    assert trivial1_decide(f).status == "yes"
+    assert is_trivial_fibration(f).status == "yes"
     w = synthesize_fibration1_witness(f)
-    sec = trivial1_section(f, w, trivial1_decide(f).witness)
+    sec = trivial1_section(f, w, is_trivial_fibration(f).witness)
     assert check_morphism1(sec.section).status == "valid"
     assert check_homotopy1(identity1(f.dom), compose1(sec.section, f),
                            sec.H).status == "valid"
@@ -357,20 +362,20 @@ def test_identity_fibration_sections_to_itself():
     I1 = inflate(interval())
     idI = identity1(I1)
     sec = trivial1_section(idI, synthesize_fibration1_witness(idI),
-                           trivial1_decide(idI).witness)
+                           is_trivial_fibration(idI).witness)
     assert sec.section.zero_map == {c: c for c in I1.cells}
 
 
 def test_walking_pair_over_point_is_not_trivial():
     f = fixture_fibrations1()["J->1"]
-    assert trivial1_decide(f).status == "no"
+    assert is_trivial_fibration(f).status == "no"
 
 
 @pytest.mark.parametrize("fuel, want", [(0, "unknown"), (7, "unknown"),
                                         (100, "yes")])
 def test_equivalence_and_triviality_answer_unknown_at_low_fuel(fuel, want):
     f = terminal_map1(inflate(interval()))
-    for decide in (is_equivalence1_decide, trivial1_decide):
+    for decide in (is_equivalence1_decide, is_trivial_fibration):
         with pca.fuel_limit(fuel):
             d = decide(f)
         assert d.status == want, decide.__name__
@@ -383,7 +388,7 @@ def test_equivalence_and_triviality_answer_unknown_at_low_fuel(fuel, want):
 def test_function_space_members_are_tracked_morphisms():
     I1 = inflate(interval())
     exp = hexp1(I1, terminal_object1())
-    members = enumerate_members1(exp)
+    members = enumerate_members(exp)
     # maps 1 -> I correspond to the two points
     assert len({tuple(sorted(m.zero_map.items()))
                 for m in members}) == 2
@@ -398,7 +403,7 @@ def test_function_space_members_are_tracked_morphisms():
 def test_function_space_one_cells_are_homotopies():
     I1 = inflate(interval())
     exp = hexp1(I1, terminal_object1())
-    f, g = enumerate_members1(exp)[:2]
+    f, g = enumerate_members(exp)[:2]
     d = homotopic1_decide(f, g)
     assert d.status == "yes"
     n = pca.tuple_encode(d.witness.h1, d.witness.h2)
@@ -420,20 +425,20 @@ def test_homotopy_pullback_rejects_non_commuting_squares():
     p1 = _inflated_bundle()
     idT = identity1(p1.dom)
     # pulling p1 back along the identity base map gives the total space
-    assert homotopy_pullback1_check(
+    assert homotopy_pullback_check(
         p1, identity1(p1.cod), p1, idT).status == "yes"
     # the diagonal into the self-pullback is not an equivalence
-    assert homotopy_pullback1_check(p1, p1, idT, idT).status == "no"
+    assert homotopy_pullback_check(p1, p1, idT, idT).status == "no"
     two1 = inflate(two())
     pt0, pt1 = point1(two1, two1.cells[0]), point1(two1, two1.cells[1])
     with pytest.raises(MapsDoNotFit):
-        homotopy_pullback1_check(pt0, pt1, identity1(pt0.dom),
+        homotopy_pullback_check(pt0, pt1, identity1(pt0.dom),
                                  identity1(pt0.dom))
 
 
 def test_freyd_square_detects_discreteness():
-    assert freyd_square1_check(_inflated_bundle()).status == "yes"
-    assert freyd_square1_check(
+    assert freyd_square_check(_inflated_bundle()).status == "yes"
+    assert freyd_square_check(
         fixture_fibrations1()["J->1"]).status == "no"
 
 
@@ -453,7 +458,7 @@ def test_pi_of_the_identity_has_one_section_per_fibre_point():
     assert len(pi.obj.cells) == len(p1.cod.cells)
     assert check_object1(pi.obj).status == "valid"
     assert check_morphism1(pi.proj).status == "valid"
-    assert fibration1_decide(pi.proj).status == "yes"
+    assert fibration_decide(pi.proj).status == "yes"
 
 
 def test_pi_realizers_exclude_functoriality_terms():
@@ -469,7 +474,7 @@ def test_pi_evaluation_and_transpose_round_trip():
     M = pi_transpose1(pi, pi.proj, pi.ev_domain, pi.ev)
     assert M is not None
     assert homotopic1_decide(M, identity1(pi.obj)).status == "yes"
-    assert pi_transpose1_round_trip(pi, pi.proj, pi.ev_domain,
+    assert pi_transpose_round_trip(pi, pi.proj, pi.ev_domain,
                                     pi.ev, M).status == "yes"
 
 
@@ -499,7 +504,7 @@ def test_set_truncation_collapses_the_two_homotopies():
     tr = truncate1(terminal_map1(A), 0)
     assert check_morphism1(tr.g).status == "valid"
     assert check_morphism1(tr.h).status == "valid"
-    assert fibration1_decide(tr.h).status == "yes"
+    assert fibration_decide(tr.h).status == "yes"
     C = tr.g.cod
     wC = z2_twist(C)
     idC = identity1(C)
@@ -556,7 +561,7 @@ def test_three_discreteness_criteria_agree():
     for name in ("I->1", "J->1", "2->1", "E2I", "Z2->1"):
         a = discrete1_phi_psi(fibs[name]).status
         b = discrete1_decide(fibs[name]).status
-        c = freyd_square1_check(fibs[name]).status
+        c = freyd_square_check(fibs[name]).status
         assert a == b == c, name
 
 

@@ -19,7 +19,7 @@ from effpath.core import (
 )
 from effpath.eff1 import (
     check_fibration1, check_homotopy1, check_morphism1, check_object1,
-    fib_path_object1, fibration1_decide, hlevel1_check, homotopic1_decide,
+    fib_path_object1, hlevel1_check, homotopic1_decide,
     identity1, inflate, inflate_morphism, make_object1, pullback1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     truncate1, z2_homotopies, z2_object, z2_twist, _OBJECT1_SLOTS,
@@ -30,7 +30,7 @@ from effpath.fixtures import (
     swap_morphism, two_point_bundle,
 )
 from effpath.path import (
-    check_fibration, check_homotopy, homotopic_decide,
+    check_fibration, check_homotopy, fibration_decide, homotopic_decide,
     synthesize_fibration_witness,
 )
 
@@ -330,7 +330,7 @@ def _stored_at_fuel(f, what, n, fuel):
             if what == "hlevel":
                 return hlevel1_check(f, n).status
             tr = truncate1(f, n)
-        return tr.g.cod.hom, tr.g.cod.hom2, fibration1_decide(tr.h).status
+        return tr.g.cod.hom, tr.g.cod.hom2, fibration_decide(tr.h).status
     except pca.FuelExhausted as e:
         return type(e)
 

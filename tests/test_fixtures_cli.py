@@ -219,7 +219,6 @@ def test_the_budget_default_is_the_library_default(monkeypatch):
         budgets.append(pca.budget_now())
         return Decision(YES)
     monkeypatch.setattr(cli, "is_equivalence_decide", record)
-    monkeypatch.setattr(cli, "is_equivalence1_decide", record)
     for argv in (["equivalence", "I"], ["eff1-equivalence", "eff1:I"]):
         assert _run(argv)[0] == 0, argv
     assert budgets == [DEFAULT_BUDGET, DEFAULT_BUDGET]

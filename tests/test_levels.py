@@ -9,42 +9,51 @@ from 0 up are level 1 on the inflated map (``inflate_morphism``).
 
 The level-0 statuses of seven decisions are pinned to a table, and every YES
 witness is checked at level 0.  The decisions are also compared live with
-level 1 on the inflated map: where each level has its own implementation
-(equivalence, triviality, fibration, the pullback) the two must agree, and
-elsewhere level 0 must stay a view of level 1.  Random maps check the same
-laws beyond the library.  Each construction both levels have returns one
-result type at either level."""
+level 1 on the inflated map, each under the one name that serves both
+levels: where each level has its own implementation or stages (equivalence,
+triviality, fibration, the pullback) the two must agree, and elsewhere level
+0 must stay a view of level 1.  Random maps check the same laws beyond the
+library.  Each construction both levels have returns one result type at
+either level, and each generic name dispatches to its level-1
+implementation."""
 
 import functools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from effpath import eff1
 from effpath.classify import (
     Classification, DiscreteNormalForm, REFUTED, ResizeBundle,
     TruncationBundle, VERIFIED, classify_prop_discrete, discrete_decide,
     hlevel_check, is_standard_discrete, prop_truncate, resize,
 )
-from effpath.constructions import JExponential, PiBundle, hexp_J, pi_type
+from effpath.constructions import (
+    JExponential, PiBundle, hexp, hexp_J, pi_transpose, pi_type,
+)
 from effpath.core import (
     NO, UNKNOWN, YES, check_morphism, check_object, compose, identity,
     make_object, synthesize_morphism,
 )
 from effpath.eff1 import (
-    classify_discrete_set, discrete1_decide, fibration1_decide, hexp_J1,
-    hlevel1_check, identity1, inflate_morphism, is_equivalence1_decide,
-    path_object1, pi_type1, pullback1, resize1,
-    synthesize_fibration1_witness, trivial1_decide, truncate1,
+    Eff1Morphism, Eff1Object, check_fibration1, check_homotopy1,
+    check_morphism1, check_object1, classify_discrete_set, compose1,
+    discrete1_decide, fib_path_object1, fibrewise_homotopic1_decide, hexp1,
+    hexp_J1, hlevel1_check, homotopic1_decide, identity1, inflate_morphism,
+    is_equivalence1_decide, path_object1, pi_transpose1, pi_type1, pullback1,
+    resize1, synthesize_fibration1_witness, synthesize_morphism1,
+    terminal_map1, truncate1,
 )
 from effpath.fixtures import (
-    Fixture, fixture_library, fixture_objects, fixture_objects1,
+    Fixture, fixture_library, fixture_objects, fixture_objects1, interval,
 )
-from effpath.pca import DEFAULT_FUEL, fuel_limit
+from effpath.pca import DEFAULT_FUEL, budget_limit, fuel_limit
 from effpath.path import (
-    EquivalenceWitness, PathObjectBundle, PullbackBundle, check_homotopy,
-    fibration_decide, is_equivalence_decide, is_trivial_fibration,
-    path_object, pullback, synthesize_fibration_witness, terminal_map,
-    terminal_object,
+    EquivalenceWitness, PathObjectBundle, PullbackBundle, check_fibration,
+    check_homotopy, fib_path_object, fibration_decide,
+    fibrewise_homotopic_decide, homotopic_decide, is_equivalence_decide,
+    is_trivial_fibration, path_object, pullback,
+    synthesize_fibration_witness, terminal_map, terminal_object,
 )
 
 import strategies
@@ -54,21 +63,15 @@ def _status(decide):
     return lambda f: decide(f).status
 
 
-def _hlevel(n):
-    return (lambda f: hlevel_check(f, n).status,
-            lambda f: hlevel1_check(f, n).status)
-
-
-# procedure -> (level 0, level 1)
+# procedure -> its one name at both levels
 PROCEDURES = {
-    **{f"hlevel({n})": _hlevel(n) for n in (-2, -1, 0, 1)},
-    "discrete": (_status(discrete_decide), _status(discrete1_decide)),
-    "trivial": (_status(is_trivial_fibration), _status(trivial1_decide)),
-    "equivalence": (_status(is_equivalence_decide),
-                    _status(is_equivalence1_decide)),
-    "fibration": (_status(fibration_decide), _status(fibration1_decide)),
-    "pullback cells": (lambda f: len(pullback(f, f).obj.cells),
-                       lambda f: len(pullback1(f, f).obj.cells)),
+    **{f"hlevel({n})": lambda f, n=n: hlevel_check(f, n).status
+       for n in (-2, -1, 0, 1)},
+    "discrete": _status(discrete_decide),
+    "trivial": _status(is_trivial_fibration),
+    "equivalence": _status(is_equivalence_decide),
+    "fibration": _status(fibration_decide),
+    "pullback cells": lambda f: len(pullback(f, f).obj.cells),
 }
 OVER_THE_POINT = ("hlevel(-2)", "hlevel(-1)", "hlevel(0)", "hlevel(1)",
                   "discrete", "trivial", "equivalence")
@@ -183,6 +186,16 @@ def test_running_out_of_fuel_is_unknown():
         assert (d.status, d.reason) == (UNKNOWN, "fuel 7 exhausted")
 
 
+@pytest.mark.parametrize("decide", (is_equivalence_decide,
+                                    is_trivial_fibration))
+def test_running_out_of_budget_is_unknown_at_both_levels(decide):
+    f = terminal_map(interval())
+    for level in (f, inflate_morphism(f)):
+        with budget_limit(0):
+            d = decide(level)
+        assert (d.status, d.reason) == (UNKNOWN, "budget 0 exhausted")
+
+
 @pytest.mark.parametrize("fuel", (7, 100, 1000))
 def test_low_fuel_never_raises(fuel):
     # a status may be UNKNOWN below the default fuel, but it is a status
@@ -194,9 +207,9 @@ def test_low_fuel_never_raises(fuel):
 
 @pytest.mark.parametrize("name, procedure", CASES)
 def test_level_0_decides_as_level_1_on_the_inflated_input(name, procedure):
-    level0, level1 = PROCEDURES[procedure]
-    got = level0(_map(name))
-    assert got == level1(_inflated(name)) and got != UNKNOWN
+    decide = PROCEDURES[procedure]
+    got = decide(_map(name))
+    assert got == decide(_inflated(name)) and got != UNKNOWN
 
 
 @pytest.mark.parametrize("name", REFERENCE)
@@ -300,8 +313,8 @@ def test_decisions_about_fibrations_on_random_maps(f):
     levels = [hlevel_check(f, n).status for n in (-2, -1, 0)]
     trivial, discrete = is_trivial_fibration(f).status, \
         discrete_decide(f).status
-    assert trivial1_decide(f1).status == trivial
-    assert [hlevel1_check(f1, n).status for n in (-2, -1)] == levels[:2]
+    assert is_trivial_fibration(f1).status == trivial
+    assert [hlevel_check(f1, n).status for n in (-2, -1)] == levels[:2]
     if fibration_decide(f).status == NO:
         assert (trivial, discrete) == (NO, NO)
         assert levels == [REFUTED] * 3
@@ -311,3 +324,95 @@ def test_decisions_about_fibrations_on_random_maps(f):
     for lower, higher in zip(levels, levels[1:]):
         assert lower != VERIFIED or higher == VERIFIED
     assert discrete != YES or levels[2] == VERIFIED
+
+
+# --- one name at both levels ------------------------------------------------
+
+@functools.cache
+def _lib1(name):
+    return fixture_library()[f"eff1:{name}"].value
+
+
+def _made(m):
+    """The status of a map a construction made: its check."""
+    return check_morphism1(m).status
+
+
+def _built(bundle):
+    """The status of a construction: the check of the object it built."""
+    return check_object1(bundle.obj).status
+
+
+def _witness(f):
+    return synthesize_fibration1_witness(f)
+
+
+@functools.cache
+def _pi1():
+    E = _lib1("E2I")
+    return pi_type1(E, _witness(E), identity1(E.dom))
+
+
+def _e2i():
+    return _lib1("E2I")
+
+
+# generic name -> (its eff1 implementation, the status of calling either on
+# the level-1 library)
+REGISTERED = {
+    check_object: (check_object1, lambda fn: fn(_lib1("I")).status),
+    check_morphism: (check_morphism1, lambda fn: fn(_e2i()).status),
+    synthesize_morphism: (synthesize_morphism1, lambda fn: _made(
+        fn(_lib1("I"), _lib1("I"), {"0": "1", "1": "0"}))),
+    identity: (identity1, lambda fn: _made(fn(_lib1("2")))),
+    compose: (compose1, lambda fn: _made(
+        fn(terminal_map1(_e2i().cod), _e2i()))),
+    terminal_map: (terminal_map1, lambda fn: _made(fn(_lib1("2")))),
+    check_fibration: (check_fibration1,
+                      lambda fn: fn(_e2i(), _witness(_e2i())).status),
+    synthesize_fibration_witness: (
+        synthesize_fibration1_witness,
+        lambda fn: check_fibration1(_e2i(), fn(_e2i())).status),
+    pullback: (pullback1, lambda fn: _built(fn(_e2i(), _e2i()))),
+    fib_path_object: (fib_path_object1,
+                      lambda fn: _built(fn(_lib1("I->1")))),
+    check_homotopy: (check_homotopy1, lambda fn: fn(
+        _e2i(), _e2i(), homotopic1_decide(_e2i(), _e2i()).witness).status),
+    homotopic_decide: (homotopic1_decide, lambda fn: fn(_e2i(), _e2i()).status),
+    fibrewise_homotopic_decide: (
+        fibrewise_homotopic1_decide,
+        lambda fn: fn(_e2i(), _e2i(), identity1(_e2i().cod)).status),
+    is_equivalence_decide: (is_equivalence1_decide,
+                            lambda fn: fn(_lib1("I->1")).status),
+    hexp: (hexp1, lambda fn: fn(_lib1("I"), _lib1("I")).virtual.contains(
+        identity1(_lib1("I")))),
+    hexp_J: (hexp_J1, lambda fn: _built(fn(_lib1("2")))),
+    pi_type: (pi_type1, lambda fn: _built(
+        fn(_e2i(), _witness(_e2i()), identity1(_e2i().dom)))),
+    pi_transpose: (pi_transpose1, lambda fn: _made(
+        fn(_pi1(), _pi1().proj, _pi1().ev_domain, _pi1().ev))),
+    hlevel_check: (hlevel1_check, lambda fn: fn(_e2i(), 0).status),
+    discrete_decide: (discrete1_decide, lambda fn: fn(_e2i()).status),
+    resize: (resize1,
+             lambda fn: [d.status for d in fn(_lib1("I->1")).laws]),
+}
+
+# the level-1 copies whose level-0 bodies now serve both levels
+MERGED = ("not_a_fibration1", "fibration1_decide", "trivial1_decide",
+          "mediate1", "enumerate_members1", "hexp_J1_morphism",
+          "homotopy_pullback1_check", "freyd_square1_check",
+          "pi_transpose1_round_trip")
+
+
+@pytest.mark.parametrize("generic", REGISTERED, ids=lambda g: g.__name__)
+def test_each_generic_name_dispatches_to_its_level_1_implementation(generic):
+    impl, call = REGISTERED[generic]
+    assert impl in (generic.dispatch(Eff1Object),
+                    generic.dispatch(Eff1Morphism))
+    assert impl.__module__ == "effpath.eff1"
+    assert call(generic) == call(impl)
+
+
+def test_the_merged_level_1_copies_are_gone():
+    assert len(REGISTERED) == 21
+    assert [name for name in MERGED if hasattr(eff1, name)] == []
