@@ -145,10 +145,10 @@ def terminal_object() -> EffObject:
 
 
 @singledispatch
-def terminal_map(obj: EffObject, name: str = "") -> EffMorphism:
+def terminal_map(obj: EffObject) -> EffMorphism:
     one = terminal_object()
     f = synthesize_morphism(obj, one, {a: "*" for a in obj.cells},
-                            name=name or f"{obj.name}->1")
+                            name=f"{obj.name}->1")
     assert f is not None
     return f
 

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
-from typing import NamedTuple
 
 DEFAULT_FUEL = 100_000
 DEFAULT_BUDGET = 200_000
@@ -128,9 +127,30 @@ def tuple_decode(value: int, k: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-class MachineState(NamedTuple):
-    tag: int
-    args: tuple[int, ...] = ()
+class MachineState:
+    """A code's tag and arguments; it equals, hashes and unpacks as the
+    pair (tag, args).  kids[i] is the state of args[i] once the step loop
+    has stepped on that argument, None before (see _apply)."""
+    __slots__ = ("tag", "args", "kids")
+
+    def __init__(self, tag: int, args: tuple[int, ...] = (),
+                 kids: list | None = None):
+        self.tag, self.args = tag, args
+        self.kids = [None] * len(args) if kids is None else kids
+
+    def __iter__(self):
+        return iter((self.tag, self.args))
+
+    def __eq__(self, other):
+        if isinstance(other, (MachineState, tuple)):
+            return (self.tag, self.args) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tag, self.args))
+
+    def __repr__(self):
+        return f"MachineState(tag={self.tag}, args={self.args})"
 
 
 _DIVERGE_STATE = MachineState(DIVERGE)
@@ -144,9 +164,11 @@ def decode(code: int) -> MachineState:
     a 4-bit tag, then each argument as an Elias-delta code of value+1.  The
     logarithmic framing overhead keeps code sizes essentially linear under
     nesting, unlike an iterated pairing.  The step loop calls this only on
-    codes it did not build itself (see _apply), so the cache holds the
-    codes a caller passes in and their parts, not one-shot partial
-    applications.
+    a code it neither built nor took out of a state it holds (see _apply):
+    the codes a caller passes in, and each part of a code the first time
+    the loop steps on it.  A part's state is then kept in its parent's
+    kids, so the cache, and the states it holds, stay within the subterms
+    of the codes passed in.
     """
     if code < 16:
         return _DIVERGE_STATE
@@ -258,25 +280,32 @@ _RAND, _APP = object(), object()
 
 
 def _apply(code: int, arg: int, fuel: _Fuel) -> int:
-    # iterative evaluator (a tabulated chain run as an int nests deeply);
-    # frames: (_RAND, q, a)      = left operand done, evaluate q a next;
-    #         (_APP, f, f_state) = right operand done, apply f to it.
-    # The loop never decodes a code it built itself: applying a partial
-    # constant gives the new code and its state (tag, args) at once, and
-    # f_state carries that state beside f until f is applied (None when f
-    # came from elsewhere).  Each step costs one unit of fuel, counted in a
-    # local and written back to fuel.left however the loop ends.
+    # iterative evaluator (a tabulated chain run as an int nests deeply).
+    # Each code the loop holds travels with its source, where its state is
+    # found: None (decode it), the state itself (the loop built the code: a
+    # partial constant applied gives the new code and its state at once),
+    # or (s, i), argument i of a state s the loop holds, kept in s.kids[i]
+    # once the loop has stepped on it.  A code taken out of a state (an S2
+    # operand, a K1 value, an IFEQ3 branch) carries that reference, so each
+    # part is decoded once, on its first step, and never hashed again.
+    # arg_src is arg's source, which IFEQ3 returns with arg and a partial
+    # application keeps for its new argument.
+    # frames: (_RAND, s, a, a_src) = left operand of s = S2 f g on a done,
+    #                                evaluate g a next;
+    #         (_APP, f, f_src)     = right operand done, apply f to it.
+    # Each step costs one unit of fuel, counted in a local and written back
+    # to fuel.left however the loop ends.
     stack: list = []
     left = fuel.left
-    state = None  # code's state when the loop built code, else None
+    src = arg_src = None
     try:
         while True:
-            built = None  # val's state when this step builds it
+            val_src = None
             if type(code) is Table:
-                # a Table resolves by lookup and never builds its chain: same
-                # value and same divergence off the domain as the chain scan,
-                # at the fuel Table.charge names; an int runs on the machine,
-                # even one equal to a Table's chain
+                # a Table resolves by lookup and never builds its chain or a
+                # state: same value and same divergence off the domain as
+                # the chain scan, at the fuel Table.charge names; an int
+                # runs on the machine, even one equal to a Table's chain
                 steps = code.charge(arg)
                 if left < steps:
                     left = 0
@@ -289,22 +318,35 @@ def _apply(code: int, arg: int, fuel: _Fuel) -> int:
                 if left <= 0:
                     raise FuelExhausted()
                 left -= 1
-                tag, args = state or decode(code)
+                if src is None:
+                    st = decode(code)
+                elif type(src) is tuple:  # (s, i)
+                    s, i = src
+                    st = s.kids[i]
+                    if st is None:
+                        st = s.kids[i] = decode(code)
+                else:
+                    st = src
+                tag = st.tag
+                args = st.args
                 if tag == S2:
-                    stack.append((_RAND, args[1], arg))
-                    code, state = args[0], None
+                    stack.append((_RAND, st, arg, arg_src))
+                    code, src = args[0], st.kids[0] or (st, 0)
                     continue
                 nt = _PARTIAL.get(tag)
                 if nt is not None:
                     a1 = arg + 1  # an int, even for a Table argument
                     val = _delta(
                         code ^ ((tag ^ nt) << (code.bit_length() - 5)), a1)
-                    built = (nt, args + (a1 - 1,))
+                    val_src = MachineState(nt, args + (a1 - 1,),
+                                           st.kids + [arg_src])
                 elif tag == K1:
-                    val = args[0]
+                    val, val_src = args[0], st.kids[0] or (st, 0)
                 elif tag == IFEQ3:
-                    a, b, then_ = args
-                    val = then_ if a == b else arg
+                    if args[0] == args[1]:
+                        val, val_src = args[2], st.kids[2] or (st, 2)
+                    else:
+                        val, val_src = arg, arg_src
                 elif tag == PAIR1:
                     val = cantor_pair(args[0], arg)
                 elif tag == FST:
@@ -317,13 +359,15 @@ def _apply(code: int, arg: int, fuel: _Fuel) -> int:
                     raise Diverges()
             if not stack:
                 return val
-            kind, x, y = stack[-1]
-            if kind is _RAND:
-                stack[-1] = (_APP, val, built)
-                code, arg, state = x, y, None
+            frame = stack[-1]
+            if frame[0] is _RAND:
+                _, st, arg, arg_src = frame
+                stack[-1] = (_APP, val, val_src)
+                code, src = st.args[1], st.kids[1] or (st, 1)
             else:
                 stack.pop()
-                code, arg, state = x, val, y
+                _, code, src = frame
+                arg, arg_src = val, val_src
     finally:
         fuel.left = left
 

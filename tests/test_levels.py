@@ -18,6 +18,7 @@ either level, and each generic name dispatches to its level-1
 implementation."""
 
 import functools
+import inspect
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -411,6 +412,15 @@ def test_each_generic_name_dispatches_to_its_level_1_implementation(generic):
                     generic.dispatch(Eff1Morphism))
     assert impl.__module__ == "effpath.eff1"
     assert call(generic) == call(impl)
+
+
+def test_terminal_map_takes_the_same_parameters_at_both_levels():
+    def parameters(fn):
+        return [(p.name, p.kind, p.default)
+                for p in inspect.signature(fn).parameters.values()]
+    assert parameters(terminal_map) == parameters(terminal_map1) == [
+        ("obj", inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty)]
 
 
 def test_the_merged_level_1_copies_are_gone():

@@ -1,9 +1,11 @@
 """The step loop against a frozen copy of the loop it replaced.
 
 `reference_machine` decodes every code it steps on; `pca._apply` steps on
-the partial applications it builds without decoding them.  On random
-codes, arguments and fuel the two must give the same value or the same
-exception, spend the same steps and leave the same fuel behind.
+the partial applications it builds without decoding them, and reaches a
+code it took out of a state it holds through that state.  On random codes,
+arguments and fuel, and on each way a code is handed from one state to the
+next, the two must give the same value or the same exception, spend the
+same steps and leave the same fuel behind.
 """
 
 import random
@@ -14,6 +16,7 @@ from effpath import pca
 from effpath.pca import (
     DIVERGE_C, FST_C, ID, IFEQ, K, PAIR, S, SND_C, SUCC_C, App, Diverges,
     FuelExhausted, Lam, Table, Var, compile_term, compose_codes, enc,
+    tabulate,
 )
 
 import reference_machine as ref
@@ -133,3 +136,88 @@ def test_a_partial_application_flips_the_tag_and_appends_one_frame():
             flipped = code ^ ((tag ^ nt) << (code.bit_length() - 5))
             assert enc(nt, *args, a) == pca._delta(flipped, a + 1)
             assert pca.apply(code, a) == enc(nt, *args, a)
+
+
+# --- hand-offs: a code taken out of a state the loop holds ------------------
+
+def _s(f, g):
+    return enc(pca.S2, f, g)
+
+
+def _k(c):
+    return enc(pca.K1, c)
+
+
+CHAIN64 = {5 * k + 1: (37 * k) % 64 for k in range(64)}
+
+
+def _chain_steps(table, key):
+    """The raw chain's scan: 15 steps per entry tried, and one more."""
+    ordered = sorted(table)
+    return 15 * (ordered.index(key) + 1 if key in table else len(ordered)) + 1
+
+
+def _handoffs():
+    """(code, args, value or Diverges): each way a code reaches the step
+    after the one that took it out of a state."""
+    chain = int(tabulate(CHAIN64))
+    last = max(CHAIN64)
+    # IFEQ3 a b t, selected from its K1 and applied to the K1-held code c,
+    # and the outcome applied to x: x |-> (IFEQ a b t c) x
+    def ifeq(a, b, t, c):
+        return _s(_s(_k(enc(pca.IFEQ3, a, b, t)), _k(c)), ID)
+    # t |-> (t key) j: t key is framed into the partial application
+    # K (t key), built at run time, and read back out of it
+    def slot(key, j):
+        return _s(_s(_s(_k(K), _s(ID, _k(key))), ID), _k(j))
+    return [
+        (compose_codes(chain, ID), [last], CHAIN64[last]),  # K1 holds a chain
+        (compose_codes(SUCC_C, ID), [4], 5),
+        (ifeq(1, 2, SUCC_C, chain), [last], CHAIN64[last]),  # mismatch
+        (ifeq(1, 1, chain, SUCC_C), [last], CHAIN64[last]),  # match
+        (ifeq(1, 1, SUCC_C, chain), [last], last + 1),
+        (slot(3, 8), [Table({3: SUCC_C})], 9),  # a Table value in a slot
+        (slot(3, 8), [Table({3: Table({8: 2})})], 2),
+        (slot(3, 6), [Table({3: chain, 4: ID})], CHAIN64[6]),
+        (compose_codes(chain, ID), [Table({0: 2})], Diverges),  # no key
+    ]
+
+
+def test_each_hand_off_agrees_with_the_reference_cold_and_warm():
+    for _warm in range(2):  # the second pass finds every part decoded
+        for code, args, want in _handoffs():
+            for f in _boundaries(code, args, FUEL_CAP):
+                _agree(code, args, f)
+            assert _agree(code, args, FUEL_CAP)[0][-1] == want
+
+
+def test_a_chain_of_64_entries_runs_out_one_step_short_of_its_scan():
+    chain = int(tabulate(CHAIN64))
+    keys = sorted(CHAIN64)
+    for _warm in range(2):
+        for key in (keys[0], keys[31], keys[-1], keys[-1] + 1):
+            need = _chain_steps(CHAIN64, key)
+            outcome, left = _agree(chain, [key], need)
+            assert left == 0
+            assert outcome == (("value", int, CHAIN64[key]) if key in CHAIN64
+                               else ("raise", Diverges))
+            assert _agree(chain, [key], need - 1) == \
+                (("raise", FuelExhausted), 0)
+
+
+def test_a_warm_chain_decodes_no_part_again():
+    # a lookup decodes the code it is given and reaches every part through
+    # the state that holds it, so the decode calls of a lookup do not grow
+    # with the number of entries it scans
+    table = {3 * k: k for k in range(256)}
+    chain = int(tabulate(table))
+    for key in table:
+        pca.apply(chain, key)
+
+    def decode_calls(key):
+        before = pca.decode.cache_info()
+        assert pca.apply(chain, key) == table[key]
+        after = pca.decode.cache_info()
+        return after.hits + after.misses - before.hits - before.misses
+
+    assert {decode_calls(3 * rank) for rank in (0, 1, 128, 255)} == {1}
