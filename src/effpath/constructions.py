@@ -257,17 +257,23 @@ def _verdict_status(v) -> str:
 
 # --- exponentials up to homotopy --------------------------------------------
 
+# <<t0, rest>, beta b>  |->  t0 applied to beta b: the realizer of the value,
+# where rest is t1 at level 0 and <t1, t2> at level 1
+EV_CODE = compile_term(lam("x", app(app(FST_C, app(FST_C, Var("x"))),
+                                    app(SND_C, Var("x")))))
+
+
 @dataclass
 class HomExponential:
+    """The exponential A^B at either level."""
     dom: EffObject   # B (the exponent)
     cod: EffObject   # A
     virtual: VirtualObject
-    ev_code: int     # <<t0, t1>, beta b>  |->  realizer of the value
 
     def eval_realizer(self, m: EffMorphism, b) -> int:
         t = tuple_encode(self.virtual.realizer_of(m),
                          self.dom.realizer[b])
-        return apply(self.ev_code, t)
+        return apply(EV_CODE, t)
 
 
 @singledispatch
@@ -287,12 +293,9 @@ def hexp(A: EffObject, B: EffObject) -> HomExponential:
     def hom_status(m1, m2, n):
         return _verdict_status(check_homotopy(m1, m2, Homotopy(n)))
 
-    x = Var("x")
-    ev_code = compile_term(lam("x", app(
-        app(FST_C, app(FST_C, x)), app(SND_C, x))))
     virt = VirtualObject(f"{A.name}^{B.name}", contains, realizer_of,
                          hom_status)
-    return HomExponential(B, A, virt, ev_code)
+    return HomExponential(B, A, virt)
 
 
 def enumerate_members(exp: HomExponential) -> list[EffMorphism]:

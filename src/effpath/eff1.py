@@ -18,27 +18,28 @@ from dataclasses import dataclass
 
 from .pca import (
     DEFAULT_FUEL, LimitReached, apply, cantor_unpair, fuel_limit, fuel_now,
-    const_code, tabulate, tuple_encode, within_budget,
+    const_code, tabulate, tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
     UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _comp, _inv, _read,
     _morphism_stages, _object_stages, _one_cell_inputs, _owned, _read_back,
-    _u, any_image, check_morphism, check_object, compose, forced, groups,
-    identity, make_object, settle, synthesize_morphism, tabulate_all, verify,
+    _u, any_image, check_morphism, check_object, compose, forced, identity,
+    make_object, settle, synthesize_morphism, tabulate_all, verify,
 )
 from .path import (
     EquivalenceWitness, NotTrivial, PathObjectBundle, PullbackBundle,
-    TransportFailed, _homotopy_stages, _lift1_obligations,
-    _zero_map_candidates, check_fibration, check_homotopy, fib_path_cells,
-    fib_path_object, fibration_decide, fibrewise_homotopic_decide,
-    homotopic_decide, is_equivalence_decide, lift_endpoint, not_a_fibration,
-    pullback, require_parallel, synthesize_fibration_witness, terminal_map,
+    TransportFailed, _choices, _homotopic, _homotopy_stages,
+    _lift1_obligations, _zero_map_candidates, check_fibration,
+    check_homotopy, fib_path_cells, fib_path_object, fibration_decide,
+    fibrewise_homotopic_decide, homotopic_decide, homotopy_from_h1,
+    is_equivalence_decide, lift_endpoint, morphism_candidates,
+    not_a_fibration, pullback, synthesize_fibration_witness, terminal_map,
     terminal_object as terminal_object0,
 )
 from .constructions import (
-    JExponential, PiBundle, VirtualObject, _verdict_status, hexp, hexp_J,
-    pi_transpose, pi_type,
+    HomExponential, JExponential, PiBundle, VirtualObject, _verdict_status,
+    hexp, hexp_J, pi_transpose, pi_type,
 )
 from .classify import (
     Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
@@ -228,6 +229,20 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
                       name=name)
 
 
+def _borrowed1(A: Eff1Object, cells, realizer, phi: dict,
+               name: str) -> Eff1Object:
+    """An object on ``cells`` whose hom-sets, 2-cells, unit, inverse and
+    composition are A's at the image of the cell map ``phi``."""
+    hom = {(x, y): A.hom_of(phi[x], phi[y]) for x in cells for y in cells}
+    hom2 = {(x, y, p, q): A.hom2_of(phi[x], phi[y], p, q)
+            for (x, y), h in hom.items() for p in h for q in h}
+    return make_object1(
+        cells, realizer, hom, hom2, name=name,
+        unit=lambda x: _u(A, phi[x]),
+        inv=lambda x, y, p: _inv(A, phi[x], phi[y], p),
+        comp=lambda x, y, z, p, r: _comp(A, phi[x], phi[y], phi[z], p, r))
+
+
 @check_object.register(Eff1Object)
 def check_object1(obj: Eff1Object, fuel: int | None = None) -> Verdict:
     """Exhaustively run every structure code on every instance."""
@@ -396,18 +411,7 @@ def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
     return synthesize_morphism1(dom, cod, zero, name, *_given(one, two))
 
 
-def _choices(stages, slot: str, cap: int | None = None):
-    """Each choice {t: value} of one acceptable value of ``slot`` per input
-    t of the first stage, in product order over ascending inputs and
-    values.  Raises SynthesisFailed at once if some input has none; the
-    choices are counted by within_budget."""
-    options = sorted((t, sorted(acc)) for (s, t), acc in groups(stages).items()
-                     if s == slot)
-    inputs = [t for t, _acc in options]
-    return (dict(zip(inputs, combo)) for combo in within_budget(
-        itertools.product(*(acc for _t, acc in options)), cap))
-
-
+@morphism_candidates.register(Eff1Object)
 def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
                          name: str = ""):
     """All tracked extensions of a cell map, enumerating the finitely many
@@ -877,6 +881,7 @@ def check_homotopy1(f: Eff1Morphism, g: Eff1Morphism, H: Homotopy1,
         return verify(_homotopy1_stages(f, g), vars(H))
 
 
+@homotopy_from_h1.register(Eff1Morphism)
 def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism,
                       h1_values: dict) -> Homotopy1 | None:
     """Extend per-realizer connecting 1-cells to a full homotopy by
@@ -886,27 +891,6 @@ def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism,
     except SynthesisFailed:
         return None
     return Homotopy1(**tabulate_all(T))
-
-
-@homotopic_decide.register(Eff1Morphism)
-def homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
-    """Decide existence of a homotopy f ~ g: level-1 choices by
-    intersection per visible realizer, then a bounded search over the
-    finitely many choices for fillers."""
-    require_parallel(f, g)
-    return _homotopic1(f, g)
-
-
-def _homotopic1(f: Eff1Morphism, g: Eff1Morphism) -> Decision:
-    try:
-        choices = _choices(_homotopy_stages(f, g), "h1")
-    except SynthesisFailed as e:
-        return Decision(NO, reason=f"no connecting 1-cell at realizer {e.t}")
-    for choice in choices:
-        H = homotopy1_from_h1(f, g, choice)
-        if H is not None:
-            return Decision(YES, witness=H)
-    return Decision(NO, reason="no level-1 choice admits square fillers")
 
 
 @fibrewise_homotopic_decide.register(Eff1Morphism)
@@ -919,7 +903,7 @@ def fibrewise_homotopic1_decide(f: Eff1Morphism, g: Eff1Morphism,
             return Decision(NO, reason=f"pf and pg differ at {b}")
     # the ends are not compared: univalence_check_set still passes maps
     # that do not fit when the total space of pf is empty
-    return _homotopic1(f, g)
+    return _homotopic(f, g)
 
 
 def _per_realizer(cells, realizer, target, label: str) -> Decision:
@@ -948,44 +932,6 @@ def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
 
 
 # --- equivalences -----------------------------------------------------------
-
-@is_equivalence_decide.register(Eff1Morphism)
-def is_equivalence1_decide(f: Eff1Morphism) -> Decision:
-    """Is f an equivalence: a tracked inverse with both homotopies?
-    Running out of a limit, in the search or in one it makes, is
-    UNKNOWN."""
-    try:
-        return _inverse_search1(f)
-    except LimitReached as e:
-        return Decision(UNKNOWN, reason=str(e))
-
-
-def _inverse_search1(f: Eff1Morphism) -> Decision:
-    B, A = f.dom, f.cod
-    idA, idB = identity1(A), identity1(B)
-    fibre = defaultdict(list)
-    for b0 in B.cells:
-        fibre[f.zero_map[b0]].append(b0)
-
-    def flt(a, b):
-        # necessary conditions for eps, f(g(a)) connects to a, and for eta,
-        # every b0 over a connects to g(a) = b; a candidate failing them
-        # could only meet an empty homotopy intersection, never a YES
-        return bool(A.hom_of(f.zero_map[b], a)) and all(
-            B.hom_of(b0, b) for b0 in fibre[a])
-
-    for zero in _zero_map_candidates(A, B, flt):
-        for g in morphism_candidates1(A, B, zero, name=f"{f.name}^-1"):
-            eps = homotopic1_decide(compose1(f, g), idA)
-            if eps.status != YES:
-                continue
-            eta = homotopic1_decide(idB, compose1(g, f))
-            if eta.status != YES:
-                continue
-            return Decision(YES, witness=EquivalenceWitness(
-                g, eta.witness, eps.witness))
-    return Decision(NO, reason="no tracked inverse with both homotopies")
-
 
 @dataclass
 class AdjustedEquivalence:
@@ -1100,19 +1046,8 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
 
 # --- exponentials and homotopy pullbacks ------------------------------------
 
-def _morphism_realizer1(m: Eff1Morphism) -> int:
-    return tuple_encode(m.tracking0, m.tracking1, m.tracking2)
-
-
-@dataclass
-class HomExponential1:
-    dom: Eff1Object   # B (the exponent)
-    cod: Eff1Object   # A
-    virtual: VirtualObject
-
-
 @hexp.register(Eff1Object)
-def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
+def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential:
     """The exponential A^B: members are tracked morphisms B -> A realized
     by their three tracking codes (the functoriality terms are property,
     not structure); 1-cells are coded homotopies <h1, h2>."""
@@ -1124,7 +1059,7 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
         return _verdict_status(check_morphism1(m))
 
     def realizer_of(m):
-        return _morphism_realizer1(m)
+        return tuple_encode(m.tracking0, m.tracking1, m.tracking2)
 
     def hom_status(m1, m2, n):
         h1, h2 = cantor_unpair(n)
@@ -1132,7 +1067,7 @@ def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential1:
 
     virt = VirtualObject(f"{A.name}^{B.name}", contains, realizer_of,
                          hom_status)
-    return HomExponential1(B, A, virt)
+    return HomExponential(B, A, virt)
 
 
 
@@ -1269,7 +1204,7 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
             rm = synthesize_morphism1(fibres[a], C, rzero)
             if lm is None or rm is None:
                 continue
-            d = homotopic1_decide(lm, rm)
+            d = homotopic_decide(lm, rm)
             if d.status == YES:
                 e = tuple_encode(pi, tuple_encode(d.witness.h1,
                                                   d.witness.h2))
@@ -1368,19 +1303,10 @@ def truncate1(f: Eff1Morphism, n: int) -> TruncationBundle:
 def _truncate1(f: Eff1Morphism, n: int) -> TruncationBundle:
     B, A = f.dom, f.cod
     fz = f.zero_map
-    pairs = list(itertools.product(B.cells, repeat=2))
     if n == -1:
-        hom = {(b, b2): A.hom_of(fz[b], fz[b2]) for b, b2 in pairs}
-        hom2 = {(b, b2, p, q): A.hom2_of(fz[b], fz[b2], p, q)
-                for b, b2 in pairs
-                for p in hom[(b, b2)] for q in hom[(b, b2)]}
-        C = make_object1(
-            B.cells, B.realizer, hom, hom2, name=f"prop_{B.name}",
-            unit=lambda b: _u(A, fz[b]),
-            inv=lambda b, b2, p: _inv(A, fz[b], fz[b2], p),
-            comp=lambda b, b2, b3, p, r:
-                _comp(A, fz[b], fz[b2], fz[b3], p, r))
+        C = _borrowed1(A, B.cells, B.realizer, fz, f"prop_{B.name}")
     else:
+        pairs = list(itertools.product(B.cells, repeat=2))
         hom = {(b, b2): B.hom_of(b, b2) for b, b2 in pairs}
         hom2 = {(b, b2, p, q): A.hom2_of(fz[b], fz[b2],
                                          f.one_map[(b, b2)][p],
@@ -1417,12 +1343,12 @@ def _identity_equivalence1(g: Eff1Morphism) -> Decision:
                synthesize_morphism1(C, B, {c: c for c in C.cells})):
         if d0 is None:
             continue
-        e1 = homotopic1_decide(identity1(B), compose1(d0, g))
-        e2 = homotopic1_decide(compose1(g, d0), identity1(C))
+        e1 = homotopic_decide(identity1(B), compose1(d0, g))
+        e2 = homotopic_decide(compose1(g, d0), identity1(C))
         if e1.status == YES and e2.status == YES:
             return Decision(YES, witness=EquivalenceWitness(
                 d0, e1.witness, e2.witness))
-    return is_equivalence1_decide(g)
+    return is_equivalence_decide(g)
 
 
 @hlevel_check.register(Eff1Morphism)
@@ -1438,7 +1364,7 @@ def hlevel1_check(f: Eff1Morphism, n: int) -> HlevelVerdict:
         return HlevelVerdict(REFUTED, reason=no.reason)
     try:
         if n == -2:
-            return hlevel_verdict(is_equivalence1_decide(f),
+            return hlevel_verdict(is_equivalence_decide(f),
                                   "a fibration and an equivalence")
         if n in (-1, 0):
             return hlevel_verdict(
@@ -1524,16 +1450,8 @@ def _discrete1(f: Eff1Morphism) -> Decision:
         reps.setdefault((f.zero_map[b], B.realizer[b]), b)
     qcells = [b for b in B.cells
               if reps[(f.zero_map[b], B.realizer[b])] == b]
-    hom = {(x, y): B.hom_of(x, y) for x in qcells for y in qcells}
-    hom2 = {(x, y, p, q): B.hom2_of(x, y, p, q)
-            for x in qcells for y in qcells
-            for p in hom[(x, y)] for q in hom[(x, y)]}
-    Q = make_object1(qcells, {b: B.realizer[b] for b in qcells}, hom, hom2,
-                     name=f"std_{B.name}",
-                     unit=lambda b: _u(B, b),
-                     inv=lambda b, b2, p: _inv(B, b, b2, p),
-                     comp=lambda b, b2, b3, p, r:
-                         _comp(B, b, b2, b3, p, r))
+    Q = _borrowed1(B, qcells, {b: B.realizer[b] for b in qcells},
+                   {b: b for b in qcells}, f"std_{B.name}")
     incl = _build_morphism1(Q, B, {b: b for b in qcells}, name="incl")
     assert incl is not None
     retr = synthesize_morphism1(
@@ -1542,7 +1460,7 @@ def _discrete1(f: Eff1Morphism) -> Decision:
     if retr is None:
         return Decision(UNKNOWN,
                         reason="no tracked retraction onto the quotient")
-    comparison = homotopic1_decide(compose1(incl, retr), identity1(B))
+    comparison = homotopic_decide(compose1(incl, retr), identity1(B))
     standard = compose1(f, incl)
     nf = DiscreteNormalForm(Q, incl, standard)
     if comparison.status != YES:
@@ -1675,7 +1593,7 @@ def classify_discrete_set(f: Eff1Morphism,
     if cmp_m is None:
         comparison = Decision(NO, reason="no tracked comparison morphism")
     else:
-        comparison = is_equivalence1_decide(cmp_m)
+        comparison = is_equivalence_decide(cmp_m)
     return Classification(SetClassifyingMap(zero, one, two), recovered,
                           comparison)
 
@@ -1731,16 +1649,8 @@ def resize1(f: Eff1Morphism) -> ResizeBundle:
         if k not in choice:
             choice[k] = b
             cells.append(k)
-    hom = {(x, y): A.hom_of(x[0], y[0]) for x in cells for y in cells}
-    hom2 = {(x, y, p, q): A.hom2_of(x[0], y[0], p, q)
-            for x in cells for y in cells
-            for p in hom[(x, y)] for q in hom[(x, y)]}
-    C = make_object1(cells, {x: x[1] for x in cells}, hom, hom2,
-                     name=f"rs_{B.name}",
-                     unit=lambda x: _u(A, x[0]),
-                     inv=lambda x, y, p: _inv(A, x[0], y[0], p),
-                     comp=lambda x, y, z, p, r:
-                         _comp(A, x[0], y[0], z[0], p, r))
+    C = _borrowed1(A, cells, {x: x[1] for x in cells},
+                   {x: x[0] for x in cells}, f"rs_{B.name}")
     proj = _build_morphism1(C, A, {x: x[0] for x in cells}, name="rs->base")
     assert proj is not None
     to_small = synthesize_morphism1(

@@ -11,6 +11,7 @@ from definitive finite emptiness, never from fuel exhaustion.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import singledispatch
 
@@ -20,8 +21,8 @@ from .pca import (
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
     UNKNOWN, Verdict, YES, _adjacency, _comp, _inv, _owned, _u, compose,
-    forced, identity, make_object, settle, synthesize_morphism, tabulate_all,
-    verify,
+    forced, groups, identity, make_object, settle, synthesize_morphism,
+    tabulate_all, verify,
 )
 
 
@@ -311,20 +312,52 @@ def require_parallel(f, g):
         raise MapsDoNotFit(f"{f.name} and {g.name} are not parallel")
 
 
-@singledispatch
-def homotopic_decide(f: EffMorphism, g: EffMorphism) -> Decision:
-    """Decide existence of a coded homotopy f ~ g.
+def _choices(stages, slot: str, cap: int | None = None):
+    """Each choice {t: value} of one acceptable value of ``slot`` per input
+    t of the first stage, in product order over ascending inputs and
+    values.  Raises SynthesisFailed at once if some input has none; the
+    choices are counted by within_budget."""
+    options = sorted((t, sorted(acc)) for (s, t), acc in groups(stages).items()
+                     if s == slot)
+    inputs = [t for t, _acc in options]
+    return (dict(zip(inputs, combo)) for combo in within_budget(
+        itertools.product(*(acc for _t, acc in options)), cap))
 
-    The homotopy relation only involves the 0-cell maps: a witness exists
-    iff for every visible realizer the intersection of the connecting
-    hom-sets is inhabited, and then a table realizes it.
+
+@singledispatch
+def homotopy_from_h1(f: EffMorphism, g: EffMorphism,
+                     h1_values: dict) -> Homotopy | None:
+    """Extend per-realizer connecting 1-cells to a homotopy f ~ g; None if
+    they do not extend.  At level 0 the 1-cells are the whole homotopy."""
+    try:
+        T = settle(_homotopy_stages(f, g, h1_values), ("h1",))
+    except SynthesisFailed:
+        return None
+    return Homotopy(**tabulate_all(T))
+
+
+def homotopic_decide(f, g) -> Decision:
+    """Decide existence of a coded homotopy f ~ g, at either level.
+
+    A homotopy exists iff for every visible realizer the connecting
+    hom-sets have a common member and some choice of one per realizer
+    extends (at level 1, to square fillers); the choices are counted
+    against the budget.
     """
     require_parallel(f, g)
+    return _homotopic(f, g)
+
+
+def _homotopic(f, g) -> Decision:
     try:
-        T = settle(_homotopy_stages(f, g), ("h1",))
+        choices = _choices(_homotopy_stages(f, g), "h1")
     except SynthesisFailed as e:
         return Decision(NO, reason=f"empty intersection at realizer {e.t}")
-    return Decision(YES, witness=Homotopy(**tabulate_all(T)))
+    for choice in choices:
+        H = homotopy_from_h1(f, g, choice)
+        if H is not None:
+            return Decision(YES, witness=H)
+    return Decision(NO, reason="no level-1 choice admits square fillers")
 
 
 @singledispatch
@@ -381,34 +414,49 @@ def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
 
 
 @singledispatch
-def is_equivalence_decide(f: EffMorphism) -> Decision:
-    """Search for a homotopy inverse among all cell maps.
+def morphism_candidates(dom: EffObject, cod: EffObject, zero_map: dict,
+                        name: str = ""):
+    """The tracked morphisms over a cell map that the inverse search tries:
+    at level 0 the one synthesize_morphism gives, if there is one."""
+    m = synthesize_morphism(dom, cod, zero_map, name=name)
+    if m is not None:
+        yield m
 
-    Candidates must send each a to a cell g(a) with hom(f g a, a) inhabited
-    (necessary for eps), be consistent on realizer collisions, and admit
-    tabulated trackings; both homotopies are then decided exactly.
-    Running out of a limit in the search is UNKNOWN.
+
+def is_equivalence_decide(f) -> Decision:
+    """Search for a homotopy inverse at either level.
+
+    A candidate cell map sends each a to a cell b with hom(f b, a)
+    inhabited (necessary for eps) and with every b0 over a connected to b
+    (necessary for eta), consistently on realizer collisions: a cell map
+    failing them could only meet an empty homotopy intersection.  Each
+    tracked morphism over a candidate is tried, and both homotopies are
+    decided exactly.  Running out of a limit, in the search or in one it
+    makes, is UNKNOWN.
     """
     B, A = f.dom, f.cod
+    fibre = defaultdict(list)
+    for b0 in B.cells:
+        fibre[f.zero_map[b0]].append(b0)
 
     def flt(a, b):
-        return bool(A.hom_of(f.zero_map[b], a))
+        return bool(A.hom_of(f.zero_map[b], a)) and all(
+            B.hom_of(b0, b) for b0 in fibre[a])
 
     tried = 0
     try:
-        for zero in _zero_map_candidates(A, B, cell_filter=flt):
+        idA, idB = identity(A), identity(B)
+        for zero in _zero_map_candidates(A, B, flt):
             tried += 1
-            g = synthesize_morphism(A, B, zero, name=f"{f.name}^-1")
-            if g is None:
-                continue
-            eps = homotopic_decide(compose(f, g), identity(A))
-            if eps.status != YES:
-                continue
-            eta = homotopic_decide(identity(B), compose(g, f))
-            if eta.status != YES:
-                continue
-            return Decision(YES, witness=EquivalenceWitness(
-                g, eta.witness, eps.witness))
+            for g in morphism_candidates(A, B, zero, name=f"{f.name}^-1"):
+                eps = homotopic_decide(compose(f, g), idA)
+                if eps.status != YES:
+                    continue
+                eta = homotopic_decide(idB, compose(g, f))
+                if eta.status != YES:
+                    continue
+                return Decision(YES, witness=EquivalenceWitness(
+                    g, eta.witness, eps.witness))
     except LimitReached as e:
         return Decision(UNKNOWN, reason=str(e))
     return Decision(NO, reason=f"no homotopy inverse among {tried} cell maps")

@@ -31,7 +31,7 @@ from effpath.eff1 import (
     adjequiv, check_homotopy1, classify_discrete_set, compose1,
     discrete1_decide,
     hlevel1_check, homotopy1_from_h1, identity1, inflate, inflate_morphism,
-    is_equivalence1_decide, pi_type1, resize1,
+    pi_type1, resize1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, truncate1, two_homotopic_decide, univalence_check_set,
     z2_homotopies, z2_object, z2_twist,
@@ -390,7 +390,7 @@ def test_criterion_11_z2_counterexample():
         A = z2_object()
         wm = z2_twist(A)
         idA = identity1(A)
-        d = is_equivalence1_decide(wm)
+        d = is_equivalence_decide(wm)
         assert d.status == "yes"
         H, K = z2_homotopies(A, wm)
         assert check_homotopy1(idA, wm, H).status == "valid"

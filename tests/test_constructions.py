@@ -11,6 +11,7 @@ from effpath.constructions import (
     induced_fiber_map, pi_functor_map, pi_transpose,
     pi_transpose_round_trip, pi_type, transport, transport_properties_check,
 )
+from effpath.eff1 import inflate, terminal_object1
 from effpath.fixtures import interval, two, two_point_bundle, walking_pair
 from effpath.path import (
     discrete_n, fibration_decide, homotopic_decide, path_object, product,
@@ -218,6 +219,13 @@ def test_evaluation_of_curried_map_matches_original():
         for b in b_obj.cells:
             got = exp.eval_realizer(cur[c], b)
             assert got == c_obj.realizer[h.zero_map[(c, b)]]
+    # the same evaluation reads tracking0 out of a level-1 realizer
+    I1 = inflate(c_obj)
+    exp1 = hexp(I1, terminal_object1())
+    members = enumerate_members(exp1)
+    assert len(members) == 2
+    for m in members:
+        assert exp1.eval_realizer(m, "*") == I1.realizer[m.zero_map["*"]]
 
 
 def test_curry_uniqueness_against_resynthesized_competitors():

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from effpath import eff1, pca
+from effpath import path, pca
 from effpath.classify import is_standard_discrete
 from effpath.core import MapsDoNotFit, identity as identity0, make_object
 from effpath.eff1 import (
@@ -10,12 +10,12 @@ from effpath.eff1 import (
     check_morphism1, check_object1, classify_discrete_set, compose1,
     discrete1_decide, discrete1_phi_psi, fib_path_object1,
     fibrewise_homotopic1_decide, hexp1, hexp_J1, hlevel1_check,
-    homotopic1_decide, homotopy1_from_h1, identity1, inflate, inflate_morphism,
-    is_equivalence1_decide, path_object1, pi_transpose1, pi_type1, point1,
-    product1, pullback1, resize1, synthesize_fibration1_witness,
-    synthesize_morphism1, terminal_map1, terminal_object1, trivial1_section,
-    truncate1, two_homotopic_decide, univalence_check_set, z2_homotopies,
-    z2_object, z2_twist, _OBJECT1_SLOTS, _set_normalized,
+    homotopy1_from_h1, identity1, inflate, inflate_morphism, path_object1,
+    pi_transpose1, pi_type1, point1, product1, pullback1, resize1,
+    synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
+    terminal_object1, trivial1_section, truncate1, two_homotopic_decide,
+    univalence_check_set, z2_homotopies, z2_object, z2_twist, _OBJECT1_SLOTS,
+    _set_normalized,
 )
 from effpath.constructions import (
     enumerate_members, freyd_square_check, homotopy_pullback_check,
@@ -26,8 +26,8 @@ from effpath.fixtures import (
     two_point_bundle, walking_pair, fixture_fibrations1, fixture_objects1,
 )
 from effpath.path import (
-    fibration_decide, homotopic_decide, is_trivial_fibration, mediate,
-    terminal_map,
+    fibration_decide, homotopic_decide, is_equivalence_decide,
+    is_trivial_fibration, mediate, terminal_map,
 )
 
 
@@ -75,7 +75,7 @@ def test_twist_morphism_and_composite():
     assert check_morphism1(w).status == "valid"
     ww = compose1(w, w)
     assert check_morphism1(ww).status == "valid"
-    assert homotopic1_decide(ww, identity1(A)).status == "yes"
+    assert homotopic_decide(ww, identity1(A)).status == "yes"
 
 
 def test_maps_that_do_not_fit_do_not_compose():
@@ -124,7 +124,7 @@ def test_pullback_along_identity_is_the_total_space():
     assert len(pb.obj.cells) == len(p1.dom.cells)
     assert check_object1(pb.obj).status == "valid"
     assert fibration_decide(pb.to_g_dom).status == "yes"
-    assert is_equivalence1_decide(pb.to_f_dom).status == "yes"
+    assert is_equivalence_decide(pb.to_f_dom).status == "yes"
 
 
 def test_mediating_morphism_for_a_commuting_square():
@@ -264,7 +264,7 @@ def test_two_essentially_different_self_homotopies():
 
 def test_identity_homotopy_is_two_homotopic_to_itself():
     idA = identity1(z2_object())
-    H = homotopic1_decide(idA, idA).witness
+    H = homotopic_decide(idA, idA).witness
     assert two_homotopic_decide(idA, idA, H, H).status == "yes"
 
 
@@ -284,7 +284,7 @@ def test_inflation_is_homotopy_faithful():
         expected = homotopic_decide(identity0(obj), sw).status
         obj1 = inflate(obj)
         sw1 = inflate_morphism(sw, obj1, obj1)
-        assert homotopic1_decide(identity1(obj1), sw1).status == expected
+        assert homotopic_decide(identity1(obj1), sw1).status == expected
 
 
 def test_fibrewise_homotopy_requires_equal_base_image():
@@ -296,7 +296,7 @@ def test_fibrewise_homotopy_requires_equal_base_image():
 # --- equivalences -----------------------------------------------------------
 
 def test_twist_is_an_equivalence():
-    d = is_equivalence1_decide(z2_twist())
+    d = is_equivalence_decide(z2_twist())
     assert d.status == "yes"
     w = d.witness
     assert check_morphism1(w.inverse).status == "valid"
@@ -305,7 +305,7 @@ def test_twist_is_an_equivalence():
 def test_collapse_is_not_an_equivalence():
     J1 = inflate(walking_pair())
     to_pt = terminal_map1(J1)
-    assert is_equivalence1_decide(to_pt).status == "no"
+    assert is_equivalence_decide(to_pt).status == "no"
 
 
 def test_inverse_search_skips_cell_maps_no_unit_homotopy_fits(monkeypatch):
@@ -313,23 +313,23 @@ def test_inverse_search_skips_cell_maps_no_unit_homotopy_fits(monkeypatch):
     # truncation must send each cell to a cell it connects to, so only the
     # identity cell map is tried, not all 6^6, and it has no tracked lift
     calls = []
-    real = eff1.morphism_candidates1
+    real = path.morphism_candidates
 
     def count(*args, **kwargs):
         calls.append(args[2])
         return real(*args, **kwargs)
-    monkeypatch.setattr(eff1, "morphism_candidates1", count)
+    monkeypatch.setattr(path, "morphism_candidates", count)
     f = inflate_morphism(terminal_map(nat_trunc(5)))
     hv = hlevel1_check(f, -1)
     assert hv.status == "refuted"
-    assert hv.reason == "no tracked inverse with both homotopies"
+    assert hv.reason == f"no homotopy inverse among {len(calls)} cell maps"
     assert len(calls) <= 1
 
 
 def test_adjusted_equivalence_of_the_identity():
     I1 = inflate(interval())
     idI = identity1(I1)
-    ih = homotopic1_decide(idI, idI).witness
+    ih = homotopic_decide(idI, idI).witness
     adj = adjequiv(idI, idI, ih, ih)
     assert adj.M.status == "yes" and adj.N.status == "yes"
     assert check_homotopy1(idI, compose1(idI, idI),
@@ -339,7 +339,7 @@ def test_adjusted_equivalence_of_the_identity():
 def test_adjusted_equivalence_of_the_twist():
     A = z2_object()
     w = z2_twist(A)
-    eq = is_equivalence1_decide(w).witness
+    eq = is_equivalence_decide(w).witness
     adj = adjequiv(w, eq.inverse, eq.eta, eq.eps)
     assert adj.M.status == "yes" and adj.N.status == "yes"
     gf = compose1(eq.inverse, w)
@@ -375,7 +375,7 @@ def test_walking_pair_over_point_is_not_trivial():
                                         (100, "yes")])
 def test_equivalence_and_triviality_answer_unknown_at_low_fuel(fuel, want):
     f = terminal_map1(inflate(interval()))
-    for decide in (is_equivalence1_decide, is_trivial_fibration):
+    for decide in (is_equivalence_decide, is_trivial_fibration):
         with pca.fuel_limit(fuel):
             d = decide(f)
         assert d.status == want, decide.__name__
@@ -404,7 +404,7 @@ def test_function_space_one_cells_are_homotopies():
     I1 = inflate(interval())
     exp = hexp1(I1, terminal_object1())
     f, g = enumerate_members(exp)[:2]
-    d = homotopic1_decide(f, g)
+    d = homotopic_decide(f, g)
     assert d.status == "yes"
     n = pca.tuple_encode(d.witness.h1, d.witness.h2)
     assert exp.virtual.hom_status(f, g, n) == "yes"
@@ -473,7 +473,7 @@ def test_pi_evaluation_and_transpose_round_trip():
     assert check_morphism1(pi.ev).status == "valid"
     M = pi_transpose1(pi, pi.proj, pi.ev_domain, pi.ev)
     assert M is not None
-    assert homotopic1_decide(M, identity1(pi.obj)).status == "yes"
+    assert homotopic_decide(M, identity1(pi.obj)).status == "yes"
     assert pi_transpose_round_trip(pi, pi.proj, pi.ev_domain,
                                     pi.ev, M).status == "yes"
 
@@ -521,13 +521,13 @@ def test_prop_truncation_of_the_walking_pair_is_the_interval():
     m = synthesize_morphism1(tr.g.cod, inflate(interval()),
                              {b: "0" for b in tr.g.cod.cells})
     assert m is not None
-    assert is_equivalence1_decide(m).status == "yes"
+    assert is_equivalence_decide(m).status == "yes"
 
 
 def test_truncating_at_or_above_the_hlevel_changes_nothing():
     f = _inflated_bundle()  # already a fibration of sets
     tr = truncate1(f, 0)
-    assert is_equivalence1_decide(tr.g).status == "yes"
+    assert is_equivalence_decide(tr.g).status == "yes"
 
 
 # --- hlevels ----------------------------------------------------------------
@@ -642,7 +642,7 @@ def test_univalence_obstruction_from_the_cyclic_group():
     w = z2_twist(A)
     idA = identity1(A)
     H, K = z2_homotopies(A, w)
-    assert homotopic1_decide(idA, w).status == "yes"
+    assert homotopic_decide(idA, w).status == "yes"
     assert two_homotopic_decide(idA, w, H, K).status == "no"
 
 

@@ -19,11 +19,10 @@ from effpath.core import (
 )
 from effpath.eff1 import (
     check_fibration1, check_homotopy1, check_morphism1, check_object1,
-    fib_path_object1, hlevel1_check, homotopic1_decide,
-    identity1, inflate, inflate_morphism, make_object1, pullback1,
-    synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
-    truncate1, z2_homotopies, z2_object, z2_twist, _OBJECT1_SLOTS,
-    _morphism1_stages, _object1_stages,
+    fib_path_object1, hlevel1_check, identity1, inflate, inflate_morphism,
+    make_object1, pullback1, synthesize_fibration1_witness,
+    synthesize_morphism1, terminal_map1, truncate1, z2_homotopies,
+    z2_object, z2_twist, _OBJECT1_SLOTS, _morphism1_stages, _object1_stages,
 )
 from effpath.fixtures import (
     fixture_fibrations1, fixture_library, interval, nat_trunc,
@@ -354,7 +353,7 @@ def test_stored_constructions_answer_other_fuel_as_a_cold_build_does():
 def test_low_fuel_verdicts_do_not_depend_on_warm_caches():
     warm = fixture_fibrations1()
     for name, f in warm.items():
-        H = homotopic1_decide(f, f).witness
+        H = homotopic_decide(f, f).witness
         assert check_morphism1(f).status == "valid", name
         assert check_homotopy1(f, f, H).status == "valid", name
         for fuel in (5, 20, 50, 200):

@@ -9,7 +9,7 @@ from hypothesis import (
     HealthCheck, example, given, settings, strategies as st,
 )
 
-from effpath import cli, eff1, pca
+from effpath import cli, eff1, path, pca
 from effpath.cli import main
 from effpath.core import YES, Decision
 from effpath.fixture_io import (
@@ -524,6 +524,18 @@ def test_equivalence_budget_reaches_both_levels():
         assert rc == 3 and "budget" in text, target
 
 
+@pytest.mark.parametrize("argv", [["equivalence", "E2I"],
+                                  ["eff1-equivalence", "eff1:E2I"]])
+def test_both_levels_prune_the_inverse_search_alike(argv):
+    # an inverse must send each base point to a cell that both cells over it
+    # connect to, and those two lie in different components of E2I, so no
+    # cell map is tried
+    rc, text = _run(argv + ["--format", "json"])
+    assert rc == 0
+    assert [(r["status"], r["detail"]) for r in json.loads(text)] == \
+        [("no", "no homotopy inverse among 0 cell maps")]
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["hlevel", "I", "--n", "-2", "--budget", "0"], "budget 0 exhausted"),
     (["eff1-homotopic", "eff1:E2I", "eff1:E2I", "--budget", "0"],
@@ -531,6 +543,7 @@ def test_equivalence_budget_reaches_both_levels():
     (["classify", "L", "--budget", "0"], "budget 0 exhausted"),
     (["truncate", "J", "--n", "-1", "--depth", "0"],
      "path object has 4 cells"),
+    (["homotopic", "E2I", "E2I", "--budget", "0"], "budget 0 exhausted"),
 ])
 def test_the_search_limits_reach_every_command(argv, reason):
     # each of these is decided at the default limits; the limit is read where
@@ -544,9 +557,9 @@ def test_the_search_limits_reach_every_command(argv, reason):
 def test_a_sub_search_that_runs_out_is_never_a_no(monkeypatch):
     def run_out(f, g):
         raise pca.LimitReached("budget 0 exhausted")
-    monkeypatch.setattr(eff1, "_homotopic1", run_out)
+    monkeypatch.setattr(path, "_homotopic", run_out)
     f = eff1.terminal_map1(eff1.inflate(interval()))
-    d = eff1.is_equivalence1_decide(f)
+    d = path.is_equivalence_decide(f)
     assert (d.status, d.reason) == ("unknown", "budget 0 exhausted")
     rc, text = _run(["eff1-pi", "eff1:2->1", "--format", "json"])
     assert rc == 3

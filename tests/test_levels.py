@@ -30,7 +30,8 @@ from effpath.classify import (
     hlevel_check, is_standard_discrete, prop_truncate, resize,
 )
 from effpath.constructions import (
-    JExponential, PiBundle, hexp, hexp_J, pi_transpose, pi_type,
+    HomExponential, JExponential, PiBundle, hexp, hexp_J, pi_transpose,
+    pi_type,
 )
 from effpath.core import (
     NO, UNKNOWN, YES, check_morphism, check_object, compose, identity,
@@ -40,10 +41,10 @@ from effpath.eff1 import (
     Eff1Morphism, Eff1Object, check_fibration1, check_homotopy1,
     check_morphism1, check_object1, classify_discrete_set, compose1,
     discrete1_decide, fib_path_object1, fibrewise_homotopic1_decide, hexp1,
-    hexp_J1, hlevel1_check, homotopic1_decide, identity1, inflate_morphism,
-    is_equivalence1_decide, path_object1, pi_transpose1, pi_type1, pullback1,
+    hexp_J1, hlevel1_check, homotopy1_from_h1, identity1, inflate_morphism,
+    morphism_candidates1, path_object1, pi_transpose1, pi_type1, pullback1,
     resize1, synthesize_fibration1_witness, synthesize_morphism1,
-    terminal_map1, truncate1,
+    terminal_map1, terminal_object1, truncate1, z2_object, z2_twist,
 )
 from effpath.fixtures import (
     Fixture, fixture_library, fixture_objects, fixture_objects1, interval,
@@ -52,9 +53,10 @@ from effpath.pca import DEFAULT_FUEL, budget_limit, fuel_limit
 from effpath.path import (
     EquivalenceWitness, PathObjectBundle, PullbackBundle, check_fibration,
     check_homotopy, fib_path_object, fibration_decide,
-    fibrewise_homotopic_decide, homotopic_decide, is_equivalence_decide,
-    is_trivial_fibration, path_object, pullback,
-    synthesize_fibration_witness, terminal_map, terminal_object,
+    fibrewise_homotopic_decide, homotopic_decide, homotopy_from_h1,
+    is_equivalence_decide, is_trivial_fibration, morphism_candidates,
+    path_object, pullback, synthesize_fibration_witness, terminal_map,
+    terminal_object,
 )
 
 import strategies
@@ -277,7 +279,7 @@ RESULTS = {
     "equivalence witness": (
         EquivalenceWitness,
         lambda: is_equivalence_decide(_map("I")).witness,
-        lambda: is_equivalence1_decide(_lib("eff1:I->1")).witness),
+        lambda: is_equivalence_decide(_lib("eff1:I->1")).witness),
     "discrete normal form": (
         DiscreteNormalForm,
         lambda: discrete_decide(_lib("E2I")).witness,
@@ -291,6 +293,9 @@ RESULTS = {
     "fixture": (Fixture,
                 lambda: fixture_objects()["I"],
                 lambda: fixture_objects1()["I"]),
+    "exponential": (HomExponential,
+                    lambda: hexp(_lib("I"), terminal_object()),
+                    lambda: hexp1(_lib("eff1:I"), terminal_object1())),
 }
 
 
@@ -358,6 +363,13 @@ def _e2i():
     return _lib1("E2I")
 
 
+@functools.cache
+def _twist():
+    """The identity of Z2 and the twist, homotopic through {0: 0, 1: 1}."""
+    A = z2_object()
+    return identity1(A), z2_twist(A)
+
+
 # generic name -> (its eff1 implementation, the status of calling either on
 # the level-1 library)
 REGISTERED = {
@@ -378,13 +390,14 @@ REGISTERED = {
     fib_path_object: (fib_path_object1,
                       lambda fn: _built(fn(_lib1("I->1")))),
     check_homotopy: (check_homotopy1, lambda fn: fn(
-        _e2i(), _e2i(), homotopic1_decide(_e2i(), _e2i()).witness).status),
-    homotopic_decide: (homotopic1_decide, lambda fn: fn(_e2i(), _e2i()).status),
+        _e2i(), _e2i(), homotopic_decide(_e2i(), _e2i()).witness).status),
+    homotopy_from_h1: (homotopy1_from_h1, lambda fn: check_homotopy1(
+        *_twist(), fn(*_twist(), {0: 0, 1: 1})).status),
     fibrewise_homotopic_decide: (
         fibrewise_homotopic1_decide,
         lambda fn: fn(_e2i(), _e2i(), identity1(_e2i().cod)).status),
-    is_equivalence_decide: (is_equivalence1_decide,
-                            lambda fn: fn(_lib1("I->1")).status),
+    morphism_candidates: (morphism_candidates1, lambda fn: [
+        _made(m) for m in fn(_lib1("I"), _lib1("I"), {"0": "1", "1": "0"})]),
     hexp: (hexp1, lambda fn: fn(_lib1("I"), _lib1("I")).virtual.contains(
         identity1(_lib1("I")))),
     hexp_J: (hexp_J1, lambda fn: _built(fn(_lib1("2")))),
@@ -402,7 +415,9 @@ REGISTERED = {
 MERGED = ("not_a_fibration1", "fibration1_decide", "trivial1_decide",
           "mediate1", "enumerate_members1", "hexp_J1_morphism",
           "homotopy_pullback1_check", "freyd_square1_check",
-          "pi_transpose1_round_trip")
+          "pi_transpose1_round_trip", "is_equivalence1_decide",
+          "_inverse_search1", "homotopic1_decide", "_homotopic1",
+          "HomExponential1")
 
 
 @pytest.mark.parametrize("generic", REGISTERED, ids=lambda g: g.__name__)

@@ -5,8 +5,7 @@ import pytest
 from effpath import pca
 from effpath.core import check_morphism, check_object, compose, identity
 from effpath.eff1 import (
-    inflate, is_equivalence1_decide, synthesize_fibration1_witness,
-    terminal_map1, trivial1_section,
+    inflate, synthesize_fibration1_witness, terminal_map1, trivial1_section,
 )
 from effpath.fixtures import (
     fixture_library, interval, nat_trunc, swap_morphism, two,
@@ -264,7 +263,7 @@ def test_a_moved_lift_names_no_cell_and_no_section():
         construct_section(f, w, eq.inverse, eq.eps)
 
     f1 = terminal_map1(inflate(interval()))
-    eq1 = is_equivalence1_decide(f1).witness
+    eq1 = is_equivalence_decide(f1).witness
     g1, e1 = eq1.inverse.zero_map["*"], pca.apply(eq1.eps.h1, 0)
     w1 = _moved_lift0(f1, synthesize_fibration1_witness(f1), g1, "*", e1)
     with pytest.raises(TransportFailed):
