@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import singledispatch
 
 from .pca import (
     LimitReached, apply, cantor_unpair, const_code, fuel_now, tabulate,
     tuple_encode,
 )
 from .core import (
-    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES,
-    compose, identity, make_object, synthesize_morphism, _inv, _run,
+    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, compose,
+    dispatch_on, identity, make_object, synthesize_morphism, _inv, _run,
 )
 from .path import (
     FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
@@ -47,7 +46,7 @@ def hlevel_verdict(d: Decision, verified: str) -> HlevelVerdict:
                          reason=d.reason)
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def hlevel_check(f: EffMorphism, n: int) -> HlevelVerdict:
     """Is f a fibration of n-types?  Level -2 means trivial, level -1 that
     the fibrewise path object is trivial; higher levels are decided one
@@ -136,7 +135,7 @@ class DiscreteNormalForm:
     standard: EffMorphism     # quotient -> A, standard discrete by build
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def discrete_decide(f: EffMorphism) -> Decision:
     """Decide whether the fibration f is discrete, one dimension up on the
     inflated map; on YES the quotient by realizer twins is read back."""
@@ -291,7 +290,7 @@ class ResizeBundle:
     laws: tuple   # both round trips over A, or NO naming an untracked map
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def resize(f: EffMorphism) -> ResizeBundle:
     """Replace a propositional fibration by the discrete C -> A with
     C = {(a, n) : some cell over a is realized by n}, realized by n.  When

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import singledispatch, wraps
+from functools import wraps
 
 from .pca import (
     FST_C, PAIR, SND_C, Var, app, apply, cantor_unpair, curry_left, lam,
@@ -20,8 +20,8 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, UNKNOWN, YES,
-    _comp, _u, check_morphism, compose, forced, identity, make_object,
-    synthesize_morphism,
+    _comp, _u, check_morphism, compose, dispatch_on, forced, identity,
+    make_object, synthesize_morphism,
 )
 from .path import (
     FibrationWitness, Homotopy, PathObjectBundle, PullbackBundle,
@@ -178,7 +178,7 @@ class JExponential:
     ev1: EffMorphism      # A^J -> A, second component
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def hexp_J(A: EffObject) -> JExponential:
     """The exponential by the walking pair of identified points.
 
@@ -276,7 +276,7 @@ class HomExponential:
         return apply(EV_CODE, t)
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def hexp(A: EffObject, B: EffObject) -> HomExponential:
     """The exponential A^B: zero-cells are tracked morphisms B -> A,
     realized by the pair of their tracking codes; 1-cells between two
@@ -389,7 +389,7 @@ def _section_key(x, s: EffMorphism):
     return (x, tuple(sorted((y, s.zero_map[y]) for y in s.dom.cells)))
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     """Pi along f: Y -> X of g: Z -> Y.
 
@@ -504,7 +504,7 @@ def _on_second(generic):
 
 
 @_on_second  # a PiBundle, the first argument, serves either level
-@singledispatch
+@dispatch_on(EffMorphism)
 def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
                  m: EffMorphism, name: str = ""):
     """Transpose of m: W x_X Y -> Z over Y into M: W -> Pi_f(g).

@@ -6,7 +6,7 @@ and fuel-bounded; whenever a single code sees only realizers, all cells
 sharing the same visible input must be served by the same output value
 (intersection semantics).
 
-The procedures marked ``@singledispatch`` here and in path, constructions and
+The procedures marked ``@dispatch_on`` here and in path, constructions and
 classify serve both levels under one name: each dispatches on the type of its
 first argument, and eff1 registers its implementations for Eff1Object and
 Eff1Morphism.
@@ -18,6 +18,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import singledispatch
+from types import SimpleNamespace
 
 from .pca import (
     Diverges, FuelExhausted, Table, apply, compile_term,
@@ -80,6 +81,18 @@ class SynthesisFailed(Exception):
     def __init__(self, message: str, slot=None, t=None, label=None):
         super().__init__(message)
         self.slot, self.t, self.label = slot, t, label
+
+
+def dispatch_on(level0: type):
+    """functools.singledispatch on the first argument, with the level-0
+    class ``level0`` registered explicitly, so that a first call on a
+    level-0 value finds its implementation in the registry instead of
+    searching the class's MRO."""
+    def generic(func):
+        dispatched = singledispatch(func)
+        dispatched.register(level0, func)
+        return dispatched
+    return generic
 
 
 # --- the obligation engine --------------------------------------------------
@@ -236,6 +249,63 @@ def _run(code: int, arg: int, fuel: int):
         return "fuel", None
 
 
+def _built(owner) -> dict:
+    """What is kept on owner: its constructions and its input tables."""
+    return owner.__dict__.setdefault("_built", {})
+
+
+def _owned(owner, key, build):
+    # a construction is stored on the instance it is built from, never
+    # module-wide; the key names what else it depends on (eff1's carry the
+    # fuel limit they were built at), so a call at another limit builds
+    # afresh and runs out exactly as a cold call would
+    built = _built(owner)
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
+def _adopt(obj, holder):
+    """obj, keeping the input tables encoded on holder from its data."""
+    _built(obj).update(_built(holder))
+    return obj
+
+
+# --- input tables -----------------------------------------------------------
+# The visible inputs of an object's structure codes, and of the codes of
+# maps out of it, are Cantor tuples of realizers and cells.  They are
+# encoded once per object, into tables kept on it through _owned; they
+# depend on the object's realizer and hom-sets only, never on fuel.  An
+# owner is an object, or a holder of the data an object is about to be
+# built from (make_object installs it on the object it returns), and
+# answers ``cells``, ``realizer`` and ``hom`` (and ``hom2`` at level 1).
+
+def _one_cell_inputs(obj) -> dict:
+    """{(a, b): {p: <alpha a, alpha b, p>}} over every pair of cells, p
+    ascending: the inputs of the inverse, of eff1's unit and inverse
+    coherences and id2, and of tracking1 of maps out of obj."""
+    def build():
+        R, hom = obj.realizer, obj.hom
+        return {(a, b): {p: tuple_encode(R[a], R[b], p)
+                         for p in sorted(hom.get((a, b), ()))}
+                for a, b in itertools.product(obj.cells, repeat=2)}
+    return _owned(obj, ("inputs",), build)
+
+
+def _comp_inputs(obj, a, b, c) -> dict:
+    """{(p, r): <alpha a, alpha b, alpha c, p, r>}, the inputs of comp_code
+    over hom(a, b) x hom(b, c), each ascending; built per cell triple on
+    first use."""
+    blocks = _owned(obj, ("inputs3",), dict)
+    ts = blocks.get((a, b, c))
+    if ts is None:
+        R, hom = obj.realizer, obj.hom
+        ts = blocks[a, b, c] = {(p, r): tuple_encode(R[a], R[b], R[c], p, r)
+                                for p in sorted(hom.get((a, b), ()))
+                                for r in sorted(hom.get((b, c), ()))}
+    return ts
+
+
 def _adjacency(cells, hom) -> dict:
     """For each cell a, the cells b with hom(a, b) non-empty, in cell order,
     each with the hom-set and its sorted list.  Loops nested over it declare
@@ -245,12 +315,17 @@ def _adjacency(cells, hom) -> dict:
             for a in cells}
 
 
-def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None):
+def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None,
+                   holder=None):
     """An object's one-dimensional structure at either level, in cell order
     over the non-empty hom-sets of ``hom`` (which answers every key read):
     unit, inverse and composition, forced to the values of the functions
-    unit/inv/comp when they are given."""
+    unit/inv/comp when they are given.  Inputs are read from the tables
+    kept on ``holder``, which must hold the same cells, realizer and
+    hom-sets; by default a fresh one."""
     R = realizer
+    if holder is None:
+        holder = SimpleNamespace(cells=cells, realizer=realizer, hom=hom)
     adj = _adjacency(cells, hom)
     edges = [(a, *e) for a in cells for e in adj[a]]
 
@@ -260,18 +335,18 @@ def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None):
                 h = hom[a, a]
                 yield ("unit_code", R[a], h if unit is None else
                        forced(unit(a), h), "unit")
+            ones = _one_cell_inputs(holder)
             for a, b, hab, _ in edges:
-                h = hom[b, a]
+                h, ts = hom[b, a], ones[a, b]
                 for p in hab:
-                    yield ("inv_code", tuple_encode(R[a], R[b], p),
+                    yield ("inv_code", ts[p],
                            h if inv is None else forced(inv(a, b, p), h),
                            "inverse")
             for a, b, hab, _ in edges:
                 for c, hbc, _ in adj[b]:
-                    h = hom[a, c]
+                    h, ts = hom[a, c], _comp_inputs(holder, a, b, c)
                     for p, r in itertools.product(hab, hbc):
-                        yield ("comp_code",
-                               tuple_encode(R[a], R[b], R[c], p, r),
+                        yield ("comp_code", ts[p, r],
                                h if comp is None else
                                forced(comp(a, b, c, p, r), h),
                                "composition")
@@ -314,14 +389,15 @@ def _comp(A, a, b, c, p, r) -> int:
                               p, r))
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def check_object(obj: EffObject, fuel: int | None = None) -> Verdict:
     """Run every structure code on every instance, at ``fuel`` steps per
     application when it is given (the checkers of path and eff1 take
     ``fuel`` the same way)."""
     with fuel_limit(fuel):
         return verify(_object_stages(obj.cells, obj.realizer,
-                                     defaultdict(frozenset, obj.hom)),
+                                     defaultdict(frozenset, obj.hom),
+                                     holder=obj),
                       vars(obj))
 
 
@@ -335,9 +411,12 @@ def make_object(cells, realizer, hom, name: str = "") -> EffObject:
     cells = tuple(cells)
     full_hom = {(a, b): frozenset(hom.get((a, b), frozenset()))
                 for a in cells for b in cells}
-    codes = tabulate_all(settle(_object_stages(cells, realizer, full_hom),
+    holder = SimpleNamespace(cells=cells, realizer=realizer, hom=full_hom)
+    codes = tabulate_all(settle(_object_stages(cells, realizer, full_hom,
+                                               holder=holder),
                                 _OBJECT_SLOTS))
-    return EffObject(cells, dict(realizer), full_hom, **codes, name=name)
+    return _adopt(EffObject(cells, dict(realizer), full_hom, **codes,
+                            name=name), holder)
 
 
 # --- morphisms --------------------------------------------------------------
@@ -359,28 +438,6 @@ class EffMorphism:
 def any_image(t, target, *_instance):
     """The narrowing that accepts every image in the codomain."""
     return target
-
-
-def _owned(owner, key, build):
-    # a construction is stored on the instance it is built from, never
-    # module-wide; the key names what else it depends on (eff1's carry the
-    # fuel limit they were built at), so a call at another limit builds
-    # afresh and runs out exactly as a cold call would
-    built = owner.__dict__.setdefault("_built", {})
-    if key not in built:
-        built[key] = build()
-    return built[key]
-
-
-def _one_cell_inputs(dom) -> dict:
-    """{(b, b'): {p: <beta b, beta b', p>}}, the inputs of tracking1 over
-    every pair of cells of dom, p ascending; kept on dom."""
-    def build():
-        R = dom.realizer
-        return {(b, b2): {p: tuple_encode(R[b], R[b2], p)
-                          for p in sorted(dom.hom_of(b, b2))}
-                for b, b2 in itertools.product(dom.cells, repeat=2)}
-    return _owned(dom, ("inputs",), build)
 
 
 def _read_back(inputs, value) -> dict:
@@ -410,7 +467,7 @@ def _morphism_stages(dom, cod, zero: dict, one=any_image):
     return stages
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def check_morphism(f: EffMorphism, fuel: int | None = None) -> Verdict:
     def given(t, h, b, b2, p):
         return forced(f.one_map.get((b, b2), {}).get(p), h)
@@ -419,7 +476,7 @@ def check_morphism(f: EffMorphism, fuel: int | None = None) -> Verdict:
                       vars(f))
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
                         name: str = "", one=any_image):
     """The morphism with the given cell map and tabulated trackings, or None.
@@ -438,7 +495,7 @@ def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
                        name=name)
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def identity(obj: EffObject) -> EffMorphism:
     one_map = {(a, b): {pi: pi for pi in obj.hom_of(a, b)}
                for a in obj.cells for b in obj.cells}
@@ -449,7 +506,7 @@ def identity(obj: EffObject) -> EffMorphism:
                        name=f"id_{obj.name}")
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def compose(g: EffMorphism, f: EffMorphism, name: str = "") -> EffMorphism:
     """g after f."""
     if f.cod is not g.dom and f.cod != g.dom:

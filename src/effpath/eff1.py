@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .pca import (
     DEFAULT_FUEL, LimitReached, apply, cantor_unpair, fuel_limit, fuel_now,
@@ -22,10 +23,11 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _comp, _inv, _read,
-    _morphism_stages, _object_stages, _one_cell_inputs, _owned, _read_back,
-    _u, any_image, check_morphism, check_object, compose, forced, identity,
-    make_object, settle, synthesize_morphism, tabulate_all, verify,
+    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _adopt, _comp,
+    _comp_inputs, _inv, _read, _morphism_stages, _object_stages,
+    _one_cell_inputs, _owned, _read_back, _u, any_image, check_morphism,
+    check_object, compose, forced, identity, make_object, settle,
+    synthesize_morphism, tabulate_all, verify,
 )
 from .path import (
     EquivalenceWitness, NotTrivial, PathObjectBundle, PullbackBundle,
@@ -110,12 +112,78 @@ _TWO_CELL_SLOTS = ("coh_lunit", "coh_runit", "coh_linv", "coh_rinv",
 _OBJECT1_SLOTS = _OBJECT_SLOTS + _TWO_CELL_SLOTS
 
 
+# --- input tables -----------------------------------------------------------
+# core's input tables, one dimension up.  The last three serve only the
+# object stream, and hold most of its inputs: each is a tuple in the order
+# of _object1_stages, which the stream reads in step (a tuple of ints is
+# smaller than a dict keyed by the parts, and the cyclic GC stops tracking
+# it).
+
+def _two_cell_inputs(obj) -> dict:
+    """{(a, b, p, r): {n: <alpha a, alpha b, p, r, n>}} over every parallel
+    pair of 1-cells: the inputs of inv2, and of tracking2 of maps out of
+    obj."""
+    def build():
+        R, hom2 = obj.realizer, obj.hom2
+        return {(a, b, p, r): {n: tuple_encode(R[a], R[b], p, r, n)
+                               for n in hom2.get((a, b, p, r), ())}
+                for (a, b), ps in _one_cell_inputs(obj).items()
+                for p, r in itertools.product(ps, repeat=2)}
+    return _owned(obj, ("inputs2",), build)
+
+
+def _assoc_inputs(obj) -> tuple:
+    """<alpha a, alpha b, alpha c, alpha d, p, r, s>, the inputs of
+    coh_assoc."""
+    def build():
+        R, adj = obj.realizer, _adjacency(obj.cells, obj.hom)
+        return tuple(tuple_encode(R[a], R[b], R[c], R[d], p, r, s)
+                     for a in obj.cells for b, hab, _ in adj[a]
+                     for c, hbc, _ in adj[b] for d, hcd, _ in adj[c]
+                     for p, r in itertools.product(hab, hbc) for s in hcd)
+    return _owned(obj, ("inputs7",), build)
+
+
+def _vcomp_inputs(obj) -> tuple:
+    """<alpha a, alpha b, p, r, s, n, m>, the inputs of vcomp."""
+    def build():
+        R, hom2 = obj.realizer, obj.hom2
+        adj = _adjacency(obj.cells, obj.hom)
+        return tuple(tuple_encode(R[a], R[b], p, r, s, n, m)
+                     for a in obj.cells for b, _, h1 in adj[a]
+                     for p, r, s in itertools.product(h1, repeat=3)
+                     for n in hom2.get((a, b, p, r), ())
+                     for m in hom2.get((a, b, r, s), ()))
+    return _owned(obj, ("inputs7v",), build)
+
+
+def _hcomp_inputs(obj) -> tuple:
+    """<alpha a, alpha b, alpha c, p, r, p', r', n, m>, the inputs of
+    hcomp."""
+    def build():
+        R, hom2 = obj.realizer, obj.hom2
+        adj = _adjacency(obj.cells, obj.hom)
+        return tuple(tuple_encode(R[a], R[b], R[c], p, r, p2, r2, n, m)
+                     for a in obj.cells for b, _, sab in adj[a]
+                     for c, _, sbc in adj[b]
+                     for p, r in itertools.product(sab, repeat=2)
+                     if (h2ab := hom2.get((a, b, p, r)))
+                     for p2, r2 in itertools.product(sbc, repeat=2)
+                     for n, m in itertools.product(
+                         h2ab, hom2.get((b, c, p2, r2), ())))
+    return _owned(obj, ("inputs9",), build)
+
+
 def _object1_stages(cells, realizer, hom, hom2,
-                    unit=None, inv=None, comp=None):
+                    unit=None, inv=None, comp=None, holder=None):
     """core._object_stages, then the 2-cell structure reading its values;
-    ``hom2`` maps (a, b, p, q) to a set and must answer every key read."""
-    R = realizer
-    structure = _object_stages(cells, realizer, hom, unit, inv, comp)
+    ``hom2`` maps (a, b, p, q) to a set and must answer every key read.
+    Inputs are read from the tables kept on ``holder``, which must hold
+    the same cells, realizer, hom and hom2; by default a fresh one."""
+    if holder is None:
+        holder = SimpleNamespace(cells=cells, realizer=realizer, hom=hom,
+                                 hom2=hom2)
+    structure = _object_stages(cells, realizer, hom, unit, inv, comp, holder)
     adj = _adjacency(cells, hom)
     edges = [(a, *e) for a in cells for e in adj[a]]
 
@@ -123,7 +191,7 @@ def _object1_stages(cells, realizer, hom, hom2,
         yield from structure(val)
 
         def u(a):
-            return val("unit_code", R[a])
+            return val("unit_code", realizer[a])
 
         composites = {}
 
@@ -132,17 +200,18 @@ def _object1_stages(cells, realizer, hom, hom2,
             # and only where the first stage declared a composition
             table = composites.get((a, b, c))
             if table is None:
+                ts = _comp_inputs(holder, a, b, c)
                 table = composites[a, b, c] = {
-                    (p, r): val("comp_code",
-                                tuple_encode(R[a], R[b], R[c], p, r))
+                    (p, r): val("comp_code", ts[p, r])
                     for p in hom[a, b] for r in hom[b, c]}
             return table
 
         def coherence():
+            ones = _one_cell_inputs(holder)
             for a, b, hab, _ in edges:
-                ua, ub = u(a), u(b)
+                ua, ub, ts = u(a), u(b), ones[a, b]
                 for p in hab:
-                    t = tuple_encode(R[a], R[b], p)
+                    t = ts[p]
                     pi = val("inv_code", t)
                     yield ("coh_lunit", t,
                            hom2[a, b, composed(a, b, b)[p, ub], p],
@@ -157,6 +226,7 @@ def _object1_stages(cells, realizer, hom, hom2,
                            hom2[b, b, composed(b, a, b)[pi, p], ub],
                            "right inverse coherence")
                     yield "id2", t, hom2[a, b, p, p], "2-identity"
+            assoc = iter(_assoc_inputs(holder))
             for a, b, hab, _ in edges:
                 for c, hbc, _ in adj[b]:
                     abc = composed(a, b, c)
@@ -166,24 +236,24 @@ def _object1_stages(cells, realizer, hom, hom2,
                         for p, r in itertools.product(hab, hbc):
                             rp = abc[p, r]
                             for s in hcd:
-                                yield ("coh_assoc",
-                                       tuple_encode(R[a], R[b], R[c], R[d],
-                                                    p, r, s),
+                                yield ("coh_assoc", next(assoc),
                                        hom2[a, d, acd[rp, s],
                                             abd[p, bcd[r, s]]],
                                        "associativity coherence")
+            twos = _two_cell_inputs(holder)
+            vcomps = iter(_vcomp_inputs(holder))
             for a, b, _, h1 in edges:
                 for p, r, s in itertools.product(h1, repeat=3):
                     for n in hom2[a, b, p, r]:
                         for m in hom2[a, b, r, s]:
-                            yield ("vcomp",
-                                   tuple_encode(R[a], R[b], p, r, s, n, m),
+                            yield ("vcomp", next(vcomps),
                                    hom2[a, b, p, s],
                                    "vertical composition")
                 for p, r in itertools.product(h1, repeat=2):
+                    ts = twos[a, b, p, r]
                     for n in hom2[a, b, p, r]:
-                        yield ("inv2", tuple_encode(R[a], R[b], p, r, n),
-                               hom2[a, b, r, p], "2-inverse")
+                        yield "inv2", ts[n], hom2[a, b, r, p], "2-inverse"
+            hcomps = iter(_hcomp_inputs(holder))
             for a, b, _, sab in edges:
                 for c, _, sbc in adj[b]:
                     abc = composed(a, b, c)
@@ -197,10 +267,8 @@ def _object1_stages(cells, realizer, hom, hom2,
                                 continue
                             h = hom2[a, c, abc[p, p2], abc[r, r2]]
                             for n, m in itertools.product(h2ab, h2bc):
-                                yield ("hcomp",
-                                       tuple_encode(R[a], R[b], R[c], p, r,
-                                                    p2, r2, n, m),
-                                       h, "horizontal composition")
+                                yield ("hcomp", next(hcomps), h,
+                                       "horizontal composition")
         yield coherence()
     return stages
 
@@ -222,11 +290,13 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
                 hom2.get((a, b, p, q), frozenset()))
     # every pair of cells and every parallel pair has an entry, and settled
     # values stay inside their hom-sets, so plain lookups serve
+    holder = SimpleNamespace(cells=cells, realizer=realizer, hom=full_hom,
+                             hom2=full_hom2)
     stages = _object1_stages(cells, realizer, full_hom, full_hom2,
-                             unit, inv, comp)
+                             unit, inv, comp, holder)
     codes = tabulate_all(settle(stages, _OBJECT1_SLOTS))
-    return Eff1Object(cells, dict(realizer), full_hom, full_hom2, **codes,
-                      name=name)
+    return _adopt(Eff1Object(cells, dict(realizer), full_hom, full_hom2,
+                             **codes, name=name), holder)
 
 
 def _borrowed1(A: Eff1Object, cells, realizer, phi: dict,
@@ -249,7 +319,7 @@ def check_object1(obj: Eff1Object, fuel: int | None = None) -> Verdict:
     # a value outside the hom-sets reads as having no 2-cells
     stages = _object1_stages(obj.cells, obj.realizer,
                              defaultdict(frozenset, obj.hom),
-                             defaultdict(frozenset, obj.hom2))
+                             defaultdict(frozenset, obj.hom2), holder=obj)
     with fuel_limit(fuel):
         return verify(stages, vars(obj))
 
@@ -283,33 +353,6 @@ class Eff1Morphism:
 
 _MORPHISM1_SLOTS = ("tracking0", "tracking1", "tracking2", "funct_id",
                     "funct_comp")
-
-
-def _comp_inputs(obj: Eff1Object, a, b, c) -> dict:
-    """{(p, r): <alpha a, alpha b, alpha c, p, r>}, the inputs of comp_code
-    over hom(a, b) x hom(b, c), each ascending; kept on obj, built per cell
-    triple on first use."""
-    blocks = _owned(obj, ("inputs3",), dict)
-    ts = blocks.get((a, b, c))
-    if ts is None:
-        R = obj.realizer
-        ts = blocks[a, b, c] = {
-            (p, r): tuple_encode(R[a], R[b], R[c], p, r)
-            for p in sorted(obj.hom_of(a, b))
-            for r in sorted(obj.hom_of(b, c))}
-    return ts
-
-
-def _two_cell_inputs(dom: Eff1Object) -> dict:
-    """{(b, b', p, r): {n: <beta b, beta b', p, r, n>}}: the visible inputs
-    of tracking2 over every parallel pair of 1-cells of dom; kept on dom."""
-    def build():
-        R = dom.realizer
-        return {(b, b2, p, r): {n: tuple_encode(R[b], R[b2], p, r, n)
-                                for n in dom.hom2_of(b, b2, p, r)}
-                for (b, b2), ps in _one_cell_inputs(dom).items()
-                for p, r in itertools.product(ps, repeat=2)}
-    return _owned(dom, ("inputs2",), build)
 
 
 def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
@@ -1339,8 +1382,12 @@ def _identity_equivalence1(g: Eff1Morphism) -> Decision:
     """Decide whether g (with equal carriers) is an equivalence, trying the
     identity cell map first."""
     B, C = g.dom, g.cod
-    for d0 in (identity_like1(C, B),
-               synthesize_morphism1(C, B, {c: c for c in C.cells})):
+
+    def candidates():
+        # the second is built only if the first is not an inverse
+        yield identity_like1(C, B)
+        yield synthesize_morphism1(C, B, {c: c for c in C.cells})
+    for d0 in candidates():
         if d0 is None:
             continue
         e1 = homotopic_decide(identity1(B), compose1(d0, g))

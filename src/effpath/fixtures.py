@@ -6,7 +6,7 @@ helpers so structure codes are canonical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 from .core import EffObject, EffMorphism, synthesize_morphism
@@ -86,6 +86,22 @@ class Fixture:
     expect: dict = field(default_factory=dict)
 
 
+_OBJECTS = {  # name: (its constructor, expected verdicts)
+    "I": (interval, {"valid": True, "trivial_over_1": True,
+                     "discrete_over_1": True, "hlevel0": True}),
+    "J": (walking_pair, {"valid": True, "trivial_over_1": False,
+                         "discrete_over_1": False, "hlevel0": True}),
+    "0": (empty, {"valid": True, "trivial_over_1": False,
+                  "discrete_over_1": True, "hlevel0": True}),
+    "1": (point, {"valid": True, "trivial_over_1": True,
+                  "discrete_over_1": True, "hlevel0": True}),
+    "2": (two, {"valid": True, "trivial_over_1": False,
+                "discrete_over_1": True, "hlevel0": True}),
+    "N5": (nat_trunc, {"valid": True, "trivial_over_1": False,
+                       "discrete_over_1": True, "hlevel0": True}),
+}
+
+
 def fixture_objects() -> dict[str, Fixture]:
     """Named objects with declared expected verdicts.
 
@@ -93,27 +109,8 @@ def fixture_objects() -> dict[str, Fixture]:
     (contractibility); discrete_over_1: it is discrete; hlevel0: it is a
     fibration of sets.
     """
-    lib = {
-        "I": Fixture("I", interval(),
-                     {"valid": True, "trivial_over_1": True,
-                      "discrete_over_1": True, "hlevel0": True}),
-        "J": Fixture("J", walking_pair(),
-                     {"valid": True, "trivial_over_1": False,
-                      "discrete_over_1": False, "hlevel0": True}),
-        "0": Fixture("0", empty(),
-                     {"valid": True, "trivial_over_1": False,
-                      "discrete_over_1": True, "hlevel0": True}),
-        "1": Fixture("1", point(),
-                     {"valid": True, "trivial_over_1": True,
-                      "discrete_over_1": True, "hlevel0": True}),
-        "2": Fixture("2", two(),
-                     {"valid": True, "trivial_over_1": False,
-                      "discrete_over_1": True, "hlevel0": True}),
-        "N5": Fixture("N5", nat_trunc(5),
-                      {"valid": True, "trivial_over_1": False,
-                       "discrete_over_1": True, "hlevel0": True}),
-    }
-    return lib
+    return {name: Fixture(name, build(), dict(expect))
+            for name, (build, expect) in _OBJECTS.items()}
 
 
 # --- two-level fixtures -----------------------------------------------------
@@ -155,10 +152,10 @@ _Z2_EXPECT = {"valid": True, "trivial_over_1": False,
               "set_over_1": False, "groupoid_over_1": True}
 
 
-def _expect1(fx: Fixture) -> dict:
-    """The expectations of the two-level image of a groupoid-level fixture."""
-    return dict(fx.expect, groupoid_over_1=True,
-                set_over_1=fx.expect["hlevel0"])
+def _expect1(expect: dict) -> dict:
+    """The expectations of the two-level image of a groupoid-level fixture
+    expected to answer ``expect``."""
+    return dict(expect, groupoid_over_1=True, set_over_1=expect["hlevel0"])
 
 
 def fixture_objects1() -> dict[str, Fixture]:
@@ -167,8 +164,8 @@ def fixture_objects1() -> dict[str, Fixture]:
     groupoid_over_1: the map to the terminal object is a fibration of
     groupoids (hlevel 1); set_over_1: of sets (hlevel 0).
     """
-    lib = {name: Fixture(name, inflate(fx.obj, name=name), _expect1(fx))
-           for name, fx in fixture_objects().items()}
+    lib = {name: Fixture(name, inflate(build(), name=name), _expect1(expect))
+           for name, (build, expect) in _OBJECTS.items()}
     lib["Z2"] = Fixture("Z2", z2_object(), dict(_Z2_EXPECT))
     return lib
 
@@ -223,20 +220,19 @@ def fixture_library() -> dict[str, LibraryEntry]:
         "2": "two points with distinct realizers and no cross cells",
         "N5": "the naturals truncated at five",
     }
-    objects = fixture_objects()
-    for name, fx in objects.items():
-        lib[name] = LibraryEntry(name, "object", lambda fx=fx: fx.obj,
-                                 dict(fx.expect), notes.get(name, ""))
+    for name, (build, expect) in _OBJECTS.items():
+        lib[name] = LibraryEntry(name, "object", build, dict(expect),
+                                 notes.get(name, ""))
     lib["E2I"] = LibraryEntry(
         "E2I", "fibration", lambda: two_point_bundle()[2],
         {"fibration": True, "hlevel0": True, "discrete": True},
         "a two-point fibre over each end of the interval; transport "
         "follows the fibre index")
-    for name, fx in objects.items():
-        if not fx.obj.cells:
+    for name in _OBJECTS:
+        if name == "0":  # the empty object has no path-object entry
             continue
         lib[f"P({name})"] = LibraryEntry(
-            f"P({name})", "pathobj", lambda fx=fx: path_object(fx.obj),
+            f"P({name})", "pathobj", lambda e=lib[name]: path_object(e.value),
             {"valid": True, "st_fibration": True, "st_discrete": True},
             "the path object; its endpoint projection is a discrete "
             "fibration")
@@ -252,13 +248,14 @@ def fixture_library() -> dict[str, LibraryEntry]:
         "two inhabited universe points: reflexive 1-cells exist and, "
         "propositionally, so do connecting 1-cells; the empty subset "
         "connects to neither")
-    objects1 = cache(fixture_objects1)
-    expect1 = {name: _expect1(fx) for name, fx in objects.items()}
-    expect1["Z2"] = dict(_Z2_EXPECT, twist_equivalence=True,
-                         modifications_differ=True)
-    for name, expect in expect1.items():
+    objects1 = {name: (lambda name=name, e=lib[name]:
+                       inflate(e.value, name=name), _expect1(expect))
+                for name, (_, expect) in _OBJECTS.items()}
+    objects1["Z2"] = (z2_object, dict(_Z2_EXPECT, twist_equivalence=True,
+                                      modifications_differ=True))
+    for name, (build, expect) in objects1.items():
         lib[f"eff1:{name}"] = LibraryEntry(
-            f"eff1:{name}", "object1", lambda name=name: objects1()[name].obj,
+            f"eff1:{name}", "object1", build,
             {k: v for k, v in expect.items() if k != "hlevel0"},
             "two-dimensional image of the groupoid-level fixture"
             if name != "Z2" else
@@ -267,7 +264,7 @@ def fixture_library() -> dict[str, LibraryEntry]:
             "essentially different ways")
     # the inflated bundle and the terminal maps, over the entries above
     fibrations1 = {"E2I": lambda e=lib["E2I"]: inflate_morphism(e.value)}
-    for name in expect1:
+    for name in objects1:
         fibrations1[f"{name}->1"] = \
             lambda x=lib[f"eff1:{name}"]: terminal_map1(x.value)
     for name, build in fibrations1.items():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import singledispatch
 
 from .pca import (
     LimitReached, apply, depth_now, fuel_limit, tuple_encode, within_budget,
@@ -21,8 +20,8 @@ from .pca import (
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
     UNKNOWN, Verdict, YES, _adjacency, _comp, _inv, _owned, _u, compose,
-    forced, groups, identity, make_object, settle, synthesize_morphism,
-    tabulate_all, verify,
+    dispatch_on, forced, groups, identity, make_object, settle,
+    synthesize_morphism, tabulate_all, verify,
 )
 
 
@@ -79,14 +78,14 @@ def _fibration_stages(f: EffMorphism):
     return stages
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def check_fibration(f: EffMorphism, w: FibrationWitness,
                     fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
         return verify(_fibration_stages(f), vars(w))
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def synthesize_fibration_witness(f: EffMorphism):
     """A witness bundle from per-visible-input intersections, or None.
 
@@ -145,7 +144,7 @@ def terminal_object() -> EffObject:
     return make_object(("*",), {"*": 0}, {("*", "*"): {0}}, name="1")
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def terminal_map(obj: EffObject) -> EffMorphism:
     one = terminal_object()
     f = synthesize_morphism(obj, one, {a: "*" for a in obj.cells},
@@ -180,7 +179,7 @@ class PullbackBundle:
     to_f_dom: EffMorphism  # projection D -> B
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def pullback(f: EffMorphism, g: EffMorphism,
              name: str = "") -> PullbackBundle:
     """Pullback of the fibration f: B -> A along g: C -> A.
@@ -248,7 +247,7 @@ def path_object(A: EffObject) -> PathObjectBundle:
     return fib_path_object(terminal_map(A))
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def fib_path_object(f: EffMorphism) -> PathObjectBundle:
     """The fibrewise path object of a fibration f: B -> A.
 
@@ -299,7 +298,7 @@ def _homotopy_stages(f, g, h1=None):
     return stages
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def check_homotopy(f: EffMorphism, g: EffMorphism, H: Homotopy,
                    fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
@@ -324,7 +323,7 @@ def _choices(stages, slot: str, cap: int | None = None):
         itertools.product(*(acc for _t, acc in options)), cap))
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def homotopy_from_h1(f: EffMorphism, g: EffMorphism,
                      h1_values: dict) -> Homotopy | None:
     """Extend per-realizer connecting 1-cells to a homotopy f ~ g; None if
@@ -360,7 +359,7 @@ def _homotopic(f, g) -> Decision:
     return Decision(NO, reason="no level-1 choice admits square fillers")
 
 
-@singledispatch
+@dispatch_on(EffMorphism)
 def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,
                                p: EffMorphism) -> Decision:
     """Decide f ~_I g over the fibration p: X -> I (requires pf = pg).
@@ -413,7 +412,7 @@ def _zero_map_candidates(src: EffObject, dst: EffObject, cell_filter=None):
     return within_budget(extend(0, {}, {}))
 
 
-@singledispatch
+@dispatch_on(EffObject)
 def morphism_candidates(dom: EffObject, cod: EffObject, zero_map: dict,
                         name: str = ""):
     """The tracked morphisms over a cell map that the inverse search tries:

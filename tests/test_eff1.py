@@ -2,9 +2,11 @@ import dataclasses
 
 import pytest
 
-from effpath import path, pca
+from effpath import eff1, path, pca
 from effpath.classify import is_standard_discrete
-from effpath.core import MapsDoNotFit, identity as identity0, make_object
+from effpath.core import (
+    MapsDoNotFit, any_image, identity as identity0, make_object,
+)
 from effpath.eff1 import (
     NotNormalized, adjequiv, check_fibration1, check_homotopy1,
     check_morphism1, check_object1, classify_discrete_set, compose1,
@@ -528,6 +530,22 @@ def test_truncating_at_or_above_the_hlevel_changes_nothing():
     f = _inflated_bundle()  # already a fibration of sets
     tr = truncate1(f, 0)
     assert is_equivalence_decide(tr.g).status == "yes"
+
+
+def test_the_identity_equivalence_synthesizes_a_second_candidate_if_needed(
+        monkeypatch):
+    g = truncate1(fixture_fibrations1()["J->1"], 0).g
+    unnarrowed = []
+    synthesize = eff1.synthesize_morphism1
+
+    def spy(dom, cod, zero_map, name="", one=any_image, two=any_image):
+        if one is any_image and two is any_image:
+            unnarrowed.append((dom, cod))
+        return synthesize(dom, cod, zero_map, name, one, two)
+    monkeypatch.setattr(eff1, "synthesize_morphism1", spy)
+    # identity_like1(g.cod, g.dom) is an inverse: nothing else is built
+    assert eff1._identity_equivalence1(g).status == "yes"
+    assert unnarrowed == []
 
 
 # --- hlevels ----------------------------------------------------------------

@@ -9,7 +9,9 @@ from hypothesis import (
     HealthCheck, example, given, settings, strategies as st,
 )
 
-from effpath import cli, eff1, path, pca
+from effpath import (
+    classify, cli, constructions, core, eff1, fixture_io, fixtures, path, pca,
+)
 from effpath.cli import main
 from effpath.core import YES, Decision
 from effpath.fixture_io import (
@@ -186,6 +188,26 @@ def test_library_fibrations_sit_over_the_library_objects():
     for name in ("Z2", "N5", "I"):
         f = lib[f"eff1:{name}->1"].value
         assert f.dom is lib[f"eff1:{name}"].value, name
+
+
+def test_naming_a_fixture_builds_only_that_fixture(monkeypatch):
+    builds = []
+    for fn in (core.make_object, eff1.make_object1):
+        def spy(*args, fn=fn, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        for module in (core, path, constructions, classify, eff1, fixtures,
+                       fixture_io, cli):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, spy)
+    # the inflated interval: one level-0 build, and no Z/2
+    assert main(["eff1-check-object", "eff1:I"], out=io.StringIO()) == 0
+    assert builds == ["make_object"]
+    # entries over one fixture share its instance
+    lib = fixture_library()
+    assert lib["P(I)"].value.r.dom is lib["I"].value
+    assert builds.count("make_object1") == 0
 
 
 # --- the command line -------------------------------------------------------

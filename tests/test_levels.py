@@ -34,8 +34,8 @@ from effpath.constructions import (
     pi_type,
 )
 from effpath.core import (
-    NO, UNKNOWN, YES, check_morphism, check_object, compose, identity,
-    make_object, synthesize_morphism,
+    EffMorphism, EffObject, NO, UNKNOWN, YES, check_morphism, check_object,
+    compose, identity, make_object, synthesize_morphism,
 )
 from effpath.eff1 import (
     Eff1Morphism, Eff1Object, check_fibration1, check_homotopy1,
@@ -427,6 +427,14 @@ def test_each_generic_name_dispatches_to_its_level_1_implementation(generic):
                     generic.dispatch(Eff1Morphism))
     assert impl.__module__ == "effpath.eff1"
     assert call(generic) == call(impl)
+
+
+@pytest.mark.parametrize("generic", REGISTERED, ids=lambda g: g.__name__)
+def test_each_generic_registers_its_level_0_class(generic):
+    level0 = {Eff1Object: EffObject, Eff1Morphism: EffMorphism}
+    level1 = next(cls for cls in level0
+                  if generic.registry.get(cls) is REGISTERED[generic][0])
+    assert generic.registry[level0[level1]] is generic.registry[object]
 
 
 def test_terminal_map_takes_the_same_parameters_at_both_levels():
