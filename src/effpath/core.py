@@ -18,6 +18,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import singledispatch
+from operator import contains
 from types import SimpleNamespace
 
 from .pca import (
@@ -97,47 +98,77 @@ def dispatch_on(level0: type):
 
 # --- the obligation engine --------------------------------------------------
 # A structure declares its side conditions once, as a function ``stages(val)``
-# yielding stages of obligations (slot, t, acceptable set, label): the code
-# named by slot, run at visible input t, must return a member of the set.  A
+# yielding stages; a stage is an iterable of blocks (slot, ts, accs, label),
+# each standing for one obligation per pair (t, acc) of zip(ts, accs): the
+# code named by slot, run at visible input t, must return a member of the
+# acceptable set acc.  ts and accs are tuples or lists of one length.  A
 # slot is a code name, or a tuple of names answering jointly with a tuple of
-# values.  Later stages read earlier values through ``val(slot, t)``: the
+# values.  A block is a contiguous run of one slot's obligations, so the
+# obligations keep their declaration order across blocks; a stream yields
+# no empty block, and a single obligation as ``(slot, (t,), (acc,),
+# label)``.  Later stages read earlier values through ``val(slot, t)``: the
 # table being built when synthesizing, the code being run when checking.
+#
+# A stream whose targets read codes that may raise (FuelExhausted,
+# Diverges) builds such a block in a ``try`` clause, appending each target
+# before its input, and yields what it holds in the ``finally`` clause: a
+# read that raises ends the block before its obligation, and the exception
+# follows once the obligations before it are consumed, so a failure among
+# them is still reported first.
 
 def forced(value, target) -> tuple:
     """The acceptable set of an obligation whose value is given."""
     return (value,) if value in target else ()
 
 
-def _intersect_groups(obligations) -> dict:
+def _intersect_groups(blocks) -> dict:
+    """{slot: {t: acceptable values}}, intersected per (slot, t) in
+    declaration order.  A block of fresh inputs with non-empty sets goes in
+    by one dict update; only a repeated input (realizer twins) is
+    intersected.  Raises SynthesisFailed at the first empty group."""
     out = {}
-    for slot, t, acc, label in obligations:
-        key = (slot, t)
-        acc = out[key].intersection(acc) if key in out else frozenset(acc)
-        if not acc:
-            raise SynthesisFailed(f"{label}: empty at input {t}", slot, t,
-                                  label)
-        out[key] = acc
+    for slot, ts, accs, label in blocks:
+        group = out.get(slot)
+        if group is None:
+            group = out[slot] = {}
+        if all(accs) and group.keys().isdisjoint(ts):
+            n = len(group)
+            group.update(zip(ts, accs, strict=True))
+            if len(group) - n == len(ts):
+                continue
+            for t in ts:  # an input repeats within the block
+                group.pop(t, None)
+        for t, acc in zip(ts, accs, strict=True):
+            if t in group:
+                acc = frozenset(group[t]).intersection(acc)
+            if not acc:
+                raise SynthesisFailed(f"{label}: empty at input {t}", slot, t,
+                                      label)
+            group[t] = acc
     return out
 
 
 def groups(stages) -> dict:
-    """The first stage's acceptable sets intersected per (slot, t), in
-    declaration order (the first stage reads no values).  Raises
-    SynthesisFailed at the first empty intersection."""
+    """The first stage's acceptable sets intersected per slot and input,
+    {slot: {t: set}}, in declaration order (the first stage reads no
+    values).  Raises SynthesisFailed at the first empty intersection."""
     return _intersect_groups(next(iter(stages(None))))
 
 
 def settle(stages, slots) -> dict:
-    """Synthesis: per stage, intersect each (slot, t) group and pick its
-    least member.  Returns {code name: {t: value}} for every name in
-    ``slots``; raises SynthesisFailed naming the first empty group."""
+    """Synthesis: per stage, intersect the acceptable sets its blocks
+    declare for each (slot, t) and pick the least member of each group.
+    Returns {code name: {t: value}} for every name in ``slots``; raises
+    SynthesisFailed naming the first empty group."""
     tables = {s: {} for s in slots}
     for stage in stages(lambda slot, t: tables[slot][t]):
-        for (slot, t), acc in _intersect_groups(stage).items():
-            v = min(acc)
-            for s, x in (zip(slot, v) if isinstance(slot, tuple)
-                         else ((slot, v),)):
-                tables[s][t] = x
+        for slot, group in _intersect_groups(stage).items():
+            if isinstance(slot, tuple):
+                for t, acc in group.items():
+                    for s, x in zip(slot, min(acc)):
+                        tables[s][t] = x
+            else:
+                tables[slot].update(zip(group, map(min, group.values())))
     return tables
 
 
@@ -148,10 +179,13 @@ def tabulate_all(tables: dict) -> dict:
 def verify(stages, codes) -> Verdict:
     """Checking: read each (code, t) at the fuel limit in force and test
     every obligation in declaration order; the first failure wins.  A
-    Table is read by lookup at the fuel its charge names; any other code
-    is run once and its outcome kept.  Fuel exhaustion, also while
-    computing a target, is UNKNOWN; divergence, an empty target or a
-    value outside it is INVALID."""
+    block of a Table whose largest charge (a miss's) is within the fuel is
+    read in one pass of lookups, and scanned again one obligation at a time
+    only to name its first failure; so is every other block.  A Table is
+    read by lookup at the fuel its charge names; any other code is run once
+    and its outcome kept.  Fuel exhaustion, also while computing a target,
+    is UNKNOWN; divergence, an empty target or a value outside it is
+    INVALID."""
     runs, fuel = {}, fuel_now()
 
     def read(name, t):
@@ -177,39 +211,42 @@ def verify(stages, codes) -> Verdict:
 
     try:
         for stage in stages(val):
-            for slot, t, acc, label in stage:
-                if not acc:
-                    return invalid(f"{label}: no acceptable value at {t}")
-                if isinstance(slot, tuple):
-                    v = ()
-                    for s in slot:
-                        status, x = read(s, t)
-                        if status != "ok":
-                            v = x
-                            break
-                        v += (x,)
-                else:
-                    # read(slot, t), inline: this is the checkers' hot loop
-                    code = codes[slot]
-                    if type(code) is Table:
-                        v = code.charge(t)
-                        if v > fuel:
-                            status = "fuel"
-                        else:
-                            v = code.values.get(t)
-                            status = "div" if v is None else "ok"
-                    else:
+            for slot, ts, accs, label in stage:
+                if len(ts) != len(accs):
+                    raise ValueError(f"{label}: a block of {len(ts)} inputs "
+                                     f"and {len(accs)} targets")
+                code = codes.get(slot)
+                if type(code) is Table and code.charge(None) <= fuel and \
+                        all(map(contains, accs, map(code.values.get, ts))):
+                    continue
+                for t, acc in zip(ts, accs):
+                    if not acc:
+                        return invalid(f"{label}: no acceptable value at {t}")
+                    if isinstance(slot, tuple):
+                        v = ()
+                        for s in slot:
+                            status, x = read(s, t)
+                            if status != "ok":
+                                v = x
+                                break
+                            v += (x,)
+                    elif type(code) is Table:
                         status, v = read(slot, t)
-                if status == "fuel":
-                    return unknown(
-                        f"{label}: fuel exhausted at {t}" if v is None else
-                        f"{label}: fuel {fuel} exhausted at {t}; "
-                        f"the lookup needs {v}")
-                if status == "div":
-                    return invalid(f"{label}: diverges at {t}")
-                if v not in acc:
-                    return invalid(
-                        f"{label}: value {v} outside target at {t}")
+                    else:  # a run, kept for the reads of later stages
+                        out = runs.get((slot, t))
+                        if out is None:
+                            out = runs[slot, t] = _run(code, t, fuel)
+                        status, v = out
+                    if status == "fuel":
+                        return unknown(
+                            f"{label}: fuel exhausted at {t}" if v is None
+                            else f"{label}: fuel {fuel} exhausted at {t}; "
+                            f"the lookup needs {v}")
+                    if status == "div":
+                        return invalid(f"{label}: diverges at {t}")
+                    if v not in acc:
+                        return invalid(
+                            f"{label}: value {v} outside target at {t}")
     except FuelExhausted:
         return unknown("fuel exhausted computing a target")
     except Diverges:
@@ -315,41 +352,64 @@ def _adjacency(cells, hom) -> dict:
             for a in cells}
 
 
+def _edges_of(obj) -> tuple:
+    """The _adjacency of obj's cells and hom-sets, and its edges (a, b,
+    hom(a, b), sorted hom(a, b)) in cell order; kept on obj like its input
+    tables."""
+    def build():
+        adj = _adjacency(obj.cells, obj.hom)
+        return adj, [(a, *e) for a in obj.cells for e in adj[a]]
+    return _owned(obj, ("edges",), build)
+
+
 def _object_stages(cells, realizer, hom, unit=None, inv=None, comp=None,
                    holder=None):
     """An object's one-dimensional structure at either level, in cell order
     over the non-empty hom-sets of ``hom`` (which answers every key read):
     unit, inverse and composition, forced to the values of the functions
-    unit/inv/comp when they are given.  Inputs are read from the tables
-    kept on ``holder``, which must hold the same cells, realizer and
-    hom-sets; by default a fresh one."""
+    unit/inv/comp when they are given, in one block for each code.  Inputs
+    are read from the tables kept on ``holder``, which must hold the same
+    cells, realizer and hom-sets; by default a fresh one."""
     R = realizer
     if holder is None:
         holder = SimpleNamespace(cells=cells, realizer=realizer, hom=hom)
-    adj = _adjacency(cells, hom)
-    edges = [(a, *e) for a in cells for e in adj[a]]
+    adj, edges = _edges_of(holder)
 
     def stages(_val):
         def structure():
-            for a in cells:
-                h = hom[a, a]
-                yield ("unit_code", R[a], h if unit is None else
-                       forced(unit(a), h), "unit")
+            ts, accs = [], []
+            try:
+                for a in cells:
+                    h = hom[a, a]
+                    accs.append(h if unit is None else forced(unit(a), h))
+                    ts.append(R[a])
+            finally:
+                if ts:
+                    yield "unit_code", ts, accs, "unit"
             ones = _one_cell_inputs(holder)
-            for a, b, hab, _ in edges:
-                h, ts = hom[b, a], ones[a, b]
-                for p in hab:
-                    yield ("inv_code", ts[p],
-                           h if inv is None else forced(inv(a, b, p), h),
-                           "inverse")
-            for a, b, hab, _ in edges:
-                for c, hbc, _ in adj[b]:
-                    h, ts = hom[a, c], _comp_inputs(holder, a, b, c)
-                    for p, r in itertools.product(hab, hbc):
-                        yield ("comp_code", ts[p, r],
-                               h if comp is None else
-                               forced(comp(a, b, c, p, r), h),
-                               "composition")
+            ts, accs = [], []
+            try:
+                for a, b, hab, _ in edges:
+                    h, inputs = hom[b, a], ones[a, b]
+                    for p in hab:
+                        accs.append(h if inv is None else
+                                    forced(inv(a, b, p), h))
+                        ts.append(inputs[p])
+            finally:
+                if ts:
+                    yield "inv_code", ts, accs, "inverse"
+            ts, accs = [], []
+            try:
+                for a, b, hab, _ in edges:
+                    for c, hbc, _ in adj[b]:
+                        h, inputs = hom[a, c], _comp_inputs(holder, a, b, c)
+                        for pr in itertools.product(hab, hbc):
+                            accs.append(h if comp is None else
+                                        forced(comp(a, b, c, *pr), h))
+                            ts.append(inputs[pr])
+            finally:
+                if ts:
+                    yield "comp_code", ts, accs, "composition"
         yield structure()
     return stages
 
@@ -449,20 +509,26 @@ def _read_back(inputs, value) -> dict:
 def _morphism_stages(dom, cod, zero: dict, one=any_image):
     """A map's one-dimensional tracking at either level: tracking0 sends
     beta b to the realizer of f(b), tracking1 sends t = <beta b, beta b', p>
-    into hom(f b, f b'), narrowed to ``one(t, target, b, b', p)``."""
+    into hom(f b, f b'), narrowed to ``one(t, target, b, b', p)``.  One
+    block for each code."""
     R, ones = dom.realizer, _one_cell_inputs(dom)
 
     def stages(_val):
         def tracking():
-            for b in dom.cells:
-                fb = zero.get(b)
-                yield ("tracking0", R[b],
-                       (cod.realizer[fb],) if fb in cod.cells else (),
-                       "tracking0")
-            for (b, b2), ts in ones.items():
-                h = cod.hom_of(zero.get(b), zero.get(b2))
-                for p, t in ts.items():
-                    yield "tracking1", t, one(t, h, b, b2, p), "tracking1"
+            if dom.cells:
+                yield ("tracking0", tuple(map(R.__getitem__, dom.cells)),
+                       [(cod.realizer[fb],) if fb in cod.cells else ()
+                        for fb in map(zero.get, dom.cells)], "tracking0")
+            ts, accs = [], []
+            try:
+                for (b, b2), inputs in ones.items():
+                    h = cod.hom_of(zero.get(b), zero.get(b2))
+                    for p, t in inputs.items():
+                        accs.append(one(t, h, b, b2, p))
+                        ts.append(t)
+            finally:
+                if ts:
+                    yield "tracking1", ts, accs, "tracking1"
         yield tracking()
     return stages
 
@@ -565,9 +631,9 @@ def ho_equal(f: EffMorphism, g: EffMorphism) -> Decision:
     F, G = p_morphism(f), p_morphism(g)
     for lhs, rhs, label in ((F, G, "p(f) <= p(g)"), (G, F, "p(g) <= p(f)")):
         try:
-            settle(lambda _val: [(("r", x, rhs[k], label)
-                                  for k in lhs for x in sorted(lhs[k]))],
-                   ("r",))
+            settle(lambda _val: [(("r", sorted(lhs[k]),
+                                   (rhs[k],) * len(lhs[k]), label)
+                                  for k in lhs if lhs[k])], ("r",))
         except SynthesisFailed as e:
             return Decision(NO, reason=str(e))
     return Decision(YES)

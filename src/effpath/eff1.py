@@ -23,7 +23,7 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adjacency, _adopt, _comp,
+    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adopt, _comp, _edges_of,
     _comp_inputs, _inv, _read, _morphism_stages, _object_stages,
     _one_cell_inputs, _owned, _read_back, _u, any_image, check_morphism,
     check_object, compose, forced, identity, make_object, settle,
@@ -114,10 +114,11 @@ _OBJECT1_SLOTS = _OBJECT_SLOTS + _TWO_CELL_SLOTS
 
 # --- input tables -----------------------------------------------------------
 # core's input tables, one dimension up.  The last three serve only the
-# object stream, and hold most of its inputs: each is a tuple in the order
-# of _object1_stages, which the stream reads in step (a tuple of ints is
-# smaller than a dict keyed by the parts, and the cyclic GC stops tracking
-# it).
+# object stream, and hold most of its inputs: each keeps, per edge (a, b)
+# and built on its first use, a tuple of the inputs in the order of
+# _object1_stages, which is that edge's block (a tuple of ints is smaller
+# than a dict keyed by the parts, and the cyclic GC stops tracking it).
+# ``adj`` is the object's _adjacency.
 
 def _two_cell_inputs(obj) -> dict:
     """{(a, b, p, r): {n: <alpha a, alpha b, p, r, n>}} over every parallel
@@ -132,63 +133,72 @@ def _two_cell_inputs(obj) -> dict:
     return _owned(obj, ("inputs2",), build)
 
 
-def _assoc_inputs(obj) -> tuple:
-    """<alpha a, alpha b, alpha c, alpha d, p, r, s>, the inputs of
-    coh_assoc."""
-    def build():
-        R, adj = obj.realizer, _adjacency(obj.cells, obj.hom)
-        return tuple(tuple_encode(R[a], R[b], R[c], R[d], p, r, s)
-                     for a in obj.cells for b, hab, _ in adj[a]
-                     for c, hbc, _ in adj[b] for d, hcd, _ in adj[c]
-                     for p, r in itertools.product(hab, hbc) for s in hcd)
-    return _owned(obj, ("inputs7",), build)
+def _assoc_inputs(obj, adj, a, b) -> tuple:
+    """<alpha a, alpha b, alpha c, alpha d, p, r, s> over the paths
+    a -> b -> c -> d, the inputs of coh_assoc on edge (a, b)."""
+    tables = _owned(obj, ("inputs7",), dict)
+    ts = tables.get((a, b))
+    if ts is None:
+        R = obj.realizer
+        ts = tables[a, b] = tuple(
+            tuple_encode(R[a], R[b], R[c], R[d], p, r, s)
+            for c, hbc, _ in adj[b] for d, hcd, _ in adj[c]
+            for p, r in itertools.product(obj.hom[a, b], hbc) for s in hcd)
+    return ts
 
 
-def _vcomp_inputs(obj) -> tuple:
-    """<alpha a, alpha b, p, r, s, n, m>, the inputs of vcomp."""
-    def build():
+def _vcomp_inputs(obj, a, b) -> tuple:
+    """<alpha a, alpha b, p, r, s, n, m>, the inputs of vcomp on edge
+    (a, b)."""
+    tables = _owned(obj, ("inputs7v",), dict)
+    ts = tables.get((a, b))
+    if ts is None:
         R, hom2 = obj.realizer, obj.hom2
-        adj = _adjacency(obj.cells, obj.hom)
-        return tuple(tuple_encode(R[a], R[b], p, r, s, n, m)
-                     for a in obj.cells for b, _, h1 in adj[a]
-                     for p, r, s in itertools.product(h1, repeat=3)
-                     for n in hom2.get((a, b, p, r), ())
-                     for m in hom2.get((a, b, r, s), ()))
-    return _owned(obj, ("inputs7v",), build)
+        ts = tables[a, b] = tuple(
+            tuple_encode(R[a], R[b], p, r, s, n, m)
+            for p, r, s in itertools.product(sorted(obj.hom[a, b]), repeat=3)
+            for n in hom2.get((a, b, p, r), ())
+            for m in hom2.get((a, b, r, s), ()))
+    return ts
 
 
-def _hcomp_inputs(obj) -> tuple:
-    """<alpha a, alpha b, alpha c, p, r, p', r', n, m>, the inputs of
-    hcomp."""
-    def build():
+def _hcomp_inputs(obj, adj, a, b) -> tuple:
+    """<alpha a, alpha b, alpha c, p, r, p', r', n, m>, the inputs of hcomp
+    on edge (a, b)."""
+    tables = _owned(obj, ("inputs9",), dict)
+    ts = tables.get((a, b))
+    if ts is None:
         R, hom2 = obj.realizer, obj.hom2
-        adj = _adjacency(obj.cells, obj.hom)
-        return tuple(tuple_encode(R[a], R[b], R[c], p, r, p2, r2, n, m)
-                     for a in obj.cells for b, _, sab in adj[a]
-                     for c, _, sbc in adj[b]
-                     for p, r in itertools.product(sab, repeat=2)
-                     if (h2ab := hom2.get((a, b, p, r)))
-                     for p2, r2 in itertools.product(sbc, repeat=2)
-                     for n, m in itertools.product(
-                         h2ab, hom2.get((b, c, p2, r2), ())))
-    return _owned(obj, ("inputs9",), build)
+        ts = tables[a, b] = tuple(
+            tuple_encode(R[a], R[b], R[c], p, r, p2, r2, n, m)
+            for c, _, sbc in adj[b]
+            for p, r in itertools.product(sorted(obj.hom[a, b]), repeat=2)
+            if (h2ab := hom2.get((a, b, p, r)))
+            for p2, r2 in itertools.product(sbc, repeat=2)
+            for n, m in itertools.product(h2ab, hom2.get((b, c, p2, r2), ())))
+    return ts
 
 
 def _object1_stages(cells, realizer, hom, hom2,
                     unit=None, inv=None, comp=None, holder=None):
     """core._object_stages, then the 2-cell structure reading its values;
     ``hom2`` maps (a, b, p, q) to a set and must answer every key read.
-    Inputs are read from the tables kept on ``holder``, which must hold
-    the same cells, realizer, hom and hom2; by default a fresh one."""
+    The unit and inverse coherences of a 1-cell are single obligations
+    (their five slots interleave); the other 2-cell blocks run over one
+    edge.  Inputs are read from the tables kept on ``holder``, which must
+    hold the same cells, realizer, hom and hom2; by default a fresh one."""
     if holder is None:
         holder = SimpleNamespace(cells=cells, realizer=realizer, hom=hom,
                                  hom2=hom2)
     structure = _object_stages(cells, realizer, hom, unit, inv, comp, holder)
-    adj = _adjacency(cells, hom)
-    edges = [(a, *e) for a in cells for e in adj[a]]
+    adj, edges = _edges_of(holder)
 
     def stages(val):
         yield from structure(val)
+        # the values read below are the first stage's, each settled or
+        # checked there, and the 1-cells they name lie in their hom-sets:
+        # no read in the second stage can raise, so its blocks may run
+        # over a whole edge
 
         def u(a):
             return val("unit_code", realizer[a])
@@ -196,14 +206,14 @@ def _object1_stages(cells, realizer, hom, hom2,
         composites = {}
 
         def composed(a, b, c):
-            # {(p, r): r . p} over hom(a, b) x hom(b, c), read on first use
+            # {p: {r: r . p}} over hom(a, b) x hom(b, c), read on first use
             # and only where the first stage declared a composition
             table = composites.get((a, b, c))
             if table is None:
                 ts = _comp_inputs(holder, a, b, c)
                 table = composites[a, b, c] = {
-                    (p, r): val("comp_code", ts[p, r])
-                    for p in hom[a, b] for r in hom[b, c]}
+                    p: {r: val("comp_code", ts[p, r]) for r in hom[b, c]}
+                    for p in hom[a, b]}
             return table
 
         def coherence():
@@ -213,62 +223,72 @@ def _object1_stages(cells, realizer, hom, hom2,
                 for p in hab:
                     t = ts[p]
                     pi = val("inv_code", t)
+                    t = (t,)
                     yield ("coh_lunit", t,
-                           hom2[a, b, composed(a, b, b)[p, ub], p],
+                           (hom2[a, b, composed(a, b, b)[p][ub], p],),
                            "left unit coherence")
                     yield ("coh_runit", t,
-                           hom2[a, b, composed(a, a, b)[ua, p], p],
+                           (hom2[a, b, composed(a, a, b)[ua][p], p],),
                            "right unit coherence")
                     yield ("coh_linv", t,
-                           hom2[a, a, composed(a, b, a)[p, pi], ua],
+                           (hom2[a, a, composed(a, b, a)[p][pi], ua],),
                            "left inverse coherence")
                     yield ("coh_rinv", t,
-                           hom2[b, b, composed(b, a, b)[pi, p], ub],
+                           (hom2[b, b, composed(b, a, b)[pi][p], ub],),
                            "right inverse coherence")
-                    yield "id2", t, hom2[a, b, p, p], "2-identity"
-            assoc = iter(_assoc_inputs(holder))
+                    yield "id2", t, (hom2[a, b, p, p],), "2-identity"
             for a, b, hab, _ in edges:
+                accs = []
+                add = accs.append
                 for c, hbc, _ in adj[b]:
                     abc = composed(a, b, c)
                     for d, hcd, _ in adj[c]:
                         acd, abd = composed(a, c, d), composed(a, b, d)
                         bcd = composed(b, c, d)
-                        for p, r in itertools.product(hab, hbc):
-                            rp = abc[p, r]
-                            for s in hcd:
-                                yield ("coh_assoc", next(assoc),
-                                       hom2[a, d, acd[rp, s],
-                                            abd[p, bcd[r, s]]],
-                                       "associativity coherence")
+                        for p in hab:
+                            abcp, abdp = abc[p], abd[p]
+                            for r in hbc:
+                                acdrp, bcdr = acd[abcp[r]], bcd[r]
+                                for s in hcd:
+                                    add(hom2[a, d, acdrp[s], abdp[bcdr[s]]])
+                if accs:
+                    yield ("coh_assoc", _assoc_inputs(holder, adj, a, b),
+                           accs, "associativity coherence")
             twos = _two_cell_inputs(holder)
-            vcomps = iter(_vcomp_inputs(holder))
             for a, b, _, h1 in edges:
+                accs = []
                 for p, r, s in itertools.product(h1, repeat=3):
-                    for n in hom2[a, b, p, r]:
-                        for m in hom2[a, b, r, s]:
-                            yield ("vcomp", next(vcomps),
-                                   hom2[a, b, p, s],
-                                   "vertical composition")
+                    n = len(hom2[a, b, p, r]) * len(hom2[a, b, r, s])
+                    if n:
+                        accs += (hom2[a, b, p, s],) * n
+                if accs:
+                    yield ("vcomp", _vcomp_inputs(holder, a, b), accs,
+                           "vertical composition")
+                ts, accs = [], []
                 for p, r in itertools.product(h1, repeat=2):
-                    ts = twos[a, b, p, r]
-                    for n in hom2[a, b, p, r]:
-                        yield "inv2", ts[n], hom2[a, b, r, p], "2-inverse"
-            hcomps = iter(_hcomp_inputs(holder))
+                    inputs = twos[a, b, p, r]
+                    if inputs:
+                        ts += inputs.values()
+                        accs += (hom2[a, b, r, p],) * len(inputs)
+                if ts:
+                    yield "inv2", ts, accs, "2-inverse"
             for a, b, _, sab in edges:
+                accs = []
                 for c, _, sbc in adj[b]:
                     abc = composed(a, b, c)
                     for p, r in itertools.product(sab, repeat=2):
-                        h2ab = hom2[a, b, p, r]
-                        if not h2ab:
+                        n = len(hom2[a, b, p, r])
+                        if not n:
                             continue
+                        abcp, abcr = abc[p], abc[r]
                         for p2, r2 in itertools.product(sbc, repeat=2):
-                            h2bc = hom2[b, c, p2, r2]
-                            if not h2bc:
-                                continue
-                            h = hom2[a, c, abc[p, p2], abc[r, r2]]
-                            for n, m in itertools.product(h2ab, h2bc):
-                                yield ("hcomp", next(hcomps), h,
-                                       "horizontal composition")
+                            m = len(hom2[b, c, p2, r2])
+                            if m:
+                                accs += (hom2[a, c, abcp[p2], abcr[r2]],) \
+                                    * (n * m)
+                if accs:
+                    yield ("hcomp", _hcomp_inputs(holder, adj, a, b), accs,
+                           "horizontal composition")
         yield coherence()
     return stages
 
@@ -360,7 +380,7 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
     """The tracking of core._morphism_stages, then tracking2 and
     functoriality.  ``one(t, target, b, b', p)`` and ``two(t, target, b,
     b', p, r, n, f(p), f(r))`` narrow the acceptable images; by default
-    every image in the codomain is."""
+    every image in the codomain is.  One block for each code."""
     R = dom.realizer
     tracking = _morphism_stages(dom, cod, zero, one)
     ones, twos = _one_cell_inputs(dom), _two_cell_inputs(dom)
@@ -375,40 +395,64 @@ def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
                 if v is None else v
 
         def level2():
-            for (b, b2, p, r), ts in twos.items():
-                fmap = one_map[b, b2]
-                h = cod.hom2_of(zero[b], zero[b2], fmap[p], fmap[r])
-                for n, t in ts.items():
-                    yield ("tracking2", t,
-                           two(t, h, b, b2, p, r, n, fmap[p], fmap[r]),
-                           "2-tracking")
+            ts, accs = [], []
+            try:
+                for (b, b2, p, r), inputs in twos.items():
+                    fp, fr = one_map[b, b2][p], one_map[b, b2][r]
+                    h = cod.hom2_of(zero[b], zero[b2], fp, fr)
+                    for n, t in inputs.items():
+                        accs.append(two(t, h, b, b2, p, r, n, fp, fr))
+                        ts.append(t)
+            finally:
+                if ts:
+                    yield "tracking2", ts, accs, "2-tracking"
         yield level2()
 
         def functoriality():
-            for b in dom.cells:
-                fb = zero[b]
-                yield ("funct_id", R[b],
-                       cod.hom2_of(fb, fb, f1(b, b, _u(dom, b)), _u(cod, fb)),
-                       "identity preservation")
-            adj = _adjacency(dom.cells, dom.hom)
-            for b1 in dom.cells:
-                for b2, _, _ in adj[b1]:
-                    for b3, _, _ in adj[b2]:
-                        z1, z2, z3 = zero[b1], zero[b2], zero[b3]
-                        f12, f23 = one_map[b1, b2], one_map[b2, b3]
-                        f13 = one_map[b1, b3]
-                        into = _comp_inputs(cod, z1, z2, z3)
-                        for (p, r), t in _comp_inputs(dom, b1, b2,
-                                                      b3).items():
-                            # r . p in dom, and f(r) . f(p) in cod
-                            c = _read(dom.comp_code, t)
-                            img = f13.get(c)
-                            if img is None:
-                                img = f1(b1, b3, c)
-                            cimg = _read(cod.comp_code, into[f12[p], f23[r]])
-                            yield ("funct_comp", t,
-                                   cod.hom2_of(z1, z3, img, cimg),
-                                   "composite preservation")
+            ts, accs = [], []
+            try:
+                for b in dom.cells:
+                    fb = zero[b]
+                    accs.append(cod.hom2_of(fb, fb, f1(b, b, _u(dom, b)),
+                                            _u(cod, fb)))
+                    ts.append(R[b])
+            finally:
+                if ts:
+                    yield "funct_id", ts, accs, "identity preservation"
+            # r . p in dom, and f(r) . f(p) in cod read through one table
+            # per cell triple of cod, which the cell triples of dom over it
+            # share
+            adj = _edges_of(dom)[0]
+            into = {}
+            ts, accs = [], []
+            try:
+                for b1 in dom.cells:
+                    for b2, _, _ in adj[b1]:
+                        for b3, _, _ in adj[b2]:
+                            z1, z3 = zero[b1], zero[b3]
+                            f12, f23 = one_map[b1, b2], one_map[b2, b3]
+                            f13 = one_map[b1, b3]
+                            z = (z1, zero[b2], z3)
+                            composites = into.get(z)
+                            if composites is None:
+                                composites = into[z] = {}
+                            cod_inputs = _comp_inputs(cod, *z)
+                            for (p, r), t in _comp_inputs(dom, b1, b2,
+                                                          b3).items():
+                                c = _read(dom.comp_code, t)
+                                img = f13.get(c)
+                                if img is None:
+                                    img = f1(b1, b3, c)
+                                key = f12[p], f23[r]
+                                cimg = composites.get(key)
+                                if cimg is None:
+                                    cimg = composites[key] = _read(
+                                        cod.comp_code, cod_inputs[key])
+                                accs.append(cod.hom2_of(z1, z3, img, cimg))
+                                ts.append(t)
+            finally:
+                if ts:
+                    yield "funct_comp", ts, accs, "composite preservation"
         yield functoriality()
     return stages
 
@@ -642,11 +686,12 @@ class Fibration1Witness:
 def _fibration1_stages(f: Eff1Morphism):
     """(1) as in path._lift1_obligations; (2) <beta b, beta b', r, p', n>
     gives r' over p' and a 2-cell m: r => r' with f(m) = n; (3) <beta b,
-    beta b', p, r, m, n> gives m' in B2(p, r) with f(m') = n."""
+    beta b', p, r, m, n> gives m' in B2(p, r) with f(m') = n.  Blocks run
+    over one lift's inputs: (1) per cell and base cell, (2) per 1-cell
+    and (3) per parallel pair of 1-cells."""
     A, B, fz = f.cod, f.dom, f.zero_map
     R = B.realizer
-    adjB = _adjacency(B.cells, B.hom)
-    edgesB = [(b, *e) for b in B.cells for e in adjB[b]]
+    edgesB = _edges_of(B)[1]
 
     def stages(_val):
         def lifts():
@@ -660,11 +705,13 @@ def _fibration1_stages(f: Eff1Morphism):
                             n = f.two_map[(b, b2, rho, rho2)][m]
                             sols.setdefault((one[rho2], n), set()).add(
                                 (rho2, m))
+                    ts, accs = [], []
                     for p2 in A.hom_of(fz[b], fz[b2]):
                         for n in A.hom2_of(fz[b], fz[b2], one[rho], p2):
-                            yield (("lift1p", "lift2"),
-                                   tuple_encode(R[b], R[b2], rho, p2, n),
-                                   sols.get((p2, n), ()), "lift (2)")
+                            ts.append(tuple_encode(R[b], R[b2], rho, p2, n))
+                            accs.append(sols.get((p2, n), ()))
+                    if ts:
+                        yield ("lift1p", "lift2"), ts, accs, "lift (2)"
             for b, b2, _, sb in edgesB:
                 for p, r in itertools.product(sb, repeat=2):
                     h2 = B.hom2_of(b, b2, p, r)
@@ -675,10 +722,12 @@ def _fibration1_stages(f: Eff1Morphism):
                         sols.setdefault(f.two_map[(b, b2, p, r)][m2],
                                         set()).add(m2)
                     fp, fr = f.one_map[(b, b2)][p], f.one_map[(b, b2)][r]
-                    for n in A.hom2_of(fz[b], fz[b2], fp, fr):
+                    ns = A.hom2_of(fz[b], fz[b2], fp, fr)
+                    if ns:
                         yield ("lift2p",
-                               tuple_encode(R[b], R[b2], p, r, min(h2), n),
-                               sols.get(n, ()), "lift (3)")
+                               [tuple_encode(R[b], R[b2], p, r, min(h2), n)
+                                for n in ns],
+                               [sols.get(n, ()) for n in ns], "lift (3)")
         yield lifts()
     return stages
 
@@ -903,16 +952,22 @@ def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None):
         yield from connecting(val)
 
         def fillers():
-            for b, b2 in itertools.product(B.cells, repeat=2):
-                hb, hb2 = val("h1", R[b]), val("h1", R[b2])
-                for p in B.hom_of(b, b2):
-                    lhs = _comp(A, fz[b], fz[b2], gz[b2],
-                                f.one_map[(b, b2)][p], hb2)
-                    rhs = _comp(A, fz[b], gz[b], gz[b2], hb,
-                                g.one_map[(b, b2)][p])
-                    yield ("h2", tuple_encode(R[b], R[b2], p),
-                           A.hom2_of(fz[b], gz[b2], lhs, rhs),
-                           "homotopy filler")
+            ones = _one_cell_inputs(B)
+            ts, accs = [], []
+            try:
+                for b, b2 in itertools.product(B.cells, repeat=2):
+                    hb, hb2 = val("h1", R[b]), val("h1", R[b2])
+                    inputs = ones[b, b2]
+                    for p in B.hom_of(b, b2):
+                        lhs = _comp(A, fz[b], fz[b2], gz[b2],
+                                    f.one_map[(b, b2)][p], hb2)
+                        rhs = _comp(A, fz[b], gz[b], gz[b2], hb,
+                                    g.one_map[(b, b2)][p])
+                        accs.append(A.hom2_of(fz[b], gz[b2], lhs, rhs))
+                        ts.append(inputs[p])
+            finally:
+                if ts:
+                    yield "h2", ts, accs, "homotopy filler"
         yield fillers()
     return stages
 
@@ -953,8 +1008,8 @@ def _per_realizer(cells, realizer, target, label: str) -> Decision:
     """One code sending the realizer of each cell into target(cell): YES
     with the tabulated code, or NO naming the first empty intersection."""
     try:
-        T = settle(lambda _val: [(("code", realizer[c], target(c), label)
-                                  for c in cells)], ("code",))
+        T = settle(lambda _val: [(("code", (realizer[c],), (target(c),),
+                                   label) for c in cells)], ("code",))
     except SynthesisFailed as e:
         return Decision(NO, reason=str(e))
     return Decision(YES, witness=tabulate(T["code"]))
@@ -1455,13 +1510,13 @@ def discrete1_phi_psi(f: Eff1Morphism) -> Decision:
     R = B.realizer
 
     def stages(val):
-        yield (("phi", R[b0], frozenset(
+        yield (("phi", (R[b0],), (frozenset(
                     p for p in B.hom_of(b0, b1) if f.one_map[(b0, b1)][p]
-                    == _u(A, f.zero_map[b0])), "vertical 1-cell")
+                    == _u(A, f.zero_map[b0])),), "vertical 1-cell")
                for b0, b1 in _realizer_twins(f))
-        yield (("psi", tuple_encode(R[b0], R[c0], p), B.hom2_of(
+        yield (("psi", (tuple_encode(R[b0], R[c0], p),), (B.hom2_of(
                     b0, c1, _comp(B, b0, c0, c1, p, val("phi", R[c0])),
-                    _comp(B, b0, b1, c1, val("phi", R[b0]), p)),
+                    _comp(B, b0, b1, c1, val("phi", R[b0]), p)),),
                 "naturality square filler")
                for b0, b1 in _realizer_twins(f)
                for c0, c1 in _realizer_twins(f)

@@ -19,7 +19,7 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _adjacency, _comp, _inv, _owned, _u, compose,
+    UNKNOWN, Verdict, YES, _comp, _edges_of, _inv, _owned, _u, compose,
     dispatch_on, forced, groups, identity, make_object, settle,
     synthesize_morphism, tabulate_all, verify,
 )
@@ -37,11 +37,10 @@ class FibrationWitness:
 def _lift1_obligations(f):
     """Lift (1) of a fibration f: B -> A at either level: <beta b, alpha a,
     p> with p in hom(f b, a) names a lift (realizer of b', rho: b -> b') of
-    p, grouped by the image of rho."""
+    p, grouped by the image of rho.  A block runs over hom(f b, a)."""
     A, B, fz = f.cod, f.dom, f.zero_map
     R = B.realizer
-    adjA = _adjacency(A.cells, A.hom)
-    adjB = _adjacency(B.cells, B.hom)
+    adjA, adjB = _edges_of(A)[0], _edges_of(B)[0]
     for b in B.cells:
         for a, _, hp in adjA.get(fz[b], ()):
             sols = {}  # p -> lifts (realizer of b', rho) of p
@@ -50,15 +49,14 @@ def _lift1_obligations(f):
                     for rho in hb:
                         sols.setdefault(f.one_map[(b, b2)][rho],
                                         set()).add((R[b2], rho))
-            for p in hp:
-                yield (("lift0", "lift1"),
-                       tuple_encode(R[b], A.realizer[a], p),
-                       sols.get(p, ()), "lift (1)")
+            yield (("lift0", "lift1"),
+                   [tuple_encode(R[b], A.realizer[a], p) for p in hp],
+                   [sols.get(p, ()) for p in hp], "lift (1)")
 
 
 def _fibration_stages(f: EffMorphism):
     """(1) as in _lift1_obligations; (2) <beta b, beta b', rho, pi> gives
-    rho' with f(rho') = pi."""
+    rho' with f(rho') = pi, in a block per pair of cells."""
     B, A = f.dom, f.cod
 
     def stages(_val):
@@ -66,14 +64,15 @@ def _fibration_stages(f: EffMorphism):
             yield from _lift1_obligations(f)
             for b, b2 in itertools.product(B.cells, repeat=2):
                 hb = B.hom_of(b, b2)
-                for rho in sorted(hb):
-                    for pi in sorted(A.hom_of(f.zero_map[b], f.zero_map[b2])):
-                        yield ("lift2",
-                               tuple_encode(B.realizer[b], B.realizer[b2],
-                                            rho, pi),
-                               {r2 for r2 in hb
-                                if f.one_map[(b, b2)][r2] == pi},
-                               "lift (2)")
+                pis = sorted(A.hom_of(f.zero_map[b], f.zero_map[b2]))
+                if not (hb and pis):
+                    continue
+                over = [{r2 for r2 in hb if f.one_map[(b, b2)][r2] == pi}
+                        for pi in pis]
+                yield ("lift2",
+                       [tuple_encode(B.realizer[b], B.realizer[b2], rho, pi)
+                        for rho in sorted(hb) for pi in pis],
+                       over * len(hb), "lift (2)")
         yield lifts()
     return stages
 
@@ -291,10 +290,13 @@ def _homotopy_stages(f, g, h1=None):
     A, R = f.cod, f.dom.realizer
 
     def stages(_val):
-        yield (("h1", R[b], A.hom_of(f.zero_map[b], g.zero_map[b])
-                if h1 is None else
-                forced(h1.get(R[b]), A.hom_of(f.zero_map[b], g.zero_map[b])),
-                "homotopy 1-cell") for b in f.dom.cells)
+        cells = f.dom.cells
+        targets = [A.hom_of(f.zero_map[b], g.zero_map[b]) for b in cells]
+        if h1 is not None:
+            targets = [forced(h1.get(R[b]), h)
+                       for b, h in zip(cells, targets)]
+        yield [("h1", tuple(map(R.__getitem__, cells)), targets,
+                "homotopy 1-cell")] if cells else []
     return stages
 
 
@@ -316,8 +318,8 @@ def _choices(stages, slot: str, cap: int | None = None):
     t of the first stage, in product order over ascending inputs and
     values.  Raises SynthesisFailed at once if some input has none; the
     choices are counted by within_budget."""
-    options = sorted((t, sorted(acc)) for (s, t), acc in groups(stages).items()
-                     if s == slot)
+    options = sorted((t, sorted(acc))
+                     for t, acc in groups(stages).get(slot, {}).items())
     inputs = [t for t, _acc in options]
     return (dict(zip(inputs, combo)) for combo in within_budget(
         itertools.product(*(acc for _t, acc in options)), cap))

@@ -217,9 +217,9 @@ def _max_witness(f):
     if w is None:
         return None
     t0, t1 = {}, {}
-    for (slot, t), common in groups(_fibration_stages(f)).items():
-        if slot == ("lift0", "lift1"):
-            t0[t], t1[t] = max(common)
+    for t, common in groups(_fibration_stages(f)).get(("lift0", "lift1"),
+                                                       {}).items():
+        t0[t], t1[t] = max(common)
     return FibrationWitness(pca.tabulate(t0), pca.tabulate(t1), w.lift2)
 
 

@@ -33,6 +33,8 @@ from effpath.path import (
     synthesize_fibration_witness,
 )
 
+from test_stages import flattened
+
 BAD = 10 ** 6 + 7  # a value in no hom-set of the fixtures below
 
 
@@ -276,7 +278,8 @@ def test_declarations_skip_empty_hom_sets_in_dense_order(data):
     def val(slot, t):
         return pca.apply(getattr(obj, slot), t)
     stages = _object1_stages(obj.cells, obj.realizer, obj.hom, obj.hom2)
-    got = [ob for stage in stages(val) for ob in _obligations(stage)]
+    got = [ob for stage in stages(val)
+           for ob in _obligations(flattened(stage))]
     assert got == _obligations(
         _dense_object1(obj.cells, obj.realizer, obj.hom, obj.hom2, val))
 
@@ -285,7 +288,7 @@ def test_declarations_skip_empty_hom_sets_in_dense_order(data):
 
     def fval(slot, t):
         return pca.apply(getattr(f, slot), t)
-    *_, functoriality = [_obligations(stage) for stage in
+    *_, functoriality = [_obligations(flattened(stage)) for stage in
                          _morphism1_stages(obj, obj, f.zero_map)(fval)]
     assert functoriality == _obligations(_dense_functoriality(f, fval))
 

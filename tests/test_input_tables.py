@@ -64,6 +64,21 @@ def test_a_check_reuses_what_the_build_encoded():
         assert calls[0] == 0, obj
 
 
+def test_an_early_failure_encodes_the_inputs_of_one_edge():
+    # a copy of P(Z2) without tables, whose coh_assoc is wrong at its first
+    # input: the check reads one edge's associativity inputs, not all
+    _, pz2, _ = _z2_objects()
+    adj, edges = core._edges_of(pz2)
+    first = eff1._assoc_inputs(pz2, adj, *edges[0][:2])[0]
+    bad = dataclasses.replace(pz2, coh_assoc=pca.Table(
+        {**pz2.coh_assoc.values, first: -1}))
+    with _counting_encodes() as calls:
+        verdict = check_object1(bad, fuel=BIG_FUEL)
+    assert verdict.reason == \
+        f"associativity coherence: value -1 outside target at {first}"
+    assert calls[0] <= 3_009, calls[0]
+
+
 def _level0_reference(cells, realizer, hom):
     """core._object_stages with no values given, encoding every input per
     obligation."""

@@ -452,7 +452,7 @@ def test_the_engine_reads_a_table_as_the_machine_runs_it(table, probes, extra):
 
             def stages(val):
                 seen.append(_outcome(lambda: val("c", x)))
-                yield [("c", x, frozenset({-1}), "probe")]
+                yield [("c", (x,), (frozenset({-1}),), "probe")]
             with pca.fuel_limit(fuel):
                 read = _outcome(lambda: _read(code, x))
                 verdict = verify(stages, {"c": code})
@@ -484,7 +484,7 @@ def test_the_engine_runs_an_int_code_as_the_machine_does(table, probes):
             with pca.fuel_limit(fuel):
                 assert _outcome(lambda: _read(code, x)) == want
                 verdict = verify(
-                    lambda val: [[("c", x, frozenset({-1}), "probe")]],
+                    lambda val: [[("c", (x,), (frozenset({-1}),), "probe")]],
                     {"c": code})
             if want is FuelExhausted:
                 assert verdict == unknown(f"probe: fuel exhausted at {x}")

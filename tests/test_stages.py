@@ -40,13 +40,40 @@ import strategies
 BIG_FUEL = 10 ** 7
 
 
+def _as_blocks(stage):
+    """The blocks (slot, ts, accs, label) of a stage; a frozen generator's
+    single obligation (slot, t, acc, label), whose input is an int, is taken
+    as a block of one."""
+    for x in stage:
+        yield (x[0], (x[1],), (x[2],), x[3]) if isinstance(x[1], int) else x
+
+
+def flattened(blocks):
+    """The single obligations (slot, t, acc, label) of ``blocks`` in
+    declaration order."""
+    for slot, ts, accs, label in blocks:
+        for t, acc in zip(ts, accs, strict=True):
+            yield slot, t, acc, label
+
+
 def _recorded(stages, log):
-    """``stages`` with each stage read in full and appended to ``log``."""
+    """``stages`` with each stage read in full and appended to ``log`` as
+    single obligations; the engine is given its blocks."""
     def wrapped(val):
         for stage in stages(val):
-            log.append(list(stage))
-            yield log[-1]
+            blocks = list(_as_blocks(stage))
+            log.append(list(flattened(blocks)))
+            yield blocks
     return wrapped
+
+
+def _one_by_one(verify):
+    """The frozen ``verify``, reading the blocks of a stream one obligation
+    at a time."""
+    def read(stages, codes):
+        return verify(lambda val: (flattened(stage) for stage in stages(val)),
+                      codes)
+    return read
 
 
 def _drive(stages, engine):
@@ -208,7 +235,7 @@ def _same_verdicts(check, *args):
     for fuel in _fuels(args[-1]):
         with pytest.MonkeyPatch.context() as mp:
             for module in (core, path, eff1):
-                mp.setattr(module, "verify", ref.verify)
+                mp.setattr(module, "verify", _one_by_one(ref.verify))
             want = check(*args, fuel=fuel)
         got = check(*args, fuel=fuel)
         assert got.status == want.status, (check.__name__, fuel, got, want)
