@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import wraps
 
 from .pca import (
-    FST_C, PAIR, SND_C, Var, app, apply, cantor_unpair, curry_left, lam,
-    compile_term, tuple_encode,
+    FST_C, PAIR, SND_C, Table, Var, app, apply, cantor_unpair, curry_left,
+    lam, compile_term, tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, UNKNOWN, YES,
@@ -389,16 +389,40 @@ def _section_key(x, s: EffMorphism):
     return (x, tuple(sorted((y, s.zero_map[y]) for y in s.dom.cells)))
 
 
+class _Enumeration:
+    """Small codes for runs of codes: a run gets the position of its
+    contents among the distinct runs seen so far, in the order they were
+    seen.  A code's content is a Table's values, or the int itself for any
+    other code; two Tables are equal exactly when their values are, so two
+    runs of Tables get one index exactly when they are equal as codes, and
+    no chain is built.  runs[i] is the first run seen with index i."""
+
+    def __init__(self):
+        self.index, self.runs = {}, []
+
+    def __call__(self, *codes) -> int:
+        key = tuple(frozenset(c.values.items()) if isinstance(c, Table)
+                    else c for c in codes)
+        i = self.index.setdefault(key, len(self.runs))
+        if i == len(self.runs):
+            self.runs.append(codes)
+        return i
+
+
 @dispatch_on(EffMorphism)
 def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     """Pi along f: Y -> X of g: Z -> Y.
 
     A zero-cell over x is a tracked section of g on the fibre of f at x,
-    realized by <alpha x, tracking0, tracking1>; a 1-cell to (x', s') is a
-    pair of pi: x -> x' and a coded homotopy s' Gamma_pi ~ Gamma_pi s.
-    The skeleton materializes one canonical tracking per section.  g must
-    be a fibration; realizer twins in a fibre of g can leave Pi without
-    structure codes (SynthesisFailed), so the `pi` command takes Pi of
+    realized by <alpha x, i> with i the index of its trackings (tracking0,
+    tracking1) among the distinct trackings of Pi's sections; a 1-cell to
+    (x', s') is <pi, j> for pi: x -> x' and j the index of a homotopy
+    s' Gamma_pi ~ Gamma_pi s among Pi's distinct homotopies.  Equal
+    indices mean equal codes, so realizer twins are those of the packed
+    codes, and no code is read as its chain.  The skeleton materializes
+    one canonical tracking per section.  g must be a fibration; realizer
+    twins in a fibre of g can leave Pi without structure codes
+    (SynthesisFailed), so the `pi` command takes Pi of
     discrete_decide(g).witness.standard for such a g.
     """
     if g.cod != f.dom:
@@ -412,14 +436,15 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     fibres = {x: fibre_object(f, x) for x in X.cells}
     secs = {x: _sections_over(f, g, x, fibres[x]) for x in X.cells}
 
+    trackings, homotopies = _Enumeration(), _Enumeration()
     cells, sections, realizer = [], {}, {}
     for x in X.cells:
         for s in secs[x]:
             key = _section_key(x, s)
             cells.append(key)
             sections[key] = s
-            realizer[key] = tuple_encode(X.realizer[x], s.tracking0,
-                                         s.tracking1)
+            realizer[key] = tuple_encode(
+                X.realizer[x], trackings(s.tracking0, s.tracking1))
 
     def transported(x1, s1, x2, s2, pi):
         """The maps s2 Gamma^Y_pi and Gamma^Z_pi s1 on the fibre at x1, or
@@ -448,11 +473,11 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
         for pi in X.hom_of(k1[0], k2[0]):
             n = connecting(k1, k2, pi)
             if n is not None:
-                members.add(tuple_encode(pi, n))
+                members.add(tuple_encode(pi, homotopies(n)))
         hom[(k1, k2)] = frozenset(members)
     obj = make_object(cells, realizer, hom,
                       name=f"Pi_{f.name}({g.name})")
-    # a 1-cell <pi, n> lies over its first component pi
+    # a 1-cell <pi, j> lies over its first component pi
     proj = synthesize_morphism(
         obj, X, {k: k[0] for k in cells}, name=f"{obj.name}->{X.name}",
         one=lambda t, h, k1, k2, e: forced(cantor_unpair(e)[0], h))
@@ -479,16 +504,19 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
         return _verdict_status(check_morphism(s))
 
     def realizer_of(pres):
-        x, s = pres
-        return tuple_encode(X.realizer[x], s.tracking0, s.tracking1)
+        """The realizer of pres's skeleton cell, whatever pres's own
+        trackings; None for a section the skeleton lacks, which is no
+        member."""
+        return realizer.get(_section_key(*pres))
 
     def hom_status(p1, p2, n):
-        pi, code = cantor_unpair(n)
-        if pi not in X.hom_of(p1[0], p2[0]):
+        pi, j = cantor_unpair(n)
+        if pi not in X.hom_of(p1[0], p2[0]) or j >= len(homotopies.runs):
             return NO
         ends = transported(*p1, *p2, pi)
         if ends is None:
             return NO
+        [code] = homotopies.runs[j]
         return _verdict_status(check_homotopy(*ends, Homotopy(code)))
 
     virt = VirtualObject(obj.name, contains, realizer_of, hom_status)

@@ -40,8 +40,8 @@ from .path import (
     terminal_object as terminal_object0,
 )
 from .constructions import (
-    HomExponential, JExponential, PiBundle, VirtualObject, _verdict_status,
-    hexp, hexp_J, pi_transpose, pi_type,
+    HomExponential, JExponential, PiBundle, VirtualObject, _Enumeration,
+    _verdict_status, hexp, hexp_J, pi_transpose, pi_type,
 )
 from .classify import (
     Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
@@ -1238,11 +1238,15 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
              g: Eff1Morphism) -> PiBundle:
     """The dependent product of g: C -> B along the fibration f: B -> A.
 
-    Cells are pairs (a, section-of-g-over-the-fibre-at-a); 1-cells over a
-    base 1-cell are the canonical homotopies between the two transported
-    sections; 2-cells are base 2-cells with pointwise tables.  As with
-    pi_type, g must be a fibration, and realizer twins in a fibre of g can
-    leave Pi without structure codes.
+    Cells are pairs (a, section-of-g-over-the-fibre-at-a), realized by
+    <alpha a, i> with i the index of the section's (tracking0, tracking1,
+    tracking2); 1-cells over a base 1-cell pi are <pi, j> with j the index
+    of a canonical homotopy (h1, h2) between the two transported sections;
+    2-cells over a base 2-cell n are <n, k> with k the index of a
+    modification's table.  Each index counts the distinct contents of its
+    kind in this Pi, as in pi_type.  As with pi_type, g must be a
+    fibration, and realizer twins in a fibre of g can leave Pi without
+    structure codes.
     """
     if g.cod != f.dom:
         raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")
@@ -1269,10 +1273,11 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
                 sections.setdefault((a, _section_key1(s)), s)
 
     cells = sorted(sections, key=repr)
-    realizer = {k: tuple_encode(A.realizer[k[0]],
-                                sections[k].tracking0,
-                                sections[k].tracking1,
-                                sections[k].tracking2)
+    trackings, homotopies, modifications = (
+        _Enumeration(), _Enumeration(), _Enumeration())
+    realizer = {k: tuple_encode(A.realizer[k[0]], trackings(
+                    sections[k].tracking0, sections[k].tracking1,
+                    sections[k].tracking2))
                 for k in cells}
 
     transB, transC = {}, {}
@@ -1304,9 +1309,8 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
                 continue
             d = homotopic_decide(lm, rm)
             if d.status == YES:
-                e = tuple_encode(pi, tuple_encode(d.witness.h1,
-                                                  d.witness.h2))
-                ent.add(e)
+                ent.add(tuple_encode(
+                    pi, homotopies(d.witness.h1, d.witness.h2)))
                 hwit[(k1, k2, pi)] = (lm, rm, d.witness)
         hom[(k1, k2)] = frozenset(ent)
     hom2 = {}
@@ -1329,7 +1333,8 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
                         apply(H2.h1, fib.realizer[x])),
                     "modification")
                 if d.status == YES:
-                    ent.update(tuple_encode(n, d.witness) for n in
+                    k = modifications(d.witness)
+                    ent.update(tuple_encode(n, k) for n in
                                A.hom2_of(k1[0], k2[0], pi, pi2))
             hom2[(k1, k2, e, e2)] = frozenset(ent)
     obj = make_object1(cells, realizer, hom, hom2,
@@ -1356,9 +1361,11 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
         return _verdict_status(check_morphism1(s))
 
     def realizer_of(member):
+        """The realizer of member's skeleton cell, whatever member's own
+        trackings; None for a section the skeleton lacks, which is no
+        member."""
         a, s = member
-        return tuple_encode(A.realizer[a], s.tracking0, s.tracking1,
-                            s.tracking2)
+        return realizer.get((a, _section_key1(s)))
 
     def hom_status(m1, m2, n):
         k1 = (m1[0], _section_key1(m1[1]))

@@ -1,8 +1,13 @@
+import contextlib
+import dataclasses
+import functools
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+from effpath import constructions, eff1, pca
 from effpath.core import (
-    MapsDoNotFit, YES, check_morphism, forced, identity, make_object,
+    MapsDoNotFit, NO, YES, check_morphism, forced, identity, make_object,
     synthesize_morphism,
 )
 from effpath.constructions import (
@@ -12,7 +17,9 @@ from effpath.constructions import (
     pi_transpose_round_trip, pi_type, transport, transport_properties_check,
 )
 from effpath.eff1 import inflate, terminal_object1
-from effpath.fixtures import interval, two, two_point_bundle, walking_pair
+from effpath.fixtures import (
+    fixture_library, interval, two, two_point_bundle, walking_pair,
+)
 from effpath.path import (
     discrete_n, fibration_decide, homotopic_decide, path_object, product,
     pullback, synthesize_fibration_witness, terminal_map, terminal_object,
@@ -284,6 +291,37 @@ def test_pi_membership_accepts_exactly_the_sections():
     bad = synthesize_morphism(pi.fibres["*"], four,
                               {"0": "0", "1": "0"})
     assert pi.virtual.contains(("*", bad)) == "no"  # not a section over "1"
+    assert pi.virtual.realizer_of(("*", bad)) is None
+
+
+def test_a_member_is_realized_as_its_skeleton_cell():
+    # a section tracked by a larger table than the skeleton's is a member
+    # with the skeleton cell's realizer
+    f, wf, g, t, four = _two_one_pi()
+    pi = pi_type(f, wf, g)
+    for key, s in pi.sections.items():
+        wider = dataclasses.replace(s, tracking0=pca.tabulate(
+            {**s.tracking0.values, 10 ** 9: 0}))
+        assert wider.tracking0 != s.tracking0
+        for member in ((key[0], s), (key[0], wider)):
+            assert pi.virtual.contains(member) == YES
+            assert pi.virtual.realizer_of(member) == pi.obj.realizer[key]
+
+
+def test_pi_hom_status_checks_the_homotopy_a_one_cell_names():
+    f = fixture_library()["E2I"].value
+    pi = pi_type(f, synthesize_fibration_witness(f), identity(f.dom))
+    member = {k: (k[0], s) for k, s in pi.sections.items()}
+    one_cells = [(k1, k2, n) for (k1, k2), h in pi.obj.hom.items()
+                 for n in h]
+    assert len(one_cells) == 4
+    for k1, k2, n in one_cells:
+        status = functools.partial(pi.virtual.hom_status, member[k1],
+                                   member[k2])
+        assert status(n) == YES
+        base, _ = pca.cantor_unpair(n)
+        # no Pi has a million homotopies
+        assert status(pca.tuple_encode(base, 10 ** 6)) == NO
 
 
 def test_pi_transpose_round_trip():
@@ -341,15 +379,104 @@ def _loops_0_and_2_over_b():
     return synthesize_morphism(B, A, {"a": "a"}, name="f")
 
 
+@contextlib.contextmanager
+def _recorded_enumerations():
+    """The enumerations Pi makes, each keeping every run it numbers, at
+    both levels."""
+    made = []
+
+    class Recorded(constructions._Enumeration):
+        def __init__(self):
+            super().__init__()
+            self.numbered = []
+            made.append(self)
+
+        def __call__(self, *codes):
+            i = super().__call__(*codes)
+            self.numbered.append((codes, i))
+            return i
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (constructions, eff1):
+            mp.setattr(module, "_Enumeration", Recorded)
+        yield made
+
+
+def _packed(codes):
+    """A run of codes read as numbers, as Pi's codes used to pack them."""
+    return tuple(map(int, codes))
+
+
+def _same_equality(pairs):
+    """new == new' exactly where old == old', over (new, old) pairs."""
+    pairs = set(pairs)
+    return len({n for n, _ in pairs}) == len({o for _, o in pairs}) \
+        == len(pairs)
+
+
+def _assert_pi_keeps_the_packed_equality(f, w, g):
+    """Cells, 1-cells and 2-cells of Pi share a code exactly where the
+    packed codes <alpha x, t0, t1[, t2]>, <pi, h> and <n, m> would."""
+    with _recorded_enumerations() as made:
+        pi = pi_type(f, w, g)
+    _, homotopies, *modifications = made
+    for enum in made:
+        assert _same_equality((i, _packed(codes))
+                              for codes, i in enum.numbered)
+    base, obj = f.cod, pi.obj
+    slots = ("tracking0", "tracking1") + ("tracking2",) * len(modifications)
+    assert _same_equality(
+        (obj.realizer[k], (base.realizer[k[0]],
+                           _packed(getattr(s, t) for t in slots)))
+        for k, s in pi.sections.items())
+
+    def unpacked(n, enum):
+        head, i = pca.cantor_unpair(n)
+        return n, (head, _packed(enum.runs[i]))
+    assert _same_equality(unpacked(n, homotopies)
+                          for h in obj.hom.values() for n in h)
+    for enum in modifications:
+        assert _same_equality(unpacked(n, enum)
+                              for h in obj.hom2.values() for n in h)
+    return pi
+
+
+@pytest.mark.parametrize("name", [
+    name for name, e in fixture_library().items()
+    if e.kind in ("fibration", "fibration1")])
+def test_pi_of_a_library_fibration_keeps_the_packed_equality(name):
+    f = fixture_library()[name].value
+    _assert_pi_keeps_the_packed_equality(
+        f, synthesize_fibration_witness(f), identity(f.dom))
+
+
+def test_building_pi_builds_no_chain(monkeypatch):
+    # Pi's codes are indices of contents: nothing reads a tracking, a
+    # homotopy or a modification as its IFEQ chain
+    fs = [fixture_library()[name].value for name in ("E2I", "eff1:2->1")]
+    built = [(f, synthesize_fibration_witness(f), identity(f.dom))
+             for f in fs]
+    calls, chain = [0], pca._chain
+
+    def counted(table):
+        calls[0] += 1
+        return chain(table)
+    monkeypatch.setattr(pca, "_chain", counted)
+    monkeypatch.setattr(pca, "_BUILT", {})  # fresh tables, no kept chain
+    for f, w, g in built:
+        pi_type(f, w, g)
+    assert calls[0] == 0
+
+
 @settings(deadline=None, max_examples=40,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(strategies.fibrations())
 @example(_loops_0_and_2_over_b())
 def test_the_projection_of_pi_is_a_fibration(f):
-    # each 1-cell <pi, n> of Pi is tracked by its first component pi
+    # each 1-cell <pi, j> of Pi is tracked by its first component pi; the
+    # index j keeps the equality of the packed <pi, h> it stands for
     w = synthesize_fibration_witness(f)
-    pi = pi_type(f, w, identity(f.dom))
+    pi = _assert_pi_keeps_the_packed_equality(f, w, identity(f.dom))
     assert fibration_decide(pi.proj).status == YES
 
 

@@ -464,10 +464,19 @@ def test_pi_of_the_identity_has_one_section_per_fibre_point():
 
 
 def test_pi_realizers_exclude_functoriality_terms():
+    # a cell's realizer is <alpha a, i>, and i numbers the section's
+    # tracking0, tracking1 and tracking2 among Pi's distinct trackings; no
+    # functoriality table of the section enters it
     p1, w, pi = _bundle_pi()
+    named = {}
     for (a, skey), s in pi.sections.items():
-        assert pi.virtual.realizer_of((a, s)) == pca.tuple_encode(
-            pi.f.cod.realizer[a], s.tracking0, s.tracking1, s.tracking2)
+        r = pi.obj.realizer[(a, skey)]
+        assert pi.virtual.realizer_of((a, s)) == r
+        alpha, i = pca.cantor_unpair(r)
+        assert alpha == pi.f.cod.realizer[a]
+        trackings = (s.tracking0, s.tracking1, s.tracking2)
+        assert named.setdefault(i, trackings) == trackings
+    assert sorted(named) == list(range(len(named)))
 
 
 def test_pi_evaluation_and_transpose_round_trip():

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import (
@@ -409,6 +410,28 @@ def test_pi_over_realizer_twins_in_the_base_reports_no(tmp_path):
         [report] = json.loads(text)
         assert (rc, report["status"], report["detail"]) == \
             (0, "no", want[level]), cmd
+
+
+def test_pi_of_three_cells_over_the_point_is_quick(tmp_path):
+    # Pi's cell realizers once packed the section's tracking chains, and
+    # the evaluation pullback encoded them again: this case took minutes
+    X = {"cells": ["c0", "c1", "c2"],
+         "realizer": {"c0": 0, "c1": 1, "c2": 0},
+         "hom": {"c0 c0": [0, 1, 2], "c0 c1": [1, 2], "c0 c2": [0, 2],
+                 "c1 c0": [1], "c1 c1": [0, 1], "c1 c2": [0, 1, 2],
+                 "c2 c0": [0], "c2 c1": [2], "c2 c2": [0]}, "level": 1}
+    Y = {"cells": ["*"], "realizer": {"*": 1}, "hom": {"* *": [1]},
+         "level": 1}
+    doc = {"format": 1, "objects": {"X": X, "Y": Y},
+           "morphisms": {"m": {"dom": "X", "cod": "Y", "level": 1,
+                               "zero_map": dict.fromkeys(X["cells"], "*")}}}
+    p = tmp_path / "Three.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    rc, text = _run(["eff1-pi", f"{p}#m", "--budget", "10"])
+    assert time.perf_counter() - start < 5
+    assert (rc, text) == (
+        0, f"pi {p}#m: yes  (1 sections; projection fibration: yes)\n")
 
 
 def test_pi_of_a_map_with_realizer_twins_is_taken_of_its_standard_form(
