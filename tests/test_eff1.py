@@ -463,20 +463,30 @@ def test_pi_of_the_identity_has_one_section_per_fibre_point():
     assert fibration_decide(pi.proj).status == "yes"
 
 
-def test_pi_realizers_exclude_functoriality_terms():
-    # a cell's realizer is <alpha a, i>, and i numbers the section's
-    # tracking0, tracking1 and tracking2 among Pi's distinct trackings; no
+def test_pi_realizers_exclude_functoriality_terms(monkeypatch):
+    # a cell's realizer is <alpha a, i>, and run i of Pi's first enumeration
+    # is exactly the section's tracking0, tracking1 and tracking2; no
     # functoriality table of the section enters it
-    p1, w, pi = _bundle_pi()
-    named = {}
+    made = []
+
+    class Recorded(eff1._Enumeration):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+    total, base, p = two_point_bundle()
+    T1, B1 = inflate(total), inflate(base)
+    p1 = inflate_morphism(p, T1, B1)
+    w = synthesize_fibration1_witness(p1)
+    monkeypatch.setattr(eff1, "_Enumeration", Recorded)
+    pi = pi_type1(p1, w, identity1(T1))
+    trackings = made[0]
+    assert all(len(run) == 3 for run in trackings.runs)
     for (a, skey), s in pi.sections.items():
         r = pi.obj.realizer[(a, skey)]
         assert pi.virtual.realizer_of((a, s)) == r
         alpha, i = pca.cantor_unpair(r)
         assert alpha == pi.f.cod.realizer[a]
-        trackings = (s.tracking0, s.tracking1, s.tracking2)
-        assert named.setdefault(i, trackings) == trackings
-    assert sorted(named) == list(range(len(named)))
+        assert trackings.runs[i] == (s.tracking0, s.tracking1, s.tracking2)
 
 
 def test_pi_evaluation_and_transpose_round_trip():
