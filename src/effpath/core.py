@@ -437,16 +437,25 @@ def _u(A, a) -> int:
     return _read(A.unit_code, A.realizer[a])
 
 
+def _kept_input(A, key, block, x, *parts) -> int:
+    """The Cantor tuple of parts: input x of block in the table A keeps
+    under key, or encoded now when A keeps none there; builds no table."""
+    t = _built(A).get(key, {}).get(block, {}).get(x)
+    return tuple_encode(*parts) if t is None else t
+
+
 def _inv(A, a, b, p) -> int:
     """The inverse of p: a -> b."""
-    return _read(A.inv_code, tuple_encode(A.realizer[a], A.realizer[b], p))
+    R = A.realizer
+    return _read(A.inv_code,
+                 _kept_input(A, ("inputs",), (a, b), p, R[a], R[b], p))
 
 
 def _comp(A, a, b, c, p, r) -> int:
     """The composite r . p for p: a -> b, r: b -> c."""
-    return _read(A.comp_code,
-                 tuple_encode(A.realizer[a], A.realizer[b], A.realizer[c],
-                              p, r))
+    R = A.realizer
+    return _read(A.comp_code, _kept_input(A, ("inputs3",), (a, b, c), (p, r),
+                                          R[a], R[b], R[c], p, r))
 
 
 @dispatch_on(EffObject)

@@ -23,8 +23,8 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adopt, _comp, _edges_of,
-    _comp_inputs, _inv, _read, _morphism_stages, _object_stages,
+    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adopt, _built, _comp, _edges_of,
+    _comp_inputs, _inv, _kept_input, _read, _morphism_stages, _object_stages,
     _one_cell_inputs, _owned, _read_back, _u, any_image, check_morphism,
     check_object, compose, forced, identity, make_object, settle,
     synthesize_morphism, tabulate_all, verify,
@@ -95,7 +95,8 @@ class Eff1Object:
 
 
 def _id2(A, a, b, p) -> int:
-    return _read(A.id2, tuple_encode(A.realizer[a], A.realizer[b], p))
+    R = A.realizer
+    return _read(A.id2, _kept_input(A, ("inputs",), (a, b), p, R[a], R[b], p))
 
 
 _dec2 = cantor_unpair
@@ -177,6 +178,11 @@ def _hcomp_inputs(obj, adj, a, b) -> tuple:
             for p2, r2 in itertools.product(sbc, repeat=2)
             for n, m in itertools.product(h2ab, hom2.get((b, c, p2, r2), ())))
     return ts
+
+
+# the input tables that read only cells, realizers and hom-sets, so an object
+# on another's skeleton may share them
+_SKELETON_INPUTS = (("inputs",), ("inputs3",), ("inputs7",), ("edges",))
 
 
 def _object1_stages(cells, realizer, hom, hom2,
@@ -294,12 +300,14 @@ def _object1_stages(cells, realizer, hom, hom2,
 
 
 def make_object1(cells, realizer, hom, hom2, name: str = "",
-                 unit=None, inv=None, comp=None) -> Eff1Object:
+                 unit=None, inv=None, comp=None,
+                 _skeleton_of=None) -> Eff1Object:
     """An object with all twelve structure codes as tables, by
     per-visible-input intersection.  Explicit value functions may be
     supplied for the 1-level structure (a composition law the minimal pick
     would not find); their values are still checked for uniformity and
-    membership."""
+    membership.  ``_skeleton_of``, an object on the same cells, realizer
+    and hom-sets, lends the build the _SKELETON_INPUTS it keeps."""
     cells = tuple(cells)
     full_hom = {(a, b): frozenset(hom.get((a, b), frozenset()))
                 for a in cells for b in cells}
@@ -312,6 +320,10 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
     # values stay inside their hom-sets, so plain lookups serve
     holder = SimpleNamespace(cells=cells, realizer=realizer, hom=full_hom,
                              hom2=full_hom2)
+    if _skeleton_of is not None:
+        lent = _built(_skeleton_of)
+        _built(holder).update(
+            {key: lent[key] for key in _SKELETON_INPUTS if key in lent})
     stages = _object1_stages(cells, realizer, full_hom, full_hom2,
                              unit, inv, comp, holder)
     codes = tabulate_all(settle(stages, _OBJECT1_SLOTS))
@@ -1422,7 +1434,8 @@ def _truncate1(f: Eff1Morphism, n: int) -> TruncationBundle:
             B.cells, B.realizer, hom, hom2, name=f"set_{B.name}",
             unit=lambda b: _u(B, b),
             inv=lambda b, b2, p: _inv(B, b, b2, p),
-            comp=lambda b, b2, b3, p, r: _comp(B, b, b2, b3, p, r))
+            comp=lambda b, b2, b3, p, r: _comp(B, b, b2, b3, p, r),
+            _skeleton_of=B)
 
     def f1(b, b2, p):
         return f.one_map[b, b2][p]

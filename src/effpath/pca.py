@@ -311,7 +311,7 @@ def _apply(code: int, arg: int, fuel: _Fuel) -> int:
                     left = 0
                     raise FuelExhausted()
                 left -= steps
-                if arg not in code.rank:
+                if arg not in code.values:
                     raise Diverges()
                 val = code.values[arg]
             else:
@@ -512,14 +512,16 @@ _STEPS_PER_ENTRY = 6
 
 @total_ordering
 class Table:
-    """A tabulated lookup: its table (values) and each key's rank in
-    ascending order, all that _apply reads.  Read as a number it is the IFEQ
-    chain _chain(values), built on first use and then kept."""
-    __slots__ = ("values", "rank", "_code")
+    """A tabulated lookup: its table (values), all that _apply reads.  Each
+    key's rank in ascending order is built on the first lookup that hits
+    (see charge) or on the first read of rank, and then kept; a table that
+    is only ever read whole, or only missed, never holds one.  Read as a
+    number it is the IFEQ chain _chain(values), built on first use and then
+    kept."""
+    __slots__ = ("values", "_rank", "_code")
 
     def __init__(self, values: dict[int, int]):
-        self.values, self._code = values, None
-        self.rank = {k: i for i, k in enumerate(sorted(values))}
+        self.values, self._rank, self._code = values, None, None
 
     def __int__(self) -> int:
         if self._code is None:
@@ -528,12 +530,21 @@ class Table:
 
     __index__ = __int__
 
+    @property
+    def rank(self) -> dict:
+        if self._rank is None:
+            self._rank = {k: i for i, k in enumerate(sorted(self.values))}
+        return self._rank
+
     def charge(self, arg) -> int:
         """The steps a lookup of arg costs, at _STEPS_PER_ENTRY per entry
         scanned: up to arg's rank on a hit, the whole table on a miss, and
-        one more.  The chain's scan costs 15*(rank+1)+1 and 15*n+1."""
-        rank = self.rank.get(arg)
-        scanned = len(self.rank) if rank is None else rank + 1
+        one more.  The chain's scan costs 15*(rank+1)+1 and 15*n+1.  Only a
+        hit needs the rank."""
+        rank = None
+        if self._rank is not None or arg in self.values:
+            rank = self.rank.get(arg)
+        scanned = len(self.values) if rank is None else rank + 1
         return _STEPS_PER_ENTRY * scanned + 1
 
     # the reads pca makes of a code: int() and __index__ (so hex, bin), ==
@@ -568,9 +579,12 @@ class Table:
         return f"Table({len(self.values)} entries)"
 
 
-# hash of a table's items -> the Tables built for it.  A pure cache: equal
+# content key of a table -> the Tables built for it.  A pure cache: equal
 # tables share one code in memory, and which equal object tabulate returns
-# changes no value and no charge.
+# changes no value and no charge.  The key, the sum of the hashes of the
+# table's items, is the same for equal tables in any order and is taken
+# without copying the items.  A Table keeps its own copy of the values and
+# nothing else until its rank or its chain is read.
 _BUILT: dict[int, list[Table]] = {}
 
 
@@ -578,7 +592,7 @@ def tabulate(table: dict[int, int]) -> Table:
     """Finite lookup code: diverges off the table's domain.  A table equal
     to one tabulated before returns the Table built then, so equal tables
     share one code (and one chain, once read) in memory."""
-    content = hash(frozenset(table.items()))
+    content = sum(map(hash, table.items()))
     for code in _BUILT.get(content, ()):
         if code.values == table:  # a hash collision falls through
             return code

@@ -6,13 +6,17 @@ an object fills them and every later check reads them; an object made any
 other way (by `inflate`, by hand, or as a `dataclasses.replace` copy) fills
 its own on its first check.  Driven cold and then warm, the streams yield
 what the frozen generators of `reference_stages` yield, and a warm drive
-encodes nothing.
+encodes nothing.  A 0-truncation starts from the tables of the object it
+is built on, and the single reads of an inverse or a composite read them
+too.
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
 import itertools
+import sys
 from collections import defaultdict
 
 import pytest
@@ -27,7 +31,7 @@ from effpath.eff1 import (
 )
 from effpath.fixtures import interval, nat_trunc, walking_pair
 from effpath.path import path_object
-from effpath.pca import apply
+from effpath.pca import Diverges, apply
 
 import reference_stages as ref
 from test_stages import BIG_FUEL, _drive
@@ -35,14 +39,33 @@ from test_stages import BIG_FUEL, _drive
 _ENCODERS = (pca, core, eff1)  # every module that calls tuple_encode here
 
 
+# the functions that encode an object's inputs, and the kind of input each
+# encodes
+_ASKERS = {"_one_cell_inputs": "one-cell", "_inv": "one-cell",
+           "_id2": "one-cell", "_comp_inputs": "composition",
+           "_comp": "composition", "_assoc_inputs": "associativity",
+           "_two_cell_inputs": "2-cell", "_vcomp_inputs": "vertical",
+           "_hcomp_inputs": "horizontal"}
+_SKELETON_KINDS = ("one-cell", "composition", "associativity")
+
+
+def _asker_kind():
+    """The kind of the innermost function of _ASKERS on the stack, or
+    "other"."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name not in _ASKERS:
+        frame = frame.f_back
+    return "other" if frame is None else _ASKERS[frame.f_code.co_name]
+
+
 @contextlib.contextmanager
-def _counting_encodes():
-    """A one-element list counting the calls of pca.tuple_encode, under
-    every name the object streams reach it by."""
-    calls, encode = [0], pca.tuple_encode
+def _counting_encodes(kind=lambda: 0):
+    """A Counter of the calls of pca.tuple_encode, under every name the
+    object streams reach it by, keyed by kind() (all under 0 by default)."""
+    calls, encode = collections.Counter(), pca.tuple_encode
 
     def counted(*parts):
-        calls[0] += 1
+        calls[kind()] += 1
         return encode(*parts)
     with pytest.MonkeyPatch.context() as mp:
         for module in _ENCODERS:
@@ -185,3 +208,72 @@ def test_objects_made_without_a_build_are_checked_on_their_own_data():
         assert check_object(extra_cell).reason == "inverse: diverges at 104"
         assert check_object(dropped).reason == \
             "inverse: no acceptable value at 2"
+
+
+def test_the_0_truncation_reads_its_sources_skeleton_inputs():
+    # the 0-truncation of P(Z2) -> Z2 is built on P(Z2)'s cells, realizer
+    # and hom-sets: it encodes only inputs that read its own 2-cells, and
+    # builds the codes a build from a copy of P(Z2) without tables builds
+    z2, pz2, _ = _z2_objects()
+    st = path_object1(z2).st
+    assert st.dom is pz2
+    bare = dataclasses.replace(st, dom=dataclasses.replace(pz2))
+
+    def truncate(f):
+        with _counting_encodes(_asker_kind) as kinds:
+            return eff1._truncate1(f, 0), kinds
+    (shared, shared_kinds), (alone, alone_kinds) = map(truncate, (st, bare))
+    assert all(shared_kinds[k] == 0 for k in _SKELETON_KINDS), shared_kinds
+    assert all(alone_kinds[k] > 0 for k in _SKELETON_KINDS), alone_kinds
+    assert shared_kinds["2-cell"] > 0, shared_kinds
+    C, C_alone = shared.g.cod, alone.g.cod
+    for key in eff1._SKELETON_INPUTS:
+        assert core._built(C)[key] is core._built(pz2)[key], key
+    for slot in _OBJECT1_SLOTS:
+        assert getattr(C, slot) == getattr(C_alone, slot), slot
+    for m, m_alone in ((shared.g, alone.g), (shared.h, alone.h)):
+        for field in ("zero_map", "one_map", "two_map", "tracking0",
+                      "tracking1", "tracking2", "funct_id", "funct_comp"):
+            assert getattr(m, field) == getattr(m_alone, field), field
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (Diverges, KeyError) as e:
+        return type(e)
+
+
+def test_inverse_and_composite_read_the_kept_inputs():
+    # _inv and _comp on a built object encode no input its tables hold,
+    # and encode one outside them (a 1-cell outside its hom-set) to read
+    # what the code gives there, a value or Diverges
+    z2, pz2, _ = _z2_objects()
+    for A in (z2, pz2):
+        R, (adj, edges) = A.realizer, core._edges_of(A)
+        every = sorted(set().union(*A.hom.values()))
+        probes = {(a, b): [*hab, *(sorted(set(every) - set(hab))),
+                           max(every) + 1] for a, b, hab, _ in edges}
+        with pca.fuel_limit(BIG_FUEL), _counting_encodes() as calls:
+            got_inv = {(a, b, p): _outcome(lambda: core._inv(A, a, b, p))
+                       for (a, b), ps in probes.items() for p in ps}
+            got_comp = {
+                (a, b, c, p, r):
+                _outcome(lambda: core._comp(A, a, b, c, p, r))
+                for a, b, hab, _ in edges for c, hbc, _ in adj[b]
+                for p in probes[a, b] for r in hbc}
+        outside = sum(p not in A.hom[a, b] for a, b, p in got_inv) + \
+            sum(p not in A.hom[a, b] for a, b, _, p, _ in got_comp)
+        assert calls[0] == outside > 0, A
+
+        def run(code, *parts):
+            return _outcome(lambda: apply(code, ref.tuple_encode(*parts),
+                                          BIG_FUEL))
+        assert got_inv == {
+            (a, b, p): run(A.inv_code, R[a], R[b], p) for a, b, p in got_inv}
+        assert got_comp == {
+            (a, b, c, p, r): run(A.comp_code, R[a], R[b], R[c], p, r)
+            for a, b, c, p, r in got_comp}
+        assert Diverges in got_inv.values()
+        with pytest.raises(KeyError):
+            core._inv(A, "no such cell", A.cells[0], 0)

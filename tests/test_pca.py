@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import pathlib
 import random
 
@@ -413,13 +414,28 @@ def _scan_charge(table, per_entry, x):
 @example({0: 0}, [0, 1])
 def test_raw_chain_lookups_agree_with_the_table_shortcut(table, probes):
     # same values and divergence; the shortcut charges _STEPS_PER_ENTRY per
-    # entry scanned where the raw chain charges 15 per IFEQ selector
+    # entry scanned where the raw chain charges 15 per IFEQ selector, and
+    # the same whether the Table has built its rank or not
     args = [*table, *probes]
-    code = tabulate(table)
-    shortcut = [_charged(code, x, _scan_charge(table, pca._STEPS_PER_ENTRY, x))
-                for x in args]
-    raw = [_charged(int(code), x, _scan_charge(table, 15, x)) for x in args]
-    assert shortcut == raw == [table.get(x, Diverges) for x in args]
+    want = [table.get(x, Diverges) for x in args]
+    ranked = pca.Table(dict(table))
+    assert ranked.rank == {k: i for i, k in enumerate(sorted(table))}
+
+    def unranked(x, steps):
+        # each application on a fresh Table; a miss leaves it unranked
+        with pytest.raises(FuelExhausted):
+            apply(pca.Table(dict(table)), x, steps - 1)
+        fresh = pca.Table(dict(table))
+        out = _lookup(fresh, x, steps)
+        assert (fresh._rank is None) == (x not in table)
+        return out
+
+    charge = functools.partial(_scan_charge, table, pca._STEPS_PER_ENTRY)
+    assert [unranked(x, charge(x)) for x in args] == want
+    assert [_charged(ranked, x, charge(x)) for x in args] == want
+    assert [_charged(tabulate(table), x, charge(x)) for x in args] == want
+    assert [_charged(int(ranked), x, _scan_charge(table, 15, x))
+            for x in args] == want
 
 
 def _outcome(read):
@@ -525,9 +541,29 @@ def test_tabulate_returns_the_registered_code_for_an_equal_table():
         again = tabulate(dict(reversed(t.items())))
         assert again is first
         assert [apply_counted(again, x) for x in t] == counted
+        for seed in range(5):  # any order of insertion
+            items = list(t.items())
+            random.Random(seed).shuffle(items)
+            assert tabulate(dict(items)) is first
+        assert len(pca._BUILT) == 1
         with empty_memo():  # an emptied memo forgets the code
             rebuilt = tabulate(t)
             assert rebuilt == first and rebuilt is not first
+
+
+def test_an_unequal_table_under_the_same_content_key_is_built_anew():
+    # the registry keys tables by a hash of their content; a table that
+    # collides with an unequal one falls through to a Table of its own
+    t = {n: 3 * n + 1 for n in range(40)}
+    with empty_memo():
+        tabulate(t)
+        (key,) = pca._BUILT
+        planted = pca.Table({0: 1})
+        pca._BUILT[key] = [planted]
+        got = tabulate(t)
+        assert got is not planted and got.values == t
+        assert pca._BUILT == {key: [planted, got]}
+        assert tabulate(dict(reversed(t.items()))) is got
 
 
 # --- composition helpers ----------------------------------------------------
