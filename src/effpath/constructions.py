@@ -385,6 +385,13 @@ class PiBundle:
     ev: EffMorphism             # counit: (section, y) -> section(y)
 
 
+def _pi_presentation(pres, kind) -> bool:
+    """Is pres a (cell, morphism of kind) pair, as a member of Pi at
+    either level is presented?  Anything else is no member."""
+    return isinstance(pres, tuple) and len(pres) == 2 and \
+        isinstance(pres[1], kind)
+
+
 def _section_key(x, s: EffMorphism):
     return (x, tuple(sorted((y, s.zero_map[y]) for y in s.dom.cells)))
 
@@ -429,7 +436,14 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
         raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")
     Y, X = f.dom, f.cod
     Z = g.dom
-    fg = compose(f, g, name=f"{f.name}.{g.name}")
+    # f . g is read for its cell maps only: it is synthesized from them, as
+    # compose1 builds it, and no input's code is read as its chain
+    gz = g.zero_map
+    fg = synthesize_morphism(
+        Z, X, {z: f.zero_map[gz[z]] for z in Z.cells}, f"{f.name}.{g.name}",
+        lambda t, h, z, z2, p: forced(
+            f.one_map[gz[z], gz[z2]][g.one_map[z, z2][p]], h))
+    assert fg is not None  # a composite of tracked maps is tracked
     wfg = synthesize_fibration_witness(fg)
     if wfg is None:
         raise MapsDoNotFit(f"{fg.name} is not a fibration")
@@ -491,15 +505,11 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     assert ev is not None
 
     def contains(pres):
-        if not (isinstance(pres, tuple) and len(pres) == 2):
+        if not _pi_presentation(pres, EffMorphism) or pres[0] not in X.cells:
             return NO
         x, s = pres
-        if x not in X.cells or not isinstance(s, EffMorphism) \
-                or s.cod is not Z:
-            return NO
-        if set(s.zero_map) != set(fibres[x].cells):
-            return NO
-        if any(g.zero_map[s.zero_map[y]] != y for y in s.zero_map):
+        if s.cod is not Z or set(s.zero_map) != set(fibres[x].cells) or any(
+                g.zero_map[s.zero_map[y]] != y for y in s.zero_map):
             return NO
         return _verdict_status(check_morphism(s))
 
@@ -507,7 +517,8 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
         """The realizer of pres's skeleton cell, whatever pres's own
         trackings; None for a section the skeleton lacks, which is no
         member."""
-        return realizer.get(_section_key(*pres))
+        if _pi_presentation(pres, EffMorphism):
+            return realizer.get(_section_key(*pres))
 
     def hom_status(p1, p2, n):
         pi, j = cantor_unpair(n)

@@ -190,7 +190,16 @@ def verify(stages, codes) -> Verdict:
 
     def read(name, t):
         # (status, value): "ok"/value, "div"/None, or "fuel"/the charge of
-        # a lookup (None for a run)
+        # a lookup (None for a run); a joint slot reads as the tuple of its
+        # slots' values, or as the first of them that is not "ok"
+        if isinstance(name, tuple):
+            v = ()
+            for s in name:
+                status, x = read(s, t)
+                if status != "ok":
+                    return status, x
+                v += (x,)
+            return "ok", v
         code = codes[name]
         if type(code) is Table:
             need = code.charge(t)
@@ -222,21 +231,7 @@ def verify(stages, codes) -> Verdict:
                 for t, acc in zip(ts, accs):
                     if not acc:
                         return invalid(f"{label}: no acceptable value at {t}")
-                    if isinstance(slot, tuple):
-                        v = ()
-                        for s in slot:
-                            status, x = read(s, t)
-                            if status != "ok":
-                                v = x
-                                break
-                            v += (x,)
-                    elif type(code) is Table:
-                        status, v = read(slot, t)
-                    else:  # a run, kept for the reads of later stages
-                        out = runs.get((slot, t))
-                        if out is None:
-                            out = runs[slot, t] = _run(code, t, fuel)
-                        status, v = out
+                    status, v = read(slot, t)
                     if status == "fuel":
                         return unknown(
                             f"{label}: fuel exhausted at {t}" if v is None
@@ -268,9 +263,6 @@ class EffObject:
 
     def hom_of(self, a, b):
         return self.hom.get((a, b), frozenset())
-
-    def realizer_image(self) -> list:
-        return sorted(set(self.realizer.values()))
 
     def __repr__(self):
         return f"EffObject({self.name or id(self)}, {len(self.cells)} cells)"

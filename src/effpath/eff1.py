@@ -41,7 +41,7 @@ from .path import (
 )
 from .constructions import (
     HomExponential, JExponential, PiBundle, VirtualObject, _Enumeration,
-    _verdict_status, hexp, hexp_J, pi_transpose, pi_type,
+    _pi_presentation, _verdict_status, hexp, hexp_J, pi_transpose, pi_type,
 )
 from .classify import (
     Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
@@ -765,11 +765,11 @@ def check_fibration1(f: Eff1Morphism, w: Fibration1Witness,
 
 # --- finite limits ----------------------------------------------------------
 
-def product1(A: Eff1Object, B: Eff1Object, name: str = ""):
-    """Binary product, the pullback of B -> 1 along A -> 1.  Returns
-    (object, first projection, second projection)."""
-    pb = pullback1(terminal_map1(B), terminal_map1(A),
-                   name=name or f"{A.name}x{B.name}")
+def product1(A: Eff1Object, B: Eff1Object):
+    """Binary product, the pullback of B -> 1 along A -> 1 (so A x A is
+    the object kept on A -> 1).  Returns (object, first projection, second
+    projection)."""
+    pb = pullback1(terminal_map1(B), terminal_map1(A))
     return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
@@ -790,7 +790,20 @@ def _projection1(pair_obj: Eff1Object, target: Eff1Object, idx: int,
 def pullback1(f: Eff1Morphism, g: Eff1Morphism,
               name: str = "") -> PullbackBundle:
     """Pullback of the fibration f: B -> A along g: C -> A: pairs with
-    equal base image at all three levels."""
+    equal base image at all three levels.  The object of f x_A f is kept
+    on f, one per name and fuel, as its path object is (which holds it as
+    the codomain of (s,t))."""
+    if f is g:
+        obj = _owned(f, ("pullback", name, fuel_now()),
+                     lambda: _pullback_object1(f, f, name))
+    else:
+        obj = _pullback_object1(f, g, name)
+    return PullbackBundle(obj, _projection1(obj, g.dom, 0),
+                          _projection1(obj, f.dom, 1))
+
+
+def _pullback_object1(f: Eff1Morphism, g: Eff1Morphism,
+                      name: str) -> Eff1Object:
     B, A, C = f.dom, f.cod, g.dom
     cells = [(c, b) for c in C.cells for b in B.cells
              if g.zero_map[c] == f.zero_map[b]]
@@ -827,12 +840,9 @@ def pullback1(f: Eff1Morphism, g: Eff1Morphism,
         return tuple_encode(_comp(C, x[0], y[0], z[0], p, p2),
                             _comp(B, x[1], y[1], z[1], r, r2))
 
-    obj = make_object1(cells, realizer, hom, hom2,
-                       name=name or f"{C.name}x_{A.name}{B.name}",
-                       unit=unit, inv=inv, comp=comp)
-    p1 = _projection1(obj, C, 0)
-    p2 = _projection1(obj, B, 1)
-    return PullbackBundle(obj, p1, p2)
+    return make_object1(cells, realizer, hom, hom2,
+                        name=name or f"{C.name}x_{A.name}{B.name}",
+                        unit=unit, inv=inv, comp=comp)
 
 
 
@@ -1360,29 +1370,30 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
     ev = synthesize_morphism1(ev_domain.obj, C, ev_zero, name="ev")
     assert ev is not None
 
+    def key(member):
+        # the skeleton cell member would be; None for no (cell, section)
+        if _pi_presentation(member, Eff1Morphism):
+            return member[0], _section_key1(member[1])
+
     def contains(member):
+        if key(member) is None or member[0] not in A.cells:
+            return NO
         a, s = member
-        if a not in A.cells or not isinstance(s, Eff1Morphism):
-            return NO
         fib, inc = fibres[a], incls[a]
-        if s.dom is not fib and s.dom.cells != fib.cells:
+        if s.cod is not C or (s.dom is not fib and s.dom.cells != fib.cells) \
+                or any(g.zero_map[s.zero_map[x]] != inc.zero_map[x]
+                       for x in fib.cells):
             return NO
-        for x in fib.cells:
-            if g.zero_map[s.zero_map[x]] != inc.zero_map[x]:
-                return NO
         return _verdict_status(check_morphism1(s))
 
     def realizer_of(member):
         """The realizer of member's skeleton cell, whatever member's own
         trackings; None for a section the skeleton lacks, which is no
         member."""
-        a, s = member
-        return realizer.get((a, _section_key1(s)))
+        return realizer.get(key(member))
 
     def hom_status(m1, m2, n):
-        k1 = (m1[0], _section_key1(m1[1]))
-        k2 = (m2[0], _section_key1(m2[1]))
-        return YES if n in obj.hom.get((k1, k2), frozenset()) else NO
+        return YES if n in obj.hom.get((key(m1), key(m2)), ()) else NO
 
     virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_domain, ev)

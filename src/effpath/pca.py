@@ -579,26 +579,11 @@ class Table:
         return f"Table({len(self.values)} entries)"
 
 
-# content key of a table -> the Tables built for it.  A pure cache: equal
-# tables share one code in memory, and which equal object tabulate returns
-# changes no value and no charge.  The key, the sum of the hashes of the
-# table's items, is the same for equal tables in any order and is taken
-# without copying the items.  A Table keeps its own copy of the values and
-# nothing else until its rank or its chain is read.
-_BUILT: dict[int, list[Table]] = {}
-
-
 def tabulate(table: dict[int, int]) -> Table:
-    """Finite lookup code: diverges off the table's domain.  A table equal
-    to one tabulated before returns the Table built then, so equal tables
-    share one code (and one chain, once read) in memory."""
-    content = sum(map(hash, table.items()))
-    for code in _BUILT.get(content, ()):
-        if code.values == table:  # a hash collision falls through
-            return code
-    code = Table(dict(table))
-    _BUILT.setdefault(content, []).append(code)
-    return code
+    """Finite lookup code: diverges off the table's domain.  The Table
+    keeps its own copy of the values and lives as long as what holds it;
+    equal tables give equal codes at equal charges."""
+    return Table(dict(table))
 
 
 def _chain(table: dict[int, int]) -> int:

@@ -324,6 +324,32 @@ def test_pi_hom_status_checks_the_homotopy_a_one_cell_names():
         assert status(pca.tuple_encode(base, 10 ** 6)) == NO
 
 
+@pytest.mark.parametrize("name", ["E2I", "eff1:E2I"])
+def test_the_virtual_pi_answers_any_presentation_at_either_level(name):
+    # a presentation that is no (cell, section) pair is no member, with no
+    # realizer; each skeleton 1-cell is YES and an index in no hom-set NO
+    f = fixture_library()[name].value
+    pi = pi_type(f, synthesize_fibration_witness(f), identity(f.dom))
+    virt = pi.virtual
+    member = {k: (k[0], s) for k, s in pi.sections.items()}
+    for k, m in member.items():
+        assert virt.contains(m) == YES
+        assert virt.realizer_of(m) == pi.obj.realizer[k]
+    cell, section = next(iter(member.values()))
+    for pres in (5, ("x",), ("nope", None), (cell, "not a morphism"),
+                 ("nope", section), (cell, section, section), [cell, section]):
+        assert virt.contains(pres) == NO, pres
+        assert virt.realizer_of(pres) is None, pres
+    one_cells = [(k1, k2, n) for (k1, k2), h in pi.obj.hom.items()
+                 for n in h]
+    assert one_cells
+    for k1, k2, n in one_cells:
+        status = functools.partial(virt.hom_status, member[k1], member[k2])
+        assert status(n) == YES
+        base, _ = pca.cantor_unpair(n)
+        assert status(pca.tuple_encode(base, 10 ** 6)) == NO
+
+
 def test_pi_transpose_round_trip():
     f, wf, g, t, four = _two_one_pi()
     pi = pi_type(f, wf, g)
@@ -461,7 +487,6 @@ def test_building_pi_builds_no_chain(monkeypatch):
         calls[0] += 1
         return chain(table)
     monkeypatch.setattr(pca, "_chain", counted)
-    monkeypatch.setattr(pca, "_BUILT", {})  # fresh tables, no kept chain
     for f, w, g in built:
         pi_type(f, w, g)
     assert calls[0] == 0

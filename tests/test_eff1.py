@@ -17,7 +17,7 @@ from effpath.eff1 import (
     pi_transpose1, pi_type1, point1, product1, pullback1, resize1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, trivial1_section, truncate1, two_homotopic_decide,
-    univalence_check_set, z2_homotopies, z2_object, z2_twist, _OBJECT1_SLOTS,
+    univalence_check_set, z2_homotopies, z2_object, z2_twist,
     _set_normalized,
 )
 from effpath.constructions import (
@@ -147,15 +147,18 @@ def test_product_projections():
     assert check_morphism1(pr2).status == "valid"
 
 
-def test_product_codes_are_the_registered_codes_of_their_tables():
-    # built after the path object, which tabulates tables the product
-    # builds again: each code must be the Table tabulate built then, so
-    # equal tables share one code in memory
-    path_object1(z2_object())
-    prod, _pr1, _pr2 = product1(z2_object(), z2_object())
-    for slot in _OBJECT1_SLOTS:
-        code = getattr(prod, slot)
-        assert pca.tabulate(dict(code.values)) is code, slot
+def test_the_product_after_the_path_object_builds_no_object(monkeypatch):
+    # Z2 x Z2 is Z2 -> 1 pulled back along itself, which the path object
+    # of Z2 -> 1 built as the codomain of (s,t) and kept on Z2 -> 1
+    z2 = z2_object()
+    bundle = path_object1(z2)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("built an object")
+    monkeypatch.setattr("effpath.eff1.make_object1", refuse)
+    prod, pr1, pr2 = product1(z2, z2)
+    assert prod is bundle.st.cod and prod.name == "Z2x_1Z2"
+    assert pr1.cod is pr2.cod is z2
 
 
 def test_the_product_and_its_check_build_no_chain(monkeypatch):
@@ -164,7 +167,6 @@ def test_the_product_and_its_check_build_no_chain(monkeypatch):
     def no_chain(table):
         raise AssertionError(f"chain built for {len(table)} entries")
     monkeypatch.setattr(pca, "_chain", no_chain)
-    monkeypatch.setattr(pca, "_BUILT", {})
     prod, _pr1, _pr2 = product1(z2_object(), z2_object())
     assert check_object1(prod).status == "valid"
 
@@ -211,7 +213,6 @@ def test_printing_a_path_bundle_builds_no_chain(monkeypatch):
     def no_chain(table):
         raise AssertionError(f"chain built for {len(table)} entries")
     monkeypatch.setattr(pca, "_chain", no_chain)
-    monkeypatch.setattr(pca, "_BUILT", {})
     bundle = path_object1(z2_object())
     assert "lift0=Table(128 entries)" in repr(bundle)
     tables = [code for part in (bundle.obj, bundle.r, bundle.st,
@@ -224,7 +225,6 @@ def test_printing_a_path_bundle_builds_no_chain(monkeypatch):
 def test_a_table_read_only_whole_builds_no_rank(monkeypatch):
     # settle fills P(Z2)'s coh_assoc (32,768 entries) and a check at high
     # fuel reads it in one pass of lookups: neither ranks a key
-    monkeypatch.setattr(pca, "_BUILT", {})
     obj = path_object1(z2_object()).obj
     assert len(obj.coh_assoc.values) == 32_768
     assert obj.coh_assoc._rank is None
@@ -589,16 +589,14 @@ def test_cyclic_group_hlevel_ladder():
     assert hlevel1_check(f, 1).status == "verified"
 
 
-def test_the_cyclic_group_is_checked_a_groupoid_in_little_memory(
-        monkeypatch):
+def test_the_cyclic_group_is_checked_a_groupoid_in_little_memory():
     """A memory guard.  The tracemalloc peak of hlevel_check(terminal_map(
-    Z2), 1), on an empty table registry and decode cache, read 17.37 MB
+    Z2), 1), on an empty decode cache, read 17.37 MB
     while each Table kept a rank of its keys, tabulate hashed a frozenset
     copy of each table, and the 0-truncation encoded its inputs again; with
     lazy ranks, a content key without copies and shared inputs it reads
     10.20 MB (Python 3.11.7, at hash seeds 0 and 123).  The bound lies
     between."""
-    monkeypatch.setattr(pca, "_BUILT", {})
     pca.decode.cache_clear()
     tracemalloc.start()
     try:

@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import functools
 import pathlib
 import random
@@ -302,14 +301,6 @@ def chain_reference(table):
     return rest
 
 
-@contextlib.contextmanager
-def empty_memo():
-    """Run with tabulate's memo emptied, so it builds every table afresh."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pca, "_BUILT", {})
-        yield
-
-
 @settings(deadline=None)
 @given(st.dictionaries(NATS, NATS, max_size=120))
 @example({})
@@ -318,8 +309,7 @@ def empty_memo():
 @example({(1 << k) - d: (1 << k) - 1 + d
           for k in range(1, 20) for d in (0, 1)})
 def test_tabulate_equals_the_chain_built_entry_by_entry(table):
-    with empty_memo():
-        assert tabulate(table) == chain_reference(table)
+    assert tabulate(table) == chain_reference(table)
 
 
 TABLES = st.dictionaries(NATS, NATS, max_size=40)
@@ -334,10 +324,8 @@ TABLES = st.dictionaries(NATS, NATS, max_size=40)
 def test_a_table_reads_as_its_chain(a, b, same):
     if same:
         b = dict(reversed(a.items()))
-    with empty_memo():
-        ta = tabulate(a)
-    with empty_memo():  # a second object, even for an equal table
-        tb = tabulate(b)
+    ta, tb = tabulate(a), tabulate(b)
+    assert ta is not tb  # a second object, even for an equal table
     assert (ta == tb) == (tb == ta) == (a == b)
     assert (ta != tb) == (a != b)
     for t, table in ((ta, a), (tb, b)):
@@ -374,8 +362,7 @@ _ARGS = (0, 2, K, ID, SUCC_C, FST_C, enc(pca.IFEQ3, 1, 2, 9))
 @example({0: 1}, pca.S2, [enc(pca.IFEQ3, 1, 2, 9), ID, 0])
 def test_every_constructor_reads_a_table_argument_as_its_chain(
         table, tag, args):
-    with empty_memo():
-        t = tabulate(table)
+    t = tabulate(table)
     code = enc(tag, *args[:pca._ARITY[tag]])
     assert _lookup(code, t) == _lookup(code, int(t))
 
@@ -385,7 +372,6 @@ def test_a_table_is_unequal_to_a_non_int_without_building_its_chain(
     def no_chain(table):
         raise AssertionError("built a chain")
 
-    monkeypatch.setattr(pca, "_BUILT", {})
     monkeypatch.setattr(pca, "_chain", no_chain)
     t = tabulate({0: 1, 2: 3})
     for other in (None, "x", (0,), 1.5, [t]):
@@ -523,47 +509,20 @@ def test_an_int_equal_to_a_table_code_is_charged_the_raw_chain():
                 for x in probes]
 
     raw = chain_reference(table)
-    with empty_memo():
-        assert lookups(raw, 15) == want
-        code = tabulate(table)
-        assert code == raw and type(raw) is int
-        assert lookups(raw, 15) == want
-        assert lookups(int(code), 15) == want
-        assert lookups(code, 6) == want
-
-
-def test_tabulate_returns_the_registered_code_for_an_equal_table():
-    t = {n: 3 * n + 1 for n in range(40)}
-    with empty_memo():
-        first = tabulate(t)
-        counted = [apply_counted(first, x) for x in t]
-        assert tabulate(dict(t)) is first
-        again = tabulate(dict(reversed(t.items())))
-        assert again is first
-        assert [apply_counted(again, x) for x in t] == counted
-        for seed in range(5):  # any order of insertion
-            items = list(t.items())
-            random.Random(seed).shuffle(items)
-            assert tabulate(dict(items)) is first
-        assert len(pca._BUILT) == 1
-        with empty_memo():  # an emptied memo forgets the code
-            rebuilt = tabulate(t)
-            assert rebuilt == first and rebuilt is not first
-
-
-def test_an_unequal_table_under_the_same_content_key_is_built_anew():
-    # the registry keys tables by a hash of their content; a table that
-    # collides with an unequal one falls through to a Table of its own
-    t = {n: 3 * n + 1 for n in range(40)}
-    with empty_memo():
-        tabulate(t)
-        (key,) = pca._BUILT
-        planted = pca.Table({0: 1})
-        pca._BUILT[key] = [planted]
-        got = tabulate(t)
-        assert got is not planted and got.values == t
-        assert pca._BUILT == {key: [planted, got]}
-        assert tabulate(dict(reversed(t.items()))) is got
+    assert lookups(raw, 15) == want
+    code = tabulate(table)
+    assert code == raw and type(raw) is int
+    assert lookups(raw, 15) == want
+    assert lookups(int(code), 15) == want
+    assert lookups(code, 6) == want
+    # an equal table, in any order of insertion, is an equal code at the
+    # same charges
+    for seed in range(3):
+        items = list(table.items())
+        random.Random(seed).shuffle(items)
+        again = tabulate(dict(items))
+        assert again == code and again is not code
+        assert lookups(again, 6) == want
 
 
 # --- composition helpers ----------------------------------------------------
