@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -16,7 +17,7 @@ from effpath.constructions import (
     induced_fiber_map, pi_functor_map, pi_transpose,
     pi_transpose_round_trip, pi_type, transport, transport_properties_check,
 )
-from effpath.eff1 import inflate, terminal_object1
+from effpath.eff1 import inflate, inflate_morphism, terminal_object1
 from effpath.fixtures import (
     fixture_library, interval, two, two_point_bundle, walking_pair,
 )
@@ -527,3 +528,95 @@ def test_pi_of_a_map_that_is_not_a_fibration_is_refused():
     f = identity(Y)
     with pytest.raises(MapsDoNotFit, match=r"^id_Y\.g is not a fibration$"):
         pi_type(f, synthesize_fibration_witness(f), g)
+
+
+# --- the shape of Pi ---------------------------------------------------------
+
+def _pi_case(name):
+    """Pi of the identity along a library fibration, or along an object's
+    map to the point (the criterion-10 pairs and their level-1 images), or
+    Pi of 4 -> 2 along 2 -> 1 and of the identity along the map with loops
+    0 and 2 over b, at level 0 or inflated."""
+    lib = fixture_library()
+    level1 = name.startswith("inflated ")
+    name = name.removeprefix("inflated ")
+    if name == "4->2 over 2->1":
+        f, _, g, _, _ = _two_one_pi()
+    elif name == "loops over b":
+        f = _loops_0_and_2_over_b()
+        g = identity(f.dom)
+    elif name.endswith("->1") and not name.startswith("eff1:"):
+        f = terminal_map(lib[name[:-3]].value)
+        g = identity(f.dom)
+    else:
+        f = lib[name].value
+        g = identity(f.dom)
+    if level1:
+        f1 = inflate_morphism(f)
+        f, g = f1, inflate_morphism(g, cod1=f1.dom)
+    return pi_type(f, synthesize_fibration_witness(f), g)
+
+
+def _classes(labelled):
+    """The partition of items by label, (item, label) pairs in, as a sorted
+    list of sorted tuples."""
+    by = {}
+    for item, label in labelled:
+        by.setdefault(label, []).append(item)
+    return sorted(tuple(sorted(items)) for items in by.values())
+
+
+def _pi_shape(pi) -> dict:
+    """What Pi is, whatever codes it picked: its cells as (base cell,
+    section cell map), the cells that share a realizer, the size of each
+    hom-set, the 1-cells (ends, base 1-cell) that share a code index, the
+    size of each set of 2-cells (ends, base 1-cells of the two 1-cells) and
+    whether the projection is a fibration.  Every part is written with
+    repr, so one order serves any cells."""
+    obj = pi.obj
+    cell = {k: (repr(k[0]), tuple(sorted(map(repr, s.zero_map.items()))))
+            for k, s in pi.sections.items()}
+    assert set(cell) == set(obj.cells)
+    one_cells = [((cell[k1], cell[k2], pca.cantor_unpair(n)[0]),
+                  pca.cantor_unpair(n)[1])
+                 for (k1, k2), h in obj.hom.items() for n in h]
+    return {
+        "cells": sorted(cell.values()),
+        "realizer classes": _classes((cell[k], obj.realizer[k])
+                                     for k in obj.cells),
+        "hom sizes": sorted((cell[k1], cell[k2], len(h))
+                            for (k1, k2), h in obj.hom.items()),
+        "index classes": _classes(one_cells),
+        "2-cell sizes": sorted(
+            (cell[k1], cell[k2], pca.cantor_unpair(e)[0],
+             pca.cantor_unpair(e2)[0], len(h))
+            for (k1, k2, e, e2), h in getattr(obj, "hom2", {}).items()),
+        "projection": fibration_decide(pi.proj).status,
+    }
+
+
+# name -> (cells, realizer classes, 1-cells, index classes, 2-cells, the
+# SHA-256 prefix of the shape's repr)
+PI_SHAPES = {
+    "E2I": (2, 2, 4, 2, 0, "yes", "5dea9ee84a313ec0"),
+    "I->1": (1, 1, 1, 1, 0, "yes", "a7e7d92657e95b48"),
+    "2->1": (1, 1, 1, 1, 0, "yes", "a7e7d92657e95b48"),
+    "inflated E2I": (2, 2, 4, 2, 4, "yes", "bf16e0a0e23e20cc"),
+    "eff1:E2I": (2, 2, 4, 2, 4, "yes", "bf16e0a0e23e20cc"),
+    "eff1:2->1": (1, 1, 1, 1, 1, "yes", "62b43ff462394318"),
+    "4->2 over 2->1": (4, 4, 4, 1, 0, "yes", "3b04a46a555facd2"),
+    "inflated 4->2 over 2->1": (4, 4, 4, 1, 4, "yes", "3f4f48f436142009"),
+    "loops over b": (2, 2, 3, 2, 0, "yes", "971fab9fc34494db"),
+    "inflated loops over b": (2, 2, 3, 2, 5, "yes", "6436b9bbafc21046"),
+}
+
+
+@pytest.mark.parametrize("name", PI_SHAPES)
+def test_the_shape_of_pi_is_pinned(name):
+    shape = _pi_shape(_pi_case(name))
+    summary = (len(shape["cells"]), len(shape["realizer classes"]),
+               sum(n for *_, n in shape["hom sizes"]),
+               len(shape["index classes"]),
+               sum(n for *_, n in shape["2-cell sizes"]))
+    digest = hashlib.sha256(repr(shape).encode()).hexdigest()[:16]
+    assert (*summary, shape["projection"], digest) == PI_SHAPES[name]
