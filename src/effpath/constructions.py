@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import wraps
 
 from .pca import (
     FST_C, PAIR, SND_C, Table, Var, app, apply, cantor_unpair, curry_left,
@@ -359,18 +358,6 @@ def fibre_object(f: EffMorphism, x, name: str = "") -> EffObject:
                        name=name or f"{Y.name}|{x}")
 
 
-def _sections_over(f: EffMorphism, g: EffMorphism, x, fibre: EffObject):
-    """All tracked sections of g over the fibre of f at x."""
-    Z = g.dom
-    out = []
-    for zero in _zero_map_candidates(
-            fibre, Z, cell_filter=lambda y, z: g.zero_map[z] == y):
-        s = synthesize_morphism(fibre, Z, zero, name=f"sect@{x}")
-        if s is not None:
-            out.append(s)
-    return out
-
-
 @dataclass
 class PiBundle:
     """Pi along f of g, at either level."""
@@ -385,15 +372,10 @@ class PiBundle:
     ev: EffMorphism             # counit: (section, y) -> section(y)
 
 
-def _pi_presentation(pres, kind) -> bool:
-    """Is pres a (cell, morphism of kind) pair, as a member of Pi at
-    either level is presented?  Anything else is no member."""
-    return isinstance(pres, tuple) and len(pres) == 2 and \
-        isinstance(pres[1], kind)
-
-
-def _section_key(x, s: EffMorphism):
-    return (x, tuple(sorted((y, s.zero_map[y]) for y in s.dom.cells)))
+def _section_key(x, cell_map: dict):
+    """The skeleton cell of the section over x with cell map {y: z}, y in
+    the domain of f; cells are ordered by repr, which any cells have."""
+    return x, tuple(sorted(cell_map.items(), key=repr))
 
 
 class _Enumeration:
@@ -417,14 +399,43 @@ class _Enumeration:
 
 
 @dispatch_on(EffMorphism)
+def _pi_fibre(f: EffMorphism, g: EffMorphism, x):
+    """The fibre of f at x, the cell of f's domain under each of its
+    cells, and the tracked sections of g over it: here the full subobject
+    on the cells over x, with sections that match on cells."""
+    fibre = fibre_object(f, x)
+    sections = []
+    for zero in _zero_map_candidates(
+            fibre, g.dom, cell_filter=lambda y, z: g.zero_map[z] == y):
+        s = synthesize_morphism(fibre, g.dom, zero, name=f"sect@{x}")
+        if s is not None:
+            sections.append(s)
+    return fibre, {y: y for y in fibre.cells}, sections
+
+
+@dispatch_on(EffMorphism)
+def _pi_skeleton(f: EffMorphism, cells, realizer, hom, found, name: str):
+    """Pi's skeleton object on cells, realizer and hom, and its
+    projection to the base of f; ``found`` maps each 1-cell's (k1, k2, pi)
+    to the two transported sections and the homotopy found between them.
+    Here a 1-cell <pi, j> lies over its first component pi."""
+    obj = make_object(cells, realizer, hom, name=name)
+    proj = synthesize_morphism(
+        obj, f.cod, {k: k[0] for k in cells}, name=f"{name}->{f.cod.name}",
+        one=lambda t, h, k1, k2, e: forced(cantor_unpair(e)[0], h))
+    assert proj is not None
+    return obj, proj
+
+
 def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
-    """Pi along f: Y -> X of g: Z -> Y.
+    """Pi along f: Y -> X of g: Z -> Y, at either level.
 
     A zero-cell over x is a tracked section of g on the fibre of f at x,
-    realized by <alpha x, i> with i the index of its trackings (tracking0,
-    tracking1) among the distinct trackings of Pi's sections; a 1-cell to
-    (x', s') is <pi, j> for pi: x -> x' and j the index of a homotopy
-    s' Gamma_pi ~ Gamma_pi s among Pi's distinct homotopies.  Equal
+    realized by <alpha x, i> with i the index of its trackings among the
+    distinct trackings of Pi's sections; a 1-cell to (x', s') is <pi, j>
+    for pi: x -> x' and j the index of a homotopy s' Gamma_pi ~ Gamma_pi s
+    among Pi's distinct homotopies; at level 1, a 2-cell over a base
+    2-cell n is <n, k> with k the index of a modification's table.  Equal
     indices mean equal codes, so realizer twins are those of the packed
     codes, and no code is read as its chain.  The skeleton materializes
     one canonical tracking per section.  g must be a fibration; realizer
@@ -434,130 +445,122 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
     """
     if g.cod != f.dom:
         raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")
-    Y, X = f.dom, f.cod
-    Z = g.dom
-    # f . g is read for its cell maps only: it is synthesized from them, as
-    # compose1 builds it, and no input's code is read as its chain
-    gz = g.zero_map
-    fg = synthesize_morphism(
-        Z, X, {z: f.zero_map[gz[z]] for z in Z.cells}, f"{f.name}.{g.name}",
-        lambda t, h, z, z2, p: forced(
-            f.one_map[gz[z], gz[z2]][g.one_map[z, z2][p]], h))
-    assert fg is not None  # a composite of tracked maps is tracked
+    X, Z = f.cod, g.dom
+    fg = compose(f, g)
     wfg = synthesize_fibration_witness(fg)
     if wfg is None:
         raise MapsDoNotFit(f"{fg.name} is not a fibration")
-    fibres = {x: fibre_object(f, x) for x in X.cells}
-    secs = {x: _sections_over(f, g, x, fibres[x]) for x in X.cells}
 
     trackings, homotopies = _Enumeration(), _Enumeration()
-    cells, sections, realizer = [], {}, {}
+    fibres, under, cells, sections, realizer = {}, {}, [], {}, {}
     for x in X.cells:
-        for s in secs[x]:
-            key = _section_key(x, s)
+        fibres[x], under[x], secs = _pi_fibre(f, g, x)
+        for s in secs:
+            key = _section_key(x, {y: s.zero_map[c]
+                                   for c, y in under[x].items()})
             cells.append(key)
             sections[key] = s
-            realizer[key] = tuple_encode(
-                X.realizer[x], trackings(s.tracking0, s.tracking1))
+            realizer[key] = tuple_encode(X.realizer[x], trackings(
+                *(getattr(s, t) for t in s.TRACKINGS)))
 
-    def transported(x1, s1, x2, s2, pi):
+    lifts = {}
+
+    def lift(h, wh, y, x2, pi):
+        """The endpoint of the lift of pi at y through h (f or f . g)."""
+        key = h is f, y, x2, pi
+        if key not in lifts:
+            lifts[key] = lift_endpoint(h, wh, y, x2, pi)[0]
+        return lifts[key]
+
+    def transported(k1, k2, pi):
         """The maps s2 Gamma^Y_pi and Gamma^Z_pi s1 on the fibre at x1, or
-        None if one is not tracked."""
-        ys = fibres[x1].cells
+        None if one is not tracked; each lift is computed once, so
+        Gamma^Y_pi once per base 1-cell."""
+        (x1, t1), (x2, t2) = k1, k2
+        s1, s2 = dict(t1), dict(t2)
         lhs = synthesize_morphism(fibres[x1], Z, {
-            y: s2.zero_map[lift_endpoint(f, w, y, x2, pi)[0]]
-            for y in ys})
+            c: s2[lift(f, w, y, x2, pi)] for c, y in under[x1].items()})
         rhs = synthesize_morphism(fibres[x1], Z, {
-            y: lift_endpoint(fg, wfg, s1.zero_map[y], x2, pi)[0]
-            for y in ys})
+            c: lift(fg, wfg, s1[y], x2, pi) for c, y in under[x1].items()})
         return None if lhs is None or rhs is None else (lhs, rhs)
 
-    def connecting(key1, key2, pi):
-        """Canonical coded homotopy s2 Gamma^Y_pi ~ Gamma^Z_pi s1, if any."""
-        ends = transported(key1[0], sections[key1], key2[0], sections[key2],
-                           pi)
-        if ends is None:
-            return None
-        d = homotopic_decide(*ends)
-        return d.witness.h1 if d.status == YES else None
-
-    hom = {}
+    hom, found, named = {}, {}, {}
     for k1, k2 in itertools.product(cells, repeat=2):
         members = set()
         for pi in X.hom_of(k1[0], k2[0]):
-            n = connecting(k1, k2, pi)
-            if n is not None:
-                members.add(tuple_encode(pi, homotopies(n)))
-        hom[(k1, k2)] = frozenset(members)
-    obj = make_object(cells, realizer, hom,
-                      name=f"Pi_{f.name}({g.name})")
-    # a 1-cell <pi, j> lies over its first component pi
-    proj = synthesize_morphism(
-        obj, X, {k: k[0] for k in cells}, name=f"{obj.name}->{X.name}",
-        one=lambda t, h, k1, k2, e: forced(cantor_unpair(e)[0], h))
-    assert proj is not None
+            pair = transported(k1, k2, pi)
+            if pair is None:
+                continue
+            d = homotopic_decide(*pair)
+            if d.status == YES:  # a homotopy's fields are its codes
+                j = homotopies(*vars(d.witness).values())
+                named.setdefault(j, d.witness)
+                members.add(tuple_encode(pi, j))
+                found[k1, k2, pi] = (*pair, d.witness)
+        hom[k1, k2] = frozenset(members)
+    obj, proj = _pi_skeleton(f, cells, realizer, hom, found,
+                             f"Pi_{f.name}({g.name})")
 
     ev_dom = pullback(f, proj)
     ev = synthesize_morphism(
         ev_dom.obj, Z,
-        {(k, y): sections[k].zero_map[y] for (k, y) in ev_dom.obj.cells},
+        {(k, y): dict(k[1])[y] for (k, y) in ev_dom.obj.cells},
         name=f"ev_{obj.name}")
     assert ev is not None
 
-    def contains(pres):
-        if not _pi_presentation(pres, EffMorphism) or pres[0] not in X.cells:
-            return NO
+    def key(pres):
+        """The skeleton cell pres would be, as a member of Pi is presented
+        by a (base cell, morphism) pair at either level: None for anything
+        else, and for a map on other cells than the fibre's."""
+        if not (isinstance(pres, tuple) and len(pres) == 2 and isinstance(
+                pres[1], type(g))) or pres[0] not in X.cells:
+            return None
         x, s = pres
-        if s.cod is not Z or set(s.zero_map) != set(fibres[x].cells) or any(
-                g.zero_map[s.zero_map[y]] != y for y in s.zero_map):
+        if set(s.zero_map) != set(under[x]):
+            return None
+        return _section_key(x, {y: s.zero_map[c]
+                                for c, y in under[x].items()})
+
+    def contains(pres):
+        k = key(pres)
+        if k is None or pres[1].cod is not Z or any(
+                g.zero_map[z] != y for y, z in k[1]):
             return NO
-        return _verdict_status(check_morphism(s))
+        return _verdict_status(check_morphism(pres[1]))
 
     def realizer_of(pres):
         """The realizer of pres's skeleton cell, whatever pres's own
         trackings; None for a section the skeleton lacks, which is no
         member."""
-        if _pi_presentation(pres, EffMorphism):
-            return realizer.get(_section_key(*pres))
+        return realizer.get(key(pres))
 
     def hom_status(p1, p2, n):
-        pi, j = cantor_unpair(n)
-        if pi not in X.hom_of(p1[0], p2[0]) or j >= len(homotopies.runs):
+        k1, k2, (pi, j) = key(p1), key(p2), cantor_unpair(n)
+        pair = k1 in sections and k2 in sections and j in named and \
+            pi in X.hom_of(k1[0], k2[0]) and transported(k1, k2, pi)
+        if not pair:
             return NO
-        ends = transported(*p1, *p2, pi)
-        if ends is None:
-            return NO
-        [code] = homotopies.runs[j]
-        return _verdict_status(check_homotopy(*ends, Homotopy(code)))
+        return _verdict_status(check_homotopy(*pair, named[j]))
 
     virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
     return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_dom, ev)
 
 
-def _on_second(generic):
-    """generic, dispatching on its second argument instead of its first."""
-    @wraps(generic)
-    def call(first, second, *rest, **kwargs):
-        return generic.dispatch(type(second))(first, second, *rest, **kwargs)
-    return call
-
-
-@_on_second  # a PiBundle, the first argument, serves either level
-@dispatch_on(EffMorphism)
 def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
                  m: EffMorphism, name: str = ""):
-    """Transpose of m: W x_X Y -> Z over Y into M: W -> Pi_f(g).
+    """Transpose of m: W x_X Y -> Z over Y into M: W -> Pi_f(g), at either
+    level.
 
     pbW must be pullback(pi.f, h); M(w) is the skeleton cell whose section
     is the fibrewise restriction of m at w.  None if untrackable.
     """
     W = h.dom
+    tables = {w_: {} for w_ in W.cells}
+    for (w_, y) in pbW.obj.cells:
+        tables[w_][y] = m.zero_map[(w_, y)]
     zero = {}
-    for w_ in W.cells:
-        x = h.zero_map[w_]
-        table = tuple(sorted(
-            (y, m.zero_map[(w_, y)]) for y in pi.fibres[x].cells))
-        key = (x, table)
+    for w_, table in tables.items():
+        key = _section_key(h.zero_map[w_], table)
         if key not in pi.sections:
             return None
         zero[w_] = key
@@ -580,14 +583,11 @@ def pi_transpose_round_trip(pi: PiBundle, h: EffMorphism,
 
 def pi_functor_map(piB: PiBundle, piA: PiBundle, p: EffMorphism,
                    name: str = ""):
-    """Pi_f applied to a map p: B -> A over Y (g_A p = g_B): postcompose
-    each section with p.  None if untrackable."""
+    """Pi_f applied to a map p: B -> A over Y (g_A p = g_B), at either
+    level: postcompose each section with p.  None if untrackable."""
     zero = {}
-    for key, s in piB.sections.items():
-        x = key[0]
-        table = tuple(sorted(
-            (y, p.zero_map[s.zero_map[y]]) for y in s.dom.cells))
-        tgt = (x, table)
+    for key in piB.sections:
+        tgt = _section_key(key[0], {y: p.zero_map[z] for y, z in key[1]})
         if tgt not in piA.sections:
             return None
         zero[key] = tgt

@@ -22,9 +22,8 @@ from operator import contains
 from types import SimpleNamespace
 
 from .pca import (
-    Diverges, FuelExhausted, Table, apply, compile_term,
-    compose_codes, fuel_limit, fuel_now, tabulate, tuple_encode, lam, app,
-    Var, FST_C, SND_C,
+    Diverges, FuelExhausted, Table, apply, compile_term, fuel_limit,
+    fuel_now, tabulate, tuple_encode, lam, app, Var, SND_C,
 )
 
 YES, NO, UNKNOWN = "yes", "no", "unknown"
@@ -492,6 +491,10 @@ class EffMorphism:
     tracking1: int
     name: str = ""
 
+    # the codes that are part of the identity of the morphism, by which Pi
+    # numbers its sections
+    TRACKINGS = ("tracking0", "tracking1")
+
     def __repr__(self):
         return f"EffMorphism({self.name or id(self)})"
 
@@ -554,7 +557,7 @@ def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
     """
     try:
         T = settle(_morphism_stages(dom, cod, zero_map, one),
-                   ("tracking0", "tracking1"))
+                   EffMorphism.TRACKINGS)
     except SynthesisFailed:
         return None
     one_map = _read_back(_one_cell_inputs(dom), T["tracking1"].__getitem__)
@@ -575,26 +578,18 @@ def identity(obj: EffObject) -> EffMorphism:
 
 @dispatch_on(EffMorphism)
 def compose(g: EffMorphism, f: EffMorphism, name: str = "") -> EffMorphism:
-    """g after f."""
+    """g after f, synthesized from the composite cell maps with each 1-cell
+    image forced, as compose1 builds it: no code of g or f is run."""
     if f.cod is not g.dom and f.cod != g.dom:
         raise MapsDoNotFit(f"{g.name} does not start where {f.name} ends")
-    zero = {b: g.zero_map[f.zero_map[b]] for b in f.dom.cells}
-    one = {}
-    for (b, b2), table in f.one_map.items():
-        fb, fb2 = f.zero_map[b], f.zero_map[b2]
-        one[(b, b2)] = {pi: g.one_map[(fb, fb2)][v]
-                        for pi, v in table.items()}
-    x = Var("x")
-    # <beta b, beta b', pi>  |->  g1 <t0_f(beta b), t0_f(beta b'), f1(input)>
-    from .pca import PAIR
-    t1 = compile_term(lam("x", app(
-        g.tracking1,
-        app(PAIR, app(f.tracking0, app(FST_C, x)),
-            app(PAIR, app(f.tracking0, app(FST_C, app(SND_C, x))),
-                app(f.tracking1, x))))))
-    return EffMorphism(f.dom, g.cod, zero, one,
-                       compose_codes(g.tracking0, f.tracking0), t1,
-                       name=name or f"{g.name}.{f.name}")
+    fz = f.zero_map
+    m = synthesize_morphism(
+        f.dom, g.cod, {b: g.zero_map[fz[b]] for b in f.dom.cells},
+        name or f"{g.name}.{f.name}",
+        lambda t, h, b, b2, p: forced(
+            g.one_map[fz[b], fz[b2]][f.one_map[b, b2][p]], h))
+    assert m is not None  # a composite of tracked maps is tracked
+    return m
 
 
 # --- the functor to the homotopy quotient -----------------------------------

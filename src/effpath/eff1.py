@@ -40,8 +40,8 @@ from .path import (
     terminal_object as terminal_object0,
 )
 from .constructions import (
-    HomExponential, JExponential, PiBundle, VirtualObject, _Enumeration,
-    _pi_presentation, _verdict_status, hexp, hexp_J, pi_transpose, pi_type,
+    HomExponential, JExponential, VirtualObject, _Enumeration, _pi_fibre,
+    _pi_skeleton, _verdict_status, hexp, hexp_J,
 )
 from .classify import (
     Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
@@ -379,12 +379,13 @@ class Eff1Morphism:
     funct_comp: int  # <beta b1, beta b2, beta b3, p, r> |-> f(r.p) => fr.fp
     name: str = ""
 
+    TRACKINGS = ("tracking0", "tracking1", "tracking2")
+
     def __repr__(self):
         return f"Eff1Morphism({self.name or hex(id(self))})"
 
 
-_MORPHISM1_SLOTS = ("tracking0", "tracking1", "tracking2", "funct_id",
-                    "funct_comp")
+_MORPHISM1_SLOTS = Eff1Morphism.TRACKINGS + ("funct_id", "funct_comp")
 
 
 def _morphism1_stages(dom: Eff1Object, cod: Eff1Object, zero: dict,
@@ -1246,111 +1247,47 @@ def hexp_J1(A: Eff1Object) -> JExponential:
     return JExponential(obj, diag, ev0, ev1)
 
 
-
-
-
 # --- dependent products -----------------------------------------------------
 
-def _section_key1(s: Eff1Morphism):
-    return tuple(sorted(s.zero_map.items(), key=repr))
+@_pi_fibre.register(Eff1Morphism)
+def _pi_fibre1(f: Eff1Morphism, g: Eff1Morphism, a):
+    """The fibre of f at a as the pullback of f along the point a, the
+    cell of f's domain under each of its cells, and the sections of g over
+    it that are strict at every level."""
+    pb = pullback1(f, point1(f.cod, a))
+    inc = pb.to_f_dom
+    sections = []
+    for zero in _zero_map_candidates(
+            pb.obj, g.dom,
+            cell_filter=lambda x, c: g.zero_map[c] == inc.zero_map[x]):
+        s = _synthesize_over(g, inc, zero)
+        if s is not None:
+            sections.append(s)
+    return pb.obj, inc.zero_map, sections
 
 
-@pi_type.register(Eff1Morphism)
-def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
-             g: Eff1Morphism) -> PiBundle:
-    """The dependent product of g: C -> B along the fibration f: B -> A.
-
-    Cells are pairs (a, section-of-g-over-the-fibre-at-a), realized by
-    <alpha a, i> with i the index of the section's (tracking0, tracking1,
-    tracking2); 1-cells over a base 1-cell pi are <pi, j> with j the index
-    of a canonical homotopy (h1, h2) between the two transported sections;
-    2-cells over a base 2-cell n are <n, k> with k the index of a
-    modification's table.  Each index counts the distinct contents of its
-    kind in this Pi, as in pi_type.  As with pi_type, g must be a
-    fibration, and realizer twins in a fibre of g can leave Pi without
-    structure codes.
-    """
-    if g.cod != f.dom:
-        raise MapsDoNotFit(f"{g.name} does not end where {f.name} starts")
-    A, B, C = f.cod, f.dom, g.dom
-    fg = compose1(f, g)
-    wfg = synthesize_fibration1_witness(fg)
-    if wfg is None:
-        raise MapsDoNotFit(f"{fg.name} is not a fibration")
-
-    fibres, incls = {}, {}
-    for a in A.cells:
-        pb = pullback1(f, point1(A, a))
-        fibres[a], incls[a] = pb.obj, pb.to_f_dom
-
-    sections = {}
-    for a in A.cells:
-        fib, inc = fibres[a], incls[a]
-        for zero in _zero_map_candidates(
-                fib, C,
-                cell_filter=lambda x, c, _i=inc:
-                g.zero_map[c] == _i.zero_map[x]):
-            s = _synthesize_over(g, inc, zero)
-            if s is not None:
-                sections.setdefault((a, _section_key1(s)), s)
-
-    cells = sorted(sections, key=repr)
-    trackings, homotopies, modifications = (
-        _Enumeration(), _Enumeration(), _Enumeration())
-    realizer = {k: tuple_encode(A.realizer[k[0]], trackings(
-                    sections[k].tracking0, sections[k].tracking1,
-                    sections[k].tracking2))
-                for k in cells}
-
-    transB, transC = {}, {}
-    for a in A.cells:
-        for a2 in A.cells:
-            for pi in A.hom_of(a, a2):
-                zero = {x: ("*", lift_endpoint(f, w, x[1], a2, pi)[0])
-                        for x in fibres[a].cells}
-                tm = synthesize_morphism1(fibres[a], fibres[a2], zero)
-                assert tm is not None
-                transB[(a, a2, pi)] = tm
-                transC[(a, a2, pi)] = {
-                    c: lift_endpoint(fg, wfg, c, a2, pi)[0]
-                    for c in C.cells if fg.zero_map[c] == a}
-
-    hom, hwit = {}, {}
-    for k1, k2 in itertools.product(cells, repeat=2):
-        (a, _), (a2, _) = k1, k2
-        s1, s2 = sections[k1], sections[k2]
-        ent = set()
-        for pi in A.hom_of(a, a2):
-            lzero = {x: transC[(a, a2, pi)][s1.zero_map[x]]
-                     for x in fibres[a].cells}
-            rzero = {x: s2.zero_map[transB[(a, a2, pi)].zero_map[x]]
-                     for x in fibres[a].cells}
-            lm = synthesize_morphism1(fibres[a], C, lzero)
-            rm = synthesize_morphism1(fibres[a], C, rzero)
-            if lm is None or rm is None:
-                continue
-            d = homotopic_decide(lm, rm)
-            if d.status == YES:
-                ent.add(tuple_encode(
-                    pi, homotopies(d.witness.h1, d.witness.h2)))
-                hwit[(k1, k2, pi)] = (lm, rm, d.witness)
-        hom[(k1, k2)] = frozenset(ent)
+@_pi_skeleton.register(Eff1Morphism)
+def _pi_skeleton1(f: Eff1Morphism, cells, realizer, hom, found, name: str):
+    """Pi's skeleton with its 2-cells: between two 1-cells over pi and
+    pi2 whose homotopies connect the same transported sections, <n, k>
+    for each base 2-cell n: pi => pi2, where k is the index of a
+    modification's table, when a modification exists."""
+    A = f.cod
+    modifications = _Enumeration()
     hom2 = {}
     for (k1, k2), h in hom.items():
-        fib = fibres[k1[0]]
         for e, e2 in itertools.product(sorted(h), repeat=2):
-            pi, _ = _dec2(e)
-            pi2, _ = _dec2(e2)
-            lm, rm, H = hwit[(k1, k2, pi)]
-            lm2, rm2, H2 = hwit[(k1, k2, pi2)]
+            pi, pi2 = _dec2(e)[0], _dec2(e2)[0]
+            lhs, rhs, H = found[k1, k2, pi]
+            lhs2, rhs2, H2 = found[k1, k2, pi2]
             ent = set()
-            same_ends = (lm.zero_map == lm2.zero_map and
-                         rm.zero_map == rm2.zero_map)
-            if same_ends:
+            if lhs.zero_map == lhs2.zero_map and \
+                    rhs.zero_map == rhs2.zero_map:
+                fib, C = lhs.dom, lhs.cod
                 d = _per_realizer(
                     fib.cells, fib.realizer,
                     lambda x: C.hom2_of(
-                        lm.zero_map[x], rm.zero_map[x],
+                        lhs.zero_map[x], rhs.zero_map[x],
                         apply(H.h1, fib.realizer[x]),
                         apply(H2.h1, fib.realizer[x])),
                     "modification")
@@ -1358,64 +1295,9 @@ def pi_type1(f: Eff1Morphism, w: Fibration1Witness,
                     k = modifications(d.witness)
                     ent.update(tuple_encode(n, k) for n in
                                A.hom2_of(k1[0], k2[0], pi, pi2))
-            hom2[(k1, k2, e, e2)] = frozenset(ent)
-    obj = make_object1(cells, realizer, hom, hom2,
-                       name=f"Pi_{f.name}({g.name})")
-
-    proj = _projection1(obj, A, 0, name="Pi->base")
-
-    ev_domain = pullback1(f, proj)
-    ev_zero = {(k, b): sections[k].zero_map[("*", b)]
-               for (k, b) in ev_domain.obj.cells}
-    ev = synthesize_morphism1(ev_domain.obj, C, ev_zero, name="ev")
-    assert ev is not None
-
-    def key(member):
-        # the skeleton cell member would be; None for no (cell, section)
-        if _pi_presentation(member, Eff1Morphism):
-            return member[0], _section_key1(member[1])
-
-    def contains(member):
-        if key(member) is None or member[0] not in A.cells:
-            return NO
-        a, s = member
-        fib, inc = fibres[a], incls[a]
-        if s.cod is not C or (s.dom is not fib and s.dom.cells != fib.cells) \
-                or any(g.zero_map[s.zero_map[x]] != inc.zero_map[x]
-                       for x in fib.cells):
-            return NO
-        return _verdict_status(check_morphism1(s))
-
-    def realizer_of(member):
-        """The realizer of member's skeleton cell, whatever member's own
-        trackings; None for a section the skeleton lacks, which is no
-        member."""
-        return realizer.get(key(member))
-
-    def hom_status(m1, m2, n):
-        return YES if n in obj.hom.get((key(m1), key(m2)), ()) else NO
-
-    virt = VirtualObject(obj.name, contains, realizer_of, hom_status)
-    return PiBundle(f, g, obj, proj, sections, fibres, virt, ev_domain, ev)
-
-
-@pi_transpose.register(Eff1Morphism)
-def pi_transpose1(pi: PiBundle, h: Eff1Morphism, pbW: PullbackBundle,
-                  m: Eff1Morphism, name: str = "") -> Eff1Morphism | None:
-    """Transpose a morphism W x_A B -> C over the base to W -> Pi."""
-    W = h.dom
-    zero = {}
-    for wc in W.cells:
-        a = h.zero_map[wc]
-        skey = tuple(sorted(
-            ((("*", b), m.zero_map[(w2, b)])
-             for (w2, b) in pbW.obj.cells if w2 == wc), key=repr))
-        key = (a, skey)
-        if key not in pi.sections:
-            return None
-        zero[wc] = key
-    return synthesize_morphism1(W, pi.obj, zero, name=name)
-
+            hom2[k1, k2, e, e2] = frozenset(ent)
+    obj = make_object1(cells, realizer, hom, hom2, name=name)
+    return obj, _projection1(obj, A, 0, name="Pi->base")
 
 
 # --- truncations and hlevels ------------------------------------------------

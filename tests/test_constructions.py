@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, example, given, settings
 
 from effpath import constructions, eff1, pca
 from effpath.core import (
-    MapsDoNotFit, NO, YES, check_morphism, forced, identity, make_object,
-    synthesize_morphism,
+    MapsDoNotFit, NO, YES, check_morphism, compose, forced, identity,
+    make_object, synthesize_morphism,
 )
 from effpath.constructions import (
     curry, curry_uniqueness_check, enumerate_members, freyd_square_check,
@@ -309,8 +309,9 @@ def test_a_member_is_realized_as_its_skeleton_cell():
             assert pi.virtual.realizer_of(member) == pi.obj.realizer[key]
 
 
-def test_pi_hom_status_checks_the_homotopy_a_one_cell_names():
-    f = fixture_library()["E2I"].value
+@pytest.mark.parametrize("name", ["E2I", "eff1:E2I"])
+def test_pi_hom_status_checks_the_homotopy_a_one_cell_names(name):
+    f = fixture_library()[name].value
     pi = pi_type(f, synthesize_fibration_witness(f), identity(f.dom))
     member = {k: (k[0], s) for k, s in pi.sections.items()}
     one_cells = [(k1, k2, n) for (k1, k2), h in pi.obj.hom.items()
@@ -328,7 +329,8 @@ def test_pi_hom_status_checks_the_homotopy_a_one_cell_names():
 @pytest.mark.parametrize("name", ["E2I", "eff1:E2I"])
 def test_the_virtual_pi_answers_any_presentation_at_either_level(name):
     # a presentation that is no (cell, section) pair is no member, with no
-    # realizer; each skeleton 1-cell is YES and an index in no hom-set NO
+    # realizer and no 1-cell to or from it; each skeleton 1-cell is YES and
+    # an index in no hom-set NO
     f = fixture_library()[name].value
     pi = pi_type(f, synthesize_fibration_witness(f), identity(f.dom))
     virt = pi.virtual
@@ -336,11 +338,15 @@ def test_the_virtual_pi_answers_any_presentation_at_either_level(name):
     for k, m in member.items():
         assert virt.contains(m) == YES
         assert virt.realizer_of(m) == pi.obj.realizer[k]
-    cell, section = next(iter(member.values()))
+    k = next(iter(member))
+    cell, section = member[k]
+    loop = min(pi.obj.hom[k, k])
     for pres in (5, ("x",), ("nope", None), (cell, "not a morphism"),
                  ("nope", section), (cell, section, section), [cell, section]):
         assert virt.contains(pres) == NO, pres
         assert virt.realizer_of(pres) is None, pres
+        assert virt.hom_status(pres, member[k], loop) == NO, pres
+        assert virt.hom_status(member[k], pres, loop) == NO, pres
     one_cells = [(k1, k2, n) for (k1, k2), h in pi.obj.hom.items()
                  for n in h]
     assert one_cells
@@ -474,6 +480,28 @@ def test_pi_of_a_library_fibration_keeps_the_packed_equality(name):
     f = fixture_library()[name].value
     _assert_pi_keeps_the_packed_equality(
         f, synthesize_fibration_witness(f), identity(f.dom))
+
+
+def test_composing_and_transporting_build_no_chain(monkeypatch):
+    # compose synthesizes the composite from the cell maps of fresh maps
+    # (E2I built anew, so no earlier test has built a chain on its
+    # tables), so composing, checking the composite, transport and Pi's
+    # transpose round trip read no code as its IFEQ chain
+    total, base, p = two_point_bundle()
+    w = synthesize_fibration_witness(p)
+    calls, chain = [0], pca._chain
+
+    def counted(table):
+        calls[0] += 1
+        return chain(table)
+    monkeypatch.setattr(pca, "_chain", counted)
+    assert check_morphism(compose(p, identity(total)))
+    assert transport(p, w).refl_law.status == YES
+    pi = pi_type(p, w, identity(total))
+    M = pi_transpose(pi, pi.proj, pi.ev_domain, pi.ev)
+    assert pi_transpose_round_trip(pi, pi.proj, pi.ev_domain, pi.ev,
+                                   M).status == YES
+    assert calls[0] == 0
 
 
 def test_building_pi_builds_no_chain(monkeypatch):

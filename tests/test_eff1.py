@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from effpath import eff1, path, pca
+from effpath import constructions, eff1, path, pca
 from effpath.classify import hlevel_check, is_standard_discrete
 from effpath.core import (
     MapsDoNotFit, any_image, identity as identity0, make_object,
@@ -14,7 +14,7 @@ from effpath.eff1 import (
     discrete1_decide, discrete1_phi_psi, fib_path_object1,
     fibrewise_homotopic1_decide, hexp1, hexp_J1, hlevel1_check,
     homotopy1_from_h1, identity1, inflate, inflate_morphism, path_object1,
-    pi_transpose1, pi_type1, point1, product1, pullback1, resize1,
+    point1, product1, pullback1, resize1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, trivial1_section, truncate1, two_homotopic_decide,
     univalence_check_set, z2_homotopies, z2_object, z2_twist,
@@ -22,7 +22,7 @@ from effpath.eff1 import (
 )
 from effpath.constructions import (
     enumerate_members, freyd_square_check, homotopy_pullback_check,
-    pi_transpose_round_trip,
+    pi_transpose, pi_transpose_round_trip, pi_type,
 )
 from effpath.fixtures import (
     interval, line_bundle, nat_trunc, set_bundle, swap_morphism, two,
@@ -463,7 +463,7 @@ def _bundle_pi():
     T1, B1 = inflate(total), inflate(base)
     p1 = inflate_morphism(p, T1, B1)
     w = synthesize_fibration1_witness(p1)
-    return p1, w, pi_type1(p1, w, identity1(T1))
+    return p1, w, pi_type(p1, w, identity1(T1))
 
 
 def test_pi_of_the_identity_has_one_section_per_fibre_point():
@@ -481,7 +481,7 @@ def test_pi_realizers_exclude_functoriality_terms(monkeypatch):
     # functoriality table of the section enters it
     made = []
 
-    class Recorded(eff1._Enumeration):
+    class Recorded(constructions._Enumeration):
         def __init__(self):
             super().__init__()
             made.append(self)
@@ -489,8 +489,8 @@ def test_pi_realizers_exclude_functoriality_terms(monkeypatch):
     T1, B1 = inflate(total), inflate(base)
     p1 = inflate_morphism(p, T1, B1)
     w = synthesize_fibration1_witness(p1)
-    monkeypatch.setattr(eff1, "_Enumeration", Recorded)
-    pi = pi_type1(p1, w, identity1(T1))
+    monkeypatch.setattr(constructions, "_Enumeration", Recorded)
+    pi = pi_type(p1, w, identity1(T1))
     trackings = made[0]
     assert all(len(run) == 3 for run in trackings.runs)
     for (a, skey), s in pi.sections.items():
@@ -504,7 +504,7 @@ def test_pi_realizers_exclude_functoriality_terms(monkeypatch):
 def test_pi_evaluation_and_transpose_round_trip():
     p1, w, pi = _bundle_pi()
     assert check_morphism1(pi.ev).status == "valid"
-    M = pi_transpose1(pi, pi.proj, pi.ev_domain, pi.ev)
+    M = pi_transpose(pi, pi.proj, pi.ev_domain, pi.ev)
     assert M is not None
     assert homotopic_decide(M, identity1(pi.obj)).status == "yes"
     assert pi_transpose_round_trip(pi, pi.proj, pi.ev_domain,
@@ -527,7 +527,7 @@ def test_pi_of_a_map_that_is_not_a_fibration_is_refused():
     g = synthesize_morphism1(X, Y, {"a": "p"}, name="g")
     f = identity1(Y)
     with pytest.raises(MapsDoNotFit, match=r"^id_Y\.g is not a fibration$"):
-        pi_type1(f, synthesize_fibration1_witness(f), g)
+        pi_type(f, synthesize_fibration1_witness(f), g)
 
 
 # --- truncations ------------------------------------------------------------

@@ -30,8 +30,7 @@ from effpath.classify import (
     hlevel_check, is_standard_discrete, prop_truncate, resize,
 )
 from effpath.constructions import (
-    HomExponential, JExponential, PiBundle, hexp, hexp_J, pi_transpose,
-    pi_type,
+    HomExponential, JExponential, PiBundle, hexp, hexp_J, pi_type,
 )
 from effpath.core import (
     EffMorphism, EffObject, NO, UNKNOWN, YES, check_morphism, check_object,
@@ -42,7 +41,7 @@ from effpath.eff1 import (
     check_morphism1, check_object1, classify_discrete_set, compose1,
     discrete1_decide, fib_path_object1, fibrewise_homotopic1_decide, hexp1,
     hexp_J1, hlevel1_check, homotopy1_from_h1, identity1, inflate_morphism,
-    morphism_candidates1, path_object1, pi_transpose1, pi_type1, pullback1,
+    morphism_candidates1, path_object1, pullback1,
     resize1, synthesize_fibration1_witness, synthesize_morphism1,
     terminal_map1, terminal_object1, truncate1, z2_object, z2_twist,
 )
@@ -268,7 +267,7 @@ RESULTS = {
     "Pi": (PiBundle,
            lambda: _pi(pi_type, synthesize_fibration_witness, identity,
                        _lib("E2I")),
-           lambda: _pi(pi_type1, synthesize_fibration1_witness, identity1,
+           lambda: _pi(pi_type, synthesize_fibration1_witness, identity1,
                        _inflated("E2I"))),
     "truncation": (TruncationBundle,
                    lambda: prop_truncate(_map("J")),
@@ -353,12 +352,6 @@ def _witness(f):
     return synthesize_fibration1_witness(f)
 
 
-@functools.cache
-def _pi1():
-    E = _lib1("E2I")
-    return pi_type1(E, _witness(E), identity1(E.dom))
-
-
 def _e2i():
     return _lib1("E2I")
 
@@ -401,10 +394,6 @@ REGISTERED = {
     hexp: (hexp1, lambda fn: fn(_lib1("I"), _lib1("I")).virtual.contains(
         identity1(_lib1("I")))),
     hexp_J: (hexp_J1, lambda fn: _built(fn(_lib1("2")))),
-    pi_type: (pi_type1, lambda fn: _built(
-        fn(_e2i(), _witness(_e2i()), identity1(_e2i().dom)))),
-    pi_transpose: (pi_transpose1, lambda fn: _made(
-        fn(_pi1(), _pi1().proj, _pi1().ev_domain, _pi1().ev))),
     hlevel_check: (hlevel1_check, lambda fn: fn(_e2i(), 0).status),
     discrete_decide: (discrete1_decide, lambda fn: fn(_e2i()).status),
     resize: (resize1,
@@ -417,7 +406,7 @@ MERGED = ("not_a_fibration1", "fibration1_decide", "trivial1_decide",
           "homotopy_pullback1_check", "freyd_square1_check",
           "pi_transpose1_round_trip", "is_equivalence1_decide",
           "_inverse_search1", "homotopic1_decide", "_homotopic1",
-          "HomExponential1")
+          "HomExponential1", "pi_type1", "pi_transpose1", "_section_key1")
 
 
 @pytest.mark.parametrize("generic", REGISTERED, ids=lambda g: g.__name__)
@@ -447,5 +436,5 @@ def test_terminal_map_takes_the_same_parameters_at_both_levels():
 
 
 def test_the_merged_level_1_copies_are_gone():
-    assert len(REGISTERED) == 21
+    assert len(REGISTERED) == 19
     assert [name for name in MERGED if hasattr(eff1, name)] == []
