@@ -18,8 +18,9 @@ from .pca import (
     tuple_encode,
 )
 from .core import (
-    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, compose,
-    dispatch_on, identity, make_object, synthesize_morphism, _inv, _run,
+    Decision, EffMorphism, EffObject, NO, UNKNOWN, YES, _borrowed,
+    _to_lender, compose, dispatch_on, identity, synthesize_morphism, _inv,
+    _run,
 )
 from .path import (
     FibrationWitness, fib_path_object, fibrewise_homotopic_decide,
@@ -89,9 +90,7 @@ def prop_truncate(f: EffMorphism) -> TruncationBundle:
     which makes C -> A propositional.
     """
     B, A = f.dom, f.cod
-    hom = {(b, b2): A.hom_of(f.zero_map[b], f.zero_map[b2])
-           for b in B.cells for b2 in B.cells}
-    C = make_object(B.cells, B.realizer, hom, name=f"|{B.name}|")
+    C = _borrowed(A, B.cells, B.realizer, f.zero_map, f"|{B.name}|")
     g = synthesize_morphism(B, C, {b: b for b in B.cells},
                             name=f"{B.name}->|{B.name}|")
     h = synthesize_morphism(C, A, dict(f.zero_map),
@@ -182,8 +181,8 @@ def u_pullback(Z: EffObject, assignment: dict, name: str = "") -> EffObject:
     propositional hom-sets pulled from Z."""
     cells = [(z, n) for z in Z.cells for n in sorted(assignment[z])]
     realizer = {(z, n): tuple_encode(Z.realizer[z], n) for (z, n) in cells}
-    hom = {(x, y): Z.hom_of(x[0], y[0]) for x in cells for y in cells}
-    return make_object(cells, realizer, hom, name=name or f"E|{Z.name}")
+    return _borrowed(Z, cells, realizer, {x: x[0] for x in cells},
+                     name or f"E|{Z.name}")
 
 
 @dataclass
@@ -290,41 +289,33 @@ class ResizeBundle:
     laws: tuple   # both round trips over A, or NO naming an untracked map
 
 
-@dispatch_on(EffMorphism)
 def resize(f: EffMorphism) -> ResizeBundle:
-    """Replace a propositional fibration by the discrete C -> A with
-    C = {(a, n) : some cell over a is realized by n}, realized by n.  When
-    f is not propositional a comparison map is untracked, and the laws are
-    a single NO naming it."""
+    """Replace a propositional fibration, at either level, by the discrete
+    C -> A with C = {(a, n) : some cell over a is realized by n}, realized
+    by n, which borrows its structure from A; the projection is the
+    identity on 1-cells.  When f is not propositional a comparison map is
+    untracked, and the laws are a single NO naming it."""
     B, A = f.dom, f.cod
-    pairs = sorted({(f.zero_map[b], B.realizer[b]) for b in B.cells},
-                   key=lambda p: (A.cells.index(p[0]), p[1]))
-    hom = {(p, q): A.hom_of(p[0], q[0]) for p in pairs for q in pairs}
-    C = make_object(pairs, {p: p[1] for p in pairs}, hom,
-                    name=f"rsz({B.name})")
-    proj = synthesize_morphism(C, A, {p: p[0] for p in pairs},
-                               name=f"rsz({B.name})->{A.name}")
+    choice = {}  # (a, n) -> the first cell over a realized by n
+    for b in B.cells:
+        choice.setdefault((f.zero_map[b], B.realizer[b]), b)
+    pairs = sorted(choice, key=lambda p: (A.cells.index(p[0]), p[1]))
+    C = _borrowed(A, pairs, {p: p[1] for p in pairs},
+                  {p: p[0] for p in pairs}, f"rsz({B.name})")
+    proj = _to_lender(C, A, {p: p[0] for p in pairs},
+                      f"rsz({B.name})->{A.name}")
     assert proj is not None
     to_c = synthesize_morphism(
         B, C, {b: (f.zero_map[b], B.realizer[b]) for b in B.cells})
-    choice = {}
-    for b in sorted(B.cells, key=B.cells.index, reverse=True):
-        choice[(f.zero_map[b], B.realizer[b])] = b
     to_b = synthesize_morphism(C, B, {p: choice[p] for p in pairs})
-    laws = _resize_laws(B, C, to_c, to_b, lambda: (
-        fibrewise_homotopic_decide(compose(to_c, to_b), identity(C), proj),
-        fibrewise_homotopic_decide(compose(to_b, to_c), identity(B), f)))
-    return ResizeBundle(C, proj, laws)
-
-
-def _resize_laws(B, C, to_c, to_b, round_trips):
-    """The round trips of a resizing B <-> C, or a single NO naming the
-    comparison map that is not tracked (B was not propositional)."""
     for X, Y, m in ((B, C, to_c), (C, B, to_b)):
         if m is None:
-            return (Decision(NO, reason=f"comparison map {X.name} -> "
-                                        f"{Y.name} is not tracked"),)
-    return round_trips()
+            return ResizeBundle(C, proj, (Decision(
+                NO, reason=f"comparison map {X.name} -> {Y.name} is not "
+                           "tracked"),))
+    return ResizeBundle(C, proj, (
+        fibrewise_homotopic_decide(compose(to_c, to_b), identity(C), proj),
+        fibrewise_homotopic_decide(compose(to_b, to_c), identity(B), f)))
 
 
 # --- the obstruction on the two-point discrete object -----------------------

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 from .pca import (
     FST_C, PAIR, SND_C, Table, Var, app, apply, cantor_unpair, curry_left,
-    lam, compile_term, tuple_encode,
+    lam, compile_term, tuple_decode, tuple_encode,
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, UNKNOWN, YES,
-    _comp, _u, check_morphism, compose, dispatch_on, forced, identity,
-    make_object, synthesize_morphism,
+    _borrowed, _comp, _u, check_morphism, compose, dispatch_on, forced,
+    identity, make_object, synthesize_morphism,
 )
 from .path import (
     FibrationWitness, Homotopy, PathObjectBundle, PullbackBundle,
@@ -275,22 +275,31 @@ class HomExponential:
         return apply(EV_CODE, t)
 
 
-@dispatch_on(EffObject)
 def hexp(A: EffObject, B: EffObject) -> HomExponential:
-    """The exponential A^B: zero-cells are tracked morphisms B -> A,
-    realized by the pair of their tracking codes; 1-cells between two
-    members are coded homotopies."""
+    """The exponential A^B at either level: zero-cells are tracked
+    morphisms B -> A, realized by the tuple of their TRACKINGS (at level 1
+    the functoriality terms are property, not structure); a 1-cell between
+    two members is a homotopy coded by the tuple of its HOMOTOPY_CODES.
+    Anything else presented is no member, with no realizer and no 1-cell
+    to or from it."""
+
+    def presented(m):
+        return hasattr(m, "TRACKINGS") and getattr(m, "dom", None) is B \
+            and getattr(m, "cod", None) is A
 
     def contains(m):
-        if not isinstance(m, EffMorphism) or m.dom is not B or m.cod is not A:
-            return NO
-        return _verdict_status(check_morphism(m))
+        return _verdict_status(check_morphism(m)) if presented(m) else NO
 
     def realizer_of(m):
-        return tuple_encode(m.tracking0, m.tracking1)
+        return tuple_encode(*(getattr(m, t) for t in m.TRACKINGS)) \
+            if presented(m) else None
 
     def hom_status(m1, m2, n):
-        return _verdict_status(check_homotopy(m1, m2, Homotopy(n)))
+        if not (presented(m1) and presented(m2)):
+            return NO
+        codes = m1.HOMOTOPY_CODES
+        return _verdict_status(check_homotopy(m1, m2, Homotopy(
+            **dict(zip(codes, tuple_decode(n, len(codes)))))))
 
     virt = VirtualObject(f"{A.name}^{B.name}", contains, realizer_of,
                          hom_status)
@@ -349,13 +358,12 @@ def curry_uniqueness_check(curried: dict, competitor: dict) -> Decision:
 
 # --- Pi-types ---------------------------------------------------------------
 
-def fibre_object(f: EffMorphism, x, name: str = "") -> EffObject:
+def fibre_object(f: EffMorphism, x) -> EffObject:
     """The full subobject of the domain of f on the cells over x."""
     Y = f.dom
     cells = [y for y in Y.cells if f.zero_map[y] == x]
-    hom = {(a, b): Y.hom_of(a, b) for a in cells for b in cells}
-    return make_object(cells, {y: Y.realizer[y] for y in cells}, hom,
-                       name=name or f"{Y.name}|{x}")
+    return _borrowed(Y, cells, {y: Y.realizer[y] for y in cells},
+                     {y: y for y in cells}, f"{Y.name}|{x}")
 
 
 @dataclass
@@ -492,8 +500,9 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
             if pair is None:
                 continue
             d = homotopic_decide(*pair)
-            if d.status == YES:  # a homotopy's fields are its codes
-                j = homotopies(*vars(d.witness).values())
+            if d.status == YES:
+                j = homotopies(*(getattr(d.witness, c)
+                                 for c in f.HOMOTOPY_CODES))
                 named.setdefault(j, d.witness)
                 members.add(tuple_encode(pi, j))
                 found[k1, k2, pi] = (*pair, d.witness)
@@ -547,7 +556,7 @@ def pi_type(f: EffMorphism, w: FibrationWitness, g: EffMorphism) -> PiBundle:
 
 
 def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
-                 m: EffMorphism, name: str = ""):
+                 m: EffMorphism):
     """Transpose of m: W x_X Y -> Z over Y into M: W -> Pi_f(g), at either
     level.
 
@@ -564,8 +573,7 @@ def pi_transpose(pi: PiBundle, h: EffMorphism, pbW: PullbackBundle,
         if key not in pi.sections:
             return None
         zero[w_] = key
-    return synthesize_morphism(W, pi.obj, zero,
-                               name=name or f"transpose_{m.name}")
+    return synthesize_morphism(W, pi.obj, zero, name=f"transpose_{m.name}")
 
 
 def pi_transpose_round_trip(pi: PiBundle, h: EffMorphism,
@@ -581,8 +589,7 @@ def pi_transpose_round_trip(pi: PiBundle, h: EffMorphism,
     return fibrewise_homotopic_decide(compose(pi.ev, lift), m, pi.g)
 
 
-def pi_functor_map(piB: PiBundle, piA: PiBundle, p: EffMorphism,
-                   name: str = ""):
+def pi_functor_map(piB: PiBundle, piA: PiBundle, p: EffMorphism):
     """Pi_f applied to a map p: B -> A over Y (g_A p = g_B), at either
     level: postcompose each section with p.  None if untrackable."""
     zero = {}
@@ -591,5 +598,4 @@ def pi_functor_map(piB: PiBundle, piA: PiBundle, p: EffMorphism,
         if tgt not in piA.sections:
             return None
         zero[key] = tgt
-    return synthesize_morphism(piB.obj, piA.obj, zero,
-                               name=name or f"Pi({p.name})")
+    return synthesize_morphism(piB.obj, piA.obj, zero, name=f"Pi({p.name})")

@@ -479,6 +479,17 @@ def make_object(cells, realizer, hom, name: str = "") -> EffObject:
                             name=name), holder)
 
 
+@dispatch_on(EffObject)
+def _borrowed(A: EffObject, cells, realizer, phi: dict,
+              name: str) -> EffObject:
+    """An object on ``cells`` whose hom-sets are A's at the image of the
+    cell map ``phi``; level 1 also borrows A's 2-cells, unit, inverse and
+    composition."""
+    return make_object(cells, realizer, {(x, y): A.hom_of(phi[x], phi[y])
+                                         for x in cells for y in cells},
+                       name=name)
+
+
 # --- morphisms --------------------------------------------------------------
 
 @dataclass
@@ -492,8 +503,9 @@ class EffMorphism:
     name: str = ""
 
     # the codes that are part of the identity of the morphism, by which Pi
-    # numbers its sections
+    # numbers its sections, and the codes of a homotopy between two of them
     TRACKINGS = ("tracking0", "tracking1")
+    HOMOTOPY_CODES = ("h1",)
 
     def __repr__(self):
         return f"EffMorphism({self.name or id(self)})"
@@ -566,6 +578,15 @@ def synthesize_morphism(dom: EffObject, cod: EffObject, zero_map: dict,
 
 
 @dispatch_on(EffObject)
+def _to_lender(C: EffObject, A: EffObject, phi: dict, name: str):
+    """The map from an object _borrowed from A along ``phi`` back to A:
+    ``phi`` on cells and the identity on 1-cells (on 2-cells too at level
+    1), or None if it is not tracked."""
+    return synthesize_morphism(C, A, phi, name,
+                               lambda t, h, x, y, p: forced(p, h))
+
+
+@dispatch_on(EffObject)
 def identity(obj: EffObject) -> EffMorphism:
     one_map = {(a, b): {pi: pi for pi in obj.hom_of(a, b)}
                for a in obj.cells for b in obj.cells}
@@ -577,7 +598,7 @@ def identity(obj: EffObject) -> EffMorphism:
 
 
 @dispatch_on(EffMorphism)
-def compose(g: EffMorphism, f: EffMorphism, name: str = "") -> EffMorphism:
+def compose(g: EffMorphism, f: EffMorphism) -> EffMorphism:
     """g after f, synthesized from the composite cell maps with each 1-cell
     image forced, as compose1 builds it: no code of g or f is run."""
     if f.cod is not g.dom and f.cod != g.dom:
@@ -585,7 +606,7 @@ def compose(g: EffMorphism, f: EffMorphism, name: str = "") -> EffMorphism:
     fz = f.zero_map
     m = synthesize_morphism(
         f.dom, g.cod, {b: g.zero_map[fz[b]] for b in f.dom.cells},
-        name or f"{g.name}.{f.name}",
+        f"{g.name}.{f.name}",
         lambda t, h, b, b2, p: forced(
             g.one_map[fz[b], fz[b2]][f.one_map[b, b2][p]], h))
     assert m is not None  # a composite of tracked maps is tracked

@@ -23,15 +23,15 @@ from .pca import (
 )
 from .core import (
     Decision, EffMorphism, EffObject, MapsDoNotFit, NO, SynthesisFailed,
-    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adopt, _built, _comp, _edges_of,
-    _comp_inputs, _inv, _kept_input, _read, _morphism_stages, _object_stages,
-    _one_cell_inputs, _owned, _read_back, _u, any_image, check_morphism,
-    check_object, compose, forced, identity, make_object, settle,
-    synthesize_morphism, tabulate_all, verify,
+    UNKNOWN, Verdict, YES, _OBJECT_SLOTS, _adopt, _borrowed, _built, _comp,
+    _edges_of, _comp_inputs, _inv, _kept_input, _read, _morphism_stages,
+    _object_stages, _one_cell_inputs, _owned, _read_back, _to_lender, _u,
+    any_image, check_morphism, check_object, compose, forced, identity,
+    make_object, settle, synthesize_morphism, tabulate_all, verify,
 )
 from .path import (
-    EquivalenceWitness, NotTrivial, PathObjectBundle, PullbackBundle,
-    TransportFailed, _choices, _homotopic, _homotopy_stages,
+    EquivalenceWitness, Homotopy, NotTrivial, PathObjectBundle,
+    PullbackBundle, TransportFailed, _choices, _homotopic, _homotopy_stages,
     _lift1_obligations, _zero_map_candidates, check_fibration,
     check_homotopy, fib_path_cells, fib_path_object, fibration_decide,
     fibrewise_homotopic_decide, homotopic_decide, homotopy_from_h1,
@@ -40,13 +40,12 @@ from .path import (
     terminal_object as terminal_object0,
 )
 from .constructions import (
-    HomExponential, JExponential, VirtualObject, _Enumeration, _pi_fibre,
-    _pi_skeleton, _verdict_status, hexp, hexp_J,
+    JExponential, _Enumeration, _pi_fibre, _pi_skeleton, _verdict_status,
+    hexp_J,
 )
 from .classify import (
     Classification, DiscreteNormalForm, HlevelVerdict, NotNormalized,
-    REFUTED, ResizeBundle, TruncationBundle, _resize_laws, discrete_decide,
-    hlevel_check, hlevel_verdict, resize,
+    REFUTED, TruncationBundle, discrete_decide, hlevel_check, hlevel_verdict,
 )
 
 CANDIDATE_LIMIT = 512  # 1-level choices tried per cell map
@@ -331,6 +330,7 @@ def make_object1(cells, realizer, hom, hom2, name: str = "",
                              **codes, name=name), holder)
 
 
+@_borrowed.register(Eff1Object)
 def _borrowed1(A: Eff1Object, cells, realizer, phi: dict,
                name: str) -> Eff1Object:
     """An object on ``cells`` whose hom-sets, 2-cells, unit, inverse and
@@ -380,6 +380,7 @@ class Eff1Morphism:
     name: str = ""
 
     TRACKINGS = ("tracking0", "tracking1", "tracking2")
+    HOMOTOPY_CODES = ("h1", "h2")
 
     def __repr__(self):
         return f"Eff1Morphism({self.name or hex(id(self))})"
@@ -511,6 +512,11 @@ def _build_morphism1(dom: Eff1Object, cod: Eff1Object, zero: dict,
     return synthesize_morphism1(dom, cod, zero, name, *_given(one, two))
 
 
+@_to_lender.register(Eff1Object)
+def _to_lender1(C: Eff1Object, A: Eff1Object, phi: dict, name: str):
+    return _build_morphism1(C, A, phi, name=name)
+
+
 @morphism_candidates.register(Eff1Object)
 def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
                          name: str = ""):
@@ -528,14 +534,13 @@ def morphism_candidates1(dom: Eff1Object, cod: Eff1Object, zero_map: dict,
             yield m
 
 
-def identity_like1(dom: Eff1Object, cod: Eff1Object,
-                   name: str = "") -> Eff1Morphism | None:
+def identity_like1(dom: Eff1Object, cod: Eff1Object) -> Eff1Morphism | None:
     """For objects on the same carrier: the morphism fixing cells and
     1-cells, with 2-level values by intersection."""
     if dom.cells != cod.cells:
         return None
-    return synthesize_morphism1(dom, cod, {b: b for b in dom.cells}, name,
-                                lambda t, h, b, b2, p: forced(p, h))
+    return synthesize_morphism1(dom, cod, {b: b for b in dom.cells},
+                                one=lambda t, h, b, b2, p: forced(p, h))
 
 
 @check_morphism.register(Eff1Morphism)
@@ -559,7 +564,7 @@ def identity1(obj: Eff1Object) -> Eff1Morphism:
 
 
 @compose.register(Eff1Morphism)
-def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "") -> Eff1Morphism:
+def compose1(g: Eff1Morphism, f: Eff1Morphism) -> Eff1Morphism:
     """Value-level composite; the functoriality 2-cells are re-synthesized
     (they always exist for a composite of valid morphisms over finite data
     and are not part of the identity of the morphism)."""
@@ -576,7 +581,7 @@ def compose1(g: Eff1Morphism, f: Eff1Morphism, name: str = "") -> Eff1Morphism:
             f.two_map[b, b2, p, r][n]]
     zero = {b: g.zero_map[fz[b]] for b in f.dom.cells}
     m = _build_morphism1(f.dom, g.cod, zero, one, two,
-                         name=name or f"{g.name}.{f.name}")
+                         name=f"{g.name}.{f.name}")
     assert m is not None
     return m
 
@@ -614,8 +619,7 @@ def inflate(obj: EffObject, name: str = "") -> Eff1Object:
 
 
 def inflate_morphism(f: EffMorphism, dom1: Eff1Object | None = None,
-                     cod1: Eff1Object | None = None,
-                     name: str = "") -> Eff1Morphism:
+                     cod1: Eff1Object | None = None) -> Eff1Morphism:
     dom1 = dom1 if dom1 is not None else inflate(f.dom)
     cod1 = cod1 if cod1 is not None else inflate(f.cod)
     two = {}
@@ -625,8 +629,7 @@ def inflate_morphism(f: EffMorphism, dom1: Eff1Object | None = None,
     z = const_code(0)
     return Eff1Morphism(dom1, cod1, dict(f.zero_map),
                         {k: dict(v) for k, v in f.one_map.items()}, two,
-                        f.tracking0, f.tracking1, z, z, z,
-                        name=name or f.name)
+                        f.tracking0, f.tracking1, z, z, z, name=f.name)
 
 
 def flatten(obj: Eff1Object) -> EffObject:
@@ -665,12 +668,12 @@ def terminal_map1(obj: Eff1Object) -> Eff1Morphism:
     return _owned(obj, ("->1",), build)
 
 
-def point1(A: Eff1Object, a, name: str = "") -> Eff1Morphism:
+def point1(A: Eff1Object, a) -> Eff1Morphism:
     """The point 1 -> A at cell a."""
     ua = _u(A, a)
     m = _build_morphism1(terminal_object1(), A, {"*": a},
                          lambda *_: ua, lambda *_: _id2(A, a, a, ua),
-                         name=name or f"pt_{a}")
+                         name=f"pt_{a}")
     assert m is not None
     return m
 
@@ -956,20 +959,13 @@ def _fib_path_object1(f: Eff1Morphism, cells: list) -> PathObjectBundle:
 
 # --- homotopies -------------------------------------------------------------
 
-@dataclass
-class Homotopy1:
-    """h1: beta b |-> 1-cell f(b) -> g(b); h2: <beta b, beta b', p> |->
-    2-cell  h1(b') . f(p)  =>  g(p) . h1(b)."""
-    h1: int
-    h2: int
-
-
+@_homotopy_stages.register(Eff1Morphism)
 def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None):
-    """The connecting 1-cells of path._homotopy_stages, then h2 filling
-    the naturality squares."""
+    """The connecting 1-cells of level 0's stages, then h2 filling the
+    naturality squares."""
     A, B = f.cod, f.dom
     R, fz, gz = B.realizer, f.zero_map, g.zero_map
-    connecting = _homotopy_stages(f, g, h1)
+    connecting = _homotopy_stages.dispatch(EffMorphism)(f, g, h1)
 
     def stages(val):
         yield from connecting(val)
@@ -993,25 +989,6 @@ def _homotopy1_stages(f: Eff1Morphism, g: Eff1Morphism, h1=None):
                     yield "h2", ts, accs, "homotopy filler"
         yield fillers()
     return stages
-
-
-@check_homotopy.register(Eff1Morphism)
-def check_homotopy1(f: Eff1Morphism, g: Eff1Morphism, H: Homotopy1,
-                    fuel: int | None = None) -> Verdict:
-    with fuel_limit(fuel):
-        return verify(_homotopy1_stages(f, g), vars(H))
-
-
-@homotopy_from_h1.register(Eff1Morphism)
-def homotopy1_from_h1(f: Eff1Morphism, g: Eff1Morphism,
-                      h1_values: dict) -> Homotopy1 | None:
-    """Extend per-realizer connecting 1-cells to a full homotopy by
-    synthesizing the square fillers; None if some filler set is empty."""
-    try:
-        T = settle(_homotopy1_stages(f, g, h1_values), ("h1", "h2"))
-    except SynthesisFailed:
-        return None
-    return Homotopy1(**tabulate_all(T))
 
 
 @fibrewise_homotopic_decide.register(Eff1Morphism)
@@ -1039,7 +1016,7 @@ def _per_realizer(cells, realizer, target, label: str) -> Decision:
 
 
 def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
-                         H: Homotopy1, K: Homotopy1) -> Decision:
+                         H: Homotopy, K: Homotopy) -> Decision:
     """Decide existence of a modification H ~ K: a uniform 2-cell between
     the connecting 1-cells at every cell."""
     A, B = f.cod, f.dom
@@ -1058,13 +1035,13 @@ def two_homotopic_decide(f: Eff1Morphism, g: Eff1Morphism,
 class AdjustedEquivalence:
     """The unit eta' = eta^-1_{gfa} . g(eps^-1_{fa}) . eta_a of an
     adjusted equivalence, with the triangle modifications."""
-    eta_prime: Homotopy1
+    eta_prime: Homotopy
     M: Decision  # eps_f . f(eta') ~ 1_f  (tabulated 2-cells)
     N: Decision  # g(eps) . eta'_g ~ 1_g
 
 
-def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
-             eps: Homotopy1) -> AdjustedEquivalence:
+def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy,
+             eps: Homotopy) -> AdjustedEquivalence:
     """Adjust the unit of an equivalence (f, g, eta, eps) so that both
     triangle laws hold up to modifications."""
     A, B = f.dom, f.cod
@@ -1086,7 +1063,7 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
         prev = vals.setdefault(na, v)
         assert prev == v, "adjusted unit not uniform"
     gf = compose1(g, f)
-    H = homotopy1_from_h1(identity1(A), gf, vals)
+    H = homotopy_from_h1(identity1(A), gf, vals)
     assert H is not None, "adjusted unit admits no fillers"
 
     def first(a):
@@ -1119,7 +1096,7 @@ def adjequiv(f: Eff1Morphism, g: Eff1Morphism, eta: Homotopy1,
 class Section1:
     section: Eff1Morphism
     tau: dict        # a -> lifted 1-cell g(a) -> s(a) over eps_a
-    H: Homotopy1     # 1_B ~ s f
+    H: Homotopy      # 1_B ~ s f
     M: int           # tabulated 2-cells witnessing f(H) ~ 1_f
 
 
@@ -1151,7 +1128,7 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
         prev = vals.setdefault(nb, v)
         if prev != v:
             raise NotTrivial("homotopy to the section is not uniform")
-    H = homotopy1_from_h1(identity1(B), compose1(s, f), vals)
+    H = homotopy_from_h1(identity1(B), compose1(s, f), vals)
     if H is None:
         raise NotTrivial("no square fillers for the section homotopy")
     def trivializing(b):
@@ -1165,32 +1142,7 @@ def trivial1_section(f: Eff1Morphism, w: Fibration1Witness,
     return Section1(s, tau, H, M.witness)
 
 
-# --- exponentials and homotopy pullbacks ------------------------------------
-
-@hexp.register(Eff1Object)
-def hexp1(A: Eff1Object, B: Eff1Object) -> HomExponential:
-    """The exponential A^B: members are tracked morphisms B -> A realized
-    by their three tracking codes (the functoriality terms are property,
-    not structure); 1-cells are coded homotopies <h1, h2>."""
-
-    def contains(m):
-        if not isinstance(m, Eff1Morphism) or m.dom is not B or \
-                m.cod is not A:
-            return NO
-        return _verdict_status(check_morphism1(m))
-
-    def realizer_of(m):
-        return tuple_encode(m.tracking0, m.tracking1, m.tracking2)
-
-    def hom_status(m1, m2, n):
-        h1, h2 = cantor_unpair(n)
-        return _verdict_status(check_homotopy1(m1, m2, Homotopy1(h1, h2)))
-
-    virt = VirtualObject(f"{A.name}^{B.name}", contains, realizer_of,
-                         hom_status)
-    return HomExponential(B, A, virt)
-
-
+# --- the exponential by the walking pair ------------------------------------
 
 @hexp_J.register(Eff1Object)
 def hexp_J1(A: Eff1Object) -> JExponential:
@@ -1649,36 +1601,6 @@ def univalence_check_set(wm: Eff1Morphism, pf: Eff1Morphism,
     return H, fibrewise_homotopic1_decide(induced, wm, pg)
 
 
-# --- resizing ---------------------------------------------------------------
-
-@resize.register(Eff1Morphism)
-def resize1(f: Eff1Morphism) -> ResizeBundle:
-    """Replace a propositional fibration by the equivalent small model on
-    pairs (base cell, realizer), with hom-sets borrowed from the base; the
-    laws name an untracked comparison map when f is not propositional."""
-    B, A = f.dom, f.cod
-    fz = f.zero_map
-    cells, choice = [], {}
-    for b in B.cells:
-        k = (fz[b], B.realizer[b])
-        if k not in choice:
-            choice[k] = b
-            cells.append(k)
-    C = _borrowed1(A, cells, {x: x[1] for x in cells},
-                   {x: x[0] for x in cells}, f"rs_{B.name}")
-    proj = _build_morphism1(C, A, {x: x[0] for x in cells}, name="rs->base")
-    assert proj is not None
-    to_small = synthesize_morphism1(
-        B, C, {b: (fz[b], B.realizer[b]) for b in B.cells})
-    to_total = synthesize_morphism1(C, B, dict(choice))
-    laws = _resize_laws(B, C, to_small, to_total, lambda: (
-        fibrewise_homotopic1_decide(
-            compose1(to_total, to_small), identity1(B), f),
-        fibrewise_homotopic1_decide(
-            compose1(to_small, to_total), identity1(C), proj)))
-    return ResizeBundle(C, proj, laws)
-
-
 # --- the cyclic-group obstruction -------------------------------------------
 
 def z2_object() -> Eff1Object:
@@ -1709,7 +1631,7 @@ def z2_twist(A: Eff1Object | None = None) -> Eff1Morphism:
 def z2_homotopies(A: Eff1Object, wm: Eff1Morphism):
     """Two homotopies 1 ~ twist that admit no modification between them."""
     idA = identity1(A)
-    H = homotopy1_from_h1(idA, wm, {0: 0, 1: 1})
-    K = homotopy1_from_h1(idA, wm, {0: 1, 1: 0})
+    H = homotopy_from_h1(idA, wm, {0: 0, 1: 1})
+    K = homotopy_from_h1(idA, wm, {0: 1, 1: 0})
     assert H is not None and K is not None
     return H, K

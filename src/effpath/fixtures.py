@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .core import EffObject, EffMorphism, synthesize_morphism
+from .core import EffObject, EffMorphism, _borrowed, synthesize_morphism
 from .pca import (
     DEFAULT_BUDGET, DEFAULT_DEPTH, DEFAULT_FUEL, budget_limit, depth_limit,
     fuel_limit,
@@ -52,10 +52,10 @@ def nat_trunc(k: int = 5) -> EffObject:
     return discrete_n(k + 1, name=f"N{k}")
 
 
-def swap_morphism(obj: EffObject, name: str = "swap") -> EffMorphism | None:
+def swap_morphism(obj: EffObject) -> EffMorphism | None:
     """The 0 <-> 1 swap on a two-cell object, if it is trackable."""
     a, b = obj.cells
-    return synthesize_morphism(obj, obj, {a: b, b: a}, name=name)
+    return synthesize_morphism(obj, obj, {a: b, b: a}, name="swap")
 
 
 def two_point_bundle():
@@ -120,8 +120,8 @@ def line_bundle():
     classification normal form: cells (a, n), realizer n, f = fst."""
     base = interval()
     cells = [("0", 5), ("1", 7)]
-    hom = {(x, y): base.hom_of(x[0], y[0]) for x in cells for y in cells}
-    total = make_object(cells, {c: c[1] for c in cells}, hom, name="L")
+    total = _borrowed(base, cells, {c: c[1] for c in cells},
+                      {c: c[0] for c in cells}, "L")
     f = synthesize_morphism(total, base, {c: c[0] for c in cells},
                             name="L->I")
     assert f is not None
@@ -133,8 +133,8 @@ def set_bundle():
     classification normal form."""
     base = interval()
     cells = [("0", 2), ("0", 3), ("1", 4), ("1", 5)]
-    hom = {(x, y): base.hom_of(x[0], y[0]) for x in cells for y in cells}
-    total = make_object(cells, {c: c[1] for c in cells}, hom, name="L22")
+    total = _borrowed(base, cells, {c: c[1] for c in cells},
+                      {c: c[0] for c in cells}, "L22")
     f = synthesize_morphism(total, base, {c: c[0] for c in cells},
                             name="L22->I")
     assert f is not None

@@ -152,18 +152,17 @@ def terminal_map(obj: EffObject) -> EffMorphism:
     return f
 
 
-def product(A: EffObject, B: EffObject, name: str = ""):
+def product(A: EffObject, B: EffObject):
     """Returns (A x B, p1, p2): the pullback of B -> 1 along A -> 1."""
-    pb = pullback(terminal_map(B), terminal_map(A),
-                  name=name or f"{A.name}x{B.name}")
+    pb = pullback(terminal_map(B), terminal_map(A), name=f"{A.name}x{B.name}")
     return pb.obj, pb.to_g_dom, pb.to_f_dom
 
 
-def pair_morphism(prod: EffObject, f: EffMorphism, g: EffMorphism,
-                  name: str = "") -> EffMorphism:
+def pair_morphism(prod: EffObject, f: EffMorphism,
+                  g: EffMorphism) -> EffMorphism:
     """The map <f, g>: C -> A x B into a product built by product()."""
     zero = {c: (f.zero_map[c], g.zero_map[c]) for c in f.dom.cells}
-    m = synthesize_morphism(f.dom, prod, zero, name=name)
+    m = synthesize_morphism(f.dom, prod, zero)
     assert m is not None
     return m
 
@@ -205,12 +204,12 @@ def pullback(f: EffMorphism, g: EffMorphism,
     return PullbackBundle(obj, p1, p2)
 
 
-def mediate(pb: PullbackBundle, h: EffMorphism, k: EffMorphism,
-            name: str = "") -> EffMorphism | None:
+def mediate(pb: PullbackBundle, h: EffMorphism,
+            k: EffMorphism) -> EffMorphism | None:
     """The unique cell-level map X -> D with projections h and k, at either
     level; None when it is not tracked."""
     zero = {x: (h.zero_map[x], k.zero_map[x]) for x in h.dom.cells}
-    return synthesize_morphism(h.dom, pb.obj, zero, name=name)
+    return synthesize_morphism(h.dom, pb.obj, zero)
 
 
 # --- path objects -----------------------------------------------------------
@@ -281,12 +280,18 @@ def fib_path_object(f: EffMorphism) -> PathObjectBundle:
 
 @dataclass
 class Homotopy:
+    """A homotopy f ~ g at either level, with the codes its morphism class
+    names in HOMOTOPY_CODES: h2 is set at level 1 only, <beta b, beta b',
+    p> |-> 2-cell  h1(b') . f(p)  =>  g(p) . h1(b)."""
     h1: int  # beta b |-> 1-cell f(b) -> g(b)
+    h2: int | None = None
 
 
-def _homotopy_stages(f, g, h1=None):
-    """A homotopy's connecting 1-cells at either level: beta b goes to a
-    1-cell f(b) -> g(b), forced to h1[beta b] when h1 is given."""
+@dispatch_on(EffMorphism)
+def _homotopy_stages(f: EffMorphism, g: EffMorphism, h1=None):
+    """A homotopy's connecting 1-cells: beta b goes to a 1-cell f(b) ->
+    g(b), forced to h1[beta b] when h1 is given.  They are the whole
+    homotopy here; level 1 adds the square fillers."""
     A, R = f.cod, f.dom.realizer
 
     def stages(_val):
@@ -300,9 +305,7 @@ def _homotopy_stages(f, g, h1=None):
     return stages
 
 
-@dispatch_on(EffMorphism)
-def check_homotopy(f: EffMorphism, g: EffMorphism, H: Homotopy,
-                   fuel: int | None = None) -> Verdict:
+def check_homotopy(f, g, H: Homotopy, fuel: int | None = None) -> Verdict:
     with fuel_limit(fuel):
         return verify(_homotopy_stages(f, g), vars(H))
 
@@ -325,13 +328,12 @@ def _choices(stages, slot: str, cap: int | None = None):
         itertools.product(*(acc for _t, acc in options)), cap))
 
 
-@dispatch_on(EffMorphism)
-def homotopy_from_h1(f: EffMorphism, g: EffMorphism,
-                     h1_values: dict) -> Homotopy | None:
-    """Extend per-realizer connecting 1-cells to a homotopy f ~ g; None if
-    they do not extend.  At level 0 the 1-cells are the whole homotopy."""
+def homotopy_from_h1(f, g, h1_values: dict) -> Homotopy | None:
+    """Extend per-realizer connecting 1-cells to a homotopy f ~ g at either
+    level (at level 1, by synthesizing the square fillers); None if they
+    do not extend."""
     try:
-        T = settle(_homotopy_stages(f, g, h1_values), ("h1",))
+        T = settle(_homotopy_stages(f, g, h1_values), f.HOMOTOPY_CODES)
     except SynthesisFailed:
         return None
     return Homotopy(**tabulate_all(T))
@@ -379,7 +381,7 @@ def fibrewise_homotopic_decide(f: EffMorphism, g: EffMorphism,
 
 @dataclass
 class EquivalenceWitness:
-    """A homotopy inverse at either level (eff1.Homotopy1s at 1)."""
+    """A homotopy inverse at either level."""
     inverse: EffMorphism
     eta: Homotopy  # 1 ~ g f  on the domain
     eps: Homotopy  # f g ~ 1  on the codomain
@@ -501,7 +503,7 @@ def construct_section(f: EffMorphism, w: FibrationWitness, g: EffMorphism,
 
 # --- sums -------------------------------------------------------------------
 
-def sum_object(A: EffObject, B: EffObject, name: str = ""):
+def sum_object(A: EffObject, B: EffObject):
     """Returns (A + B, inl, inr): tagged realizers, empty cross hom-sets."""
     cells = [("L", a) for a in A.cells] + [("R", b) for b in B.cells]
     realizer = {}
@@ -516,8 +518,7 @@ def sum_object(A: EffObject, B: EffObject, name: str = ""):
         else:
             src = A if t1 == "L" else B
             hom[((t1, x), (t2, y))] = frozenset(src.hom_of(x, y))
-    obj = make_object(cells, realizer, hom,
-                      name=name or f"{A.name}+{B.name}")
+    obj = make_object(cells, realizer, hom, name=f"{A.name}+{B.name}")
     inl = synthesize_morphism(A, obj, {a: ("L", a) for a in A.cells})
     inr = synthesize_morphism(B, obj, {b: ("R", b) for b in B.cells})
     assert inl is not None and inr is not None

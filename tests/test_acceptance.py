@@ -13,7 +13,7 @@ from effpath.core import (
 )
 from effpath.path import (
     FibrationWitness, check_homotopy, fibration_decide,
-    homotopic_decide, is_equivalence_decide,
+    homotopic_decide, homotopy_from_h1, is_equivalence_decide,
     is_trivial_fibration, construct_section, path_object, pullback,
     synthesize_fibration_witness, terminal_map, terminal_object,
     _fibration_stages,
@@ -28,10 +28,8 @@ from effpath.classify import (
     u_pullback, univalence_check_prop,
 )
 from effpath.eff1 import (
-    adjequiv, check_homotopy1, classify_discrete_set, compose1,
-    discrete1_decide,
-    hlevel1_check, homotopy1_from_h1, identity1, inflate, inflate_morphism,
-    resize1,
+    adjequiv, classify_discrete_set, compose1, discrete1_decide,
+    hlevel1_check, identity1, inflate, inflate_morphism,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, truncate1, two_homotopic_decide, univalence_check_set,
     z2_homotopies, z2_object, z2_twist,
@@ -329,7 +327,7 @@ def test_criterion_08_resizing():
         props1 = [lf1, truncate1(terminal_map1(inflate(walking_pair())),
                                  -1).h]
         for f in props1:
-            rs = resize1(f)
+            rs = resize(f)
             assert [d.status for d in rs.laws] == ["yes", "yes"]
             assert discrete1_decide(rs.proj).status == "yes"
     _criterion(8, 30, body)
@@ -393,21 +391,21 @@ def test_criterion_11_z2_counterexample():
         d = is_equivalence_decide(wm)
         assert d.status == "yes"
         H, K = z2_homotopies(A, wm)
-        assert check_homotopy1(idA, wm, H).status == "valid"
-        assert check_homotopy1(idA, wm, K).status == "valid"
+        assert check_homotopy(idA, wm, H).status == "valid"
+        assert check_homotopy(idA, wm, K).status == "valid"
         assert two_homotopic_decide(idA, wm, H, K).status == "no"
         eq = d.witness
         adj = adjequiv(wm, eq.inverse, eq.eta, eq.eps)
         assert adj.M.status == "yes" and adj.N.status == "yes"
         gf = compose1(eq.inverse, wm)
-        assert check_homotopy1(idA, gf, adj.eta_prime).status == "valid"
+        assert check_homotopy(idA, gf, adj.eta_prime).status == "valid"
         # after 0-truncation over the point the two homotopies merge
         tr = truncate1(terminal_map1(A), 0)
         C = tr.g.cod
         wC = z2_twist(C)
         idC = identity1(C)
-        HC = homotopy1_from_h1(idC, wC, {0: 0, 1: 1})
-        KC = homotopy1_from_h1(idC, wC, {0: 1, 1: 0})
+        HC = homotopy_from_h1(idC, wC, {0: 0, 1: 1})
+        KC = homotopy_from_h1(idC, wC, {0: 1, 1: 0})
         assert two_homotopic_decide(idC, wC, HC, KC).status == "yes"
     _criterion(11, 30, body)
 

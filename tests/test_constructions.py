@@ -203,6 +203,31 @@ def test_power_of_point_identifies_shared_realizers():
     assert len({exp.virtual.realizer_of(m) for m in members}) == 1
 
 
+@pytest.mark.parametrize("lift", [lambda A: A, inflate],
+                         ids=["J", "inflate(J)"])
+def test_the_virtual_exponential_answers_any_presentation_at_either_level(
+        lift):
+    # a presentation that is no map 1 -> J is no member, with no realizer
+    # and no 1-cell to or from it, even one with a dom and a cod; a
+    # member's loop is coded by the codes of its homotopy
+    A = lift(walking_pair())
+    exp = hexp(A, terminal_map(A).cod)
+    virt = exp.virtual
+    member = enumerate_members(exp)[0]
+    H = homotopic_decide(member, member).witness
+    loop = pca.tuple_encode(*(getattr(H, c) for c in member.HOMOTOPY_CODES))
+    assert virt.contains(member) == YES
+    assert virt.realizer_of(member) == pca.tuple_encode(
+        *(getattr(member, t) for t in member.TRACKINGS))
+    assert virt.hom_status(member, member, loop) == YES
+    assert virt.hom_status(5, 6, 0) == NO
+    for pres in (5, ("x",), None, exp, identity(A), terminal_map(A)):
+        assert virt.contains(pres) == NO, pres
+        assert virt.realizer_of(pres) is None, pres
+        assert virt.hom_status(pres, member, loop) == NO, pres
+        assert virt.hom_status(member, pres, loop) == NO, pres
+
+
 def test_curry_of_projection_is_pointwise_projection():
     c_obj, b_obj = two(), interval()
     prod, p1, p2 = product(c_obj, b_obj)

@@ -4,24 +4,23 @@ import tracemalloc
 import pytest
 
 from effpath import constructions, eff1, path, pca
-from effpath.classify import hlevel_check, is_standard_discrete
+from effpath.classify import hlevel_check, is_standard_discrete, resize
 from effpath.core import (
     MapsDoNotFit, any_image, identity as identity0, make_object,
 )
 from effpath.eff1 import (
-    NotNormalized, adjequiv, check_fibration1, check_homotopy1,
-    check_morphism1, check_object1, classify_discrete_set, compose1,
-    discrete1_decide, discrete1_phi_psi, fib_path_object1,
-    fibrewise_homotopic1_decide, hexp1, hexp_J1, hlevel1_check,
-    homotopy1_from_h1, identity1, inflate, inflate_morphism, path_object1,
-    point1, product1, pullback1, resize1,
+    NotNormalized, adjequiv, check_fibration1, check_morphism1,
+    check_object1, classify_discrete_set, compose1, discrete1_decide,
+    discrete1_phi_psi, fib_path_object1, fibrewise_homotopic1_decide,
+    hexp_J1, hlevel1_check, identity1, inflate, inflate_morphism,
+    path_object1, point1, product1, pullback1,
     synthesize_fibration1_witness, synthesize_morphism1, terminal_map1,
     terminal_object1, trivial1_section, truncate1, two_homotopic_decide,
     univalence_check_set, z2_homotopies, z2_object, z2_twist,
     _set_normalized,
 )
 from effpath.constructions import (
-    enumerate_members, freyd_square_check, homotopy_pullback_check,
+    enumerate_members, freyd_square_check, hexp, homotopy_pullback_check,
     pi_transpose, pi_transpose_round_trip, pi_type,
 )
 from effpath.fixtures import (
@@ -29,8 +28,8 @@ from effpath.fixtures import (
     two_point_bundle, walking_pair, fixture_fibrations1, fixture_objects1,
 )
 from effpath.path import (
-    fibration_decide, homotopic_decide, is_equivalence_decide,
-    is_trivial_fibration, mediate, terminal_map,
+    check_homotopy, fibration_decide, homotopic_decide, homotopy_from_h1,
+    is_equivalence_decide, is_trivial_fibration, mediate, terminal_map,
 )
 
 
@@ -271,8 +270,8 @@ def test_two_essentially_different_self_homotopies():
     w = z2_twist(A)
     idA = identity1(A)
     H, K = z2_homotopies(A, w)
-    assert check_homotopy1(idA, w, H).status == "valid"
-    assert check_homotopy1(idA, w, K).status == "valid"
+    assert check_homotopy(idA, w, H).status == "valid"
+    assert check_homotopy(idA, w, K).status == "valid"
     assert two_homotopic_decide(idA, w, H, K).status == "no"
 
 
@@ -286,10 +285,10 @@ def test_homotopy_with_bad_filler_is_rejected():
     A = z2_object()
     idA = identity1(A)
     # naturality forces equal loops for id ~ id and unequal for id ~ twist
-    assert homotopy1_from_h1(idA, idA, {0: 0, 1: 0}) is not None
-    assert homotopy1_from_h1(idA, idA, {0: 0, 1: 1}) is None
-    assert homotopy1_from_h1(idA, z2_twist(A), {0: 0, 1: 0}) is None
-    assert homotopy1_from_h1(idA, z2_twist(A), {0: 0, 1: 42}) is None
+    assert homotopy_from_h1(idA, idA, {0: 0, 1: 0}) is not None
+    assert homotopy_from_h1(idA, idA, {0: 0, 1: 1}) is None
+    assert homotopy_from_h1(idA, z2_twist(A), {0: 0, 1: 0}) is None
+    assert homotopy_from_h1(idA, z2_twist(A), {0: 0, 1: 42}) is None
 
 
 def test_inflation_is_homotopy_faithful():
@@ -346,7 +345,7 @@ def test_adjusted_equivalence_of_the_identity():
     ih = homotopic_decide(idI, idI).witness
     adj = adjequiv(idI, idI, ih, ih)
     assert adj.M.status == "yes" and adj.N.status == "yes"
-    assert check_homotopy1(idI, compose1(idI, idI),
+    assert check_homotopy(idI, compose1(idI, idI),
                            adj.eta_prime).status == "valid"
 
 
@@ -357,7 +356,7 @@ def test_adjusted_equivalence_of_the_twist():
     adj = adjequiv(w, eq.inverse, eq.eta, eq.eps)
     assert adj.M.status == "yes" and adj.N.status == "yes"
     gf = compose1(eq.inverse, w)
-    assert check_homotopy1(identity1(A), gf, adj.eta_prime).status == "valid"
+    assert check_homotopy(identity1(A), gf, adj.eta_prime).status == "valid"
 
 
 # --- trivial fibrations -----------------------------------------------------
@@ -368,7 +367,7 @@ def test_interval_over_point_is_trivial():
     w = synthesize_fibration1_witness(f)
     sec = trivial1_section(f, w, is_trivial_fibration(f).witness)
     assert check_morphism1(sec.section).status == "valid"
-    assert check_homotopy1(identity1(f.dom), compose1(sec.section, f),
+    assert check_homotopy(identity1(f.dom), compose1(sec.section, f),
                            sec.H).status == "valid"
 
 
@@ -401,7 +400,7 @@ def test_equivalence_and_triviality_answer_unknown_at_low_fuel(fuel, want):
 
 def test_function_space_members_are_tracked_morphisms():
     I1 = inflate(interval())
-    exp = hexp1(I1, terminal_object1())
+    exp = hexp(I1, terminal_object1())
     members = enumerate_members(exp)
     # maps 1 -> I correspond to the two points
     assert len({tuple(sorted(m.zero_map.items()))
@@ -416,7 +415,7 @@ def test_function_space_members_are_tracked_morphisms():
 
 def test_function_space_one_cells_are_homotopies():
     I1 = inflate(interval())
-    exp = hexp1(I1, terminal_object1())
+    exp = hexp(I1, terminal_object1())
     f, g = enumerate_members(exp)[:2]
     d = homotopic_decide(f, g)
     assert d.status == "yes"
@@ -541,8 +540,8 @@ def test_set_truncation_collapses_the_two_homotopies():
     C = tr.g.cod
     wC = z2_twist(C)
     idC = identity1(C)
-    H = homotopy1_from_h1(idC, wC, {0: 0, 1: 1})
-    K = homotopy1_from_h1(idC, wC, {0: 1, 1: 0})
+    H = homotopy_from_h1(idC, wC, {0: 0, 1: 1})
+    K = homotopy_from_h1(idC, wC, {0: 1, 1: 0})
     assert two_homotopic_decide(idC, wC, H, K).status == "yes"
     assert hlevel1_check(tr.h, 0).status == "verified"
 
@@ -719,14 +718,14 @@ def test_univalence_obstruction_from_the_cyclic_group():
 def test_resize_of_a_line_bundle_is_an_isomorphism():
     total, base, f = line_bundle()
     f1 = inflate_morphism(f)
-    rs = resize1(f1)
+    rs = resize(f1)
     assert len(rs.obj.cells) == len(f1.dom.cells)
     assert [d.status for d in rs.laws] == ["yes", "yes"]
 
 
 def test_resize_collapses_realizer_twins():
     tr = truncate1(fixture_fibrations1()["J->1"], -1)
-    rs = resize1(tr.h)
+    rs = resize(tr.h)
     assert len(rs.obj.cells) == 1
     assert [d.status for d in rs.laws] == ["yes", "yes"]
     assert discrete1_decide(rs.proj).status == "yes"

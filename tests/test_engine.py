@@ -18,11 +18,11 @@ from effpath.core import (
     make_object,
 )
 from effpath.eff1 import (
-    check_fibration1, check_homotopy1, check_morphism1, check_object1,
-    fib_path_object1, hlevel1_check, identity1, inflate, inflate_morphism,
-    make_object1, pullback1, synthesize_fibration1_witness,
-    synthesize_morphism1, terminal_map1, truncate1, z2_homotopies,
-    z2_object, z2_twist, _OBJECT1_SLOTS, _morphism1_stages, _object1_stages,
+    check_fibration1, check_morphism1, check_object1, fib_path_object1,
+    hlevel1_check, identity1, inflate, inflate_morphism, make_object1,
+    pullback1, synthesize_fibration1_witness, synthesize_morphism1,
+    terminal_map1, truncate1, z2_homotopies, z2_object, z2_twist,
+    _OBJECT1_SLOTS, _morphism1_stages, _object1_stages,
 )
 from effpath.fixtures import (
     fixture_fibrations1, fixture_library, interval, nat_trunc,
@@ -73,7 +73,7 @@ def _structures():
         ({"h1": "homotopy 1-cell"}, homotopic_decide(identity(i), sw).witness,
          lambda h: check_homotopy(identity(i), sw, h)),
         ({"h1": "homotopy 1-cell", "h2": "homotopy filler"}, H,
-         lambda h: check_homotopy1(identity1(z2), tw, h)),
+         lambda h: check_homotopy(identity1(z2), tw, h)),
     ]
 
 
@@ -358,13 +358,13 @@ def test_low_fuel_verdicts_do_not_depend_on_warm_caches():
     for name, f in warm.items():
         H = homotopic_decide(f, f).witness
         assert check_morphism1(f).status == "valid", name
-        assert check_homotopy1(f, f, H).status == "valid", name
+        assert check_homotopy(f, f, H).status == "valid", name
         for fuel in (5, 20, 50, 200):
             cold = fixture_fibrations1()[name]
             v = check_morphism1(f, fuel)
             assert isinstance(v, Verdict)
             assert v == check_morphism1(cold, fuel), (name, fuel)
-            v = check_homotopy1(f, f, H, fuel)
+            v = check_homotopy(f, f, H, fuel)
             assert isinstance(v, Verdict)
             cold = fixture_fibrations1()[name]
-            assert v == check_homotopy1(cold, cold, H, fuel), (name, fuel)
+            assert v == check_homotopy(cold, cold, H, fuel), (name, fuel)

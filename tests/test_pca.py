@@ -78,7 +78,7 @@ def test_the_fuel_limit_is_the_default_fuel_of_apply():
 _TAKE_FUEL = {
     "core.check_object", "core.check_morphism", "path.check_fibration",
     "path.check_homotopy", "eff1.check_object1", "eff1.check_morphism1",
-    "eff1.check_fibration1", "eff1.check_homotopy1",
+    "eff1.check_fibration1",
     "pca.apply", "pca.apply_counted", "pca.apply_many", "pca._apply",
     "core._run",
 }
